@@ -19,7 +19,7 @@ import numpy as np
 
 from convexlab.domain import ConvexOracle, chebyshev_partition, phi
 from convexlab.glue import chebyshev_threshold, construct_chebyshev
-from convexlab.piecewise import PiecewisePoly
+from convexlab.piecewise import ConvexityReport, PiecewisePoly, verify_convexity
 from convexlab.smoothness import ModulusProfile, modulus_lower_bound
 
 __all__ = [
@@ -64,38 +64,6 @@ class BoundReport:
             "sup_ratio": self.sup_ratio,
             "excluded_points": [list(row) for row in self.excluded_points],
         }
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    piece_certificates: list
-    slopes_ok: bool
-    offending_pieces: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "convex": self.convex,
-            "slopes_ok": self.slopes_ok,
-            "offending_pieces": list(self.offending_pieces),
-            "piece_min_second_derivative": [
-                c.min_second_derivative for c in self.piece_certificates],
-        }
-
-
-def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
-    """Exact per-piece certificates plus one-sided knot slope monotonicity."""
-    certs = S.piece_certificates()
-    offending = [i for i, c in enumerate(certs) if not c.convex]
-    slope_tol = 1e-9 * S.slope_scale()
-    flat = [s for pair in S.knot_slopes() for s in pair]
-    slopes_ok = all(s2 >= s1 - slope_tol for s1, s2 in zip(flat, flat[1:]))
-    return ConvexityReport(
-        convex=not offending and slopes_ok,
-        piece_certificates=certs,
-        slopes_ok=slopes_ok,
-        offending_pieces=offending,
-    )
 
 
 def _open_chebyshev(lo: float, hi: float, m: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -23,14 +22,17 @@ from convexlab.certify import (
     verify_convexity,
 )
 from convexlab.domain import parse_function, read_partition
+from convexlab.endblocks import NoConvexityThreshold
 from convexlab.glue import (
     DEFAULT_C0,
-    FIND_H_LADDER_FACTOR,
+    ConstructionError,
     NBelowThreshold,
+    NotConvexOutput,
     PartitionTooCoarse,
     construct_chebyshev,
     construct_spline,
 )
+from convexlab.localconvex import SolverStall
 from convexlab.piecewise import PiecewisePoly
 from convexlab.smoothness import modulus
 
@@ -95,8 +97,7 @@ def _spline_json(S, trace, meta) -> dict:
 
 def cmd_approximate(args) -> int:
     f = parse_function(args.function)
-    meta = {"function": f.label(), "r": args.r, "c0": args.c0,
-            "seed": args.seed, "find_h_ladder_factor": FIND_H_LADDER_FACTOR}
+    meta = {"function": f.label(), "r": args.r, "c0": args.c0}
     try:
         if args.partition:
             X = read_partition(args.partition)
@@ -123,8 +124,7 @@ def cmd_approximate(args) -> int:
     if n_threshold is not None:
         meta["N_threshold"] = n_threshold
         print(f"N_threshold = {n_threshold}")
-    rep = verify_convexity(S)
-    print(f"convex_certified = {S.convex_certified and rep.convex}; "
+    print(f"convex_certified = {S.convex_certified}; "
           f"pieces = {S.n}; order = {S.order}; reproduction = {meta['reproduction']}")
     if args.out:
         _write_json(args.out, _spline_json(S, trace, meta))
@@ -166,7 +166,7 @@ def cmd_certify(args) -> int:
     print(f"convexity certified = {conv.convex}")
     if args.out:
         _write_json(args.out, {
-            "function": f.label(), "r": args.r, "n": args.n, "seed": args.seed,
+            "function": f.label(), "r": args.r, "n": args.n,
             "convexity": conv.to_json_dict(),
             "bounds": [rep.to_json_dict() for rep in reports],
         })
@@ -225,7 +225,6 @@ def _add_common(p):
                    help="oracle spec, e.g. exp:alpha=1, f0:r=2, "
                         "truncpow:r=1,eps=0.01, poly:coeffs=0,0,1")
     p.add_argument("--r", type=int, required=True, help="smoothness order used")
-    p.add_argument("--seed", type=int, default=0, help="recorded in outputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=int, default=2048)
     p.add_argument("--timing", action="store_true",
                    help="record wall_ms (breaks byte determinism)")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("CONVEXLAB_JOBS", "0")) or None,
-                   help="accepted for interface compatibility; rows run "
-                        "sequentially and are ordered by n either way")
     p.add_argument("--out", help="CSV output path (stdout otherwise)")
     p.set_defaults(fn=cmd_sweep)
 
@@ -274,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-last", type=float, required=True, dest="x_last")
     p.add_argument("--epsilon", type=float, default=None,
                    help="corner sharpness; default threshold/2")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="witness JSON output path")
     p.set_defaults(fn=cmd_counterexample)
 
@@ -284,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(fn=cmd_modulus)
 
@@ -314,7 +307,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_dash_values(list(argv)))
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, NotConvexOutput, ConstructionError,
+            NoConvexityThreshold, SolverStall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -23,7 +23,6 @@ __all__ = [
     "find_H",
 ]
 
-LADDER_FACTOR = 2.0  # geometric step of the threshold search
 LADDER_STEPS = 60
 
 

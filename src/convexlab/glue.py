@@ -24,9 +24,9 @@ from convexlab.domain import (
     tangent_line,
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
-from convexlab.localconvex import build_sigma, _secant_piece
-from convexlab.piecewise import PiecewisePoly
-from convexlab.smoothness import modulus
+from convexlab.localconvex import build_sigma, _secant_piece, _spot_check_convexity
+from convexlab.piecewise import PiecewisePoly, verify_convexity
+from convexlab.smoothness import _golden_max, modulus
 
 __all__ = [
     "PartitionTooCoarse",
@@ -49,7 +49,6 @@ AFFINE_REL_TOL = 1e-13
 SCAN_POINTS = 4097
 HYPOTHESIS_GRID = 512
 MAX_HALVINGS = 60
-FIND_H_LADDER_FACTOR = 2.0
 
 
 class PartitionTooCoarse(RuntimeError):
@@ -119,23 +118,6 @@ class _Prepared:
     c0: float
 
 
-def _golden_min(fun, lo, hi, iters=48):
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv * (hi - lo)
-    d = lo + inv * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv * (hi - lo)
-            fd = fun(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -144,6 +126,7 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     g, amap = normalize_to_unit(f, interval)
     a = amap.shift
     b = amap.shift + amap.scale
+    _spot_check_convexity(f, a, b)
 
     xs = np.linspace(0.0, 1.0, SCAN_POINTS)
     vals = np.asarray(g(xs), dtype=float)
@@ -156,9 +139,9 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     dx = 1.0 / (SCAN_POINTS - 1)
     lo = max(0.0, xs[i_min] - dx)
     hi = min(1.0, xs[i_min] + dx)
-    x_ref, v_ref = _golden_min(lambda x: float(g(x)), lo, hi)
-    if v_ref <= vals[i_min]:
-        x_star, M = float(x_ref), -float(v_ref)
+    x_ref, depth = _golden_max(lambda x: -float(g(x)), lo, hi, iters=48)
+    if depth >= -vals[i_min]:
+        x_star, M = float(x_ref), float(depth)
     else:
         x_star, M = float(xs[i_min]), -float(vals[i_min])
 
@@ -200,15 +183,12 @@ def _denormalize(pieces, knots, order, amap, f) -> PiecewisePoly:
 
 
 def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
-    if not S.is_continuous(rel_tol=1e-9):
+    rep = verify_convexity(S)
+    if not rep.continuous:
         raise NotConvexOutput("assembled spline is discontinuous at a knot")
-    certs = S.piece_certificates()
-    if not all(c.convex for c in certs):
-        bad = [i for i, c in enumerate(certs) if not c.convex]
-        raise NotConvexOutput(f"pieces {bad} failed the convexity certificate")
-    slope_tol = 1e-9 * S.slope_scale()
-    flat = [s for pair in S.knot_slopes() for s in pair]
-    if any(s2 < s1 - slope_tol for s1, s2 in zip(flat, flat[1:])):
+    if rep.offending_pieces:
+        raise NotConvexOutput(f"pieces {rep.offending_pieces} failed the convexity certificate")
+    if not rep.slopes_ok:
         raise NotConvexOutput("one-sided knot slopes are not nondecreasing")
     return PiecewisePoly(S.knots, S.pieces, S.order, convex_certified=True)
 

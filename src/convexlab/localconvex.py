@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from convexlab.domain import ConvexOracle, Partition
-from convexlab.piecewise import PiecewisePoly
+from convexlab.piecewise import PiecewisePoly, verify_convexity
 from convexlab.polynomial import Poly, convexity_certificate, line_poly
 
 __all__ = [
@@ -239,7 +239,8 @@ def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
 
     Per-interval pieces interpolate f at the knots, so the assembly is
     continuous; the slope slacks give sigma'(x_j-) <= f'(x_j) <= sigma'(x_j+)
-    at every interior knot, which makes the whole thing convex.
+    at every interior knot, which makes the whole thing convex.  The flag is
+    set when sigma passes :func:`verify_convexity`.
     """
     pieces = convex_pieces(f, X, r)
     sigma = PiecewisePoly(
@@ -247,9 +248,7 @@ def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
         pieces=tuple(pc.poly for pc in pieces),
         order=r + 2,
     )
-    slope_tol = 1e-9 * sigma.slope_scale()
-    slopes_ok = all(sl <= sr + slope_tol for sl, sr in sigma.knot_slopes())
-    if slopes_ok and sigma.is_continuous():
+    if verify_convexity(sigma).convex:
         sigma = PiecewisePoly(sigma.knots, sigma.pieces, sigma.order,
                               convex_certified=True)
     return sigma

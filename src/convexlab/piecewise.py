@@ -8,7 +8,7 @@ import numpy as np
 
 from convexlab.polynomial import Poly, convexity_certificate
 
-__all__ = ["PiecewisePoly"]
+__all__ = ["PiecewisePoly", "ConvexityReport", "verify_convexity"]
 
 
 @dataclass(frozen=True)
@@ -16,8 +16,8 @@ class PiecewisePoly:
     """Knot vector plus one polynomial piece per interval.
 
     ``order`` is the usual spline order: maximal piece degree plus one.
-    ``convex_certified`` is only set by constructions that ran the exact
-    per-piece certificates and the knot slope check.
+    ``convex_certified`` is only set by constructions whose spline passed
+    :func:`verify_convexity`.
     """
 
     knots: np.ndarray
@@ -127,3 +127,41 @@ class PiecewisePoly:
             order=int(d["order"]),
             convex_certified=bool(d.get("convex_certified", False)),
         )
+
+
+@dataclass(frozen=True)
+class ConvexityReport:
+    convex: bool
+    piece_certificates: list
+    slopes_ok: bool
+    offending_pieces: list
+    continuous: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "convex": self.convex,
+            "continuous": self.continuous,
+            "slopes_ok": self.slopes_ok,
+            "offending_pieces": list(self.offending_pieces),
+            "piece_min_second_derivative": [
+                c.min_second_derivative for c in self.piece_certificates],
+        }
+
+
+def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
+    """The whole-spline convexity check: continuity at relative tolerance
+    1e-9, exact per-piece certificates, and one-sided slopes nondecreasing
+    along the knots up to 1e-9 * (1 + max |slope|)."""
+    flat = [s for pair in S.knot_slopes() for s in pair]
+    slope_tol = 1e-9 * (1.0 + max((abs(s) for s in flat), default=0.0))
+    slopes_ok = all(s2 >= s1 - slope_tol for s1, s2 in zip(flat, flat[1:]))
+    continuous = S.is_continuous(rel_tol=1e-9)
+    certs = S.piece_certificates()
+    offending = [i for i, c in enumerate(certs) if not c.convex]
+    return ConvexityReport(
+        convex=continuous and not offending and slopes_ok,
+        piece_certificates=certs,
+        slopes_ok=slopes_ok,
+        offending_pieces=offending,
+        continuous=continuous,
+    )

@@ -97,15 +97,6 @@ class Poly:
         cs[1] += slope * self.halfwidth
         return Poly(self.center, self.halfwidth, cs)
 
-    def plus(self, other: "Poly") -> "Poly":
-        if other.center != self.center or other.halfwidth != self.halfwidth:
-            raise ValueError("polynomials must share a local frame")
-        m = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (m - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly(self.center, self.halfwidth, a)
-
     def rescale_domain(self, shift: float, scale: float) -> "Poly":
         """The pullback q(x) = p((x - shift)/scale): exact frame relabeling."""
         if not scale > 0:

@@ -44,6 +44,19 @@ def test_verify_convexity_affine_spline():
                for c in rep.piece_certificates)
 
 
+def test_verify_convexity_flags_jump():
+    # both pieces are convex and the one-sided slopes agree (2.0) at x = 1,
+    # but the spline jumps from 1 to 6 there
+    S = PiecewisePoly(knots=[0.0, 1.0, 2.0],
+                      pieces=(Poly(0.5, 0.5, (0.25, 0.5, 0.25)),
+                              Poly(1.5, 0.5, (7.25, 1.5, 0.25))),
+                      order=3)
+    rep = verify_convexity(S)
+    assert not rep.convex
+    assert not rep.continuous
+    assert rep.slopes_ok and not rep.offending_pieces
+
+
 def test_bound_report_reproduction_all_zero():
     f = even_power_oracle(2)
     S, _, _ = construct_chebyshev(f, 3, 32)

@@ -32,6 +32,15 @@ def test_approximate_below_threshold_exits_2(capsys):
     assert "N_threshold" in capsys.readouterr().out
 
 
+def test_approximate_concave_input_exits_1(capsys):
+    code = run(["approximate", "--function", "poly:coeffs=0,0,-1",
+                "--r", "2", "--n", "64"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_approximate_reproduction_flag(tmp_path, capsys):
     out = tmp_path / "s.json"
     code = run(["approximate", "--function", "poly:coeffs=0,0,0,0,1",
@@ -76,6 +85,20 @@ def test_certify_round_trip(tmp_path, capsys):
     assert doc["convexity"]["convex"] is True
     for rep in doc["bounds"]:
         assert math.isfinite(rep["sup_ratio"])
+
+
+def test_certify_rejects_spline_with_jump(tmp_path, capsys):
+    spline = tmp_path / "s.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "1",
+                "--n", "16", "--out", str(spline)]) == 0
+    doc = json.loads(spline.read_text())
+    doc["pieces"][8]["coeffs"][0] += 0.5
+    spline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "16",
+                "--spline", str(spline), "--grid-size", "65", "--density", "256"])
+    assert code == 1
+    assert "convexity certified = False" in capsys.readouterr().out
 
 
 def test_certify_corrupted_spline_exits_1(tmp_path, capsys):
