@@ -2,9 +2,11 @@
 n-sweeps, and the arithmetic witnesses behind the impossibility results.
 
 Every estimate is checked as a ratio |f - S| / bound on a fixed grid.  The
-moduli in denominators are certified lower bounds, so ratios over-estimate
-conservatively; points where either side sits below the float noise floor are
-excluded and reported as satisfied-degenerate.
+moduli in denominators are certified lower bounds, read from a
+``ModulusProfile`` built over exactly the steps the grid queries, so ratios
+over-estimate conservatively; points where either side sits below the float
+noise floor are excluded and reported as satisfied-degenerate.  Bounds 2.3,
+2.4 and 2.5 share one code path driven by a table of (order, step, weight).
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ def _strip_grid(n: int, m: int) -> np.ndarray:
     return np.concatenate([left, right])
 
 
+# bound id -> (k, t(x), weight(x, t)) for the bounds weight * omega_k(f^(r), t)
+# on [-1, 1]; 2.3 is sampled over the whole interval, 2.4 and 2.5 on the strips
+_PROFILE_BOUNDS = {
+    "2.3": (2, lambda x, n: phi(x) / n, lambda x, t, r: t ** r),
+    "2.4": (2, lambda x, n: phi(x) / n, lambda x, t, r: phi(x) ** (2 * r)),
+    "2.5": (1, lambda x, n: phi(x) ** 2, lambda x, t, r: phi(x) ** (2 * r)),
+}
+
+
 def _assemble_report(bound_id, xs, errs, bounds, scale) -> BoundReport:
     atol = ATOL_REL * scale
     noise = NOISE_REL * scale
@@ -132,44 +143,24 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
             return xs
         return np.sort(np.concatenate([xs] + extra))
 
-    if bound_id == "2.3":
-        xs = densify(_open_chebyshev(-1.0, 1.0, grid_size), -1.0, 1.0)
-        ts = phi(xs) / n
-        prof = ModulusProfile(fr, 2, (-1.0, 1.0), t_max=float(np.max(ts)),
-                              grid=density, log_spaced=True, columns=6,
-                              t_min=0.5 * float(np.min(ts[ts > 0])), focus=kinks)
-        bounds = ts ** r * np.array([prof.value(t) for t in ts])
-    elif bound_id == "2.4":
-        xs = _strip_grid(n, grid_size)
-        ts = phi(xs) / n
-        prof = ModulusProfile(fr, 2, (-1.0, 1.0), t_max=float(np.max(ts)),
-                              grid=density, log_spaced=True, columns=6,
-                              t_min=0.5 * float(np.min(ts[ts > 0])), focus=kinks)
-        bounds = phi(xs) ** (2 * r) * np.array([prof.value(t) for t in ts])
-    elif bound_id == "2.5":
-        xs = _strip_grid(n, grid_size)
-        ts = phi(xs) ** 2
-        prof = ModulusProfile(fr, 1, (-1.0, 1.0), t_max=float(np.max(ts)),
-                              grid=density, log_spaced=True, columns=6,
-                              t_min=0.5 * float(np.min(ts[ts > 0])), focus=kinks)
-        bounds = phi(xs) ** (2 * r) * np.array([prof.value(t) for t in ts])
-    elif bound_id in ("2.11", "2.12"):
-        if bound_id == "2.11":
-            lo, hi = -1.0, x1
-            dist = lambda x: x - lo
+    if bound_id in _PROFILE_BOUNDS:
+        k, step, weight = _PROFILE_BOUNDS[bound_id]
+        if bound_id == "2.3":
+            xs = densify(_open_chebyshev(-1.0, 1.0, grid_size), -1.0, 1.0)
         else:
-            lo, hi = xn1, 1.0
-            dist = lambda x: hi - x
+            xs = _strip_grid(n, grid_size)
+        ts = step(xs, n)
+        prof = ModulusProfile(fr, k, (-1.0, 1.0), ts, grid=density, focus=kinks)
+        bounds = weight(xs, ts, r) * prof.value(ts)
+    elif bound_id in ("2.11", "2.12"):
+        lo, hi = (-1.0, x1) if bound_id == "2.11" else (xn1, 1.0)
         h = hi - lo
         xs = densify(_open_chebyshev(lo, hi, grid_size), lo, hi)
-        om1 = ModulusProfile(fr, 1, (lo, hi), t_max=h, grid=density,
-                             columns=6, focus=kinks)
-        om2 = ModulusProfile(fr, 2, (lo, hi), t_max=h, grid=density,
-                             columns=6, focus=kinks)
-        bounds = np.array([
-            dist(float(x)) ** r * min(om1.value(dist(float(x))),
-                                      om2.value(math.sqrt(dist(float(x)) * h)))
-            for x in xs])
+        d = xs - lo if bound_id == "2.11" else hi - xs
+        t2 = np.sqrt(d * h)
+        om1 = ModulusProfile(fr, 1, (lo, hi), d, grid=density, focus=kinks)
+        om2 = ModulusProfile(fr, 2, (lo, hi), t2, grid=density, focus=kinks)
+        bounds = d ** r * np.minimum(om1.value(d), om2.value(t2))
     else:  # 2.13: interior intervals with the three-term right side
         end_left = (x1 - (-1.0)) ** r * modulus_lower_bound(
             fr, 2, x1 + 1.0, (-1.0, x1), grid=density, focus=kinks)

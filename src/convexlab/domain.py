@@ -431,11 +431,15 @@ def parse_function(spec: str) -> ConvexOracle:
     for key, vals in kwargs.items():
         if key not in schema:
             raise ValueError(f"unknown parameter {key!r} for family {name!r}")
+        nums = [float(v) for v in vals]
+        if not all(math.isfinite(v) for v in nums):
+            raise ValueError(f"parameter {key!r} of family {name!r} must be finite, "
+                             f"got {','.join(vals)}")
         want = schema[key]
         if want == "floats":
-            args[key] = [float(v) for v in vals]
-        elif len(vals) != 1:
+            args[key] = nums
+        elif len(nums) != 1:
             raise ValueError(f"parameter {key!r} takes a single value")
         else:
-            args[key] = want(float(vals[0])) if want is int else want(vals[0])
+            args[key] = want(nums[0])
     return ctor(**args)

@@ -1,9 +1,13 @@
 """Finite differences and moduli of smoothness by certified grid search.
 
-All maximization here is done on fixed lattices followed by local
-golden-section refinement, so every reported value is a certified lower
-bound on the true supremum.  Ratios that divide by one of these values
-therefore over-estimate conservatively.
+``ModulusProfile`` is the one place that maximizes over centers: for each
+step a caller will query it takes the maximum of |delta^k_u f| over a fixed
+lattice of centers, and it answers a query at t with the running max over
+its steps <= t.  ``modulus`` (a profile over a uniform step lattice plus
+local golden-section refinement) and ``modulus_lower_bound`` (a profile over
+a few fractions of t) are built on it.  Every reported value is therefore a
+certified lower bound on the true supremum, and ratios that divide by one of
+these values over-estimate conservatively.
 """
 
 from __future__ import annotations
@@ -123,18 +127,19 @@ def modulus(f, k: int, t: float, interval, grid: int = 512) -> ModulusResult:
     k = _check_order(k)
     if grid < 64:
         raise ValueError(f"grid must be >= 64, got {grid}")
+    if math.isnan(t):
+        raise ValueError("modulus step t must be a number, got nan")
     a, b = float(interval[0]), float(interval[1])
     t_eff = min(float(t), (b - a) / k)
     if t_eff <= 0.0 or b <= a:
         return ModulusResult(0.0, 0.0, 0.5 * (a + b), grid)
 
-    w = _weights(k)
+    prof = ModulusProfile(f, k, (a, b), t_eff * np.arange(1, grid + 1) / grid, grid)
     best_v, best_u, best_x = 0.0, t_eff, 0.5 * (a + b)
-    us = t_eff * np.arange(1, grid + 1) / grid
-    for u in us:
-        v, x = _row_max(f, k, w, float(u), a, b, grid)
-        if v > best_v:
-            best_v, best_u, best_x = v, float(u), x
+    j = int(np.argmax(prof.rows))
+    if prof.rows[j] > 0.0:
+        best_v, best_u = float(prof.rows[j]), float(prof.us[j])
+        best_x = float(prof.arg_x[j])
 
     # refine u around the lattice argmax, center pinned
     du = t_eff / grid
@@ -173,14 +178,9 @@ def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048,
     k = _check_order(k)
     a, b = float(interval[0]), float(interval[1])
     t = min(float(t), (b - a) / k)
-    if t <= 0 or b <= a:
-        return 0.0
-    w = _weights(k)
-    best = 0.0
-    for j in range(1, columns + 1):
-        v, _ = _row_max(f, k, w, t * j / columns, a, b, grid, focus)
-        best = max(best, v)
-    return best
+    steps = t * np.arange(1, columns + 1) / columns
+    # the last running max covers every column
+    return ModulusProfile(f, k, (a, b), steps, grid, focus).value(math.inf)
 
 
 def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512) -> float:
@@ -205,48 +205,27 @@ def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512)
 
 
 class ModulusProfile:
-    """Reusable modulus evaluator for many step queries against one (f, k).
+    """Certified lower bounds of omega_k(f, t) at the steps a caller will query.
 
-    Precomputes sup_x |delta^k_u| over a ladder of steps; a query at t takes
-    the cumulative max over ladder steps <= t and sharpens it with a handful
-    of exact columns at fractions of t itself.  Ladder may be linear or
-    log-spaced.  Values are certified lower bounds of the modulus.
+    The steps are clamped to the admissible (b-a)/k, sorted and de-duplicated;
+    each gets one dense-in-x row maximum sup_x |delta^k_u f| (``rows``, with
+    its center ``arg_x``).  value(t) is the running max of the rows at steps
+    <= t, and 0 below the first step.
     """
 
-    def __init__(self, f, k: int, interval, t_max: float, grid: int = 2048,
-                 log_spaced: bool = False, t_min: float | None = None,
-                 columns: int = 16, focus=()):
-        self.f = f
-        self.k = _check_order(k)
-        self.a, self.b = float(interval[0]), float(interval[1])
-        self.grid = int(grid)
-        self.columns = int(columns)
-        self.focus = tuple(float(p) for p in focus)
-        self._w = _weights(self.k)
-        u_adm = (self.b - self.a) / self.k
-        t_max = min(float(t_max), u_adm)
-        if t_max <= 0:
-            self.us = np.array([])
-            self.cummax = np.array([])
-            return
-        if log_spaced:
-            lo = max(t_min if t_min else t_max / grid, t_max * 1e-12)
-            self.us = np.geomspace(lo, t_max, grid)
-        else:
-            self.us = t_max * np.arange(1, grid + 1) / grid
-        sup = np.empty_like(self.us)
-        for i, u in enumerate(self.us):
-            sup[i], _ = _row_max(self.f, self.k, self._w, float(u),
-                                 self.a, self.b, self.grid, self.focus)
-        self.cummax = np.maximum.accumulate(sup)
+    def __init__(self, f, k: int, interval, steps, grid: int = 2048, focus=()):
+        k = _check_order(k)
+        a, b = float(interval[0]), float(interval[1])
+        us = np.unique(np.minimum(np.asarray(steps, dtype=float).ravel(), (b - a) / k))
+        self.us = us[us > 0]
+        w = _weights(k)
+        focus = tuple(float(p) for p in focus)
+        rows = [_row_max(f, k, w, float(u), a, b, int(grid), focus) for u in self.us]
+        self.rows = np.array([v for v, _ in rows])
+        self.arg_x = np.array([x for _, x in rows])
+        self.cummax = np.maximum.accumulate(np.append(0.0, self.rows))
 
-    def value(self, t: float) -> float:
-        t = min(float(t), (self.b - self.a) / self.k)
-        if t <= 0 or self.us.size == 0:
-            return 0.0
-        idx = np.searchsorted(self.us, t, side="right") - 1
-        ladder = float(self.cummax[idx]) if idx >= 0 else 0.0
-        fresh = modulus_lower_bound(self.f, self.k, t, (self.a, self.b),
-                                    grid=self.grid, columns=self.columns,
-                                    focus=self.focus)
-        return max(ladder, fresh)
+    def value(self, t):
+        """Running max at the largest step <= t; t may be a scalar or an array."""
+        v = self.cummax[np.searchsorted(self.us, t, side="right")]
+        return float(v) if np.ndim(v) == 0 else v

@@ -27,9 +27,10 @@ def one_sided_ratio_sup(f, r, poly, interval, side, grid_pts=65, density=512):
     where d is the distance to the matched end."""
     a, b = interval
     length = b - a
-    om1 = ModulusProfile(f.deriv_fn(r), 1, interval, t_max=length, grid=density)
-    om2 = ModulusProfile(f.deriv_fn(r), 2, interval, t_max=length, grid=density)
     xs = _open_chebyshev_grid(a, b, grid_pts)
+    ds = (xs - a) if side == "left" else (b - xs)
+    om1 = ModulusProfile(f.deriv_fn(r), 1, interval, ds, grid=density)
+    om2 = ModulusProfile(f.deriv_fn(r), 2, interval, np.sqrt(ds * length), grid=density)
     fscale = 1.0 + float(np.max(np.abs(f(xs))))
     worst = 0.0
     for x in xs:

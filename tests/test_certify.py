@@ -12,7 +12,7 @@ from convexlab.certify import (
     threshold_growth,
     verify_convexity,
 )
-from convexlab.domain import even_power_oracle, exp_oracle
+from convexlab.domain import even_power_oracle, exp_oracle, parse_function
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.piecewise import PiecewisePoly
 from convexlab.polynomial import Poly
@@ -165,3 +165,26 @@ def test_threshold_growth_truncpow():
 def test_threshold_growth_validates_order():
     with pytest.raises(ValueError):
         threshold_growth(1, [0.01, 0.1])
+
+
+# sup ratios in BOUND_IDS order, pinned so that a change to the modulus
+# engine or to the bound table cannot move a certified ratio unnoticed;
+# f0:r=2 adds nonzero 2.4, 2.5 and 2.11 ratios, which the other two cases
+# leave below the noise floor
+PINNED_SUP_RATIOS = [
+    ("exp:alpha=1", 2, 64, (0.07843981337683607, 0.0, 0.0, 0.0, 0.0,
+                            0.004006491938542441)),
+    ("truncpow:r=1,eps=0.2", 1, 64, (0.04675527766815244, 0.0, 0.0, 0.0, 0.0,
+                                     0.04242651343101159)),
+    ("f0:r=2", 2, 64, (0.25552197402699717, 0.0601506446361374, 0.04286605005819232,
+                       0.24880531696590197, 0.0, 0.023690004687598243)),
+]
+
+
+@pytest.mark.parametrize("spec,r,n,want", PINNED_SUP_RATIOS,
+                         ids=[case[0] for case in PINNED_SUP_RATIOS])
+def test_bound_report_sup_ratios_pinned(spec, r, n, want):
+    f = parse_function(spec)
+    S, _, _ = construct_chebyshev(f, r, n)
+    got = [pointwise_bound_report(f, S, r, n, b).sup_ratio for b in BOUND_IDS]
+    assert got == pytest.approx(list(want), rel=1e-12, abs=0.0)

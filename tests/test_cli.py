@@ -167,6 +167,25 @@ def test_modulus_command(capsys):
     assert value == pytest.approx(want, rel=1e-4)
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_non_finite_parameter_exits_1(alpha, capsys):
+    code = run(["approximate", "--function", f"exp:alpha={alpha}", "--r", "1",
+                "--n", "16"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "alpha" in err[0]
+
+
+def test_modulus_nan_step_exits_1(capsys):
+    code = run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "nan"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "modulus = " not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_unknown_function_exits_1(capsys):
     code = run(["approximate", "--function", "sin:freq=1", "--r", "1", "--n", "8"])
     assert code == 1

@@ -89,6 +89,12 @@ def test_modulus_zero_step():
     assert modulus(f, 2, 0.0, (-1, 1), grid=64).value == 0.0
 
 
+def test_modulus_rejects_nan_step():
+    f = lambda x: np.exp(np.asarray(x))
+    with pytest.raises(ValueError, match="nan"):
+        modulus(f, 2, math.nan, (-1, 1), grid=64)
+
+
 def test_modulus_invalid_order_and_grid():
     f = lambda x: np.asarray(x)
     with pytest.raises(InvalidOrder):
@@ -168,22 +174,72 @@ def test_sqrt_singularity_band():
 
 def test_profile_matches_modulus_queries():
     f = lambda x: np.exp(np.asarray(x))
-    prof = ModulusProfile(f, 2, (-1, 1), t_max=0.5, grid=256)
-    for t in (0.05, 0.2, 0.5):
+    steps = (0.05, 0.2, 0.5)
+    prof = ModulusProfile(f, 2, (-1, 1), steps, grid=256)
+    for t in steps:
         direct = modulus(f, 2, t, (-1, 1), grid=256).value
         table = prof.value(t)
         assert table == pytest.approx(direct, rel=1e-3)
         assert table <= direct * 1.001
 
 
-def test_profile_log_spaced_small_steps():
+def test_profile_small_steps():
     f = lambda x: np.exp(np.asarray(x))
-    prof = ModulusProfile(f, 2, (-1, 1), t_max=0.5, grid=256,
-                          log_spaced=True, t_min=1e-6)
-    # near-zero queries are dominated by the exact columns; compare with the
+    prof = ModulusProfile(f, 2, (-1, 1), (1e-5,), grid=256)
+    # a tiny step reads its own row maximum; compare with the
     # second-difference magnitude ~ max|f''| t^2
     v = prof.value(1e-5)
     assert 0.5 * math.exp(-1) * 1e-10 < v < math.e * 1e-10 * 1.01
+
+
+def _row_max_by_hand(f, k, u, interval, grid):
+    a, b = interval
+    xs = np.linspace(a + 0.5 * k * u, b - 0.5 * k * u, grid)
+    return max(abs(finite_difference(f, k, u, float(x), interval)) for x in xs)
+
+
+def test_profile_value_is_running_max_of_row_maxima():
+    # the row maxima of sin(6x), about 2 (1 - cos 6u), peak near u = 0.52
+    # and fall after it, so the running max differs from the row at 0.7, 0.9
+    f = lambda x: np.sin(6.0 * np.asarray(x))
+    steps = [0.9, 0.1, 0.5, 0.3, 0.5, 0.7, 0.6]
+    prof = ModulusProfile(f, 2, (-1, 1), steps, grid=129)
+    assert list(prof.us) == sorted(set(steps))
+    rows = {u: _row_max_by_hand(f, 2, u, (-1, 1), 129) for u in set(steps)}
+    assert rows[0.9] < rows[0.7] < rows[0.5]
+    for t in steps:
+        want = max(v for u, v in rows.items() if u <= t)
+        assert prof.value(t) == pytest.approx(want, rel=1e-12)
+
+
+def test_profile_is_zero_below_first_step():
+    f = lambda x: np.exp(np.asarray(x))
+    prof = ModulusProfile(f, 2, (-1, 1), (0.2, 0.4), grid=64)
+    assert prof.value(0.4) > prof.value(0.2) > 0.0
+    for t in (0.199, 0.0, -1.0):
+        assert prof.value(t) == 0.0
+    assert ModulusProfile(f, 2, (-1, 1), (), grid=64).value(0.5) == 0.0
+
+
+def test_profile_array_and_scalar_queries_agree():
+    f = lambda x: np.sin(6.0 * np.asarray(x))
+    prof = ModulusProfile(f, 2, (-1, 1), np.linspace(0.05, 1.0, 9), grid=64)
+    qs = np.linspace(-0.1, 1.5, 33)
+    got = prof.value(qs)
+    assert isinstance(got, np.ndarray) and got.shape == qs.shape
+    for q, v in zip(qs, got):
+        scalar = prof.value(float(q))
+        assert isinstance(scalar, float) and scalar == v
+
+
+def test_profile_clamps_steps_to_admissible():
+    f = lambda x: np.exp(np.asarray(x))
+    # on [-1, 1] with k = 2 no step above 1 fits
+    prof = ModulusProfile(f, 2, (-1, 1), (0.5, 3.0, 7.0), grid=64)
+    assert list(prof.us) == [0.5, 1.0]
+    at_limit = ModulusProfile(f, 2, (-1, 1), (1.0,), grid=64).value(1.0)
+    assert at_limit > 0.0
+    assert prof.value(1.0) == prof.value(7.0) == at_limit
 
 
 def test_modulus_argmax_admissible():
