@@ -4,9 +4,9 @@ Pipeline: normalize f onto [0,1] with zero boundary values, locate the depth
 M and the minimizer, shrink a smallness radius H1 until the boundary values
 and the weighted second-order modulus are dominated by M, intersect with the
 endpoint-block convexity threshold, build the two Hermite endpoint blocks and
-the convex interpolant sigma, then blend sigma with a tangent line so the
-block defects are absorbed without losing convexity.  The Chebyshev
-specialization derives the minimal admissible n from H.
+the interior pieces of the convex interpolant sigma, then blend them with a
+tangent line so the block defects are absorbed without losing convexity.
+The Chebyshev specialization derives the minimal admissible n from H.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from convexlab.domain import (
     tangent_line,
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
-from convexlab.localconvex import build_sigma, _secant_piece, _spot_check_convexity
+from convexlab.localconvex import _convex_pieces, _secant_piece, _spot_check_convexity
 from convexlab.piecewise import PiecewisePoly, verify_convexity
 from convexlab.smoothness import _golden_max, modulus
 
@@ -225,7 +225,9 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
             f"block defects |{delta:.3g}|, |{delta_tilde:.3g}| exceed M/4 = {0.25*M:.3g}")
     delta_hat = delta - delta_tilde
 
-    sigma = build_sigma(g, Partition(u), r)
+    # the end blocks replace sigma's first and last pieces, so only its
+    # interior pieces are built; _certify_or_raise certifies them in S
+    interior = [pc.poly for pc in _convex_pieces(g, u[1:-1], r + 1)]
 
     sl, il = tangent_line(g, u1)
     sl_t, il_t = tangent_line(g, un1)
@@ -246,9 +248,9 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
         raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
     middle = tuple(
-        sigma.pieces[j].scaled(lam).plus_line((1.0 - lam) * line_slope,
-                                              (1.0 - lam) * line_icept + shift)
-        for j in range(1, X.n - 1)
+        p.scaled(lam).plus_line((1.0 - lam) * line_slope,
+                                (1.0 - lam) * line_icept + shift)
+        for p in interior
     )
     unit_pieces = (left.poly,) + middle + (right.poly,)
     S = _denormalize(unit_pieces, X.knots, r + 2, amap, f)

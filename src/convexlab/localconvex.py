@@ -2,8 +2,10 @@
 
 Each piece interpolates the function at both interval ends, sandwiches the
 one-sided slopes against f' there, and is certified convex.  The workhorse is
-a small minimax LP over local polynomial coefficients; the explicit convex
-parabola is both the degree-2 construction and the always-feasible fallback.
+a small minimax LP over local polynomial coefficients per piece; the pieces
+are independent, so CHUNK of them are solved as one block-diagonal LP.  The
+explicit convex parabola is both the degree-2 construction and the
+always-feasible fallback.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from convexlab.domain import ConvexOracle, Partition
 from convexlab.piecewise import PiecewisePoly, verify_convexity
@@ -33,6 +36,9 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 DEGENERATE_REL_LENGTH = 1e-13
+# pieces per block-diagonal LP: 16 gets most of the gain over one LP per
+# piece, while peak memory grows with the chunk
+CHUNK = 16
 
 
 class NotConvexInput(ValueError):
@@ -59,12 +65,23 @@ class ConvexPiece:
     source: str = "lp"  # lp | parabola | secant | parabola-fallback
 
 
-def _spot_check_convexity(f: ConvexOracle, a: float, b: float, npts: int = 65) -> None:
-    xs = np.linspace(a, b, npts)
-    d1 = np.asarray(f.deriv(1, xs), dtype=float)
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(d1))))
-    if np.any(np.diff(d1) < -tol):
-        raise NotConvexInput(f"{f.label()} has decreasing slope inside [{a}, {b}]")
+def _values(f: ConvexOracle, nu: int, x: np.ndarray) -> np.ndarray:
+    """f^(nu) at every entry of x, in x's shape."""
+    return np.asarray(f.deriv(nu, x.ravel()), dtype=float).reshape(x.shape)
+
+
+def _spot_check_convexity(f: ConvexOracle, a, b, npts: int = 65) -> None:
+    """Check that f' does not decrease at npts points of each interval
+    [a[i], b[i]]; the error names the first interval that fails."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    xs = np.linspace(a, b, npts, axis=-1)
+    d1 = _values(f, 1, xs)
+    tol = 1e-10 * (1.0 + np.max(np.abs(d1), axis=1))
+    bad = np.flatnonzero(np.any(np.diff(d1, axis=1) < -tol[:, None], axis=1))
+    if bad.size:
+        i = bad[0]
+        raise NotConvexInput(
+            f"{f.label()} has decreasing slope inside [{float(a[i])}, {float(b[i])}]")
 
 
 def _poly_from_unit_coeffs(cs, a: float, b: float) -> Poly:
@@ -119,119 +136,179 @@ def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
     return ConvexPiece(p, (a, b), sl, sr, source="parabola")
 
 
-def _chebyshev_points(a: float, b: float, m: int) -> np.ndarray:
-    # Chebyshev-Lobatto points including both ends
+def _chebyshev_points(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    # Chebyshev-Lobatto points including both ends, one row per interval
     j = np.arange(m)
-    return 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * j / (m - 1))[::-1]
+    nodes = np.cos(np.pi * j / (m - 1))[::-1]
+    return (0.5 * (a + b))[:, None] - (0.5 * (b - a))[:, None] * nodes
 
 
-def _solve_minimax_lp(f, a, b, degree, mu):
+def _monomial_rows(x: np.ndarray, center: np.ndarray, w: np.ndarray, degree: int,
+                   nu: int) -> np.ndarray:
+    """d^nu/dx^nu of the local monomials u^0..u^degree, u = (x - center)/w, at
+    the points x of shape (pieces, m); returns shape (pieces, m, degree + 1)."""
+    pow_ = np.arange(degree + 1)
+    u = ((x - center[:, None]) / w[:, None])[..., None]
+    if nu == 0:
+        return u ** pow_
+    rows = np.zeros(x.shape + (degree + 1,))
+    if nu == 1:
+        rows[..., 1:] = pow_[1:] * u ** (pow_[1:] - 1)
+        return rows / w[:, None, None]
+    rows[..., 2:] = pow_[2:] * (pow_[2:] - 1) * u ** (pow_[2:] - 2)
+    return rows / (w * w)[:, None, None]
+
+
+def _block_diag(blocks: np.ndarray):
+    """The sparse block-diagonal matrix of dense blocks of shape (k, rows, cols)."""
+    k, nr, nc = blocks.shape
+    piece, i, j = np.nonzero(blocks)
+    return csr_array((blocks[piece, i, j], (piece * nr + i, piece * nc + j)),
+                     shape=(k * nr, k * nc))
+
+
+def _minimax_lp(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+                mu: np.ndarray) -> np.ndarray:
+    """Minimax coefficients of every piece [a[i], b[i]] from one LP.
+
+    Each piece contributes an independent block: its local coefficients and an
+    epigraph variable t_i bounding |p_i - f| at 8*degree Chebyshev points,
+    equality rows pinning the end values, rows sandwiching the end slopes
+    against f', and curvature floors p_i'' >= mu[i] at 4*degree Chebyshev
+    points.  The blocks share no variable, so minimising sum(t_i) minimises
+    every t_i.  Returns shape (pieces, degree + 1), ascending in the midpoint
+    frame of each piece; raises SolverStall when HiGHS reports no optimum.
+    """
+    k, d = a.size, degree
     center = 0.5 * (a + b)
     w = 0.5 * (b - a)
-    d = degree
-    pow_ = np.arange(d + 1)
-
-    def val_row(x):
-        u = (x - center) / w
-        return u ** pow_
-
-    def d1_row(x):
-        u = (x - center) / w
-        r = np.zeros(d + 1)
-        r[1:] = pow_[1:] * u ** (pow_[1:] - 1)
-        return r / w
-
-    def d2_row(x):
-        u = (x - center) / w
-        r = np.zeros(d + 1)
-        r[2:] = pow_[2:] * (pow_[2:] - 1) * u ** (pow_[2:] - 2)
-        return r / (w * w)
-
+    ends = np.stack([a, b], axis=1)
     xi = _chebyshev_points(a, b, 4 * d)
     zeta = _chebyshev_points(a, b, 8 * d)
-    fz = np.asarray(f(zeta), dtype=float)
+    fz = _values(f, 0, zeta)
+    df = _values(f, 1, ends)
 
     nvar = d + 2  # coefficients + epigraph variable
-    A_eq = np.zeros((2, nvar))
-    A_eq[0, :d + 1] = val_row(a)
-    A_eq[1, :d + 1] = val_row(b)
-    b_eq = np.array([float(f(a)), float(f(b))])
+    A_eq = np.zeros((k, 2, nvar))
+    A_eq[:, :, :d + 1] = _monomial_rows(ends, center, w, d, 0)
+    b_eq = _values(f, 0, ends)
 
-    rows, rhs = [], []
-    r = np.zeros(nvar)
-    r[:d + 1] = -d1_row(a)
-    rows.append(r)
-    rhs.append(-float(f.deriv(1, a)))
-    r = np.zeros(nvar)
-    r[:d + 1] = d1_row(b)
-    rows.append(r)
-    rhs.append(float(f.deriv(1, b)))
-    for x in xi:
-        r = np.zeros(nvar)
-        r[:d + 1] = -d2_row(float(x))
-        rows.append(r)
-        rhs.append(-mu)
-    for x, fv in zip(zeta, fz):
-        r = np.zeros(nvar)
-        r[:d + 1] = val_row(float(x))
-        r[-1] = -1.0
-        rows.append(r)
-        rhs.append(fv)
-        r2 = np.zeros(nvar)
-        r2[:d + 1] = -val_row(float(x))
-        r2[-1] = -1.0
-        rows.append(r2)
-        rhs.append(-fv)
+    # per piece: two slope rows, 4d curvature rows, then +/- value rows
+    # interleaved per sample point
+    val = _monomial_rows(zeta, center, w, d, 0)
+    slope = _monomial_rows(ends, center, w, d, 1)
+    A_ub = np.zeros((k, 2 + 4 * d + 16 * d, nvar))
+    A_ub[:, 0, :d + 1] = -slope[:, 0]
+    A_ub[:, 1, :d + 1] = slope[:, 1]
+    A_ub[:, 2:2 + 4 * d, :d + 1] = -_monomial_rows(xi, center, w, d, 2)
+    A_ub[:, 2 + 4 * d::2, :d + 1] = val
+    A_ub[:, 3 + 4 * d::2, :d + 1] = -val
+    A_ub[:, 2 + 4 * d:, -1] = -1.0
+    b_ub = np.zeros((k, 2 + 4 * d + 16 * d))
+    b_ub[:, 0] = -df[:, 0]
+    b_ub[:, 1] = df[:, 1]
+    b_ub[:, 2:2 + 4 * d] = -mu[:, None]
+    b_ub[:, 2 + 4 * d::2] = fz
+    b_ub[:, 3 + 4 * d::2] = -fz
 
-    cost = np.zeros(nvar)
-    cost[-1] = 1.0
+    cost = np.tile(np.r_[np.zeros(d + 1), 1.0], k)
     bounds = [(None, None)] * (d + 1) + [(0.0, None)]
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+    res = linprog(cost, A_ub=_block_diag(A_ub), b_ub=b_ub.ravel(),
+                  A_eq=_block_diag(A_eq), b_eq=b_eq.ravel(), bounds=bounds * k,
                   method="highs", options=_LP_OPTIONS)
     if res.status != 0 or res.x is None:
         raise SolverStall(f"LP status {res.status}: {res.message}")
-    return Poly(center, w, tuple(res.x[:d + 1])), float(np.max(np.abs(fz)))
+    return res.x.reshape(k, nvar)[:, :d + 1]
 
 
-def convex_piece(f: ConvexOracle, interval, degree: int) -> ConvexPiece:
-    """Best convex piece of the given degree by a small minimax LP.
+def _solve_chunk(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+                 mu: np.ndarray) -> list:
+    """Minimax coefficients of each piece of a chunk, None where its LP
+    failed.  A chunk whose LP fails is solved again one piece at a time, so
+    one block that HiGHS refuses cannot change its neighbours."""
+    try:
+        return _minimax_lp(f, a, b, degree, mu).tolist()
+    except SolverStall:
+        if a.size == 1:
+            return [None]
+        return [cs for i in range(a.size)
+                for cs in _solve_chunk(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])]
+
+
+def _certified(cs, a: float, b: float):
+    """The piece with local coefficients cs on [a, b] if it is certified convex."""
+    if cs is None:
+        return None
+    p = Poly(0.5 * (a + b), 0.5 * (b - a), cs)
+    return p if convexity_certificate(p, (a, b)).convex else None
+
+
+def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
+    """Best convex piece of the given degree on each interval of the increasing
+    knots, by the minimax LP of :func:`_minimax_lp` solved CHUNK pieces at a
+    time.
 
     Equality constraints pin the end values, inequality constraints sandwich
     the end slopes against f', and convexity is imposed at Chebyshev points
-    then certified exactly afterwards.  If certification fails the LP is
-    re-solved once with a strictly positive curvature floor; the final
-    fallback is the parabola, which is always feasible.
+    then certified exactly afterwards, piece by piece.  Pieces whose
+    certificate fails are re-solved together once with a strictly positive
+    curvature floor; the final fallback is the parabola, which is always
+    feasible.  Intervals at rounding scale get the secant.
     """
+    if degree < 2:
+        raise ValueError(f"degree must be >= 2, got {degree}")
+    knots = np.asarray(knots, dtype=float)
+    a_all, b_all = knots[:-1], knots[1:]
+    scale = np.maximum(1.0, np.maximum(np.abs(a_all), np.abs(b_all)))
+    degenerate = b_all - a_all <= DEGENERATE_REL_LENGTH * scale
+    pieces = [_secant_piece(f, float(a_all[i]), float(b_all[i])) if degenerate[i] else None
+              for i in range(a_all.size)]
+    lp = np.flatnonzero(~degenerate)
+    a, b = a_all[lp], b_all[lp]
+
+    polys, retry = [], []
+    for s in range(0, a.size, CHUNK):
+        part = slice(s, s + CHUNK)
+        _spot_check_convexity(f, a[part], b[part])
+        for i, cs in enumerate(_solve_chunk(f, a[part], b[part], degree,
+                                            np.zeros(a[part].size)), start=s):
+            polys.append(_certified(cs, a[i], b[i]))
+            if cs is not None and polys[i] is None:
+                retry.append(i)
+    retry = np.array(retry, dtype=int)
+    if retry.size:
+        w = 0.5 * (b[retry] - a[retry])
+        fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * degree))
+        mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
+        for s in range(0, retry.size, CHUNK):
+            part = retry[s:s + CHUNK]
+            for i, cs in zip(part, _solve_chunk(f, a[part], b[part], degree,
+                                                mu[s:s + CHUNK])):
+                polys[i] = _certified(cs, a[i], b[i])
+
+    for i, p in zip(lp, polys):
+        lo, hi = float(a_all[i]), float(b_all[i])
+        if p is None:
+            fallback = convex_parabola(f, (lo, hi))
+            pieces[i] = ConvexPiece(fallback.poly, (lo, hi), fallback.slack_left,
+                                    fallback.slack_right, source="parabola-fallback")
+        else:
+            pieces[i] = ConvexPiece(p, (lo, hi), *_slacks(p, f, lo, hi), source="lp")
+    return pieces
+
+
+def convex_piece(f: ConvexOracle, interval, degree: int) -> ConvexPiece:
+    """Best convex piece of the given degree on one interval: the one-interval
+    case of :func:`convex_pieces`."""
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
-    scale = max(1.0, abs(a), abs(b))
-    if b - a <= DEGENERATE_REL_LENGTH * scale:
-        return _secant_piece(f, a, b)
-    _spot_check_convexity(f, a, b)
-
-    w = 0.5 * (b - a)
-    try:
-        p, fmag = _solve_minimax_lp(f, a, b, degree, mu=0.0)
-        if not convexity_certificate(p, (a, b)).convex:
-            mu = 1e-8 * (1.0 + fmag) / (w * w)
-            p, _ = _solve_minimax_lp(f, a, b, degree, mu=mu)
-            if not convexity_certificate(p, (a, b)).convex:
-                raise SolverStall("convexity certification failed twice")
-        sl, sr = _slacks(p, f, a, b)
-        return ConvexPiece(p, (a, b), sl, sr, source="lp")
-    except SolverStall:
-        fallback = convex_parabola(f, (a, b))
-        return ConvexPiece(fallback.poly, (a, b), fallback.slack_left,
-                           fallback.slack_right, source="parabola-fallback")
+    return _convex_pieces(f, [a, b], degree)[0]
 
 
 def convex_pieces(f: ConvexOracle, X: Partition, r: int):
-    degree = r + 1
-    return [convex_piece(f, X.interval(j), degree) for j in range(1, X.n + 1)]
+    """The convex pieces of order r+2 on every interval of the partition."""
+    return _convex_pieces(f, X.knots, r + 1)
 
 
 def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexlab.domain import (
+    ConvexOracle,
     chebyshev_partition,
     cosh_oracle,
     even_power_oracle,
@@ -13,14 +14,16 @@ from convexlab.domain import (
     truncpow_oracle,
     uniform_partition,
 )
+from convexlab import localconvex
 from convexlab.localconvex import (
+    CHUNK,
     NotConvexInput,
     build_sigma,
     convex_parabola,
     convex_piece,
     convex_pieces,
 )
-from convexlab.polynomial import convexity_certificate
+from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from convexlab.smoothness import modulus
 
 
@@ -182,3 +185,151 @@ def test_sigma_error_contract_stable_in_n():
             ratios[n] = worst
         assert math.isfinite(ratios[256])
         assert ratios[256] <= 1.5 * ratios[32] + 1e-9
+
+
+# -- the batched LP: chunks, rescue paths, and the call count -----------------
+
+
+def _linprog_spy(monkeypatch, fail_blocks=lambda blocks: False, rhs=None):
+    """Record the number of pieces of each of localconvex's linprog calls
+    (and, into rhs, its b_ub); an LP of `blocks` pieces for which
+    fail_blocks(blocks) holds returns HiGHS's "no optimum" instead."""
+    real = localconvex.linprog
+    calls = []
+    rhs = [] if rhs is None else rhs
+
+    class Failed:
+        status, x, message = 4, None, "injected failure"
+
+    def spy(c, **kwargs):
+        blocks = int(np.sum(c))  # one unit cost per epigraph variable
+        calls.append(blocks)
+        rhs.append(kwargs["b_ub"])
+        return Failed() if fail_blocks(blocks) else real(c, **kwargs)
+
+    monkeypatch.setattr(localconvex, "linprog", spy)
+    return calls
+
+
+def _failing_certificate(monkeypatch, interval, times):
+    """The first `times` certificates on `interval` fail; all others are real."""
+    real = localconvex.convexity_certificate
+    seen = []
+
+    def cert(p, iv):
+        if tuple(iv) == interval and len(seen) < times:
+            seen.append(iv)
+            return ConvexityCertificate(False, -1.0, iv[0])
+        return real(p, iv)
+
+    monkeypatch.setattr(localconvex, "convexity_certificate", cert)
+    return seen
+
+
+def _one_at_a_time(f, X, r):
+    return [convex_piece(f, X.interval(j), r + 1) for j in range(1, X.n + 1)]
+
+
+@pytest.mark.parametrize("f,r", [(exp_oracle(1.0), 2), (truncpow_oracle(1, 0.3), 1)])
+def test_convex_pieces_match_pieces_solved_one_at_a_time(f, r):
+    X = chebyshev_partition(3 * CHUNK + 5)
+    batched = convex_pieces(f, X, r)
+    for got, want in zip(batched, _one_at_a_time(f, X, r)):
+        assert got.source == want.source
+        assert got.interval == want.interval
+        scale = float(np.max(np.abs(want.poly.coeffs)))
+        assert np.allclose(got.poly.coeffs, want.poly.coeffs, rtol=0.0, atol=1e-12 * scale)
+
+
+def _dip_oracle(centers=(0.45, 0.75), depth=0.005, width=0.002):
+    """x^2/2 - sum of depth*width*log cosh((x - c)/width) over the centers c:
+    f'' = 1 - sum of (depth/width) sech^2 dips below 0 near each c, over a
+    span much shorter than a Chebyshev interval there, so only the spot check
+    sees it; the LP stays feasible."""
+    zs = [lambda x, c=c: (np.asarray(x, dtype=float) - c) / width for c in centers]
+    derivs = (
+        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 - depth * width * sum(
+            np.logaddexp(z(x), -z(x)) - math.log(2.0) for z in zs),
+        lambda x: np.asarray(x, dtype=float) - depth * sum(np.tanh(z(x)) for z in zs),
+        lambda x: 1.0 - depth / width * sum(
+            1.0 / np.cosh(np.clip(z(x), -300, 300)) ** 2 for z in zs),
+    )
+    return ConvexOracle("dip", {}, 2, (-1.0, 1.0), derivs)
+
+
+def test_convex_pieces_name_first_nonconvex_interval():
+    f = _dip_oracle()
+    X = chebyshev_partition(3 * CHUNK + 5)
+    first_bad = None
+    for j in range(1, X.n + 1):
+        try:
+            convex_piece(f, X.interval(j), 3)
+        except NotConvexInput as exc:
+            first_bad = (j, str(exc))
+            break
+    j, message = first_bad
+    lo, hi = X.interval(j)
+    assert lo < 0.45 < hi and j > CHUNK  # the first dip, past the first chunk
+    second = int(np.searchsorted(X.knots, 0.75))  # interval of the second dip
+    assert second > j and (second - 1) // CHUNK == (j - 1) // CHUNK
+    with pytest.raises(NotConvexInput) as ei:
+        convex_pieces(f, X, 2)
+    assert str(ei.value) == message
+
+
+def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
+    f = exp_oracle(1.0)
+    X = chebyshev_partition(CHUNK + 4)
+    want = _one_at_a_time(f, X, 2)
+    calls = _linprog_spy(monkeypatch, fail_blocks=lambda blocks: blocks > 1)
+    got = convex_pieces(f, X, 2)
+    assert calls == [CHUNK] + [1] * CHUNK + [4] + [1] * 4
+    for g, w in zip(got, want):
+        assert g.source == "lp"
+        assert g.poly == w.poly
+
+
+def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
+    f = exp_oracle(1.0)
+    X = chebyshev_partition(6)
+    _linprog_spy(monkeypatch, fail_blocks=lambda blocks: True)
+    for j, pc in enumerate(convex_pieces(f, X, 2), start=1):
+        assert pc.source == "parabola-fallback"
+        assert pc.poly == convex_parabola(f, X.interval(j)).poly
+
+
+def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
+    f = exp_oracle(1.0)
+    X = chebyshev_partition(CHUNK + 4)
+    interval = X.interval(5)
+    rhs = []
+    calls = _linprog_spy(monkeypatch, rhs=rhs)
+    seen = _failing_certificate(monkeypatch, interval, times=1)
+    pieces = convex_pieces(f, X, 2)
+    assert len(seen) == 1
+    assert calls == [CHUNK, 4, 1]  # the re-solve batches just the failed piece
+    curvature = slice(2, 2 + 4 * 3)  # rows p'' >= mu at 4*degree points
+    assert np.all(rhs[0][curvature] == 0.0) and np.all(rhs[-1][curvature] < 0.0)
+    assert all(pc.source == "lp" for pc in pieces)
+    assert convexity_certificate(pieces[4].poly, interval).convex
+
+
+def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
+    f = exp_oracle(1.0)
+    X = chebyshev_partition(CHUNK + 4)
+    interval = X.interval(5)
+    seen = _failing_certificate(monkeypatch, interval, times=2)
+    pieces = convex_pieces(f, X, 2)
+    assert len(seen) == 2
+    assert pieces[4].source == "parabola-fallback"
+    assert pieces[4].poly == convex_parabola(f, interval).poly
+    assert all(pc.source == "lp" for j, pc in enumerate(pieces) if j != 4)
+
+
+def test_lp_calls_are_batched(monkeypatch):
+    # one LP per chunk of pieces, not one per piece
+    X = chebyshev_partition(512)
+    calls = _linprog_spy(monkeypatch)
+    pieces = convex_pieces(exp_oracle(1.0), X, 2)
+    assert all(pc.source == "lp" for pc in pieces)
+    assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
