@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from convexlab.domain import ConvexOracle, chebyshev_partition, phi
-from convexlab.glue import chebyshev_threshold, construct_chebyshev
+from convexlab.glue import (
+    DEFAULT_C0,
+    _check_chebyshev_domain,
+    _construct_chebyshev,
+    _prepare,
+    _threshold,
+    chebyshev_threshold,
+)
 from convexlab.piecewise import ConvexityReport, PiecewisePoly, verify_convexity
 from convexlab.smoothness import ModulusProfile, modulus_lower_bound
 
@@ -119,6 +126,8 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
     """
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     expected = chebyshev_partition(n)
     if S.knots.size != expected.knots.size or \
             not np.allclose(S.knots, expected.knots, atol=1e-12, rtol=0):
@@ -216,10 +225,11 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
     """One row per n: construction plus all six sup-ratios.
 
     Rows with n below the threshold are flagged, not computed.  Timing is off
-    by default so repeated runs emit byte-identical CSV.
+    by default so repeated runs emit byte-identical CSV.  The threshold and
+    every row share one preparation of (f, r, c0).
     """
-    kwargs = {} if c0 is None else {"c0": c0}
-    n_threshold, _ = chebyshev_threshold(f, r, **kwargs)
+    prep = _prepare(f, r, DEFAULT_C0 if c0 is None else c0)
+    n_threshold, _ = _threshold(prep)
     rows = []
     for n in n_list:
         n = int(n)
@@ -227,7 +237,8 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
             rows.append({"n": n, "computed": False, "sup_ratio": {}, "wall_ms": 0})
             continue
         t0 = time.perf_counter()
-        S, trace, _ = construct_chebyshev(f, r, n, **kwargs)
+        _check_chebyshev_domain(f)
+        S, trace, _ = _construct_chebyshev(prep, f, r, n)
         ratios = {b: pointwise_bound_report(f, S, r, n, b, grid_size, density).sup_ratio
                   for b in BOUND_IDS}
         wall = int(round(1e3 * (time.perf_counter() - t0))) if timing else 0

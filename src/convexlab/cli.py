@@ -55,6 +55,8 @@ def _parse_n_range(text: str):
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}; use a:b:x2 or a:b:+d")
     lo, hi, step = int(parts[0]), int(parts[1]), parts[2]
+    if lo < 1:
+        raise ValueError(f"range start must be >= 1, got {lo}")
     out = []
     n = lo
     if step.startswith("x"):

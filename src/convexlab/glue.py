@@ -282,7 +282,10 @@ def chebyshev_threshold(f: ConvexOracle, r: int, c0: float = DEFAULT_C0) -> tupl
     <= 5/N^2 <= H for every n >= N.  N is an upper bound for the minimal
     admissible n, not claimed tight.
     """
-    prep = _prepare(f, r, c0)
+    return _threshold(_prepare(f, r, c0))
+
+
+def _threshold(prep: _Prepared) -> tuple:
     if prep.affine:
         return 2, prep.H * prep.amap.scale
     H_orig = prep.H * prep.amap.scale
@@ -296,13 +299,21 @@ def construct_chebyshev(f: ConvexOracle, r: int, n: int,
     Returns (spline, trace, N_threshold); raises :class:`NBelowThreshold` when
     n < N_threshold instead of silently fixing n.
     """
+    _check_chebyshev_domain(f)
+    return _construct_chebyshev(_prepare(f, r, c0), f, r, n)
+
+
+def _check_chebyshev_domain(f: ConvexOracle) -> None:
     if not (math.isclose(f.a, -1.0) and math.isclose(f.b, 1.0)):
         raise ValueError("Chebyshev construction expects the oracle on [-1, 1]")
-    prep = _prepare(f, r, c0)
+
+
+def _construct_chebyshev(prep: _Prepared, f: ConvexOracle, r: int, n: int) -> tuple:
+    """construct_chebyshev from the preparation of (f, r, c0), which a sweep
+    shares between its threshold and all of its rows."""
     if prep.affine:
         return (*_assemble(prep, f, chebyshev_partition(max(n, 2)), r), 2)
-    H_orig = prep.H * prep.amap.scale
-    n_threshold = int(math.ceil(3.0 / math.sqrt(H_orig)))
+    n_threshold, _ = _threshold(prep)
     if n < n_threshold:
         raise NBelowThreshold(n_threshold)
     S, trace = _assemble(prep, f, chebyshev_partition(n), r)

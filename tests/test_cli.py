@@ -142,6 +142,20 @@ def test_sweep_arithmetic_range(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["16", "32"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "0:8:x2"], "range start must be >= 1"),
+    (["--n", "16:32:x2", "--density", "0"], "grid must be >= 64"),
+    (["--n", "16:32:x2", "--density", "1"], "grid must be >= 64"),
+    (["--n", "16:32:x2", "--grid-size", "0"], "grid_size must be >= 1"),
+])
+def test_sweep_degenerate_input_exits_1(flags, message, capsys):
+    code = run(["sweep", "--function", "exp:alpha=1", "--r", "1"] + flags)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+
+
 def test_counterexample_prints_threshold(tmp_path, capsys):
     out = tmp_path / "w.json"
     code = run(["counterexample", "--r", "1", "--m", "3", "--x-last", "0.9",

@@ -170,6 +170,16 @@ def test_threshold_arithmetic():
         assert N == math.ceil(3.0 / math.sqrt(H))
 
 
+@pytest.mark.parametrize("f, r, want", [
+    (truncpow_oracle(2, 1e-4), 2, (851, 1.24489701598951e-05)),
+    (exp_oracle(6.0), 3, (14, 0.05176901730731967)),
+    (f0_oracle(3), 3, (7, 0.19706965199411913)),
+])
+def test_threshold_pinned(f, r, want):
+    # exact (N, H): the modulus engine's row maxima are bit-for-bit stable
+    assert chebyshev_threshold(f, r) == want
+
+
 def test_threshold_endpoint_gap_admissible():
     # for every n >= N the Chebyshev end gap fits under H
     f = exp_oracle(1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexlab.smoothness import (
+    BLOCK_POINTS,
     InvalidOrder,
     ModulusProfile,
     finite_difference,
@@ -250,3 +251,81 @@ def test_modulus_argmax_admissible():
         assert res.value >= 0.0
         assert a - 1e-12 <= res.arg_x - k * res.arg_u / 2
         assert res.arg_x + k * res.arg_u / 2 <= b + 1e-12
+
+
+def _row_max_reference(f, k, u, a, b, grid, focus):
+    """One step's row maximum by a plain per-step pass over the lattice and
+    the kink windows, concatenated, first maximum winning."""
+    lo, hi = a + 0.5 * k * u, b - 0.5 * k * u
+    if hi < lo:
+        return 0.0, 0.5 * (a + b)
+    xs = [np.linspace(lo, hi, grid)]
+    xs += [np.linspace(max(lo, p - k * u), min(hi, p + k * u), 65)
+           for p in focus if lo - k * u <= p <= hi + k * u]
+    xs = np.concatenate(xs)
+    weights = [(-1.0) ** i * math.comb(k, i) for i in range(k + 1)]
+    acc = np.zeros_like(xs)
+    for i in range(k + 1):
+        acc += weights[i] * f(np.clip(xs + (0.5 * k - i) * u, a, b))
+    j = int(np.argmax(np.abs(acc)))
+    return float(abs(acc[j])), float(xs[j])
+
+
+def _two_kinks(x):
+    x = np.asarray(x, dtype=float)
+    return np.abs(x + 0.99) + 0.5 * np.maximum(x - 0.985, 0.0) ** 2 + np.sin(30.0 * x)
+
+
+_BLOCK_CASES = {
+    # oracle, interval, focus, grid
+    "smooth": (lambda x: np.sin(5.0 * np.asarray(x)) + np.asarray(x) ** 2, (-1.0, 1.0), (), 256),
+    "kinks near both ends": (_two_kinks, (-1.0, 1.0), (-0.99, 0.985), 200),
+    # the kink at 0.985 lies past b, in reach of the long steps only
+    "kink past the interval": (_two_kinks, (-1.0, 0.5), (-0.99, 0.985), 200),
+    # exact ties between lattice and window centers; at the admissible
+    # limit b - ku/2 rounds below a + ku/2, so that row has no center
+    "jump with ties": (lambda x: (np.asarray(x) >= 0.3) * 1.0, (0.1, 0.7), (0.3,), 128),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_blocked_profile_equals_per_step_loop(k, case):
+    f, (a, b), focus, grid = _BLOCK_CASES[case]
+    limit = (b - a) / k
+    # more steps than one block holds and not a multiple of it, the
+    # admissible limit itself, and a step past it that clamps onto it
+    per_block = BLOCK_POINTS // (grid + 65 * len(focus))
+    n = 2 * per_block + 7
+    steps = np.concatenate([limit * np.arange(1, n + 1) / n * 0.999, [limit, 3.0 * limit]])
+    prof = ModulusProfile(f, k, (a, b), steps, grid=grid, focus=focus)
+    assert prof.us.size == n + 1 and prof.us[-1] == limit
+    want = [_row_max_reference(f, k, float(u), a, b, grid, focus) for u in prof.us]
+    assert prof.rows.tolist() == [v for v, _ in want]
+    assert prof.arg_x.tolist() == [x for _, x in want]
+
+
+def test_blocked_profile_of_no_steps():
+    prof = ModulusProfile(np.exp, 2, (-1.0, 1.0), [], grid=64)
+    assert prof.us.size == prof.rows.size == prof.arg_x.size == 0
+    assert prof.value(1.0) == 0.0
+
+
+def test_profile_rejects_coarse_grid():
+    for grid in (0, 1, 63):
+        with pytest.raises(ValueError, match="grid must be >= 64"):
+            ModulusProfile(np.exp, 2, (-1.0, 1.0), (0.5,), grid=grid)
+
+
+def test_profile_oracle_calls_are_blocked():
+    # k+1 oracle calls per block of centers, not per step
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.cosh(x)
+
+    k, grid, steps = 2, 512, np.linspace(1e-3, 1.0, 512)
+    ModulusProfile(f, k, (-1.0, 1.0), steps, grid=grid)
+    assert len(calls) <= (k + 1) * math.ceil(512 * grid / BLOCK_POINTS)
+    assert sum(calls) == (k + 1) * 512 * grid
