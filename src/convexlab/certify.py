@@ -281,13 +281,16 @@ def counterexample_witness(r: int, m: int, x_last: float,
     """
     r, m = int(r), int(m)
     x_last = float(x_last)
-    if r < 1 or m < 1:
-        raise ValueError("need r, m >= 1")
+    if r < 1 or m < 2:
+        raise ValueError(f"need r >= 1 and m >= 2 (order 1 has no derivative to force), "
+                         f"got r={r}, m={m}")
     if not -1.0 < x_last < 1.0:
         raise ValueError("x_last must lie in (-1, 1)")
     markov_factor = 2.0 * (m - 1) ** 2 / (1.0 - x_last)
-    threshold = (r + 1.0) / markov_factor if markov_factor > 0 else math.inf
+    threshold = (r + 1.0) / markov_factor
     eps = 0.5 * threshold if epsilon == "auto" else float(epsilon)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {eps}")
     lhs = (r + 1.0) * eps ** r
     rhs = markov_factor * eps ** (r + 1)
     return CounterexampleWitness(

@@ -85,6 +85,8 @@ def _parse_interval(text: str):
     if len(parts) != 2:
         raise ValueError(f"bad interval {text!r}; use a,b")
     a, b = float(parts[0]), float(parts[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval ends must be finite, got {text!r}")
     if not a < b:
         raise ValueError(f"need a < b in interval, got {text!r}")
     return a, b

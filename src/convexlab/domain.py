@@ -197,19 +197,13 @@ class AffineMap:
     shift: float
     subtracted_line: tuple  # (slope, intercept) in unit coordinates
 
-    def to_unit(self, x):
-        return (np.asarray(x, dtype=float) - self.shift) / self.scale
-
     def from_unit(self, u):
         return self.shift + self.scale * np.asarray(u, dtype=float)
 
-    def line_at(self, u):
-        slope, intercept = self.subtracted_line
-        return slope * np.asarray(u, dtype=float) + intercept
-
     def reconstruct(self, g_value, u):
         """Original function value from the normalized value at unit abscissa u."""
-        return g_value + self.line_at(u)
+        slope, intercept = self.subtracted_line
+        return g_value + (slope * np.asarray(u, dtype=float) + intercept)
 
 
 def normalize_to_unit(f: ConvexOracle, interval=None):

@@ -123,6 +123,8 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
         raise ValueError(f"need r >= 1, got {r}")
     if r > f.r:
         raise ValueError(f"oracle {f.label()} only guarantees smoothness order {f.r}")
+    if not (math.isfinite(c0) and c0 > 0.0):
+        raise ValueError(f"c0 must be finite and positive, got {c0}")
     g, amap = normalize_to_unit(f, interval)
     a = amap.shift
     b = amap.shift + amap.scale
@@ -193,18 +195,21 @@ def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
     return PiecewisePoly(S.knots, S.pieces, S.order, convex_certified=True)
 
 
-def _affine_spline(f: ConvexOracle, X: Partition, r: int, amap, prep) -> tuple:
+def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
     pieces = tuple(_secant_piece(f, *X.interval(j)).poly for j in range(1, X.n + 1))
-    S = _certify_or_raise(PiecewisePoly(X.knots, pieces, order=r + 2))
+    return _certify_or_raise(PiecewisePoly(X.knots, pieces, order=order))
+
+
+def _affine_spline(f: ConvexOracle, X: Partition, r: int, prep) -> tuple:
     trace = GlueTrace(M=prep.M, x_star=prep.x_star, H1=prep.H1, H=prep.H,
                       delta=0.0, delta_tilde=0.0, delta_hat=0.0,
                       case=1, lambda_=1.0, c0_used=prep.c0)
-    return S, trace
+    return _secant_spline(f, X, r + 2), trace
 
 
 def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     if prep.affine:
-        return _affine_spline(f, X, r, prep.amap, prep)
+        return _affine_spline(f, X, r, prep)
 
     g, amap = prep.g, prep.amap
     M, H = prep.M, prep.H
@@ -327,6 +332,4 @@ def polygonal_baseline(f: ConvexOracle, n: int) -> PiecewisePoly:
     nondecreasing.  This is the order-2 baseline the higher-order
     construction is measured against.
     """
-    X = chebyshev_partition(n)
-    pieces = tuple(_secant_piece(f, *X.interval(j)).poly for j in range(1, n + 1))
-    return _certify_or_raise(PiecewisePoly(X.knots, pieces, order=2))
+    return _secant_spline(f, chebyshev_partition(n), 2)

@@ -10,7 +10,7 @@ always-feasible fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,7 +18,8 @@ from scipy.sparse import csr_array
 
 from convexlab.domain import ConvexOracle, Partition
 from convexlab.piecewise import PiecewisePoly, verify_convexity
-from convexlab.polynomial import Poly, convexity_certificate, line_poly
+from convexlab.polynomial import (Poly, convexity_certificates, derivative_rows, horner_rows,
+                                  line_poly)
 
 __all__ = [
     "NotConvexInput",
@@ -97,17 +98,26 @@ def _poly_from_unit_coeffs(cs, a: float, b: float) -> Poly:
     return Poly(center, halfwidth, tuple(acc))
 
 
-def _slacks(p: Poly, f: ConvexOracle, a: float, b: float):
-    return (float(p.deriv_value(a) - f.deriv(1, a)),
-            float(f.deriv(1, b) - p.deriv_value(b)))
+def _slacks(f: ConvexOracle, coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(p'(a) - f'(a), f'(b) - p'(b)) for each row p of local coefficients on
+    its interval [a[i], b[i]], framed at the midpoint."""
+    center, w = 0.5 * (a + b), 0.5 * (b - a)
+    d1 = derivative_rows(coeffs, w)
+    df = _values(f, 1, np.stack([a, b], axis=1))
+    return (horner_rows(d1, (a - center) / w) - df[:, 0],
+            df[:, 1] - horner_rows(d1, (b - center) / w))
+
+
+def _one_piece(p: Poly, f: ConvexOracle, a: float, b: float, source: str) -> ConvexPiece:
+    (sl,), (sr,) = _slacks(f, np.array([p.coeffs]), np.array([a]), np.array([b]))
+    return ConvexPiece(p, (a, b), float(sl), float(sr), source=source)
 
 
 def _secant_piece(f: ConvexOracle, a: float, b: float) -> ConvexPiece:
     fa, fb = float(f(a)), float(f(b))
     slope = (fb - fa) / (b - a)
     p = line_poly(slope, fa - slope * a, 0.5 * (a + b), 0.5 * (b - a))
-    sl, sr = _slacks(p, f, a, b)
-    return ConvexPiece(p, (a, b), sl, sr, source="secant")
+    return _one_piece(p, f, a, b, "secant")
 
 
 def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
@@ -131,9 +141,7 @@ def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
     else:
         quad = [0.0, -g1, g1]
     cs = [quad[0] + fa, quad[1] + (fb - fa), quad[2]]
-    p = _poly_from_unit_coeffs(cs, a, b)
-    sl, sr = _slacks(p, f, a, b)
-    return ConvexPiece(p, (a, b), sl, sr, source="parabola")
+    return _one_piece(_poly_from_unit_coeffs(cs, a, b), f, a, b, "parabola")
 
 
 def _chebyshev_points(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -235,12 +243,15 @@ def _solve_chunk(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                 for cs in _solve_chunk(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])]
 
 
-def _certified(cs, a: float, b: float):
-    """The piece with local coefficients cs on [a, b] if it is certified convex."""
-    if cs is None:
-        return None
-    p = Poly(0.5 * (a + b), 0.5 * (b - a), cs)
-    return p if convexity_certificate(p, (a, b)).convex else None
+def _certified(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which LP coefficient rows (None where the LP failed) are certified
+    convex on their intervals [a[i], b[i]], from one array certificate."""
+    ok = np.array([cs is not None for cs in rows], dtype=bool)
+    if ok.any():
+        lo, hi = a[ok], b[ok]
+        ok[ok] = convexity_certificates([cs for cs in rows if cs is not None],
+                                        0.5 * (lo + hi), 0.5 * (hi - lo), lo, hi)[0]
+    return ok
 
 
 def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
@@ -250,10 +261,10 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
 
     Equality constraints pin the end values, inequality constraints sandwich
     the end slopes against f', and convexity is imposed at Chebyshev points
-    then certified exactly afterwards, piece by piece.  Pieces whose
-    certificate fails are re-solved together once with a strictly positive
-    curvature floor; the final fallback is the parabola, which is always
-    feasible.  Intervals at rounding scale get the secant.
+    then certified exactly afterwards, all pieces in one array certificate.
+    Pieces whose certificate fails are re-solved together once with a
+    strictly positive curvature floor; the final fallback is the parabola,
+    which is always feasible.  Intervals at rounding scale get the secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -266,34 +277,33 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
     lp = np.flatnonzero(~degenerate)
     a, b = a_all[lp], b_all[lp]
 
-    polys, retry = [], []
+    rows = []
     for s in range(0, a.size, CHUNK):
         part = slice(s, s + CHUNK)
         _spot_check_convexity(f, a[part], b[part])
-        for i, cs in enumerate(_solve_chunk(f, a[part], b[part], degree,
-                                            np.zeros(a[part].size)), start=s):
-            polys.append(_certified(cs, a[i], b[i]))
-            if cs is not None and polys[i] is None:
-                retry.append(i)
-    retry = np.array(retry, dtype=int)
+        rows += _solve_chunk(f, a[part], b[part], degree, np.zeros(a[part].size))
+    ok = _certified(rows, a, b)
+    retry = np.flatnonzero([cs is not None and not good for cs, good in zip(rows, ok)])
     if retry.size:
         w = 0.5 * (b[retry] - a[retry])
         fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * degree))
         mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
-        for s in range(0, retry.size, CHUNK):
-            part = retry[s:s + CHUNK]
-            for i, cs in zip(part, _solve_chunk(f, a[part], b[part], degree,
-                                                mu[s:s + CHUNK])):
-                polys[i] = _certified(cs, a[i], b[i])
+        again = [cs for s in range(0, retry.size, CHUNK)
+                 for cs in _solve_chunk(f, a[retry[s:s + CHUNK]], b[retry[s:s + CHUNK]],
+                                        degree, mu[s:s + CHUNK])]
+        ok[retry] = _certified(again, a[retry], b[retry])
+        for i, cs in zip(retry, again):
+            rows[i] = cs
 
-    for i, p in zip(lp, polys):
-        lo, hi = float(a_all[i]), float(b_all[i])
-        if p is None:
-            fallback = convex_parabola(f, (lo, hi))
-            pieces[i] = ConvexPiece(fallback.poly, (lo, hi), fallback.slack_left,
-                                    fallback.slack_right, source="parabola-fallback")
-        else:
-            pieces[i] = ConvexPiece(p, (lo, hi), *_slacks(p, f, lo, hi), source="lp")
+    good = np.flatnonzero(ok)
+    coeffs = np.array([rows[i] for i in good]).reshape(good.size, degree + 1)
+    for i, sl, sr in zip(good, *_slacks(f, coeffs, a[good], b[good])):
+        lo, hi = float(a[i]), float(b[i])
+        p = Poly(0.5 * (lo + hi), 0.5 * (hi - lo), rows[i])
+        pieces[lp[i]] = ConvexPiece(p, (lo, hi), float(sl), float(sr), source="lp")
+    for i in np.flatnonzero(~ok):
+        fallback = convex_parabola(f, (float(a[i]), float(b[i])))
+        pieces[lp[i]] = replace(fallback, source="parabola-fallback")
     return pieces
 
 

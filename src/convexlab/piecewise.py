@@ -1,12 +1,15 @@
-"""Continuous piecewise polynomials over a knot vector."""
+"""Continuous piecewise polynomials over a knot vector: :class:`Poly` pieces
+for construction and I/O, one zero-padded coefficient matrix for evaluation
+and checks, which are array passes over all pieces at once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from convexlab.polynomial import Poly, convexity_certificate
+from convexlab.polynomial import (ConvexityCertificate, Poly, convexity_certificates,
+                                  derivative_rows, horner_rows)
 
 __all__ = ["PiecewisePoly", "ConvexityReport", "verify_convexity"]
 
@@ -24,6 +27,9 @@ class PiecewisePoly:
     pieces: tuple
     order: int
     convex_certified: bool = False
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    halfwidths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ks = np.asarray(self.knots, dtype=float)
@@ -35,8 +41,11 @@ class PiecewisePoly:
             raise ValueError("need exactly one piece per interval")
         if any(p.degree + 1 > self.order for p in self.pieces):
             raise ValueError("piece degree exceeds declared order")
-        ks.setflags(write=False)
-        object.__setattr__(self, "knots", ks)
+        coeffs = np.array([p.coeffs + (0.0,) * (self.order - len(p.coeffs)) for p in self.pieces])
+        frames = np.array([(p.center, p.halfwidth) for p in self.pieces]).T
+        for name, value in zip(("knots", "coeffs", "centers", "halfwidths"), (ks, coeffs, *frames)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
     @property
@@ -55,19 +64,16 @@ class PiecewisePoly:
         idx = np.searchsorted(self.knots, np.asarray(x, dtype=float), side="right") - 1
         return np.clip(idx, 0, self.n - 1)
 
+    def _eval(self, j, x, nu: int = 0):
+        """The nu-th derivative of piece j[i] at x[i], for indices and points
+        of one shape."""
+        rows = derivative_rows(self.coeffs[j], self.halfwidths[j], nu)
+        return horner_rows(rows, (x - self.centers[j]) / self.halfwidths[j])
+
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        idx = self.piece_index(xs)
-        out = np.empty_like(xs, dtype=float)
-        flat_x = np.atleast_1d(xs)
-        flat_i = np.atleast_1d(idx)
-        flat_o = np.atleast_1d(out)
-        for j in np.unique(flat_i):
-            sel = flat_i == j
-            flat_o[sel] = self.pieces[int(j)](flat_x[sel])
-        if xs.ndim == 0:
-            return float(flat_o[0])
-        return out
+        out = self._eval(self.piece_index(xs), xs)
+        return float(out) if xs.ndim == 0 else out
 
     def deriv_value(self, x: float, nu: int = 1, side: str = "+") -> float:
         """One-sided derivative at x: side picks the piece when x is a knot."""
@@ -76,40 +82,38 @@ class PiecewisePoly:
         k = np.searchsorted(self.knots, x)
         if k < self.knots.size and self.knots[k] == x:
             j = min(int(k), self.n - 1) if side == "+" else max(int(k) - 1, 0)
-        return float(self.pieces[j].deriv_value(x, nu))
+        return float(self._eval(j, x, nu))
 
     def value_scale(self) -> float:
-        return 1.0 + max(abs(float(p(0.5 * (self.knots[i] + self.knots[i + 1]))))
-                         for i, p in enumerate(self.pieces))
+        mids = 0.5 * (self.knots[:-1] + self.knots[1:])
+        return 1.0 + float(np.max(np.abs(self._eval(np.arange(self.n), mids))))
+
+    def _knot_values(self, nu: int) -> np.ndarray:
+        """(left piece, right piece) nu-th derivatives at each interior knot."""
+        x = self.knots[1:-1]
+        j = np.arange(1, self.n)
+        return np.stack([self._eval(j - 1, x, nu), self._eval(j, x, nu)], axis=1)
 
     def continuity_defects(self) -> np.ndarray:
         """|left piece - right piece| at each interior knot."""
-        out = np.empty(self.n - 1)
-        for j in range(1, self.n):
-            x = float(self.knots[j])
-            out[j - 1] = abs(self.pieces[j - 1](x) - self.pieces[j](x))
-        return out
+        left, right = self._knot_values(0).T
+        return np.abs(left - right)
 
     def is_continuous(self, rel_tol: float = 1e-9) -> bool:
-        if self.n == 1:
-            return True
         return bool(np.all(self.continuity_defects() <= rel_tol * self.value_scale()))
 
-    def knot_slopes(self):
-        """(left slope, right slope) at each interior knot."""
-        pairs = []
-        for j in range(1, self.n):
-            x = float(self.knots[j])
-            pairs.append((self.pieces[j - 1].deriv_value(x), self.pieces[j].deriv_value(x)))
-        return pairs
+    def knot_slopes(self) -> np.ndarray:
+        """(left slope, right slope) at each interior knot, shape (n - 1, 2)."""
+        return self._knot_values(1)
 
-    def piece_certificates(self):
-        return [convexity_certificate(p, (float(self.knots[i]), float(self.knots[i + 1])))
-                for i, p in enumerate(self.pieces)]
+    def piece_certificates(self) -> list:
+        convex, minimum, witness = convexity_certificates(
+            self.coeffs, self.centers, self.halfwidths, self.knots[:-1], self.knots[1:])
+        return [ConvexityCertificate(bool(c), float(m), float(w))
+                for c, m, w in zip(convex, minimum, witness)]
 
     def slope_scale(self) -> float:
-        vals = [abs(s) for pair in self.knot_slopes() for s in pair] or [0.0]
-        return 1.0 + max(vals)
+        return 1.0 + float(np.max(np.abs(self.knot_slopes()), initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,9 +156,9 @@ def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
     """The whole-spline convexity check: continuity at relative tolerance
     1e-9, exact per-piece certificates, and one-sided slopes nondecreasing
     along the knots up to 1e-9 * (1 + max |slope|)."""
-    flat = [s for pair in S.knot_slopes() for s in pair]
-    slope_tol = 1e-9 * (1.0 + max((abs(s) for s in flat), default=0.0))
-    slopes_ok = all(s2 >= s1 - slope_tol for s1, s2 in zip(flat, flat[1:]))
+    flat = S.knot_slopes().ravel()
+    slope_tol = 1e-9 * (1.0 + float(np.max(np.abs(flat), initial=0.0)))
+    slopes_ok = bool(np.all(flat[1:] >= flat[:-1] - slope_tol))
     continuous = S.is_continuous(rel_tol=1e-9)
     certs = S.piece_certificates()
     offending = [i for i, c in enumerate(certs) if not c.convex]

@@ -6,6 +6,12 @@ own interval.  Keeping each piece in its own frame keeps divided
 differences and the minimax LP uniformly conditioned on the very short
 end intervals of Chebyshev partitions, where global monomials are
 hopeless for moderate n.
+
+Many pieces at once are a zero-padded (k, order) matrix of such
+coefficients with their centers and halfwidths; the row functions and the
+convexity certificate work on all rows in one array pass.  The certificate
+takes the candidate minimizers of p'' from the companion-matrix eigenvalues
+of p''' (Edelman and Murakami, Math. Comp. 64, 1995).
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ __all__ = [
     "IllConditioned",
     "hermite_interpolant",
     "convexity_certificate",
+    "convexity_certificates",
+    "derivative_rows",
+    "horner_rows",
     "line_poly",
 ]
 
@@ -59,19 +68,13 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation at x (scalar or ndarray)."""
         u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        acc = np.full_like(u, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = acc * u + c
-        if np.ndim(x) == 0:
-            return float(acc)
-        return acc
+        acc = horner_rows(np.array(self.coeffs), u)
+        return float(acc) if np.ndim(x) == 0 else acc
 
     def derivative(self) -> "Poly":
         """d/dx, with the 1/halfwidth chain-rule factor applied."""
-        if self.degree == 0:
-            return Poly(self.center, self.halfwidth, (0.0,))
-        cs = tuple(i * c / self.halfwidth for i, c in enumerate(self.coeffs) if i >= 1)
-        return Poly(self.center, self.halfwidth, cs)
+        return Poly(self.center, self.halfwidth,
+                    derivative_rows(np.array(self.coeffs), self.halfwidth))
 
     def antiderivative(self, x0: float, y0: float) -> "Poly":
         """The antiderivative q with q' = self and q(x0) = y0."""
@@ -80,10 +83,8 @@ class Poly:
         return Poly(self.center, self.halfwidth, (cs[0] + (y0 - q(x0)),) + tuple(cs[1:]))
 
     def deriv_value(self, x, nu: int = 1):
-        p = self
-        for _ in range(nu):
-            p = p.derivative()
-        return p(x)
+        cs = derivative_rows(np.array(self.coeffs), self.halfwidth, nu)
+        return Poly(self.center, self.halfwidth, cs)(x)
 
     def scaled(self, alpha: float) -> "Poly":
         return Poly(self.center, self.halfwidth, tuple(alpha * c for c in self.coeffs))
@@ -199,107 +200,86 @@ def hermite_interpolant(nodes) -> Poly:
     return Poly(center, halfwidth, tuple(coeffs))
 
 
-def _effective_coeffs(p: Poly) -> tuple:
-    cs = list(p.coeffs)
-    while len(cs) > 1 and cs[-1] == 0.0:
-        cs.pop()
-    return tuple(cs)
+def derivative_rows(coeffs: np.ndarray, halfwidths, nu: int = 1) -> np.ndarray:
+    """The nu-th x-derivative of every row of ascending local coefficients,
+    (i*c)/w per step; one column narrower per step, never narrower than one."""
+    w = np.asarray(halfwidths, dtype=float)[..., None]
+    for _ in range(nu):
+        if coeffs.shape[-1] == 1:
+            coeffs = np.zeros_like(coeffs)
+        else:
+            coeffs = (np.arange(1.0, coeffs.shape[-1]) * coeffs[..., 1:]) / w
+    return coeffs
 
 
-def _quadratic_roots(c0: float, c1: float, c2: float) -> list:
-    if c2 == 0.0:
-        return [] if c1 == 0.0 else [-c0 / c1]
-    disc = c1 * c1 - 4.0 * c0 * c2
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    # numerically stable form avoiding cancellation
-    q = -0.5 * (c1 + math.copysign(sq, c1)) if c1 != 0.0 else 0.5 * sq
-    roots = []
-    if q != 0.0:
-        roots = [q / c2, c0 / q]
-    else:
-        roots = [0.0] if disc == 0.0 else [sq / (2 * c2), -sq / (2 * c2)]
-    return roots
+def horner_rows(coeffs: np.ndarray, u) -> np.ndarray:
+    """Every row of ascending coefficients evaluated at its own u, which
+    broadcasts against coeffs[..., 0].  Zero padding in the high columns is
+    exact, since 0*u + c == c for finite u."""
+    acc = coeffs[..., -1] * np.ones_like(u)
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        acc = acc * u + coeffs[..., j]
+    return acc
 
 
-def _coeff_bound(p: Poly, a: float, b: float) -> float:
-    """Upper bound for max |p| over [a, b] from local coefficients."""
-    ua = abs(a - p.center) / p.halfwidth
-    ub = abs(b - p.center) / p.halfwidth
-    umax = max(ua, ub)
-    bound = 0.0
-    for i, c in enumerate(p.coeffs):
-        bound += abs(c) * umax ** i
-    return bound
+def _roots_in(d3: np.ndarray, center, w, a, b) -> np.ndarray:
+    """Real parts of the roots of each row of d3 in [a, b], up to a relative
+    slack of 1e-12 and clamped into it, ascending and +inf padded: companion
+    eigenvalues, one stacked call per degree.  Terms below 1e-8 of the largest
+    on [a, b] are dropped; the far roots they add would swamp the near ones."""
+    umax = np.maximum(np.abs(a - center), np.abs(b - center)) / w
+    size = np.abs(d3) * umax[:, None] ** np.arange(d3.shape[1])
+    kept = size > 1e-8 * np.max(size, axis=1, keepdims=True)
+    degree = np.where(kept.any(axis=1), d3.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1), 0)
+    roots = np.full((d3.shape[0], int(degree.max(initial=0))), np.inf)
+    lo = a - 1e-12 * (1 + np.abs(a))
+    hi = b + 1e-12 * (1 + np.abs(b))
+    for e in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == e)
+        companion = np.zeros((rows.size, e, e))
+        companion[:, np.arange(1, e), np.arange(e - 1)] = 1.0
+        companion[:, :, -1] = -d3[rows, :e] / d3[rows, e, None]
+        x = center[rows, None] + w[rows, None] * np.linalg.eigvals(companion).real
+        inside = (x >= lo[rows, None]) & (x <= hi[rows, None])
+        clamped = np.minimum(np.maximum(x, a[rows, None]), b[rows, None])
+        roots[rows, :e] = np.where(inside, clamped, np.inf)
+    return np.sort(roots, axis=1)
 
 
-def _real_roots_in(p: Poly, a: float, b: float) -> list:
-    """All sign-change roots of p in [a, b].
+def convexity_certificates(coeffs, centers, halfwidths, a, b) -> tuple:
+    """Exact global minimum of p'' over [a[i], b[i]] for every row p of a
+    zero-padded (k, order) matrix of local coefficients, with a relative
+    rounding slack.  Returns the arrays (convex, minimum, witness).
 
-    Closed forms through quadratics; beyond that a bisection tree with a
-    Lipschitz pruning bound on p' certifies subintervals free of roots.
+    Candidate minimizers are the interval ends plus every real root of p'''
+    inside; the first minimum among [a, b, roots ascending] is the witness.
+    A row whose p'' vanishes identically is convex with minimum 0 at a.
     """
-    cs = _effective_coeffs(p)
-    deg = len(cs) - 1
-    q = Poly(p.center, p.halfwidth, cs)
-    if deg <= 0:
-        return []
-    if deg <= 2:
-        roots_u = _quadratic_roots(*(list(cs) + [0.0] * (3 - len(cs)))[:3])
-        out = []
-        for ru in roots_u:
-            x = q.center + q.halfwidth * ru
-            if a - 1e-12 * (1 + abs(a)) <= x <= b + 1e-12 * (1 + abs(b)):
-                out.append(min(max(x, a), b))
-        return sorted(out)
-
-    dq = q.derivative()
-    xtol = 1e-14 * max(1.0, abs(a), abs(b))
-    roots: list = []
-
-    stack = [(a, b, q(a), q(b))]
-    while stack:
-        lo, hi, qlo, qhi = stack.pop()
-        width = hi - lo
-        sign_change = (qlo < 0.0) != (qhi < 0.0)
-        if width < xtol or qlo == 0.0 == qhi:
-            if sign_change:
-                roots.append(0.5 * (lo + hi))
-            continue
-        mid = 0.5 * (lo + hi)
-        qm = q(mid)
-        # local Lipschitz certificate: the interval is root-free when |q(mid)|
-        # clears the largest possible swing over either half
-        if not sign_change and abs(qm) > _coeff_bound(dq, lo, hi) * 0.5 * width:
-            continue
-        stack.append((lo, mid, qlo, qm))
-        stack.append((mid, hi, qm, qhi))
-
-    roots.sort()
-    dedup = []
-    for rx in roots:
-        if not dedup or rx - dedup[-1] > 10 * xtol:
-            dedup.append(rx)
-    return dedup
+    C = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    center, w, a, b = (np.atleast_1d(np.asarray(v, dtype=float))
+                       for v in (centers, halfwidths, a, b))
+    bad = np.flatnonzero(~(a < b))
+    if bad.size:
+        raise ValueError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
+    d2 = derivative_rows(C, w, 2)
+    candidates = np.concatenate(
+        [a[:, None], b[:, None], _roots_in(derivative_rows(d2, w), center, w, a, b)],
+        axis=1)
+    valid = np.isfinite(candidates)
+    u = (np.where(valid, candidates, a[:, None]) - center[:, None]) / w[:, None]
+    vals = np.where(valid, horner_rows(d2[:, None, :], u), np.inf)
+    first = np.argmin(vals, axis=1)
+    rows = np.arange(C.shape[0])
+    minimum, witness = vals[rows, first], candidates[rows, first]
+    tol = 1e-9 * (1.0 + np.max(np.where(valid, np.abs(vals), 0.0), axis=1))
+    convex = minimum >= -tol
+    flat = ~np.any(d2 != 0.0, axis=1)
+    convex[flat], minimum[flat], witness[flat] = True, 0.0, a[flat]
+    return convex, minimum, witness
 
 
 def convexity_certificate(p: Poly, interval) -> ConvexityCertificate:
-    """Exact global minimum of p'' over [a, b], with a relative rounding slack.
-
-    Candidate minimizers are the interval ends plus every sign-change root of
-    p''' inside; tangential roots of p''' cannot host an interior extremum of
-    p'' and need not be isolated.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    d2 = p.derivative().derivative()
-    if all(c == 0.0 for c in _effective_coeffs(d2)):
-        return ConvexityCertificate(True, 0.0, a)
-    d3 = d2.derivative()
-    candidates = [a, b] + _real_roots_in(d3, a, b)
-    vals = [d2(x) for x in candidates]
-    imin = int(np.argmin(vals))
-    tol = 1e-9 * (1.0 + max(abs(v) for v in vals))
-    return ConvexityCertificate(vals[imin] >= -tol, vals[imin], candidates[imin])
+    """The one-piece case of :func:`convexity_certificates`."""
+    convex, minimum, witness = convexity_certificates(
+        [p.coeffs], [p.center], [p.halfwidth], [interval[0]], [interval[1]])
+    return ConvexityCertificate(bool(convex[0]), float(minimum[0]), float(witness[0]))

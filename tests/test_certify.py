@@ -131,6 +131,14 @@ def test_witness_explicit_epsilon():
     assert w.contradiction
 
 
+@pytest.mark.parametrize("m, epsilon", [
+    (1, "auto"), (0, "auto"), (3, math.nan), (3, math.inf), (3, 0.0), (3, -0.01)])
+def test_witness_refuses_degenerate_input(m, epsilon):
+    # order 1 forces no derivative, and a witness must stay finite for JSON
+    with pytest.raises(ValueError):
+        counterexample_witness(1, m, 0.5, epsilon=epsilon)
+
+
 def test_witness_contradiction_iff_below_threshold():
     # pure arithmetic: exact equivalence over a deterministic sweep
     cases = 0
@@ -165,6 +173,8 @@ def test_threshold_growth_truncpow():
 def test_threshold_growth_validates_order():
     with pytest.raises(ValueError):
         threshold_growth(1, [0.01, 0.1])
+    with pytest.raises(ValueError, match="c0"):
+        threshold_growth(1, [0.1, 0.01], c0=-1.0)
 
 
 # sup ratios in BOUND_IDS order, pinned so that a change to the modulus

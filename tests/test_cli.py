@@ -200,6 +200,51 @@ def test_modulus_nan_step_exits_1(capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("interval", ["-inf,1", "-1,inf", "nan,1"])
+def test_modulus_non_finite_interval_exits_1(interval, capsys):
+    code = run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0.1",
+                "--interval", interval])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "modulus = " not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "finite" in err[0]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "1"], "m >= 2"),
+    (["--m", "3", "--epsilon", "nan"], "epsilon"),
+    (["--m", "3", "--epsilon", "inf"], "epsilon"),
+    (["--m", "3", "--epsilon", "0"], "epsilon"),
+])
+def test_counterexample_degenerate_input_exits_1(flags, message, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code = run(["counterexample", "--r", "1", "--x-last", "0.5", "--out", str(out)] + flags)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize("command, c0", [
+    (["approximate", "--n", "64"], "-1"),
+    (["approximate", "--n", "64"], "0"),
+    (["approximate", "--n", "64"], "nan"),
+    (["sweep", "--n", "32:64:x2"], "inf"),
+])
+def test_bad_c0_exits_1(command, c0, capsys):
+    code = run(command[:1] + ["--function", "exp:alpha=1", "--r", "2", "--c0", c0]
+               + command[1:])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "convex_certified" not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "c0" in err[0]
+
+
 def test_unknown_function_exits_1(capsys):
     code = run(["approximate", "--function", "sin:freq=1", "--r", "1", "--n", "8"])
     assert code == 1

@@ -180,6 +180,16 @@ def test_threshold_pinned(f, r, want):
     assert chebyshev_threshold(f, r) == want
 
 
+@pytest.mark.parametrize("c0", [-1.0, 0.0, math.nan, math.inf])
+def test_threshold_refuses_bad_c0(c0):
+    # c0 <= 0 would pass every smallness test, and nan none of them
+    f = exp_oracle(1.0)
+    with pytest.raises(ValueError, match="c0"):
+        chebyshev_threshold(f, 2, c0=c0)
+    with pytest.raises(ValueError, match="c0"):
+        construct_chebyshev(f, 2, 64, c0=c0)
+
+
 def test_threshold_endpoint_gap_admissible():
     # for every n >= N the Chebyshev end gap fits under H
     f = exp_oracle(1.0)

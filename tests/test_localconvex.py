@@ -23,7 +23,7 @@ from convexlab.localconvex import (
     convex_piece,
     convex_pieces,
 )
-from convexlab.polynomial import ConvexityCertificate, convexity_certificate
+from convexlab.polynomial import convexity_certificate
 from convexlab.smoothness import modulus
 
 
@@ -212,17 +212,20 @@ def _linprog_spy(monkeypatch, fail_blocks=lambda blocks: False, rhs=None):
 
 
 def _failing_certificate(monkeypatch, interval, times):
-    """The first `times` certificates on `interval` fail; all others are real."""
-    real = localconvex.convexity_certificate
+    """The first `times` certificates of a piece on `interval` fail; all
+    others are real."""
+    real = localconvex.convexity_certificates
     seen = []
 
-    def cert(p, iv):
-        if tuple(iv) == interval and len(seen) < times:
-            seen.append(iv)
-            return ConvexityCertificate(False, -1.0, iv[0])
-        return real(p, iv)
+    def certs(coeffs, centers, halfwidths, a, b):
+        convex, minimum, witness = real(coeffs, centers, halfwidths, a, b)
+        for i in np.flatnonzero((a == interval[0]) & (b == interval[1])):
+            if len(seen) < times:
+                seen.append(interval)
+                convex[i], minimum[i], witness[i] = False, -1.0, a[i]
+        return convex, minimum, witness
 
-    monkeypatch.setattr(localconvex, "convexity_certificate", cert)
+    monkeypatch.setattr(localconvex, "convexity_certificates", certs)
     return seen
 
 

@@ -183,6 +183,30 @@ def test_certificate_monotone_under_restriction(coeffs, mid, half):
         assert sub.convex
 
 
+@given(st.lists(st.floats(-5, 5), min_size=1, max_size=10),
+       st.integers(0, 3), st.floats(-2, 2), st.floats(0.01, 3),
+       st.floats(-1.5, 1.5), st.floats(0.01, 3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_certificate_bounds_dense_minimum(coeffs, zeros, center, halfwidth, ua, span):
+    # degree 0..9 with trailing zero coefficients, on an arbitrary subinterval
+    p = Poly(center, halfwidth, tuple(coeffs) + (0.0,) * zeros)
+    a = center + halfwidth * ua
+    b = a + halfwidth * span
+    cert = convexity_certificate(p, (a, b))
+    xs = np.linspace(a, b, 4097)
+    u = (xs - center) / halfwidth
+    d2 = np.polynomial.polynomial.polyder(np.array(p.coeffs), 2) / halfwidth ** 2
+    dense = np.polynomial.polynomial.polyval(u, d2)
+    rounding = 1e-12 * np.polynomial.polynomial.polyval(np.max(np.abs(u)), np.abs(d2))
+    assert a <= cert.witness_x <= b
+    assert cert.min_second_derivative <= np.min(dense) + rounding
+    top = float(np.max(np.abs(dense)))
+    if cert.min_second_derivative >= -1e-9 * (1.0 + top):
+        assert cert.convex
+    if cert.min_second_derivative < -1e-9 * (1.0 + 1.1 * top) - rounding:
+        assert not cert.convex
+
+
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=9))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_eval_matches_monomial_basis(coeffs):
