@@ -25,7 +25,8 @@ from convexlab.domain import (
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import _convex_pieces, _secant_piece, _spot_check_convexity
-from convexlab.piecewise import PiecewisePoly, verify_convexity
+from convexlab.piecewise import PiecewisePoly, coefficient_matrix, verify_convexity
+from convexlab.polynomial import Poly
 from convexlab.smoothness import _golden_max, modulus
 
 __all__ = [
@@ -174,14 +175,38 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     return _Prepared(g, amap, False, M, x_star, H1, H, c0)
 
 
-def _denormalize(pieces, knots, order, amap, f) -> PiecewisePoly:
+def _plus_line(coeffs, centers, halfwidths, slope: float, intercept: float) -> None:
+    """Poly.plus_line on every row of a coefficient matrix, in place."""
+    coeffs[:, 0] += intercept + slope * centers
+    coeffs[:, 1] += slope * halfwidths
+
+
+def _blend(unit_pieces, order: int, lam: float, slope: float, intercept: float) -> tuple:
+    """(coeffs, centers, halfwidths, sizes) of the pieces with every piece p
+    but the two end blocks replaced by lam * p + slope * x + intercept, as
+    Poly arithmetic computes it; sizes are the coefficient counts of the
+    pieces, at least two after plus_line."""
+    coeffs, centers, halfwidths = coefficient_matrix(unit_pieces, order)
+    middle = slice(1, -1)
+    coeffs[middle] *= lam
+    _plus_line(coeffs[middle], centers[middle], halfwidths[middle], slope, intercept)
+    return coeffs, centers, halfwidths, [max(len(p.coeffs), 2) for p in unit_pieces]
+
+
+def _denormalize(coeffs, centers, halfwidths, sizes, knots, amap, f) -> PiecewisePoly:
+    """The spline of the pieces given in [0, 1] by their coefficient matrix,
+    frames and coefficient counts, pulled back to the original interval with
+    f's secant added: Poly.rescale_domain then Poly.plus_line on all rows."""
     a = amap.shift
     length = amap.scale
     slope_x = (float(f(a + length)) - float(f(a))) / length
     intercept_x = float(f(a)) - slope_x * a
-    out = tuple(p.rescale_domain(a, length).plus_line(slope_x, intercept_x)
-                for p in pieces)
-    return PiecewisePoly(knots=knots, pieces=out, order=order)
+    centers = a + length * centers
+    halfwidths = length * halfwidths
+    _plus_line(coeffs, centers, halfwidths, slope_x, intercept_x)
+    out = tuple(Poly(c, w, row[:m]) for c, w, row, m in
+                zip(centers.tolist(), halfwidths.tolist(), coeffs.tolist(), sizes))
+    return PiecewisePoly(knots=knots, pieces=out, order=coeffs.shape[1])
 
 
 def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
@@ -252,13 +277,9 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     if not 0.0 < lam <= 1.0:
         raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
-    middle = tuple(
-        p.scaled(lam).plus_line((1.0 - lam) * line_slope,
-                                (1.0 - lam) * line_icept + shift)
-        for p in interior
-    )
-    unit_pieces = (left.poly,) + middle + (right.poly,)
-    S = _denormalize(unit_pieces, X.knots, r + 2, amap, f)
+    rows = _blend([left.poly, *interior, right.poly], r + 2, lam,
+                  (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
+    S = _denormalize(*rows, X.knots, amap, f)
     S = _certify_or_raise(S)
     trace = GlueTrace(M=M, x_star=prep.x_star, H1=prep.H1, H=H,
                       delta=delta, delta_tilde=delta_tilde, delta_hat=delta_hat,

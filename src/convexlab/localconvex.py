@@ -6,15 +6,29 @@ a small minimax LP over local polynomial coefficients per piece; the pieces
 are independent, so CHUNK of them are solved as one block-diagonal LP.  The
 explicit convex parabola is both the degree-2 construction and the
 always-feasible fallback.
+
+Each chunk's LP goes to HiGHS directly, through scipy's bindings
+(scipy.optimize._highspy._core), as one column-wise model built from the
+dense per-piece blocks by index arithmetic; scipy.optimize.linprog's input
+cleaning, sparse stacking and per-option checks cost about as much as the
+solve itself.  The model, its options and its failure checks are linprog's
+own, so the coefficients are linprog's bit for bit.  The module-level
+:func:`linprog` keeps linprog's name and keyword arguments, because it is
+the one seam between the pieces and the solver: profilers and tests wrap
+it by that name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    raise ImportError("convexlab needs scipy>=1.17 for scipy.optimize._highspy._core") from exc
 
 from convexlab.domain import ConvexOracle, Partition
 from convexlab.piecewise import PiecewisePoly, verify_convexity
@@ -40,6 +54,14 @@ DEGENERATE_REL_LENGTH = 1e-13
 # pieces per block-diagonal LP: 16 gets most of the gain over one LP per
 # piece, while peak memory grows with the chunk
 CHUNK = 16
+
+
+class LPResult(NamedTuple):
+    """What :func:`linprog` returns: status 0 and x on success."""
+
+    status: int
+    x: np.ndarray | None
+    message: str
 
 
 class NotConvexInput(ValueError):
@@ -167,25 +189,96 @@ def _monomial_rows(x: np.ndarray, center: np.ndarray, w: np.ndarray, degree: int
     return rows / (w * w)[:, None, None]
 
 
-def _block_diag(blocks: np.ndarray):
-    """The sparse block-diagonal matrix of dense blocks of shape (k, rows, cols)."""
-    k, nr, nc = blocks.shape
-    piece, i, j = np.nonzero(blocks)
-    return csr_array((blocks[piece, i, j], (piece * nr + i, piece * nc + j)),
-                     shape=(k * nr, k * nc))
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LPResult:
+    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
+    bounds[:, 0] <= x <= bounds[:, 1], as one HiGHS model.
+
+    A_ub and A_eq are the dense diagonal blocks, of shapes (k, m_ub, cols) and
+    (k, m_eq, cols), of block-diagonal matrices; the right-hand sides are
+    flat.  The model is the one scipy.optimize.linprog(method="highs",
+    options=_LP_OPTIONS) hands to HiGHS for the same blocks: the ub rows
+    first, then the eq rows, in column-wise storage with the same options,
+    so x is the same bit for bit.  So are the failures: status 0 only for an
+    optimum that passes linprog's feasibility check of bounds, ub slacks and
+    eq residuals at 10*sqrt(1e-9).
+    """
+    k, m_ub, cols = A_ub.shape
+    m_eq = A_eq.shape[1]
+    # global row of each block row: the ub rows of all blocks, then the eq rows
+    block = np.arange(k)[:, None]
+    rows = np.concatenate([block * m_ub + np.arange(m_ub),
+                           k * m_ub + block * m_eq + np.arange(m_eq)], axis=1)
+    # (block, column, row) order is column-wise order of the whole matrix
+    stacked = np.concatenate([A_ub, A_eq], axis=1).transpose(0, 2, 1)
+    piece, col, row = np.nonzero(stacked)
+    start = np.zeros(k * cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(piece * cols + col, minlength=k * cols), out=start[1:])
+    rhs = np.concatenate([b_ub, b_eq])
+    lower, upper = bounds.T
+
+    # the bindings fill their vectors from lists about twice as fast as from
+    # arrays, tolist included
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = k * cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = rows[piece, row].tolist()
+    lp.a_matrix_.value_ = stacked[piece, col, row].tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = lower.tolist()
+    lp.col_upper_ = upper.tolist()
+    lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq]).tolist()
+    lp.row_upper_ = rhs.tolist()
+
+    highs = _highs._Highs()
+    highs.passOptions(_highs_options())
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return _stalled(highs, _highs.HighsModelStatus.kModelError)
+    if (highs.run() == _highs.HighsStatus.kError
+            or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+        return _stalled(highs, highs.getModelStatus())
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    residual = rhs - solution.row_value  # b - A @ x, ub rows then eq rows
+    slack, con = residual[:b_ub.size], residual[b_ub.size:]
+    fun = highs.getInfo().objective_function_value
+    tol = 10.0 * np.sqrt(1e-9)
+    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
+                    or (x < lower - tol).any() or (x > upper + tol).any()
+                    or (slack < -tol).any() or (np.abs(con) > tol).any())
+    if not feasible:
+        return LPResult(4, x, f"the solution violates the constraints by more than {tol:.2E}")
+    return LPResult(0, x, "Optimization terminated successfully.")
 
 
-def _minimax_lp(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                mu: np.ndarray) -> np.ndarray:
-    """Minimax coefficients of every piece [a[i], b[i]] from one LP.
+def _highs_options():
+    """The HiGHS options linprog(method="highs", options=_LP_OPTIONS) sets:
+    dual simplex, no output, presolve and tolerances from _LP_OPTIONS."""
+    options = _highs.HighsOptions()
+    options.presolve = "on" if _LP_OPTIONS["presolve"] else "off"
+    options.primal_feasibility_tolerance = _LP_OPTIONS["primal_feasibility_tolerance"]
+    options.dual_feasibility_tolerance = _LP_OPTIONS["dual_feasibility_tolerance"]
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    return options
+
+
+def _stalled(highs, status) -> LPResult:
+    return LPResult(4, None, f"(HiGHS Status {int(status)}: {highs.modelStatusToString(status)})")
+
+
+def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+               mu: np.ndarray) -> tuple:
+    """The minimax LP of every piece [a[i], b[i]] as (cost, blocks): the
+    keyword arguments of :func:`linprog`.
 
     Each piece contributes an independent block: its local coefficients and an
     epigraph variable t_i bounding |p_i - f| at 8*degree Chebyshev points,
     equality rows pinning the end values, rows sandwiching the end slopes
     against f', and curvature floors p_i'' >= mu[i] at 4*degree Chebyshev
     points.  The blocks share no variable, so minimising sum(t_i) minimises
-    every t_i.  Returns shape (pieces, degree + 1), ascending in the midpoint
-    frame of each piece; raises SolverStall when HiGHS reports no optimum.
+    every t_i.
     """
     k, d = a.size, degree
     center = 0.5 * (a + b)
@@ -220,13 +313,23 @@ def _minimax_lp(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
     b_ub[:, 3 + 4 * d::2] = -fz
 
     cost = np.tile(np.r_[np.zeros(d + 1), 1.0], k)
-    bounds = [(None, None)] * (d + 1) + [(0.0, None)]
-    res = linprog(cost, A_ub=_block_diag(A_ub), b_ub=b_ub.ravel(),
-                  A_eq=_block_diag(A_eq), b_eq=b_eq.ravel(), bounds=bounds * k,
-                  method="highs", options=_LP_OPTIONS)
+    bounds = np.tile([[-np.inf, np.inf]] * (d + 1) + [[0.0, np.inf]], (k, 1))
+    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), A_eq=A_eq, b_eq=b_eq.ravel(),
+                      bounds=bounds)
+
+
+def _minimax_lp(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+                mu: np.ndarray) -> np.ndarray:
+    """Minimax coefficients of every piece [a[i], b[i]] from the one LP of
+    :func:`_lp_blocks`.  Returns shape (pieces, degree + 1), ascending in the
+    midpoint frame of each piece; raises SolverStall when HiGHS reports no
+    optimum.
+    """
+    cost, blocks = _lp_blocks(f, a, b, degree, mu)
+    res = linprog(cost, **blocks)
     if res.status != 0 or res.x is None:
         raise SolverStall(f"LP status {res.status}: {res.message}")
-    return res.x.reshape(k, nvar)[:, :d + 1]
+    return res.x.reshape(a.size, degree + 2)[:, :degree + 1]
 
 
 def _solve_chunk(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,

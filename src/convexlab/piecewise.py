@@ -11,7 +11,15 @@ import numpy as np
 from convexlab.polynomial import (ConvexityCertificate, Poly, convexity_certificates,
                                   derivative_rows, horner_rows)
 
-__all__ = ["PiecewisePoly", "ConvexityReport", "verify_convexity"]
+__all__ = ["PiecewisePoly", "ConvexityReport", "coefficient_matrix", "verify_convexity"]
+
+
+def coefficient_matrix(pieces, order: int) -> tuple:
+    """(coeffs, centers, halfwidths) of a sequence of pieces: their
+    coefficients zero-padded to one (k, order) matrix, and their frames."""
+    coeffs = np.array([p.coeffs + (0.0,) * (order - len(p.coeffs)) for p in pieces])
+    centers, halfwidths = np.array([(p.center, p.halfwidth) for p in pieces]).T
+    return coeffs, centers, halfwidths
 
 
 @dataclass(frozen=True)
@@ -41,9 +49,8 @@ class PiecewisePoly:
             raise ValueError("need exactly one piece per interval")
         if any(p.degree + 1 > self.order for p in self.pieces):
             raise ValueError("piece degree exceeds declared order")
-        coeffs = np.array([p.coeffs + (0.0,) * (self.order - len(p.coeffs)) for p in self.pieces])
-        frames = np.array([(p.center, p.halfwidth) for p in self.pieces]).T
-        for name, value in zip(("knots", "coeffs", "centers", "halfwidths"), (ks, coeffs, *frames)):
+        arrays = (ks, *coefficient_matrix(self.pieces, self.order))
+        for name, value in zip(("knots", "coeffs", "centers", "halfwidths"), arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "pieces", tuple(self.pieces))

@@ -86,9 +86,6 @@ class Poly:
         cs = derivative_rows(np.array(self.coeffs), self.halfwidth, nu)
         return Poly(self.center, self.halfwidth, cs)(x)
 
-    def scaled(self, alpha: float) -> "Poly":
-        return Poly(self.center, self.halfwidth, tuple(alpha * c for c in self.coeffs))
-
     def plus_line(self, slope: float, intercept: float) -> "Poly":
         """Add the global line slope*x + intercept, exactly in coefficients."""
         cs = list(self.coeffs)
@@ -108,16 +105,6 @@ class Poly:
         """The reflection q(x) = p(s - x): exact in local coordinates."""
         coeffs = tuple(c * (-1.0) ** i for i, c in enumerate(self.coeffs))
         return Poly(s - self.center, self.halfwidth, coeffs)
-
-    def monomial_coeffs(self) -> np.ndarray:
-        """Global monomial coefficients (ascending in x); for tests and I/O checks."""
-        # compose with u = (x - c)/w by multiply-accumulate
-        lin = np.array([-self.center / self.halfwidth, 1.0 / self.halfwidth])
-        acc = np.array([self.coeffs[-1]])
-        for c in self.coeffs[-2::-1]:
-            acc = np.polynomial.polynomial.polymul(acc, lin)
-            acc[0] += c
-        return acc
 
     def to_json_dict(self) -> dict:
         return {

@@ -25,7 +25,9 @@ from convexlab.glue import (
     construct_spline,
     polygonal_baseline,
 )
+from convexlab import glue
 from convexlab.localconvex import build_sigma
+from convexlab.polynomial import Poly
 
 
 def max_err(f, S, lo=-1.0, hi=1.0, npts=2001):
@@ -279,3 +281,27 @@ def test_random_admissible_partitions_fuzz():
             assert 0.0 < trace.lambda_ <= 1.0
             xs = np.linspace(-1, 1, 1001)
             assert np.max(np.abs(np.asarray(f(xs)) - S(xs))) < 1.0
+
+
+def test_blend_and_denormalize_equal_poly_arithmetic():
+    """_assemble blends and denormalises all pieces as one coefficient matrix;
+    each piece must equal Poly's own arithmetic in Python floats bit for bit:
+    lam * p plus a line for the blended pieces, then rescale_domain and
+    plus_line for all, with pieces of one to four coefficients."""
+    f = exp_oracle(1.5)
+    _, amap = normalize_to_unit(f)
+    unit = [Poly(0.05, 0.05, (0.3,)), Poly(0.2, 0.1, (0.2, -0.7, 1.1)),
+            Poly(0.45, 0.15, (-0.4, 0.3, 0.9, 0.05)), Poly(0.7, 0.1, (0.6,)),
+            Poly(0.9, 0.1, (0.1, 1.3))]
+    lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
+    knots = amap.shift + amap.scale * np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0])
+    S = glue._denormalize(*glue._blend(unit, 4, lam, slope, icept), knots, amap, f)
+
+    a, length = amap.shift, amap.scale
+    slope_x = (float(f(a + length)) - float(f(a))) / length
+    intercept_x = float(f(a)) - slope_x * a
+    blended = [unit[0]] + [Poly(p.center, p.halfwidth, [lam * c for c in p.coeffs])
+                           .plus_line(slope, icept) for p in unit[1:-1]] + [unit[-1]]
+    want = [p.rescale_domain(a, length).plus_line(slope_x, intercept_x) for p in blended]
+    assert S.pieces == tuple(want)
+    assert [len(p.coeffs) for p in S.pieces] == [2, 3, 4, 2, 2]

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
+from scipy.sparse import block_diag
 
 from convexlab.domain import (
     ConvexOracle,
@@ -10,6 +15,7 @@ from convexlab.domain import (
     even_power_oracle,
     exp_oracle,
     f0_oracle,
+    normalize_to_unit,
     poly_oracle,
     truncpow_oracle,
     uniform_partition,
@@ -18,6 +24,7 @@ from convexlab import localconvex
 from convexlab.localconvex import (
     CHUNK,
     NotConvexInput,
+    SolverStall,
     build_sigma,
     convex_parabola,
     convex_piece,
@@ -336,3 +343,81 @@ def test_lp_calls_are_batched(monkeypatch):
     pieces = convex_pieces(exp_oracle(1.0), X, 2)
     assert all(pc.source == "lp" for pc in pieces)
     assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
+
+
+# -- the direct HiGHS model against scipy.optimize.linprog ---------------------
+
+
+def _scipy_solve(cost, blocks):
+    """scipy.optimize.linprog on the same LP, its blocks made block-diagonal."""
+    return scipy_linprog(cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
+                         A_eq=block_diag(list(blocks["A_eq"])), b_eq=blocks["b_eq"],
+                         bounds=blocks["bounds"], method="highs",
+                         options=localconvex._LP_OPTIONS)
+
+
+@pytest.mark.parametrize("f,r,n", [(exp_oracle(1.0), 2, 3 * CHUNK),
+                                   (truncpow_oracle(1, 0.3), 1, 3 * CHUNK),
+                                   (f0_oracle(2), 2, 3 * CHUNK),
+                                   (exp_oracle(1.0), 2, CHUNK + 1)])  # then one piece
+def test_direct_solve_equals_scipy_linprog_bit_for_bit(f, r, n):
+    knots = chebyshev_partition(n).knots
+    for s in range(0, n, CHUNK):
+        a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
+        cost, blocks = localconvex._lp_blocks(f, a, b, r + 1, np.zeros(a.size))
+        got = localconvex.linprog(cost, **blocks)
+        want = _scipy_solve(cost, blocks)
+        assert got.status == want.status == 0
+        assert np.array_equal(got.x, want.x)
+
+
+def test_model_error_is_a_failure_on_both_paths():
+    # the end intervals of n = 4096 have width 1.5e-7 in [0, 1], so their
+    # curvature rows carry coefficients near 1e15, which HiGHS refuses
+    g, amap = normalize_to_unit(exp_oracle(1.0))
+    u = (chebyshev_partition(4096).knots - amap.shift) / amap.scale
+    u[0], u[-1] = 0.0, 1.0
+    for a, b in [(u[:1], u[1:2]), (u[-2:-1], u[-1:])]:
+        cost, blocks = localconvex._lp_blocks(g, a, b, 3, np.zeros(1))
+        got = localconvex.linprog(cost, **blocks)
+        assert got.status != 0 and "Model error" in got.message
+        assert _scipy_solve(cost, blocks).status != 0
+        with pytest.raises(SolverStall):
+            localconvex._minimax_lp(g, a, b, 3, np.zeros(1))
+
+
+@pytest.mark.parametrize("corrupt", ["bound", "ub slack", "eq residual"])
+def test_infeasible_solution_is_a_stall(monkeypatch, corrupt):
+    """An 'optimal' solution off its bounds, ub rows or eq rows by more than
+    the feasibility tolerance ends in SolverStall, as linprog's check does."""
+    real = localconvex._highs._Highs
+
+    class Corrupted(real):
+        def getSolution(self):
+            sol = super().getSolution()
+            if corrupt == "bound":  # the first epigraph variable below 0
+                sol.col_value = [-1e-3 if i == 4 else v for i, v in enumerate(sol.col_value)]
+            else:  # rows: the ub rows, then the eq rows
+                i = 0 if corrupt == "ub slack" else len(sol.row_value) - 1
+                sol.row_value = [v + 1e-3 if j == i else v for j, v in enumerate(sol.row_value)]
+            return sol
+
+    monkeypatch.setattr(localconvex._highs, "_Highs", Corrupted)
+    knots = chebyshev_partition(CHUNK).knots
+    a, b = knots[:-1], knots[1:]
+    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), a, b, 3, np.zeros(a.size))
+    assert localconvex.linprog(cost, **blocks).status != 0
+    with pytest.raises(SolverStall):
+        localconvex._minimax_lp(exp_oracle(1.0), a, b, 3, np.zeros(a.size))
+
+
+def test_missing_highs_bindings_name_the_scipy_version():
+    code = ("import sys, scipy.optimize._highspy as h; del h._core; "
+            "sys.modules['scipy.optimize._highspy._core'] = None; "
+            "import convexlab.localconvex")
+    src = os.path.dirname(os.path.dirname(localconvex.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode != 0
+    assert out.stderr.strip().splitlines()[-1] == (
+        "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")

@@ -13,6 +13,13 @@ from convexlab.polynomial import (
 )
 
 
+def _monomial_coeffs(p):
+    """Coefficients of p ascending in x: the sum of c_i * u**i composed with
+    u = (x - center)/halfwidth."""
+    u = np.polynomial.Polynomial([-p.center / p.halfwidth, 1.0 / p.halfwidth])
+    return sum((c * u**i for i, c in enumerate(p.coeffs)), np.polynomial.Polynomial([0.0])).coef
+
+
 def test_eval_sum_of_coeffs():
     p = Poly(0.0, 1.0, (1.0, 2.0, 3.0))
     assert p(1.0) == pytest.approx(6.0)
@@ -114,8 +121,8 @@ def test_hermite_reproduces_polynomial():
     nodes = [(-0.5, [target(-0.5), target.deriv_value(-0.5, 1)]),
              (0.8, [target(0.8), target.deriv_value(0.8, 1)])]
     p = hermite_interpolant(nodes)
-    got = p.monomial_coeffs()
-    want = target.monomial_coeffs()
+    got = _monomial_coeffs(p)
+    want = _monomial_coeffs(target)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -211,7 +218,7 @@ def test_certificate_bounds_dense_minimum(coeffs, zeros, center, halfwidth, ua, 
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_eval_matches_monomial_basis(coeffs):
     p = Poly(0.0, 1.0, tuple(coeffs))
-    mono = p.monomial_coeffs()
+    mono = _monomial_coeffs(p)
     xs = np.linspace(-1, 1, 17)
     direct = np.polynomial.polynomial.polyval(xs, mono)
     scale = 1.0 + np.max(np.abs(direct))
