@@ -84,6 +84,7 @@ from convexlab.smoothness import (
     finite_difference,
     modulus,
     modulus_lower_bound,
+    modulus_lower_bounds,
     one_sided_modulus,
 )
 

@@ -7,6 +7,9 @@ moduli in denominators are certified lower bounds, read from a
 over-estimate conservatively; points where either side sits below the float
 noise floor are excluded and reported as satisfied-degenerate.  Bounds 2.3,
 2.4 and 2.5 share one code path driven by a table of (order, step, weight).
+Bound 2.13 reads every knot interval's term, the two end terms included,
+from ``modulus_lower_bounds``: one lattice of ``density`` steps per interval,
+evaluated in blocks of intervals, so each grid point's bound is a gather.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from convexlab.glue import (
     chebyshev_threshold,
 )
 from convexlab.piecewise import ConvexityReport, PiecewisePoly, verify_convexity
-from convexlab.smoothness import ModulusProfile, modulus_lower_bound
+from convexlab.smoothness import ModulusProfile, modulus_lower_bounds
 
 __all__ = [
     "BOUND_IDS",
@@ -171,21 +174,14 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
         om2 = ModulusProfile(fr, 2, (lo, hi), t2, grid=density, focus=kinks)
         bounds = d ** r * np.minimum(om1.value(d), om2.value(t2))
     else:  # 2.13: interior intervals with the three-term right side
-        end_left = (x1 - (-1.0)) ** r * modulus_lower_bound(
-            fr, 2, x1 + 1.0, (-1.0, x1), grid=density, focus=kinks)
-        end_right = (1.0 - xn1) ** r * modulus_lower_bound(
-            fr, 2, 1.0 - xn1, (xn1, 1.0), grid=density, focus=kinks)
+        # h_j^r omega_2(f^(r), h_j; I_j) for every knot interval, end terms
+        # included, from one lattice per interval
+        h = np.diff(knots)
+        term = np.array([w ** r for w in h.tolist()]) * modulus_lower_bounds(
+            fr, 2, h, np.column_stack([knots[:-1], knots[1:]]), grid=density)
         xs = densify(_open_chebyshev(x1, xn1, grid_size), x1, xn1)
         idx = np.clip(np.searchsorted(knots, xs, side="right") - 1, 1, n - 2)
-        term = {}
-        bounds = np.empty_like(xs)
-        for i, (x, j) in enumerate(zip(xs, idx)):
-            j = int(j)
-            if j not in term:
-                lo, hi = float(knots[j]), float(knots[j + 1])
-                term[j] = (hi - lo) ** r * modulus_lower_bound(
-                    fr, 2, hi - lo, (lo, hi), grid=density, focus=kinks)
-            bounds[i] = term[j] + end_left + end_right
+        bounds = term[idx] + term[0] + term[-1]
 
     fx = np.asarray(f(xs), dtype=float)
     errs = np.abs(fx - S(xs))

@@ -39,6 +39,8 @@ from convexlab.smoothness import modulus
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_THRESHOLD = 2
+DENSITY_HELP = ("modulus lattice density for denominators (>= 64); for bound "
+                "2.13 also the lattice steps per knot interval")
 
 
 def _write_json(path: str, obj) -> None:
@@ -251,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spline", required=True, help="spline JSON from 'approximate'")
     p.add_argument("--grid-size", type=int, default=257)
-    p.add_argument("--density", type=int, default=2048,
-                   help="modulus lattice density for denominators")
+    p.add_argument("--density", type=int, default=2048, help=DENSITY_HELP)
     p.add_argument("--out", help="report JSON output path")
     p.set_defaults(fn=cmd_certify)
 
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="range: 16:256:x2 or 8:64:+8 or 64")
     p.add_argument("--c0", type=float, default=None)
     p.add_argument("--grid-size", type=int, default=257)
-    p.add_argument("--density", type=int, default=2048)
+    p.add_argument("--density", type=int, default=2048, help=DENSITY_HELP)
     p.add_argument("--timing", action="store_true",
                    help="record wall_ms (breaks byte determinism)")
     p.add_argument("--out", help="CSV output path (stdout otherwise)")

@@ -1,17 +1,20 @@
 """Finite differences and moduli of smoothness by certified grid search.
 
-``ModulusProfile`` is the one place that maximizes over centers: for each
-step a caller will query it takes the maximum of |delta^k_u f| over a fixed
-lattice of centers, and it answers a query at t with the running max over
-its steps <= t.  All of a profile's row maxima come from one blocked pass:
-the steps' center lattices are stacked into 2-D blocks of at most
-BLOCK_POINTS centers, each block costs k+1 oracle calls, and every row's
-value and center are bit-identical to maximizing that step on its own.
-``modulus`` (a profile over a uniform step lattice plus local golden-section
-refinement) and ``modulus_lower_bound`` (a profile over a few fractions of
-t) are built on it.  Every reported value is therefore a certified lower
-bound on the true supremum, and ratios that divide by one of these values
-over-estimate conservatively.
+Two engines maximize |delta^k_u f| over centers.  ``ModulusProfile`` does
+it for each step a caller will query, over that step's own lattice of
+centers, and answers a query at t with the running max over its steps <= t.
+All of a profile's row maxima come from one blocked pass: the steps' center
+lattices are stacked into 2-D blocks of at most BLOCK_POINTS centers, each
+block costs k+1 oracle calls, and every row's value and center are
+bit-identical to maximizing that step on its own.  ``modulus`` (a profile
+over a uniform step lattice plus local golden-section refinement) is built
+on it.  ``modulus_lower_bounds`` bounds omega_k(f, t) on many intervals at
+once from one uniform lattice per interval: f is evaluated once per lattice
+point, one oracle call per block of BLOCK_POINTS points, and the differences
+of every step (a multiple of the lattice spacing) are index shifts of those
+values; ``modulus_lower_bound`` is its one-interval call.  Every reported
+value is therefore a certified lower bound on the true supremum, and ratios
+that divide by one of these values over-estimate conservatively.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "finite_difference",
     "modulus",
     "modulus_lower_bound",
+    "modulus_lower_bounds",
     "one_sided_modulus",
 ]
 
@@ -214,16 +218,63 @@ def modulus(f, k: int, t: float, interval, grid: int = 512) -> ModulusResult:
     return ModulusResult(best_v, best_u, best_x, grid)
 
 
-def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048,
-                        columns: int = 16, focus=()) -> float:
-    """Cheap single-step lower bound: max over a few step columns u = t j/cols
-    of the dense-in-x row maximum.  Used for one-off denominator queries."""
+def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048,
+                         columns: int = 16) -> np.ndarray:
+    """Lower bounds of omega_k(f, t_i) on each interval [lo_i, hi_i] from one
+    uniform lattice per interval.
+
+    Interval i gets the grid + 1 points lo + (hi - lo) i/grid (the last one
+    pinned to hi, all clamped to [lo, hi]); every lattice point is a center,
+    so a kink cannot fall between centers.  Column j = 1..columns asks for
+    the largest lattice step m h <= (j/columns) min(t, (hi - lo)/k), i.e.
+    m_j = (j grid)//(k columns) once t reaches the admissible limit; equal
+    steps and m = 0 are dropped.  The k-th differences of one step are index
+    shifts of the lattice values, and the bound is the max of |delta^k| over
+    steps and centers (0 when no step is left).  Intervals that ask for the
+    same steps share blocks of at most BLOCK_POINTS lattice points, one
+    oracle call per block.
+    """
     k = _check_order(k)
-    a, b = float(interval[0]), float(interval[1])
-    t = min(float(t), (b - a) / k)
-    steps = t * np.arange(1, columns + 1) / columns
-    # the last running max covers every column
-    return ModulusProfile(f, k, (a, b), steps, grid, focus).value(math.inf)
+    grid = _check_grid(grid)
+    ts = np.asarray(ts, dtype=float).ravel()
+    ends = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    lo, hi = ends[:, :1], ends[:, 1:]
+    width = (hi - lo)[:, 0]
+    ratio = np.zeros_like(width)
+    pos = (ts > 0) & (width > 0)  # a nan step or an empty interval reads 0
+    ratio[pos] = ts[pos] / width[pos]
+    j = np.arange(1, columns + 1)
+    steps = np.fmin((j * grid) // (k * columns),
+                    np.floor(j * grid * ratio[:, None] / columns)).astype(int)
+    weights = _weights(k)
+    per_block = max(1, BLOCK_POINTS // (grid + 1))
+    out = np.zeros(width.size)
+    groups, which = np.unique(steps, axis=0, return_inverse=True)
+    for g, ms in enumerate(groups):
+        ms = np.unique(ms[ms > 0])
+        if ms.size == 0:
+            continue
+        rows = np.flatnonzero(which.ravel() == g)
+        for start in range(0, rows.size, per_block):
+            sel = rows[start:start + per_block]
+            xs = np.clip(_centers(lo[sel], hi[sel], grid + 1), lo[sel], hi[sel])
+            v = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+            best = np.zeros(sel.size)
+            for m in ms:
+                span = grid + 1 - k * m
+                acc = weights[0] * v[:, k * m:]
+                for i in range(1, k + 1):
+                    acc += weights[i] * v[:, (k - i) * m:(k - i) * m + span]
+                np.maximum(best, np.abs(acc).max(axis=1), out=best)
+            out[sel] = best
+    return out
+
+
+def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048,
+                        columns: int = 16) -> float:
+    """One interval's ``modulus_lower_bounds``: a cheap lower bound of
+    omega_k(f, t) on the interval from one uniform lattice of grid + 1 points."""
+    return float(modulus_lower_bounds(f, k, [t], [interval], grid, columns)[0])
 
 
 def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512) -> float:

@@ -142,6 +142,25 @@ def test_sweep_arithmetic_range(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["16", "32"]
 
 
+@pytest.mark.parametrize("density", ["64", "100"])
+def test_sweep_low_density_is_finite_and_deterministic(density, tmp_path):
+    # --density is also the lattice steps per knot interval of bound 2.13;
+    # 100 is not a multiple of 2 * 16 step columns, so its steps are uneven
+    texts = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"sweep_{tag}.csv"
+        assert run(["sweep", "--function", "truncpow:r=1,eps=0.2", "--r", "1",
+                    "--n", "32:64:x2", "--grid-size", "65", "--density", density,
+                    "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    rows = texts[0].decode().strip().split("\n")[1:]
+    assert len(rows) == 2
+    for row in rows:
+        cell = float(row.split(",")[7])  # sup_ratio_2_13
+        assert math.isfinite(cell) and cell > 0.0
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--n", "0:8:x2"], "range start must be >= 1"),
     (["--n", "16:32:x2", "--density", "0"], "grid must be >= 64"),

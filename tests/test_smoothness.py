@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from convexlab.domain import parse_function
 from convexlab.smoothness import (
     BLOCK_POINTS,
     InvalidOrder,
     ModulusProfile,
     finite_difference,
     modulus,
+    modulus_lower_bound,
+    modulus_lower_bounds,
     one_sided_modulus,
 )
 
@@ -329,3 +332,116 @@ def test_profile_oracle_calls_are_blocked():
     ModulusProfile(f, k, (-1.0, 1.0), steps, grid=grid)
     assert len(calls) <= (k + 1) * math.ceil(512 * grid / BLOCK_POINTS)
     assert sum(calls) == (k + 1) * 512 * grid
+
+
+def _lattice_reference(f, k, t, lo, hi, grid, columns=16):
+    """One interval's lattice bound by plain loops: grid + 1 linspace points,
+    the steps m_j = (j grid)//(k columns) cut to t, explicit k-th differences
+    at every admissible left end."""
+    v = np.asarray(f(np.linspace(lo, hi, grid + 1)), dtype=float)
+    h = (hi - lo) / grid
+    weights = [(-1.0) ** i * math.comb(k, i) for i in range(k + 1)]
+    best = 0.0
+    for j in range(1, columns + 1):
+        m = min((j * grid) // (k * columns), math.floor(j * grid * (t / (hi - lo)) / columns))
+        if m == 0:
+            continue
+        assert m * h <= t * j / columns * (1 + 1e-15)
+        for s in range(grid + 1 - k * m):
+            acc = 0.0
+            for i in range(k + 1):
+                acc += weights[i] * v[s + (k - i) * m]
+            best = max(best, abs(acc))
+    return best
+
+
+def _lattice_oracles():
+    return {"exp": parse_function("exp:alpha=2").deriv_fn(2),
+            "kink": parse_function("truncpow:r=1,eps=0.3").deriv_fn(1),
+            "sin": lambda x: np.sin(7.0 * np.asarray(x))}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("grid", [64, 100, 257])
+def test_lattice_bound_equals_loop_reference(k, grid):
+    rng = np.random.default_rng(grid + k)
+    for name, f in _lattice_oracles().items():
+        for _ in range(3):
+            lo = rng.uniform(-1.0, 0.6)
+            hi = lo + rng.uniform(0.05, 1.0 - lo)
+            for t in (hi - lo, 0.3 * (hi - lo) / k):
+                got = modulus_lower_bound(f, k, t, (lo, hi), grid)
+                assert got == pytest.approx(_lattice_reference(f, k, t, lo, hi, grid),
+                                            rel=1e-13, abs=1e-15), (name, lo, hi, t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_lattice_equals_one_interval_calls(k):
+    # more intervals than one block holds, steps cut short on some rows, and
+    # rows that read 0: a zero, negative or nan step and an empty interval
+    def f(x):
+        return np.exp(x) + np.abs(np.asarray(x) - 0.3)
+
+    grid = 256
+    per_block = BLOCK_POINTS // (grid + 1)
+    knots = np.cos(np.pi * np.arange(2 * per_block + 6, -1, -1) / (2 * per_block + 6))
+    intervals = np.column_stack([knots[:-1], knots[1:]])
+    ts = np.diff(knots).copy()
+    ts[::5] *= 0.25
+    ts[3], ts[7], ts[11] = 0.0, -1.0, math.nan
+    intervals[13, 1] = intervals[13, 0]
+    got = modulus_lower_bounds(f, k, ts, intervals, grid)
+    want = [modulus_lower_bound(f, k, t, (lo, hi), grid) for t, (lo, hi) in zip(ts, intervals)]
+    assert got.tolist() == want
+    assert got[3] == got[7] == got[11] == got[13] == 0.0
+    assert np.all(got[[0, 1, 2, 4, 5, 6, 8]] > 0.0)
+
+
+def test_batched_lattice_oracle_calls_are_blocked():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.cosh(x)
+
+    grid, rows = 2048, 20
+    knots = np.linspace(-1.0, 1.0, rows + 1)
+    modulus_lower_bounds(f, 2, np.diff(knots), np.column_stack([knots[:-1], knots[1:]]), grid)
+    assert len(calls) == math.ceil(rows / (BLOCK_POINTS // (grid + 1)))
+    assert max(calls) <= BLOCK_POINTS and sum(calls) == rows * (grid + 1)
+
+
+def test_lattice_bound_of_exponential_matches_closed_form():
+    # f^(r) = alpha^r e^(alpha x) is convex and increasing, so its largest
+    # second difference on [lo, hi] takes the longest step h/2 at the center
+    # (lo + hi)/2: alpha^r e^(alpha hi) (1 - e^(-alpha h/2))^2
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        alpha, r = rng.uniform(0.3, 4.0), int(rng.integers(1, 4))
+        lo = rng.uniform(-1.0, 0.9)
+        hi = min(1.0, lo + rng.uniform(0.02, 1.5))
+        h = hi - lo
+        want = alpha ** r * math.exp(alpha * hi) * (-math.expm1(-alpha * h / 2)) ** 2
+        fr = parse_function(f"exp:alpha={alpha!r}").deriv_fn(r)
+        assert modulus_lower_bound(fr, 2, h, (lo, hi)) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("grid", [64, 100, 2048])
+def test_lattice_bound_of_kinked_derivative(grid):
+    # truncpow:r=1 has f' = 2 (x - p)_+, whose omega_2 on [lo, hi] around the
+    # kink p is 2 min(p - lo, hi - p).  Every lattice point is a center, and
+    # with an even grid the longest step spans the interval, so the bound
+    # reaches 2 (largest lattice step <= that distance) up to rounding
+    f = parse_function("truncpow:r=1,eps=0.3")
+    fr, p = f.deriv_fn(1), f.nonsmooth[0]
+    rounding = 1e-13
+    rng = np.random.default_rng(grid)
+    for _ in range(50):
+        lo, hi = p - rng.uniform(1e-4, 0.6), min(1.0, p + rng.uniform(1e-4, 0.6))
+        d = min(p - lo, hi - p)
+        got = modulus_lower_bound(fr, 2, hi - lo, (lo, hi), grid)
+        step = (hi - lo) / grid
+        largest = max([m * step for m in {(j * grid) // 32 for j in range(1, 17)}
+                       if m * step <= d], default=0.0)
+        assert got <= 2.0 * d + rounding
+        assert got >= 2.0 * largest - rounding
