@@ -310,14 +310,11 @@ def polynomial_counterexample(r: int, n: int) -> dict:
             "markov_rhs": rhs, "ratio": lhs / rhs}
 
 
-def threshold_growth(r: int, eps_list, family="truncpow",
-                     c0: float | None = None) -> dict:
-    """N_threshold as the corner parameter sharpens; the column must be
-    nondecreasing as eps decreases."""
+def threshold_growth(r: int, eps_list, c0: float | None = None) -> dict:
+    """N_threshold of the truncated-power family as the corner parameter
+    sharpens; the column must be nondecreasing as eps decreases."""
     from convexlab.domain import truncpow_oracle
 
-    if family != "truncpow":
-        raise ValueError(f"unsupported family {family!r}")
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
@@ -328,7 +325,7 @@ def threshold_growth(r: int, eps_list, family="truncpow",
         rows.append({"eps": eps, "N_threshold": n_thr, "H": h})
     col = [row["N_threshold"] for row in rows]
     return {
-        "family": family,
+        "family": "truncpow",
         "r": r,
         "rows": rows,
         "nondecreasing": all(b >= a for a, b in zip(col, col[1:])),

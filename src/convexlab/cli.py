@@ -16,6 +16,8 @@ import numpy as np
 
 from convexlab.certify import (
     BOUND_IDS,
+    CERTIFICATION_DENSITY,
+    DEFAULT_GRID_SIZE,
     counterexample_witness,
     pointwise_bound_report,
     sweep,
@@ -32,8 +34,8 @@ from convexlab.glue import (
     construct_chebyshev,
     construct_spline,
 )
-from convexlab.localconvex import SolverStall
 from convexlab.piecewise import PiecewisePoly
+from convexlab.polynomial import IllConditioned
 from convexlab.smoothness import modulus
 
 EXIT_OK = 0
@@ -252,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spline", required=True, help="spline JSON from 'approximate'")
-    p.add_argument("--grid-size", type=int, default=257)
-    p.add_argument("--density", type=int, default=2048, help=DENSITY_HELP)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    p.add_argument("--density", type=int, default=CERTIFICATION_DENSITY, help=DENSITY_HELP)
     p.add_argument("--out", help="report JSON output path")
     p.set_defaults(fn=cmd_certify)
 
@@ -261,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", required=True, help="range: 16:256:x2 or 8:64:+8 or 64")
     p.add_argument("--c0", type=float, default=None)
-    p.add_argument("--grid-size", type=int, default=257)
-    p.add_argument("--density", type=int, default=2048, help=DENSITY_HELP)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
+    p.add_argument("--density", type=int, default=CERTIFICATION_DENSITY, help=DENSITY_HELP)
     p.add_argument("--timing", action="store_true",
                    help="record wall_ms (breaks byte determinism)")
     p.add_argument("--out", help="CSV output path (stdout otherwise)")
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError, NotConvexOutput, ConstructionError,
-            NoConvexityThreshold, SolverStall) as exc:
+            NoConvexityThreshold, IllConditioned) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

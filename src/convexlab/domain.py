@@ -186,24 +186,12 @@ def _fmt_param(v):
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Bookkeeping for mapping [a, b] onto [0, 1] and subtracting the secant.
-
-    The forward map is u = (x - shift)/scale followed by subtracting
-    slope*u + intercept (the secant of the transported function), so that the
-    normalized function vanishes at both unit-interval ends.
-    """
+    """The map of [a, b] onto [0, 1]: u = (x - shift)/scale.  The secant
+    that normalization subtracts, f(a) + (f(b) - f(a)) u, is recomputed from
+    f where it is needed."""
 
     scale: float
     shift: float
-    subtracted_line: tuple  # (slope, intercept) in unit coordinates
-
-    def from_unit(self, u):
-        return self.shift + self.scale * np.asarray(u, dtype=float)
-
-    def reconstruct(self, g_value, u):
-        """Original function value from the normalized value at unit abscissa u."""
-        slope, intercept = self.subtracted_line
-        return g_value + (slope * np.asarray(u, dtype=float) + intercept)
 
 
 def normalize_to_unit(f: ConvexOracle, interval=None):
@@ -220,7 +208,7 @@ def normalize_to_unit(f: ConvexOracle, interval=None):
     fa = float(f(a))
     fb = float(f(b))
     slope = fb - fa  # per unit coordinate
-    amap = AffineMap(scale=length, shift=a, subtracted_line=(slope, fa))
+    amap = AffineMap(scale=length, shift=a)
 
     def make(nu):
         base = f.deriv_fn(nu)

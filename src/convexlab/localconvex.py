@@ -15,13 +15,13 @@ solve itself.  The model, its options and its failure checks are linprog's
 own, so the coefficients are linprog's bit for bit.  The module-level
 :func:`linprog` keeps linprog's name and keyword arguments, because it is
 the one seam between the pieces and the solver: profilers and tests wrap
-it by that name.
+it by that name.  It returns x or raises SolverStall, the one failure signal
+between HiGHS and the parabola fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,23 +45,18 @@ __all__ = [
     "build_sigma",
 ]
 
-_LP_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 DEGENERATE_REL_LENGTH = 1e-13
 # pieces per block-diagonal LP: 16 gets most of the gain over one LP per
 # piece, while peak memory grows with the chunk
 CHUNK = 16
 
-
-class LPResult(NamedTuple):
-    """What :func:`linprog` returns: status 0 and x on success."""
-
-    status: int
-    x: np.ndarray | None
-    message: str
+# what linprog(method="highs") sets for presolve=True and both feasibility
+# tolerances 1e-10; passOptions copies the values
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.primal_feasibility_tolerance = _HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
 
 
 class NotConvexInput(ValueError):
@@ -189,18 +184,19 @@ def _monomial_rows(x: np.ndarray, center: np.ndarray, w: np.ndarray, degree: int
     return rows / (w * w)[:, None, None]
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LPResult:
-    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
-    bounds[:, 0] <= x <= bounds[:, 1], as one HiGHS model.
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
+    """The x minimising c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq
+    and bounds[:, 0] <= x <= bounds[:, 1], solved as one HiGHS model.
 
     A_ub and A_eq are the dense diagonal blocks, of shapes (k, m_ub, cols) and
     (k, m_eq, cols), of block-diagonal matrices; the right-hand sides are
-    flat.  The model is the one scipy.optimize.linprog(method="highs",
-    options=_LP_OPTIONS) hands to HiGHS for the same blocks: the ub rows
-    first, then the eq rows, in column-wise storage with the same options,
-    so x is the same bit for bit.  So are the failures: status 0 only for an
-    optimum that passes linprog's feasibility check of bounds, ub slacks and
-    eq residuals at 10*sqrt(1e-9).
+    flat.  The model is the one scipy.optimize.linprog(method="highs") hands
+    to HiGHS for the same blocks with presolve on and both feasibility
+    tolerances 1e-10: the ub rows first, then the eq rows, in column-wise
+    storage with the same options, so x is the same bit for bit.  So are the
+    failures: SolverStall unless HiGHS reports an optimum that passes
+    linprog's feasibility check of bounds, ub slacks and eq residuals at
+    10*sqrt(1e-9).
     """
     k, m_ub, cols = A_ub.shape
     m_eq = A_eq.shape[1]
@@ -232,12 +228,12 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LPResult:
     lp.row_upper_ = rhs.tolist()
 
     highs = _highs._Highs()
-    highs.passOptions(_highs_options())
+    highs.passOptions(_HIGHS_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
-        return _stalled(highs, _highs.HighsModelStatus.kModelError)
+        raise SolverStall(highs.modelStatusToString(_highs.HighsModelStatus.kModelError))
     if (highs.run() == _highs.HighsStatus.kError
             or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
-        return _stalled(highs, highs.getModelStatus())
+        raise SolverStall(highs.modelStatusToString(highs.getModelStatus()))
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     residual = rhs - solution.row_value  # b - A @ x, ub rows then eq rows
@@ -248,24 +244,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LPResult:
                     or (x < lower - tol).any() or (x > upper + tol).any()
                     or (slack < -tol).any() or (np.abs(con) > tol).any())
     if not feasible:
-        return LPResult(4, x, f"the solution violates the constraints by more than {tol:.2E}")
-    return LPResult(0, x, "Optimization terminated successfully.")
-
-
-def _highs_options():
-    """The HiGHS options linprog(method="highs", options=_LP_OPTIONS) sets:
-    dual simplex, no output, presolve and tolerances from _LP_OPTIONS."""
-    options = _highs.HighsOptions()
-    options.presolve = "on" if _LP_OPTIONS["presolve"] else "off"
-    options.primal_feasibility_tolerance = _LP_OPTIONS["primal_feasibility_tolerance"]
-    options.dual_feasibility_tolerance = _LP_OPTIONS["dual_feasibility_tolerance"]
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.output_flag = options.log_to_console = False
-    return options
-
-
-def _stalled(highs, status) -> LPResult:
-    return LPResult(4, None, f"(HiGHS Status {int(status)}: {highs.modelStatusToString(status)})")
+        raise SolverStall(f"the solution violates the constraints by more than {tol:.2E}")
+    return x
 
 
 def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
@@ -318,32 +298,22 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                       bounds=bounds)
 
 
-def _minimax_lp(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                mu: np.ndarray) -> np.ndarray:
-    """Minimax coefficients of every piece [a[i], b[i]] from the one LP of
-    :func:`_lp_blocks`.  Returns shape (pieces, degree + 1), ascending in the
-    midpoint frame of each piece; raises SolverStall when HiGHS reports no
-    optimum.
-    """
-    cost, blocks = _lp_blocks(f, a, b, degree, mu)
-    res = linprog(cost, **blocks)
-    if res.status != 0 or res.x is None:
-        raise SolverStall(f"LP status {res.status}: {res.message}")
-    return res.x.reshape(a.size, degree + 2)[:, :degree + 1]
-
-
 def _solve_chunk(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                  mu: np.ndarray) -> list:
-    """Minimax coefficients of each piece of a chunk, None where its LP
-    failed.  A chunk whose LP fails is solved again one piece at a time, so
-    one block that HiGHS refuses cannot change its neighbours."""
+    """Minimax coefficients of each piece [a[i], b[i]] of a chunk from the one
+    LP of :func:`_lp_blocks`, ascending in the midpoint frame of each piece,
+    None where its LP failed.  A chunk whose LP fails is solved again one
+    piece at a time, so one block that HiGHS refuses cannot change its
+    neighbours."""
+    cost, blocks = _lp_blocks(f, a, b, degree, mu)
     try:
-        return _minimax_lp(f, a, b, degree, mu).tolist()
+        x = linprog(cost, **blocks)
     except SolverStall:
         if a.size == 1:
             return [None]
         return [cs for i in range(a.size)
                 for cs in _solve_chunk(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])]
+    return x.reshape(a.size, degree + 2)[:, :degree + 1].tolist()
 
 
 def _certified(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -359,7 +329,7 @@ def _certified(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
     """Best convex piece of the given degree on each interval of the increasing
-    knots, by the minimax LP of :func:`_minimax_lp` solved CHUNK pieces at a
+    knots, by the minimax LP of :func:`_lp_blocks` solved CHUNK pieces at a
     time.
 
     Equality constraints pin the end values, inequality constraints sandwich

@@ -43,6 +43,9 @@ FOCUS_POINTS = 65
 # 2**17 against 1.1 s with one block per step; larger blocks leave the cache
 # and raise peak memory (+9% at 2**17)
 BLOCK_POINTS = 2 ** 14
+# steps per interval of modulus_lower_bounds: column j = 1..LATTICE_COLUMNS
+# asks for (j/LATTICE_COLUMNS) of the admissible step
+LATTICE_COLUMNS = 16
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -218,21 +221,20 @@ def modulus(f, k: int, t: float, interval, grid: int = 512) -> ModulusResult:
     return ModulusResult(best_v, best_u, best_x, grid)
 
 
-def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048,
-                         columns: int = 16) -> np.ndarray:
+def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:
     """Lower bounds of omega_k(f, t_i) on each interval [lo_i, hi_i] from one
     uniform lattice per interval.
 
     Interval i gets the grid + 1 points lo + (hi - lo) i/grid (the last one
     pinned to hi, all clamped to [lo, hi]); every lattice point is a center,
-    so a kink cannot fall between centers.  Column j = 1..columns asks for
-    the largest lattice step m h <= (j/columns) min(t, (hi - lo)/k), i.e.
-    m_j = (j grid)//(k columns) once t reaches the admissible limit; equal
-    steps and m = 0 are dropped.  The k-th differences of one step are index
-    shifts of the lattice values, and the bound is the max of |delta^k| over
-    steps and centers (0 when no step is left).  Intervals that ask for the
-    same steps share blocks of at most BLOCK_POINTS lattice points, one
-    oracle call per block.
+    so a kink cannot fall between centers.  Column j = 1..LATTICE_COLUMNS
+    asks for the largest lattice step m h <= (j/LATTICE_COLUMNS) min(t,
+    (hi - lo)/k), i.e. m_j = (j grid)//(k LATTICE_COLUMNS) once t reaches the
+    admissible limit; equal steps and m = 0 are dropped.  The k-th
+    differences of one step are index shifts of the lattice values, and the
+    bound is the max of |delta^k| over steps and centers (0 when no step is
+    left).  Intervals that ask for the same steps share blocks of at most
+    BLOCK_POINTS lattice points, one oracle call per block.
     """
     k = _check_order(k)
     grid = _check_grid(grid)
@@ -243,9 +245,9 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048,
     ratio = np.zeros_like(width)
     pos = (ts > 0) & (width > 0)  # a nan step or an empty interval reads 0
     ratio[pos] = ts[pos] / width[pos]
-    j = np.arange(1, columns + 1)
-    steps = np.fmin((j * grid) // (k * columns),
-                    np.floor(j * grid * ratio[:, None] / columns)).astype(int)
+    j = np.arange(1, LATTICE_COLUMNS + 1)
+    steps = np.fmin((j * grid) // (k * LATTICE_COLUMNS),
+                    np.floor(j * grid * ratio[:, None] / LATTICE_COLUMNS)).astype(int)
     weights = _weights(k)
     per_block = max(1, BLOCK_POINTS // (grid + 1))
     out = np.zeros(width.size)
@@ -270,11 +272,10 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048,
     return out
 
 
-def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048,
-                        columns: int = 16) -> float:
+def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048) -> float:
     """One interval's ``modulus_lower_bounds``: a cheap lower bound of
     omega_k(f, t) on the interval from one uniform lattice of grid + 1 points."""
-    return float(modulus_lower_bounds(f, k, [t], [interval], grid, columns)[0])
+    return float(modulus_lower_bounds(f, k, [t], [interval], grid)[0])
 
 
 def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512) -> float:

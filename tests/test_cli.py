@@ -210,6 +210,19 @@ def test_non_finite_parameter_exits_1(alpha, capsys):
     assert err[0].startswith("error:") and "alpha" in err[0]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows on the way
+@pytest.mark.parametrize("command, alpha, r", [
+    ("approximate", "700", "2"), ("sweep", "700", "2"),
+    ("approximate", "709", "2"), ("approximate", "700", "3"),
+])
+def test_ill_conditioned_endpoint_data_exits_1(command, alpha, r, capsys):
+    # find_H's Hermite blocks get a non-finite divided-difference table
+    code = run([command, "--function", f"exp:alpha={alpha}", "--r", r, "--n", "64"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: divided-difference table is non-finite"]
+
+
 def test_modulus_nan_step_exits_1(capsys):
     code = run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "nan"])
     assert code == 1

@@ -74,8 +74,9 @@ def test_seam_values_match_blocks():
     scale = 1.0 + float(np.max(np.abs(f(X.knots))))
     x1 = float(X.knots[1])
     xn1 = float(X.knots[-2])
-    want_left = amap.reconstruct(left.poly(float(u[1])), float(u[1]))
-    want_right = amap.reconstruct(right.poly(float(u[-2])), float(u[-2]))
+    fa, fb = float(f(amap.shift)), float(f(amap.shift + amap.scale))
+    want_left = left.poly(float(u[1])) + (fa + (fb - fa) * float(u[1]))
+    want_right = right.poly(float(u[-2])) + (fa + (fb - fa) * float(u[-2]))
     assert abs(S(x1) - want_left) <= 1e-9 * scale
     assert abs(S(xn1) - want_right) <= 1e-9 * scale
 
@@ -128,8 +129,9 @@ def test_seam_defect_bound():
     u = (X.knots + 1.0) / 2.0
     sigma = build_sigma(g, Partition(u), r)
     grid_u = np.linspace(float(u[1]), float(u[-2]), 800)
-    grid_x = amap.from_unit(grid_u)
-    sigma_x = amap.reconstruct(sigma(grid_u), grid_u)
+    grid_x = amap.shift + amap.scale * grid_u
+    fa, fb = float(f(amap.shift)), float(f(amap.shift + amap.scale))
+    sigma_x = sigma(grid_u) + (fa + (fb - fa) * grid_u)
     gap = np.abs(S(grid_x) - sigma_x)
     budget = abs(trace.delta) + abs(trace.delta_tilde)
     scale = 1.0 + float(np.max(np.abs(sigma_x)))

@@ -200,19 +200,18 @@ def test_sigma_error_contract_stable_in_n():
 def _linprog_spy(monkeypatch, fail_blocks=lambda blocks: False, rhs=None):
     """Record the number of pieces of each of localconvex's linprog calls
     (and, into rhs, its b_ub); an LP of `blocks` pieces for which
-    fail_blocks(blocks) holds returns HiGHS's "no optimum" instead."""
+    fail_blocks(blocks) holds raises SolverStall instead."""
     real = localconvex.linprog
     calls = []
     rhs = [] if rhs is None else rhs
-
-    class Failed:
-        status, x, message = 4, None, "injected failure"
 
     def spy(c, **kwargs):
         blocks = int(np.sum(c))  # one unit cost per epigraph variable
         calls.append(blocks)
         rhs.append(kwargs["b_ub"])
-        return Failed() if fail_blocks(blocks) else real(c, **kwargs)
+        if fail_blocks(blocks):
+            raise SolverStall("injected failure")
+        return real(c, **kwargs)
 
     monkeypatch.setattr(localconvex, "linprog", spy)
     return calls
@@ -349,11 +348,13 @@ def test_lp_calls_are_batched(monkeypatch):
 
 
 def _scipy_solve(cost, blocks):
-    """scipy.optimize.linprog on the same LP, its blocks made block-diagonal."""
+    """scipy.optimize.linprog on the same LP, its blocks made block-diagonal,
+    with the presolve and tolerances the direct model uses."""
     return scipy_linprog(cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
                          A_eq=block_diag(list(blocks["A_eq"])), b_eq=blocks["b_eq"],
                          bounds=blocks["bounds"], method="highs",
-                         options=localconvex._LP_OPTIONS)
+                         options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                                  "dual_feasibility_tolerance": 1e-10})
 
 
 @pytest.mark.parametrize("f,r,n", [(exp_oracle(1.0), 2, 3 * CHUNK),
@@ -367,8 +368,8 @@ def test_direct_solve_equals_scipy_linprog_bit_for_bit(f, r, n):
         cost, blocks = localconvex._lp_blocks(f, a, b, r + 1, np.zeros(a.size))
         got = localconvex.linprog(cost, **blocks)
         want = _scipy_solve(cost, blocks)
-        assert got.status == want.status == 0
-        assert np.array_equal(got.x, want.x)
+        assert want.status == 0
+        assert np.array_equal(got, want.x)
 
 
 def test_model_error_is_a_failure_on_both_paths():
@@ -379,11 +380,9 @@ def test_model_error_is_a_failure_on_both_paths():
     u[0], u[-1] = 0.0, 1.0
     for a, b in [(u[:1], u[1:2]), (u[-2:-1], u[-1:])]:
         cost, blocks = localconvex._lp_blocks(g, a, b, 3, np.zeros(1))
-        got = localconvex.linprog(cost, **blocks)
-        assert got.status != 0 and "Model error" in got.message
+        with pytest.raises(SolverStall, match="Model error"):
+            localconvex.linprog(cost, **blocks)
         assert _scipy_solve(cost, blocks).status != 0
-        with pytest.raises(SolverStall):
-            localconvex._minimax_lp(g, a, b, 3, np.zeros(1))
 
 
 @pytest.mark.parametrize("corrupt", ["bound", "ub slack", "eq residual"])
@@ -406,9 +405,8 @@ def test_infeasible_solution_is_a_stall(monkeypatch, corrupt):
     knots = chebyshev_partition(CHUNK).knots
     a, b = knots[:-1], knots[1:]
     cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), a, b, 3, np.zeros(a.size))
-    assert localconvex.linprog(cost, **blocks).status != 0
-    with pytest.raises(SolverStall):
-        localconvex._minimax_lp(exp_oracle(1.0), a, b, 3, np.zeros(a.size))
+    with pytest.raises(SolverStall, match="violates the constraints"):
+        localconvex.linprog(cost, **blocks)
 
 
 def test_missing_highs_bindings_name_the_scipy_version():
