@@ -126,8 +126,9 @@ def cmd_approximate(args) -> int:
         return EXIT_THRESHOLD
 
     xs = np.linspace(S.a, S.b, 4097)
-    ferr = float(np.max(np.abs(np.asarray(f(xs)) - S(xs))))
-    scale = 1.0 + float(np.max(np.abs(np.asarray(f(xs)))))
+    fx = np.asarray(f(xs))
+    ferr = float(np.max(np.abs(fx - S(xs))))
+    scale = 1.0 + float(np.max(np.abs(fx)))
     meta["reproduction"] = bool(ferr <= 1e-9 * scale)
     if n_threshold is not None:
         meta["N_threshold"] = n_threshold

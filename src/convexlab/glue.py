@@ -27,7 +27,7 @@ from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import _convex_pieces, _secant_piece, _spot_check_convexity
 from convexlab.piecewise import PiecewisePoly, coefficient_matrix, verify_convexity
 from convexlab.polynomial import Poly
-from convexlab.smoothness import _golden_max, modulus
+from convexlab.smoothness import modulus
 
 __all__ = [
     "PartitionTooCoarse",
@@ -50,6 +50,7 @@ AFFINE_REL_TOL = 1e-13
 SCAN_POINTS = 4097
 HYPOTHESIS_GRID = 512
 MAX_HALVINGS = 60
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class PartitionTooCoarse(RuntimeError):
@@ -119,6 +120,23 @@ class _Prepared:
     c0: float
 
 
+def _golden_max(fun, lo, hi):
+    """48 golden-section steps maximizing fun on [lo, hi]; returns (best_t, best_v)."""
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(48):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fun(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
 def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -126,6 +144,14 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
         raise ValueError(f"oracle {f.label()} only guarantees smoothness order {f.r}")
     if not (math.isfinite(c0) and c0 > 0.0):
         raise ValueError(f"c0 must be finite and positive, got {c0}")
+    # refuse overflowing endpoint data before anything else evaluates f
+    with np.errstate(all="ignore"):
+        for x in (f.domain if interval is None else interval):
+            for nu in range(r + 1):
+                v = float(f.deriv(nu, x))
+                if not math.isfinite(v):
+                    raise ValueError(f"endpoint data is non-finite: f^({nu})({float(x)!r}) "
+                                     f"= {v!r} for {f.label()}")
     g, amap = normalize_to_unit(f, interval)
     a = amap.shift
     b = amap.shift + amap.scale
@@ -142,29 +168,19 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     dx = 1.0 / (SCAN_POINTS - 1)
     lo = max(0.0, xs[i_min] - dx)
     hi = min(1.0, xs[i_min] + dx)
-    x_ref, depth = _golden_max(lambda x: -float(g(x)), lo, hi, iters=48)
+    x_ref, depth = _golden_max(lambda x: -float(g(x)), lo, hi)
     if depth >= -vals[i_min]:
         x_star, M = float(x_ref), float(depth)
     else:
         x_star, M = float(xs[i_min]), -float(vals[i_min])
 
     gr = g.deriv_fn(r)
-
-    def omega2(t):
-        # the global lattice can step right over an interior kink; sample a
-        # kink-centered window as well so the smallness check stays honest
-        w = modulus(gr, 2, t, (0.0, 1.0), grid=HYPOTHESIS_GRID).value
-        for kink in g.nonsmooth:
-            lo = max(0.0, kink - 2.0 * t)
-            hi = min(1.0, kink + 2.0 * t)
-            if hi > lo:
-                w = max(w, modulus(gr, 2, t, (lo, hi), grid=HYPOTHESIS_GRID).value)
-        return w
-
     H1 = 0.5 * min(x_star, 1.0 - x_star)
     for _ in range(MAX_HALVINGS):
         boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
-        if boundary_ok and 4.0 * c0 * H1 ** r * omega2(H1) < M:
+        # the kink windows keep the global lattice from stepping over a corner
+        if boundary_ok and 4.0 * c0 * H1 ** r * modulus(
+                gr, 2, H1, (0.0, 1.0), HYPOTHESIS_GRID, g.nonsmooth).value < M:
             break
         H1 *= 0.5
     else:

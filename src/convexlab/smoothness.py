@@ -6,13 +6,15 @@ centers, and answers a query at t with the running max over its steps <= t.
 All of a profile's row maxima come from one blocked pass: the steps' center
 lattices are stacked into 2-D blocks of at most BLOCK_POINTS centers, each
 block costs k+1 oracle calls, and every row's value and center are
-bit-identical to maximizing that step on its own.  ``modulus`` (a profile
-over a uniform step lattice plus local golden-section refinement) is built
-on it.  ``modulus_lower_bounds`` bounds omega_k(f, t) on many intervals at
-once from one uniform lattice per interval: f is evaluated once per lattice
-point, one oracle call per block of BLOCK_POINTS points, and the differences
-of every step (a multiple of the lattice spacing) are index shifts of those
-values; ``modulus_lower_bound`` is its one-interval call.  Every reported
+bit-identical to maximizing that step on its own; differences that are not
+finite (an oracle that overflows) are refused with a ValueError.
+``modulus`` is the first maximum row of one profile over a uniform step
+lattice, with optional kink windows.  ``modulus_lower_bounds`` bounds
+omega_k(f, t) on many intervals at once from one uniform lattice per
+interval: f is evaluated once per lattice point, one oracle call per block
+of BLOCK_POINTS points, and the differences of every step (a multiple of
+the lattice spacing) are index shifts of those values;
+``modulus_lower_bound`` is its one-interval call.  Every reported
 value is therefore a certified lower bound on the true supremum, and ratios
 that divide by one of these values over-estimate conservatively.
 """
@@ -46,9 +48,6 @@ BLOCK_POINTS = 2 ** 14
 # steps per interval of modulus_lower_bounds: column j = 1..LATTICE_COLUMNS
 # asks for (j/LATTICE_COLUMNS) of the admissible step
 LATTICE_COLUMNS = 16
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class InvalidOrder(ValueError):
     """Difference order outside 1..MAX_ORDER."""
@@ -117,7 +116,8 @@ def _row_maxima(f, k, us, a, b, grid, focus):
     global lattice can step right over.  Steps are stacked into blocks of at
     most BLOCK_POINTS centers, so each block costs k+1 oracle calls, and the
     first maximum of each row wins, as over a single concatenated row.  A
-    step with no admissible center reads 0 at the midpoint.
+    step with no admissible center reads 0 at the midpoint.  Raises
+    ValueError when a difference is not finite.
     """
     rows = np.zeros(us.size)
     arg_x = np.full(us.size, 0.5 * (a + b))
@@ -135,10 +135,11 @@ def _row_maxima(f, k, us, a, b, grid, focus):
             + [_centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u),
                         FOCUS_POINTS) for p in focus], axis=1)
         acc = np.zeros_like(xs)
-        for i in range(k + 1):
-            pts = xs + (0.5 * k - i) * u
-            np.clip(pts, a, b, out=pts)
-            acc += weights[i] * np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        with np.errstate(all="ignore"):
+            for i in range(k + 1):
+                pts = xs + (0.5 * k - i) * u
+                np.clip(pts, a, b, out=pts)
+                acc += weights[i] * np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
         mag = np.abs(acc)
         for j, p in enumerate(focus):
             # a kink out of reach of a step contributes no window to its row
@@ -148,32 +149,21 @@ def _row_maxima(f, k, us, a, b, grid, focus):
         picked = np.arange(sel.size)
         rows[sel] = mag[picked, best]
         arg_x[sel] = xs[picked, best]
+    # argmax picks the first nan of a row, so a non-finite difference in
+    # reach of a step shows in its row maximum
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"order-{k} differences of the oracle on [{a!r}, {b!r}] "
+                         "are non-finite")
     return rows, arg_x
 
 
-def _golden_max(fun, lo, hi, iters=32):
-    """Golden-section maximization of fun on [lo, hi]; returns (best_t, best_v)."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fun(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def modulus(f, k: int, t: float, interval, grid: int = 512) -> ModulusResult:
+def modulus(f, k: int, t: float, interval, grid: int = 512, focus=()) -> ModulusResult:
     """sup over steps u in (0, t] and admissible centers of |delta^k_u f|.
 
-    Lattice search over a grid x grid (u, x) mesh, then one local
-    golden-section refinement around the discrete argmax (first in u with the
-    center fixed, then in the center).  The result never exceeds the true sup.
+    The first maximum row of one ``ModulusProfile`` over the steps
+    t_eff j/grid, j = 1..grid, with t_eff = min(t, (b-a)/k): each row takes
+    ``grid`` centers plus a window around each ``focus`` point (a known kink
+    of f).  The result never exceeds the true sup.
     """
     k = _check_order(k)
     grid = _check_grid(grid)
@@ -184,41 +174,11 @@ def modulus(f, k: int, t: float, interval, grid: int = 512) -> ModulusResult:
     if t_eff <= 0.0 or b <= a:
         return ModulusResult(0.0, 0.0, 0.5 * (a + b), grid)
 
-    prof = ModulusProfile(f, k, (a, b), t_eff * np.arange(1, grid + 1) / grid, grid)
-    best_v, best_u, best_x = 0.0, t_eff, 0.5 * (a + b)
+    prof = ModulusProfile(f, k, (a, b), t_eff * np.arange(1, grid + 1) / grid, grid, focus)
     j = int(np.argmax(prof.rows))
     if prof.rows[j] > 0.0:
-        best_v, best_u = float(prof.rows[j]), float(prof.us[j])
-        best_x = float(prof.arg_x[j])
-
-    # refine u around the lattice argmax, center pinned
-    du = t_eff / grid
-    u_lo = max(best_u - du, t_eff / (10 * grid))
-    u_hi = min(best_u + du, t_eff)
-
-    def by_u(u):
-        return abs(finite_difference(f, k, u, best_x, (a, b)))
-
-    u_ref, v_ref = _golden_max(by_u, u_lo, u_hi)
-    if v_ref > best_v:
-        best_v, best_u = v_ref, u_ref
-
-    # then refine the center at the (possibly updated) step
-    lo = a + 0.5 * k * best_u
-    hi = b - 0.5 * k * best_u
-    if hi > lo:
-        dx = (hi - lo) / max(grid - 1, 1)
-        x_lo = max(best_x - dx, lo)
-        x_hi = min(best_x + dx, hi)
-        if x_hi > x_lo:
-            def by_x(x):
-                return abs(finite_difference(f, k, best_u, x, (a, b)))
-
-            x_ref, v_ref = _golden_max(by_x, x_lo, x_hi)
-            if v_ref > best_v:
-                best_v, best_x = v_ref, x_ref
-
-    return ModulusResult(best_v, best_u, best_x, grid)
+        return ModulusResult(float(prof.rows[j]), float(prof.us[j]), float(prof.arg_x[j]), grid)
+    return ModulusResult(0.0, t_eff, 0.5 * (a + b), grid)
 
 
 def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:

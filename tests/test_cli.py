@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,17 +214,40 @@ def test_non_finite_parameter_exits_1(alpha, capsys):
     assert err[0].startswith("error:") and "alpha" in err[0]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows on the way
 @pytest.mark.parametrize("command, alpha, r", [
     ("approximate", "700", "2"), ("sweep", "700", "2"),
     ("approximate", "709", "2"), ("approximate", "700", "3"),
 ])
 def test_ill_conditioned_endpoint_data_exits_1(command, alpha, r, capsys):
-    # find_H's Hermite blocks get a non-finite divided-difference table
+    # f^(nu)(1) overflows for some nu <= r: refused before f is sampled
     code = run([command, "--function", f"exp:alpha={alpha}", "--r", r, "--n", "64"])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: divided-difference table is non-finite"]
+    assert len(err) == 1
+    assert err[0].startswith("error: endpoint data is non-finite: f^(")
+    assert err[0].endswith(f"(1.0) = inf for exp:alpha={alpha}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["approximate", "--function", "exp:alpha=700", "--r", "2", "--n", "64"],
+    ["sweep", "--function", "exp:alpha=700", "--r", "2", "--n", "64"],
+    ["approximate", "--function", "exp:alpha=709", "--r", "2", "--n", "64"],
+    ["approximate", "--function", "exp:alpha=700", "--r", "3", "--n", "64"],
+    ["modulus", "--function", "exp:alpha=710", "--k", "2", "--t", "0.1"],
+], ids=["approximate-700-2", "sweep-700-2", "approximate-709-2", "approximate-700-3",
+        "modulus-710"])
+def test_non_finite_oracle_data_prints_one_line(argv):
+    # a fresh interpreter with numpy's default warning filters: any
+    # RuntimeWarning would reach stderr ahead of the refusal
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "convexlab.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, proc.stderr
+    assert err[0].startswith("error:") and "non-finite" in err[0]
+    assert "modulus = " not in proc.stdout
 
 
 def test_modulus_nan_step_exits_1(capsys):

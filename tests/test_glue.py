@@ -178,6 +178,9 @@ def test_threshold_arithmetic():
     (truncpow_oracle(2, 1e-4), 2, (851, 1.24489701598951e-05)),
     (exp_oracle(6.0), 3, (14, 0.05176901730731967)),
     (f0_oracle(3), 3, (7, 0.19706965199411913)),
+    # the kink windows of omega_2: without them N halves on these two
+    (truncpow_oracle(1, 1e-3), 1, (380, 6.248437533587503e-05)),
+    (truncpow_oracle(1, 0.01), 1, (121, 0.0006234374995346542)),
 ])
 def test_threshold_pinned(f, r, want):
     # exact (N, H): the modulus engine's row maxima are bit-for-bit stable

@@ -308,6 +308,26 @@ def test_blocked_profile_equals_per_step_loop(k, case):
     assert prof.arg_x.tolist() == [x for _, x in want]
 
 
+def test_modulus_is_first_maximum_row_of_focused_profile():
+    # one profile over the steps t_eff j/grid, kink windows included, and
+    # nothing searched after it
+    f, (a, b), focus, grid = _BLOCK_CASES["kinks near both ends"]
+    for k, t in [(1, 0.05), (2, 0.3), (3, 2.0)]:
+        res = modulus(f, k, t, (a, b), grid=grid, focus=focus)
+        t_eff = min(t, (b - a) / k)
+        prof = ModulusProfile(f, k, (a, b), t_eff * np.arange(1, grid + 1) / grid,
+                              grid=grid, focus=focus)
+        j = int(np.argmax(prof.rows))
+        assert (res.value, res.arg_u, res.arg_x) == (prof.rows[j], prof.us[j], prof.arg_x[j])
+
+
+def test_modulus_focus_finds_a_kink_the_lattice_steps_over():
+    p, t = 0.123456789, 1e-4
+    f = lambda x: np.abs(np.asarray(x) - p)
+    assert modulus(f, 2, t, (-1, 1), grid=64).value < 1e-12
+    assert modulus(f, 2, t, (-1, 1), grid=64, focus=(p,)).value == pytest.approx(2 * t, rel=1e-9)
+
+
 def test_blocked_profile_of_no_steps():
     prof = ModulusProfile(np.exp, 2, (-1.0, 1.0), [], grid=64)
     assert prof.us.size == prof.rows.size == prof.arg_x.size == 0
@@ -318,6 +338,15 @@ def test_profile_rejects_coarse_grid():
     for grid in (0, 1, 63):
         with pytest.raises(ValueError, match="grid must be >= 64"):
             ModulusProfile(np.exp, 2, (-1.0, 1.0), (0.5,), grid=grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profile_refuses_non_finite_differences(bad):
+    f = lambda x: np.where(np.asarray(x) > 0.5, bad, np.asarray(x) ** 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        ModulusProfile(f, 2, (0.0, 1.0), (0.1, 0.3), grid=64)
+    with pytest.raises(ValueError, match="non-finite"):
+        modulus(f, 2, 0.3, (0.0, 1.0), grid=64)
 
 
 def test_profile_oracle_calls_are_blocked():
