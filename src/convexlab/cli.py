@@ -216,7 +216,7 @@ def cmd_counterexample(args) -> int:
 def cmd_modulus(args) -> int:
     f = parse_function(args.function)
     interval = _parse_interval(args.interval)
-    res = modulus(f, args.k, args.t, interval, grid=args.grid)
+    res = modulus(f, args.k, args.t, interval, grid=args.grid, focus=f.nonsmooth)
     print(f"modulus = {res.value!r} at u = {res.arg_u!r}, x = {res.arg_x!r} "
           f"(grid {res.grid_density})")
     if args.out:

@@ -43,9 +43,10 @@ __all__ = [
 ]
 
 DEFAULT_C0 = 16.0
-# genuinely affine inputs land at rounding noise ~1e-16; anything above this
-# cutoff is treated as signal so near-degenerate corners still report their
-# (possibly enormous) threshold instead of collapsing to the secant
+# genuinely affine inputs land at rounding noise ~1e-16 of f's own values;
+# anything above this cutoff, relative to |f(a)| + |f(b)|, is treated as
+# signal so near-degenerate corners still report their (possibly enormous)
+# threshold instead of collapsing to the secant
 AFFINE_REL_TOL = 1e-13
 SCAN_POINTS = 4097
 HYPOTHESIS_GRID = 512
@@ -160,7 +161,7 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     xs = np.linspace(0.0, 1.0, SCAN_POINTS)
     vals = np.asarray(g(xs), dtype=float)
     i_min = int(np.argmin(vals))  # leftmost scan minimizer on ties
-    scale = 1.0 + abs(float(f(a))) + abs(float(f(b)))
+    scale = abs(float(f(a))) + abs(float(f(b)))
     if -vals[i_min] <= AFFINE_REL_TOL * scale:
         return _Prepared(g, amap, True, -float(vals[i_min]), float(xs[i_min]),
                          0.25, 0.25, c0)

@@ -17,10 +17,20 @@ own, so the coefficients are linprog's bit for bit.  The module-level
 the one seam between the pieces and the solver: profilers and tests wrap
 it by that name.  It returns x or raises SolverStall, the one failure signal
 between HiGHS and the parabola fallback.
+
+The chunk LPs share no data, so linprog solves them concurrently on a
+thread pool with one thread per CPU the process may run on (HiGHS releases
+the GIL while it solves), with no setting for it.  The calling thread alone
+calls the oracle, checks certificates and runs the fallbacks, and reads the
+results in chunk order, so the pieces do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -298,22 +308,74 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                       bounds=bounds)
 
 
-def _solve_chunk(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+def _piece_rows(x: np.ndarray, degree: int) -> list:
+    """Each piece's coefficients from the x of its chunk's LP."""
+    return x.reshape(-1, degree + 2)[:, :degree + 1].tolist()
+
+
+def _solve_alone(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                  mu: np.ndarray) -> list:
-    """Minimax coefficients of each piece [a[i], b[i]] of a chunk from the one
-    LP of :func:`_lp_blocks`, ascending in the midpoint frame of each piece,
-    None where its LP failed.  A chunk whose LP fails is solved again one
-    piece at a time, so one block that HiGHS refuses cannot change its
-    neighbours."""
-    cost, blocks = _lp_blocks(f, a, b, degree, mu)
+    """Coefficients of each piece [a[i], b[i]] from its own LP, None where
+    that LP fails."""
+    rows = []
+    for i in range(a.size):
+        cost, blocks = _lp_blocks(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])
+        try:
+            x = linprog(cost, **blocks)
+        except SolverStall:
+            rows.append(None)
+        else:
+            rows += _piece_rows(x, degree)
+    return rows
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
     try:
-        x = linprog(cost, **blocks)
-    except SolverStall:
-        if a.size == 1:
-            return [None]
-        return [cs for i in range(a.size)
-                for cs in _solve_chunk(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])]
-    return x.reshape(a.size, degree + 2)[:, :degree + 1].tolist()
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+                  mu: np.ndarray) -> list:
+    """Minimax coefficients of each piece [a[i], b[i]] from the LPs of
+    :func:`_lp_blocks`, CHUNK pieces per LP, ascending in the midpoint frame
+    of each piece, None where its LP failed.
+
+    The calling thread builds every chunk's LP, so the oracle is only ever
+    called from it, and submits it to :func:`linprog` on a pool of one thread
+    per available CPU: HiGHS releases the GIL while it solves, so chunks are
+    solved while later ones are built.  At most two chunks per thread are in
+    flight, and results are read in chunk order.  A chunk whose LP fails is
+    solved again one piece at a time on the calling thread, so one block that
+    HiGHS refuses cannot change its neighbours.
+    """
+    rows = []
+    pending = deque()  # (chunk, future of its LP's x), oldest first
+
+    def collect() -> None:
+        part, future = pending.popleft()
+        try:
+            x = future.result()
+        except SolverStall:
+            # a one-piece chunk has nothing left to split
+            rows.extend([None] if part.stop - part.start == 1
+                        else _solve_alone(f, a[part], b[part], degree, mu[part]))
+        else:
+            rows.extend(_piece_rows(x, degree))
+
+    workers = _cpus()
+    with ThreadPoolExecutor(workers, thread_name_prefix="convexlab-highs") as pool:
+        for s in range(0, a.size, CHUNK):
+            part = slice(s, min(s + CHUNK, a.size))
+            cost, blocks = _lp_blocks(f, a[part], b[part], degree, mu[part])
+            pending.append((part, pool.submit(linprog, cost, **blocks)))
+            if len(pending) == 2 * workers:
+                collect()
+        while pending:
+            collect()
+    return rows
 
 
 def _certified(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -330,7 +392,8 @@ def _certified(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
     """Best convex piece of the given degree on each interval of the increasing
     knots, by the minimax LP of :func:`_lp_blocks` solved CHUNK pieces at a
-    time.
+    time (:func:`_solve_chunks`), after every interval has passed the spot
+    check.
 
     Equality constraints pin the end values, inequality constraints sandwich
     the end slopes against f', and convexity is imposed at Chebyshev points
@@ -350,20 +413,16 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
     lp = np.flatnonzero(~degenerate)
     a, b = a_all[lp], b_all[lp]
 
-    rows = []
     for s in range(0, a.size, CHUNK):
-        part = slice(s, s + CHUNK)
-        _spot_check_convexity(f, a[part], b[part])
-        rows += _solve_chunk(f, a[part], b[part], degree, np.zeros(a[part].size))
+        _spot_check_convexity(f, a[s:s + CHUNK], b[s:s + CHUNK])
+    rows = _solve_chunks(f, a, b, degree, np.zeros(a.size))
     ok = _certified(rows, a, b)
     retry = np.flatnonzero([cs is not None and not good for cs, good in zip(rows, ok)])
     if retry.size:
         w = 0.5 * (b[retry] - a[retry])
         fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * degree))
         mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
-        again = [cs for s in range(0, retry.size, CHUNK)
-                 for cs in _solve_chunk(f, a[retry[s:s + CHUNK]], b[retry[s:s + CHUNK]],
-                                        degree, mu[s:s + CHUNK])]
+        again = _solve_chunks(f, a[retry], b[retry], degree, mu)
         ok[retry] = _certified(again, a[retry], b[retry])
         for i, cs in zip(retry, again):
             rows[i] = cs

@@ -249,9 +249,15 @@ def convexity_certificates(coeffs, centers, halfwidths, a, b) -> tuple:
     if bad.size:
         raise ValueError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
     d2 = derivative_rows(C, w, 2)
-    candidates = np.concatenate(
-        [a[:, None], b[:, None], _roots_in(derivative_rows(d2, w), center, w, a, b)],
-        axis=1)
+    try:
+        with np.errstate(over="raise"):
+            d3 = derivative_rows(d2, w)
+    except FloatingPointError:
+        # p''' overflows though p'' does not: d/du p'' has the same roots and
+        # does not divide by w
+        d3 = derivative_rows(d2, np.ones_like(w))
+    candidates = np.concatenate([a[:, None], b[:, None], _roots_in(d3, center, w, a, b)],
+                                axis=1)
     valid = np.isfinite(candidates)
     u = (np.where(valid, candidates, a[:, None]) - center[:, None]) / w[:, None]
     vals = np.where(valid, horner_rows(d2[:, None, :], u), np.inf)

@@ -170,9 +170,6 @@ def test_threshold_growth_truncpow():
     assert col[-1] > col[0]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "_prepare's affine cutoff AFFINE_REL_TOL * (1 + |f(a)| + |f(b)|) is absolute "
-    "for small f: a tiny corner's depth M ~ 1e-15 counts as affine and N falls to 2"))
 @pytest.mark.parametrize("r, eps_list", [(2, [1e-4, 1e-5]), (1, [1e-6, 1e-7])])
 def test_threshold_growth_monotone_for_tiny_corners(r, eps_list):
     assert threshold_growth(r, eps_list)["nondecreasing"]

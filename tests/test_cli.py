@@ -204,6 +204,16 @@ def test_modulus_command(capsys):
     assert value == pytest.approx(want, rel=1e-4)
 
 
+def test_modulus_command_passes_kinks(capsys):
+    # sup |delta^3_u f| of (x - 0.7)_+^2 is 1.5 u^2, at x = 0.7 - 1.5 u; without
+    # the kink window the lattice reads 1.4984e-4
+    code = run(["modulus", "--function", "truncpow:r=1,eps=0.3", "--k", "3", "--t", "0.01"])
+    assert code == 0
+    text = capsys.readouterr().out
+    value = float(text.split("modulus = ")[1].split(" at")[0])
+    assert value == pytest.approx(1.5e-4, rel=1e-12)
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_non_finite_parameter_exits_1(alpha, capsys):
     code = run(["approximate", "--function", f"exp:alpha={alpha}", "--r", "1",
@@ -234,8 +244,10 @@ def test_ill_conditioned_endpoint_data_exits_1(command, alpha, r, capsys):
     ["approximate", "--function", "exp:alpha=709", "--r", "2", "--n", "64"],
     ["approximate", "--function", "exp:alpha=700", "--r", "3", "--n", "64"],
     ["modulus", "--function", "exp:alpha=710", "--k", "2", "--t", "0.1"],
+    # finite endpoint data, but an end block's p''' overflows in its certificate
+    ["approximate", "--function", "exp:alpha=690", "--r", "2", "--n", "64"],
 ], ids=["approximate-700-2", "sweep-700-2", "approximate-709-2", "approximate-700-3",
-        "modulus-710"])
+        "modulus-710", "approximate-690-2"])
 def test_non_finite_oracle_data_prints_one_line(argv):
     # a fresh interpreter with numpy's default warning filters: any
     # RuntimeWarning would reach stderr ahead of the refusal

@@ -197,19 +197,21 @@ def test_sigma_error_contract_stable_in_n():
 # -- the batched LP: chunks, rescue paths, and the call count -----------------
 
 
-def _linprog_spy(monkeypatch, fail_blocks=lambda blocks: False, rhs=None):
-    """Record the number of pieces of each of localconvex's linprog calls
-    (and, into rhs, its b_ub); an LP of `blocks` pieces for which
-    fail_blocks(blocks) holds raises SolverStall instead."""
+def _linprog_spy(monkeypatch, f, X, fail=lambda pieces: False):
+    """Record each of localconvex's linprog calls on the partition X as
+    (pieces, b_ub): pieces are the 0-based indices of its intervals, read off
+    the end values f(a) in b_eq, so f must be one-to-one on them.  A call for which fail(pieces) holds raises
+    SolverStall instead.  The chunk LPs run on worker threads, so records
+    are in the order the calls began, not in chunk order."""
     real = localconvex.linprog
+    left = f(X.knots[:-1])
     calls = []
-    rhs = [] if rhs is None else rhs
 
     def spy(c, **kwargs):
-        blocks = int(np.sum(c))  # one unit cost per epigraph variable
-        calls.append(blocks)
-        rhs.append(kwargs["b_ub"])
-        if fail_blocks(blocks):
+        fa = kwargs["b_eq"][0::2]
+        pieces = tuple(np.abs(fa[:, None] - left).argmin(axis=1).tolist())
+        calls.append((pieces, kwargs["b_ub"]))
+        if fail(pieces):
             raise SolverStall("injected failure")
         return real(c, **kwargs)
 
@@ -290,9 +292,14 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(CHUNK + 4)
     want = _one_at_a_time(f, X, 2)
-    calls = _linprog_spy(monkeypatch, fail_blocks=lambda blocks: blocks > 1)
+    calls = _linprog_spy(monkeypatch, f, X, fail=lambda pieces: len(pieces) > 1)
     got = convex_pieces(f, X, 2)
-    assert calls == [CHUNK] + [1] * CHUNK + [4] + [1] * 4
+    order = [pieces for pieces, _ in calls]
+    chunks = [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
+    # each chunk's LP once, then every piece of it alone, after that LP
+    assert sorted(order) == sorted(chunks + [(i,) for i in range(CHUNK + 4)])
+    for chunk in chunks:
+        assert all(order.index((i,)) > order.index(chunk) for i in chunk)
     for g, w in zip(got, want):
         assert g.source == "lp"
         assert g.poly == w.poly
@@ -301,7 +308,7 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
 def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(6)
-    _linprog_spy(monkeypatch, fail_blocks=lambda blocks: True)
+    _linprog_spy(monkeypatch, f, X, fail=lambda pieces: True)
     for j, pc in enumerate(convex_pieces(f, X, 2), start=1):
         assert pc.source == "parabola-fallback"
         assert pc.poly == convex_parabola(f, X.interval(j)).poly
@@ -311,14 +318,18 @@ def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(CHUNK + 4)
     interval = X.interval(5)
-    rhs = []
-    calls = _linprog_spy(monkeypatch, rhs=rhs)
+    calls = _linprog_spy(monkeypatch, f, X)
     seen = _failing_certificate(monkeypatch, interval, times=1)
     pieces = convex_pieces(f, X, 2)
     assert len(seen) == 1
-    assert calls == [CHUNK, 4, 1]  # the re-solve batches just the failed piece
+    # the first pass solves both chunks; the re-solve, which starts only once
+    # the first pass is done, batches just the failed piece
+    *first, (again, rhs) = calls
+    assert sorted(p for p, _ in first) == [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
+    assert again == (4,)
     curvature = slice(2, 2 + 4 * 3)  # rows p'' >= mu at 4*degree points
-    assert np.all(rhs[0][curvature] == 0.0) and np.all(rhs[-1][curvature] < 0.0)
+    assert all(np.all(b_ub.reshape(len(p), -1)[:, curvature] == 0.0) for p, b_ub in first)
+    assert np.all(rhs[curvature] < 0.0)
     assert all(pc.source == "lp" for pc in pieces)
     assert convexity_certificate(pieces[4].poly, interval).convex
 
@@ -337,11 +348,38 @@ def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
 
 def test_lp_calls_are_batched(monkeypatch):
     # one LP per chunk of pieces, not one per piece
+    f = exp_oracle(1.0)
     X = chebyshev_partition(512)
-    calls = _linprog_spy(monkeypatch)
-    pieces = convex_pieces(exp_oracle(1.0), X, 2)
+    calls = _linprog_spy(monkeypatch, f, X)
+    pieces = convex_pieces(f, X, 2)
     assert all(pc.source == "lp" for pc in pieces)
     assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
+
+
+@pytest.mark.parametrize("f,r", [(exp_oracle(1.0), 2), (f0_oracle(2), 2),
+                                 (truncpow_oracle(1, 0.3), 1)])
+def test_concurrent_chunks_equal_sequential_linprog(monkeypatch, f, r):
+    """The pieces solved on the thread pool equal, bit for bit, one linprog
+    per chunk in a plain loop.  Repeated with the pool's own size and with
+    more threads than CPUs, under a short switch interval, to give a race
+    the chance to show."""
+    knots = chebyshev_partition(8 * CHUNK + 3).knots
+    want = []
+    for s in range(0, knots.size - 1, CHUNK):
+        a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
+        cost, blocks = localconvex._lp_blocks(f, a, b, r + 1, np.zeros(a.size))
+        want += localconvex.linprog(cost, **blocks).reshape(a.size, r + 3)[:, :r + 2].tolist()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (localconvex._cpus(), 8):
+            monkeypatch.setattr(localconvex, "_cpus", lambda: workers)
+            for _ in range(5):
+                pieces = localconvex._convex_pieces(f, knots, r + 1)
+                assert all(pc.source == "lp" for pc in pieces)
+                assert np.array_equal([pc.poly.coeffs for pc in pieces], want)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # -- the direct HiGHS model against scipy.optimize.linprog ---------------------

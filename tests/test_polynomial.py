@@ -176,6 +176,22 @@ def test_convexity_certificate_high_degree():
     assert abs(abs(cert.witness_x) - xm) < 1e-7
 
 
+def test_certificate_finds_minimum_when_third_derivative_overflows():
+    # p'' = (0.2 - 6u + 12u^2) 1e300 / w^2 is finite, with its negative minimum
+    # at u = 1/4; p''' overflows, so that minimum is found from the roots of
+    # d/du p''.  The same polynomial scaled by 2^-1000 overflows nowhere.
+    w = 2.0 ** -8
+    big = Poly(0.5, w, tuple(1e300 * c for c in (0.0, 0.0, 0.1, -1.0, 1.0)))
+    small = Poly(0.5, w, tuple(math.ldexp(c, -1000) for c in big.coeffs))
+    interval = (0.5 - w, 0.5 + w)
+    got, want = convexity_certificate(big, interval), convexity_certificate(small, interval)
+    assert not got.convex and not want.convex
+    assert got.witness_x == pytest.approx(0.5 + 0.25 * w, rel=1e-12)
+    assert got.witness_x == pytest.approx(want.witness_x, rel=1e-12)
+    assert got.min_second_derivative == pytest.approx(
+        math.ldexp(want.min_second_derivative, 1000), rel=1e-12)
+
+
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=9),
        st.floats(-0.9, 0.9), st.floats(0.05, 0.45))
 @settings(max_examples=60, deadline=None, derandomize=True)
