@@ -18,17 +18,19 @@ the one seam between the pieces and the solver: profilers and tests wrap
 it by that name.  It returns x or raises SolverStall, the one failure signal
 between HiGHS and the parabola fallback.
 
-The chunk LPs share no data, so linprog solves them concurrently on a
-thread pool with one thread per CPU the process may run on (HiGHS releases
-the GIL while it solves), with no setting for it.  The calling thread alone
-calls the oracle, checks certificates and runs the fallbacks, and reads the
-results in chunk order, so the pieces do not depend on the number of
-threads.
+The chunk LPs share no data, so linprog solves them concurrently (HiGHS
+releases the GIL while it solves) on one thread pool kept for the life of
+the process: two threads, or one where the process may run on one CPU
+only, with no setting for it.  Each pool thread runs HiGHS single-threaded.
+The calling thread alone calls the oracle, checks certificates and runs
+the fallbacks, and reads the results in chunk order, so the pieces do not
+depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -60,13 +62,40 @@ DEGENERATE_REL_LENGTH = 1e-13
 # piece, while peak memory grows with the chunk
 CHUNK = 16
 
-# what linprog(method="highs") sets for presolve=True and both feasibility
-# tolerances 1e-10; passOptions copies the values
-_HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.primal_feasibility_tolerance = _HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
-_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
+# threads solving chunk LPs at once.  Every solve running at once adds to
+# peak memory: construct_chebyshev(exp:alpha=1, r=2, n=4096) peaks at 86.7 MB
+# solved serially and at 89.2, 92.4 and 102.6 MB with 2, 4 and 8 threads;
+# the benchmark's construct peak stays within 10% of serial at 2
+_MAX_THREADS = 2
+
+
+def _highs_options(threads: int):
+    """What linprog(method="highs") sets for presolve=True and both
+    feasibility tolerances 1e-10, with HiGHS's own `threads` option;
+    passOptions copies the values."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    options.threads = threads
+    return options
+
+
+class _PerThread(threading.local):
+    """The HiGHS options linprog passes on the current thread.
+
+    HiGHS keeps one task scheduler per thread, sized by the first solve on
+    that thread (threads=0: half the machine's hardware threads, whatever the
+    affinity), and fails a later solve there that asks for another size.  The
+    pool's threads solve with threads=1, so they start no HiGHS threads of
+    their own; every other thread keeps linprog's 0.
+    """
+
+    highs_options = _highs_options(threads=0)
+
+
+_per_thread = _PerThread()
 
 
 class NotConvexInput(ValueError):
@@ -238,7 +267,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
     lp.row_upper_ = rhs.tolist()
 
     highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passOptions(_per_thread.highs_options)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverStall(highs.modelStatusToString(_highs.HighsModelStatus.kModelError))
     if (highs.run() == _highs.HighsStatus.kError
@@ -337,6 +366,24 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _one_highs_thread() -> None:
+    _per_thread.highs_options = _highs_options(threads=1)
+
+
+def _start_pool() -> None:
+    """The pool that solves the chunk LPs, kept for the life of the process:
+    its threads start on the first submit and keep their HiGHS schedulers."""
+    global _pool
+    _pool = ThreadPoolExecutor(min(_cpus(), _MAX_THREADS), thread_name_prefix="convexlab-highs",
+                               initializer=_one_highs_thread)
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_start_pool)
+
+
 def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                   mu: np.ndarray) -> list:
     """Minimax coefficients of each piece [a[i], b[i]] from the LPs of
@@ -344,12 +391,12 @@ def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
     of each piece, None where its LP failed.
 
     The calling thread builds every chunk's LP, so the oracle is only ever
-    called from it, and submits it to :func:`linprog` on a pool of one thread
-    per available CPU: HiGHS releases the GIL while it solves, so chunks are
-    solved while later ones are built.  At most two chunks per thread are in
-    flight, and results are read in chunk order.  A chunk whose LP fails is
-    solved again one piece at a time on the calling thread, so one block that
-    HiGHS refuses cannot change its neighbours.
+    called from it, and submits it to :func:`linprog` on the pool: HiGHS
+    releases the GIL while it solves, so chunks are solved while later ones
+    are built.  At most 2 * _MAX_THREADS chunks are in flight, and results
+    are read in chunk order.  A chunk whose LP fails is solved again one
+    piece at a time on the calling thread, so one block that HiGHS refuses
+    cannot change its neighbours.
     """
     rows = []
     pending = deque()  # (chunk, future of its LP's x), oldest first
@@ -365,16 +412,14 @@ def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
         else:
             rows.extend(_piece_rows(x, degree))
 
-    workers = _cpus()
-    with ThreadPoolExecutor(workers, thread_name_prefix="convexlab-highs") as pool:
-        for s in range(0, a.size, CHUNK):
-            part = slice(s, min(s + CHUNK, a.size))
-            cost, blocks = _lp_blocks(f, a[part], b[part], degree, mu[part])
-            pending.append((part, pool.submit(linprog, cost, **blocks)))
-            if len(pending) == 2 * workers:
-                collect()
-        while pending:
+    for s in range(0, a.size, CHUNK):
+        part = slice(s, min(s + CHUNK, a.size))
+        cost, blocks = _lp_blocks(f, a[part], b[part], degree, mu[part])
+        pending.append((part, _pool.submit(linprog, cost, **blocks)))
+        if len(pending) == 2 * _MAX_THREADS:
             collect()
+    while pending:
+        collect()
     return rows
 
 

@@ -1,7 +1,11 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -369,17 +373,68 @@ def test_concurrent_chunks_equal_sequential_linprog(monkeypatch, f, r):
         a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
         cost, blocks = localconvex._lp_blocks(f, a, b, r + 1, np.zeros(a.size))
         want += localconvex.linprog(cost, **blocks).reshape(a.size, r + 3)[:, :r + 2].tolist()
+    many = ThreadPoolExecutor(8, initializer=localconvex._one_highs_thread)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (localconvex._cpus(), 8):
-            monkeypatch.setattr(localconvex, "_cpus", lambda: workers)
+        for pool, threads in ((localconvex._pool, localconvex._MAX_THREADS), (many, 8)):
+            monkeypatch.setattr(localconvex, "_pool", pool)
+            monkeypatch.setattr(localconvex, "_MAX_THREADS", threads)
             for _ in range(5):
                 pieces = localconvex._convex_pieces(f, knots, r + 1)
                 assert all(pc.source == "lp" for pc in pieces)
                 assert np.array_equal([pc.poly.coeffs for pc in pieces], want)
     finally:
         sys.setswitchinterval(switch)
+        many.shutdown()
+
+
+def test_pool_threads_are_kept_and_run_one_highs_thread_each(monkeypatch):
+    """HiGHS sizes one scheduler per thread by its first solve there, so the
+    pool's threads must outlive a construction and ask for one HiGHS thread,
+    while the calling thread keeps linprog's default of 0."""
+    real = localconvex.linprog
+    seen = []
+
+    def spy(c, **kwargs):
+        seen.append((threading.current_thread(), localconvex._per_thread.highs_options.threads))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(localconvex, "linprog", spy)
+    X = chebyshev_partition(8 * CHUNK)
+    for _ in range(2):
+        convex_pieces(exp_oracle(1.0), X, 2)
+    assert len(seen) == 16
+    threads = {thread for thread, _ in seen}
+    assert len(threads) <= min(localconvex._cpus(), localconvex._MAX_THREADS)
+    assert threading.current_thread() not in threads
+    assert {n for _, n in seen} == {1}
+    assert localconvex._per_thread.highs_options.threads == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_pool_of_its_own():
+    """A forked child inherits the pool object but none of its threads, so
+    without a fresh pool its first chunk LP would wait forever."""
+    f, X = exp_oracle(1.0), chebyshev_partition(4 * CHUNK)
+    want = [pc.poly for pc in convex_pieces(f, X, 2)]  # the pool's threads are running
+    pid = os.fork()
+    if pid == 0:  # the child ends here, whatever happens
+        code = 1
+        try:
+            code = 0 if [pc.poly for pc in convex_pieces(f, X, 2)] == want else 2
+        finally:
+            os._exit(code)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's construction did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # -- the direct HiGHS model against scipy.optimize.linprog ---------------------
