@@ -264,16 +264,21 @@ def reflect(f: ConvexOracle, interval=None) -> ConvexOracle:
 
 
 def _ipow(y: np.ndarray, e: int) -> np.ndarray:
-    """y**e for small integer e by squaring; numpy's pow is ~50x slower."""
-    out = np.ones_like(y)
+    """y**e for small integer e by squaring; numpy's pow is ~50x slower.
+
+    The product starts from its first factor, not from ones (1.0 * y is y
+    bit for bit), and is always a new array."""
+    if e == 0:
+        return np.ones_like(y)
+    out = None
     base = y
     while e:
         if e & 1:
-            out = out * base
+            out = base if out is None else out * base
         e >>= 1
         if e:
             base = base * base
-    return out
+    return out.copy() if out is y else out
 
 
 def exp_oracle(alpha: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:

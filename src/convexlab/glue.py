@@ -2,10 +2,13 @@
 
 Pipeline: normalize f onto [0,1] with zero boundary values, locate the depth
 M and the minimizer, shrink a smallness radius H1 until the boundary values
-and the weighted second-order modulus are dominated by M, intersect with the
-endpoint-block convexity threshold, build the two Hermite endpoint blocks and
-the interior pieces of the convex interpolant sigma, then blend them with a
-tangent line so the block defects are absorbed without losing convexity.
+and the weighted second-order modulus are dominated by M (one row of the
+modulus profile, its last step, refutes a radius; the full profile is built
+only for a radius that row does not refute, normally the accepted one),
+intersect with the endpoint-block convexity threshold, build the two Hermite
+endpoint blocks and the interior pieces of the convex interpolant sigma, then
+blend them with a tangent line so the block defects are absorbed without
+losing convexity.
 The Chebyshev specialization derives the minimal admissible n from H.
 """
 
@@ -27,7 +30,7 @@ from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import _convex_pieces, _secant_piece, _spot_check_convexity
 from convexlab.piecewise import PiecewisePoly, coefficient_matrix, verify_convexity
 from convexlab.polynomial import Poly
-from convexlab.smoothness import modulus
+from convexlab.smoothness import ModulusProfile, modulus
 
 __all__ = [
     "PartitionTooCoarse",
@@ -179,9 +182,17 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     H1 = 0.5 * min(x_star, 1.0 - x_star)
     for _ in range(MAX_HALVINGS):
         boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
-        # the kink windows keep the global lattice from stepping over a corner
-        if boundary_ok and 4.0 * c0 * H1 ** r * modulus(
-                gr, 2, H1, (0.0, 1.0), HYPOTHESIS_GRID, g.nonsmooth).value < M:
+        weight = 4.0 * c0 * H1 ** r
+        # the full profile's last step is H1*512/512, which is H1 exactly only
+        # because HYPOTHESIS_GRID is a power of two, so the one-step profile
+        # over [H1] is that row bit for bit: a lower bound of modulus(...).value
+        # that refutes most radii before the full profile is built.  The kink
+        # windows keep the global lattice from stepping over a corner.
+        if (boundary_ok
+                and weight * ModulusProfile(gr, 2, (0.0, 1.0), [H1], HYPOTHESIS_GRID,
+                                            g.nonsmooth).value(H1) < M
+                and weight * modulus(gr, 2, H1, (0.0, 1.0), HYPOTHESIS_GRID,
+                                     g.nonsmooth).value < M):
             break
         H1 *= 0.5
     else:

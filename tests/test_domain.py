@@ -5,6 +5,7 @@ import pytest
 
 from convexlab.domain import (
     InvalidN,
+    _ipow,
     Partition,
     chebyshev_partition,
     cosh_oracle,
@@ -230,3 +231,30 @@ def test_parse_function_rejects_unknown():
 def test_uniform_partition():
     p = uniform_partition(0.0, 1.0, 4)
     assert np.allclose(p.knots, [0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _ipow_reference(y, e):
+    """domain._ipow as it was, the product started from ones."""
+    out = np.ones_like(y)
+    base = y
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def test_ipow_equals_product_from_ones_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    y = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -2.2e-308,
+                  0.5, -0.75, 1.0, -1.0, 3.0, 1e100, -1e200, 7.5e-40])
+    before = y.copy()
+    for e in range(9):
+        with np.errstate(all="ignore"):
+            got, want = _ipow(y, e), _ipow_reference(y, e)
+        # a new array, never the input itself, even for e = 1
+        assert not np.shares_memory(got, y), e
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), e
+    assert before.view(np.uint64).tolist() == y.view(np.uint64).tolist()

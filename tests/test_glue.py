@@ -11,12 +11,13 @@ from convexlab.domain import (
     exp_oracle,
     f0_oracle,
     normalize_to_unit,
+    parse_function,
     poly_oracle,
     tangent_line,
     truncpow_oracle,
     uniform_partition,
 )
-from convexlab.endblocks import integrated_L, mirrored_L
+from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.glue import (
     NBelowThreshold,
     PartitionTooCoarse,
@@ -25,9 +26,10 @@ from convexlab.glue import (
     construct_spline,
     polygonal_baseline,
 )
-from convexlab import glue
+from convexlab import glue, smoothness
 from convexlab.localconvex import build_sigma
 from convexlab.polynomial import Poly
+from convexlab.smoothness import modulus
 
 
 def max_err(f, S, lo=-1.0, hi=1.0, npts=2001):
@@ -310,3 +312,70 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
     want = [p.rescale_domain(a, length).plus_line(slope_x, intercept_x) for p in blended]
     assert S.pieces == tuple(want)
     assert [len(p.coeffs) for p in S.pieces] == [2, 3, 4, 2, 2]
+
+
+def _prepare_reference(f, r, c0=glue.DEFAULT_C0):
+    """_prepare's (M, x*, H1, H) with the full modulus profile built at every
+    tried radius, and the number of radii tried."""
+    g, _ = normalize_to_unit(f)
+    xs = np.linspace(0.0, 1.0, glue.SCAN_POINTS)
+    vals = np.asarray(g(xs), dtype=float)
+    i_min = int(np.argmin(vals))
+    dx = 1.0 / (glue.SCAN_POINTS - 1)
+    x_ref, depth = glue._golden_max(lambda x: -float(g(x)), max(0.0, xs[i_min] - dx),
+                                    min(1.0, xs[i_min] + dx))
+    if depth >= -vals[i_min]:
+        x_star, M = float(x_ref), float(depth)
+    else:
+        x_star, M = float(xs[i_min]), -float(vals[i_min])
+    gr = g.deriv_fn(r)
+    H1 = 0.5 * min(x_star, 1.0 - x_star)
+    tried = 0
+    while True:
+        tried += 1
+        boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
+        if boundary_ok and 4.0 * c0 * H1 ** r * modulus(
+                gr, 2, H1, (0.0, 1.0), glue.HYPOTHESIS_GRID, g.nonsmooth).value < M:
+            break
+        H1 *= 0.5
+    return (M, x_star, H1, min(find_H(g, (0.0, 1.0), r, 0.25), H1)), tried
+
+
+_PREPARE_CASES = [
+    ("truncpow:r=1,eps=0.01", 1), ("truncpow:r=1,eps=0.3", 1), ("truncpow:r=1,eps=1e-4", 1),
+    ("truncpow:r=2,eps=0.001", 2), ("f0:r=1", 1), ("f0:r=2", 2), ("f0:r=3", 3),
+    ("cosh:beta=3.1", 2), ("cosh:beta=0.7", 1), ("exp:alpha=2.3", 2), ("exp:alpha=0.5", 1),
+    ("exp:alpha=8", 3), ("exp:alpha=20", 2), ("xpow:m=3", 2),
+]
+
+
+def test_prepare_equals_full_profile_at_every_radius():
+    # one omega_2 row refutes a radius before the full profile is built;
+    # the accepted radius and everything derived from it stay bit-identical
+    tried = {}
+    for spec, r in _PREPARE_CASES:
+        prep = glue._prepare(parse_function(spec), r, glue.DEFAULT_C0)
+        want, tried[spec, r] = _prepare_reference(parse_function(spec), r)
+        assert (prep.M, prep.x_star, prep.H1, prep.H) == want, (spec, r)
+    # several radii rejected before the accepted one
+    for case in [("truncpow:r=1,eps=0.01", 1), ("f0:r=1", 1), ("cosh:beta=3.1", 2)]:
+        assert tried[case] >= 3, (case, tried[case])
+
+
+@pytest.mark.parametrize("spec, r, rows", [
+    ("truncpow:r=1,eps=0.01", 1, [1, 1, 1, 512]),
+    ("exp:alpha=2.3", 2, [1, 512]),
+])
+def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
+    # rejected radii cost one row each; only the accepted one gets the
+    # HYPOTHESIS_GRID rows of the full profile
+    seen = []
+    row_maxima = smoothness._row_maxima
+
+    def spy(f, k, us, *args):
+        seen.append(us.size)
+        return row_maxima(f, k, us, *args)
+
+    monkeypatch.setattr(smoothness, "_row_maxima", spy)
+    glue._prepare(parse_function(spec), r, glue.DEFAULT_C0)
+    assert seen == rows

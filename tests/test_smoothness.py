@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexlab.domain import parse_function
+from convexlab.domain import normalize_to_unit, parse_function
 from convexlab.smoothness import (
     BLOCK_POINTS,
     InvalidOrder,
@@ -474,3 +474,21 @@ def test_lattice_bound_of_kinked_derivative(grid):
                        if m * step <= d], default=0.0)
         assert got <= 2.0 * d + rounding
         assert got >= 2.0 * largest - rounding
+
+
+@pytest.mark.parametrize("spec, r", [("exp:alpha=2.3", 2), ("truncpow:r=1,eps=0.01", 1)])
+def test_one_step_profile_is_last_row_of_modulus(spec, r):
+    # glue._prepare refutes a smallness radius t with the one-step profile
+    # over [t]: it must be the last row of the profile that modulus builds
+    # (whose last step t*512/512 is t exactly) and so never exceed its value
+    g, _ = normalize_to_unit(parse_function(spec))
+    gr, focus = g.deriv_fn(r), g.nonsmooth
+    assert bool(focus) == spec.startswith("truncpow")
+    for i in range(21):
+        t = 0.25 / 2 ** i
+        one = ModulusProfile(gr, 2, (0.0, 1.0), [t], 512, focus)
+        full = ModulusProfile(gr, 2, (0.0, 1.0), t * np.arange(1, 513) / 512, 512, focus)
+        assert one.us.tolist() == [full.us[-1]] == [t]
+        assert one.rows.tolist() == [full.rows[-1]]
+        assert one.arg_x.tolist() == [full.arg_x[-1]]
+        assert one.value(t) <= modulus(gr, 2, t, (0.0, 1.0), 512, focus).value
