@@ -51,7 +51,6 @@ from convexlab.endblocks import (
     mirrored_L,
 )
 from convexlab.glue import (
-    DEFAULT_C0,
     GlueTrace,
     NBelowThreshold,
     NotConvexOutput,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from convexlab.domain import ConvexOracle, chebyshev_partition, phi
+from convexlab.domain import ConvexOracle, chebyshev_partition, phi, truncpow_oracle
 from convexlab.glue import (
-    DEFAULT_C0,
     _check_chebyshev_domain,
     _construct_chebyshev,
     _prepare,
@@ -216,15 +215,15 @@ class SweepTable:
 
 
 def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
-          density: int = CERTIFICATION_DENSITY, timing: bool = False,
-          c0: float | None = None) -> SweepTable:
+          density: int = CERTIFICATION_DENSITY, timing: bool = False) -> SweepTable:
     """One row per n: construction plus all six sup-ratios.
 
     Rows with n below the threshold are flagged, not computed.  Timing is off
     by default so repeated runs emit byte-identical CSV.  The threshold and
-    every row share one preparation of (f, r, c0).
+    every row share one preparation of (f, r).
     """
-    prep = _prepare(f, r, DEFAULT_C0 if c0 is None else c0)
+    _check_chebyshev_domain(f)
+    prep = _prepare(f, r)
     n_threshold, _ = _threshold(prep)
     rows = []
     for n in n_list:
@@ -233,7 +232,6 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
             rows.append({"n": n, "computed": False, "sup_ratio": {}, "wall_ms": 0})
             continue
         t0 = time.perf_counter()
-        _check_chebyshev_domain(f)
         S, trace, _ = _construct_chebyshev(prep, f, r, n)
         ratios = {b: pointwise_bound_report(f, S, r, n, b, grid_size, density).sup_ratio
                   for b in BOUND_IDS}
@@ -310,18 +308,15 @@ def polynomial_counterexample(r: int, n: int) -> dict:
             "markov_rhs": rhs, "ratio": lhs / rhs}
 
 
-def threshold_growth(r: int, eps_list, c0: float | None = None) -> dict:
+def threshold_growth(r: int, eps_list) -> dict:
     """N_threshold of the truncated-power family as the corner parameter
     sharpens; the column must be nondecreasing as eps decreases."""
-    from convexlab.domain import truncpow_oracle
-
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    kwargs = {} if c0 is None else {"c0": c0}
     rows = []
     for eps in eps_list:
-        n_thr, h = chebyshev_threshold(truncpow_oracle(r, eps), r, **kwargs)
+        n_thr, h = chebyshev_threshold(truncpow_oracle(r, eps), r)
         rows.append({"eps": eps, "N_threshold": n_thr, "H": h})
     col = [row["N_threshold"] for row in rows]
     return {

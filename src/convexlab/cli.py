@@ -26,7 +26,6 @@ from convexlab.certify import (
 from convexlab.domain import parse_function, read_partition
 from convexlab.endblocks import NoConvexityThreshold
 from convexlab.glue import (
-    DEFAULT_C0,
     ConstructionError,
     NBelowThreshold,
     NotConvexOutput,
@@ -105,18 +104,18 @@ def _spline_json(S, trace, meta) -> dict:
 
 def cmd_approximate(args) -> int:
     f = parse_function(args.function)
-    meta = {"function": f.label(), "r": args.r, "c0": args.c0}
+    meta = {"function": f.label(), "r": args.r}
     try:
         if args.partition:
             X = read_partition(args.partition)
-            S, trace = construct_spline(f, X, args.r, c0=args.c0)
+            S, trace = construct_spline(f, X, args.r)
             n_threshold = None
             meta["n"] = X.n
             meta["partition_file"] = args.partition
         else:
             if args.n is None:
                 raise ValueError("need --n or --partition")
-            S, trace, n_threshold = construct_chebyshev(f, args.r, args.n, c0=args.c0)
+            S, trace, n_threshold = construct_chebyshev(f, args.r, args.n)
             meta["n"] = args.n
     except NBelowThreshold as exc:
         print(f"n below threshold: N_threshold = {exc.n_threshold}")
@@ -187,7 +186,7 @@ def cmd_sweep(args) -> int:
     f = parse_function(args.function)
     n_list = _parse_n_range(args.n)
     tab = sweep(f, args.r, n_list, grid_size=args.grid_size,
-                density=args.density, timing=args.timing, c0=args.c0)
+                density=args.density, timing=args.timing)
     below = [row["n"] for row in tab.rows if not row["computed"]]
     if below:
         print(f"rows below N_threshold = {tab.n_threshold}: {below}")
@@ -236,8 +235,15 @@ def _add_common(p):
     p.add_argument("--r", type=int, required=True, help="smoothness order used")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so main reports them in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="convexlab",
         description="Convex piecewise-polynomial approximation with certified "
                     "pointwise bounds.")
@@ -247,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, help="Chebyshev partition size")
     p.add_argument("--partition", help="knot file (one knot per line) instead of --n")
-    p.add_argument("--c0", type=float, default=DEFAULT_C0)
     p.add_argument("--out", help="spline JSON output path")
     p.set_defaults(fn=cmd_approximate)
 
@@ -263,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sup-ratio table over an n range")
     _add_common(p)
     p.add_argument("--n", required=True, help="range: 16:256:x2 or 8:64:+8 or 64")
-    p.add_argument("--c0", type=float, default=None)
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--density", type=int, default=CERTIFICATION_DENSITY, help=DENSITY_HELP)
     p.add_argument("--timing", action="store_true",
@@ -312,8 +316,8 @@ def _merge_dash_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_dash_values(list(argv)))
     try:
+        args = build_parser().parse_args(_merge_dash_values(list(argv)))
         return args.fn(args)
     except (ValueError, OSError, NotConvexOutput, ConstructionError,
             NoConvexityThreshold, IllConditioned) as exc:

@@ -83,9 +83,6 @@ class Partition:
             raise IndexError(f"interval index {j} outside 1..{self.n}")
         return float(self.knots[j - 1]), float(self.knots[j])
 
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.knots)
-
 
 def chebyshev_partition(n: int) -> Partition:
     """Knots -cos(j pi / n), j = 0..n, with exact endpoint snap.

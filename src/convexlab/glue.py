@@ -42,10 +42,9 @@ __all__ = [
     "construct_chebyshev",
     "chebyshev_threshold",
     "polygonal_baseline",
-    "DEFAULT_C0",
 ]
 
-DEFAULT_C0 = 16.0
+C0 = 16.0  # the constant of _prepare's smallness test 4 C0 H1^r omega_2 < M
 # genuinely affine inputs land at rounding noise ~1e-16 of f's own values;
 # anything above this cutoff, relative to |f(a)| + |f(b)|, is treated as
 # signal so near-degenerate corners still report their (possibly enormous)
@@ -95,7 +94,6 @@ class GlueTrace:
     delta_hat: float
     case: int
     lambda_: float
-    c0_used: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,7 +106,6 @@ class GlueTrace:
             "delta_hat": self.delta_hat,
             "case": self.case,
             "lambda": self.lambda_,
-            "c0_used": self.c0_used,
         }
 
 
@@ -121,7 +118,6 @@ class _Prepared:
     x_star: float
     H1: float
     H: float
-    c0: float
 
 
 def _golden_max(fun, lo, hi):
@@ -141,13 +137,11 @@ def _golden_max(fun, lo, hi):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
+def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r > f.r:
         raise ValueError(f"oracle {f.label()} only guarantees smoothness order {f.r}")
-    if not (math.isfinite(c0) and c0 > 0.0):
-        raise ValueError(f"c0 must be finite and positive, got {c0}")
     # refuse overflowing endpoint data before anything else evaluates f
     with np.errstate(all="ignore"):
         for x in (f.domain if interval is None else interval):
@@ -167,7 +161,7 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     scale = abs(float(f(a))) + abs(float(f(b)))
     if -vals[i_min] <= AFFINE_REL_TOL * scale:
         return _Prepared(g, amap, True, -float(vals[i_min]), float(xs[i_min]),
-                         0.25, 0.25, c0)
+                         0.25, 0.25)
 
     dx = 1.0 / (SCAN_POINTS - 1)
     lo = max(0.0, xs[i_min] - dx)
@@ -182,7 +176,7 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
     H1 = 0.5 * min(x_star, 1.0 - x_star)
     for _ in range(MAX_HALVINGS):
         boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
-        weight = 4.0 * c0 * H1 ** r
+        weight = 4.0 * C0 * H1 ** r
         # the full profile's last step is H1*512/512, which is H1 exactly only
         # because HYPOTHESIS_GRID is a power of two, so the one-step profile
         # over [H1] is that row bit for bit: a lower bound of modulus(...).value
@@ -200,7 +194,7 @@ def _prepare(f: ConvexOracle, r: int, c0: float, interval=None) -> _Prepared:
                                 "numerically degenerate")
 
     H = min(find_H(g, (0.0, 1.0), r, 0.25), H1)
-    return _Prepared(g, amap, False, M, x_star, H1, H, c0)
+    return _Prepared(g, amap, False, M, x_star, H1, H)
 
 
 def _plus_line(coeffs, centers, halfwidths, slope: float, intercept: float) -> None:
@@ -256,7 +250,7 @@ def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
 def _affine_spline(f: ConvexOracle, X: Partition, r: int, prep) -> tuple:
     trace = GlueTrace(M=prep.M, x_star=prep.x_star, H1=prep.H1, H=prep.H,
                       delta=0.0, delta_tilde=0.0, delta_hat=0.0,
-                      case=1, lambda_=1.0, c0_used=prep.c0)
+                      case=1, lambda_=1.0)
     return _secant_spline(f, X, r + 2), trace
 
 
@@ -311,12 +305,11 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     S = _certify_or_raise(S)
     trace = GlueTrace(M=M, x_star=prep.x_star, H1=prep.H1, H=H,
                       delta=delta, delta_tilde=delta_tilde, delta_hat=delta_hat,
-                      case=case, lambda_=lam, c0_used=prep.c0)
+                      case=case, lambda_=lam)
     return S, trace
 
 
-def construct_spline(f: ConvexOracle, X: Partition, r: int,
-                     c0: float = DEFAULT_C0) -> tuple:
+def construct_spline(f: ConvexOracle, X: Partition, r: int) -> tuple:
     """Convex spline of order r+2 on the partition, interpolating f and all
     its derivatives up to order r at both interval ends.
 
@@ -325,18 +318,18 @@ def construct_spline(f: ConvexOracle, X: Partition, r: int,
     """
     if not (math.isclose(X.a, f.a) and math.isclose(X.b, f.b)):
         raise ValueError("partition span must match the oracle domain")
-    prep = _prepare(f, r, c0, (X.a, X.b))
+    prep = _prepare(f, r, (X.a, X.b))
     return _assemble(prep, f, X, r)
 
 
-def chebyshev_threshold(f: ConvexOracle, r: int, c0: float = DEFAULT_C0) -> tuple:
+def chebyshev_threshold(f: ConvexOracle, r: int) -> tuple:
     """(N_threshold, H in original units) for the Chebyshev specialization.
 
     N = ceil(3 / sqrt(H)) guarantees the end gap 2 sin^2(pi/2n) <= pi^2/(2n^2)
     <= 5/N^2 <= H for every n >= N.  N is an upper bound for the minimal
     admissible n, not claimed tight.
     """
-    return _threshold(_prepare(f, r, c0))
+    return _threshold(_prepare(f, r))
 
 
 def _threshold(prep: _Prepared) -> tuple:
@@ -346,15 +339,14 @@ def _threshold(prep: _Prepared) -> tuple:
     return int(math.ceil(3.0 / math.sqrt(H_orig))), H_orig
 
 
-def construct_chebyshev(f: ConvexOracle, r: int, n: int,
-                        c0: float = DEFAULT_C0) -> tuple:
+def construct_chebyshev(f: ConvexOracle, r: int, n: int) -> tuple:
     """Chebyshev specialization: standard knots, threshold check first.
 
     Returns (spline, trace, N_threshold); raises :class:`NBelowThreshold` when
     n < N_threshold instead of silently fixing n.
     """
     _check_chebyshev_domain(f)
-    return _construct_chebyshev(_prepare(f, r, c0), f, r, n)
+    return _construct_chebyshev(_prepare(f, r), f, r, n)
 
 
 def _check_chebyshev_domain(f: ConvexOracle) -> None:
@@ -363,7 +355,7 @@ def _check_chebyshev_domain(f: ConvexOracle) -> None:
 
 
 def _construct_chebyshev(prep: _Prepared, f: ConvexOracle, r: int, n: int) -> tuple:
-    """construct_chebyshev from the preparation of (f, r, c0), which a sweep
+    """construct_chebyshev from the preparation of (f, r), which a sweep
     shares between its threshold and all of its rows."""
     if prep.affine:
         return (*_assemble(prep, f, chebyshev_partition(max(n, 2)), r), 2)

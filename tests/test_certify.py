@@ -1,7 +1,10 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
+from convexlab import certify
 from convexlab.certify import (
     BOUND_IDS,
     MismatchedInputs,
@@ -118,6 +121,16 @@ def test_sweep_deterministic_bytes():
     assert a == b
 
 
+def test_sweep_refuses_domain_before_preparing(monkeypatch):
+    # both rows lie below the threshold N = 9 of [0, 1], so a check made per
+    # computed row never runs; the refusal must come before the preparation
+    prepared = []
+    monkeypatch.setattr(certify, "_prepare", lambda *args: prepared.append(args))
+    with pytest.raises(ValueError, match="on \\[-1, 1\\]"):
+        sweep(exp_oracle(1.0, domain=(0.0, 1.0)), 2, [2, 3])
+    assert not prepared
+
+
 def test_witness_threshold_arithmetic():
     w = counterexample_witness(1, 3, 0.9)
     assert w.epsilon_threshold == pytest.approx(0.025)
@@ -178,8 +191,6 @@ def test_threshold_growth_monotone_for_tiny_corners(r, eps_list):
 def test_threshold_growth_validates_order():
     with pytest.raises(ValueError):
         threshold_growth(1, [0.01, 0.1])
-    with pytest.raises(ValueError, match="c0"):
-        threshold_growth(1, [0.1, 0.01], c0=-1.0)
 
 
 # sup ratios in BOUND_IDS order, pinned so that a change to the modulus
@@ -203,3 +214,23 @@ def test_bound_report_sup_ratios_pinned(spec, r, n, want):
     S, _, _ = construct_chebyshev(f, r, n)
     got = [pointwise_bound_report(f, S, r, n, b).sup_ratio for b in BOUND_IDS]
     assert got == pytest.approx(list(want), rel=1e-12, abs=0.0)
+
+
+def _bench_checks():
+    path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_bench_exp_ratio_gate(n):
+    # the benchmark's sweep check: ratio 2.3 divides by a lower bound of the
+    # modulus, so it may not fall below the closed-form recomputation; it is
+    # sensitive to the last bits of the spline, most of all at n = 256
+    checks = _bench_checks()
+    f = parse_function("exp:alpha=1")
+    S, _, _ = construct_chebyshev(f, 2, n)
+    mine = checks.exp_ratio_2_3(checks.Spline(S.to_json_dict()), 1.0, 2, n)
+    checks.check_exp_ratio(pointwise_bound_report(f, S, 2, n, "2.3").sup_ratio, mine, n)

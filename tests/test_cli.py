@@ -316,6 +316,28 @@ def test_bad_c0_exits_1(command, c0, capsys):
     assert err[0].startswith("error:") and "c0" in err[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--function", "exp:alpha=1", "--r", "2", "--n", "64", "--bogus"], "--bogus"),
+    (["--function", "exp:alpha=1", "--n", "64"], "--r"),
+    (["--function", "exp:alpha=1", "--r", "x", "--n", "64"], "'x'"),
+])
+def test_usage_error_exits_1(argv, message, capsys):
+    # exit code 2 means "below threshold", so a usage error must not use it
+    assert run(["approximate"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["approximate", "--help"])
+    assert exc.value.code == 0
+    assert "--function" in capsys.readouterr().out
+
+
 def test_unknown_function_exits_1(capsys):
     code = run(["approximate", "--function", "sin:freq=1", "--r", "1", "--n", "8"])
     assert code == 1

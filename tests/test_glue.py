@@ -189,16 +189,6 @@ def test_threshold_pinned(f, r, want):
     assert chebyshev_threshold(f, r) == want
 
 
-@pytest.mark.parametrize("c0", [-1.0, 0.0, math.nan, math.inf])
-def test_threshold_refuses_bad_c0(c0):
-    # c0 <= 0 would pass every smallness test, and nan none of them
-    f = exp_oracle(1.0)
-    with pytest.raises(ValueError, match="c0"):
-        chebyshev_threshold(f, 2, c0=c0)
-    with pytest.raises(ValueError, match="c0"):
-        construct_chebyshev(f, 2, 64, c0=c0)
-
-
 def test_threshold_endpoint_gap_admissible():
     # for every n >= N the Chebyshev end gap fits under H
     f = exp_oracle(1.0)
@@ -222,7 +212,7 @@ def test_trace_json_fields():
     _, trace, _ = construct_chebyshev(f, 1, 32)
     d = trace.to_json_dict()
     assert set(d) == {"M", "x_star", "H1", "H", "delta", "delta_tilde",
-                      "delta_hat", "case", "lambda", "c0_used"}
+                      "delta_hat", "case", "lambda"}
 
 
 def test_polygonal_baseline_properties():
@@ -274,7 +264,7 @@ def test_random_admissible_partitions_fuzz():
     rng = np.random.default_rng(1234)
     for f, r in [(exp_oracle(1.0), 1), (cosh_oracle(1.2), 2), (f0_oracle(1), 1)]:
         from convexlab.glue import _prepare
-        prep = _prepare(f, r, 16.0)
+        prep = _prepare(f, r)
         H_orig = prep.H * 2.0
         for _ in range(5):
             n_mid = int(rng.integers(4, 12))
@@ -314,7 +304,7 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
     assert [len(p.coeffs) for p in S.pieces] == [2, 3, 4, 2, 2]
 
 
-def _prepare_reference(f, r, c0=glue.DEFAULT_C0):
+def _prepare_reference(f, r):
     """_prepare's (M, x*, H1, H) with the full modulus profile built at every
     tried radius, and the number of radii tried."""
     g, _ = normalize_to_unit(f)
@@ -334,7 +324,7 @@ def _prepare_reference(f, r, c0=glue.DEFAULT_C0):
     while True:
         tried += 1
         boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
-        if boundary_ok and 4.0 * c0 * H1 ** r * modulus(
+        if boundary_ok and 4.0 * glue.C0 * H1 ** r * modulus(
                 gr, 2, H1, (0.0, 1.0), glue.HYPOTHESIS_GRID, g.nonsmooth).value < M:
             break
         H1 *= 0.5
@@ -354,7 +344,7 @@ def test_prepare_equals_full_profile_at_every_radius():
     # the accepted radius and everything derived from it stay bit-identical
     tried = {}
     for spec, r in _PREPARE_CASES:
-        prep = glue._prepare(parse_function(spec), r, glue.DEFAULT_C0)
+        prep = glue._prepare(parse_function(spec), r)
         want, tried[spec, r] = _prepare_reference(parse_function(spec), r)
         assert (prep.M, prep.x_star, prep.H1, prep.H) == want, (spec, r)
     # several radii rejected before the accepted one
@@ -377,5 +367,5 @@ def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
         return row_maxima(f, k, us, *args)
 
     monkeypatch.setattr(smoothness, "_row_maxima", spy)
-    glue._prepare(parse_function(spec), r, glue.DEFAULT_C0)
+    glue._prepare(parse_function(spec), r)
     assert seen == rows
