@@ -1,4 +1,4 @@
-"""Command-line front end: construct, certify, sweep, counterexample, modulus.
+"""Command-line front end: approximate, certify, sweep, counterexample, modulus.
 
 All file outputs are UTF-8 with '.' decimals and fixed key order, so a
 repeated run with the same flags produces byte-identical artifacts (timing

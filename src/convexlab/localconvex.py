@@ -8,7 +8,8 @@ explicit convex parabola is both the degree-2 construction and the
 always-feasible fallback.
 
 Each chunk's LP goes to HiGHS directly, through scipy's bindings
-(scipy.optimize._highspy._core), as one column-wise model built from the
+(scipy.optimize._highspy._core, loaded from its extension file alone, not
+through scipy.optimize), as one column-wise model built from the
 dense per-piece blocks by index arithmetic; scipy.optimize.linprog's input
 cleaning, sparse stacking and per-option checks cost about as much as the
 solve itself.  The model, its options and its failure checks are linprog's
@@ -29,18 +30,16 @@ depend on the number of threads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:
-    raise ImportError("convexlab needs scipy>=1.17 for scipy.optimize._highspy._core") from exc
 
 from convexlab.domain import ConvexOracle, Partition
 from convexlab.piecewise import PiecewisePoly, verify_convexity
@@ -57,15 +56,57 @@ __all__ = [
     "build_sigma",
 ]
 
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS extension module, loaded from its own file.
+
+    `import scipy.optimize._highspy._core` would first run scipy.optimize's
+    __init__, which imports scipy.linalg, sparse, special and fft: most of
+    convexlab's start-up time and memory, for modules it never calls.  As
+    the import system does, an entry already in sys.modules is used as it is
+    (None refuses), and a new module goes into sys.modules before it runs,
+    so a later `import scipy.optimize` gets this same module.
+    """
+    if _HIGHS in sys.modules:
+        module = sys.modules[_HIGHS]
+        if module is None:
+            raise ImportError(f"import of {_HIGHS} halted; None in sys.modules")
+        return module
+    scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    folders = [os.path.join(path, "optimize", "_highspy")
+               for path in scipy.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_core", folders)
+    if found is None or found.origin is None:
+        raise ImportError(f"no {_HIGHS} extension in {folders}")
+    spec = importlib.util.spec_from_file_location(_HIGHS, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS]
+        raise
+    return module
+
+
+try:
+    _highs = _load_highs()
+except (ImportError, ValueError) as exc:  # ValueError: a scipy module without __spec__
+    raise ImportError("convexlab needs scipy>=1.17 for scipy.optimize._highspy._core") from exc
+
 DEGENERATE_REL_LENGTH = 1e-13
 # pieces per block-diagonal LP: 16 gets most of the gain over one LP per
 # piece, while peak memory grows with the chunk
 CHUNK = 16
 
 # threads solving chunk LPs at once.  Every solve running at once adds to
-# peak memory: construct_chebyshev(exp:alpha=1, r=2, n=4096) peaks at 86.7 MB
-# solved serially and at 89.2, 92.4 and 102.6 MB with 2, 4 and 8 threads;
-# the benchmark's construct peak stays within 10% of serial at 2
+# peak memory, about 2.3 MB a thread: construct_chebyshev(exp:alpha=1, r=2,
+# n=4096) peaks at 45.0 MB solved serially and at 47.2, 52.0 and 61.6 MB on
+# pools of 2, 4 and 8 threads, so 2 keeps the peak within 5% of serial
 _MAX_THREADS = 2
 
 

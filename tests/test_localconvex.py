@@ -512,3 +512,68 @@ def test_missing_highs_bindings_name_the_scipy_version():
     assert out.returncode != 0
     assert out.stderr.strip().splitlines()[-1] == (
         "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
+
+
+# -- loading HiGHS without scipy.optimize --------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(localconvex.__file__))
+
+
+def _python(code, path=_SRC):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_import_loads_no_scipy_module_but_highs():
+    """convexlab loads scipy's HiGHS extension alone: a dotted import would run
+    scipy.optimize's __init__ and with it scipy.linalg, sparse, special and
+    fft, most of the CLI's start-up.  Names only, no timing."""
+    out = _python("import sys, convexlab.cli; "
+                  "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert localconvex._HIGHS in loaded
+    assert all(m == localconvex._HIGHS or m.startswith(localconvex._HIGHS + ".") for m in loaded)
+    assert not loaded & {"scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_highs_module_is_shared_in_either_import_order(scipy_first):
+    """Imported before or after scipy.optimize, convexlab and scipy.optimize
+    use one HiGHS module, and a chunk LP gets the same x, bit for bit, from
+    both linprogs."""
+    code = f"""
+import sys
+if {scipy_first}:
+    import scipy.optimize
+import numpy as np
+from convexlab import localconvex
+from convexlab.domain import chebyshev_partition, exp_oracle
+import scipy.optimize
+from scipy.sparse import block_diag
+assert localconvex._highs is sys.modules["scipy.optimize._highspy._core"]
+knots = chebyshev_partition({CHUNK}).knots
+cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:], 3,
+                                      np.zeros({CHUNK}))
+got = localconvex.linprog(cost, **blocks)
+want = scipy.optimize.linprog(
+    cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
+    A_eq=block_diag(list(blocks["A_eq"])), b_eq=blocks["b_eq"], bounds=blocks["bounds"],
+    method="highs", options={{"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                             "dual_feasibility_tolerance": 1e-10}})
+assert want.status == 0, want.message
+assert np.array_equal(got, want.x)
+"""
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+
+
+def test_scipy_without_the_highs_extension_is_refused(tmp_path):
+    """A scipy package with no optimize/_highspy/_core extension first on the
+    path ends the import of convexlab with the scipy floor."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    out = _python("import convexlab", path=os.pathsep.join([str(tmp_path), _SRC]))
+    assert out.returncode != 0
+    assert out.stderr.strip().splitlines()[-1] == (
+        "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
