@@ -15,7 +15,7 @@ The Chebyshev specialization derives the minimal admissible n from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from convexlab.domain import (
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import _convex_pieces, _secant_piece, _spot_check_convexity
-from convexlab.piecewise import PiecewisePoly, coefficient_matrix, verify_convexity
-from convexlab.polynomial import Poly
+from convexlab.piecewise import PiecewisePoly, verify_convexity
 from convexlab.smoothness import ModulusProfile, modulus
 
 __all__ = [
@@ -203,22 +202,21 @@ def _plus_line(coeffs, centers, halfwidths, slope: float, intercept: float) -> N
     coeffs[:, 1] += slope * halfwidths
 
 
-def _blend(unit_pieces, order: int, lam: float, slope: float, intercept: float) -> tuple:
-    """(coeffs, centers, halfwidths, sizes) of the pieces with every piece p
-    but the two end blocks replaced by lam * p + slope * x + intercept, as
-    Poly arithmetic computes it; sizes are the coefficient counts of the
-    pieces, at least two after plus_line."""
-    coeffs, centers, halfwidths = coefficient_matrix(unit_pieces, order)
+def _blend(unit: PiecewisePoly, lam: float, slope: float, intercept: float) -> tuple:
+    """(coeffs, centers, halfwidths) of the unit-frame spline with every piece
+    p but the two end blocks replaced by lam * p + slope * x + intercept, as
+    Poly arithmetic computes it."""
+    coeffs = unit.coeffs.copy()
     middle = slice(1, -1)
     coeffs[middle] *= lam
-    _plus_line(coeffs[middle], centers[middle], halfwidths[middle], slope, intercept)
-    return coeffs, centers, halfwidths, [max(len(p.coeffs), 2) for p in unit_pieces]
+    _plus_line(coeffs[middle], unit.centers[middle], unit.halfwidths[middle], slope, intercept)
+    return coeffs, unit.centers, unit.halfwidths
 
 
-def _denormalize(coeffs, centers, halfwidths, sizes, knots, amap, f) -> PiecewisePoly:
-    """The spline of the pieces given in [0, 1] by their coefficient matrix,
-    frames and coefficient counts, pulled back to the original interval with
-    f's secant added: Poly.rescale_domain then Poly.plus_line on all rows."""
+def _denormalize(coeffs, centers, halfwidths, knots, amap, f) -> PiecewisePoly:
+    """The spline of the pieces given in [0, 1] by their coefficient matrix
+    and frames, pulled back to the original interval with f's secant added:
+    Poly.rescale_domain then Poly.plus_line on all rows."""
     a = amap.shift
     length = amap.scale
     slope_x = (float(f(a + length)) - float(f(a))) / length
@@ -226,9 +224,7 @@ def _denormalize(coeffs, centers, halfwidths, sizes, knots, amap, f) -> Piecewis
     centers = a + length * centers
     halfwidths = length * halfwidths
     _plus_line(coeffs, centers, halfwidths, slope_x, intercept_x)
-    out = tuple(Poly(c, w, row[:m]) for c, w, row, m in
-                zip(centers.tolist(), halfwidths.tolist(), coeffs.tolist(), sizes))
-    return PiecewisePoly(knots=knots, pieces=out, order=coeffs.shape[1])
+    return PiecewisePoly(knots, coeffs, centers, halfwidths)
 
 
 def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
@@ -239,12 +235,12 @@ def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
         raise NotConvexOutput(f"pieces {rep.offending_pieces} failed the convexity certificate")
     if not rep.slopes_ok:
         raise NotConvexOutput("one-sided knot slopes are not nondecreasing")
-    return PiecewisePoly(S.knots, S.pieces, S.order, convex_certified=True)
+    return replace(S, convex_certified=True)
 
 
 def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
-    pieces = tuple(_secant_piece(f, *X.interval(j)).poly for j in range(1, X.n + 1))
-    return _certify_or_raise(PiecewisePoly(X.knots, pieces, order=order))
+    pieces = [_secant_piece(f, *X.interval(j)).poly for j in range(1, X.n + 1)]
+    return _certify_or_raise(PiecewisePoly.from_pieces(X.knots, pieces, order))
 
 
 def _affine_spline(f: ConvexOracle, X: Partition, r: int, prep) -> tuple:
@@ -299,8 +295,8 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     if not 0.0 < lam <= 1.0:
         raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
-    rows = _blend([left.poly, *interior, right.poly], r + 2, lam,
-                  (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
+    unit = PiecewisePoly.from_pieces(u, [left.poly, *interior, right.poly], r + 2)
+    rows = _blend(unit, lam, (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
     S = _denormalize(*rows, X.knots, amap, f)
     S = _certify_or_raise(S)
     trace = GlueTrace(M=M, x_star=prep.x_star, H1=prep.H1, H=H,
@@ -357,8 +353,6 @@ def _check_chebyshev_domain(f: ConvexOracle) -> None:
 def _construct_chebyshev(prep: _Prepared, f: ConvexOracle, r: int, n: int) -> tuple:
     """construct_chebyshev from the preparation of (f, r), which a sweep
     shares between its threshold and all of its rows."""
-    if prep.affine:
-        return (*_assemble(prep, f, chebyshev_partition(max(n, 2)), r), 2)
     n_threshold, _ = _threshold(prep)
     if n < n_threshold:
         raise NBelowThreshold(n_threshold)

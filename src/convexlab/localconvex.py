@@ -3,9 +3,9 @@
 Each piece interpolates the function at both interval ends, sandwiches the
 one-sided slopes against f' there, and is certified convex.  The workhorse is
 a small minimax LP over local polynomial coefficients per piece; the pieces
-are independent, so CHUNK of them are solved as one block-diagonal LP.  The
-explicit convex parabola is both the degree-2 construction and the
-always-feasible fallback.
+are independent, so CHUNK of them are solved as one block-diagonal LP, at
+degree 2 as at every higher degree.  The explicit convex parabola,
+:func:`convex_parabola`, is the always-feasible fallback.
 
 Each chunk's LP goes to HiGHS directly, through scipy's bindings
 (scipy.optimize._highspy._core, loaded from its extension file alone, not
@@ -547,13 +547,8 @@ def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
     at every interior knot, which makes the whole thing convex.  The flag is
     set when sigma passes :func:`verify_convexity`.
     """
-    pieces = convex_pieces(f, X, r)
-    sigma = PiecewisePoly(
-        knots=X.knots,
-        pieces=tuple(pc.poly for pc in pieces),
-        order=r + 2,
-    )
+    sigma = PiecewisePoly.from_pieces(X.knots, [pc.poly for pc in convex_pieces(f, X, r)],
+                                      r + 2)
     if verify_convexity(sigma).convex:
-        sigma = PiecewisePoly(sigma.knots, sigma.pieces, sigma.order,
-                              convex_certified=True)
+        sigma = replace(sigma, convex_certified=True)
     return sigma

@@ -1,59 +1,68 @@
-"""Continuous piecewise polynomials over a knot vector: :class:`Poly` pieces
-for construction and I/O, one zero-padded coefficient matrix for evaluation
-and checks, which are array passes over all pieces at once."""
+"""Continuous piecewise polynomials over a knot vector, held as one zero-padded
+coefficient matrix with the frames of its rows, so evaluation and checks are
+array passes over all pieces at once; :class:`Poly` pieces are its I/O view."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from convexlab.polynomial import (ConvexityCertificate, Poly, convexity_certificates,
                                   derivative_rows, horner_rows)
 
-__all__ = ["PiecewisePoly", "ConvexityReport", "coefficient_matrix", "verify_convexity"]
-
-
-def coefficient_matrix(pieces, order: int) -> tuple:
-    """(coeffs, centers, halfwidths) of a sequence of pieces: their
-    coefficients zero-padded to one (k, order) matrix, and their frames."""
-    coeffs = np.array([p.coeffs + (0.0,) * (order - len(p.coeffs)) for p in pieces])
-    centers, halfwidths = np.array([(p.center, p.halfwidth) for p in pieces]).T
-    return coeffs, centers, halfwidths
+__all__ = ["PiecewisePoly", "ConvexityReport", "verify_convexity"]
 
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Knot vector plus one polynomial piece per interval.
+    """Knot vector plus one polynomial piece per interval: row i of ``coeffs``
+    ascends in u = (x - centers[i]) / halfwidths[i].
 
-    ``order`` is the usual spline order: maximal piece degree plus one.
-    ``convex_certified`` is only set by constructions whose spline passed
-    :func:`verify_convexity`.
+    ``order``, the number of columns, is the usual spline order: maximal piece
+    degree plus one.  ``convex_certified`` is only set by constructions whose
+    spline passed :func:`verify_convexity`.
     """
 
     knots: np.ndarray
-    pieces: tuple
-    order: int
+    coeffs: np.ndarray
+    centers: np.ndarray
+    halfwidths: np.ndarray
     convex_certified: bool = False
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-    centers: np.ndarray = field(init=False, repr=False, compare=False)
-    halfwidths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ks = np.asarray(self.knots, dtype=float)
+        names = ("knots", "coeffs", "centers", "halfwidths")
+        ks, C, c, w = arrays = [np.array(getattr(self, name), dtype=float) for name in names]
         if ks.ndim != 1 or ks.size < 2:
             raise ValueError("need at least two knots")
         if not np.all(np.diff(ks) > 0):
             raise ValueError("knots must be strictly increasing")
-        if len(self.pieces) != ks.size - 1:
+        n = ks.size - 1
+        if C.ndim != 2 or C.shape[1] == 0 or (C.shape[0], c.shape, w.shape) != (n, (n,), (n,)):
             raise ValueError("need exactly one piece per interval")
-        if any(p.degree + 1 > self.order for p in self.pieces):
-            raise ValueError("piece degree exceeds declared order")
-        arrays = (ks, *coefficient_matrix(self.pieces, self.order))
-        for name, value in zip(("knots", "coeffs", "centers", "halfwidths"), arrays):
+        for name, value in zip(names, arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+
+    @staticmethod
+    def from_pieces(knots, pieces, order: int) -> "PiecewisePoly":
+        """The spline of one :class:`Poly` per interval, their coefficients
+        zero-padded to ``order`` columns."""
+        if any(len(p.coeffs) > order for p in pieces):
+            raise ValueError("piece degree exceeds declared order")
+        coeffs = np.array([p.coeffs + (0.0,) * (order - len(p.coeffs)) for p in pieces])
+        return PiecewisePoly(knots, coeffs, [p.center for p in pieces],
+                             [p.halfwidth for p in pieces])
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def pieces(self) -> tuple:
+        """The rows as :class:`Poly` objects, each at the full order."""
+        return tuple(map(Poly, self.centers.tolist(), self.halfwidths.tolist(),
+                         self.coeffs.tolist()))
 
     @property
     def n(self) -> int:
@@ -132,12 +141,9 @@ class PiecewisePoly:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":
-        return PiecewisePoly(
-            knots=np.asarray(d["knots"], dtype=float),
-            pieces=tuple(Poly.from_json_dict(q) for q in d["pieces"]),
-            order=int(d["order"]),
-            convex_certified=bool(d.get("convex_certified", False)),
-        )
+        S = PiecewisePoly.from_pieces(d["knots"], [Poly.from_json_dict(q) for q in d["pieces"]],
+                                      int(d["order"]))
+        return replace(S, convex_certified=bool(d.get("convex_certified", False)))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def test_verify_convexity_flags_bad_piece():
     bad = list(S.pieces)
     lo, hi = float(S.knots[3]), float(S.knots[4])
     bad[3] = Poly(0.5 * (lo + hi), 0.5 * (hi - lo), (0.0, 0.0, -1.0))
-    broken = PiecewisePoly(S.knots, tuple(bad), order=3)
+    broken = PiecewisePoly.from_pieces(S.knots, bad, 3)
     rep = verify_convexity(broken)
     assert not rep.convex
     assert 3 in rep.offending_pieces
@@ -50,10 +50,9 @@ def test_verify_convexity_affine_spline():
 def test_verify_convexity_flags_jump():
     # both pieces are convex and the one-sided slopes agree (2.0) at x = 1,
     # but the spline jumps from 1 to 6 there
-    S = PiecewisePoly(knots=[0.0, 1.0, 2.0],
-                      pieces=(Poly(0.5, 0.5, (0.25, 0.5, 0.25)),
-                              Poly(1.5, 0.5, (7.25, 1.5, 0.25))),
-                      order=3)
+    S = PiecewisePoly.from_pieces([0.0, 1.0, 2.0],
+                                  [Poly(0.5, 0.5, (0.25, 0.5, 0.25)),
+                                   Poly(1.5, 0.5, (7.25, 1.5, 0.25))], 3)
     rep = verify_convexity(S)
     assert not rep.convex
     assert not rep.continuous

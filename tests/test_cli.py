@@ -36,6 +36,15 @@ def test_approximate_below_threshold_exits_2(capsys):
     assert "N_threshold" in capsys.readouterr().out
 
 
+def test_approximate_affine_below_two_pieces_exits_2(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = run(["approximate", "--function", "poly:coeffs=1,2", "--r", "1", "--n", "1",
+                "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == "n below threshold: N_threshold = 2\n"
+    assert not out.exists()
+
+
 def test_approximate_concave_input_exits_1(capsys):
     code = run(["approximate", "--function", "poly:coeffs=0,0,-1",
                 "--r", "2", "--n", "64"])
@@ -111,6 +120,20 @@ def test_certify_corrupted_spline_exits_1(tmp_path, capsys):
     code = run(["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "32",
                 "--spline", str(bad)])
     assert code == 1
+
+
+def test_certify_row_longer_than_order_exits_1(tmp_path, capsys):
+    spline = tmp_path / "s.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "1",
+                "--n", "16", "--out", str(spline)]) == 0
+    doc = json.loads(spline.read_text())
+    doc["pieces"][8]["coeffs"].append(0.0)
+    spline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "16",
+                "--spline", str(spline)])
+    assert code == 1
+    assert capsys.readouterr().out == "bad spline file: piece degree exceeds declared order\n"
 
 
 def test_certify_mismatched_n_exits_1(tmp_path, capsys):

@@ -28,6 +28,7 @@ from convexlab.glue import (
 )
 from convexlab import glue, smoothness
 from convexlab.localconvex import build_sigma
+from convexlab.piecewise import PiecewisePoly
 from convexlab.polynomial import Poly
 from convexlab.smoothness import modulus
 
@@ -207,6 +208,14 @@ def test_affine_short_circuit():
     assert S.convex_certified
 
 
+def test_affine_input_below_two_pieces_is_refused():
+    with pytest.raises(NBelowThreshold) as ei:
+        construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 1)
+    assert ei.value.n_threshold == 2
+    S, _, N = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 2)
+    assert (S.n, N) == (2, 2)
+
+
 def test_trace_json_fields():
     f = exp_oracle(1.0)
     _, trace, _ = construct_chebyshev(f, 1, 32)
@@ -236,13 +245,11 @@ def test_polygonal_baseline_affine():
 
 def test_certify_or_raise_rejects_nonconvex_assembly():
     from convexlab.glue import NotConvexOutput, _certify_or_raise
-    from convexlab.piecewise import PiecewisePoly
-    from convexlab.polynomial import Poly
-    bad = PiecewisePoly(
-        knots=np.array([0.0, 1.0, 2.0]),
-        pieces=(Poly(0.5, 0.5, (0.25, 0.5, 0.25)),      # (x/...)^2-ish, convex
-                Poly(1.5, 0.5, (1.0, 1.0, -1.0))),      # concave piece
-        order=3)
+    bad = PiecewisePoly.from_pieces(
+        [0.0, 1.0, 2.0],
+        [Poly(0.5, 0.5, (0.25, 0.5, 0.25)),      # (x/...)^2-ish, convex
+         Poly(1.5, 0.5, (1.0, 1.0, -1.0))],      # concave piece
+        3)
     with pytest.raises(NotConvexOutput):
         _certify_or_raise(bad)
 
@@ -282,17 +289,20 @@ def test_random_admissible_partitions_fuzz():
 
 def test_blend_and_denormalize_equal_poly_arithmetic():
     """_assemble blends and denormalises all pieces as one coefficient matrix;
-    each piece must equal Poly's own arithmetic in Python floats bit for bit:
-    lam * p plus a line for the blended pieces, then rescale_domain and
-    plus_line for all, with pieces of one to four coefficients."""
+    each row must equal Poly's own arithmetic in Python floats bit for bit,
+    zero-padded to the order: lam * p plus a line for the blended pieces, then
+    rescale_domain and plus_line for all, with pieces of one to four
+    coefficients."""
     f = exp_oracle(1.5)
     _, amap = normalize_to_unit(f)
     unit = [Poly(0.05, 0.05, (0.3,)), Poly(0.2, 0.1, (0.2, -0.7, 1.1)),
             Poly(0.45, 0.15, (-0.4, 0.3, 0.9, 0.05)), Poly(0.7, 0.1, (0.6,)),
             Poly(0.9, 0.1, (0.1, 1.3))]
     lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
-    knots = amap.shift + amap.scale * np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0])
-    S = glue._denormalize(*glue._blend(unit, 4, lam, slope, icept), knots, amap, f)
+    u = np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0])
+    knots = amap.shift + amap.scale * u
+    rows = glue._blend(PiecewisePoly.from_pieces(u, unit, 4), lam, slope, icept)
+    S = glue._denormalize(*rows, knots, amap, f)
 
     a, length = amap.shift, amap.scale
     slope_x = (float(f(a + length)) - float(f(a))) / length
@@ -300,8 +310,10 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
     blended = [unit[0]] + [Poly(p.center, p.halfwidth, [lam * c for c in p.coeffs])
                            .plus_line(slope, icept) for p in unit[1:-1]] + [unit[-1]]
     want = [p.rescale_domain(a, length).plus_line(slope_x, intercept_x) for p in blended]
-    assert S.pieces == tuple(want)
-    assert [len(p.coeffs) for p in S.pieces] == [2, 3, 4, 2, 2]
+    assert S.order == 4
+    assert S.coeffs.tolist() == [list(p.coeffs) + [0.0] * (4 - len(p.coeffs)) for p in want]
+    assert S.centers.tolist() == [p.center for p in want]
+    assert S.halfwidths.tolist() == [p.halfwidth for p in want]
 
 
 def _prepare_reference(f, r):

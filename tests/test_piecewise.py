@@ -1,10 +1,13 @@
 """PiecewisePoly's array passes against the per-piece scalar arithmetic.
 
-The spline keeps its pieces in one zero-padded coefficient matrix.  Every
-value it returns must equal, bit for bit, what the piece itself gives by
-Horner's rule in Python floats, including splines whose pieces have fewer
-coefficients than the spline's order.
+The spline is one zero-padded coefficient matrix; its pieces are a Poly view
+of the rows.  Every value it returns must equal, bit for bit, what the piece
+itself gives by Horner's rule in Python floats.  A spline JSON whose rows are
+shorter than its order, as older files hold them, must still load and
+evaluate like its short pieces.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from convexlab.domain import chebyshev_partition, exp_oracle, f0_oracle, poly_or
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.localconvex import convex_parabola, convex_pieces
 from convexlab.piecewise import PiecewisePoly
-from convexlab.polynomial import convexity_certificate
+from convexlab.polynomial import Poly, convexity_certificate
 
 
 def scalar_value(p, x, nu=0):
@@ -39,7 +42,7 @@ def _parabola_in_cubic_spline():
     X = chebyshev_partition(24)
     polys = [pc.poly for pc in convex_pieces(f, X, 2)]
     polys[5] = convex_parabola(f, X.interval(6)).poly
-    return PiecewisePoly(X.knots, tuple(polys), order=4)
+    return PiecewisePoly.from_pieces(X.knots, polys, 4)
 
 
 SPLINES = {
@@ -55,32 +58,27 @@ def spline(request):
     return SPLINES[request.param]()
 
 
-def test_spline_has_mixed_coefficient_counts():
-    S = _parabola_in_cubic_spline()
-    assert {len(p.coeffs) for p in S.pieces} == {3, 4}
-    assert {len(p.coeffs) for p in _affine_spline().pieces} == {2}
-    assert _affine_spline().order == 4
-
-
 def test_eval_matches_pieces_bit_for_bit(spline):
     S = spline
     mids = 0.5 * (S.knots[:-1] + S.knots[1:])
     xs = np.concatenate([S.knots, mids, np.linspace(S.a, S.b, 301)])
     got = S(xs)
-    want = [scalar_value(S.pieces[j], float(x)) for j, x in zip(S.piece_index(xs), xs)]
+    pieces = S.pieces
+    want = [scalar_value(pieces[j], float(x)) for j, x in zip(S.piece_index(xs), xs)]
     assert got.tolist() == want
     assert S(float(xs[7])) == want[7] and isinstance(S(float(xs[7])), float)
     grid = xs.reshape(2, -1)
     assert S(grid).shape == grid.shape and S(grid).ravel().tolist() == want
     assert S.value_scale() == 1.0 + max(abs(scalar_value(p, float(m)))
-                                        for p, m in zip(S.pieces, mids))
+                                        for p, m in zip(pieces, mids))
 
 
 def test_derivatives_match_pieces_bit_for_bit(spline):
     S = spline
+    pieces = S.pieces
     for i in range(1, S.n):
         x = float(S.knots[i])
-        left, right = S.pieces[i - 1], S.pieces[i]
+        left, right = pieces[i - 1], pieces[i]
         for nu in range(S.order + 1):
             assert S.deriv_value(x, nu, "-") == scalar_value(left, x, nu)
             assert S.deriv_value(x, nu, "+") == scalar_value(right, x, nu)
@@ -89,7 +87,7 @@ def test_derivatives_match_pieces_bit_for_bit(spline):
         assert S.continuity_defects()[i - 1] == abs(scalar_value(left, x)
                                                     - scalar_value(right, x))
     x = float(0.5 * (S.knots[1] + S.knots[2]))
-    assert S.deriv_value(x, 2) == scalar_value(S.pieces[1], x, 2)
+    assert S.deriv_value(x, 2) == scalar_value(pieces[1], x, 2)
 
 
 def test_piece_certificates_match_one_piece_certificates(spline):
@@ -98,3 +96,70 @@ def test_piece_certificates_match_one_piece_certificates(spline):
             for i, p in enumerate(S.pieces)]
     assert S.piece_certificates() == want
     assert all(c.convex for c in want)
+
+
+def test_pieces_view_is_the_matrix():
+    S = _parabola_in_cubic_spline()
+    assert S.order == 4
+    assert [list(p.coeffs) for p in S.pieces] == S.coeffs.tolist()
+    assert [(p.center, p.halfwidth) for p in S.pieces] == list(zip(S.centers.tolist(),
+                                                                   S.halfwidths.tolist()))
+    assert S.pieces[5].coeffs[3] == 0.0
+    for name in ("knots", "coeffs", "centers", "halfwidths"):
+        with pytest.raises(ValueError):
+            getattr(S, name)[0] = 0.0
+
+
+def test_mismatched_arrays_raise():
+    knots, coeffs = [0.0, 1.0, 2.0], np.ones((2, 3))
+    centers, halfwidths = [0.5, 1.5], [0.5, 0.5]
+    for args in [(knots, coeffs[:1], centers, halfwidths),
+                 (knots, coeffs, centers[:1], halfwidths),
+                 (knots, coeffs, centers, halfwidths + [0.5]),
+                 (knots, coeffs[0], centers, halfwidths),
+                 (knots, coeffs[:, :0], centers, halfwidths)]:
+        with pytest.raises(ValueError, match="one piece per interval"):
+            PiecewisePoly(*args)
+    assert PiecewisePoly(knots, coeffs, centers, halfwidths).order == 3
+    with pytest.raises(ValueError, match="exceeds declared order"):
+        PiecewisePoly.from_pieces(knots, [Poly(0.5, 0.5, (1.0, 2.0)),
+                                          Poly(1.5, 0.5, (1.0, 2.0, 3.0))], 2)
+
+
+OLDER_JSON = {
+    "knots": [-1.0, -0.25, 0.5, 1.0],
+    "order": 4,
+    "pieces": [{"center": -0.625, "halfwidth": 0.375, "coeffs": [0.3, -0.7]},
+               {"center": 0.125, "halfwidth": 0.375, "coeffs": [0.1, 0.2, 0.45]},
+               {"center": 0.75, "halfwidth": 0.25, "coeffs": [1.7, 0.9]}],
+    "convex_certified": True,
+}
+
+
+def test_older_json_with_short_rows_loads_bit_for_bit():
+    S = PiecewisePoly.from_json_dict(OLDER_JSON)
+    short = [Poly.from_json_dict(q) for q in OLDER_JSON["pieces"]]
+    assert S.order == 4 and S.convex_certified
+    xs = np.concatenate([S.knots, np.linspace(-1.0, 1.0, 201)])
+    for j, x in zip(S.piece_index(xs), xs.tolist()):
+        for nu in range(5):
+            assert S.deriv_value(x, nu, "+") == scalar_value(short[j], x, nu)
+    assert S(xs).tolist() == [scalar_value(short[j], x) for j, x in
+                              zip(S.piece_index(xs), xs.tolist())]
+
+    doc = S.to_json_dict()
+    assert [q["coeffs"] for q in doc["pieces"]] == [[0.3, -0.7, 0.0, 0.0],
+                                                    [0.1, 0.2, 0.45, 0.0],
+                                                    [1.7, 0.9, 0.0, 0.0]]
+    assert PiecewisePoly.from_json_dict(doc).to_json_dict() == doc
+
+
+def test_json_keeps_poly_checks():
+    doc = copy.deepcopy(OLDER_JSON)
+    doc["pieces"][1]["halfwidth"] = 0.0
+    with pytest.raises(ValueError, match="halfwidth"):
+        PiecewisePoly.from_json_dict(doc)
+    doc = copy.deepcopy(OLDER_JSON)
+    doc["pieces"][0]["coeffs"] += [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="exceeds declared order"):
+        PiecewisePoly.from_json_dict(doc)
