@@ -112,7 +112,7 @@ def _assemble_report(bound_id, xs, errs, bounds, scale) -> BoundReport:
             continue
         ratio = err / max(bnd, DENOM_FLOOR)
         rows.append((x, err, bnd, ratio))
-        sup_ratio = max(sup_ratio, ratio)
+        sup_ratio = ratio if math.isnan(ratio) else max(sup_ratio, ratio)
     return BoundReport(bound_id, rows, sup_ratio, excluded)
 
 

@@ -52,9 +52,7 @@ def _write_json(path: str, obj) -> None:
 
 def _parse_n_range(text: str):
     """``64`` | ``16:256:x2`` (geometric) | ``8:32:+8`` (arithmetic)."""
-    if ":" not in text:
-        return [int(text)]
-    parts = text.split(":")
+    parts = text.split(":") if ":" in text else [text, text, "+1"]
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}; use a:b:x2 or a:b:+d")
     lo, hi, step = int(parts[0]), int(parts[1]), parts[2]
@@ -146,10 +144,12 @@ def cmd_certify(args) -> int:
         doc = json.load(fh)
     try:
         S = PiecewisePoly.from_json_dict(doc)
+        meta = doc.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise TypeError("meta must be an object")
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad spline file: {exc}")
         return EXIT_ERROR
-    meta = doc.get("meta", {})
     if meta:
         if meta.get("function") not in (None, f.label()):
             print(f"mismatched inputs: spline built for {meta.get('function')}, "

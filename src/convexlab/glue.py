@@ -202,15 +202,17 @@ def _plus_line(coeffs, centers, halfwidths, slope: float, intercept: float) -> N
     coeffs[:, 1] += slope * halfwidths
 
 
-def _blend(unit: PiecewisePoly, lam: float, slope: float, intercept: float) -> tuple:
-    """(coeffs, centers, halfwidths) of the unit-frame spline with every piece
-    p but the two end blocks replaced by lam * p + slope * x + intercept, as
-    Poly arithmetic computes it."""
-    coeffs = unit.coeffs.copy()
-    middle = slice(1, -1)
-    coeffs[middle] *= lam
-    _plus_line(coeffs[middle], unit.centers[middle], unit.halfwidths[middle], slope, intercept)
-    return coeffs, unit.centers, unit.halfwidths
+def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple:
+    """(coeffs, centers, halfwidths) in the unit frame: the end block Polys left
+    and right around every interior piece p as lam * p + slope * x + intercept,
+    as Poly arithmetic computes it, all rows at the interior's order."""
+    coeffs = np.zeros((interior.n + 2, interior.order))
+    coeffs[1:-1] = lam * interior.coeffs
+    _plus_line(coeffs[1:-1], interior.centers, interior.halfwidths, slope, intercept)
+    coeffs[0, :len(left.coeffs)] = left.coeffs
+    coeffs[-1, :len(right.coeffs)] = right.coeffs
+    return (coeffs, np.r_[left.center, interior.centers, right.center],
+            np.r_[left.halfwidth, interior.halfwidths, right.halfwidth])
 
 
 def _denormalize(coeffs, centers, halfwidths, knots, amap, f) -> PiecewisePoly:
@@ -275,7 +277,7 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
 
     # the end blocks replace sigma's first and last pieces, so only its
     # interior pieces are built; _certify_or_raise certifies them in S
-    interior = [pc.poly for pc in _convex_pieces(g, u[1:-1], r + 1)]
+    interior, _ = _convex_pieces(g, u[1:-1], r + 1)
 
     sl, il = tangent_line(g, u1)
     sl_t, il_t = tangent_line(g, un1)
@@ -295,8 +297,8 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     if not 0.0 < lam <= 1.0:
         raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
-    unit = PiecewisePoly.from_pieces(u, [left.poly, *interior, right.poly], r + 2)
-    rows = _blend(unit, lam, (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
+    rows = _blend(left.poly, interior, right.poly, lam, (1.0 - lam) * line_slope,
+                  (1.0 - lam) * line_icept + shift)
     S = _denormalize(*rows, X.knots, amap, f)
     S = _certify_or_raise(S)
     trace = GlueTrace(M=M, x_star=prep.x_star, H1=prep.H1, H=H,

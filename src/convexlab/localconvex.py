@@ -1,11 +1,12 @@
 """Per-interval convex interpolants and the global piecewise interpolant sigma.
 
-Each piece interpolates the function at both interval ends, sandwiches the
-one-sided slopes against f' there, and is certified convex.  The workhorse is
-a small minimax LP over local polynomial coefficients per piece; the pieces
-are independent, so CHUNK of them are solved as one block-diagonal LP, at
-degree 2 as at every higher degree.  The explicit convex parabola,
-:func:`convex_parabola`, is the always-feasible fallback.
+Each interval gets one coefficient row of one spline, in its midpoint frame:
+a piece that interpolates f at both interval ends, sandwiches the one-sided
+slopes against f' there, and is certified convex.  The rows come from small
+minimax LPs, CHUNK pieces per block-diagonal LP; the explicit convex
+parabola, :func:`convex_parabola`, is the always-feasible fallback.  Only
+the public per-piece functions return :class:`ConvexPiece` objects with
+their slope slacks; the construction uses the rows alone.
 
 Each chunk's LP goes to HiGHS directly, through scipy's bindings
 (scipy.optimize._highspy._core, loaded from its extension file alone, not
@@ -37,6 +38,7 @@ import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,19 +184,6 @@ def _spot_check_convexity(f: ConvexOracle, a, b, npts: int = 65) -> None:
             f"{f.label()} has decreasing slope inside [{float(a[i])}, {float(b[i])}]")
 
 
-def _poly_from_unit_coeffs(cs, a: float, b: float) -> Poly:
-    """Polynomial given by ascending coefficients in v = (x-a)/(b-a), returned
-    in the midpoint local frame."""
-    center = 0.5 * (a + b)
-    halfwidth = 0.5 * (b - a)
-    # v = (u + 1)/2 in the local frame; compose exactly
-    acc = np.array([float(cs[-1])])
-    for c in cs[-2::-1]:
-        acc = np.polynomial.polynomial.polymul(acc, [0.5, 0.5])
-        acc[0] += float(c)
-    return Poly(center, halfwidth, tuple(acc))
-
-
 def _slacks(f: ConvexOracle, coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
     """(p'(a) - f'(a), f'(b) - p'(b)) for each row p of local coefficients on
     its interval [a[i], b[i]], framed at the midpoint."""
@@ -205,16 +194,45 @@ def _slacks(f: ConvexOracle, coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
             df[:, 1] - horner_rows(d1, (b - center) / w))
 
 
+def _with_slacks(f: ConvexOracle, S: PiecewisePoly, sources) -> list:
+    """The rows of S as :class:`ConvexPiece` objects with their slacks."""
+    a, b = S.knots[:-1], S.knots[1:]
+    left, right = (s.tolist() for s in _slacks(f, S.coeffs, a, b))
+    return list(map(ConvexPiece, S.pieces, zip(a.tolist(), b.tolist()), left, right, sources))
+
+
 def _one_piece(p: Poly, f: ConvexOracle, a: float, b: float, source: str) -> ConvexPiece:
     (sl,), (sr,) = _slacks(f, np.array([p.coeffs]), np.array([a]), np.array([b]))
     return ConvexPiece(p, (a, b), float(sl), float(sr), source=source)
 
 
-def _secant_piece(f: ConvexOracle, a: float, b: float) -> ConvexPiece:
+def _secant(f: ConvexOracle, a: float, b: float) -> Poly:
     fa, fb = float(f(a)), float(f(b))
     slope = (fb - fa) / (b - a)
-    p = line_poly(slope, fa - slope * a, 0.5 * (a + b), 0.5 * (b - a))
-    return _one_piece(p, f, a, b, "secant")
+    return line_poly(slope, fa - slope * a, 0.5 * (a + b), 0.5 * (b - a))
+
+
+def _secant_piece(f: ConvexOracle, a: float, b: float) -> ConvexPiece:
+    return _one_piece(_secant(f, a, b), f, a, b, "secant")
+
+
+def _parabola(f: ConvexOracle, a: float, b: float) -> Poly:
+    """The parabola of :func:`convex_parabola`, built in v = (x - a)/(b - a)
+    and composed exactly with v = (u + 1)/2 into the midpoint frame."""
+    length = b - a
+    fa, fb = float(f(a)), float(f(b))
+    g0 = length * float(f.deriv(1, a)) - (fb - fa)
+    g1 = length * float(f.deriv(1, b)) - (fb - fa)
+    if g0 + g1 >= 0.0:
+        quad = [0.0, g0, -g0]
+    else:
+        quad = [0.0, -g1, g1]
+    cs = [quad[0] + fa, quad[1] + (fb - fa), quad[2]]
+    acc = np.array([float(cs[-1])])
+    for c in cs[-2::-1]:
+        acc = np.polynomial.polynomial.polymul(acc, [0.5, 0.5])
+        acc[0] += float(c)
+    return Poly(0.5 * (a + b), 0.5 * (b - a), tuple(acc))
 
 
 def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
@@ -229,16 +247,7 @@ def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     _spot_check_convexity(f, a, b)
-    length = b - a
-    fa, fb = float(f(a)), float(f(b))
-    g0 = length * float(f.deriv(1, a)) - (fb - fa)
-    g1 = length * float(f.deriv(1, b)) - (fb - fa)
-    if g0 + g1 >= 0.0:
-        quad = [0.0, g0, -g0]
-    else:
-        quad = [0.0, -g1, g1]
-    cs = [quad[0] + fa, quad[1] + (fb - fa), quad[2]]
-    return _one_piece(_poly_from_unit_coeffs(cs, a, b), f, a, b, "parabola")
+    return _one_piece(_parabola(f, a, b), f, a, b, "parabola")
 
 
 def _chebyshev_points(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -378,24 +387,15 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                       bounds=bounds)
 
 
-def _piece_rows(x: np.ndarray, degree: int) -> list:
-    """Each piece's coefficients from the x of its chunk's LP."""
-    return x.reshape(-1, degree + 2)[:, :degree + 1].tolist()
-
-
 def _solve_alone(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                 mu: np.ndarray) -> list:
-    """Coefficients of each piece [a[i], b[i]] from its own LP, None where
-    that LP fails."""
-    rows = []
+                 mu: np.ndarray) -> np.ndarray:
+    """Coefficients of each piece [a[i], b[i]] from its own LP, one row per
+    piece, NaN where that LP fails."""
+    rows = np.full((a.size, degree + 1), np.nan)
     for i in range(a.size):
         cost, blocks = _lp_blocks(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])
-        try:
-            x = linprog(cost, **blocks)
-        except SolverStall:
-            rows.append(None)
-        else:
-            rows += _piece_rows(x, degree)
+        with suppress(SolverStall):
+            rows[i] = linprog(cost, **blocks)[:degree + 1]
     return rows
 
 
@@ -426,10 +426,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                  mu: np.ndarray) -> list:
+                  mu: np.ndarray) -> np.ndarray:
     """Minimax coefficients of each piece [a[i], b[i]] from the LPs of
-    :func:`_lp_blocks`, CHUNK pieces per LP, ascending in the midpoint frame
-    of each piece, None where its LP failed.
+    :func:`_lp_blocks`, CHUNK pieces per LP, one row per piece ascending in
+    its midpoint frame, NaN where its LP failed (linprog refuses a NaN x).
 
     The calling thread builds every chunk's LP, so the oracle is only ever
     called from it, and submits it to :func:`linprog` on the pool: HiGHS
@@ -439,7 +439,7 @@ def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
     piece at a time on the calling thread, so one block that HiGHS refuses
     cannot change its neighbours.
     """
-    rows = []
+    rows = np.full((a.size, degree + 1), np.nan)
     pending = deque()  # (chunk, future of its LP's x), oldest first
 
     def collect() -> None:
@@ -447,11 +447,10 @@ def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
         try:
             x = future.result()
         except SolverStall:
-            # a one-piece chunk has nothing left to split
-            rows.extend([None] if part.stop - part.start == 1
-                        else _solve_alone(f, a[part], b[part], degree, mu[part]))
+            if part.stop - part.start > 1:  # a one-piece chunk has nothing left to split
+                rows[part] = _solve_alone(f, a[part], b[part], degree, mu[part])
         else:
-            rows.extend(_piece_rows(x, degree))
+            rows[part] = x.reshape(-1, degree + 2)[:, :degree + 1]
 
     for s in range(0, a.size, CHUNK):
         part = slice(s, min(s + CHUNK, a.size))
@@ -464,29 +463,30 @@ def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
     return rows
 
 
-def _certified(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Which LP coefficient rows (None where the LP failed) are certified
+def _certified(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which LP coefficient rows (NaN where the LP failed) are certified
     convex on their intervals [a[i], b[i]], from one array certificate."""
-    ok = np.array([cs is not None for cs in rows], dtype=bool)
+    ok = ~np.isnan(rows[:, 0])
     if ok.any():
         lo, hi = a[ok], b[ok]
-        ok[ok] = convexity_certificates([cs for cs in rows if cs is not None],
-                                        0.5 * (lo + hi), 0.5 * (hi - lo), lo, hi)[0]
+        ok[ok] = convexity_certificates(rows[ok], 0.5 * (lo + hi), 0.5 * (hi - lo), lo, hi)[0]
     return ok
 
 
-def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
-    """Best convex piece of the given degree on each interval of the increasing
-    knots, by the minimax LP of :func:`_lp_blocks` solved CHUNK pieces at a
-    time (:func:`_solve_chunks`), after every interval has passed the spot
-    check.
+def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
+    """(spline, sources): the best convex piece of the given degree on each
+    interval of the increasing knots, as the rows of one spline framed at the
+    interval midpoints, and each row's source: "lp", "parabola-fallback" or
+    "secant".  Every interval must first pass the spot check.
 
-    Equality constraints pin the end values, inequality constraints sandwich
-    the end slopes against f', and convexity is imposed at Chebyshev points
-    then certified exactly afterwards, all pieces in one array certificate.
-    Pieces whose certificate fails are re-solved together once with a
-    strictly positive curvature floor; the final fallback is the parabola,
-    which is always feasible.  Intervals at rounding scale get the secant.
+    The rows solve the minimax LP of :func:`_lp_blocks`, CHUNK pieces at a
+    time (:func:`_solve_chunks`).  Equality constraints pin the end values,
+    inequality constraints sandwich the end slopes against f', and convexity
+    is imposed at Chebyshev points then certified exactly afterwards, all rows
+    in one array certificate.  Rows whose certificate fails are re-solved
+    together once with a strictly positive curvature floor; the final
+    fallback is the parabola, which is always feasible.  Intervals at
+    rounding scale get the secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -494,8 +494,10 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
     a_all, b_all = knots[:-1], knots[1:]
     scale = np.maximum(1.0, np.maximum(np.abs(a_all), np.abs(b_all)))
     degenerate = b_all - a_all <= DEGENERATE_REL_LENGTH * scale
-    pieces = [_secant_piece(f, float(a_all[i]), float(b_all[i])) if degenerate[i] else None
-              for i in range(a_all.size)]
+    coeffs = np.zeros((a_all.size, degree + 1))
+    sources = ["secant" if d else "lp" for d in degenerate.tolist()]
+    for i in np.flatnonzero(degenerate):
+        coeffs[i, :2] = _secant(f, float(a_all[i]), float(b_all[i])).coeffs
     lp = np.flatnonzero(~degenerate)
     a, b = a_all[lp], b_all[lp]
 
@@ -503,26 +505,19 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> list:
         _spot_check_convexity(f, a[s:s + CHUNK], b[s:s + CHUNK])
     rows = _solve_chunks(f, a, b, degree, np.zeros(a.size))
     ok = _certified(rows, a, b)
-    retry = np.flatnonzero([cs is not None and not good for cs, good in zip(rows, ok)])
+    retry = np.flatnonzero(~ok & ~np.isnan(rows[:, 0]))
     if retry.size:
         w = 0.5 * (b[retry] - a[retry])
         fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * degree))
         mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
-        again = _solve_chunks(f, a[retry], b[retry], degree, mu)
-        ok[retry] = _certified(again, a[retry], b[retry])
-        for i, cs in zip(retry, again):
-            rows[i] = cs
-
-    good = np.flatnonzero(ok)
-    coeffs = np.array([rows[i] for i in good]).reshape(good.size, degree + 1)
-    for i, sl, sr in zip(good, *_slacks(f, coeffs, a[good], b[good])):
-        lo, hi = float(a[i]), float(b[i])
-        p = Poly(0.5 * (lo + hi), 0.5 * (hi - lo), rows[i])
-        pieces[lp[i]] = ConvexPiece(p, (lo, hi), float(sl), float(sr), source="lp")
+        rows[retry] = _solve_chunks(f, a[retry], b[retry], degree, mu)
+        ok[retry] = _certified(rows[retry], a[retry], b[retry])
     for i in np.flatnonzero(~ok):
-        fallback = convex_parabola(f, (float(a[i]), float(b[i])))
-        pieces[lp[i]] = replace(fallback, source="parabola-fallback")
-    return pieces
+        cs = _parabola(f, float(a[i]), float(b[i])).coeffs
+        rows[i] = np.pad(cs, (0, degree + 1 - len(cs)))
+        sources[lp[i]] = "parabola-fallback"
+    coeffs[lp] = rows
+    return PiecewisePoly(knots, coeffs, 0.5 * (a_all + b_all), 0.5 * (b_all - a_all)), sources
 
 
 def convex_piece(f: ConvexOracle, interval, degree: int) -> ConvexPiece:
@@ -531,12 +526,13 @@ def convex_piece(f: ConvexOracle, interval, degree: int) -> ConvexPiece:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    return _convex_pieces(f, [a, b], degree)[0]
+    return _with_slacks(f, *_convex_pieces(f, [a, b], degree))[0]
 
 
 def convex_pieces(f: ConvexOracle, X: Partition, r: int):
-    """The convex pieces of order r+2 on every interval of the partition."""
-    return _convex_pieces(f, X.knots, r + 1)
+    """The convex pieces of order r+2 on every interval of the partition,
+    secant and parabola-fallback pieces zero-padded to that order."""
+    return _with_slacks(f, *_convex_pieces(f, X.knots, r + 1))
 
 
 def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
@@ -547,8 +543,7 @@ def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
     at every interior knot, which makes the whole thing convex.  The flag is
     set when sigma passes :func:`verify_convexity`.
     """
-    sigma = PiecewisePoly.from_pieces(X.knots, [pc.poly for pc in convex_pieces(f, X, r)],
-                                      r + 2)
+    sigma, _ = _convex_pieces(f, X.knots, r + 1)
     if verify_convexity(sigma).convex:
         sigma = replace(sigma, convex_certified=True)
     return sigma

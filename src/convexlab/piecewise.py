@@ -35,11 +35,14 @@ class PiecewisePoly:
         ks, C, c, w = arrays = [np.array(getattr(self, name), dtype=float) for name in names]
         if ks.ndim != 1 or ks.size < 2:
             raise ValueError("need at least two knots")
-        if not np.all(np.diff(ks) > 0):
-            raise ValueError("knots must be strictly increasing")
+        if not (np.all(np.isfinite(ks)) and np.all(np.diff(ks) > 0)):
+            raise ValueError("knots must be finite and strictly increasing")
         n = ks.size - 1
         if C.ndim != 2 or C.shape[1] == 0 or (C.shape[0], c.shape, w.shape) != (n, (n,), (n,)):
             raise ValueError("need exactly one piece per interval")
+        ok = np.isfinite(C).all(axis=1) & np.isfinite(c) & (0 < w) & (w < np.inf)
+        if not ok.all():
+            raise ValueError(f"piece {np.argmin(ok)} has a non-finite value or a halfwidth <= 0")
         for name, value in zip(names, arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

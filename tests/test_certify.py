@@ -2,6 +2,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convexlab import certify
@@ -65,6 +66,22 @@ def test_bound_report_reproduction_all_zero():
     for b in BOUND_IDS:
         rep = pointwise_bound_report(f, S, 3, 32, b, grid_size=65, density=256)
         assert rep.sup_ratio == 0.0, b
+
+
+@pytest.mark.parametrize("where", [0, 17, -1])
+def test_bound_report_nan_error_makes_sup_ratio_nan(where):
+    f = exp_oracle(1.0)
+    S, _, _ = construct_chebyshev(f, 2, 16)
+    nan_x = certify._open_chebyshev(-1.0, 1.0, 65)[where]
+
+    class NaNAt(PiecewisePoly):
+        def __call__(self, x):
+            return np.where(x == nan_x, np.nan, super().__call__(x))
+
+    broken = NaNAt(S.knots, S.coeffs, S.centers, S.halfwidths)
+    assert math.isfinite(pointwise_bound_report(f, S, 2, 16, "2.3", grid_size=65).sup_ratio)
+    rep = pointwise_bound_report(f, broken, 2, 16, "2.3", grid_size=65)
+    assert math.isnan(rep.sup_ratio)
 
 
 def test_bound_report_finite_ratios_exp():

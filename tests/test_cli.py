@@ -136,6 +136,30 @@ def test_certify_row_longer_than_order_exits_1(tmp_path, capsys):
     assert capsys.readouterr().out == "bad spline file: piece degree exceeds declared order\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(meta=[1]), "bad spline file: meta must be an object"),
+    (lambda doc: doc["pieces"][3]["coeffs"].__setitem__(2, math.nan),
+     "bad spline file: piece 3 has a non-finite value"),
+    (lambda doc: doc["pieces"][3].update(center=math.nan),
+     "bad spline file: piece 3 has a non-finite value"),
+], ids=["meta list", "nan coefficient", "nan center"])
+def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, capsys):
+    spline = tmp_path / "s.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
+                "--n", "16", "--out", str(spline)]) == 0
+    doc = json.loads(spline.read_text())
+    edit(doc)
+    spline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16",
+                "--spline", str(spline), "--out", str(tmp_path / "rep.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith(message) and captured.out.count("\n") == 1
+    assert captured.err == ""
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_certify_mismatched_n_exits_1(tmp_path, capsys):
     spline = tmp_path / "s.json"
     assert run(["approximate", "--function", "exp:alpha=1", "--r", "1",
@@ -193,6 +217,8 @@ def test_sweep_low_density_is_finite_and_deterministic(density, tmp_path):
     (["--n", "16:32:x2", "--density", "0"], "grid must be >= 64"),
     (["--n", "16:32:x2", "--density", "1"], "grid must be >= 64"),
     (["--n", "16:32:x2", "--grid-size", "0"], "grid_size must be >= 1"),
+    (["--n", "0"], "range start must be >= 1"),
+    (["--n", "-5"], "range start must be >= 1"),
 ])
 def test_sweep_degenerate_input_exits_1(flags, message, capsys):
     code = run(["sweep", "--function", "exp:alpha=1", "--r", "1"] + flags)

@@ -301,7 +301,8 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
     lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
     u = np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0])
     knots = amap.shift + amap.scale * u
-    rows = glue._blend(PiecewisePoly.from_pieces(u, unit, 4), lam, slope, icept)
+    interior = PiecewisePoly.from_pieces(u[1:-1], unit[1:-1], 4)
+    rows = glue._blend(unit[0], interior, unit[-1], lam, slope, icept)
     S = glue._denormalize(*rows, knots, amap, f)
 
     a, length = amap.shift, amap.scale
@@ -314,6 +315,26 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
     assert S.coeffs.tolist() == [list(p.coeffs) + [0.0] * (4 - len(p.coeffs)) for p in want]
     assert S.centers.tolist() == [p.center for p in want]
     assert S.halfwidths.tolist() == [p.halfwidth for p in want]
+
+
+def test_construction_builds_no_poly_per_piece(monkeypatch):
+    """The interior pieces are born as coefficient rows: the Poly objects of
+    one construction (end blocks and their checks) do not grow with n."""
+    built = []
+    post_init = Poly.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Poly, "__post_init__", counting)
+    f = exp_oracle(1.0)
+    counts = {}
+    for n in (64, 1024):
+        built.clear()
+        construct_chebyshev(f, 2, n)
+        counts[n] = len(built)
+    assert counts[1024] <= counts[64]
 
 
 def _prepare_reference(f, r):

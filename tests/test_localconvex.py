@@ -14,6 +14,7 @@ from scipy.sparse import block_diag
 
 from convexlab.domain import (
     ConvexOracle,
+    Partition,
     chebyshev_partition,
     cosh_oracle,
     even_power_oracle,
@@ -34,7 +35,7 @@ from convexlab.localconvex import (
     convex_piece,
     convex_pieces,
 )
-from convexlab.polynomial import convexity_certificate
+from convexlab.polynomial import Poly, convexity_certificate
 from convexlab.smoothness import modulus
 
 
@@ -241,6 +242,11 @@ def _failing_certificate(monkeypatch, interval, times):
     return seen
 
 
+def _padded(p, order):
+    """p with its coefficients zero-padded to order, as convex_pieces returns it."""
+    return Poly(p.center, p.halfwidth, p.coeffs + (0.0,) * (order - len(p.coeffs)))
+
+
 def _one_at_a_time(f, X, r):
     return [convex_piece(f, X.interval(j), r + 1) for j in range(1, X.n + 1)]
 
@@ -315,7 +321,7 @@ def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
     _linprog_spy(monkeypatch, f, X, fail=lambda pieces: True)
     for j, pc in enumerate(convex_pieces(f, X, 2), start=1):
         assert pc.source == "parabola-fallback"
-        assert pc.poly == convex_parabola(f, X.interval(j)).poly
+        assert pc.poly == _padded(convex_parabola(f, X.interval(j)).poly, 4)
 
 
 def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
@@ -346,8 +352,29 @@ def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
     pieces = convex_pieces(f, X, 2)
     assert len(seen) == 2
     assert pieces[4].source == "parabola-fallback"
-    assert pieces[4].poly == convex_parabola(f, interval).poly
+    assert pieces[4].poly == _padded(convex_parabola(f, interval).poly, 4)
     assert all(pc.source == "lp" for j, pc in enumerate(pieces) if j != 4)
+
+
+def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
+    """convex_pieces is a view of _convex_pieces' spline, bit for bit, with
+    a parabola fallback (piece 4) and a secant (piece 9, at rounding scale)
+    among the LP rows."""
+    f = exp_oracle(1.0)
+    cheb = chebyshev_partition(CHUNK + 4).knots
+    knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
+    X = Partition(knots)
+    _failing_certificate(monkeypatch, X.interval(5), times=4)  # twice per call
+    spline, sources = localconvex._convex_pieces(f, knots, 3)
+    pieces = convex_pieces(f, X, 2)
+    assert sources[4] == "parabola-fallback" and sources[9] == "secant"
+    assert sources.count("lp") == X.n - 2
+    assert [pc.source for pc in pieces] == sources
+    assert [pc.interval for pc in pieces] == [X.interval(j) for j in range(1, X.n + 1)]
+    assert [pc.poly for pc in pieces] == list(spline.pieces)
+    assert np.array_equal([pc.poly.coeffs for pc in pieces], spline.coeffs)
+    assert [pc.poly.center for pc in pieces] == spline.centers.tolist()
+    assert [pc.poly.halfwidth for pc in pieces] == spline.halfwidths.tolist()
 
 
 def test_lp_calls_are_batched(monkeypatch):
@@ -381,9 +408,9 @@ def test_concurrent_chunks_equal_sequential_linprog(monkeypatch, f, r):
             monkeypatch.setattr(localconvex, "_pool", pool)
             monkeypatch.setattr(localconvex, "_MAX_THREADS", threads)
             for _ in range(5):
-                pieces = localconvex._convex_pieces(f, knots, r + 1)
-                assert all(pc.source == "lp" for pc in pieces)
-                assert np.array_equal([pc.poly.coeffs for pc in pieces], want)
+                spline, sources = localconvex._convex_pieces(f, knots, r + 1)
+                assert set(sources) == {"lp"}
+                assert np.array_equal(spline.coeffs, want)
     finally:
         sys.setswitchinterval(switch)
         many.shutdown()

@@ -126,6 +126,20 @@ def test_mismatched_arrays_raise():
                                           Poly(1.5, 0.5, (1.0, 2.0, 3.0))], 2)
 
 
+@pytest.mark.parametrize("name, value", [("coeffs", np.nan), ("coeffs", np.inf),
+                                         ("centers", np.nan), ("halfwidths", np.inf),
+                                         ("halfwidths", 0.0), ("halfwidths", -0.5)])
+def test_non_finite_piece_raises_naming_it(name, value):
+    arrays = {"knots": [0.0, 1.0, 2.0, 3.0], "coeffs": np.ones((3, 3)),
+              "centers": np.array([0.5, 1.5, 2.5]), "halfwidths": np.full(3, 0.5)}
+    arrays[name][1] = value  # piece 1; in coeffs, all of its row
+    with pytest.raises(ValueError, match="piece 1 has a non-finite value"):
+        PiecewisePoly(**arrays)
+    arrays["knots"] = [0.0, 1.0, 2.0, np.inf]
+    with pytest.raises(ValueError, match="knots must be finite"):
+        PiecewisePoly(**arrays)
+
+
 OLDER_JSON = {
     "knots": [-1.0, -0.25, 0.5, 1.0],
     "order": 4,
