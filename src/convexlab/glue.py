@@ -27,7 +27,8 @@ from convexlab.domain import (
     tangent_line,
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
-from convexlab.localconvex import _convex_pieces, _secant_piece, _spot_check_convexity
+from convexlab.localconvex import (_convex_pieces, _midpoint_spline, _secant,
+                                   _spot_check_convexity)
 from convexlab.piecewise import PiecewisePoly, verify_convexity
 from convexlab.smoothness import ModulusProfile, modulus
 
@@ -82,7 +83,9 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GlueTrace:
-    """Diagnostics of one gluing run, all in normalized [0,1] coordinates."""
+    """Diagnostics of one gluing run, all in normalized [0,1] coordinates,
+    and how many rows between the end blocks came from each source: the LP,
+    the parabola fallback or the secant (every row of an affine input)."""
 
     M: float
     x_star: float
@@ -93,6 +96,9 @@ class GlueTrace:
     delta_hat: float
     case: int
     lambda_: float
+    lp_rows: int
+    parabola_fallback_rows: int
+    secant_rows: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,6 +111,9 @@ class GlueTrace:
             "delta_hat": self.delta_hat,
             "case": self.case,
             "lambda": self.lambda_,
+            "lp_rows": self.lp_rows,
+            "parabola_fallback_rows": self.parabola_fallback_rows,
+            "secant_rows": self.secant_rows,
         }
 
 
@@ -241,14 +250,14 @@ def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
 
 
 def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
-    pieces = [_secant_piece(f, *X.interval(j)).poly for j in range(1, X.n + 1)]
-    return _certify_or_raise(PiecewisePoly.from_pieces(X.knots, pieces, order))
+    rows = _secant(f, X.knots[:-1], X.knots[1:])
+    return _certify_or_raise(_midpoint_spline(X.knots, np.pad(rows, ((0, 0), (0, order - 2)))))
 
 
 def _affine_spline(f: ConvexOracle, X: Partition, r: int, prep) -> tuple:
     trace = GlueTrace(M=prep.M, x_star=prep.x_star, H1=prep.H1, H=prep.H,
                       delta=0.0, delta_tilde=0.0, delta_hat=0.0,
-                      case=1, lambda_=1.0)
+                      case=1, lambda_=1.0, lp_rows=0, parabola_fallback_rows=0, secant_rows=X.n)
     return _secant_spline(f, X, r + 2), trace
 
 
@@ -277,7 +286,7 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
 
     # the end blocks replace sigma's first and last pieces, so only its
     # interior pieces are built; _certify_or_raise certifies them in S
-    interior, _ = _convex_pieces(g, u[1:-1], r + 1)
+    interior, sources = _convex_pieces(g, u[1:-1], r + 1)
 
     sl, il = tangent_line(g, u1)
     sl_t, il_t = tangent_line(g, un1)
@@ -303,7 +312,9 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     S = _certify_or_raise(S)
     trace = GlueTrace(M=M, x_star=prep.x_star, H1=prep.H1, H=H,
                       delta=delta, delta_tilde=delta_tilde, delta_hat=delta_hat,
-                      case=case, lambda_=lam)
+                      case=case, lambda_=lam, lp_rows=sources.count("lp"),
+                      parabola_fallback_rows=sources.count("parabola-fallback"),
+                      secant_rows=sources.count("secant"))
     return S, trace
 
 
@@ -369,4 +380,5 @@ def polygonal_baseline(f: ConvexOracle, n: int) -> PiecewisePoly:
     nondecreasing.  This is the order-2 baseline the higher-order
     construction is measured against.
     """
+    _check_chebyshev_domain(f)
     return _secant_spline(f, chebyshev_partition(n), 2)

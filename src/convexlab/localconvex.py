@@ -24,9 +24,10 @@ The chunk LPs share no data, so linprog solves them concurrently (HiGHS
 releases the GIL while it solves) on one thread pool kept for the life of
 the process: two threads, or one where the process may run on one CPU
 only, with no setting for it.  Each pool thread runs HiGHS single-threaded.
-The calling thread alone calls the oracle, checks certificates and runs
-the fallbacks, and reads the results in chunk order, so the pieces do not
-depend on the number of threads.
+The calling thread alone calls the oracle, builds every LP (a failed
+chunk's one-piece LPs too) and checks certificates, and reads the results
+in the order it submitted them, so the pieces do not depend on the number
+of threads and the calling thread never runs HiGHS during a construction.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from convexlab.domain import ConvexOracle, Partition
 from convexlab.piecewise import PiecewisePoly, verify_convexity
-from convexlab.polynomial import (Poly, convexity_certificates, derivative_rows, horner_rows,
-                                  line_poly)
+from convexlab.polynomial import Poly, convexity_certificates, derivative_rows, horner_rows
 
 __all__ = [
     "NotConvexInput",
@@ -194,6 +193,14 @@ def _slacks(f: ConvexOracle, coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
             df[:, 1] - horner_rows(d1, (b - center) / w))
 
 
+def _midpoint_spline(knots, coeffs) -> PiecewisePoly:
+    """The spline of one coefficient row per interval of the knots, each row
+    framed at its interval's midpoint."""
+    knots = np.asarray(knots, dtype=float)
+    a, b = knots[:-1], knots[1:]
+    return PiecewisePoly(knots, coeffs, 0.5 * (a + b), 0.5 * (b - a))
+
+
 def _with_slacks(f: ConvexOracle, S: PiecewisePoly, sources) -> list:
     """The rows of S as :class:`ConvexPiece` objects with their slacks."""
     a, b = S.knots[:-1], S.knots[1:]
@@ -201,38 +208,35 @@ def _with_slacks(f: ConvexOracle, S: PiecewisePoly, sources) -> list:
     return list(map(ConvexPiece, S.pieces, zip(a.tolist(), b.tolist()), left, right, sources))
 
 
-def _one_piece(p: Poly, f: ConvexOracle, a: float, b: float, source: str) -> ConvexPiece:
-    (sl,), (sr,) = _slacks(f, np.array([p.coeffs]), np.array([a]), np.array([b]))
-    return ConvexPiece(p, (a, b), float(sl), float(sr), source=source)
-
-
-def _secant(f: ConvexOracle, a: float, b: float) -> Poly:
-    fa, fb = float(f(a)), float(f(b))
+def _secant(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient rows (c0, c1) of f's secant on each interval [a[i], b[i]],
+    in its midpoint frame."""
+    fa, fb = _values(f, 0, a), _values(f, 0, b)
     slope = (fb - fa) / (b - a)
-    return line_poly(slope, fa - slope * a, 0.5 * (a + b), 0.5 * (b - a))
+    return np.stack([fa - slope * a + slope * (0.5 * (a + b)), slope * (0.5 * (b - a))], axis=1)
 
 
 def _secant_piece(f: ConvexOracle, a: float, b: float) -> ConvexPiece:
-    return _one_piece(_secant(f, a, b), f, a, b, "secant")
+    knots = np.array([a, b], dtype=float)
+    return _with_slacks(f, _midpoint_spline(knots, _secant(f, knots[:1], knots[1:])),
+                        ["secant"])[0]
 
 
-def _parabola(f: ConvexOracle, a: float, b: float) -> Poly:
-    """The parabola of :func:`convex_parabola`, built in v = (x - a)/(b - a)
-    and composed exactly with v = (u + 1)/2 into the midpoint frame."""
+def _parabola(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient rows (c0, c1, c2) of the parabola of :func:`convex_parabola`
+    on each interval [a[i], b[i]], built in v = (x - a)/(b - a) and composed
+    exactly with v = (u + 1)/2 into the midpoint frame, in Horner steps that
+    halve exactly."""
     length = b - a
-    fa, fb = float(f(a)), float(f(b))
-    g0 = length * float(f.deriv(1, a)) - (fb - fa)
-    g1 = length * float(f.deriv(1, b)) - (fb - fa)
-    if g0 + g1 >= 0.0:
-        quad = [0.0, g0, -g0]
-    else:
-        quad = [0.0, -g1, g1]
-    cs = [quad[0] + fa, quad[1] + (fb - fa), quad[2]]
-    acc = np.array([float(cs[-1])])
-    for c in cs[-2::-1]:
-        acc = np.polynomial.polynomial.polymul(acc, [0.5, 0.5])
-        acc[0] += float(c)
-    return Poly(0.5 * (a + b), 0.5 * (b - a), tuple(acc))
+    fa, fb = _values(f, 0, a), _values(f, 0, b)
+    g0 = length * _values(f, 1, a) - (fb - fa)
+    g1 = length * _values(f, 1, b) - (fb - fa)
+    first = g0 + g1 >= 0.0
+    c1 = np.where(first, g0, -g1) + (fb - fa)
+    c2 = np.where(first, -g0, g1)
+    # c2 v^2 + c1 v + c0 with v = (u + 1)/2
+    p0, p1 = 0.5 * c2 + c1, 0.5 * c2
+    return np.stack([0.5 * p0 + (0.0 + fa), 0.5 * p0 + 0.5 * p1, 0.5 * p1], axis=1)
 
 
 def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
@@ -247,7 +251,9 @@ def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     _spot_check_convexity(f, a, b)
-    return _one_piece(_parabola(f, a, b), f, a, b, "parabola")
+    knots = np.array([a, b])
+    return _with_slacks(f, _midpoint_spline(knots, _parabola(f, knots[:1], knots[1:])),
+                        ["parabola"])[0]
 
 
 def _chebyshev_points(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -387,18 +393,6 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                       bounds=bounds)
 
 
-def _solve_alone(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                 mu: np.ndarray) -> np.ndarray:
-    """Coefficients of each piece [a[i], b[i]] from its own LP, one row per
-    piece, NaN where that LP fails."""
-    rows = np.full((a.size, degree + 1), np.nan)
-    for i in range(a.size):
-        cost, blocks = _lp_blocks(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])
-        with suppress(SolverStall):
-            rows[i] = linprog(cost, **blocks)[:degree + 1]
-    return rows
-
-
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -431,35 +425,28 @@ def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
     :func:`_lp_blocks`, CHUNK pieces per LP, one row per piece ascending in
     its midpoint frame, NaN where its LP failed (linprog refuses a NaN x).
 
-    The calling thread builds every chunk's LP, so the oracle is only ever
-    called from it, and submits it to :func:`linprog` on the pool: HiGHS
-    releases the GIL while it solves, so chunks are solved while later ones
-    are built.  At most 2 * _MAX_THREADS chunks are in flight, and results
-    are read in chunk order.  A chunk whose LP fails is solved again one
-    piece at a time on the calling thread, so one block that HiGHS refuses
-    cannot change its neighbours.
+    The calling thread builds every LP, so the oracle is only ever called
+    from it, and submits it to :func:`linprog` on the pool: HiGHS releases
+    the GIL while it solves, so LPs are solved while later ones are built.
+    At most 2 * _MAX_THREADS LPs are in flight, and results are read in the
+    order they were submitted.  A chunk whose LP fails goes back to the front
+    of the queue as one LP per piece, so one block that HiGHS refuses cannot
+    change its neighbours.
     """
     rows = np.full((a.size, degree + 1), np.nan)
-    pending = deque()  # (chunk, future of its LP's x), oldest first
-
-    def collect() -> None:
+    todo = deque(slice(s, min(s + CHUNK, a.size)) for s in range(0, a.size, CHUNK))
+    pending = deque()  # (pieces, future of their LP's x), oldest first
+    while todo or pending:
+        while todo and len(pending) < 2 * _MAX_THREADS:
+            part = todo.popleft()
+            cost, blocks = _lp_blocks(f, a[part], b[part], degree, mu[part])
+            pending.append((part, _pool.submit(linprog, cost, **blocks)))
         part, future = pending.popleft()
         try:
-            x = future.result()
+            rows[part] = future.result().reshape(-1, degree + 2)[:, :degree + 1]
         except SolverStall:
-            if part.stop - part.start > 1:  # a one-piece chunk has nothing left to split
-                rows[part] = _solve_alone(f, a[part], b[part], degree, mu[part])
-        else:
-            rows[part] = x.reshape(-1, degree + 2)[:, :degree + 1]
-
-    for s in range(0, a.size, CHUNK):
-        part = slice(s, min(s + CHUNK, a.size))
-        cost, blocks = _lp_blocks(f, a[part], b[part], degree, mu[part])
-        pending.append((part, _pool.submit(linprog, cost, **blocks)))
-        if len(pending) == 2 * _MAX_THREADS:
-            collect()
-    while pending:
-        collect()
+            if part.stop - part.start > 1:  # a one-piece LP has nothing left to split
+                todo.extendleft(slice(i, i + 1) for i in reversed(range(part.start, part.stop)))
     return rows
 
 
@@ -496,8 +483,8 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     degenerate = b_all - a_all <= DEGENERATE_REL_LENGTH * scale
     coeffs = np.zeros((a_all.size, degree + 1))
     sources = ["secant" if d else "lp" for d in degenerate.tolist()]
-    for i in np.flatnonzero(degenerate):
-        coeffs[i, :2] = _secant(f, float(a_all[i]), float(b_all[i])).coeffs
+    if degenerate.any():
+        coeffs[degenerate, :2] = _secant(f, a_all[degenerate], b_all[degenerate])
     lp = np.flatnonzero(~degenerate)
     a, b = a_all[lp], b_all[lp]
 
@@ -512,12 +499,13 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
         mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
         rows[retry] = _solve_chunks(f, a[retry], b[retry], degree, mu)
         ok[retry] = _certified(rows[retry], a[retry], b[retry])
-    for i in np.flatnonzero(~ok):
-        cs = _parabola(f, float(a[i]), float(b[i])).coeffs
-        rows[i] = np.pad(cs, (0, degree + 1 - len(cs)))
-        sources[lp[i]] = "parabola-fallback"
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        rows[fallback] = np.pad(_parabola(f, a[fallback], b[fallback]), ((0, 0), (0, degree - 2)))
+        for i in fallback.tolist():
+            sources[lp[i]] = "parabola-fallback"
     coeffs[lp] = rows
-    return PiecewisePoly(knots, coeffs, 0.5 * (a_all + b_all), 0.5 * (b_all - a_all)), sources
+    return _midpoint_spline(knots, coeffs), sources
 
 
 def convex_piece(f: ConvexOracle, interval, degree: int) -> ConvexPiece:

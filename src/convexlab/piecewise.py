@@ -40,9 +40,16 @@ class PiecewisePoly:
         n = ks.size - 1
         if C.ndim != 2 or C.shape[1] == 0 or (C.shape[0], c.shape, w.shape) != (n, (n,), (n,)):
             raise ValueError("need exactly one piece per interval")
-        ok = np.isfinite(C).all(axis=1) & np.isfinite(c) & (0 < w) & (w < np.inf)
+        # a row is refused when the sum of |coefficients| of p, p' or p'', the
+        # bound on each on its interval, is not finite: finite coefficients can
+        # still overflow every evaluation and check
+        ok = np.isfinite(c) & (0 < w) & (w < np.inf)
+        with np.errstate(all="ignore"):
+            for nu in range(3):
+                ok &= np.isfinite(np.abs(derivative_rows(C, w, nu)).sum(axis=1))
         if not ok.all():
-            raise ValueError(f"piece {np.argmin(ok)} has a non-finite value or a halfwidth <= 0")
+            raise ValueError(f"piece {np.argmin(ok)} has a non-finite value or a halfwidth <= 0 "
+                             "(the sums of |coefficients| of p, p' and p'' must be finite)")
         for name, value in zip(names, arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -136,9 +143,10 @@ class PiecewisePoly:
 
     def to_json_dict(self) -> dict:
         return {
-            "knots": [float(v) for v in self.knots],
-            "order": int(self.order),
-            "pieces": [p.to_json_dict() for p in self.pieces],
+            "knots": self.knots.tolist(),
+            "order": self.order,
+            "pieces": [{"center": c, "halfwidth": w, "coeffs": cs} for c, w, cs in
+                       zip(self.centers.tolist(), self.halfwidths.tolist(), self.coeffs.tolist())],
             "convex_certified": bool(self.convex_certified),
         }
 

@@ -31,7 +31,6 @@ __all__ = [
     "convexity_certificates",
     "derivative_rows",
     "horner_rows",
-    "line_poly",
 ]
 
 
@@ -116,11 +115,6 @@ class Poly:
     @staticmethod
     def from_json_dict(d: dict) -> "Poly":
         return Poly(d["center"], d["halfwidth"], tuple(d["coeffs"]))
-
-
-def line_poly(slope: float, intercept: float, center: float, halfwidth: float) -> Poly:
-    """The line slope*x + intercept expressed in the given local frame."""
-    return Poly(center, halfwidth, (intercept + slope * center, slope * halfwidth))
 
 
 @dataclass(frozen=True)

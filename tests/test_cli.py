@@ -142,7 +142,9 @@ def test_certify_row_longer_than_order_exits_1(tmp_path, capsys):
      "bad spline file: piece 3 has a non-finite value"),
     (lambda doc: doc["pieces"][3].update(center=math.nan),
      "bad spline file: piece 3 has a non-finite value"),
-], ids=["meta list", "nan coefficient", "nan center"])
+    (lambda doc: doc["pieces"][3]["coeffs"].__setitem__(slice(2, 4), [1e308, 1e308]),
+     "bad spline file: piece 3 has a non-finite value"),
+], ids=["meta list", "nan coefficient", "nan center", "huge coefficients"])
 def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, capsys):
     spline = tmp_path / "s.json"
     assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",

@@ -26,8 +26,8 @@ from convexlab.glue import (
     construct_spline,
     polygonal_baseline,
 )
-from convexlab import glue, smoothness
-from convexlab.localconvex import build_sigma
+from convexlab import glue, localconvex, smoothness
+from convexlab.localconvex import SolverStall, build_sigma
 from convexlab.piecewise import PiecewisePoly
 from convexlab.polynomial import Poly
 from convexlab.smoothness import modulus
@@ -221,7 +221,23 @@ def test_trace_json_fields():
     _, trace, _ = construct_chebyshev(f, 1, 32)
     d = trace.to_json_dict()
     assert set(d) == {"M", "x_star", "H1", "H", "delta", "delta_tilde",
-                      "delta_hat", "case", "lambda"}
+                      "delta_hat", "case", "lambda", "lp_rows",
+                      "parabola_fallback_rows", "secant_rows"}
+    assert (d["lp_rows"], d["parabola_fallback_rows"], d["secant_rows"]) == (30, 0, 0)
+
+
+def test_trace_counts_rows_by_source(monkeypatch):
+    """The trace counts the rows between the end blocks by source; every
+    row of an affine input is a secant."""
+    _, trace, _ = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 16)
+    assert (trace.lp_rows, trace.parabola_fallback_rows, trace.secant_rows) == (0, 0, 16)
+
+    def stall(c, **kwargs):
+        raise SolverStall("injected failure")
+
+    monkeypatch.setattr(localconvex, "linprog", stall)
+    _, trace, _ = construct_chebyshev(exp_oracle(1.0), 1, 32)
+    assert (trace.lp_rows, trace.parabola_fallback_rows, trace.secant_rows) == (0, 30, 0)
 
 
 def test_polygonal_baseline_properties():
@@ -241,6 +257,12 @@ def test_polygonal_baseline_affine():
     f = poly_oracle([1.0, 2.0])
     P = polygonal_baseline(f, 8)
     assert max_err(f, P) <= 1e-13
+
+
+def test_polygonal_baseline_refuses_an_oracle_off_the_chebyshev_domain():
+    # the Chebyshev knots would evaluate f at x = -1, outside [0, 1]
+    with pytest.raises(ValueError, match="oracle on \\[-1, 1\\]"):
+        polygonal_baseline(f0_oracle(2, domain=(0.0, 1.0)), 8)
 
 
 def test_certify_or_raise_rejects_nonconvex_assembly():
@@ -318,23 +340,41 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
 
 
 def test_construction_builds_no_poly_per_piece(monkeypatch):
-    """The interior pieces are born as coefficient rows: the Poly objects of
-    one construction (end blocks and their checks) do not grow with n."""
-    built = []
+    """The pieces are born as coefficient rows: the Poly objects of one
+    construction (end blocks and their checks) do not grow with n, and the
+    polygonal baseline and an affine input, all secant rows, build none.  No
+    construction builds a ConvexPiece or computes slacks."""
+    built = {"Poly": 0, "ConvexPiece": 0, "_slacks": 0}
     post_init = Poly.__post_init__
 
     def counting(self):
-        built.append(self)
+        built["Poly"] += 1
         post_init(self)
 
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(Poly, "__post_init__", counting)
+    for name in ("ConvexPiece", "_slacks"):
+        monkeypatch.setattr(localconvex, name, counted(name, getattr(localconvex, name)))
     f = exp_oracle(1.0)
     counts = {}
     for n in (64, 1024):
-        built.clear()
+        built.update(dict.fromkeys(built, 0))
         construct_chebyshev(f, 2, n)
-        counts[n] = len(built)
+        counts[n] = built["Poly"]
+        assert built["ConvexPiece"] == built["_slacks"] == 0
     assert counts[1024] <= counts[64]
+    for build in (lambda: polygonal_baseline(exp_oracle(1.0), 4096),
+                  lambda: construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 4096)):
+        built.update(dict.fromkeys(built, 0))
+        build()
+        assert built == {"Poly": 0, "ConvexPiece": 0, "_slacks": 0}
+    localconvex._secant_piece(f, -1.0, 1.0)  # the counters do count
+    assert built == {"Poly": 1, "ConvexPiece": 1, "_slacks": 1}
 
 
 def _prepare_reference(f, r):

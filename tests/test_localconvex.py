@@ -204,10 +204,11 @@ def test_sigma_error_contract_stable_in_n():
 
 def _linprog_spy(monkeypatch, f, X, fail=lambda pieces: False):
     """Record each of localconvex's linprog calls on the partition X as
-    (pieces, b_ub): pieces are the 0-based indices of its intervals, read off
-    the end values f(a) in b_eq, so f must be one-to-one on them.  A call for which fail(pieces) holds raises
-    SolverStall instead.  The chunk LPs run on worker threads, so records
-    are in the order the calls began, not in chunk order."""
+    (pieces, b_ub, thread): pieces are the 0-based indices of its intervals,
+    read off the end values f(a) in b_eq, so f must be one-to-one on them.
+    A call for which fail(pieces) holds raises SolverStall instead.  The LPs
+    run on worker threads, so records are in the order the calls began, not
+    in chunk order."""
     real = localconvex.linprog
     left = f(X.knots[:-1])
     calls = []
@@ -215,7 +216,7 @@ def _linprog_spy(monkeypatch, f, X, fail=lambda pieces: False):
     def spy(c, **kwargs):
         fa = kwargs["b_eq"][0::2]
         pieces = tuple(np.abs(fa[:, None] - left).argmin(axis=1).tolist())
-        calls.append((pieces, kwargs["b_ub"]))
+        calls.append((pieces, kwargs["b_ub"], threading.current_thread()))
         if fail(pieces):
             raise SolverStall("injected failure")
         return real(c, **kwargs)
@@ -304,12 +305,16 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     want = _one_at_a_time(f, X, 2)
     calls = _linprog_spy(monkeypatch, f, X, fail=lambda pieces: len(pieces) > 1)
     got = convex_pieces(f, X, 2)
-    order = [pieces for pieces, _ in calls]
+    order = [pieces for pieces, _, _ in calls]
     chunks = [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
     # each chunk's LP once, then every piece of it alone, after that LP
     assert sorted(order) == sorted(chunks + [(i,) for i in range(CHUNK + 4)])
     for chunk in chunks:
         assert all(order.index((i,)) > order.index(chunk) for i in chunk)
+    # the one-piece LPs too are solved on the pool, not on the calling thread
+    threads = {thread for _, _, thread in calls}
+    assert threading.current_thread() not in threads
+    assert all(thread.name.startswith("convexlab-highs") for thread in threads)
     for g, w in zip(got, want):
         assert g.source == "lp"
         assert g.poly == w.poly
@@ -334,11 +339,11 @@ def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
     assert len(seen) == 1
     # the first pass solves both chunks; the re-solve, which starts only once
     # the first pass is done, batches just the failed piece
-    *first, (again, rhs) = calls
-    assert sorted(p for p, _ in first) == [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
+    *first, (again, rhs, _) = calls
+    assert sorted(p for p, _, _ in first) == [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
     assert again == (4,)
     curvature = slice(2, 2 + 4 * 3)  # rows p'' >= mu at 4*degree points
-    assert all(np.all(b_ub.reshape(len(p), -1)[:, curvature] == 0.0) for p, b_ub in first)
+    assert all(np.all(b_ub.reshape(len(p), -1)[:, curvature] == 0.0) for p, b_ub, _ in first)
     assert np.all(rhs[curvature] < 0.0)
     assert all(pc.source == "lp" for pc in pieces)
     assert convexity_certificate(pieces[4].poly, interval).convex

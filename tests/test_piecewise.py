@@ -140,6 +140,39 @@ def test_non_finite_piece_raises_naming_it(name, value):
         PiecewisePoly(**arrays)
 
 
+@pytest.mark.parametrize("row, halfwidth", [((0.0, 0.0, 1e308, 1e308), 0.5),  # sum of |c|
+                                            ((0.0, 1e308, 0.0, 0.0), 0.25),   # p' = c1/w
+                                            ((0.0, 0.0, 1e300, 0.0), 1e-10)])  # p'' = 2 c2/w^2
+def test_row_whose_coefficient_sums_overflow_raises_naming_it(row, halfwidth):
+    """Finite coefficients whose sum, or whose p' or p'' row sum, is not
+    finite would overflow every evaluation; the row is refused, naming it."""
+    coeffs = np.ones((3, 4))
+    coeffs[1] = row
+    arrays = {"knots": [0.0, 1.0, 2.0, 3.0], "coeffs": coeffs,
+              "centers": np.array([0.5, 1.5, 2.5]), "halfwidths": np.array([0.5, halfwidth, 0.5])}
+    with pytest.raises(ValueError, match="piece 1 has a non-finite value"):
+        PiecewisePoly(**arrays)
+    coeffs[1] = np.array(row) * 1e-30  # the same rows, scaled down, are accepted
+    PiecewisePoly(**arrays)
+
+
+def test_to_json_dict_builds_no_poly(monkeypatch, spline):
+    """JSON rows are written from the arrays, as Poly.to_json_dict wrote
+    them, without a Poly per row."""
+    want = [p.to_json_dict() for p in spline.pieces]
+    built = []
+    post_init = Poly.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Poly, "__post_init__", counting)
+    doc = spline.to_json_dict()
+    assert built == []
+    assert doc["pieces"] == want and doc["knots"] == spline.knots.tolist()
+
+
 OLDER_JSON = {
     "knots": [-1.0, -0.25, 0.5, 1.0],
     "order": 4,

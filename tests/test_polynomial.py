@@ -9,7 +9,6 @@ from convexlab.polynomial import (
     Poly,
     convexity_certificate,
     hermite_interpolant,
-    line_poly,
 )
 
 
@@ -64,7 +63,7 @@ def test_derivative_of_constant_is_zero():
 
 def test_antiderivative_basic():
     # p = 2x, anchored at (0, 0) -> x^2
-    p = line_poly(2.0, 0.0, 0.0, 1.0)
+    p = Poly(0.0, 1.0, (0.0, 2.0))
     q = p.antiderivative(0.0, 0.0)
     for x in np.linspace(-2, 2, 9):
         assert q(float(x)) == pytest.approx(x * x, abs=1e-14)
@@ -155,7 +154,7 @@ def test_convexity_certificate_cubic():
 
 
 def test_convexity_certificate_affine():
-    p = line_poly(3.0, -2.0, 0.5, 0.5)
+    p = Poly(0.5, 0.5, (-0.5, 1.5))  # 3x - 2
     cert = convexity_certificate(p, (0.0, 1.0))
     assert cert.convex
     assert cert.min_second_derivative == 0.0
