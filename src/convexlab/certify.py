@@ -64,16 +64,16 @@ class MismatchedInputs(ValueError):
 @dataclass(frozen=True)
 class BoundReport:
     bound_id: str
-    grid: list            # rows (x, |f-S|(x), bound(x), ratio)
+    grid: np.ndarray             # (m, 4) rows (x, |f-S|(x), bound(x), ratio)
     sup_ratio: float
-    excluded_points: list  # rows (x, |f-S|(x)), satisfied-degenerate
+    excluded_points: np.ndarray  # (e, 2) rows (x, |f-S|(x)), satisfied-degenerate
 
     def to_json_dict(self) -> dict:
         return {
             "bound_id": self.bound_id,
-            "grid": [list(row) for row in self.grid],
+            "grid": self.grid.tolist(),
             "sup_ratio": self.sup_ratio,
-            "excluded_points": [list(row) for row in self.excluded_points],
+            "excluded_points": self.excluded_points.tolist(),
         }
 
 
@@ -101,19 +101,17 @@ _PROFILE_BOUNDS = {
 
 
 def _assemble_report(bound_id, xs, errs, bounds, scale) -> BoundReport:
-    atol = ATOL_REL * scale
-    noise = NOISE_REL * scale
-    rows, excluded = [], []
-    sup_ratio = 0.0
-    for x, err, bnd in zip(xs, errs, bounds):
-        x, err, bnd = float(x), float(err), float(bnd)
-        if err <= noise or (bnd <= DENOM_FLOOR and err <= atol):
-            excluded.append((x, err))
-            continue
-        ratio = err / max(bnd, DENOM_FLOOR)
-        rows.append((x, err, bnd, ratio))
-        sup_ratio = ratio if math.isnan(ratio) else max(sup_ratio, ratio)
-    return BoundReport(bound_id, rows, sup_ratio, excluded)
+    """Exclude the points whose error is float noise, or whose bound is below
+    DENOM_FLOOR and error below ATOL_REL; ratio the rest.  A NaN error or
+    bound is kept, and its NaN ratio is the sup."""
+    excluded = (errs <= NOISE_REL * scale) | ((bounds <= DENOM_FLOOR)
+                                              & (errs <= ATOL_REL * scale))
+    kept = ~excluded
+    with np.errstate(all="ignore"):  # inf / inf is nan and overflow inf, as in floats
+        ratios = errs[kept] / np.maximum(bounds[kept], DENOM_FLOOR)
+    return BoundReport(bound_id, np.column_stack([xs[kept], errs[kept], bounds[kept], ratios]),
+                       float(np.max(ratios, initial=0.0)),
+                       np.column_stack([xs[excluded], errs[excluded]]))
 
 
 def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
@@ -130,6 +128,7 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
         raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    _check_chebyshev_domain(f)
     expected = chebyshev_partition(n)
     if S.knots.size != expected.knots.size or \
             not np.allclose(S.knots, expected.knots, atol=1e-12, rtol=0):

@@ -215,6 +215,9 @@ def cmd_counterexample(args) -> int:
 def cmd_modulus(args) -> int:
     f = parse_function(args.function)
     interval = _parse_interval(args.interval)
+    if interval[0] < f.a or f.b < interval[1]:
+        raise ValueError(f"interval {args.interval!r} is not inside the domain "
+                         f"[{f.a:g}, {f.b:g}] of {f.label()}")
     res = modulus(f, args.k, args.t, interval, grid=args.grid, focus=f.nonsmooth)
     print(f"modulus = {res.value!r} at u = {res.arg_u!r}, x = {res.arg_x!r} "
           f"(grid {res.grid_density})")

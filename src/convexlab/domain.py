@@ -52,8 +52,8 @@ class Partition:
         ks = np.asarray(self.knots, dtype=float)
         if ks.ndim != 1 or ks.size < 3:
             raise InvalidN("need at least 3 knots (n >= 2)")
-        if not np.all(np.diff(ks) > 0):
-            raise ValueError("knots must be strictly increasing")
+        if not (np.all(np.isfinite(ks)) and np.all(np.diff(ks) > 0)):
+            raise ValueError("knots must be finite and strictly increasing")
         ks.setflags(write=False)
         object.__setattr__(self, "knots", ks)
 

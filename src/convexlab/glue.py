@@ -15,7 +15,7 @@ The Chebyshev specialization derives the minimal admissible n from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -101,20 +101,8 @@ class GlueTrace:
     secant_rows: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "x_star": self.x_star,
-            "H1": self.H1,
-            "H": self.H,
-            "delta": self.delta,
-            "delta_tilde": self.delta_tilde,
-            "delta_hat": self.delta_hat,
-            "case": self.case,
-            "lambda": self.lambda_,
-            "lp_rows": self.lp_rows,
-            "parabola_fallback_rows": self.parabola_fallback_rows,
-            "secant_rows": self.secant_rows,
-        }
+        """The fields in order, ``lambda_`` written as ``lambda``."""
+        return {fld.name.rstrip("_"): getattr(self, fld.name) for fld in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -338,6 +326,7 @@ def chebyshev_threshold(f: ConvexOracle, r: int) -> tuple:
     <= 5/N^2 <= H for every n >= N.  N is an upper bound for the minimal
     admissible n, not claimed tight.
     """
+    _check_chebyshev_domain(f)
     return _threshold(_prepare(f, r))
 
 

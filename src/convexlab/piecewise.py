@@ -1,15 +1,15 @@
 """Continuous piecewise polynomials over a knot vector, held as one zero-padded
 coefficient matrix with the frames of its rows, so evaluation and checks are
-array passes over all pieces at once; :class:`Poly` pieces are its I/O view."""
+array passes over all pieces at once, and JSON is read and written straight
+from the arrays; :class:`Poly` pieces are a view of its rows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from convexlab.polynomial import (ConvexityCertificate, Poly, convexity_certificates,
-                                  derivative_rows, horner_rows)
+from convexlab.polynomial import Poly, convexity_certificates, derivative_rows, horner_rows
 
 __all__ = ["PiecewisePoly", "ConvexityReport", "verify_convexity"]
 
@@ -53,16 +53,6 @@ class PiecewisePoly:
         for name, value in zip(names, arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @staticmethod
-    def from_pieces(knots, pieces, order: int) -> "PiecewisePoly":
-        """The spline of one :class:`Poly` per interval, their coefficients
-        zero-padded to ``order`` columns."""
-        if any(len(p.coeffs) > order for p in pieces):
-            raise ValueError("piece degree exceeds declared order")
-        coeffs = np.array([p.coeffs + (0.0,) * (order - len(p.coeffs)) for p in pieces])
-        return PiecewisePoly(knots, coeffs, [p.center for p in pieces],
-                             [p.halfwidth for p in pieces])
 
     @property
     def order(self) -> int:
@@ -132,11 +122,11 @@ class PiecewisePoly:
         """(left slope, right slope) at each interior knot, shape (n - 1, 2)."""
         return self._knot_values(1)
 
-    def piece_certificates(self) -> list:
-        convex, minimum, witness = convexity_certificates(
+    def piece_certificates(self) -> tuple:
+        """The arrays (convex, minimum, witness) of every row's certificate
+        over its own interval."""
+        return convexity_certificates(
             self.coeffs, self.centers, self.halfwidths, self.knots[:-1], self.knots[1:])
-        return [ConvexityCertificate(bool(c), float(m), float(w))
-                for c, m, w in zip(convex, minimum, witness)]
 
     def slope_scale(self) -> float:
         return 1.0 + float(np.max(np.abs(self.knot_slopes()), initial=0.0))
@@ -152,15 +142,25 @@ class PiecewisePoly:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":
-        S = PiecewisePoly.from_pieces(d["knots"], [Poly.from_json_dict(q) for q in d["pieces"]],
-                                      int(d["order"]))
-        return replace(S, convex_certified=bool(d.get("convex_certified", False)))
+        """The spline of a JSON dict, each row zero-padded to ``order``
+        columns, as older files hold rows shorter than the order."""
+        pieces, order = d["pieces"], int(d["order"])
+        lengths = np.array([len(q["coeffs"]) for q in pieces], dtype=int).reshape(-1, 1)
+        if np.any(lengths == 0):
+            raise ValueError("coeffs must be non-empty")
+        if np.any(lengths > order):
+            raise ValueError("piece degree exceeds declared order")
+        coeffs = np.zeros((len(pieces), order))
+        coeffs[np.arange(order) < lengths] = [c for q in pieces for c in q["coeffs"]]
+        return PiecewisePoly(d["knots"], coeffs, [q["center"] for q in pieces],
+                             [q["halfwidth"] for q in pieces],
+                             convex_certified=bool(d.get("convex_certified", False)))
 
 
 @dataclass(frozen=True)
 class ConvexityReport:
     convex: bool
-    piece_certificates: list
+    min_second_derivative: np.ndarray  # each piece's certified minimum of p''
     slopes_ok: bool
     offending_pieces: list
     continuous: bool
@@ -171,8 +171,7 @@ class ConvexityReport:
             "continuous": self.continuous,
             "slopes_ok": self.slopes_ok,
             "offending_pieces": list(self.offending_pieces),
-            "piece_min_second_derivative": [
-                c.min_second_derivative for c in self.piece_certificates],
+            "piece_min_second_derivative": self.min_second_derivative.tolist(),
         }
 
 
@@ -184,11 +183,11 @@ def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
     slope_tol = 1e-9 * (1.0 + float(np.max(np.abs(flat), initial=0.0)))
     slopes_ok = bool(np.all(flat[1:] >= flat[:-1] - slope_tol))
     continuous = S.is_continuous(rel_tol=1e-9)
-    certs = S.piece_certificates()
-    offending = [i for i, c in enumerate(certs) if not c.convex]
+    convex, minimum, _ = S.piece_certificates()
+    offending = np.flatnonzero(~convex).tolist()
     return ConvexityReport(
         convex=continuous and not offending and slopes_ok,
-        piece_certificates=certs,
+        min_second_derivative=minimum,
         slopes_ok=slopes_ok,
         offending_pieces=offending,
         continuous=continuous,

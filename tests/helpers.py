@@ -1,9 +1,9 @@
-"""Shared measurement helpers for block-error ratio tests.
+"""Shared test helpers.
 
-These implement the error-to-weight ratios used both by the unit tests and
-the acceptance suite: block error against (distance)^r times the one-sided
-composite modulus, with errors at rounding scale excluded as
-satisfied-degenerate.
+The block-error ratios are used both by the unit tests and the acceptance
+suite: block error against (distance)^r times the one-sided composite
+modulus, with errors at rounding scale excluded as satisfied-degenerate.
+``spline_of`` builds a spline from one Poly per interval.
 """
 
 import math
@@ -12,9 +12,17 @@ import numpy as np
 
 from convexlab.domain import reflect
 from convexlab.endblocks import integrated_L, lagrange_hermite_L
+from convexlab.piecewise import PiecewisePoly
 from convexlab.smoothness import ModulusProfile
 
 ROUNDING_REL = 1e-13
+
+
+def spline_of(knots, polys, order):
+    """The PiecewisePoly of one Poly per interval, each row zero-padded to
+    ``order`` columns, loaded as a spline JSON is."""
+    return PiecewisePoly.from_json_dict({"knots": knots, "order": order,
+                                         "pieces": [p.to_json_dict() for p in polys]})
 
 
 def _open_chebyshev_grid(lo, hi, m):

@@ -16,10 +16,11 @@ from convexlab.certify import (
     threshold_growth,
     verify_convexity,
 )
-from convexlab.domain import even_power_oracle, exp_oracle, parse_function
+from convexlab.domain import even_power_oracle, exp_oracle, f0_oracle, parse_function
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.piecewise import PiecewisePoly
 from convexlab.polynomial import Poly
+from helpers import spline_of
 
 
 def test_verify_convexity_accepts_baseline():
@@ -33,7 +34,7 @@ def test_verify_convexity_flags_bad_piece():
     bad = list(S.pieces)
     lo, hi = float(S.knots[3]), float(S.knots[4])
     bad[3] = Poly(0.5 * (lo + hi), 0.5 * (hi - lo), (0.0, 0.0, -1.0))
-    broken = PiecewisePoly.from_pieces(S.knots, bad, 3)
+    broken = spline_of(S.knots, bad, 3)
     rep = verify_convexity(broken)
     assert not rep.convex
     assert 3 in rep.offending_pieces
@@ -44,16 +45,15 @@ def test_verify_convexity_affine_spline():
     S = polygonal_baseline(poly_oracle([1.0, 2.0]), 8)
     rep = verify_convexity(S)
     assert rep.convex
-    assert all(c.min_second_derivative == pytest.approx(0.0, abs=1e-12)
-               for c in rep.piece_certificates)
+    assert all(m == pytest.approx(0.0, abs=1e-12) for m in rep.min_second_derivative)
 
 
 def test_verify_convexity_flags_jump():
     # both pieces are convex and the one-sided slopes agree (2.0) at x = 1,
     # but the spline jumps from 1 to 6 there
-    S = PiecewisePoly.from_pieces([0.0, 1.0, 2.0],
-                                  [Poly(0.5, 0.5, (0.25, 0.5, 0.25)),
-                                   Poly(1.5, 0.5, (7.25, 1.5, 0.25))], 3)
+    S = spline_of([0.0, 1.0, 2.0],
+                  [Poly(0.5, 0.5, (0.25, 0.5, 0.25)),
+                   Poly(1.5, 0.5, (7.25, 1.5, 0.25))], 3)
     rep = verify_convexity(S)
     assert not rep.convex
     assert not rep.continuous
@@ -99,6 +99,44 @@ def test_bound_report_sup_is_max_of_rows():
     S, _, _ = construct_chebyshev(f, 1, 32)
     rep = pointwise_bound_report(f, S, 1, 32, "2.3", grid_size=65, density=512)
     assert rep.sup_ratio == pytest.approx(max(row[3] for row in rep.grid))
+
+
+def test_bound_report_rows_follow_the_exclusion_rules():
+    """Every report of exp:alpha=1, r=2 at n=1024: each kept row's ratio is
+    err / max(bound, DENOM_FLOOR) and its point is not excluded, each
+    excluded point is float noise or (under a zero bound) below ATOL_REL, the
+    sup is the largest kept ratio, and 0.0 where every point is excluded, as
+    for bound 2.3 here; the JSON holds plain lists of floats."""
+    f = exp_oracle(1.0)
+    S, _, _ = construct_chebyshev(f, 2, 1024)
+    for b in BOUND_IDS:
+        rep = pointwise_bound_report(f, S, 2, 1024, b, grid_size=65, density=256)
+        assert rep.grid.shape[1:] == (4,) and rep.excluded_points.shape[1:] == (2,)
+        xs = np.concatenate([rep.grid[:, 0], rep.excluded_points[:, 0]])
+        scale = 1.0 + float(np.max(np.abs(f(xs))))
+        noise, atol = certify.NOISE_REL * scale, certify.ATOL_REL * scale
+        for x, err, bnd, ratio in rep.grid.tolist():
+            assert ratio == err / max(bnd, certify.DENOM_FLOOR)
+            assert err > noise and not (bnd <= certify.DENOM_FLOOR and err <= atol)
+        for x, err in rep.excluded_points.tolist():
+            assert err <= noise or err <= atol
+        assert rep.sup_ratio == max(rep.grid[:, 3].tolist(), default=0.0)
+        doc = rep.to_json_dict()
+        for key, width in (("grid", 4), ("excluded_points", 2)):
+            assert type(doc[key]) is list
+            assert all(type(row) is list and len(row) == width
+                       and all(type(v) is float for v in row) for row in doc[key])
+        if b == "2.3":
+            assert rep.grid.shape == (0, 4) and len(rep.excluded_points) == 65
+            assert rep.sup_ratio == 0.0 and doc["grid"] == []
+
+
+def test_bound_report_refuses_an_oracle_off_the_chebyshev_domain():
+    # f on [0, 1] would be evaluated at x = -1 by the grid on [-1, 1]
+    S, _, _ = construct_chebyshev(f0_oracle(2), 2, 16)
+    for b in BOUND_IDS:
+        with pytest.raises(ValueError, match="oracle on \\[-1, 1\\]"):
+            pointwise_bound_report(f0_oracle(2, domain=(0.0, 1.0)), S, 2, 16, b)
 
 
 def test_bound_report_mismatched_inputs():

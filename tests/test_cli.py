@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from convexlab.cli import main
+from convexlab.polynomial import ConvexityCertificate, Poly, convexity_certificate
 
 
 def run(args):
@@ -80,6 +81,16 @@ def test_approximate_coarse_partition_exits_2(tmp_path, capsys):
                 "--partition", str(knots)])
     assert code == 2
     assert "too coarse" in capsys.readouterr().out
+
+
+def test_approximate_partition_with_non_finite_knot_exits_1(tmp_path, capsys):
+    knots = tmp_path / "knots.txt"
+    knots.write_text("-1\n0\ninf\n")
+    code = run(["approximate", "--function", "exp:alpha=1", "--r", "1",
+                "--partition", str(knots)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: knots must be finite and strictly increasing"]
 
 
 def test_certify_round_trip(tmp_path, capsys):
@@ -160,6 +171,32 @@ def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, c
     assert captured.out.startswith(message) and captured.out.count("\n") == 1
     assert captured.err == ""
     assert not (tmp_path / "rep.json").exists()
+
+
+def test_certify_builds_no_poly_or_certificate(tmp_path, monkeypatch):
+    """certify loads the spline straight into its coefficient matrix and
+    certifies every piece in array passes: at n = 1024 it builds no Poly and
+    no ConvexityCertificate."""
+    spline = tmp_path / "s.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
+                "--n", "1024", "--out", str(spline)]) == 0
+    built = dict.fromkeys(["Poly", "ConvexityCertificate"], 0)
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    counting(Poly)
+    counting(ConvexityCertificate)
+    assert run(["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "1024",
+                "--spline", str(spline), "--grid-size", "65", "--density", "256"]) == 0
+    assert built == {"Poly": 0, "ConvexityCertificate": 0}
+    convexity_certificate(Poly(0.0, 1.0, (0.0, 0.0, 1.0)), (-1.0, 1.0))  # the counters count
+    assert built == {"Poly": 1, "ConvexityCertificate": 1}
 
 
 def test_certify_mismatched_n_exits_1(tmp_path, capsys):
@@ -332,6 +369,21 @@ def test_modulus_non_finite_interval_exits_1(interval, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "finite" in err[0]
+
+
+@pytest.mark.parametrize("function, interval", [("f0:r=2", "-3,-1"),
+                                                ("truncpow:r=1,eps=0.5", "1,3"),
+                                                ("exp:alpha=1", "-1,1.5")])
+def test_modulus_interval_outside_the_domain_exits_1(function, interval, capsys):
+    # f0's evaluator clips 1 + x at 0, so on [-3, -1] it would read modulus 0
+    code = run(["modulus", "--function", function, "--k", "2", "--t", "0.5",
+                "--interval", interval])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "modulus = " not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "not inside the domain" in err[0]
 
 
 @pytest.mark.parametrize("flags, message", [

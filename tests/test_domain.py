@@ -86,6 +86,9 @@ def test_chebyshev_mesh_comparable_to_rho():
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(np.array([0.0, 0.5, 0.5, 1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="knots must be finite and strictly increasing"):
+            Partition(np.array([0.0, 1.0, bad]))
     with pytest.raises(InvalidN):
         Partition(np.array([0.0, 1.0]))
 

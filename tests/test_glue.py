@@ -28,9 +28,9 @@ from convexlab.glue import (
 )
 from convexlab import glue, localconvex, smoothness
 from convexlab.localconvex import SolverStall, build_sigma
-from convexlab.piecewise import PiecewisePoly
-from convexlab.polynomial import Poly
+from convexlab.polynomial import ConvexityCertificate, Poly, convexity_certificate
 from convexlab.smoothness import modulus
+from helpers import spline_of
 
 
 def max_err(f, S, lo=-1.0, hi=1.0, npts=2001):
@@ -265,9 +265,15 @@ def test_polygonal_baseline_refuses_an_oracle_off_the_chebyshev_domain():
         polygonal_baseline(f0_oracle(2, domain=(0.0, 1.0)), 8)
 
 
+def test_chebyshev_threshold_refuses_an_oracle_off_the_chebyshev_domain():
+    # on [0, 1] the threshold of N Chebyshev knots on [-1, 1] means nothing
+    with pytest.raises(ValueError, match="oracle on \\[-1, 1\\]"):
+        chebyshev_threshold(f0_oracle(2, domain=(0.0, 1.0)), 2)
+
+
 def test_certify_or_raise_rejects_nonconvex_assembly():
     from convexlab.glue import NotConvexOutput, _certify_or_raise
-    bad = PiecewisePoly.from_pieces(
+    bad = spline_of(
         [0.0, 1.0, 2.0],
         [Poly(0.5, 0.5, (0.25, 0.5, 0.25)),      # (x/...)^2-ish, convex
          Poly(1.5, 0.5, (1.0, 1.0, -1.0))],      # concave piece
@@ -323,7 +329,7 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
     lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
     u = np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0])
     knots = amap.shift + amap.scale * u
-    interior = PiecewisePoly.from_pieces(u[1:-1], unit[1:-1], 4)
+    interior = spline_of(u[1:-1], unit[1:-1], 4)
     rows = glue._blend(unit[0], interior, unit[-1], lam, slope, icept)
     S = glue._denormalize(*rows, knots, amap, f)
 
@@ -340,16 +346,22 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
 
 
 def test_construction_builds_no_poly_per_piece(monkeypatch):
-    """The pieces are born as coefficient rows: the Poly objects of one
-    construction (end blocks and their checks) do not grow with n, and the
-    polygonal baseline and an affine input, all secant rows, build none.  No
-    construction builds a ConvexPiece or computes slacks."""
-    built = {"Poly": 0, "ConvexPiece": 0, "_slacks": 0}
+    """The pieces are born as coefficient rows: the Poly and
+    ConvexityCertificate objects of one construction (end blocks and their
+    checks) do not grow with n, and the polygonal baseline and an affine
+    input, all secant rows, build none.  No construction builds a
+    ConvexPiece or computes slacks."""
+    built = {"Poly": 0, "ConvexityCertificate": 0, "ConvexPiece": 0, "_slacks": 0}
     post_init = Poly.__post_init__
+    cert_init = ConvexityCertificate.__init__
 
     def counting(self):
         built["Poly"] += 1
         post_init(self)
+
+    def counting_cert(self, *args, **kwargs):
+        built["ConvexityCertificate"] += 1
+        cert_init(self, *args, **kwargs)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -358,23 +370,26 @@ def test_construction_builds_no_poly_per_piece(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Poly, "__post_init__", counting)
+    monkeypatch.setattr(ConvexityCertificate, "__init__", counting_cert)
     for name in ("ConvexPiece", "_slacks"):
         monkeypatch.setattr(localconvex, name, counted(name, getattr(localconvex, name)))
     f = exp_oracle(1.0)
     counts = {}
-    for n in (64, 1024):
+    for n in (64, 1024, 4096):
         built.update(dict.fromkeys(built, 0))
         construct_chebyshev(f, 2, n)
-        counts[n] = built["Poly"]
+        counts[n] = built["Poly"], built["ConvexityCertificate"]
         assert built["ConvexPiece"] == built["_slacks"] == 0
-    assert counts[1024] <= counts[64]
+    for n in (1024, 4096):
+        assert counts[n][0] <= counts[64][0] and counts[n][1] <= counts[64][1]
     for build in (lambda: polygonal_baseline(exp_oracle(1.0), 4096),
                   lambda: construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 4096)):
         built.update(dict.fromkeys(built, 0))
         build()
-        assert built == {"Poly": 0, "ConvexPiece": 0, "_slacks": 0}
+        assert built == {"Poly": 0, "ConvexityCertificate": 0, "ConvexPiece": 0, "_slacks": 0}
     localconvex._secant_piece(f, -1.0, 1.0)  # the counters do count
-    assert built == {"Poly": 1, "ConvexPiece": 1, "_slacks": 1}
+    convexity_certificate(Poly(0.0, 1.0, (0.0, 0.0, 1.0)), (-1.0, 1.0))
+    assert built == {"Poly": 2, "ConvexityCertificate": 1, "ConvexPiece": 1, "_slacks": 1}
 
 
 def _prepare_reference(f, r):
