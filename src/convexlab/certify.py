@@ -30,7 +30,8 @@ from convexlab.glue import (
     _threshold,
     chebyshev_threshold,
 )
-from convexlab.piecewise import ConvexityReport, PiecewisePoly, verify_convexity
+from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
+                                 verify_convexity)
 from convexlab.smoothness import ModulusProfile, modulus_lower_bounds
 
 __all__ = [
@@ -68,13 +69,7 @@ class BoundReport:
     sup_ratio: float
     excluded_points: np.ndarray  # (e, 2) rows (x, |f-S|(x)), satisfied-degenerate
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "grid": self.grid.tolist(),
-            "sup_ratio": self.sup_ratio,
-            "excluded_points": self.excluded_points.tolist(),
-        }
+    to_json_dict = record_json_dict
 
 
 def _open_chebyshev(lo: float, hi: float, m: int) -> np.ndarray:
@@ -194,9 +189,8 @@ class SweepTable:
     n_threshold: int
     rows: list  # dicts: n, computed, sup ratios by bound id, wall_ms
 
-    CSV_FIELDS = ("n", "N_threshold", "sup_ratio_2_3", "sup_ratio_2_4",
-                  "sup_ratio_2_5", "sup_ratio_2_11", "sup_ratio_2_12",
-                  "sup_ratio_2_13", "wall_ms")
+    CSV_FIELDS = ("n", "N_threshold",
+                  *(f"sup_ratio_{b.replace('.', '_')}" for b in BOUND_IDS), "wall_ms")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -253,14 +247,7 @@ class CounterexampleWitness:
     contradiction: bool
     epsilon_threshold: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r, "m": self.m, "x_last": self.x_last,
-            "epsilon": self.epsilon,
-            "markov_lhs": self.markov_lhs, "markov_rhs": self.markov_rhs,
-            "contradiction": self.contradiction,
-            "epsilon_threshold": self.epsilon_threshold,
-        }
+    to_json_dict = record_json_dict
 
 
 def counterexample_witness(r: int, m: int, x_last: float,
@@ -279,13 +266,19 @@ def counterexample_witness(r: int, m: int, x_last: float,
                          f"got r={r}, m={m}")
     if not -1.0 < x_last < 1.0:
         raise ValueError("x_last must lie in (-1, 1)")
-    markov_factor = 2.0 * (m - 1) ** 2 / (1.0 - x_last)
-    threshold = (r + 1.0) / markov_factor
+    try:
+        markov_factor = 2.0 * (m - 1) ** 2 / (1.0 - x_last)
+        threshold = (r + 1.0) / markov_factor
+    except OverflowError:
+        markov_factor = threshold = math.inf
+    if not markov_factor < math.inf:
+        raise ValueError("the Markov factor 2 (m-1)^2 / (1 - x_last) or the threshold "
+                         f"(r+1) / factor is not finite in floats for r={r}, m={m}, "
+                         f"x_last={x_last!r}")
     eps = 0.5 * threshold if epsilon == "auto" else float(epsilon)
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {eps}")
-    lhs = (r + 1.0) * eps ** r
-    rhs = markov_factor * eps ** (r + 1)
+    lhs, rhs = _markov_terms(r, eps, markov_factor)
     return CounterexampleWitness(
         r=r, m=m, x_last=x_last, epsilon=eps,
         markov_lhs=lhs, markov_rhs=rhs,
@@ -294,15 +287,31 @@ def counterexample_witness(r: int, m: int, x_last: float,
     )
 
 
+def _markov_terms(r: int, eps: float, cap) -> tuple:
+    """The two sides of the Markov chain, (r+1) eps^r and cap * eps^(r+1).
+    Raises ValueError unless both are finite and positive: past the float
+    range they overflow or read 0 = 0, and the witness shows nothing."""
+    try:
+        lhs, rhs = (r + 1.0) * eps ** r, cap * eps ** (r + 1)
+    except OverflowError:
+        lhs = rhs = math.inf
+    if not (0.0 < lhs < math.inf and 0.0 < rhs < math.inf):
+        raise ValueError(f"the Markov terms (r+1) eps^r and cap * eps^(r+1) are not finite "
+                         f"and positive in floats for r={r}, epsilon={eps!r}")
+    return lhs, rhs
+
+
 def polynomial_counterexample(r: int, n: int) -> dict:
     """Degree-n polynomial variant: with eps = n^-2 the forced derivative
     exceeds the Markov cap n^2 ||s|| by the factor r+1 for every n."""
     r, n = int(r), int(n)
     if r < 1 or n < 1:
         raise ValueError("need r, n >= 1")
-    eps = 1.0 / (n * n)
-    lhs = (r + 1.0) * eps ** r
-    rhs = n * n * eps ** (r + 1)
+    try:
+        eps = 1.0 / (n * n)
+    except OverflowError:  # n^2 beyond the float range, so n^-2 reads 0
+        eps = 0.0
+    lhs, rhs = _markov_terms(r, eps, n * n)
     return {"r": r, "n": n, "epsilon": eps, "markov_lhs": lhs,
             "markov_rhs": rhs, "ratio": lhs / rhs}
 

@@ -33,7 +33,7 @@ from convexlab.glue import (
     construct_chebyshev,
     construct_spline,
 )
-from convexlab.piecewise import PiecewisePoly
+from convexlab.piecewise import PiecewisePoly, record_json_dict
 from convexlab.polynomial import IllConditioned
 from convexlab.smoothness import modulus
 
@@ -220,13 +220,10 @@ def cmd_modulus(args) -> int:
                          f"[{f.a:g}, {f.b:g}] of {f.label()}")
     res = modulus(f, args.k, args.t, interval, grid=args.grid, focus=f.nonsmooth)
     print(f"modulus = {res.value!r} at u = {res.arg_u!r}, x = {res.arg_x!r} "
-          f"(grid {res.grid_density})")
+          f"(grid {res.grid})")
     if args.out:
-        _write_json(args.out, {
-            "function": f.label(), "k": args.k, "t": args.t,
-            "interval": list(interval), "grid": res.grid_density,
-            "value": res.value, "arg_u": res.arg_u, "arg_x": res.arg_x,
-        })
+        _write_json(args.out, {"function": f.label(), "k": args.k, "t": args.t,
+                               "interval": list(interval), **record_json_dict(res)})
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -424,6 +424,9 @@ def parse_function(spec: str) -> ConvexOracle:
             args[key] = nums
         elif len(nums) != 1:
             raise ValueError(f"parameter {key!r} takes a single value")
+        elif want is int and not nums[0].is_integer():
+            raise ValueError(f"parameter {key!r} of family {name!r} must be an integer, "
+                             f"got {vals[0]}")
         else:
             args[key] = want(nums[0])
     return ctor(**args)

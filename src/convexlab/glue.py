@@ -15,12 +15,13 @@ The Chebyshev specialization derives the minimal admissible n from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from convexlab.domain import (
     ConvexOracle,
+    InvalidN,
     Partition,
     chebyshev_partition,
     normalize_to_unit,
@@ -29,7 +30,7 @@ from convexlab.domain import (
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import (_convex_pieces, _midpoint_spline, _secant,
                                    _spot_check_convexity)
-from convexlab.piecewise import PiecewisePoly, verify_convexity
+from convexlab.piecewise import PiecewisePoly, record_json_dict, verify_convexity
 from convexlab.smoothness import ModulusProfile, modulus
 
 __all__ = [
@@ -100,9 +101,7 @@ class GlueTrace:
     parabola_fallback_rows: int
     secant_rows: int
 
-    def to_json_dict(self) -> dict:
-        """The fields in order, ``lambda_`` written as ``lambda``."""
-        return {fld.name.rstrip("_"): getattr(self, fld.name) for fld in fields(self)}
+    to_json_dict = record_json_dict
 
 
 @dataclass(frozen=True)
@@ -242,17 +241,25 @@ def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
     return _certify_or_raise(_midpoint_spline(X.knots, np.pad(rows, ((0, 0), (0, order - 2)))))
 
 
-def _affine_spline(f: ConvexOracle, X: Partition, r: int, prep) -> tuple:
-    trace = GlueTrace(M=prep.M, x_star=prep.x_star, H1=prep.H1, H=prep.H,
-                      delta=0.0, delta_tilde=0.0, delta_hat=0.0,
-                      case=1, lambda_=1.0, lp_rows=0, parabola_fallback_rows=0, secant_rows=X.n)
-    return _secant_spline(f, X, r + 2), trace
-
-
 def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
+    """(spline, trace): the secant spline of an affine input, every row a
+    secant and no blend (defects 0, lambda = 1), or the glued spline."""
     if prep.affine:
-        return _affine_spline(f, X, r, prep)
+        S = _secant_spline(f, X, r + 2)
+        blend, sources = (0.0, 0.0, 0.0, 1, 1.0), ["secant"] * X.n
+    else:
+        S, blend, sources = _glue(prep, f, X, r)
+    trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, *blend,
+                      lp_rows=sources.count("lp"),
+                      parabola_fallback_rows=sources.count("parabola-fallback"),
+                      secant_rows=sources.count("secant"))
+    return S, trace
 
+
+def _glue(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
+    """(spline, (delta, delta_tilde, delta_hat, case, lambda), row sources):
+    the end blocks and the interior pieces of sigma blended with a tangent
+    line, certified convex."""
     g, amap = prep.g, prep.amap
     M, H = prep.M, prep.H
     u = (X.knots - amap.shift) / amap.scale
@@ -296,14 +303,8 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
 
     rows = _blend(left.poly, interior, right.poly, lam, (1.0 - lam) * line_slope,
                   (1.0 - lam) * line_icept + shift)
-    S = _denormalize(*rows, X.knots, amap, f)
-    S = _certify_or_raise(S)
-    trace = GlueTrace(M=M, x_star=prep.x_star, H1=prep.H1, H=H,
-                      delta=delta, delta_tilde=delta_tilde, delta_hat=delta_hat,
-                      case=case, lambda_=lam, lp_rows=sources.count("lp"),
-                      parabola_fallback_rows=sources.count("parabola-fallback"),
-                      secant_rows=sources.count("secant"))
-    return S, trace
+    S = _certify_or_raise(_denormalize(*rows, X.knots, amap, f))
+    return S, (delta, delta_tilde, delta_hat, case, lam), sources
 
 
 def construct_spline(f: ConvexOracle, X: Partition, r: int) -> tuple:
@@ -340,10 +341,13 @@ def _threshold(prep: _Prepared) -> tuple:
 def construct_chebyshev(f: ConvexOracle, r: int, n: int) -> tuple:
     """Chebyshev specialization: standard knots, threshold check first.
 
-    Returns (spline, trace, N_threshold); raises :class:`NBelowThreshold` when
-    n < N_threshold instead of silently fixing n.
+    Returns (spline, trace, N_threshold); raises :class:`InvalidN` when n < 1
+    and :class:`NBelowThreshold` when n < N_threshold instead of silently
+    fixing n.
     """
     _check_chebyshev_domain(f)
+    if n < 1:
+        raise InvalidN(f"need n >= 1, got {n}")
     return _construct_chebyshev(_prepare(f, r), f, r, n)
 
 

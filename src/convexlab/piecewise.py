@@ -1,17 +1,26 @@
 """Continuous piecewise polynomials over a knot vector, held as one zero-padded
 coefficient matrix with the frames of its rows, so evaluation and checks are
 array passes over all pieces at once, and JSON is read and written straight
-from the arrays; :class:`Poly` pieces are a view of its rows."""
+from the arrays; :class:`Poly` pieces are a view of its rows.  A report or
+trace record is written by :func:`record_json_dict`: its JSON keys are its
+fields in order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from convexlab.polynomial import Poly, convexity_certificates, derivative_rows, horner_rows
 
-__all__ = ["PiecewisePoly", "ConvexityReport", "verify_convexity"]
+__all__ = ["PiecewisePoly", "ConvexityReport", "record_json_dict", "verify_convexity"]
+
+
+def record_json_dict(record) -> dict:
+    """The JSON object of a dataclass record: its fields in order, arrays as
+    lists and Python scalars as they are, ``lambda_`` written as ``lambda``."""
+    return {fld.name.rstrip("_"): np.asarray(getattr(record, fld.name)).tolist()
+            for fld in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -160,19 +169,12 @@ class PiecewisePoly:
 @dataclass(frozen=True)
 class ConvexityReport:
     convex: bool
-    min_second_derivative: np.ndarray  # each piece's certified minimum of p''
+    continuous: bool
     slopes_ok: bool
     offending_pieces: list
-    continuous: bool
+    piece_min_second_derivative: np.ndarray  # each piece's certified minimum of p''
 
-    def to_json_dict(self) -> dict:
-        return {
-            "convex": self.convex,
-            "continuous": self.continuous,
-            "slopes_ok": self.slopes_ok,
-            "offending_pieces": list(self.offending_pieces),
-            "piece_min_second_derivative": self.min_second_derivative.tolist(),
-        }
+    to_json_dict = record_json_dict
 
 
 def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
@@ -187,8 +189,8 @@ def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
     offending = np.flatnonzero(~convex).tolist()
     return ConvexityReport(
         convex=continuous and not offending and slopes_ok,
-        min_second_derivative=minimum,
+        continuous=continuous,
         slopes_ok=slopes_ok,
         offending_pieces=offending,
-        continuous=continuous,
+        piece_min_second_derivative=minimum,
     )

@@ -60,10 +60,6 @@ class Poly:
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
         object.__setattr__(self, "coeffs", cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         """Horner evaluation at x (scalar or ndarray)."""
         u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
@@ -111,10 +107,6 @@ class Poly:
             "halfwidth": self.halfwidth,
             "coeffs": list(self.coeffs),
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Poly":
-        return Poly(d["center"], d["halfwidth"], tuple(d["coeffs"]))
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,10 @@ def _check_grid(grid: int) -> int:
 
 @dataclass(frozen=True)
 class ModulusResult:
+    grid: int
     value: float
     arg_u: float
     arg_x: float
-    grid_density: int
 
 
 def _weights(k: int) -> np.ndarray:
@@ -172,13 +172,13 @@ def modulus(f, k: int, t: float, interval, grid: int = 512, focus=()) -> Modulus
     a, b = float(interval[0]), float(interval[1])
     t_eff = min(float(t), (b - a) / k)
     if t_eff <= 0.0 or b <= a:
-        return ModulusResult(0.0, 0.0, 0.5 * (a + b), grid)
+        return ModulusResult(grid, 0.0, 0.0, 0.5 * (a + b))
 
     prof = ModulusProfile(f, k, (a, b), t_eff * np.arange(1, grid + 1) / grid, grid, focus)
     j = int(np.argmax(prof.rows))
     if prof.rows[j] > 0.0:
-        return ModulusResult(float(prof.rows[j]), float(prof.us[j]), float(prof.arg_x[j]), grid)
-    return ModulusResult(0.0, t_eff, 0.5 * (a + b), grid)
+        return ModulusResult(grid, float(prof.rows[j]), float(prof.us[j]), float(prof.arg_x[j]))
+    return ModulusResult(grid, 0.0, t_eff, 0.5 * (a + b))
 
 
 def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ from convexlab import certify
 from convexlab.certify import (
     BOUND_IDS,
     MismatchedInputs,
+    SweepTable,
     counterexample_witness,
     pointwise_bound_report,
     polynomial_counterexample,
@@ -45,7 +47,7 @@ def test_verify_convexity_affine_spline():
     S = polygonal_baseline(poly_oracle([1.0, 2.0]), 8)
     rep = verify_convexity(S)
     assert rep.convex
-    assert all(m == pytest.approx(0.0, abs=1e-12) for m in rep.min_second_derivative)
+    assert all(m == pytest.approx(0.0, abs=1e-12) for m in rep.piece_min_second_derivative)
 
 
 def test_verify_convexity_flags_jump():
@@ -206,6 +208,25 @@ def test_witness_refuses_degenerate_input(m, epsilon):
         counterexample_witness(1, m, 0.5, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("r, m, x_last, epsilon", [
+    (2000, 4, 0.9, "auto"),   # eps^r overflows
+    (2, 4, 0.9, 1e200),       # eps^r overflows
+    (2, 4, 0.9, 1e-200),      # both sides underflow to 0 = 0
+    (1, 4, 0.9, 1e-200),      # the cap side underflows
+    (2, 10 ** 200, 0.9, "auto"),  # 2 (m-1)^2 overflows
+])
+def test_witness_refuses_terms_outside_the_float_range(r, m, x_last, epsilon):
+    with pytest.raises(ValueError, match="not finite"):
+        counterexample_witness(r, m, x_last, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("r, n", [(200, 10), (2, 10 ** 200), (2, 10 ** 400)])
+def test_polynomial_variant_refuses_terms_outside_the_float_range(r, n):
+    # (200, 10) divided 0 by 0; the others overflowed converting n^2
+    with pytest.raises(ValueError, match="not finite and positive"):
+        polynomial_counterexample(r, n)
+
+
 def test_witness_contradiction_iff_below_threshold():
     # pure arithmetic: exact equivalence over a deterministic sweep
     cases = 0
@@ -228,6 +249,28 @@ def test_polynomial_variant_ratio():
         for n in (4, 9, 16, 33, 64):
             out = polynomial_counterexample(r, n)
             assert out["ratio"] == pytest.approx(r + 1.0, rel=1e-12)
+
+
+def _record_keys(rec):
+    return [fld.name for fld in dataclasses.fields(rec)]
+
+
+def test_report_json_keys_are_the_record_fields():
+    S, _, _ = construct_chebyshev(exp_oracle(1.0), 1, 32)
+    conv = verify_convexity(S)
+    assert list(conv.to_json_dict()) == _record_keys(conv) == [
+        "convex", "continuous", "slopes_ok", "offending_pieces",
+        "piece_min_second_derivative"]
+    rep = pointwise_bound_report(exp_oracle(1.0), S, 1, 32, "2.3", grid_size=33, density=256)
+    assert list(rep.to_json_dict()) == _record_keys(rep)
+    w = counterexample_witness(2, 4, 0.9)
+    assert list(w.to_json_dict()) == _record_keys(w)
+
+
+def test_sweep_csv_header_follows_bound_ids():
+    assert SweepTable.CSV_FIELDS == (
+        "n", "N_threshold", *(f"sup_ratio_{b.replace('.', '_')}" for b in BOUND_IDS),
+        "wall_ms")
 
 
 def test_threshold_growth_truncpow():

@@ -292,6 +292,14 @@ def test_modulus_command(capsys):
     assert value == pytest.approx(want, rel=1e-4)
 
 
+def test_modulus_json_keys(tmp_path):
+    out = tmp_path / "m.json"
+    assert run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0.5",
+                "--grid", "128", "--out", str(out)]) == 0
+    assert list(json.loads(out.read_text())) == [
+        "function", "k", "t", "interval", "grid", "value", "arg_u", "arg_x"]
+
+
 def test_modulus_command_passes_kinks(capsys):
     # sup |delta^3_u f| of (x - 0.7)_+^2 is 1.5 u^2, at x = 0.7 - 1.5 u; without
     # the kink window the lattice reads 1.4984e-4
@@ -400,6 +408,42 @@ def test_counterexample_degenerate_input_exits_1(flags, message, tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--r", "2000", "--m", "4", "--x-last", "0.9"],
+    ["--r", "2", "--m", "4", "--x-last", "0.9", "--epsilon", "1e200"],
+    ["--r", "2", "--m", "4", "--x-last", "0.9", "--epsilon", "1e-200"],
+])
+def test_counterexample_outside_the_float_range_exits_1(flags, tmp_path, capsys):
+    # 1e-200 wrote markov_lhs = markov_rhs = 0.0 with "contradiction": true
+    out = tmp_path / "w.json"
+    assert run(["counterexample", "--out", str(out)] + flags) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: the Markov terms")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_approximate_n_below_one_exits_1(n, capsys):
+    code = run(["approximate", "--function", "exp:alpha=1", "--r", "2", "--n", n])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need n >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("spec", ["xpow:m=1.5", "truncpow:r=1.9,eps=0.1", "f0:r=2.5"])
+def test_non_integral_int_parameter_exits_1(spec, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = run(["approximate", "--function", spec, "--r", "1", "--n", "16",
+                "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: parameter") and "must be an integer" in err[0]
 
 
 @pytest.mark.parametrize("command, c0", [

@@ -224,6 +224,21 @@ def test_parse_function_families():
     assert f(2.0) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("spec, key, family", [
+    ("xpow:m=1.5", "m", "xpow"), ("truncpow:r=1.9,eps=0.1", "r", "truncpow"),
+    ("f0:r=2.5", "r", "f0")])
+def test_parse_function_refuses_non_integral_int_parameters(spec, key, family):
+    # int(1.5) would silently build m = 1 and label the oracle xpow:m=1
+    with pytest.raises(ValueError, match=f"parameter '{key}' of family '{family}' "
+                                         "must be an integer"):
+        parse_function(spec)
+
+
+def test_parse_function_accepts_integral_spellings():
+    assert parse_function("xpow:m=2.0").label() == parse_function("xpow:m=2").label()
+    assert parse_function("truncpow:r=1e0,eps=0.1").params == {"r": 1, "eps": 0.1}
+
+
 def test_parse_function_rejects_unknown():
     with pytest.raises(ValueError):
         parse_function("sin:freq=1")

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from convexlab.domain import (
+    InvalidN,
     Partition,
     chebyshev_partition,
     cosh_oracle,
@@ -19,6 +21,7 @@ from convexlab.domain import (
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.glue import (
+    GlueTrace,
     NBelowThreshold,
     PartitionTooCoarse,
     chebyshev_threshold,
@@ -224,6 +227,39 @@ def test_trace_json_fields():
                       "delta_hat", "case", "lambda", "lp_rows",
                       "parabola_fallback_rows", "secant_rows"}
     assert (d["lp_rows"], d["parabola_fallback_rows"], d["secant_rows"]) == (30, 0, 0)
+
+
+@pytest.mark.parametrize("f", [poly_oracle([1.0, 2.0]), exp_oracle(1.0)],
+                         ids=["affine", "blended"])
+def test_one_construction_builds_one_trace(monkeypatch, f):
+    """Both paths build their trace at one site, and its JSON keys are its
+    fields in order, lambda_ written as lambda."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(GlueTrace(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(glue, "GlueTrace", counting)
+    _, trace, _ = construct_chebyshev(f, 1, 32)
+    assert built == [trace] and built[0] is trace
+    assert list(trace.to_json_dict()) == [
+        "lambda" if fld.name == "lambda_" else fld.name for fld in dataclasses.fields(trace)]
+
+
+def test_affine_trace_has_no_blend():
+    _, trace, _ = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 16)
+    d = trace.to_json_dict()
+    assert [d[k] for k in ("delta", "delta_tilde", "delta_hat", "case", "lambda")] == \
+        [0.0, 0.0, 0.0, 1, 1.0]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_construct_chebyshev_refuses_n_below_one_before_the_threshold(n):
+    # a threshold refusal would read "need n >= 7"; n < 1 is no partition
+    for f in (exp_oracle(1.0), poly_oracle([1.0, 2.0])):
+        with pytest.raises(InvalidN, match=f"need n >= 1, got {n}"):
+            construct_chebyshev(f, 2, n)
 
 
 def test_trace_counts_rows_by_source(monkeypatch):

@@ -256,8 +256,7 @@ def test_rescale_domain_relabels_frame():
 
 def test_json_roundtrip():
     p = Poly(0.1, 0.9, (1.0, -2.0, 0.25))
-    q = Poly.from_json_dict(p.to_json_dict())
-    assert q == p
+    assert Poly(**p.to_json_dict()) == p
 
 
 def test_hermite_ill_conditioned_detected():
