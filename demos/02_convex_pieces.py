@@ -3,7 +3,8 @@
 Both interpolate f at the interval ends and sandwich the end slopes against
 f', so gluing them preserves convexity across knots.  The LP piece minimizes
 the sampled maximal error over all such convex polynomials, so it can only
-improve on the parabola.
+improve on the parabola.  Each comes back as (spline, sources, slacks): a
+one-row spline, where the row came from, and its two slope slacks.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from convexlab import (
     chebyshev_partition,
     convex_parabola,
     convex_piece,
-    convexity_certificate,
     exp_oracle,
     f0_oracle,
 )
@@ -22,17 +22,17 @@ f = exp_oracle(1.0)
 interval = (0.1, 0.9)
 xs = np.linspace(*interval, 500)
 
-par = convex_parabola(f, interval)
+par, _, slacks = convex_parabola(f, interval)
 print("convex parabola on [0.1, 0.9] for exp:")
-print(f"  max error = {np.max(np.abs(f(xs) - par.poly(xs))):.3e}")
-print(f"  slope slack at ends: {par.slack_left:.3e}, {par.slack_right:.3e}")
+print(f"  max error = {np.max(np.abs(f(xs) - par(xs))):.3e}")
+print(f"  slope slack at ends: {slacks[0, 0]:.3e}, {slacks[0, 1]:.3e}")
 
 for degree in (2, 3, 4):
-    pc = convex_piece(f, interval, degree)
-    err = np.max(np.abs(f(xs) - pc.poly(xs)))
-    cert = convexity_certificate(pc.poly, interval)
-    print(f"LP piece degree {degree}: max error = {err:.3e}, "
-          f"min p'' = {cert.min_second_derivative:.3e} (convex: {cert.convex})")
+    S, sources, _ = convex_piece(f, interval, degree)
+    err = np.max(np.abs(f(xs) - S(xs)))
+    convex, minimum, _ = S.piece_certificates()
+    print(f"LP piece degree {degree} ({sources[0]}): max error = {err:.3e}, "
+          f"min p'' = {minimum[0]:.3e} (convex: {convex[0]})")
 
 print("\nglobal interpolant sigma for the square-root-cusp family, n = 16, r = 2:")
 g = f0_oracle(2)

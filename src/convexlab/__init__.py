@@ -5,6 +5,9 @@ convex function and its derivatives at the interval endpoints, certifies the
 pointwise error estimates numerically, and reproduces the arithmetic
 impossibility witnesses that show the admissible partition size must depend
 on the function.
+
+The package exports the names the demos and README use; every other name is
+imported from its module.
 """
 
 from convexlab.certify import (
@@ -12,75 +15,39 @@ from convexlab.certify import (
     BoundReport,
     ConvexityReport,
     CounterexampleWitness,
-    MismatchedInputs,
-    SweepTable,
     counterexample_witness,
-    pointwise_bound_report,
     polynomial_counterexample,
     sweep,
     threshold_growth,
     verify_convexity,
 )
 from convexlab.domain import (
-    AffineMap,
-    ConvexOracle,
-    InvalidN,
-    Partition,
     chebyshev_partition,
-    cosh_oracle,
-    even_power_oracle,
     exp_oracle,
     f0_oracle,
-    normalize_to_unit,
-    parse_function,
-    phi,
-    poly_oracle,
-    read_partition,
-    reflect,
     rho,
-    tangent_line,
     truncpow_oracle,
-    uniform_partition,
 )
-from convexlab.endblocks import (
-    EndpointBlock,
-    NoConvexityThreshold,
-    find_H,
-    integrated_L,
-    lagrange_hermite_L,
-    mirrored_L,
-)
+from convexlab.endblocks import EndpointBlock, find_H, integrated_L, mirrored_L
 from convexlab.glue import (
     GlueTrace,
     NBelowThreshold,
-    NotConvexOutput,
-    PartitionTooCoarse,
     chebyshev_threshold,
     construct_chebyshev,
-    construct_spline,
     polygonal_baseline,
 )
 from convexlab.localconvex import (
-    ConvexPiece,
-    NotConvexInput,
+    SolverStall,
     build_sigma,
     convex_parabola,
     convex_piece,
+    convex_pieces,
 )
-from convexlab.piecewise import PiecewisePoly
-from convexlab.polynomial import (
-    ConvexityCertificate,
-    DegenerateNodes,
-    IllConditioned,
-    Poly,
-    convexity_certificate,
-    hermite_interpolant,
-)
+from convexlab.piecewise import PiecewisePoly, record_json_dict
+from convexlab.polynomial import convexity_certificate, hermite_interpolant
 from convexlab.smoothness import (
-    InvalidOrder,
     ModulusProfile,
     ModulusResult,
-    finite_difference,
     modulus,
     modulus_lower_bound,
     modulus_lower_bounds,

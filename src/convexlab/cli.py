@@ -140,9 +140,9 @@ def cmd_approximate(args) -> int:
 
 def cmd_certify(args) -> int:
     f = parse_function(args.function)
-    with open(args.spline, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(args.spline, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         S = PiecewisePoly.from_json_dict(doc)
         meta = doc.get("meta") or {}
         if not isinstance(meta, dict):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from convexlab.domain import ConvexOracle, reflect
-from convexlab.polynomial import Poly, convexity_certificate, hermite_interpolant
+from convexlab.polynomial import convexity_certificate, hermite_interpolant, horner_rows
 
 __all__ = [
     "NoConvexityThreshold",
     "EndpointBlock",
-    "lagrange_hermite_L",
     "integrated_L",
     "mirrored_L",
     "find_H",
@@ -32,27 +33,25 @@ class NoConvexityThreshold(RuntimeError):
 
 @dataclass(frozen=True)
 class EndpointBlock:
-    """A degree <= r+1 endpoint piece with its interpolation defect.
+    """A degree <= r+1 endpoint piece, its coefficient row ascending in
+    u = (x - center) / halfwidth, with its interpolation defect.
 
     ``delta`` is block(inner knot) - f(inner knot): the block interpolates
     derivatives at the outer end, not the value at the inner one.
     """
 
-    poly: Poly
+    center: float
+    halfwidth: float
+    coeffs: np.ndarray
     side: str          # left | right
     h: float
     delta: float
     interval: tuple
 
 
-def lagrange_hermite_L(f, a: float, h: float, r: int) -> Poly:
-    """Degree <= r+1 polynomial matching f^(nu)(a) for nu = 0..r and f(a+h)."""
-    if not h > 0:
-        raise ValueError(f"need h > 0, got {h}")
-    a = float(a)
-    data = [(a, [float(f.deriv(nu, a)) for nu in range(r + 1)]),
-            (a + h, [float(f(a + h))])]
-    return hermite_interpolant(data)
+def _value(center: float, halfwidth: float, coeffs: np.ndarray, x: float) -> float:
+    """The row's value at x."""
+    return float(horner_rows(coeffs, (x - center) / halfwidth))
 
 
 def integrated_L(f, a: float, h: float, r: int) -> EndpointBlock:
@@ -70,10 +69,12 @@ def integrated_L(f, a: float, h: float, r: int) -> EndpointBlock:
     h = float(h)
     data = [(a, [float(f.deriv(nu + 1, a)) for nu in range(r)]),
             (a + h, [float(f.deriv(1, a + h))])]
-    dpoly = hermite_interpolant(data)
-    poly = dpoly.antiderivative(a, float(f(a)))
-    delta = float(poly(a + h)) - float(f(a + h))
-    return EndpointBlock(poly, "left", h, delta, (a, a + h))
+    center, w, slope = hermite_interpolant(data)
+    # the antiderivative row, its constant then set so that it is f(a) at a
+    coeffs = np.concatenate([[0.0], w * slope / np.arange(1.0, slope.size + 1)])
+    coeffs[0] += float(f(a)) - _value(center, w, coeffs, a)
+    delta = _value(center, w, coeffs, a + h) - float(f(a + h))
+    return EndpointBlock(center, w, coeffs, "left", h, delta, (a, a + h))
 
 
 def mirrored_L(f, b: float, h_tilde: float, r: int) -> EndpointBlock:
@@ -86,17 +87,20 @@ def mirrored_L(f, b: float, h_tilde: float, r: int) -> EndpointBlock:
     lo = b - h_tilde
     g = reflect(f, (lo, b))
     left = integrated_L(g, lo, h_tilde, r)
-    poly = left.poly.reflected(lo + b)  # back to the original orientation
-    delta = float(poly(lo)) - float(f(lo))
-    return EndpointBlock(poly, "right", h_tilde, delta, (lo, b))
+    # back to the original orientation: p(lo + b - x) is the row with its odd
+    # coefficients negated, centered at lo + b - center
+    center = (lo + b) - left.center
+    coeffs = left.coeffs * (-1.0) ** np.arange(left.coeffs.size)
+    delta = _value(center, left.halfwidth, coeffs, lo) - float(f(lo))
+    return EndpointBlock(center, left.halfwidth, coeffs, "right", h_tilde, delta, (lo, b))
 
 
 def _blocks_convex(f, a: float, b: float, r: int, h: float) -> bool:
     left = integrated_L(f, a, h, r)
-    if not convexity_certificate(left.poly, left.interval).convex:
+    if not convexity_certificate(left, left.interval).convex:
         return False
     right = mirrored_L(f, b, h, r)
-    return convexity_certificate(right.poly, right.interval).convex
+    return convexity_certificate(right, right.interval).convex
 
 
 def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:

@@ -193,15 +193,16 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
 
 
 def _plus_line(coeffs, centers, halfwidths, slope: float, intercept: float) -> None:
-    """Poly.plus_line on every row of a coefficient matrix, in place."""
+    """Add the line slope * x + intercept to every row of a coefficient
+    matrix, in place, exactly in coefficients."""
     coeffs[:, 0] += intercept + slope * centers
     coeffs[:, 1] += slope * halfwidths
 
 
 def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple:
-    """(coeffs, centers, halfwidths) in the unit frame: the end block Polys left
+    """(coeffs, centers, halfwidths) in the unit frame: the end blocks left
     and right around every interior piece p as lam * p + slope * x + intercept,
-    as Poly arithmetic computes it, all rows at the interior's order."""
+    all rows at the interior's order."""
     coeffs = np.zeros((interior.n + 2, interior.order))
     coeffs[1:-1] = lam * interior.coeffs
     _plus_line(coeffs[1:-1], interior.centers, interior.halfwidths, slope, intercept)
@@ -214,7 +215,7 @@ def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple
 def _denormalize(coeffs, centers, halfwidths, knots, amap, f) -> PiecewisePoly:
     """The spline of the pieces given in [0, 1] by their coefficient matrix
     and frames, pulled back to the original interval with f's secant added:
-    Poly.rescale_domain then Poly.plus_line on all rows."""
+    each frame is relabelled exactly, then the secant added to every row."""
     a = amap.shift
     length = amap.scale
     slope_x = (float(f(a + length)) - float(f(a))) / length
@@ -301,7 +302,7 @@ def _glue(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     if not 0.0 < lam <= 1.0:
         raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
-    rows = _blend(left.poly, interior, right.poly, lam, (1.0 - lam) * line_slope,
+    rows = _blend(left, interior, right, lam, (1.0 - lam) * line_slope,
                   (1.0 - lam) * line_icept + shift)
     S = _certify_or_raise(_denormalize(*rows, X.knots, amap, f))
     return S, (delta, delta_tilde, delta_hat, case, lam), sources

@@ -4,9 +4,9 @@ Each interval gets one coefficient row of one spline, in its midpoint frame:
 a piece that interpolates f at both interval ends, sandwiches the one-sided
 slopes against f' there, and is certified convex.  The rows come from small
 minimax LPs, CHUNK pieces per block-diagonal LP; the explicit convex
-parabola, :func:`convex_parabola`, is the always-feasible fallback.  Only
-the public per-piece functions return :class:`ConvexPiece` objects with
-their slope slacks; the construction uses the rows alone.
+parabola, :func:`convex_parabola`, is the always-feasible fallback.  The
+public per-piece functions return (spline, sources, slacks): the rows, each
+row's source and its slope slacks; the construction uses the rows alone.
 
 Each chunk's LP goes to HiGHS directly, through scipy's bindings
 (scipy.optimize._highspy._core, loaded from its extension file alone, not
@@ -39,18 +39,17 @@ import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from convexlab.domain import ConvexOracle, Partition
 from convexlab.piecewise import PiecewisePoly, verify_convexity
-from convexlab.polynomial import Poly, convexity_certificates, derivative_rows, horner_rows
+from convexlab.polynomial import convexity_certificates, derivative_rows, horner_rows
 
 __all__ = [
     "NotConvexInput",
     "SolverStall",
-    "ConvexPiece",
     "convex_parabola",
     "convex_piece",
     "convex_pieces",
@@ -148,22 +147,6 @@ class SolverStall(RuntimeError):
     """The LP solver gave up; the caller substitutes the parabola."""
 
 
-@dataclass(frozen=True)
-class ConvexPiece:
-    """A convex polynomial piece interpolating f at both interval ends.
-
-    slack_left = p'(a) - f'(a) >= 0 and slack_right = f'(b) - p'(b) >= 0 are
-    exactly the one-sided slope margins that make the glued spline convex
-    across knots.
-    """
-
-    poly: Poly
-    interval: tuple
-    slack_left: float
-    slack_right: float
-    source: str = "lp"  # lp | parabola | secant | parabola-fallback
-
-
 def _values(f: ConvexOracle, nu: int, x: np.ndarray) -> np.ndarray:
     """f^(nu) at every entry of x, in x's shape."""
     return np.asarray(f.deriv(nu, x.ravel()), dtype=float).reshape(x.shape)
@@ -183,14 +166,15 @@ def _spot_check_convexity(f: ConvexOracle, a, b, npts: int = 65) -> None:
             f"{f.label()} has decreasing slope inside [{float(a[i])}, {float(b[i])}]")
 
 
-def _slacks(f: ConvexOracle, coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """(p'(a) - f'(a), f'(b) - p'(b)) for each row p of local coefficients on
-    its interval [a[i], b[i]], framed at the midpoint."""
-    center, w = 0.5 * (a + b), 0.5 * (b - a)
-    d1 = derivative_rows(coeffs, w)
+def _slacks(f: ConvexOracle, S: PiecewisePoly) -> np.ndarray:
+    """The slope slacks of every row p of S on its interval [a, b], shape
+    (n, 2): p'(a) - f'(a) >= 0 and f'(b) - p'(b) >= 0 are exactly the
+    one-sided slope margins that make the glued spline convex across knots."""
+    a, b, center, w = S.knots[:-1], S.knots[1:], S.centers, S.halfwidths
+    d1 = derivative_rows(S.coeffs, w)
     df = _values(f, 1, np.stack([a, b], axis=1))
-    return (horner_rows(d1, (a - center) / w) - df[:, 0],
-            df[:, 1] - horner_rows(d1, (b - center) / w))
+    return np.stack([horner_rows(d1, (a - center) / w) - df[:, 0],
+                     df[:, 1] - horner_rows(d1, (b - center) / w)], axis=1)
 
 
 def _midpoint_spline(knots, coeffs) -> PiecewisePoly:
@@ -201,13 +185,6 @@ def _midpoint_spline(knots, coeffs) -> PiecewisePoly:
     return PiecewisePoly(knots, coeffs, 0.5 * (a + b), 0.5 * (b - a))
 
 
-def _with_slacks(f: ConvexOracle, S: PiecewisePoly, sources) -> list:
-    """The rows of S as :class:`ConvexPiece` objects with their slacks."""
-    a, b = S.knots[:-1], S.knots[1:]
-    left, right = (s.tolist() for s in _slacks(f, S.coeffs, a, b))
-    return list(map(ConvexPiece, S.pieces, zip(a.tolist(), b.tolist()), left, right, sources))
-
-
 def _secant(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient rows (c0, c1) of f's secant on each interval [a[i], b[i]],
     in its midpoint frame."""
@@ -216,10 +193,11 @@ def _secant(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([fa - slope * a + slope * (0.5 * (a + b)), slope * (0.5 * (b - a))], axis=1)
 
 
-def _secant_piece(f: ConvexOracle, a: float, b: float) -> ConvexPiece:
+def _secant_piece(f: ConvexOracle, a: float, b: float) -> tuple:
+    """(spline, sources, slacks) of f's secant on [a, b]."""
     knots = np.array([a, b], dtype=float)
-    return _with_slacks(f, _midpoint_spline(knots, _secant(f, knots[:1], knots[1:])),
-                        ["secant"])[0]
+    S = _midpoint_spline(knots, _secant(f, knots[:1], knots[1:]))
+    return S, ["secant"], _slacks(f, S)
 
 
 def _parabola(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,9 +217,11 @@ def _parabola(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([0.5 * p0 + (0.0 + fa), 0.5 * p0 + 0.5 * p1, 0.5 * p1], axis=1)
 
 
-def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
-    """The explicit convex parabola interpolating f at both ends of the
-    interval and matching f' at one of them.
+def convex_parabola(f: ConvexOracle, interval) -> tuple:
+    """(spline, sources, slacks) of the explicit convex parabola
+    interpolating f at both ends of the interval and matching f' at one of
+    them: a one-row spline of order 3, its source "parabola" and its (1, 2)
+    slope slacks.
 
     After mapping onto [0,1] and removing the secant (so g(0) = g(1) = 0),
     the piece is (v - v^2) g'(0) when g'(0) + g'(1) >= 0 and (v^2 - v) g'(1)
@@ -252,8 +232,8 @@ def convex_parabola(f: ConvexOracle, interval) -> ConvexPiece:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     _spot_check_convexity(f, a, b)
     knots = np.array([a, b])
-    return _with_slacks(f, _midpoint_spline(knots, _parabola(f, knots[:1], knots[1:])),
-                        ["parabola"])[0]
+    S = _midpoint_spline(knots, _parabola(f, knots[:1], knots[1:]))
+    return S, ["parabola"], _slacks(f, S)
 
 
 def _chebyshev_points(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -508,19 +488,23 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     return _midpoint_spline(knots, coeffs), sources
 
 
-def convex_piece(f: ConvexOracle, interval, degree: int) -> ConvexPiece:
+def convex_piece(f: ConvexOracle, interval, degree: int) -> tuple:
     """Best convex piece of the given degree on one interval: the one-interval
-    case of :func:`convex_pieces`."""
+    case of :func:`convex_pieces`, with a spline of one row."""
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    return _with_slacks(f, *_convex_pieces(f, [a, b], degree))[0]
+    S, sources = _convex_pieces(f, [a, b], degree)
+    return S, sources, _slacks(f, S)
 
 
-def convex_pieces(f: ConvexOracle, X: Partition, r: int):
-    """The convex pieces of order r+2 on every interval of the partition,
-    secant and parabola-fallback pieces zero-padded to that order."""
-    return _with_slacks(f, *_convex_pieces(f, X.knots, r + 1))
+def convex_pieces(f: ConvexOracle, X: Partition, r: int) -> tuple:
+    """(spline, sources, slacks): the convex pieces of order r+2 on every
+    interval of the partition as the rows of one spline (secant and
+    parabola-fallback rows zero-padded to that order), each row's source
+    and the (n, 2) array of its slope slacks (see :func:`_slacks`)."""
+    S, sources = _convex_pieces(f, X.knots, r + 1)
+    return S, sources, _slacks(f, S)
 
 
 def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:

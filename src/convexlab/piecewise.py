@@ -1,9 +1,8 @@
 """Continuous piecewise polynomials over a knot vector, held as one zero-padded
 coefficient matrix with the frames of its rows, so evaluation and checks are
 array passes over all pieces at once, and JSON is read and written straight
-from the arrays; :class:`Poly` pieces are a view of its rows.  A report or
-trace record is written by :func:`record_json_dict`: its JSON keys are its
-fields in order."""
+from the arrays.  A report or trace record is written by
+:func:`record_json_dict`: its JSON keys are its fields in order."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from convexlab.polynomial import Poly, convexity_certificates, derivative_rows, horner_rows
+from convexlab.polynomial import convexity_certificates, derivative_rows, horner_rows
 
 __all__ = ["PiecewisePoly", "ConvexityReport", "record_json_dict", "verify_convexity"]
 
@@ -66,12 +65,6 @@ class PiecewisePoly:
     @property
     def order(self) -> int:
         return self.coeffs.shape[1]
-
-    @property
-    def pieces(self) -> tuple:
-        """The rows as :class:`Poly` objects, each at the full order."""
-        return tuple(map(Poly, self.centers.tolist(), self.halfwidths.tolist(),
-                         self.coeffs.tolist()))
 
     @property
     def n(self) -> int:

@@ -1,11 +1,11 @@
 """Polynomial pieces in local (center, halfwidth) coordinates.
 
-Every piece stores its coefficients ascending in the variable
-u = (x - center) / halfwidth, so that u runs over [-1, 1] on the piece's
-own interval.  Keeping each piece in its own frame keeps divided
-differences and the minimax LP uniformly conditioned on the very short
-end intervals of Chebyshev partitions, where global monomials are
-hopeless for moderate n.
+A piece is a coefficient row with its center and halfwidth: the
+coefficients ascend in the variable u = (x - center) / halfwidth, so that u
+runs over [-1, 1] on the piece's own interval.  Keeping each piece in its
+own frame keeps divided differences and the minimax LP uniformly
+conditioned on the very short end intervals of Chebyshev partitions, where
+global monomials are hopeless for moderate n.
 
 Many pieces at once are a zero-padded (k, order) matrix of such
 coefficients with their centers and halfwidths; the row functions and the
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Poly",
     "ConvexityCertificate",
     "DegenerateNodes",
     "IllConditioned",
@@ -43,73 +42,6 @@ class IllConditioned(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Poly:
-    """One polynomial piece, coefficients ascending in u = (x - center)/halfwidth."""
-
-    center: float
-    halfwidth: float
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
-            raise ValueError(f"halfwidth must be positive and finite, got {self.halfwidth}")
-        cs = tuple(float(c) for c in self.coeffs)
-        if not cs:
-            raise ValueError("coeffs must be non-empty")
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "halfwidth", float(self.halfwidth))
-        object.__setattr__(self, "coeffs", cs)
-
-    def __call__(self, x):
-        """Horner evaluation at x (scalar or ndarray)."""
-        u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        acc = horner_rows(np.array(self.coeffs), u)
-        return float(acc) if np.ndim(x) == 0 else acc
-
-    def derivative(self) -> "Poly":
-        """d/dx, with the 1/halfwidth chain-rule factor applied."""
-        return Poly(self.center, self.halfwidth,
-                    derivative_rows(np.array(self.coeffs), self.halfwidth))
-
-    def antiderivative(self, x0: float, y0: float) -> "Poly":
-        """The antiderivative q with q' = self and q(x0) = y0."""
-        cs = [0.0] + [self.halfwidth * c / (i + 1) for i, c in enumerate(self.coeffs)]
-        q = Poly(self.center, self.halfwidth, cs)
-        return Poly(self.center, self.halfwidth, (cs[0] + (y0 - q(x0)),) + tuple(cs[1:]))
-
-    def deriv_value(self, x, nu: int = 1):
-        cs = derivative_rows(np.array(self.coeffs), self.halfwidth, nu)
-        return Poly(self.center, self.halfwidth, cs)(x)
-
-    def plus_line(self, slope: float, intercept: float) -> "Poly":
-        """Add the global line slope*x + intercept, exactly in coefficients."""
-        cs = list(self.coeffs)
-        while len(cs) < 2:
-            cs.append(0.0)
-        cs[0] += intercept + slope * self.center
-        cs[1] += slope * self.halfwidth
-        return Poly(self.center, self.halfwidth, cs)
-
-    def rescale_domain(self, shift: float, scale: float) -> "Poly":
-        """The pullback q(x) = p((x - shift)/scale): exact frame relabeling."""
-        if not scale > 0:
-            raise ValueError("scale must be positive")
-        return Poly(shift + scale * self.center, scale * self.halfwidth, self.coeffs)
-
-    def reflected(self, s: float) -> "Poly":
-        """The reflection q(x) = p(s - x): exact in local coordinates."""
-        coeffs = tuple(c * (-1.0) ** i for i, c in enumerate(self.coeffs))
-        return Poly(s - self.center, self.halfwidth, coeffs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "halfwidth": self.halfwidth,
-            "coeffs": list(self.coeffs),
-        }
-
-
-@dataclass(frozen=True)
 class ConvexityCertificate:
     """Outcome of exact second-derivative minimization over an interval."""
 
@@ -118,13 +50,14 @@ class ConvexityCertificate:
     witness_x: float
 
 
-def hermite_interpolant(nodes) -> Poly:
+def hermite_interpolant(nodes) -> tuple:
     """Confluent (Lagrange-Hermite) interpolation by Newton divided differences.
 
     ``nodes`` is a sequence of ``(x, derivatives)`` pairs where ``derivatives``
     lists the prescribed value and consecutive derivatives at ``x``.  Returns
-    the unique polynomial of degree <= m-1 (m = total condition count) in
-    local coordinates centered at the node-span midpoint.
+    (center, halfwidth, coeffs): the unique polynomial of degree <= m-1
+    (m = total condition count) as its row in local coordinates centered at
+    the node-span midpoint.
 
     Raises :class:`DegenerateNodes` if two abscissae coincide and
     :class:`IllConditioned` if the table degenerates numerically.
@@ -170,7 +103,7 @@ def hermite_interpolant(nodes) -> Poly:
         factor = np.array([center - z[k], halfwidth])
         coeffs = np.polynomial.polynomial.polymul(coeffs, factor)
         coeffs[0] += Q[0][k]
-    return Poly(center, halfwidth, tuple(coeffs))
+    return center, halfwidth, coeffs
 
 
 def derivative_rows(coeffs: np.ndarray, halfwidths, nu: int = 1) -> np.ndarray:
@@ -257,8 +190,9 @@ def convexity_certificates(coeffs, centers, halfwidths, a, b) -> tuple:
     return convex, minimum, witness
 
 
-def convexity_certificate(p: Poly, interval) -> ConvexityCertificate:
-    """The one-piece case of :func:`convexity_certificates`."""
+def convexity_certificate(p, interval) -> ConvexityCertificate:
+    """The one-piece case of :func:`convexity_certificates`, for any piece p
+    with ``coeffs``, ``center`` and ``halfwidth``."""
     convex, minimum, witness = convexity_certificates(
         [p.coeffs], [p.center], [p.halfwidth], [interval[0]], [interval[1]])
     return ConvexityCertificate(bool(convex[0]), float(minimum[0]), float(witness[0]))

@@ -163,12 +163,15 @@ def modulus(f, k: int, t: float, interval, grid: int = 512, focus=()) -> Modulus
     The first maximum row of one ``ModulusProfile`` over the steps
     t_eff j/grid, j = 1..grid, with t_eff = min(t, (b-a)/k): each row takes
     ``grid`` centers plus a window around each ``focus`` point (a known kink
-    of f).  The result never exceeds the true sup.
+    of f).  The result never exceeds the true sup.  A step t that is NaN or
+    negative raises ``ValueError``; t = 0 gives 0.
     """
     k = _check_order(k)
     grid = _check_grid(grid)
     if math.isnan(t):
         raise ValueError("modulus step t must be a number, got nan")
+    if t < 0.0:
+        raise ValueError(f"modulus step t must be >= 0, got {t!r}")
     a, b = float(interval[0]), float(interval[1])
     t_eff = min(float(t), (b - a) / k)
     if t_eff <= 0.0 or b <= a:

@@ -3,19 +3,115 @@
 The block-error ratios are used both by the unit tests and the acceptance
 suite: block error against (distance)^r times the one-sided composite
 modulus, with errors at rounding scale excluded as satisfied-degenerate.
-``spline_of`` builds a spline from one Poly per interval.
+
+``Poly`` is the reference for one polynomial piece: its methods are the
+per-piece arithmetic, in Python floats where it can be, that the row passes
+of convexlab must equal, some of them bit for bit.  ``spline_of`` builds a
+spline from one Poly per interval, ``pieces_of`` gives a spline's rows as
+Polys and ``poly_of`` any piece with ``center``, ``halfwidth`` and
+``coeffs``, such as an end block.  ``lagrange_hermite_L`` is the direct
+Hermite block the integrated one is compared against.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from convexlab.domain import reflect
-from convexlab.endblocks import integrated_L, lagrange_hermite_L
+from convexlab.endblocks import integrated_L
 from convexlab.piecewise import PiecewisePoly
+from convexlab.polynomial import derivative_rows, hermite_interpolant, horner_rows
 from convexlab.smoothness import ModulusProfile
 
 ROUNDING_REL = 1e-13
+
+
+@dataclass(frozen=True)
+class Poly:
+    """One polynomial piece, coefficients ascending in u = (x - center)/halfwidth."""
+
+    center: float
+    halfwidth: float
+    coeffs: tuple
+
+    def __post_init__(self):
+        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
+            raise ValueError(f"halfwidth must be positive and finite, got {self.halfwidth}")
+        cs = tuple(float(c) for c in self.coeffs)
+        if not cs:
+            raise ValueError("coeffs must be non-empty")
+        object.__setattr__(self, "center", float(self.center))
+        object.__setattr__(self, "halfwidth", float(self.halfwidth))
+        object.__setattr__(self, "coeffs", cs)
+
+    def __call__(self, x):
+        """Horner evaluation at x (scalar or ndarray)."""
+        u = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
+        acc = horner_rows(np.array(self.coeffs), u)
+        return float(acc) if np.ndim(x) == 0 else acc
+
+    def derivative(self) -> "Poly":
+        """d/dx, with the 1/halfwidth chain-rule factor applied."""
+        return Poly(self.center, self.halfwidth,
+                    derivative_rows(np.array(self.coeffs), self.halfwidth))
+
+    def antiderivative(self, x0: float, y0: float) -> "Poly":
+        """The antiderivative q with q' = self and q(x0) = y0."""
+        cs = [0.0] + [self.halfwidth * c / (i + 1) for i, c in enumerate(self.coeffs)]
+        q = Poly(self.center, self.halfwidth, cs)
+        return Poly(self.center, self.halfwidth, (cs[0] + (y0 - q(x0)),) + tuple(cs[1:]))
+
+    def deriv_value(self, x, nu: int = 1):
+        cs = derivative_rows(np.array(self.coeffs), self.halfwidth, nu)
+        return Poly(self.center, self.halfwidth, cs)(x)
+
+    def plus_line(self, slope: float, intercept: float) -> "Poly":
+        """Add the global line slope*x + intercept, exactly in coefficients."""
+        cs = list(self.coeffs)
+        while len(cs) < 2:
+            cs.append(0.0)
+        cs[0] += intercept + slope * self.center
+        cs[1] += slope * self.halfwidth
+        return Poly(self.center, self.halfwidth, cs)
+
+    def rescale_domain(self, shift: float, scale: float) -> "Poly":
+        """The pullback q(x) = p((x - shift)/scale): exact frame relabeling."""
+        if not scale > 0:
+            raise ValueError("scale must be positive")
+        return Poly(shift + scale * self.center, scale * self.halfwidth, self.coeffs)
+
+    def reflected(self, s: float) -> "Poly":
+        """The reflection q(x) = p(s - x): exact in local coordinates."""
+        coeffs = tuple(c * (-1.0) ** i for i, c in enumerate(self.coeffs))
+        return Poly(s - self.center, self.halfwidth, coeffs)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "center": self.center,
+            "halfwidth": self.halfwidth,
+            "coeffs": list(self.coeffs),
+        }
+
+
+def poly_of(piece) -> Poly:
+    """The Poly of any piece with ``center``, ``halfwidth`` and ``coeffs``."""
+    return Poly(piece.center, piece.halfwidth, piece.coeffs)
+
+
+def pieces_of(S) -> list:
+    """The rows of the spline S as Polys, each at the spline's order."""
+    return list(map(Poly, S.centers.tolist(), S.halfwidths.tolist(), S.coeffs.tolist()))
+
+
+def lagrange_hermite_L(f, a: float, h: float, r: int) -> Poly:
+    """Degree <= r+1 polynomial matching f^(nu)(a) for nu = 0..r and f(a+h)."""
+    if not h > 0:
+        raise ValueError(f"need h > 0, got {h}")
+    a = float(a)
+    data = [(a, [float(f.deriv(nu, a)) for nu in range(r + 1)]),
+            (a + h, [float(f(a + h))])]
+    return Poly(*hermite_interpolant(data))
 
 
 def spline_of(knots, polys, order):
@@ -55,7 +151,7 @@ def one_sided_ratio_sup(f, r, poly, interval, side, grid_pts=65, density=512):
 
 def integrated_block_ratio(f, r, a, h, **kw):
     block = integrated_L(f, a, h, r)
-    return one_sided_ratio_sup(f, r, block.poly, (a, a + h), "left", **kw)
+    return one_sided_ratio_sup(f, r, poly_of(block), (a, a + h), "left", **kw)
 
 
 def direct_block_ratio(f, r, a, h, **kw):

@@ -21,8 +21,7 @@ from convexlab.certify import (
 from convexlab.domain import even_power_oracle, exp_oracle, f0_oracle, parse_function
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.piecewise import PiecewisePoly
-from convexlab.polynomial import Poly
-from helpers import spline_of
+from helpers import Poly, pieces_of, spline_of
 
 
 def test_verify_convexity_accepts_baseline():
@@ -33,7 +32,7 @@ def test_verify_convexity_accepts_baseline():
 
 def test_verify_convexity_flags_bad_piece():
     S = polygonal_baseline(exp_oracle(1.0), 8)
-    bad = list(S.pieces)
+    bad = pieces_of(S)
     lo, hi = float(S.knots[3]), float(S.knots[4])
     bad[3] = Poly(0.5 * (lo + hi), 0.5 * (hi - lo), (0.0, 0.0, -1.0))
     broken = spline_of(S.knots, bad, 3)

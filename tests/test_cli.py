@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from convexlab.cli import main
-from convexlab.polynomial import ConvexityCertificate, Poly, convexity_certificate
+from convexlab.polynomial import ConvexityCertificate, convexity_certificate
+from helpers import Poly
 
 
 def run(args):
@@ -133,6 +134,23 @@ def test_certify_corrupted_spline_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"", "bad spline file: Expecting value: line 1 column 1 (char 0)\n"),
+    (b"[1,2", "bad spline file: Expecting ',' delimiter: line 1 column 5 (char 4)\n"),
+    (b"\xff{", "bad spline file: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte\n"),
+], ids=["empty", "truncated", "not utf-8"])
+def test_certify_spline_file_not_json_exits_1_in_one_line(data, message, tmp_path, capsys):
+    spline = tmp_path / "s.json"
+    spline.write_bytes(data)
+    code = run(["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16",
+                "--spline", str(spline), "--out", str(tmp_path / "rep.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == message and captured.err == ""
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_certify_row_longer_than_order_exits_1(tmp_path, capsys):
     spline = tmp_path / "s.json"
     assert run(["approximate", "--function", "exp:alpha=1", "--r", "1",
@@ -175,12 +193,12 @@ def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, c
 
 def test_certify_builds_no_poly_or_certificate(tmp_path, monkeypatch):
     """certify loads the spline straight into its coefficient matrix and
-    certifies every piece in array passes: at n = 1024 it builds no Poly and
-    no ConvexityCertificate."""
+    certifies every piece in array passes: at n = 1024 it builds no
+    ConvexityCertificate (and src/ has no per-piece polynomial class)."""
     spline = tmp_path / "s.json"
     assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
                 "--n", "1024", "--out", str(spline)]) == 0
-    built = dict.fromkeys(["Poly", "ConvexityCertificate"], 0)
+    built = dict.fromkeys(["ConvexityCertificate"], 0)
 
     def counting(cls):
         init = cls.__init__
@@ -190,13 +208,12 @@ def test_certify_builds_no_poly_or_certificate(tmp_path, monkeypatch):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", wrapper)
 
-    counting(Poly)
     counting(ConvexityCertificate)
     assert run(["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "1024",
                 "--spline", str(spline), "--grid-size", "65", "--density", "256"]) == 0
-    assert built == {"Poly": 0, "ConvexityCertificate": 0}
-    convexity_certificate(Poly(0.0, 1.0, (0.0, 0.0, 1.0)), (-1.0, 1.0))  # the counters count
-    assert built == {"Poly": 1, "ConvexityCertificate": 1}
+    assert built == {"ConvexityCertificate": 0}
+    convexity_certificate(Poly(0.0, 1.0, (0.0, 0.0, 1.0)), (-1.0, 1.0))  # the counter counts
+    assert built == {"ConvexityCertificate": 1}
 
 
 def test_certify_mismatched_n_exits_1(tmp_path, capsys):
@@ -365,6 +382,17 @@ def test_modulus_nan_step_exits_1(capsys):
     assert "modulus = " not in captured.out
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_modulus_negative_step_exits_1(capsys):
+    code = run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "modulus = " not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and ">= 0" in err[0]
+    assert run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0"]) == 0
+    assert capsys.readouterr().out.startswith("modulus = 0.0 ")
 
 
 @pytest.mark.parametrize("interval", ["-inf,1", "-1,inf", "nan,1"])

@@ -8,19 +8,23 @@ from convexlab.domain import (
     exp_oracle,
     f0_oracle,
     poly_oracle,
+    reflect,
     truncpow_oracle,
 )
 from convexlab.endblocks import (
     NoConvexityThreshold,
     find_H,
     integrated_L,
-    lagrange_hermite_L,
     mirrored_L,
 )
+from convexlab.polynomial import hermite_interpolant
 from helpers import (
+    Poly,
     direct_block_ratio,
     integrated_block_ratio,
+    lagrange_hermite_L,
     mirrored_direct_block_ratio,
+    poly_of,
 )
 
 CUBIC = poly_oracle([0.0, 0.0, 0.0, 1.0], domain=(0.0, 1.0))  # x^3, convex there
@@ -52,7 +56,7 @@ def test_integrated_block_of_cubic():
     h = 0.4
     block = integrated_L(CUBIC, 0.0, h, 1)
     xs = np.linspace(0, h, 15)
-    assert np.allclose(block.poly(xs), 1.5 * h * xs**2, atol=1e-13)
+    assert np.allclose(poly_of(block)(xs), 1.5 * h * xs**2, atol=1e-13)
     assert block.delta == pytest.approx(h**3 / 2, rel=1e-12)
 
 
@@ -60,7 +64,7 @@ def test_integrated_block_reproduces_polynomials():
     f = poly_oracle([0.1, 0.2, 0.9, 0.05])
     block = integrated_L(f, -0.3, 0.8, 2)
     xs = np.linspace(-0.3, 0.5, 21)
-    assert np.allclose(block.poly(xs), f(xs), rtol=1e-11, atol=1e-12)
+    assert np.allclose(poly_of(block)(xs), f(xs), rtol=1e-11, atol=1e-12)
     assert block.delta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -68,7 +72,7 @@ def test_integrated_block_derivative_match_at_inner_knot():
     f = exp_oracle(1.0)
     block = integrated_L(f, -1.0, 0.1, 2)
     inner = -0.9
-    assert block.poly.deriv_value(inner) == pytest.approx(float(f.deriv(1, inner)), abs=1e-10)
+    assert poly_of(block).deriv_value(inner) == pytest.approx(float(f.deriv(1, inner)), abs=1e-10)
 
 
 def test_integrated_block_hermite_conditions_at_end():
@@ -77,7 +81,7 @@ def test_integrated_block_hermite_conditions_at_end():
         block = integrated_L(f, -1.0, 0.2, r)
         for nu in range(r + 1):
             want = float(f.deriv(nu, -1.0))
-            got = block.poly.deriv_value(-1.0, nu)
+            got = poly_of(block).deriv_value(-1.0, nu)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (r, nu)
 
 
@@ -87,7 +91,7 @@ def test_mirrored_block_of_even_function_is_reflection():
     left = integrated_L(f, -1.0, h, 2)
     right = mirrored_L(f, 1.0, h, 2)
     xs = np.linspace(1.0 - h, 1.0, 17)
-    assert np.allclose(right.poly(xs), left.poly(-xs), rtol=1e-11, atol=1e-13)
+    assert np.allclose(poly_of(right)(xs), poly_of(left)(-xs), rtol=1e-11, atol=1e-13)
     assert right.delta == pytest.approx(left.delta, rel=1e-10, abs=1e-13)
 
 
@@ -95,7 +99,7 @@ def test_mirrored_block_reproduces_polynomials():
     f = poly_oracle([0.0, -0.5, 1.0, 0.2])
     block = mirrored_L(f, 1.0, 0.5, 2)
     xs = np.linspace(0.5, 1.0, 15)
-    assert np.allclose(block.poly(xs), f(xs), rtol=1e-11, atol=1e-12)
+    assert np.allclose(poly_of(block)(xs), f(xs), rtol=1e-11, atol=1e-12)
     assert block.delta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -106,16 +110,39 @@ def test_mirrored_block_via_reflection_identity():
     right = mirrored_L(f, 1.0, h, 1)
     left_of_cubic = integrated_L(CUBIC, 0.0, h, 1)
     xs = np.linspace(1.0 - h, 1.0, 13)
-    assert np.allclose(right.poly(xs), left_of_cubic.poly(1.0 - xs), atol=1e-13)
+    assert np.allclose(poly_of(right)(xs), poly_of(left_of_cubic)(1.0 - xs), atol=1e-13)
 
 
 def test_mirrored_block_end_conditions():
     f = exp_oracle(1.0)
     block = mirrored_L(f, 1.0, 0.2, 2)
     for nu in range(3):
-        assert block.poly.deriv_value(1.0, nu) == pytest.approx(
+        assert poly_of(block).deriv_value(1.0, nu) == pytest.approx(
             float(f.deriv(nu, 1.0)), rel=1e-9)
-    assert block.poly.deriv_value(0.8) == pytest.approx(float(f.deriv(1, 0.8)), abs=1e-9)
+    assert poly_of(block).deriv_value(0.8) == pytest.approx(float(f.deriv(1, 0.8)), abs=1e-9)
+
+
+@pytest.mark.parametrize("f,r,h", [(exp_oracle(1.0), 2, 0.1), (cosh_oracle(1.3), 3, 0.37),
+                                   (f0_oracle(2), 2, 0.05), (truncpow_oracle(1, 0.05), 1, 0.2)])
+def test_blocks_are_the_poly_arithmetic_bit_for_bit(f, r, h):
+    """integrated_L takes the antiderivative on the row and mirrored_L
+    reflects the row with exactly the float operations of the reference
+    Poly.antiderivative and Poly.reflected, defects included."""
+    a, b = -1.0, 1.0
+    slope = Poly(*hermite_interpolant([(a, [float(f.deriv(nu + 1, a)) for nu in range(r)]),
+                                       (a + h, [float(f.deriv(1, a + h))])]))
+    want = slope.antiderivative(a, float(f(a)))
+    left = integrated_L(f, a, h, r)
+    assert poly_of(left) == want and left.coeffs.tolist() == list(want.coeffs)
+    assert left.delta == want(a + h) - float(f(a + h))
+    assert (left.side, left.h, left.interval) == ("left", h, (a, a + h))
+
+    lo = b - h
+    want = poly_of(integrated_L(reflect(f, (lo, b)), lo, h, r)).reflected(lo + b)
+    right = mirrored_L(f, b, h, r)
+    assert poly_of(right) == want and right.coeffs.tolist() == list(want.coeffs)
+    assert right.delta == want(lo) - float(f(lo))
+    assert (right.side, right.h, right.interval) == ("right", h, (lo, b))
 
 
 def test_find_H_polynomial_gives_h_max():

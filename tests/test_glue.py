@@ -29,11 +29,11 @@ from convexlab.glue import (
     construct_spline,
     polygonal_baseline,
 )
-from convexlab import glue, localconvex, smoothness
+from convexlab import endblocks, glue, localconvex, smoothness
 from convexlab.localconvex import SolverStall, build_sigma
-from convexlab.polynomial import ConvexityCertificate, Poly, convexity_certificate
+from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from convexlab.smoothness import modulus
-from helpers import spline_of
+from helpers import Poly, poly_of, spline_of
 
 
 def max_err(f, S, lo=-1.0, hi=1.0, npts=2001):
@@ -81,8 +81,8 @@ def test_seam_values_match_blocks():
     x1 = float(X.knots[1])
     xn1 = float(X.knots[-2])
     fa, fb = float(f(amap.shift)), float(f(amap.shift + amap.scale))
-    want_left = left.poly(float(u[1])) + (fa + (fb - fa) * float(u[1]))
-    want_right = right.poly(float(u[-2])) + (fa + (fb - fa) * float(u[-2]))
+    want_left = poly_of(left)(float(u[1])) + (fa + (fb - fa) * float(u[1]))
+    want_right = poly_of(right)(float(u[-2])) + (fa + (fb - fa) * float(u[-2]))
     assert abs(S(x1) - want_left) <= 1e-9 * scale
     assert abs(S(xn1) - want_right) <= 1e-9 * scale
 
@@ -382,18 +382,12 @@ def test_blend_and_denormalize_equal_poly_arithmetic():
 
 
 def test_construction_builds_no_poly_per_piece(monkeypatch):
-    """The pieces are born as coefficient rows: the Poly and
+    """The pieces are born as coefficient rows: the Hermite interpolants and
     ConvexityCertificate objects of one construction (end blocks and their
     checks) do not grow with n, and the polygonal baseline and an affine
-    input, all secant rows, build none.  No construction builds a
-    ConvexPiece or computes slacks."""
-    built = {"Poly": 0, "ConvexityCertificate": 0, "ConvexPiece": 0, "_slacks": 0}
-    post_init = Poly.__post_init__
+    input, all secant rows, build none.  No construction computes slacks."""
+    built = {"hermite_interpolant": 0, "ConvexityCertificate": 0, "_slacks": 0}
     cert_init = ConvexityCertificate.__init__
-
-    def counting(self):
-        built["Poly"] += 1
-        post_init(self)
 
     def counting_cert(self, *args, **kwargs):
         built["ConvexityCertificate"] += 1
@@ -405,27 +399,27 @@ def test_construction_builds_no_poly_per_piece(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(Poly, "__post_init__", counting)
     monkeypatch.setattr(ConvexityCertificate, "__init__", counting_cert)
-    for name in ("ConvexPiece", "_slacks"):
-        monkeypatch.setattr(localconvex, name, counted(name, getattr(localconvex, name)))
+    for module, name in ((endblocks, "hermite_interpolant"), (localconvex, "_slacks")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     f = exp_oracle(1.0)
     counts = {}
     for n in (64, 1024, 4096):
         built.update(dict.fromkeys(built, 0))
         construct_chebyshev(f, 2, n)
-        counts[n] = built["Poly"], built["ConvexityCertificate"]
-        assert built["ConvexPiece"] == built["_slacks"] == 0
+        counts[n] = built["hermite_interpolant"], built["ConvexityCertificate"]
+        assert built["_slacks"] == 0
     for n in (1024, 4096):
         assert counts[n][0] <= counts[64][0] and counts[n][1] <= counts[64][1]
     for build in (lambda: polygonal_baseline(exp_oracle(1.0), 4096),
                   lambda: construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 4096)):
         built.update(dict.fromkeys(built, 0))
         build()
-        assert built == {"Poly": 0, "ConvexityCertificate": 0, "ConvexPiece": 0, "_slacks": 0}
+        assert built == {"hermite_interpolant": 0, "ConvexityCertificate": 0, "_slacks": 0}
     localconvex._secant_piece(f, -1.0, 1.0)  # the counters do count
-    convexity_certificate(Poly(0.0, 1.0, (0.0, 0.0, 1.0)), (-1.0, 1.0))
-    assert built == {"Poly": 2, "ConvexityCertificate": 1, "ConvexPiece": 1, "_slacks": 1}
+    block = integrated_L(f, -1.0, 0.5, 2)
+    convexity_certificate(block, block.interval)
+    assert built == {"hermite_interpolant": 1, "ConvexityCertificate": 1, "_slacks": 1}
 
 
 def _prepare_reference(f, r):

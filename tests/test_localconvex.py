@@ -35,58 +35,59 @@ from convexlab.localconvex import (
     convex_piece,
     convex_pieces,
 )
-from convexlab.polynomial import Poly, convexity_certificate
+from convexlab.polynomial import convexity_certificate
 from convexlab.smoothness import modulus
+from helpers import Poly, pieces_of
 
 
-def sample_max_error(f, piece, npts=200):
-    a, b = piece.interval
-    xs = np.linspace(a, b, npts)
-    return float(np.max(np.abs(f(xs) - piece.poly(xs))))
+def sample_max_error(f, S, npts=200):
+    xs = np.linspace(S.a, S.b, npts)
+    return float(np.max(np.abs(f(xs) - S(xs))))
 
 
 def test_parabola_reproduces_square():
     # worked through the construction: g'(0) = -1, g'(1) = 1, first branch,
     # re-adding the secant yields x^2 itself
     f = poly_oracle([0.0, 0.0, 1.0])
-    piece = convex_parabola(f, (0.0, 1.0))
+    S, sources, slacks = convex_parabola(f, (0.0, 1.0))
     xs = np.linspace(0, 1, 50)
-    assert np.allclose(piece.poly(xs), xs**2, atol=1e-13)
-    assert piece.slack_left == pytest.approx(0.0, abs=1e-12)
-    assert piece.slack_right == pytest.approx(0.0, abs=1e-12)
+    assert (S.n, S.order, sources, slacks.shape) == (1, 3, ["parabola"], (1, 2))
+    assert np.allclose(S(xs), xs**2, atol=1e-13)
+    assert slacks[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert slacks[0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parabola_of_affine_is_affine():
     f = poly_oracle([3.0, -2.0])
-    piece = convex_parabola(f, (-1.0, 1.0))
+    S, _, _ = convex_parabola(f, (-1.0, 1.0))
     xs = np.linspace(-1, 1, 20)
-    assert np.allclose(piece.poly(xs), f(xs), atol=1e-13)
+    assert np.allclose(S(xs), f(xs), atol=1e-13)
 
 
 def test_parabola_exp_branch_arithmetic():
     # g'(0) = 2 - e, g'(1) = 1, so the first branch fires and the parabola in
     # normalized coordinates is (2 - e)(v - v^2)
     f = exp_oracle(1.0, domain=(0.0, 1.0))
-    piece = convex_parabola(f, (0.0, 1.0))
+    S, _, slacks = convex_parabola(f, (0.0, 1.0))
     e = math.e
     vs = np.linspace(0, 1, 33)
     expected = (2.0 - e) * (vs - vs**2) + (1.0 + (e - 1.0) * vs)
-    assert np.allclose(piece.poly(vs), expected, atol=1e-12)
+    assert np.allclose(S(vs), expected, atol=1e-12)
     # inner-end slope drops below f': P'(1) = e - 2 <= g'(1) = 1
-    assert piece.slack_right >= -1e-12
-    assert piece.slack_left == pytest.approx(0.0, abs=1e-12)
+    assert slacks[0, 1] >= -1e-12
+    assert slacks[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parabola_interpolates_and_certifies():
     for f in (exp_oracle(1.0), cosh_oracle(2.0), f0_oracle(1)):
-        piece = convex_parabola(f, (-0.5, 0.75))
-        a, b = piece.interval
+        S, _, slacks = convex_parabola(f, (-0.5, 0.75))
+        a, b = S.a, S.b
+        assert (a, b) == (-0.5, 0.75)
         scale = 1.0 + max(abs(float(f(a))), abs(float(f(b))))
-        assert abs(piece.poly(a) - float(f(a))) <= 1e-10 * scale
-        assert abs(piece.poly(b) - float(f(b))) <= 1e-10 * scale
-        assert piece.slack_left >= -1e-10 * scale
-        assert piece.slack_right >= -1e-10 * scale
-        assert convexity_certificate(piece.poly, piece.interval).convex
+        assert abs(S(a) - float(f(a))) <= 1e-10 * scale
+        assert abs(S(b) - float(f(b))) <= 1e-10 * scale
+        assert np.all(slacks >= -1e-10 * scale)
+        assert convexity_certificate(pieces_of(S)[0], (a, b)).convex
 
 
 def test_parabola_rejects_concave_input():
@@ -103,16 +104,16 @@ def test_piece_reproduces_polynomials():
         (even_power_oracle(2), 4),
     ]
     for f, degree in cases:
-        piece = convex_piece(f, (0.0, 1.0), degree)
-        assert sample_max_error(f, piece) <= 1e-9
-        assert piece.source == "lp"
+        S, sources, _ = convex_piece(f, (0.0, 1.0), degree)
+        assert sample_max_error(f, S) <= 1e-9
+        assert sources == ["lp"] and S.order == degree + 1
 
 
 def test_piece_x4_reproduction():
     f = even_power_oracle(2)
-    piece = convex_piece(f, (0.0, 1.0), 4)
+    S, _, _ = convex_piece(f, (0.0, 1.0), 4)
     xs = np.linspace(0, 1, 100)
-    assert np.max(np.abs(piece.poly(xs) - xs**4)) <= 1e-9
+    assert np.max(np.abs(S(xs) - xs**4)) <= 1e-9
 
 
 def test_piece_beats_parabola():
@@ -124,16 +125,16 @@ def test_piece_beats_parabola():
     for f, interval, degree in cases:
         a, b = interval
         zeta = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(8 * degree) / (8 * degree - 1))
-        lp = convex_piece(f, interval, degree)
-        par = convex_parabola(f, interval)
-        err = lambda pc: float(np.max(np.abs(f(zeta) - pc.poly(zeta))))
+        lp, _, _ = convex_piece(f, interval, degree)
+        par, _, _ = convex_parabola(f, interval)
+        err = lambda S: float(np.max(np.abs(f(zeta) - S(zeta))))
         assert err(lp) <= err(par) + 1e-9
 
 
 def test_piece_certified_convex_on_oracles():
     for f in (exp_oracle(1.0), f0_oracle(1), truncpow_oracle(1, 0.3)):
-        piece = convex_piece(f, (0.4, 0.95), 2)
-        assert convexity_certificate(piece.poly, piece.interval).convex
+        S, _, _ = convex_piece(f, (0.4, 0.95), 2)
+        assert convexity_certificate(pieces_of(S)[0], (0.4, 0.95)).convex
 
 
 def test_build_sigma_reproduces_square():
@@ -168,11 +169,10 @@ def test_build_sigma_globally_convex():
 def test_sigma_slopes_sandwich_derivative():
     f = cosh_oracle(1.0)
     X = uniform_partition(-1.0, 1.0, 10)
-    pieces = convex_pieces(f, X, 2)
+    _, _, slacks = convex_pieces(f, X, 2)
     scale = 1.0 + float(np.max(np.abs(f.deriv(1, X.knots))))
-    for pc in pieces:
-        assert pc.slack_left >= -1e-9 * scale
-        assert pc.slack_right >= -1e-9 * scale
+    assert slacks.shape == (X.n, 2)
+    assert np.all(slacks >= -1e-9 * scale)
 
 
 def test_sigma_error_contract_stable_in_n():
@@ -248,19 +248,30 @@ def _padded(p, order):
     return Poly(p.center, p.halfwidth, p.coeffs + (0.0,) * (order - len(p.coeffs)))
 
 
+def _parabola(f, interval):
+    """The Poly of convex_parabola's one row on the interval."""
+    return pieces_of(convex_parabola(f, interval)[0])[0]
+
+
 def _one_at_a_time(f, X, r):
-    return [convex_piece(f, X.interval(j), r + 1) for j in range(1, X.n + 1)]
+    """(Poly, source) of each interval's convex_piece, solved alone."""
+    out = []
+    for j in range(1, X.n + 1):
+        S, sources, _ = convex_piece(f, X.interval(j), r + 1)
+        assert S.knots.tolist() == list(X.interval(j))
+        out.append((pieces_of(S)[0], sources[0]))
+    return out
 
 
 @pytest.mark.parametrize("f,r", [(exp_oracle(1.0), 2), (truncpow_oracle(1, 0.3), 1)])
 def test_convex_pieces_match_pieces_solved_one_at_a_time(f, r):
     X = chebyshev_partition(3 * CHUNK + 5)
-    batched = convex_pieces(f, X, r)
-    for got, want in zip(batched, _one_at_a_time(f, X, r)):
-        assert got.source == want.source
-        assert got.interval == want.interval
-        scale = float(np.max(np.abs(want.poly.coeffs)))
-        assert np.allclose(got.poly.coeffs, want.poly.coeffs, rtol=0.0, atol=1e-12 * scale)
+    S, sources, _ = convex_pieces(f, X, r)
+    for got, source, (want, want_source) in zip(pieces_of(S), sources, _one_at_a_time(f, X, r)):
+        assert source == want_source
+        assert (got.center, got.halfwidth) == (want.center, want.halfwidth)
+        scale = float(np.max(np.abs(want.coeffs)))
+        assert np.allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12 * scale)
 
 
 def _dip_oracle(centers=(0.45, 0.75), depth=0.005, width=0.002):
@@ -304,7 +315,7 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     X = chebyshev_partition(CHUNK + 4)
     want = _one_at_a_time(f, X, 2)
     calls = _linprog_spy(monkeypatch, f, X, fail=lambda pieces: len(pieces) > 1)
-    got = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 2)
     order = [pieces for pieces, _, _ in calls]
     chunks = [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
     # each chunk's LP once, then every piece of it alone, after that LP
@@ -315,18 +326,18 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     threads = {thread for _, _, thread in calls}
     assert threading.current_thread() not in threads
     assert all(thread.name.startswith("convexlab-highs") for thread in threads)
-    for g, w in zip(got, want):
-        assert g.source == "lp"
-        assert g.poly == w.poly
+    assert sources == ["lp"] * X.n
+    assert pieces_of(S) == [p for p, _ in want]
 
 
 def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(6)
     _linprog_spy(monkeypatch, f, X, fail=lambda pieces: True)
-    for j, pc in enumerate(convex_pieces(f, X, 2), start=1):
-        assert pc.source == "parabola-fallback"
-        assert pc.poly == _padded(convex_parabola(f, X.interval(j)).poly, 4)
+    S, sources, _ = convex_pieces(f, X, 2)
+    assert sources == ["parabola-fallback"] * X.n
+    for j, p in enumerate(pieces_of(S), start=1):
+        assert p == _padded(_parabola(f, X.interval(j)), 4)
 
 
 def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
@@ -335,7 +346,7 @@ def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
     interval = X.interval(5)
     calls = _linprog_spy(monkeypatch, f, X)
     seen = _failing_certificate(monkeypatch, interval, times=1)
-    pieces = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 2)
     assert len(seen) == 1
     # the first pass solves both chunks; the re-solve, which starts only once
     # the first pass is done, batches just the failed piece
@@ -345,8 +356,8 @@ def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
     curvature = slice(2, 2 + 4 * 3)  # rows p'' >= mu at 4*degree points
     assert all(np.all(b_ub.reshape(len(p), -1)[:, curvature] == 0.0) for p, b_ub, _ in first)
     assert np.all(rhs[curvature] < 0.0)
-    assert all(pc.source == "lp" for pc in pieces)
-    assert convexity_certificate(pieces[4].poly, interval).convex
+    assert sources == ["lp"] * X.n
+    assert convexity_certificate(pieces_of(S)[4], interval).convex
 
 
 def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
@@ -354,32 +365,33 @@ def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
     X = chebyshev_partition(CHUNK + 4)
     interval = X.interval(5)
     seen = _failing_certificate(monkeypatch, interval, times=2)
-    pieces = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 2)
     assert len(seen) == 2
-    assert pieces[4].source == "parabola-fallback"
-    assert pieces[4].poly == _padded(convex_parabola(f, interval).poly, 4)
-    assert all(pc.source == "lp" for j, pc in enumerate(pieces) if j != 4)
+    assert sources[4] == "parabola-fallback"
+    assert pieces_of(S)[4] == _padded(_parabola(f, interval), 4)
+    assert all(source == "lp" for j, source in enumerate(sources) if j != 4)
 
 
 def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
-    """convex_pieces is a view of _convex_pieces' spline, bit for bit, with
-    a parabola fallback (piece 4) and a secant (piece 9, at rounding scale)
-    among the LP rows."""
+    """convex_pieces returns _convex_pieces' spline and sources, bit for bit,
+    with a parabola fallback (piece 4) and a secant (piece 9, at rounding
+    scale) among the LP rows, and each row's slope slacks as the reference
+    Poly arithmetic gives them."""
     f = exp_oracle(1.0)
     cheb = chebyshev_partition(CHUNK + 4).knots
     knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
     X = Partition(knots)
     _failing_certificate(monkeypatch, X.interval(5), times=4)  # twice per call
     spline, sources = localconvex._convex_pieces(f, knots, 3)
-    pieces = convex_pieces(f, X, 2)
+    S, got_sources, slacks = convex_pieces(f, X, 2)
     assert sources[4] == "parabola-fallback" and sources[9] == "secant"
     assert sources.count("lp") == X.n - 2
-    assert [pc.source for pc in pieces] == sources
-    assert [pc.interval for pc in pieces] == [X.interval(j) for j in range(1, X.n + 1)]
-    assert [pc.poly for pc in pieces] == list(spline.pieces)
-    assert np.array_equal([pc.poly.coeffs for pc in pieces], spline.coeffs)
-    assert [pc.poly.center for pc in pieces] == spline.centers.tolist()
-    assert [pc.poly.halfwidth for pc in pieces] == spline.halfwidths.tolist()
+    assert got_sources == sources
+    for name in ("knots", "coeffs", "centers", "halfwidths"):
+        assert np.array_equal(getattr(S, name), getattr(spline, name)), name
+    want = [[p.deriv_value(a) - float(f.deriv(1, a)), float(f.deriv(1, b)) - p.deriv_value(b)]
+            for p, (a, b) in zip(pieces_of(S), zip(knots[:-1].tolist(), knots[1:].tolist()))]
+    assert slacks.tolist() == want
 
 
 def test_lp_calls_are_batched(monkeypatch):
@@ -387,8 +399,8 @@ def test_lp_calls_are_batched(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(512)
     calls = _linprog_spy(monkeypatch, f, X)
-    pieces = convex_pieces(f, X, 2)
-    assert all(pc.source == "lp" for pc in pieces)
+    _, sources, _ = convex_pieces(f, X, 2)
+    assert sources == ["lp"] * X.n
     assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
 
 
@@ -449,12 +461,12 @@ def test_forked_child_gets_a_pool_of_its_own():
     """A forked child inherits the pool object but none of its threads, so
     without a fresh pool its first chunk LP would wait forever."""
     f, X = exp_oracle(1.0), chebyshev_partition(4 * CHUNK)
-    want = [pc.poly for pc in convex_pieces(f, X, 2)]  # the pool's threads are running
+    want = pieces_of(convex_pieces(f, X, 2)[0])  # the pool's threads are running
     pid = os.fork()
     if pid == 0:  # the child ends here, whatever happens
         code = 1
         try:
-            code = 0 if [pc.poly for pc in convex_pieces(f, X, 2)] == want else 2
+            code = 0 if pieces_of(convex_pieces(f, X, 2)[0]) == want else 2
         finally:
             os._exit(code)
     for _ in range(600):

@@ -1,8 +1,8 @@
 """PiecewisePoly's array passes against the per-piece scalar arithmetic.
 
-The spline is one zero-padded coefficient matrix; its pieces are a Poly view
-of the rows.  Every value it returns must equal, bit for bit, what the piece
-itself gives by Horner's rule in Python floats.  A spline JSON whose rows are
+The spline is one zero-padded coefficient matrix.  Every value it returns
+must equal, bit for bit, what the piece of its row gives by Horner's rule in
+Python floats.  A spline JSON whose rows are
 shorter than its order, as older files hold them, must still load and
 evaluate like its short pieces.
 """
@@ -16,8 +16,8 @@ from convexlab.domain import chebyshev_partition, exp_oracle, f0_oracle, poly_or
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.localconvex import convex_parabola, convex_pieces
 from convexlab.piecewise import PiecewisePoly
-from convexlab.polynomial import ConvexityCertificate, Poly, convexity_certificate
-from helpers import spline_of
+from convexlab.polynomial import ConvexityCertificate, convexity_certificate
+from helpers import Poly, pieces_of, spline_of
 
 
 def scalar_value(p, x, nu=0):
@@ -41,8 +41,8 @@ def _affine_spline():
 def _parabola_in_cubic_spline():
     f = f0_oracle(2)
     X = chebyshev_partition(24)
-    polys = [pc.poly for pc in convex_pieces(f, X, 2)]
-    polys[5] = convex_parabola(f, X.interval(6)).poly
+    polys = pieces_of(convex_pieces(f, X, 2)[0])
+    polys[5] = pieces_of(convex_parabola(f, X.interval(6))[0])[0]
     return spline_of(X.knots, polys, 4)
 
 
@@ -64,7 +64,7 @@ def test_eval_matches_pieces_bit_for_bit(spline):
     mids = 0.5 * (S.knots[:-1] + S.knots[1:])
     xs = np.concatenate([S.knots, mids, np.linspace(S.a, S.b, 301)])
     got = S(xs)
-    pieces = S.pieces
+    pieces = pieces_of(S)
     want = [scalar_value(pieces[j], float(x)) for j, x in zip(S.piece_index(xs), xs)]
     assert got.tolist() == want
     assert S(float(xs[7])) == want[7] and isinstance(S(float(xs[7])), float)
@@ -76,7 +76,7 @@ def test_eval_matches_pieces_bit_for_bit(spline):
 
 def test_derivatives_match_pieces_bit_for_bit(spline):
     S = spline
-    pieces = S.pieces
+    pieces = pieces_of(S)
     for i in range(1, S.n):
         x = float(S.knots[i])
         left, right = pieces[i - 1], pieces[i]
@@ -94,19 +94,20 @@ def test_derivatives_match_pieces_bit_for_bit(spline):
 def test_piece_certificates_match_one_piece_certificates(spline):
     S = spline
     want = [convexity_certificate(p, (float(S.knots[i]), float(S.knots[i + 1])))
-            for i, p in enumerate(S.pieces)]
+            for i, p in enumerate(pieces_of(S))]
     got = zip(*(a.tolist() for a in S.piece_certificates()))
     assert [ConvexityCertificate(*row) for row in got] == want
     assert all(c.convex for c in want)
 
 
 def test_pieces_view_is_the_matrix():
+    """A spline's pieces are the rows of its read-only arrays: the parabola
+    row is zero-padded to the order, and no per-piece view is kept."""
     S = _parabola_in_cubic_spline()
     assert S.order == 4
-    assert [list(p.coeffs) for p in S.pieces] == S.coeffs.tolist()
-    assert [(p.center, p.halfwidth) for p in S.pieces] == list(zip(S.centers.tolist(),
-                                                                   S.halfwidths.tolist()))
-    assert S.pieces[5].coeffs[3] == 0.0
+    assert S.coeffs.shape == (S.n, 4) and S.centers.shape == S.halfwidths.shape == (S.n,)
+    assert S.coeffs[5, 3] == 0.0
+    assert not hasattr(S, "pieces")
     for name in ("knots", "coeffs", "centers", "halfwidths"):
         with pytest.raises(ValueError):
             getattr(S, name)[0] = 0.0
@@ -157,20 +158,11 @@ def test_row_whose_coefficient_sums_overflow_raises_naming_it(row, halfwidth):
     PiecewisePoly(**arrays)
 
 
-def test_to_json_dict_builds_no_poly(monkeypatch, spline):
-    """JSON rows are written from the arrays, as Poly.to_json_dict wrote
-    them, without a Poly per row."""
-    want = [p.to_json_dict() for p in spline.pieces]
-    built = []
-    post_init = Poly.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Poly, "__post_init__", counting)
+def test_to_json_dict_builds_no_poly(spline):
+    """JSON rows are written from the arrays, as the reference
+    Poly.to_json_dict writes each row."""
+    want = [p.to_json_dict() for p in pieces_of(spline)]
     doc = spline.to_json_dict()
-    assert built == []
     assert doc["pieces"] == want and doc["knots"] == spline.knots.tolist()
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from convexlab.polynomial import (
     DegenerateNodes,
-    Poly,
     convexity_certificate,
     hermite_interpolant,
 )
+from helpers import Poly
 
 
 def _monomial_coeffs(p):
@@ -92,7 +93,7 @@ def test_derivative_of_antiderivative_roundtrip():
 
 def test_hermite_two_point():
     # value+slope at 0, value at 1 -> x^2
-    p = hermite_interpolant([(0.0, [0.0, 0.0]), (1.0, [1.0])])
+    p = Poly(*hermite_interpolant([(0.0, [0.0, 0.0]), (1.0, [1.0])]))
     for x in np.linspace(0, 1, 7):
         assert p(float(x)) == pytest.approx(x * x, abs=1e-13)
 
@@ -109,7 +110,7 @@ def test_hermite_matches_linear_solve_oracle():
     ])
     rhs = np.array([0.0, 0.0, 1.0])
     mono = np.linalg.solve(A, rhs)
-    p = hermite_interpolant(data)
+    p = Poly(*hermite_interpolant(data))
     xs = np.linspace(0, 1, 23)
     expect = mono[0] + mono[1] * xs + mono[2] * xs**2
     assert np.allclose(p(xs), expect, atol=1e-12)
@@ -119,7 +120,7 @@ def test_hermite_reproduces_polynomial():
     target = Poly(0.2, 0.9, (0.5, -1.0, 2.0, 0.7))
     nodes = [(-0.5, [target(-0.5), target.deriv_value(-0.5, 1)]),
              (0.8, [target(0.8), target.deriv_value(0.8, 1)])]
-    p = hermite_interpolant(nodes)
+    p = Poly(*hermite_interpolant(nodes))
     got = _monomial_coeffs(p)
     want = _monomial_coeffs(target)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -132,7 +133,7 @@ def test_hermite_degenerate_nodes():
 
 def test_hermite_taylor_only():
     # single confluent node: Taylor polynomial
-    p = hermite_interpolant([(1.0, [2.0, 3.0, 4.0])])
+    p = Poly(*hermite_interpolant([(1.0, [2.0, 3.0, 4.0])]))
     assert p(1.0) == pytest.approx(2.0)
     assert p.deriv_value(1.0, 1) == pytest.approx(3.0)
     assert p.deriv_value(1.0, 2) == pytest.approx(4.0)
@@ -263,3 +264,15 @@ def test_hermite_ill_conditioned_detected():
     from convexlab.polynomial import IllConditioned
     with pytest.raises(IllConditioned):
         hermite_interpolant([(0.0, [1.0]), (5e-320, [2.0])])
+
+
+def test_hermite_interpolant_returns_a_row():
+    center, halfwidth, coeffs = hermite_interpolant([(0.25, [1.0, 0.5]), (0.75, [2.0])])
+    assert (center, halfwidth) == (0.5, 0.25)
+    assert isinstance(coeffs, np.ndarray) and coeffs.shape == (3,)
+
+
+def test_certificate_takes_any_piece_with_a_row():
+    row = SimpleNamespace(center=0.3, halfwidth=0.7, coeffs=np.array([1.0, -2.0, 0.5, 4.0]))
+    want = convexity_certificate(Poly(0.3, 0.7, (1.0, -2.0, 0.5, 4.0)), (-0.4, 1.0))
+    assert convexity_certificate(row, (-0.4, 1.0)) == want

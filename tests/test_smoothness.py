@@ -99,6 +99,14 @@ def test_modulus_rejects_nan_step():
         modulus(f, 2, math.nan, (-1, 1), grid=64)
 
 
+def test_modulus_rejects_negative_step():
+    f = lambda x: np.exp(np.asarray(x))
+    for t in (-0.5, -1e-300, -math.inf):
+        with pytest.raises(ValueError, match=">= 0"):
+            modulus(f, 2, t, (-1, 1), grid=64)
+    assert modulus(f, 2, -0.0, (-1, 1), grid=64).value == 0.0
+
+
 def test_modulus_invalid_order_and_grid():
     f = lambda x: np.asarray(x)
     with pytest.raises(InvalidOrder):
