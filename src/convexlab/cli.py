@@ -101,6 +101,8 @@ def _spline_json(S, trace, meta) -> dict:
 
 
 def cmd_approximate(args) -> int:
+    if args.n is not None and args.partition:
+        raise ValueError("give --n or --partition, not both")
     f = parse_function(args.function)
     meta = {"function": f.label(), "r": args.r}
     try:

@@ -10,11 +10,14 @@ row's source and its slope slacks; the construction uses the rows alone.
 
 Each chunk's LP goes to HiGHS directly, through scipy's bindings
 (scipy.optimize._highspy._core, loaded from its extension file alone, not
-through scipy.optimize), as one column-wise model built from the
-dense per-piece blocks by index arithmetic; scipy.optimize.linprog's input
-cleaning, sparse stacking and per-option checks cost about as much as the
-solve itself.  The model, its options and its failure checks are linprog's
-own, so the coefficients are linprog's bit for bit.  The module-level
+through scipy.optimize), as one column-wise model of the dense per-piece
+blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
+per-option checks cost about as much as the solve itself.  Each thread keeps
+one HiGHS solver, its options passed once, and one model layout per chunk
+shape, whose column starts, row indices, costs and bounds the shape fixes;
+a solve fills in only the blocks' values and the row bounds, and passModel
+makes it cold.  The model, its options and its failure checks are
+linprog's own, so the coefficients are linprog's bit for bit.  The module-level
 :func:`linprog` keeps linprog's name and keyword arguments, because it is
 the one seam between the pieces and the solver: profilers and tests wrap
 it by that name.  It returns x or raises SolverStall, the one failure signal
@@ -104,9 +107,9 @@ DEGENERATE_REL_LENGTH = 1e-13
 CHUNK = 16
 
 # threads solving chunk LPs at once.  Every solve running at once adds to
-# peak memory, about 2.3 MB a thread: construct_chebyshev(exp:alpha=1, r=2,
-# n=4096) peaks at 45.0 MB solved serially and at 47.2, 52.0 and 61.6 MB on
-# pools of 2, 4 and 8 threads, so 2 keeps the peak within 5% of serial
+# peak memory, about 2.5 MB a thread: construct_chebyshev(exp:alpha=1, r=2,
+# n=4096) peaks at 41.2 MB solved serially and at 43.7, 48.6 and 58.6 MB on
+# pools of 2, 4 and 8 threads, so 2 keeps the peak within 7% of serial
 _MAX_THREADS = 2
 
 
@@ -124,7 +127,9 @@ def _highs_options(threads: int):
 
 
 class _PerThread(threading.local):
-    """The HiGHS options linprog passes on the current thread.
+    """What linprog keeps on the current thread: the HiGHS options it passes,
+    its one solver, built on its first solve with those options, and one
+    model layout per chunk shape (see :func:`_layout`).
 
     HiGHS keeps one task scheduler per thread, sized by the first solve on
     that thread (threads=0: half the machine's hardware threads, whatever the
@@ -133,7 +138,10 @@ class _PerThread(threading.local):
     their own; every other thread keeps linprog's 0.
     """
 
-    highs_options = _highs_options(threads=0)
+    def __init__(self):
+        self.highs_options = _highs_options(threads=0)
+        self.highs = None
+        self.layouts = {}
 
 
 _per_thread = _PerThread()
@@ -259,6 +267,39 @@ def _monomial_rows(x: np.ndarray, center: np.ndarray, w: np.ndarray, degree: int
     return rows / (w * w)[:, None, None]
 
 
+def _layout(k: int, m_ub: int, m_eq: int, cols: int, c: np.ndarray, bounds: np.ndarray):
+    """The current thread's HighsLp for k dense blocks of m_ub ub rows, m_eq
+    eq rows and cols columns, with costs c and column bounds.
+
+    Column j of block i holds all m_ub + m_eq rows of that block, zeros
+    included: its ub rows i*m_ub.., then its eq rows k*m_ub + i*m_eq.., so
+    the column starts and row indices depend on the shape alone, and a solve
+    sets only the values and row bounds.  passModel drops the zero entries,
+    so HiGHS solves the model of the nonzeros alone.  The layout is kept per
+    shape and built again when c or bounds differ from the kept ones.  The
+    bindings fill their vectors from lists about twice as fast as from
+    arrays, tolist included.
+    """
+    key = (k, m_ub, m_eq, cols)
+    kept = _per_thread.layouts.get(key)
+    if kept is not None and np.array_equal(kept[1], c) and np.array_equal(kept[2], bounds):
+        return kept[0]
+    block = np.arange(k)[:, None]
+    rows = np.concatenate([block * m_ub + np.arange(m_ub),
+                           k * m_ub + block * m_eq + np.arange(m_eq)], axis=1)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = k * cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows.size
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = (np.arange(k * cols + 1) * (m_ub + m_eq)).tolist()
+    lp.a_matrix_.index_ = np.repeat(rows, cols, axis=0).ravel().tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = bounds[:, 0].tolist()
+    lp.col_upper_ = bounds[:, 1].tolist()
+    _per_thread.layouts[key] = (lp, c.copy(), bounds.copy())
+    return lp
+
+
 def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
     """The x minimising c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq
     and bounds[:, 0] <= x <= bounds[:, 1], solved as one HiGHS model.
@@ -272,38 +313,24 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
     failures: SolverStall unless HiGHS reports an optimum that passes
     linprog's feasibility check of bounds, ub slacks and eq residuals at
     10*sqrt(1e-9).
+
+    The thread's one solver takes the model of :func:`_layout` for the
+    blocks' shape with their values and row bounds filled in; passModel
+    clears its previous model, basis and solution, so every solve is cold.
     """
     k, m_ub, cols = A_ub.shape
-    m_eq = A_eq.shape[1]
-    # global row of each block row: the ub rows of all blocks, then the eq rows
-    block = np.arange(k)[:, None]
-    rows = np.concatenate([block * m_ub + np.arange(m_ub),
-                           k * m_ub + block * m_eq + np.arange(m_eq)], axis=1)
-    # (block, column, row) order is column-wise order of the whole matrix
-    stacked = np.concatenate([A_ub, A_eq], axis=1).transpose(0, 2, 1)
-    piece, col, row = np.nonzero(stacked)
-    start = np.zeros(k * cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(piece * cols + col, minlength=k * cols), out=start[1:])
+    lp = _layout(k, m_ub, A_eq.shape[1], cols, c, bounds)
+    # (block, column, row) order is the layout's column-wise order
+    lp.a_matrix_.value_ = np.concatenate([A_ub, A_eq], axis=1).transpose(0, 2, 1).ravel().tolist()
     rhs = np.concatenate([b_ub, b_eq])
-    lower, upper = bounds.T
-
-    # the bindings fill their vectors from lists about twice as fast as from
-    # arrays, tolist included
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = k * cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = rows[piece, row].tolist()
-    lp.a_matrix_.value_ = stacked[piece, col, row].tolist()
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = lower.tolist()
-    lp.col_upper_ = upper.tolist()
     lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq]).tolist()
     lp.row_upper_ = rhs.tolist()
+    lower, upper = bounds.T
 
-    highs = _highs._Highs()
-    highs.passOptions(_per_thread.highs_options)
+    highs = _per_thread.highs
+    if highs is None:
+        highs = _per_thread.highs = _highs._Highs()
+        highs.passOptions(_per_thread.highs_options)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverStall(highs.modelStatusToString(_highs.HighsModelStatus.kModelError))
     if (highs.run() == _highs.HighsStatus.kError

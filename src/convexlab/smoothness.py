@@ -268,7 +268,7 @@ class ModulusProfile:
     The steps are clamped to the admissible (b-a)/k, sorted and de-duplicated;
     each gets one dense-in-x row maximum sup_x |delta^k_u f| (``rows``, with
     its center ``arg_x``).  value(t) is the running max of the rows at steps
-    <= t, and 0 below the first step.
+    <= t, and 0 below the first step or at a NaN t.
     """
 
     def __init__(self, f, k: int, interval, steps, grid: int = 2048, focus=()):
@@ -282,6 +282,9 @@ class ModulusProfile:
         self.cummax = np.maximum.accumulate(np.append(0.0, self.rows))
 
     def value(self, t):
-        """Running max at the largest step <= t; t may be a scalar or an array."""
-        v = self.cummax[np.searchsorted(self.us, t, side="right")]
+        """Running max at the largest step <= t, 0 at a NaN t; t may be a
+        scalar or an array."""
+        # searchsorted places NaN after every step
+        i = np.searchsorted(self.us, t, side="right")
+        v = self.cummax[np.where(np.isnan(t), 0, i)]
         return float(v) if np.ndim(v) == 0 else v

@@ -75,6 +75,20 @@ def test_approximate_partition_file(tmp_path):
     assert code == 0
 
 
+def test_approximate_refuses_n_with_partition(tmp_path, capsys):
+    # the knots come from the file alone, so an --n beside it would be ignored
+    knots = tmp_path / "knots.txt"
+    knots.write_text("\n".join(str(v) for v in [-1.0, -0.99, 0.0, 0.99, 1.0]) + "\n")
+    out = tmp_path / "s.json"
+    code = run(["approximate", "--function", "exp:alpha=1", "--r", "1", "--n", "64",
+                "--partition", str(knots), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: give --n or --partition, not both"]
+    assert not out.exists()
+
+
 def test_approximate_coarse_partition_exits_2(tmp_path, capsys):
     knots = tmp_path / "knots.txt"
     knots.write_text("\n".join(str(v) for v in [-1.0, -0.5, 0.0, 0.5, 1.0]) + "\n")

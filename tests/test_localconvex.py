@@ -522,6 +522,112 @@ def test_model_error_is_a_failure_on_both_paths():
         assert _scipy_solve(cost, blocks).status != 0
 
 
+def _model_error_blocks():
+    """The LP of the first end interval of n = 4096 in [0, 1], which HiGHS
+    refuses (see test_model_error_is_a_failure_on_both_paths)."""
+    g, amap = normalize_to_unit(exp_oracle(1.0))
+    u = (chebyshev_partition(4096).knots - amap.shift) / amap.scale
+    return localconvex._lp_blocks(g, np.array([0.0]), u[1:2], 3, np.zeros(1))
+
+
+def test_kept_solver_solves_cold():
+    """passModel clears the kept solver's model, basis and solution, so a
+    chunk gives the same x, bit for bit, and the same simplex iteration count
+    as on a fresh solver, whatever the thread solved before it: another
+    chunk, an LP that HiGHS refuses, or a one-piece LP."""
+    f = exp_oracle(1.0)
+    knots = chebyshev_partition(3 * CHUNK).knots
+    a, b = knots[:-1], knots[1:]
+    chunk = localconvex._lp_blocks(f, a[:CHUNK], b[:CHUNK], 3, np.zeros(CHUNK))
+    other = localconvex._lp_blocks(f, a[CHUNK:2 * CHUNK], b[CHUNK:2 * CHUNK], 3, np.zeros(CHUNK))
+    one = localconvex._lp_blocks(f, a[CHUNK:CHUNK + 1], b[CHUNK:CHUNK + 1], 3, np.zeros(1))
+
+    def solve(lp):
+        """(x, simplex iterations) of the thread's solver, or None on a stall."""
+        try:
+            x = localconvex.linprog(lp[0], **lp[1])
+        except SolverStall:
+            return None
+        return x, localconvex._per_thread.highs.getInfo().simplex_iteration_count
+
+    def on_one_thread():
+        assert localconvex._per_thread.highs is None
+        fresh = solve(chunk)
+        return fresh, [(solve(before), solve(chunk))
+                       for before in (other, _model_error_blocks(), one)]
+
+    with ThreadPoolExecutor(1) as thread:  # a new thread: the first solve is on a new solver
+        fresh, runs = thread.submit(on_one_thread).result(timeout=60)
+    assert fresh[1] > 0
+    assert [before is None for before, _ in runs] == [False, True, False]
+    for _, (x, iterations) in runs:
+        assert np.array_equal(x, fresh[0])
+        assert iterations == fresh[1]
+
+
+def test_no_solver_or_layout_is_built_per_chunk(monkeypatch):
+    """A pool thread builds one HiGHS solver and one model layout per chunk
+    shape on its first solve, and a later construction builds none."""
+    built = {"_Highs": [], "HighsLp": []}
+    for name, seen in built.items():
+        real = getattr(localconvex._highs, name)
+
+        def init(self, real=real, seen=seen):
+            real.__init__(self)
+            seen.append(threading.current_thread())
+
+        monkeypatch.setattr(localconvex._highs, name, type(name, (real,), {"__init__": init}))
+    threads = min(localconvex._cpus(), localconvex._MAX_THREADS)
+    pool = ThreadPoolExecutor(threads, initializer=localconvex._one_highs_thread)
+    monkeypatch.setattr(localconvex, "_pool", pool)
+    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 chunks of one shape
+    try:
+        convex_pieces(f, X, 2)
+        first = {name: list(seen) for name, seen in built.items()}
+        convex_pieces(f, X, 2)
+    finally:
+        pool.shutdown()
+    for name, seen in first.items():
+        assert 1 <= len(seen) <= threads
+        assert len(set(seen)) == len(seen)
+        assert threading.current_thread() not in seen
+        assert built[name] == seen  # none on the second call
+
+
+def test_exact_zero_entry_solves_to_the_nonzero_model():
+    """The layout passes every entry of the dense blocks and HiGHS drops the
+    zeros, so a block entry that is exactly 0.0 gives the x of the model of
+    the nonzeros alone, as scipy.optimize.linprog builds it."""
+    knots = chebyshev_partition(CHUNK).knots
+    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:], 3,
+                                          np.zeros(CHUNK))
+    row = 2 + 4 * 3  # the first value row of a piece
+    assert blocks["A_ub"][3, row, 1] != 0.0
+    blocks["A_ub"][3, row, 1] = 0.0
+    want = _scipy_solve(cost, blocks)
+    assert want.status == 0
+    assert np.array_equal(localconvex.linprog(cost, **blocks), want.x)
+
+
+def test_kept_layout_takes_each_calls_costs_and_bounds():
+    """A layout is kept per shape, but a call whose costs or bounds differ
+    from the kept ones is solved with its own, as scipy.optimize.linprog
+    solves it."""
+    knots = chebyshev_partition(CHUNK).knots
+    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:], 3,
+                                          np.zeros(CHUNK))
+    other_cost = cost.copy()
+    other_cost[4] = 0.0  # the first piece's epigraph variable is free of cost
+    other_bounds = blocks["bounds"].copy()
+    other_bounds[9, 0] = 1e-3  # the second piece's epigraph variable is at least 1e-3
+    for c, bounds in [(cost, blocks["bounds"]), (other_cost, blocks["bounds"]),
+                      (cost, other_bounds), (cost, blocks["bounds"])]:
+        lp = {**blocks, "bounds": bounds}
+        want = _scipy_solve(c, lp)
+        assert want.status == 0
+        assert np.array_equal(localconvex.linprog(c, **lp), want.x)
+
+
 @pytest.mark.parametrize("corrupt", ["bound", "ub slack", "eq residual"])
 def test_infeasible_solution_is_a_stall(monkeypatch, corrupt):
     """An 'optimal' solution off its bounds, ub rows or eq rows by more than
@@ -542,8 +648,10 @@ def test_infeasible_solution_is_a_stall(monkeypatch, corrupt):
     knots = chebyshev_partition(CHUNK).knots
     a, b = knots[:-1], knots[1:]
     cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), a, b, 3, np.zeros(a.size))
-    with pytest.raises(SolverStall, match="violates the constraints"):
-        localconvex.linprog(cost, **blocks)
+    # a thread keeps its solver, so a new thread is needed to build a Corrupted one
+    with ThreadPoolExecutor(1) as thread:
+        with pytest.raises(SolverStall, match="violates the constraints"):
+            thread.submit(localconvex.linprog, cost, **blocks).result(timeout=60)
 
 
 def test_missing_highs_bindings_name_the_scipy_version():

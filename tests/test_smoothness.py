@@ -233,6 +233,16 @@ def test_profile_is_zero_below_first_step():
     assert ModulusProfile(f, 2, (-1, 1), (), grid=64).value(0.5) == 0.0
 
 
+def test_profile_reads_zero_at_nan_step():
+    # searchsorted places NaN after every step, which read the profile's maximum
+    f = lambda x: np.exp(np.asarray(x))
+    prof = ModulusProfile(f, 2, (-1, 1), (0.1, 0.2), grid=64)
+    assert prof.value(0.2) > 0.0
+    assert prof.value(math.nan) == 0.0
+    got = prof.value(np.array([0.2, math.nan, 0.1]))
+    assert got.tolist() == [prof.value(0.2), 0.0, prof.value(0.1)]
+
+
 def test_profile_array_and_scalar_queries_agree():
     f = lambda x: np.sin(6.0 * np.asarray(x))
     prof = ModulusProfile(f, 2, (-1, 1), np.linspace(0.05, 1.0, 9), grid=64)
