@@ -3,13 +3,16 @@ n-sweeps, and the arithmetic witnesses behind the impossibility results.
 
 Every estimate is checked as a ratio |f - S| / bound on a fixed grid.  The
 moduli in denominators are certified lower bounds, read from a
-``ModulusProfile`` built over exactly the steps the grid queries, so ratios
-over-estimate conservatively; points where either side sits below the float
-noise floor are excluded and reported as satisfied-degenerate.  Bounds 2.3,
-2.4 and 2.5 share one code path driven by a table of (order, step, weight).
-Bound 2.13 reads every knot interval's term, the two end terms included,
-from ``modulus_lower_bounds``: one lattice of ``density`` steps per interval,
-evaluated in blocks of intervals, so each grid point's bound is a gather.
+``ModulusProfile`` built over the steps up to the largest one a kept point
+queries, so ratios over-estimate conservatively; points where either side
+sits below the float noise floor are excluded and reported as
+satisfied-degenerate.  The noise floor is applied before any bound is
+computed, so a report whose every error is noise builds no profile row.  Bounds
+2.3, 2.4 and 2.5 share one code path driven by a table of (order, step,
+weight).  Bound 2.13 reads the term of every knot interval that holds a kept
+point, and the two end terms, from ``modulus_lower_bounds``: one lattice of
+``density`` steps per interval, evaluated in blocks of intervals, so each
+grid point's bound is a gather.
 """
 
 from __future__ import annotations
@@ -95,12 +98,24 @@ _PROFILE_BOUNDS = {
 }
 
 
-def _assemble_report(bound_id, xs, errs, bounds, scale) -> BoundReport:
-    """Exclude the points whose error is float noise, or whose bound is below
-    DENOM_FLOOR and error below ATOL_REL; ratio the rest.  A NaN error or
-    bound is kept, and its NaN ratio is the sup."""
-    excluded = (errs <= NOISE_REL * scale) | ((bounds <= DENOM_FLOOR)
-                                              & (errs <= ATOL_REL * scale))
+def _steps_read(steps: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """The steps a profile needs so that its value at every step of a read
+    point is the full profile's: all steps up to the largest read one, and
+    none when no point is read.  Each row is its own maximum and value(t) a
+    running max over the rows at steps <= t, so the reads stay bit for bit."""
+    return steps[steps <= np.max(steps[read], initial=-np.inf)]
+
+
+def _assemble_report(bound_id, xs, errs, scale, bounds_at) -> BoundReport:
+    """Exclude the points whose error is float noise, ask ``bounds_at(read)``
+    for the bounds at the others, ``read`` being their mask, and exclude
+    those whose bound is below DENOM_FLOOR and error below ATOL_REL; ratio
+    the rest.  A NaN error or bound is kept, and its NaN ratio is the sup."""
+    excluded = errs <= NOISE_REL * scale
+    read = ~excluded
+    bounds = np.zeros(xs.size)
+    bounds[read] = bounds_at(read)
+    excluded[read] = (bounds[read] <= DENOM_FLOOR) & (errs[read] <= ATOL_REL * scale)
     kept = ~excluded
     with np.errstate(all="ignore"):  # inf / inf is nan and overflow inf, as in floats
         ratios = errs[kept] / np.maximum(bounds[kept], DENOM_FLOOR)
@@ -117,7 +132,9 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
     Interior bounds use the full interval, the endpoint variants are
     restricted to the strips of width n^-2, and the per-interval forms to the
     first/last/interior intervals respectively.  Exact endpoints, where both
-    sides vanish by interpolation, are excluded up front.
+    sides vanish by interpolation, are excluded up front.  The error is
+    evaluated first; the modulus layer is asked only for what the points
+    above the noise floor read, so a noise point's bound is never computed.
     """
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
@@ -148,6 +165,8 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
             return xs
         return np.sort(np.concatenate([xs] + extra))
 
+    # each branch fixes the grid xs and bounds_at(read), the bound at the
+    # points xs[read] from profiles over the steps those points read
     if bound_id in _PROFILE_BOUNDS:
         k, step, weight = _PROFILE_BOUNDS[bound_id]
         if bound_id == "2.3":
@@ -155,31 +174,43 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
         else:
             xs = _strip_grid(n, grid_size)
         ts = step(xs, n)
-        prof = ModulusProfile(fr, k, (-1.0, 1.0), ts, grid=density, focus=kinks)
-        bounds = weight(xs, ts, r) * prof.value(ts)
+
+        def bounds_at(read):
+            prof = ModulusProfile(fr, k, (-1.0, 1.0), _steps_read(ts, read),
+                                  grid=density, focus=kinks)
+            return weight(xs[read], ts[read], r) * prof.value(ts[read])
     elif bound_id in ("2.11", "2.12"):
         lo, hi = (-1.0, x1) if bound_id == "2.11" else (xn1, 1.0)
         h = hi - lo
         xs = densify(_open_chebyshev(lo, hi, grid_size), lo, hi)
         d = xs - lo if bound_id == "2.11" else hi - xs
         t2 = np.sqrt(d * h)
-        om1 = ModulusProfile(fr, 1, (lo, hi), d, grid=density, focus=kinks)
-        om2 = ModulusProfile(fr, 2, (lo, hi), t2, grid=density, focus=kinks)
-        bounds = d ** r * np.minimum(om1.value(d), om2.value(t2))
+
+        def bounds_at(read):
+            om1 = ModulusProfile(fr, 1, (lo, hi), _steps_read(d, read),
+                                 grid=density, focus=kinks)
+            om2 = ModulusProfile(fr, 2, (lo, hi), _steps_read(t2, read),
+                                 grid=density, focus=kinks)
+            return d[read] ** r * np.minimum(om1.value(d[read]), om2.value(t2[read]))
     else:  # 2.13: interior intervals with the three-term right side
-        # h_j^r omega_2(f^(r), h_j; I_j) for every knot interval, end terms
-        # included, from one lattice per interval
-        h = np.diff(knots)
-        term = np.array([w ** r for w in h.tolist()]) * modulus_lower_bounds(
-            fr, 2, h, np.column_stack([knots[:-1], knots[1:]]), grid=density)
         xs = densify(_open_chebyshev(x1, xn1, grid_size), x1, xn1)
-        idx = np.clip(np.searchsorted(knots, xs, side="right") - 1, 1, n - 2)
-        bounds = term[idx] + term[0] + term[-1]
+
+        def bounds_at(read):
+            # h_j^r omega_2(f^(r), h_j; I_j) for the knot intervals holding a
+            # read point and the two end intervals, whose terms every bound
+            # adds, from one lattice per interval
+            idx = np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2)
+            need = np.unique(np.append(idx, (0, n - 1))) if idx.size else idx
+            h = np.diff(knots)[need]
+            term = np.zeros(n)
+            term[need] = np.array([w ** r for w in h.tolist()]) * modulus_lower_bounds(
+                fr, 2, h, np.column_stack([knots[:-1], knots[1:]])[need], grid=density)
+            return term[idx] + term[0] + term[-1]
 
     fx = np.asarray(f(xs), dtype=float)
     errs = np.abs(fx - S(xs))
     scale = 1.0 + float(np.max(np.abs(fx)))
-    return _assemble_report(bound_id, xs, errs, bounds, scale)
+    return _assemble_report(bound_id, xs, errs, scale, bounds_at)
 
 
 @dataclass(frozen=True)

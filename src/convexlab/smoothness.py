@@ -84,12 +84,14 @@ def finite_difference(f, k: int, u: float, x: float, interval) -> float:
 
     Returns 0 when x +- (k/2)u leaves the interval; evaluation points are
     clamped onto the interval to protect endpoint-singular oracles from
-    rounding spill.
+    rounding spill.  A NaN step or center raises ``ValueError``.
     """
     k = _check_order(k)
     a, b = float(interval[0]), float(interval[1])
     u = float(u)
     x = float(x)
+    if math.isnan(u) or math.isnan(x):
+        raise ValueError(f"difference step and center must be numbers, got u={u!r}, x={x!r}")
     slack = 1e-12 * max(1.0, abs(a), abs(b))
     if x - 0.5 * k * u < a - slack or x + 0.5 * k * u > b + slack:
         return 0.0
@@ -246,14 +248,13 @@ def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512)
     modulus at the distance-scaled step (d)^(1/m) (b-a)^((m-1)/m), where d is
     the distance from x to the interval end selected by ``side``."""
     k = _check_order(k)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     a, b = float(interval[0]), float(interval[1])
     x = float(x)
     if not (a - 1e-12 <= x <= b + 1e-12):
         raise ValueError(f"x={x} outside [{a}, {b}]")
-    d = (x - a) if side == "left" else (b - x)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    d = max(d, 0.0)
+    d = max((x - a) if side == "left" else (b - x), 0.0)
     length = b - a
     best = math.inf
     for m in range(1, k + 1):

@@ -10,7 +10,9 @@ of convexlab must equal, some of them bit for bit.  ``spline_of`` builds a
 spline from one Poly per interval, ``pieces_of`` gives a spline's rows as
 Polys and ``poly_of`` any piece with ``center``, ``halfwidth`` and
 ``coeffs``, such as an end block.  ``lagrange_hermite_L`` is the direct
-Hermite block the integrated one is compared against.
+Hermite block the integrated one is compared against, and
+``reference_bound_report`` the bound report over full profiles that
+``certify.pointwise_bound_report`` is compared against.
 """
 
 import math
@@ -164,3 +166,65 @@ def mirrored_direct_block_ratio(f, r, b, h, **kw):
     g = reflect(f, (lo, b))
     poly = lagrange_hermite_L(g, lo, h, r).reflected(lo + b)
     return one_sided_ratio_sup(f, r, poly, (lo, b), "right", **kw)
+
+
+def reference_bound_report(f, S, r, n, bound_id, grid_size, density):
+    """The bound report as one pass over every grid point: each profile over
+    all of its grid's steps and every knot interval's 2.13 term, the bound
+    computed at each point, noise points included, then one exclusion mask.
+    ``pointwise_bound_report`` must equal it bit for bit while asking the
+    modulus layer only for what its kept points read."""
+    from convexlab import certify
+    from convexlab.domain import phi
+    from convexlab.smoothness import modulus_lower_bounds
+
+    fr = f.deriv_fn(r)
+    kinks = tuple(f.nonsmooth)
+    knots = S.knots
+    x1, xn1 = float(knots[1]), float(knots[-2])
+
+    def densify(xs, lo, hi):
+        extra = []
+        for p in kinks:
+            w = 3.0 * math.pi * max(phi(p), 1.0 / n) / n
+            wlo, whi = max(lo, p - w), min(hi, p + w)
+            if whi > wlo:
+                extra.append(np.linspace(wlo, whi, 65))
+        return np.sort(np.concatenate([xs] + extra)) if extra else xs
+
+    if bound_id in ("2.3", "2.4", "2.5"):
+        k, step, weight = certify._PROFILE_BOUNDS[bound_id]
+        if bound_id == "2.3":
+            xs = densify(certify._open_chebyshev(-1.0, 1.0, grid_size), -1.0, 1.0)
+        else:
+            xs = certify._strip_grid(n, grid_size)
+        ts = step(xs, n)
+        prof = ModulusProfile(fr, k, (-1.0, 1.0), ts, grid=density, focus=kinks)
+        bounds = weight(xs, ts, r) * prof.value(ts)
+    elif bound_id in ("2.11", "2.12"):
+        lo, hi = (-1.0, x1) if bound_id == "2.11" else (xn1, 1.0)
+        xs = densify(certify._open_chebyshev(lo, hi, grid_size), lo, hi)
+        d = xs - lo if bound_id == "2.11" else hi - xs
+        t2 = np.sqrt(d * (hi - lo))
+        om1 = ModulusProfile(fr, 1, (lo, hi), d, grid=density, focus=kinks)
+        om2 = ModulusProfile(fr, 2, (lo, hi), t2, grid=density, focus=kinks)
+        bounds = d ** r * np.minimum(om1.value(d), om2.value(t2))
+    else:
+        h = np.diff(knots)
+        term = np.array([w ** r for w in h.tolist()]) * modulus_lower_bounds(
+            fr, 2, h, np.column_stack([knots[:-1], knots[1:]]), grid=density)
+        xs = densify(certify._open_chebyshev(x1, xn1, grid_size), x1, xn1)
+        idx = np.clip(np.searchsorted(knots, xs, side="right") - 1, 1, n - 2)
+        bounds = term[idx] + term[0] + term[-1]
+
+    fx = np.asarray(f(xs), dtype=float)
+    errs = np.abs(fx - S(xs))
+    scale = 1.0 + float(np.max(np.abs(fx)))
+    excluded = (errs <= certify.NOISE_REL * scale) | (
+        (bounds <= certify.DENOM_FLOOR) & (errs <= certify.ATOL_REL * scale))
+    kept = ~excluded
+    with np.errstate(all="ignore"):
+        ratios = errs[kept] / np.maximum(bounds[kept], certify.DENOM_FLOOR)
+    return certify.BoundReport(
+        bound_id, np.column_stack([xs[kept], errs[kept], bounds[kept], ratios]),
+        float(np.max(ratios, initial=0.0)), np.column_stack([xs[excluded], errs[excluded]]))

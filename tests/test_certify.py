@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexlab import certify
+from convexlab import certify, smoothness
 from convexlab.certify import (
     BOUND_IDS,
     MismatchedInputs,
@@ -21,7 +21,7 @@ from convexlab.certify import (
 from convexlab.domain import even_power_oracle, exp_oracle, f0_oracle, parse_function
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.piecewise import PiecewisePoly
-from helpers import Poly, pieces_of, spline_of
+from helpers import Poly, pieces_of, reference_bound_report, spline_of
 
 
 def test_verify_convexity_accepts_baseline():
@@ -71,18 +71,107 @@ def test_bound_report_reproduction_all_zero():
 
 @pytest.mark.parametrize("where", [0, 17, -1])
 def test_bound_report_nan_error_makes_sup_ratio_nan(where):
+    """A NaN error at one grid point of any bound is kept, also where every
+    other point is noise: its bound is read as over the full profile, and
+    its NaN ratio is the sup."""
     f = exp_oracle(1.0)
     S, _, _ = construct_chebyshev(f, 2, 16)
-    nan_x = certify._open_chebyshev(-1.0, 1.0, 65)[where]
+    for b in BOUND_IDS:
+        rep = pointwise_bound_report(f, S, 2, 16, b, grid_size=65)
+        assert math.isfinite(rep.sup_ratio), b
+        nan_x = np.sort(np.concatenate([rep.grid[:, 0], rep.excluded_points[:, 0]]))[where]
 
-    class NaNAt(PiecewisePoly):
-        def __call__(self, x):
-            return np.where(x == nan_x, np.nan, super().__call__(x))
+        class NaNAt(PiecewisePoly):
+            def __call__(self, x):
+                return np.where(x == nan_x, np.nan, super().__call__(x))
 
-    broken = NaNAt(S.knots, S.coeffs, S.centers, S.halfwidths)
-    assert math.isfinite(pointwise_bound_report(f, S, 2, 16, "2.3", grid_size=65).sup_ratio)
-    rep = pointwise_bound_report(f, broken, 2, 16, "2.3", grid_size=65)
-    assert math.isnan(rep.sup_ratio)
+        broken = NaNAt(S.knots, S.coeffs, S.centers, S.halfwidths)
+        rep = pointwise_bound_report(f, broken, 2, 16, b, grid_size=65)
+        assert math.isnan(rep.sup_ratio), b
+        row = rep.grid[np.isnan(rep.grid[:, 1])]
+        assert row.shape == (1, 4) and row[0, 0] == nan_x and math.isfinite(row[0, 2]), b
+        want = reference_bound_report(f, broken, 2, 16, b, 65, certify.CERTIFICATION_DENSITY)
+        assert np.array_equal(rep.grid, want.grid, equal_nan=True), b
+
+
+# (oracle, r, n) whose reports must equal the full-profile reference: exp at
+# n=32 keeps points in every bound, at n=128 bounds 2.4 to 2.12 keep none;
+# truncpow adds kink windows and a densified grid; xpow:m=2 at r=3 is the
+# all-zero reproduction
+REFERENCE_CASES = [
+    ("exp:alpha=1", 2, 32),
+    ("exp:alpha=1", 2, 128),
+    ("f0:r=2", 2, 64),
+    ("truncpow:r=1,eps=0.2", 1, 64),
+    ("cosh:beta=1.3", 1, 64),
+    ("xpow:m=2", 3, 32),
+]
+
+
+@pytest.mark.parametrize("grid_size,density", [(65, 256), (257, 2048)])
+@pytest.mark.parametrize("spec,r,n", REFERENCE_CASES,
+                         ids=[f"{s}-r{r}-n{n}" for s, r, n in REFERENCE_CASES])
+def test_bound_report_equals_full_profile_reference(spec, r, n, grid_size, density):
+    f = parse_function(spec)
+    S, _, _ = construct_chebyshev(f, r, n)
+    for b in BOUND_IDS:
+        got = pointwise_bound_report(f, S, r, n, b, grid_size, density)
+        want = reference_bound_report(f, S, r, n, b, grid_size, density)
+        assert np.array_equal(got.grid, want.grid), b
+        assert np.array_equal(got.excluded_points, want.excluded_points), b
+        assert got.sup_ratio == want.sup_ratio, b
+
+
+def test_bound_report_builds_only_the_rows_its_kept_points_read(monkeypatch):
+    """exp:alpha=1, r=2 at n=128: bounds 2.4, 2.5, 2.11 and 2.12 keep no
+    point and compute no modulus row, 2.3 computes no step above its largest
+    kept one, and 2.13 evaluates only the knot intervals that hold a kept
+    point and the two end intervals."""
+    f = parse_function("exp:alpha=1")
+    n = 128
+    S, _, _ = construct_chebyshev(f, 2, n)
+    steps, intervals = [], []
+    row_maxima, lower_bounds = smoothness._row_maxima, certify.modulus_lower_bounds
+
+    def spy_rows(fn, k, us, *args):
+        steps.append(us)
+        return row_maxima(fn, k, us, *args)
+
+    def spy_bounds(fn, k, ts, *args, **kwargs):
+        intervals.append(len(ts))
+        return lower_bounds(fn, k, ts, *args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "_row_maxima", spy_rows)
+    monkeypatch.setattr(certify, "modulus_lower_bounds", spy_bounds)
+    for b in BOUND_IDS:
+        steps.clear()
+        intervals.clear()
+        rep = pointwise_bound_report(f, S, 2, n, b)
+        rows = sum(us.size for us in steps)
+        if b == "2.3":
+            kept_steps = certify._PROFILE_BOUNDS[b][1](rep.grid[:, 0], n)
+            assert kept_steps.size > 0 and 0 < rows
+            assert max(us.max(initial=0.0) for us in steps) <= kept_steps.max()
+        elif b == "2.13":
+            held = np.unique(np.clip(
+                np.searchsorted(S.knots, rep.grid[:, 0], side="right") - 1, 1, n - 2))
+            assert held.size > 0 and 0 < sum(intervals) <= held.size + 2
+        else:
+            assert rep.grid.shape == (0, 4) and rows == 0, b
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"density": 10}, "grid must be >= 64"),
+    ({"grid_size": 0}, "grid_size must be >= 1"),
+])
+def test_bound_report_refuses_degenerate_lattices_when_no_point_is_kept(flags, message):
+    # at n=128, bounds 2.4 to 2.12 of exp keep no point and build no row,
+    # and still refuse a lattice the modulus layer or the grid cannot take
+    f = exp_oracle(1.0)
+    S, _, _ = construct_chebyshev(f, 2, 128)
+    for b in BOUND_IDS:
+        with pytest.raises(ValueError, match=message):
+            pointwise_bound_report(f, S, 2, 128, b, **flags)
 
 
 def test_bound_report_finite_ratios_exp():

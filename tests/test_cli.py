@@ -298,6 +298,24 @@ def test_sweep_degenerate_input_exits_1(flags, message, capsys):
     assert err[0].startswith("error:") and message in err[0]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--density", "10"], "grid must be >= 64"),
+    (["--grid-size", "0"], "grid_size must be >= 1"),
+])
+def test_degenerate_lattices_exit_1_where_reports_keep_no_point(flags, message,
+                                                                tmp_path, capsys):
+    # truncpow at n=64 keeps no point in bounds 2.4 to 2.12, which then build
+    # no modulus row; certify and sweep still refuse the lattice
+    spline = tmp_path / "s.json"
+    base = ["--function", "truncpow:r=1,eps=0.2", "--r", "1", "--n", "64"]
+    assert run(["approximate", *base, "--out", str(spline)]) == 0
+    capsys.readouterr()
+    for cmd in (["certify", *base, "--spline", str(spline)], ["sweep", *base]):
+        assert run(cmd + flags) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], cmd
+
+
 def test_counterexample_prints_threshold(tmp_path, capsys):
     out = tmp_path / "w.json"
     code = run(["counterexample", "--r", "1", "--m", "3", "--x-last", "0.9",

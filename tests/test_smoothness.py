@@ -57,6 +57,14 @@ def test_difference_order_validation():
         finite_difference(f, 9, 0.1, 0.0, (-1, 1))
 
 
+@pytest.mark.parametrize("u, x", [(math.nan, 0.0), (0.1, math.nan)])
+def test_difference_refuses_nan_step_or_center(u, x):
+    # a NaN compares false against both interval ends, so it would pass the
+    # admissibility test and come back as a NaN difference
+    with pytest.raises(ValueError, match="must be numbers"):
+        finite_difference(np.exp, 2, u, x, (-1, 1))
+
+
 def test_modulus_of_affine_vanishes():
     f = lambda x: 3.0 * np.asarray(x) - 1.0
     res = modulus(f, 2, 0.7, (-1, 1), grid=64)
@@ -170,6 +178,13 @@ def test_one_sided_side_validation():
     f = lambda x: np.asarray(x)
     with pytest.raises(ValueError):
         one_sided_modulus(f, 2, 0.0, (-1, 1), "up")
+
+
+def test_one_sided_validates_side_before_the_point():
+    # side picks the end that x is measured from, so it is checked first
+    f = lambda x: np.asarray(x)
+    with pytest.raises(ValueError, match="side must be"):
+        one_sided_modulus(f, 2, 5.0, (-1, 1), "up")
 
 
 def test_sqrt_singularity_band():
