@@ -35,7 +35,7 @@ from convexlab.glue import (
 )
 from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
                                  verify_convexity)
-from convexlab.smoothness import ModulusProfile, modulus_lower_bounds
+from convexlab.smoothness import ModulusProfile, _check_grid, modulus_lower_bounds
 
 __all__ = [
     "BOUND_IDS",
@@ -244,8 +244,11 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
 
     Rows with n below the threshold are flagged, not computed.  Timing is off
     by default so repeated runs emit byte-identical CSV.  The threshold and
-    every row share one preparation of (f, r).
+    every row share one preparation of (f, r), made after the lattice checks.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    _check_grid(density)
     _check_chebyshev_domain(f)
     prep = _prepare(f, r)
     n_threshold, _ = _threshold(prep)

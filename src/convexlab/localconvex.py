@@ -23,14 +23,15 @@ the one seam between the pieces and the solver: profilers and tests wrap
 it by that name.  It returns x or raises SolverStall, the one failure signal
 between HiGHS and the parabola fallback.
 
-The chunk LPs share no data, so linprog solves them concurrently (HiGHS
+The chunk LPs share no data, so they are solved concurrently (HiGHS
 releases the GIL while it solves) on one thread pool kept for the life of
-the process: two threads, or one where the process may run on one CPU
-only, with no setting for it.  Each pool thread runs HiGHS single-threaded.
-The calling thread alone calls the oracle, builds every LP (a failed
-chunk's one-piece LPs too) and checks certificates, and reads the results
-in the order it submitted them, so the pieces do not depend on the number
-of threads and the calling thread never runs HiGHS during a construction.
+the process: two threads, or one where the process may run on one CPU only,
+with no setting for it.  Each chunk is one pool task: its thread calls the
+oracle, whose evaluators must be thread-safe, builds and solves the chunk's
+LP with HiGHS single-threaded, and splits a refused chunk into one-piece
+LPs, so one LP per pool thread is alive.  The calling thread spot-checks
+every interval first and reads the rows in chunk order, so the pieces do
+not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import importlib.util
 import os
 import sys
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -106,10 +106,10 @@ DEGENERATE_REL_LENGTH = 1e-13
 # piece, while peak memory grows with the chunk
 CHUNK = 16
 
-# threads solving chunk LPs at once.  Every solve running at once adds to
-# peak memory, about 2.5 MB a thread: construct_chebyshev(exp:alpha=1, r=2,
-# n=4096) peaks at 41.2 MB solved serially and at 43.7, 48.6 and 58.6 MB on
-# pools of 2, 4 and 8 threads, so 2 keeps the peak within 7% of serial
+# threads solving chunk LPs at once, one LP alive on each.  Each adds about
+# 2.5 MB to peak memory: construct_chebyshev(exp:alpha=1, r=2, n=4096) peaks
+# at 41.2 MB solved serially and at 43.7, 48.6 and 58.6 MB on pools of 2, 4
+# and 8 threads, so 2 keeps the peak within 7% of serial
 _MAX_THREADS = 2
 
 
@@ -426,35 +426,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_pool)
 
 
+def _chunk_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
+                mu: np.ndarray) -> np.ndarray:
+    """Minimax coefficients of the pieces [a[i], b[i]] of one chunk from its
+    LP (:func:`_lp_blocks`), one row each in its midpoint frame, NaN where
+    its LP failed (linprog refuses a NaN x).  A refused chunk is solved one
+    piece at a time, so it cannot change its neighbours, on this thread: on
+    a one-thread pool, a task that submitted to the pool would wait forever."""
+    cost, blocks = _lp_blocks(f, a, b, degree, mu)
+    try:
+        return linprog(cost, **blocks).reshape(-1, degree + 2)[:, :degree + 1]
+    except SolverStall:
+        if a.size == 1:  # a one-piece LP has nothing left to split
+            return np.full((1, degree + 1), np.nan)
+    return np.concatenate([_chunk_rows(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])
+                           for i in range(a.size)])
+
+
 def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                   mu: np.ndarray) -> np.ndarray:
-    """Minimax coefficients of each piece [a[i], b[i]] from the LPs of
-    :func:`_lp_blocks`, CHUNK pieces per LP, one row per piece ascending in
-    its midpoint frame, NaN where its LP failed (linprog refuses a NaN x).
-
-    The calling thread builds every LP, so the oracle is only ever called
-    from it, and submits it to :func:`linprog` on the pool: HiGHS releases
-    the GIL while it solves, so LPs are solved while later ones are built.
-    At most 2 * _MAX_THREADS LPs are in flight, and results are read in the
-    order they were submitted.  A chunk whose LP fails goes back to the front
-    of the queue as one LP per piece, so one block that HiGHS refuses cannot
-    change its neighbours.
-    """
-    rows = np.full((a.size, degree + 1), np.nan)
-    todo = deque(slice(s, min(s + CHUNK, a.size)) for s in range(0, a.size, CHUNK))
-    pending = deque()  # (pieces, future of their LP's x), oldest first
-    while todo or pending:
-        while todo and len(pending) < 2 * _MAX_THREADS:
-            part = todo.popleft()
-            cost, blocks = _lp_blocks(f, a[part], b[part], degree, mu[part])
-            pending.append((part, _pool.submit(linprog, cost, **blocks)))
-        part, future = pending.popleft()
-        try:
-            rows[part] = future.result().reshape(-1, degree + 2)[:, :degree + 1]
-        except SolverStall:
-            if part.stop - part.start > 1:  # a one-piece LP has nothing left to split
-                todo.extendleft(slice(i, i + 1) for i in reversed(range(part.start, part.stop)))
-    return rows
+    """The rows of :func:`_chunk_rows` for every piece in order, one pool task
+    per CHUNK pieces, so pool threads call the oracle; an exception in a
+    task, the oracle's too, is raised here with its type and message."""
+    rows = _pool.map(lambda s: _chunk_rows(f, a[s], b[s], degree, mu[s]),
+                     (slice(i, i + CHUNK) for i in range(0, a.size, CHUNK)))
+    return np.concatenate([np.empty((0, degree + 1)), *rows])
 
 
 def _certified(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

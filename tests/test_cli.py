@@ -289,6 +289,9 @@ def test_sweep_low_density_is_finite_and_deterministic(density, tmp_path):
     (["--n", "16:32:x2", "--grid-size", "0"], "grid_size must be >= 1"),
     (["--n", "0"], "range start must be >= 1"),
     (["--n", "-5"], "range start must be >= 1"),
+    # n=2 is below the threshold, so no bound report reads the lattice
+    (["--n", "2", "--density", "3"], "grid must be >= 64"),
+    (["--n", "2", "--grid-size", "0"], "grid_size must be >= 1"),
 ])
 def test_sweep_degenerate_input_exits_1(flags, message, capsys):
     code = run(["sweep", "--function", "exp:alpha=1", "--r", "1"] + flags)

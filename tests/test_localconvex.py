@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -322,10 +323,12 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     assert sorted(order) == sorted(chunks + [(i,) for i in range(CHUNK + 4)])
     for chunk in chunks:
         assert all(order.index((i,)) > order.index(chunk) for i in chunk)
-    # the one-piece LPs too are solved on the pool, not on the calling thread
+    # the one-piece LPs too are solved on the pool, each on its chunk's thread
     threads = {thread for _, _, thread in calls}
     assert threading.current_thread() not in threads
     assert all(thread.name.startswith("convexlab-highs") for thread in threads)
+    thread_of = {pieces: thread for pieces, _, thread in calls}
+    assert all(thread_of[(i,)] is thread_of[chunk] for chunk in chunks for i in chunk)
     assert sources == ["lp"] * X.n
     assert pieces_of(S) == [p for p, _ in want]
 
@@ -421,9 +424,8 @@ def test_concurrent_chunks_equal_sequential_linprog(monkeypatch, f, r):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for pool, threads in ((localconvex._pool, localconvex._MAX_THREADS), (many, 8)):
+        for pool in (localconvex._pool, many):
             monkeypatch.setattr(localconvex, "_pool", pool)
-            monkeypatch.setattr(localconvex, "_MAX_THREADS", threads)
             for _ in range(5):
                 spline, sources = localconvex._convex_pieces(f, knots, r + 1)
                 assert set(sources) == {"lp"}
@@ -431,6 +433,65 @@ def test_concurrent_chunks_equal_sequential_linprog(monkeypatch, f, r):
     finally:
         sys.setswitchinterval(switch)
         many.shutdown()
+
+
+def test_one_lp_per_pool_thread_is_alive(monkeypatch):
+    """A chunk's LP is built on the pool thread that solves it, so no more
+    LPs are built and not yet solved than the pool has threads.  Each solve
+    is slowed down, which gives a builder running ahead of the solvers the
+    time to show."""
+    real_blocks, real_linprog = localconvex._lp_blocks, localconvex.linprog
+    lock = threading.Lock()
+    alive, most = [0], [0]
+
+    def lp_blocks(*args):
+        lp = real_blocks(*args)
+        with lock:
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+        return lp
+
+    def linprog(c, **kwargs):
+        time.sleep(0.02)
+        try:
+            return real_linprog(c, **kwargs)
+        finally:
+            with lock:
+                alive[0] -= 1
+
+    monkeypatch.setattr(localconvex, "_lp_blocks", lp_blocks)
+    monkeypatch.setattr(localconvex, "linprog", linprog)
+    convex_pieces(exp_oracle(1.0), chebyshev_partition(8 * CHUNK), 2)
+    assert alive[0] == 0
+    assert 1 <= most[0] <= min(localconvex._cpus(), localconvex._MAX_THREADS)
+
+
+def test_oracle_error_in_a_chunk_is_raised_and_the_pool_keeps_working():
+    """An oracle that fails on the points of the third chunk's LP fails on a
+    pool thread; convex_pieces raises its error, type and message, and the
+    next construction equals one made before, bit for bit."""
+    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)
+    lo, hi = X.knots[2 * CHUNK], X.knots[3 * CHUNK]
+    failed_on = []
+
+    def value(x):
+        if np.any((x > lo) & (x < hi)):
+            failed_on.append(threading.current_thread())
+            raise ValueError("no value inside the third chunk")
+        return f.deriv(0, x)
+
+    g = dataclasses.replace(f, derivs=(value,) + f.derivs[1:])
+    want = convex_pieces(f, X, 2)
+    with pytest.raises(ValueError) as ei:
+        convex_pieces(g, X, 2)
+    assert type(ei.value) is ValueError
+    assert str(ei.value) == "no value inside the third chunk"
+    assert [t.name.startswith("convexlab-highs") for t in failed_on] == [True]
+    got = convex_pieces(f, X, 2)
+    assert got[1] == want[1]
+    for name in ("knots", "coeffs", "centers", "halfwidths"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+    assert np.array_equal(got[2], want[2])
 
 
 def test_pool_threads_are_kept_and_run_one_highs_thread_each(monkeypatch):
