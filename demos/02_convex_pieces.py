@@ -1,10 +1,14 @@
-"""Per-interval convex interpolants: the explicit parabola versus the LP piece.
+"""Per-interval convex interpolants: the explicit parabola versus the
+pieces of higher degree.
 
-Both interpolate f at the interval ends and sandwich the end slopes against
-f', so gluing them preserves convexity across knots.  The LP piece minimizes
-the sampled maximal error over all such convex polynomials, so it can only
-improve on the parabola.  Each comes back as (spline, sources, slacks): a
-one-row spline, where the row came from, and its two slope slacks.
+All of them interpolate f at the interval ends and sandwich the end slopes
+against f', so gluing them preserves convexity across knots.  The degree-2
+piece (r = 1) comes from an LP that minimizes the sampled maximal error over
+all such convex parabolas, so it can only improve on the explicit one.  A
+piece of degree d >= 3 is the Hermite row: it matches f and f' at both ends
+and f at d - 3 interior Chebyshev-Lobatto nodes, so its slope slacks are 0.
+Each comes back as (spline, sources, slacks): a one-row spline, where the
+row came from, and its two slope slacks.
 """
 
 import numpy as np
@@ -28,11 +32,12 @@ print(f"  max error = {np.max(np.abs(f(xs) - par(xs))):.3e}")
 print(f"  slope slack at ends: {slacks[0, 0]:.3e}, {slacks[0, 1]:.3e}")
 
 for degree in (2, 3, 4):
-    S, sources, _ = convex_piece(f, interval, degree)
+    S, sources, slacks = convex_piece(f, interval, degree)
     err = np.max(np.abs(f(xs) - S(xs)))
     convex, minimum, _ = S.piece_certificates()
-    print(f"LP piece degree {degree} ({sources[0]}): max error = {err:.3e}, "
-          f"min p'' = {minimum[0]:.3e} (convex: {convex[0]})")
+    print(f"piece of degree {degree} ({sources[0]}): max error = {err:.3e}, "
+          f"min p'' = {minimum[0]:.3e} (convex: {convex[0]}), "
+          f"slacks {slacks[0, 0]:.1e}, {slacks[0, 1]:.1e}")
 
 print("\nglobal interpolant sigma for the square-root-cusp family, n = 16, r = 2:")
 g = f0_oracle(2)

@@ -3,7 +3,9 @@
 Oracles carry exact closed-form derivative evaluators up to their guaranteed
 smoothness order; numerical differentiation is only ever a cross-check.  The
 endpoint Hermite blocks consume derivative values at the interval ends, and
-noise there would destroy them.
+noise there would destroy them.  The construction evaluates f itself, in
+x, with no secant subtracted; the one derived oracle is the mirror image of
+:func:`reflect`, which builds the right end block.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ __all__ = [
     "InvalidN",
     "Partition",
     "ConvexOracle",
-    "AffineMap",
     "phi",
     "rho",
     "chebyshev_partition",
     "uniform_partition",
     "read_partition",
-    "normalize_to_unit",
     "tangent_line",
     "reflect",
     "exp_oracle",
@@ -179,52 +179,6 @@ def _fmt_param(v):
     if float(v) == int(v):
         return str(int(v))
     return repr(float(v))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """The map of [a, b] onto [0, 1]: u = (x - shift)/scale.  The secant
-    that normalization subtracts, f(a) + (f(b) - f(a)) u, is recomputed from
-    f where it is needed."""
-
-    scale: float
-    shift: float
-
-
-def normalize_to_unit(f: ConvexOracle, interval=None):
-    """Map f|[a,b] onto [0,1] and subtract the secant: g(0) = g(1) = 0.
-
-    Returns (g, AffineMap).  Derivatives of g pick up the factor (b-a)^nu;
-    the secant only touches orders 0 and 1.
-    """
-    a, b = (f.domain if interval is None else interval)
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    length = b - a
-    fa = float(f(a))
-    fb = float(f(b))
-    slope = fb - fa  # per unit coordinate
-    amap = AffineMap(scale=length, shift=a)
-
-    def make(nu):
-        base = f.deriv_fn(nu)
-        fac = length ** nu
-        if nu == 0:
-            return lambda u: base(a + length * np.asarray(u, dtype=float)) - (slope * np.asarray(u, dtype=float) + fa)
-        if nu == 1:
-            return lambda u: fac * base(a + length * np.asarray(u, dtype=float)) - slope
-        return lambda u: fac * base(a + length * np.asarray(u, dtype=float))
-
-    g = ConvexOracle(
-        name=f.name,
-        params=dict(f.params),
-        r=f.r,
-        domain=(0.0, 1.0),
-        derivs=tuple(make(nu) for nu in range(f.r + 1)),
-        nonsmooth=tuple((p - a) / length for p in f.nonsmooth if a <= p <= b),
-    )
-    return g, amap
 
 
 def tangent_line(f: ConvexOracle, x0: float):

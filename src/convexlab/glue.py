@@ -1,14 +1,15 @@
 """The full tangent-line gluing construction.
 
-Pipeline: normalize f onto [0,1] with zero boundary values, locate the depth
-M and the minimizer, shrink a smallness radius H1 until the boundary values
-and the weighted second-order modulus are dominated by M (one row of the
+Everything is built on f itself, in x, with no change of frame.  Pipeline:
+locate the depth M of f below its own secant and the point x* where it is
+reached, shrink a smallness radius H1 until the depth at the boundary and
+the weighted second-order modulus are dominated by M (one row of the
 modulus profile, its last step, refutes a radius; the full profile is built
 only for a radius that row does not refute, normally the accepted one),
 intersect with the endpoint-block convexity threshold, build the two Hermite
 endpoint blocks and the interior pieces of the convex interpolant sigma, then
 blend them with a tangent line so the block defects are absorbed without
-losing convexity.
+losing convexity.  The spline's rows are the blend's rows as they are.
 The Chebyshev specialization derives the minimal admissible n from H.
 """
 
@@ -24,7 +25,6 @@ from convexlab.domain import (
     InvalidN,
     Partition,
     chebyshev_partition,
-    normalize_to_unit,
     tangent_line,
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
@@ -84,9 +84,10 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GlueTrace:
-    """Diagnostics of one gluing run, all in normalized [0,1] coordinates,
-    and how many rows between the end blocks came from each source: the LP,
-    the parabola fallback or the secant (every row of an affine input)."""
+    """Diagnostics of one gluing run, x*, H1 and H in x, and how many rows
+    between the end blocks came from each source: the Hermite row, its
+    blend with the parabola, the LP (r = 1), the parabola fallback or the
+    secant (every row of an affine input)."""
 
     M: float
     x_star: float
@@ -97,6 +98,8 @@ class GlueTrace:
     delta_hat: float
     case: int
     lambda_: float
+    hermite_rows: int
+    blend_rows: int
     lp_rows: int
     parabola_fallback_rows: int
     secant_rows: int
@@ -106,8 +109,6 @@ class GlueTrace:
 
 @dataclass(frozen=True)
 class _Prepared:
-    g: ConvexOracle
-    amap: object
     affine: bool
     M: float
     x_star: float
@@ -137,40 +138,46 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
         raise ValueError(f"need r >= 1, got {r}")
     if r > f.r:
         raise ValueError(f"oracle {f.label()} only guarantees smoothness order {f.r}")
+    a, b = (float(x) for x in (f.domain if interval is None else interval))
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
     # refuse overflowing endpoint data before anything else evaluates f
     with np.errstate(all="ignore"):
-        for x in (f.domain if interval is None else interval):
+        for x in (a, b):
             for nu in range(r + 1):
                 v = float(f.deriv(nu, x))
                 if not math.isfinite(v):
-                    raise ValueError(f"endpoint data is non-finite: f^({nu})({float(x)!r}) "
+                    raise ValueError(f"endpoint data is non-finite: f^({nu})({x!r}) "
                                      f"= {v!r} for {f.label()}")
-    g, amap = normalize_to_unit(f, interval)
-    a = amap.shift
-    b = amap.shift + amap.scale
     _spot_check_convexity(f, a, b)
 
-    xs = np.linspace(0.0, 1.0, SCAN_POINTS)
-    vals = np.asarray(g(xs), dtype=float)
-    i_min = int(np.argmin(vals))  # leftmost scan minimizer on ties
-    scale = abs(float(f(a))) + abs(float(f(b)))
-    if -vals[i_min] <= AFFINE_REL_TOL * scale:
-        return _Prepared(g, amap, True, -float(vals[i_min]), float(xs[i_min]),
-                         0.25, 0.25)
+    fa, fb = float(f(a)), float(f(b))
+    slope = (fb - fa) / (b - a)
 
-    dx = 1.0 / (SCAN_POINTS - 1)
-    lo = max(0.0, xs[i_min] - dx)
-    hi = min(1.0, xs[i_min] + dx)
-    x_ref, depth = _golden_max(lambda x: -float(g(x)), lo, hi)
-    if depth >= -vals[i_min]:
-        x_star, M = float(x_ref), float(depth)
+    def depth(x):
+        """How far f lies below its secant at x."""
+        return fa + slope * (x - a) - f(x)
+
+    xs = np.linspace(a, b, SCAN_POINTS)
+    vals = np.asarray(depth(xs), dtype=float)
+    i_max = int(np.argmax(vals))  # leftmost scan maximizer on ties
+    if vals[i_max] <= AFFINE_REL_TOL * (abs(fa) + abs(fb)):
+        return _Prepared(True, float(vals[i_max]), float(xs[i_max]),
+                         0.25 * (b - a), 0.25 * (b - a))
+
+    dx = (b - a) / (SCAN_POINTS - 1)
+    x_ref, deepest = _golden_max(lambda x: float(depth(x)), max(a, xs[i_max] - dx),
+                                 min(b, xs[i_max] + dx))
+    if deepest >= vals[i_max]:
+        x_star, M = float(x_ref), float(deepest)
     else:
-        x_star, M = float(xs[i_min]), -float(vals[i_min])
+        x_star, M = float(xs[i_max]), float(vals[i_max])
 
-    gr = g.deriv_fn(r)
-    H1 = 0.5 * min(x_star, 1.0 - x_star)
+    fr = f.deriv_fn(r)
+    kinks = tuple(p for p in f.nonsmooth if a <= p <= b)
+    H1 = 0.5 * min(x_star - a, b - x_star)
     for _ in range(MAX_HALVINGS):
-        boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
+        boundary_ok = max(float(depth(a + H1)), float(depth(b - H1))) < 0.5 * M
         weight = 4.0 * C0 * H1 ** r
         # the full profile's last step is H1*512/512, which is H1 exactly only
         # because HYPOTHESIS_GRID is a power of two, so the one-step profile
@@ -178,52 +185,31 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
         # that refutes most radii before the full profile is built.  The kink
         # windows keep the global lattice from stepping over a corner.
         if (boundary_ok
-                and weight * ModulusProfile(gr, 2, (0.0, 1.0), [H1], HYPOTHESIS_GRID,
-                                            g.nonsmooth).value(H1) < M
-                and weight * modulus(gr, 2, H1, (0.0, 1.0), HYPOTHESIS_GRID,
-                                     g.nonsmooth).value < M):
+                and weight * ModulusProfile(fr, 2, (a, b), [H1], HYPOTHESIS_GRID,
+                                            kinks).value(H1) < M
+                and weight * modulus(fr, 2, H1, (a, b), HYPOTHESIS_GRID, kinks).value < M):
             break
         H1 *= 0.5
     else:
         raise ConstructionError("smallness radius H1 collapsed; function is "
                                 "numerically degenerate")
 
-    H = min(find_H(g, (0.0, 1.0), r, 0.25), H1)
-    return _Prepared(g, amap, False, M, x_star, H1, H)
-
-
-def _plus_line(coeffs, centers, halfwidths, slope: float, intercept: float) -> None:
-    """Add the line slope * x + intercept to every row of a coefficient
-    matrix, in place, exactly in coefficients."""
-    coeffs[:, 0] += intercept + slope * centers
-    coeffs[:, 1] += slope * halfwidths
+    H = min(find_H(f, (a, b), r, 0.25 * (b - a)), H1)
+    return _Prepared(False, M, x_star, H1, H)
 
 
 def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple:
-    """(coeffs, centers, halfwidths) in the unit frame: the end blocks left
-    and right around every interior piece p as lam * p + slope * x + intercept,
-    all rows at the interior's order."""
+    """(coeffs, centers, halfwidths): the end blocks left and right around
+    every interior piece p as lam * p + slope * x + intercept, the line
+    added exactly in coefficients, all rows at the interior's order."""
     coeffs = np.zeros((interior.n + 2, interior.order))
     coeffs[1:-1] = lam * interior.coeffs
-    _plus_line(coeffs[1:-1], interior.centers, interior.halfwidths, slope, intercept)
+    coeffs[1:-1, 0] += intercept + slope * interior.centers
+    coeffs[1:-1, 1] += slope * interior.halfwidths
     coeffs[0, :len(left.coeffs)] = left.coeffs
     coeffs[-1, :len(right.coeffs)] = right.coeffs
     return (coeffs, np.r_[left.center, interior.centers, right.center],
             np.r_[left.halfwidth, interior.halfwidths, right.halfwidth])
-
-
-def _denormalize(coeffs, centers, halfwidths, knots, amap, f) -> PiecewisePoly:
-    """The spline of the pieces given in [0, 1] by their coefficient matrix
-    and frames, pulled back to the original interval with f's secant added:
-    each frame is relabelled exactly, then the secant added to every row."""
-    a = amap.shift
-    length = amap.scale
-    slope_x = (float(f(a + length)) - float(f(a))) / length
-    intercept_x = float(f(a)) - slope_x * a
-    centers = a + length * centers
-    halfwidths = length * halfwidths
-    _plus_line(coeffs, centers, halfwidths, slope_x, intercept_x)
-    return PiecewisePoly(knots, coeffs, centers, halfwidths)
 
 
 def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
@@ -251,6 +237,8 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     else:
         S, blend, sources = _glue(prep, f, X, r)
     trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, *blend,
+                      hermite_rows=sources.count("hermite"),
+                      blend_rows=sources.count("blend"),
                       lp_rows=sources.count("lp"),
                       parabola_fallback_rows=sources.count("parabola-fallback"),
                       secant_rows=sources.count("secant"))
@@ -261,19 +249,15 @@ def _glue(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
     """(spline, (delta, delta_tilde, delta_hat, case, lambda), row sources):
     the end blocks and the interior pieces of sigma blended with a tangent
     line, certified convex."""
-    g, amap = prep.g, prep.amap
     M, H = prep.M, prep.H
-    u = (X.knots - amap.shift) / amap.scale
-    u[0], u[-1] = 0.0, 1.0
-    u1 = float(u[1])
-    un1 = float(u[-2])
+    a, x1, xn1, b = (float(X.knots[i]) for i in (0, 1, -2, -1))
 
     tol = 1.0 + 1e-12
-    if u1 > H * tol or (1.0 - un1) > H * tol:
-        raise PartitionTooCoarse(H * amap.scale)
+    if x1 - a > H * tol or b - xn1 > H * tol:
+        raise PartitionTooCoarse(H)
 
-    left = integrated_L(g, 0.0, u1, r)
-    right = mirrored_L(g, 1.0, 1.0 - un1, r)
+    left = integrated_L(f, a, x1 - a, r)
+    right = mirrored_L(f, b, b - xn1, r)
     delta, delta_tilde = left.delta, right.delta
     if not (abs(delta) < 0.25 * M and abs(delta_tilde) < 0.25 * M):
         raise ConstructionError(
@@ -282,12 +266,12 @@ def _glue(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
 
     # the end blocks replace sigma's first and last pieces, so only its
     # interior pieces are built; _certify_or_raise certifies them in S
-    interior, sources = _convex_pieces(g, u[1:-1], r + 1)
+    interior, sources = _convex_pieces(f, X.knots[1:-1], r + 1)
 
-    sl, il = tangent_line(g, u1)
-    sl_t, il_t = tangent_line(g, un1)
-    gap_right = float(g(un1)) - (sl * un1 + il)       # f - tangent-at-u1, far end
-    gap_left = float(g(u1)) - (sl_t * u1 + il_t)      # f - tangent-at-un1, near end
+    sl, il = tangent_line(f, x1)
+    sl_t, il_t = tangent_line(f, xn1)
+    gap_right = float(f(xn1)) - (sl * xn1 + il)       # f - tangent-at-x1, far end
+    gap_left = float(f(x1)) - (sl_t * x1 + il_t)      # f - tangent-at-xn1, near end
     if not (gap_right > 0.5 * M * (1 - 1e-9) and gap_left > 0.5 * M * (1 - 1e-9)):
         raise ConstructionError("tangent gaps fell below M/2; hypotheses violated")
 
@@ -304,7 +288,7 @@ def _glue(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
 
     rows = _blend(left, interior, right, lam, (1.0 - lam) * line_slope,
                   (1.0 - lam) * line_icept + shift)
-    S = _certify_or_raise(_denormalize(*rows, X.knots, amap, f))
+    S = _certify_or_raise(PiecewisePoly(X.knots, *rows))
     return S, (delta, delta_tilde, delta_hat, case, lam), sources
 
 
@@ -322,7 +306,7 @@ def construct_spline(f: ConvexOracle, X: Partition, r: int) -> tuple:
 
 
 def chebyshev_threshold(f: ConvexOracle, r: int) -> tuple:
-    """(N_threshold, H in original units) for the Chebyshev specialization.
+    """(N_threshold, H) for the Chebyshev specialization.
 
     N = ceil(3 / sqrt(H)) guarantees the end gap 2 sin^2(pi/2n) <= pi^2/(2n^2)
     <= 5/N^2 <= H for every n >= N.  N is an upper bound for the minimal
@@ -334,9 +318,8 @@ def chebyshev_threshold(f: ConvexOracle, r: int) -> tuple:
 
 def _threshold(prep: _Prepared) -> tuple:
     if prep.affine:
-        return 2, prep.H * prep.amap.scale
-    H_orig = prep.H * prep.amap.scale
-    return int(math.ceil(3.0 / math.sqrt(H_orig))), H_orig
+        return 2, prep.H
+    return int(math.ceil(3.0 / math.sqrt(prep.H))), prep.H
 
 
 def construct_chebyshev(f: ConvexOracle, r: int, n: int) -> tuple:

@@ -2,36 +2,35 @@
 
 Each interval gets one coefficient row of one spline, in its midpoint frame:
 a piece that interpolates f at both interval ends, sandwiches the one-sided
-slopes against f' there, and is certified convex.  The rows come from small
-minimax LPs, CHUNK pieces per block-diagonal LP; the explicit convex
-parabola, :func:`convex_parabola`, is the always-feasible fallback.  The
-public per-piece functions return (spline, sources, slacks): the rows, each
-row's source and its slope slacks; the construction uses the rows alone.
+slopes against f' there, and is certified convex.  The public per-piece
+functions return (spline, sources, slacks): the rows, each row's source and
+its slope slacks; the construction uses the rows alone.
 
-Each chunk's LP goes to HiGHS directly, through scipy's bindings
-(scipy.optimize._highspy._core, loaded from its extension file alone, not
-through scipy.optimize), as one column-wise model of the dense per-piece
-blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
-per-option checks cost about as much as the solve itself.  Each thread keeps
-one HiGHS solver, its options passed once, and one model layout per chunk
-shape, whose column starts, row indices, costs and bounds the shape fixes;
-a solve fills in only the blocks' values and the row bounds, and passModel
-makes it cold.  The model, its options and its failure checks are
-linprog's own, so the coefficients are linprog's bit for bit.  The module-level
-:func:`linprog` keeps linprog's name and keyword arguments, because it is
-the one seam between the pieces and the solver: profilers and tests wrap
-it by that name.  It returns x or raises SolverStall, the one failure signal
-between HiGHS and the parabola fallback.
+For degree d = r+1 >= 3 every row is closed form: the Hermite row matches f
+and f' at both ends and f at the d-3 interior Chebyshev-Lobatto nodes, all
+rows from one shared (d+1)x(d+1) solve, so its slope slacks are 0.  A
+Hermite row H that the certificate rejects is blended with the convex
+parabola P of :func:`convex_parabola`: R = (1-t)H + tP with the t that
+lifts the least p'' to 0, times 1 + 1e-6.  Only a blend that still fails
+becomes P.
 
-The chunk LPs share no data, so they are solved concurrently (HiGHS
-releases the GIL while it solves) on one thread pool kept for the life of
-the process: two threads, or one where the process may run on one CPU only,
-with no setting for it.  Each chunk is one pool task: its thread calls the
-oracle, whose evaluators must be thread-safe, builds and solves the chunk's
-LP with HiGHS single-threaded, and splits a refused chunk into one-piece
-LPs, so one LP per pool thread is alive.  The calling thread spot-checks
-every interval first and reads the rows in chunk order, so the pieces do
-not depend on the number of threads.
+For d = 2 (r = 1) the one free coefficient comes from a minimax LP, CHUNK
+pieces per block-diagonal LP, solved chunk by chunk on the calling thread;
+the parabola is the always-feasible fallback.  Each chunk's LP goes to HiGHS
+directly, through scipy's bindings (scipy.optimize._highspy._core, loaded
+from its extension file alone, not through scipy.optimize), as one
+column-wise model of the dense per-piece blocks; scipy.optimize.linprog's
+input cleaning, sparse stacking and per-option checks cost about as much as
+the solve itself.  Each thread keeps one HiGHS solver, its options passed
+once, and one model layout per chunk shape, whose column starts, row
+indices, costs and bounds the shape fixes; a solve fills in only the blocks'
+values and the row bounds, and passModel makes it cold.  The model, its
+options and its failure checks are linprog's own, so the coefficients are
+linprog's bit for bit.  The module-level :func:`linprog` keeps linprog's
+name and keyword arguments, because it is the one seam between the pieces
+and the solver: profilers and tests wrap it by that name.  It returns x or
+raises SolverStall, the one failure signal between HiGHS and the parabola
+fallback.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import importlib.util
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -106,40 +104,28 @@ DEGENERATE_REL_LENGTH = 1e-13
 # piece, while peak memory grows with the chunk
 CHUNK = 16
 
-# threads solving chunk LPs at once, one LP alive on each.  Each adds about
-# 2.5 MB to peak memory: construct_chebyshev(exp:alpha=1, r=2, n=4096) peaks
-# at 41.2 MB solved serially and at 43.7, 48.6 and 58.6 MB on pools of 2, 4
-# and 8 threads, so 2 keeps the peak within 7% of serial
-_MAX_THREADS = 2
 
-
-def _highs_options(threads: int):
+def _highs_options():
     """What linprog(method="highs") sets for presolve=True and both
-    feasibility tolerances 1e-10, with HiGHS's own `threads` option;
-    passOptions copies the values."""
+    feasibility tolerances 1e-10; passOptions copies the values.  `threads`
+    keeps linprog's default: HiGHS sizes one task scheduler per thread on
+    its first solve there and fails a later solve that asks for another
+    size, so scipy's own linprog on the same thread must see the same value."""
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
-    options.threads = threads
     return options
 
 
 class _PerThread(threading.local):
     """What linprog keeps on the current thread: the HiGHS options it passes,
     its one solver, built on its first solve with those options, and one
-    model layout per chunk shape (see :func:`_layout`).
-
-    HiGHS keeps one task scheduler per thread, sized by the first solve on
-    that thread (threads=0: half the machine's hardware threads, whatever the
-    affinity), and fails a later solve there that asks for another size.  The
-    pool's threads solve with threads=1, so they start no HiGHS threads of
-    their own; every other thread keeps linprog's 0.
-    """
+    model layout per chunk shape (see :func:`_layout`)."""
 
     def __init__(self):
-        self.highs_options = _highs_options(threads=0)
+        self.highs_options = _highs_options()
         self.highs = None
         self.layouts = {}
 
@@ -400,39 +386,12 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                       bounds=bounds)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _one_highs_thread() -> None:
-    _per_thread.highs_options = _highs_options(threads=1)
-
-
-def _start_pool() -> None:
-    """The pool that solves the chunk LPs, kept for the life of the process:
-    its threads start on the first submit and keep their HiGHS schedulers."""
-    global _pool
-    _pool = ThreadPoolExecutor(min(_cpus(), _MAX_THREADS), thread_name_prefix="convexlab-highs",
-                               initializer=_one_highs_thread)
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_start_pool)
-
-
 def _chunk_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                 mu: np.ndarray) -> np.ndarray:
     """Minimax coefficients of the pieces [a[i], b[i]] of one chunk from its
     LP (:func:`_lp_blocks`), one row each in its midpoint frame, NaN where
     its LP failed (linprog refuses a NaN x).  A refused chunk is solved one
-    piece at a time, so it cannot change its neighbours, on this thread: on
-    a one-thread pool, a task that submitted to the pool would wait forever."""
+    piece at a time, so it cannot change its neighbours."""
     cost, blocks = _lp_blocks(f, a, b, degree, mu)
     try:
         return linprog(cost, **blocks).reshape(-1, degree + 2)[:, :degree + 1]
@@ -445,12 +404,11 @@ def _chunk_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
 
 def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
                   mu: np.ndarray) -> np.ndarray:
-    """The rows of :func:`_chunk_rows` for every piece in order, one pool task
-    per CHUNK pieces, so pool threads call the oracle; an exception in a
-    task, the oracle's too, is raised here with its type and message."""
-    rows = _pool.map(lambda s: _chunk_rows(f, a[s], b[s], degree, mu[s]),
-                     (slice(i, i + CHUNK) for i in range(0, a.size, CHUNK)))
-    return np.concatenate([np.empty((0, degree + 1)), *rows])
+    """The rows of :func:`_chunk_rows` for every piece in order, CHUNK
+    pieces per LP."""
+    return np.concatenate([np.empty((0, degree + 1))]
+                          + [_chunk_rows(f, a[s:s + CHUNK], b[s:s + CHUNK], degree,
+                                         mu[s:s + CHUNK]) for s in range(0, a.size, CHUNK)])
 
 
 def _certified(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -463,20 +421,74 @@ def _certified(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
-    """(spline, sources): the best convex piece of the given degree on each
-    interval of the increasing knots, as the rows of one spline framed at the
-    interval midpoints, and each row's source: "lp", "parabola-fallback" or
-    "secant".  Every interval must first pass the spot check.
+def _lp_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(rows, ok): the degree-2 rows of the minimax LPs and which of them
+    are certified convex.  Rows whose certificate fails are re-solved
+    together once with a strictly positive curvature floor."""
+    rows = _solve_chunks(f, a, b, 2, np.zeros(a.size))
+    ok = _certified(rows, a, b)
+    retry = np.flatnonzero(~ok & ~np.isnan(rows[:, 0]))
+    if retry.size:
+        w = 0.5 * (b[retry] - a[retry])
+        fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * 2))  # the LP's samples
+        mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
+        rows[retry] = _solve_chunks(f, a[retry], b[retry], 2, mu)
+        ok[retry] = _certified(rows[retry], a[retry], b[retry])
+    return rows, ok
 
-    The rows solve the minimax LP of :func:`_lp_blocks`, CHUNK pieces at a
-    time (:func:`_solve_chunks`).  Equality constraints pin the end values,
-    inequality constraints sandwich the end slopes against f', and convexity
-    is imposed at Chebyshev points then certified exactly afterwards, all rows
-    in one array certificate.  Rows whose certificate fails are re-solved
-    together once with a strictly positive curvature floor; the final
-    fallback is the parabola, which is always feasible.  Intervals at
-    rounding scale get the secant.
+
+def _hermite_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
+    """The row of degree >= 3 on each interval [a[i], b[i]], in its midpoint
+    frame, that matches f and f' at both ends and f at the degree - 3
+    interior Chebyshev-Lobatto nodes: one (degree+1)x(degree+1) system in
+    u = (x - center)/w serves every row.  The tangent line of f at a is
+    taken out of the data and added back to c0 and c1, so the end slopes
+    come out as f' up to the rounding of f' itself, not of f."""
+    center, w = 0.5 * (a + b), 0.5 * (b - a)
+    u = np.r_[1.0, np.cos(np.pi * np.arange(1, degree - 2) / (degree - 2))]
+    k = np.arange(degree + 1)
+    # rows: the value at -1, at 1 and at the nodes, then d/du at -1 and at 1
+    system = np.vstack([(-1.0) ** k, u[:, None] ** k, k * (-1.0) ** (k - 1), k])
+    fa, da = _values(f, 0, a), _values(f, 1, a)
+    x = center[:, None] + w[:, None] * u
+    x[:, 0] = b
+    tangent = fa[:, None] + (da * w)[:, None] * (1.0 + u)  # at x, in u
+    data = np.column_stack([np.zeros_like(a), _values(f, 0, x) - tangent,
+                            np.zeros_like(a), w * (_values(f, 1, b) - da)])
+    rows = np.linalg.solve(system, data.T).T
+    rows[:, 0] += fa + da * w
+    rows[:, 1] += da * w
+    return rows
+
+
+def _blend_with_parabola(f: ConvexOracle, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                         minimum: np.ndarray) -> tuple:
+    """(blended, ok): each rejected row H, whose certified least p'' is
+    minimum < 0, blended with the parabola P of :func:`_parabola` into
+    R = (1 - t) H + t P, where t = -min H'' / (P'' - min H'') times
+    1 + 1e-6 lifts R'' a little above 0, and t <= 1; and which blends are
+    certified convex.  R interpolates f at both ends, and its slope slacks
+    are t times P's, so >= 0."""
+    center, w = 0.5 * (a + b), 0.5 * (b - a)
+    P = np.pad(_parabola(f, a, b), ((0, 0), (0, rows.shape[1] - 3)))
+    t = np.minimum(1.0, -minimum / (2.0 * P[:, 2] / (w * w) - minimum) * (1.0 + 1e-6))
+    blended = (1.0 - t[:, None]) * rows + t[:, None] * P
+    return blended, convexity_certificates(blended, center, w, a, b)[0]
+
+
+def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
+    """(spline, sources): a convex piece of the given degree on each
+    interval of the increasing knots, as the rows of one spline framed at the
+    interval midpoints, and each row's source: "hermite", "blend", "lp",
+    "parabola-fallback" or "secant".  Every interval must first pass the
+    spot check.
+
+    Degree 2 takes the LP rows of :func:`_lp_rows`, every higher degree the
+    Hermite rows of :func:`_hermite_rows`, all certified in one array
+    certificate, and a rejected Hermite row is blended
+    (:func:`_blend_with_parabola`).  A row still not certified becomes the
+    parabola, which is always convex.  Intervals at rounding scale get the
+    secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -485,35 +497,35 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     scale = np.maximum(1.0, np.maximum(np.abs(a_all), np.abs(b_all)))
     degenerate = b_all - a_all <= DEGENERATE_REL_LENGTH * scale
     coeffs = np.zeros((a_all.size, degree + 1))
-    sources = ["secant" if d else "lp" for d in degenerate.tolist()]
+    sources = np.where(degenerate, "secant", "lp" if degree == 2 else "hermite").astype(object)
     if degenerate.any():
         coeffs[degenerate, :2] = _secant(f, a_all[degenerate], b_all[degenerate])
-    lp = np.flatnonzero(~degenerate)
-    a, b = a_all[lp], b_all[lp]
+    live = np.flatnonzero(~degenerate)
+    a, b = a_all[live], b_all[live]
 
     for s in range(0, a.size, CHUNK):
         _spot_check_convexity(f, a[s:s + CHUNK], b[s:s + CHUNK])
-    rows = _solve_chunks(f, a, b, degree, np.zeros(a.size))
-    ok = _certified(rows, a, b)
-    retry = np.flatnonzero(~ok & ~np.isnan(rows[:, 0]))
-    if retry.size:
-        w = 0.5 * (b[retry] - a[retry])
-        fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * degree))
-        mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
-        rows[retry] = _solve_chunks(f, a[retry], b[retry], degree, mu)
-        ok[retry] = _certified(rows[retry], a[retry], b[retry])
+    if degree == 2:
+        rows, ok = _lp_rows(f, a, b)
+    else:
+        rows = _hermite_rows(f, a, b, degree)
+        ok, minimum, _ = convexity_certificates(rows, 0.5 * (a + b), 0.5 * (b - a), a, b)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            blended, ok[bad] = _blend_with_parabola(f, rows[bad], a[bad], b[bad], minimum[bad])
+            rows[bad] = blended
+            sources[live[bad]] = "blend"
     fallback = np.flatnonzero(~ok)
     if fallback.size:
         rows[fallback] = np.pad(_parabola(f, a[fallback], b[fallback]), ((0, 0), (0, degree - 2)))
-        for i in fallback.tolist():
-            sources[lp[i]] = "parabola-fallback"
-    coeffs[lp] = rows
-    return _midpoint_spline(knots, coeffs), sources
+        sources[live[fallback]] = "parabola-fallback"
+    coeffs[live] = rows
+    return _midpoint_spline(knots, coeffs), sources.tolist()
 
 
 def convex_piece(f: ConvexOracle, interval, degree: int) -> tuple:
-    """Best convex piece of the given degree on one interval: the one-interval
-    case of :func:`convex_pieces`, with a spline of one row."""
+    """The convex piece of the given degree on one interval: the
+    one-interval case of :func:`convex_pieces`, with a spline of one row."""
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")

@@ -44,6 +44,7 @@ def test_tracer_installs_traces_and_restores(tracing):
     try:
         f = sys.modules["convexlab.domain"].parse_function("exp:alpha=1")
         S, _, _ = glue.construct_chebyshev(f, 2, 16)
+        glue.construct_chebyshev(f, 1, 16)  # r = 2 runs no LP; r = 1 does
         report = piecewise.verify_convexity(S)
     finally:
         tracer.uninstall()

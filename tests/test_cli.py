@@ -392,10 +392,8 @@ def test_ill_conditioned_endpoint_data_exits_1(command, alpha, r, capsys):
     ["approximate", "--function", "exp:alpha=709", "--r", "2", "--n", "64"],
     ["approximate", "--function", "exp:alpha=700", "--r", "3", "--n", "64"],
     ["modulus", "--function", "exp:alpha=710", "--k", "2", "--t", "0.1"],
-    # finite endpoint data, but an end block's p''' overflows in its certificate
-    ["approximate", "--function", "exp:alpha=690", "--r", "2", "--n", "64"],
 ], ids=["approximate-700-2", "sweep-700-2", "approximate-709-2", "approximate-700-3",
-        "modulus-710", "approximate-690-2"])
+        "modulus-710"])
 def test_non_finite_oracle_data_prints_one_line(argv):
     # a fresh interpreter with numpy's default warning filters: any
     # RuntimeWarning would reach stderr ahead of the refusal
@@ -408,6 +406,24 @@ def test_non_finite_oracle_data_prints_one_line(argv):
     assert len(err) == 1, proc.stderr
     assert err[0].startswith("error:") and "non-finite" in err[0]
     assert "modulus = " not in proc.stdout
+
+
+def test_steep_finite_endpoint_data_builds_certified(tmp_path):
+    # exp:alpha=690: finite endpoint data near the top of the float range.
+    # Below its threshold N = 166 it is refused with exit 2, at N it builds
+    # certified, and no numpy warning reaches stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = tmp_path / "s.json"
+    for n, code, line in [("64", 2, "n below threshold: N_threshold = 166"),
+                          ("166", 0, f"wrote {out}")]:
+        proc = subprocess.run([sys.executable, "-m", "convexlab.cli", "approximate", "--function",
+                               "exp:alpha=690", "--r", "2", "--n", n, "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == code
+        assert (proc.stdout + proc.stderr).strip().splitlines()[-1] == line
+        assert "Warning" not in proc.stderr
+    assert json.loads(out.read_text())["convex_certified"] is True
 
 
 def test_modulus_nan_step_exits_1(capsys):

@@ -12,7 +12,6 @@ from convexlab.domain import (
     even_power_oracle,
     exp_oracle,
     f0_oracle,
-    normalize_to_unit,
     parse_function,
     phi,
     poly_oracle,
@@ -115,43 +114,6 @@ def test_rho_comparable_to_phi_over_n():
         ratio = rho(n, xs) / (phi(xs) / n)
         assert np.all(ratio >= 1.0 - 1e-12)
         assert np.all(ratio <= 3.0 + 1e-12)
-
-
-def test_normalize_affine_gives_zero():
-    f = poly_oracle([5.0, -2.0])
-    g, amap = normalize_to_unit(f, (-1.0, 1.0))
-    us = np.linspace(0, 1, 33)
-    assert np.allclose(g(us), 0.0, atol=1e-14)
-
-
-def test_normalize_square_on_sym_interval():
-    f = poly_oracle([0.0, 0.0, 1.0])
-    g, amap = normalize_to_unit(f, (-1.0, 1.0))
-    us = np.linspace(0, 1, 41)
-    assert np.allclose(g(us), 4 * us**2 - 4 * us, atol=1e-13)
-    assert g(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert g(1.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_normalize_round_trip():
-    rng = np.random.default_rng(7)
-    f = exp_oracle(1.3)
-    g, amap = normalize_to_unit(f, (-1.0, 1.0))
-    us = rng.uniform(0, 1, 100)
-    fa, fb = float(f(-1.0)), float(f(1.0))
-    back = g(us) + (fa + (fb - fa) * us)
-    want = f(amap.shift + amap.scale * us)
-    assert np.allclose(back, want, rtol=1e-12)
-
-
-def test_normalize_derivative_scaling():
-    f = cosh_oracle(0.7)
-    g, amap = normalize_to_unit(f, (-1.0, 1.0))
-    us = np.linspace(0, 1, 9)
-    xs = amap.shift + amap.scale * us
-    assert np.allclose(g.deriv(2, us), 4.0 * f.deriv(2, xs), rtol=1e-12)
-    slope = float(f(1.0)) - float(f(-1.0))
-    assert np.allclose(g.deriv(1, us), 2.0 * f.deriv(1, xs) - slope, rtol=1e-12)
 
 
 def test_tangent_line_simple():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexlab.domain import (
     InvalidN,
@@ -12,7 +13,6 @@ from convexlab.domain import (
     even_power_oracle,
     exp_oracle,
     f0_oracle,
-    normalize_to_unit,
     parse_function,
     poly_oracle,
     tangent_line,
@@ -33,6 +33,7 @@ from convexlab import endblocks, glue, localconvex, smoothness
 from convexlab.localconvex import SolverStall, build_sigma
 from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from convexlab.smoothness import modulus
+from convexlab.piecewise import PiecewisePoly
 from helpers import Poly, poly_of, spline_of
 
 
@@ -72,19 +73,14 @@ def test_seam_values_match_blocks():
     f = exp_oracle(1.0)
     r, n = 2, 32
     S, trace, _ = construct_chebyshev(f, r, n)
-    g, amap = normalize_to_unit(f)
     X = chebyshev_partition(n)
-    u = (X.knots + 1.0) / 2.0
-    left = integrated_L(g, 0.0, float(u[1]), r)
-    right = mirrored_L(g, 1.0, 1.0 - float(u[-2]), r)
-    scale = 1.0 + float(np.max(np.abs(f(X.knots))))
     x1 = float(X.knots[1])
     xn1 = float(X.knots[-2])
-    fa, fb = float(f(amap.shift)), float(f(amap.shift + amap.scale))
-    want_left = poly_of(left)(float(u[1])) + (fa + (fb - fa) * float(u[1]))
-    want_right = poly_of(right)(float(u[-2])) + (fa + (fb - fa) * float(u[-2]))
-    assert abs(S(x1) - want_left) <= 1e-9 * scale
-    assert abs(S(xn1) - want_right) <= 1e-9 * scale
+    left = integrated_L(f, -1.0, x1 + 1.0, r)
+    right = mirrored_L(f, 1.0, 1.0 - xn1, r)
+    scale = 1.0 + float(np.max(np.abs(f(X.knots))))
+    assert abs(S(x1) - poly_of(left)(x1)) <= 1e-9 * scale
+    assert abs(S(xn1) - poly_of(right)(xn1)) <= 1e-9 * scale
 
 
 def test_endpoint_derivative_matching():
@@ -114,12 +110,10 @@ def test_monotone_lambda_geometry_case1():
     S, trace, _ = construct_chebyshev(f, r, n)
     if trace.case != 1:
         pytest.skip("construction routed to case 2 for this oracle")
-    g, amap = normalize_to_unit(f)
     X = chebyshev_partition(n)
-    u = (X.knots + 1.0) / 2.0
-    sigma = build_sigma(g, Partition(u), r)
-    sl, il = tangent_line(g, float(u[1]))
-    grid = np.linspace(float(u[1]), float(u[-2]), 1000)
+    sigma = build_sigma(f, X, r)
+    sl, il = tangent_line(f, float(X.knots[1]))
+    grid = np.linspace(float(X.knots[1]), float(X.knots[-2]), 1000)
     vals = sigma(grid) - (sl * grid + il)
     assert np.all(vals >= -1e-10)
     assert np.all(np.diff(vals) >= -1e-10)
@@ -130,14 +124,10 @@ def test_seam_defect_bound():
     f = cosh_oracle(1.3)
     r, n = 2, 48
     S, trace, _ = construct_chebyshev(f, r, n)
-    g, amap = normalize_to_unit(f)
     X = chebyshev_partition(n)
-    u = (X.knots + 1.0) / 2.0
-    sigma = build_sigma(g, Partition(u), r)
-    grid_u = np.linspace(float(u[1]), float(u[-2]), 800)
-    grid_x = amap.shift + amap.scale * grid_u
-    fa, fb = float(f(amap.shift)), float(f(amap.shift + amap.scale))
-    sigma_x = sigma(grid_u) + (fa + (fb - fa) * grid_u)
+    sigma = build_sigma(f, X, r)
+    grid_x = np.linspace(float(X.knots[1]), float(X.knots[-2]), 800)
+    sigma_x = sigma(grid_x)
     gap = np.abs(S(grid_x) - sigma_x)
     budget = abs(trace.delta) + abs(trace.delta_tilde)
     scale = 1.0 + float(np.max(np.abs(sigma_x)))
@@ -181,12 +171,12 @@ def test_threshold_arithmetic():
 
 
 @pytest.mark.parametrize("f, r, want", [
-    (truncpow_oracle(2, 1e-4), 2, (851, 1.24489701598951e-05)),
-    (exp_oracle(6.0), 3, (14, 0.05176901730731967)),
-    (f0_oracle(3), 3, (7, 0.19706965199411913)),
+    (truncpow_oracle(2, 1e-4), 2, (851, 1.244896879733226e-05)),
+    (exp_oracle(6.0), 3, (14, 0.05176901719491191)),
+    (f0_oracle(3), 3, (7, 0.19706965209621868)),
     # the kink windows of omega_2: without them N halves on these two
-    (truncpow_oracle(1, 1e-3), 1, (380, 6.248437533587503e-05)),
-    (truncpow_oracle(1, 0.01), 1, (121, 0.0006234374995346542)),
+    (truncpow_oracle(1, 1e-3), 1, (380, 6.248437521911426e-05)),
+    (truncpow_oracle(1, 0.01), 1, (121, 0.0006234375072939335)),
 ])
 def test_threshold_pinned(f, r, want):
     # exact (N, H): the modulus engine's row maxima are bit-for-bit stable
@@ -224,9 +214,12 @@ def test_trace_json_fields():
     _, trace, _ = construct_chebyshev(f, 1, 32)
     d = trace.to_json_dict()
     assert set(d) == {"M", "x_star", "H1", "H", "delta", "delta_tilde",
-                      "delta_hat", "case", "lambda", "lp_rows",
-                      "parabola_fallback_rows", "secant_rows"}
-    assert (d["lp_rows"], d["parabola_fallback_rows"], d["secant_rows"]) == (30, 0, 0)
+                      "delta_hat", "case", "lambda", "hermite_rows", "blend_rows",
+                      "lp_rows", "parabola_fallback_rows", "secant_rows"}
+    assert [d[k] for k in d if k.endswith("_rows")] == [0, 0, 30, 0, 0]
+    # x*, H1 and H are x values: H <= H1 <= half the distance from x* to the nearer end
+    assert -1.0 < d["x_star"] < 1.0
+    assert 0.0 < d["H"] <= d["H1"] <= 0.5 * min(d["x_star"] + 1.0, 1.0 - d["x_star"])
 
 
 @pytest.mark.parametrize("f", [poly_oracle([1.0, 2.0]), exp_oracle(1.0)],
@@ -267,6 +260,9 @@ def test_trace_counts_rows_by_source(monkeypatch):
     row of an affine input is a secant."""
     _, trace, _ = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 16)
     assert (trace.lp_rows, trace.parabola_fallback_rows, trace.secant_rows) == (0, 0, 16)
+    _, trace, _ = construct_chebyshev(exp_oracle(20.0), 2, 28)
+    assert (trace.hermite_rows, trace.blend_rows, trace.lp_rows,
+            trace.parabola_fallback_rows, trace.secant_rows) == (20, 6, 0, 0, 0)
 
     def stall(c, **kwargs):
         raise SolverStall("injected failure")
@@ -336,7 +332,7 @@ def test_random_admissible_partitions_fuzz():
     for f, r in [(exp_oracle(1.0), 1), (cosh_oracle(1.2), 2), (f0_oracle(1), 1)]:
         from convexlab.glue import _prepare
         prep = _prepare(f, r)
-        H_orig = prep.H * 2.0
+        H_orig = prep.H
         for _ in range(5):
             n_mid = int(rng.integers(4, 12))
             mid = np.sort(rng.uniform(-0.7, 0.7, n_mid))
@@ -351,30 +347,21 @@ def test_random_admissible_partitions_fuzz():
             assert np.max(np.abs(np.asarray(f(xs)) - S(xs))) < 1.0
 
 
-def test_blend_and_denormalize_equal_poly_arithmetic():
-    """_assemble blends and denormalises all pieces as one coefficient matrix;
-    each row must equal Poly's own arithmetic in Python floats bit for bit,
-    zero-padded to the order: lam * p plus a line for the blended pieces, then
-    rescale_domain and plus_line for all, with pieces of one to four
-    coefficients."""
-    f = exp_oracle(1.5)
-    _, amap = normalize_to_unit(f)
-    unit = [Poly(0.05, 0.05, (0.3,)), Poly(0.2, 0.1, (0.2, -0.7, 1.1)),
-            Poly(0.45, 0.15, (-0.4, 0.3, 0.9, 0.05)), Poly(0.7, 0.1, (0.6,)),
-            Poly(0.9, 0.1, (0.1, 1.3))]
+def test_blend_equals_poly_arithmetic():
+    """_glue blends all pieces as one coefficient matrix; each row must equal
+    Poly's own arithmetic in Python floats bit for bit, zero-padded to the
+    order: lam * p plus a line for the interior pieces, the end blocks as
+    they are, with pieces of one to four coefficients."""
+    pieces = [Poly(-0.9, 0.1, (0.3,)), Poly(-0.6, 0.2, (0.2, -0.7, 1.1)),
+              Poly(-0.1, 0.3, (-0.4, 0.3, 0.9, 0.05)), Poly(0.4, 0.2, (0.6,)),
+              Poly(0.8, 0.2, (0.1, 1.3))]
     lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
-    u = np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0])
-    knots = amap.shift + amap.scale * u
-    interior = spline_of(u[1:-1], unit[1:-1], 4)
-    rows = glue._blend(unit[0], interior, unit[-1], lam, slope, icept)
-    S = glue._denormalize(*rows, knots, amap, f)
+    knots = np.array([-1.0, -0.8, -0.4, 0.2, 0.6, 1.0])
+    interior = spline_of(knots[1:-1], pieces[1:-1], 4)
+    S = PiecewisePoly(knots, *glue._blend(pieces[0], interior, pieces[-1], lam, slope, icept))
 
-    a, length = amap.shift, amap.scale
-    slope_x = (float(f(a + length)) - float(f(a))) / length
-    intercept_x = float(f(a)) - slope_x * a
-    blended = [unit[0]] + [Poly(p.center, p.halfwidth, [lam * c for c in p.coeffs])
-                           .plus_line(slope, icept) for p in unit[1:-1]] + [unit[-1]]
-    want = [p.rescale_domain(a, length).plus_line(slope_x, intercept_x) for p in blended]
+    want = [pieces[0]] + [Poly(p.center, p.halfwidth, [lam * c for c in p.coeffs])
+                          .plus_line(slope, icept) for p in pieces[1:-1]] + [pieces[-1]]
     assert S.order == 4
     assert S.coeffs.tolist() == [list(p.coeffs) + [0.0] * (4 - len(p.coeffs)) for p in want]
     assert S.centers.tolist() == [p.center for p in want]
@@ -423,30 +410,35 @@ def test_construction_builds_no_poly_per_piece(monkeypatch):
 
 
 def _prepare_reference(f, r):
-    """_prepare's (M, x*, H1, H) with the full modulus profile built at every
-    tried radius, and the number of radii tried."""
-    g, _ = normalize_to_unit(f)
-    xs = np.linspace(0.0, 1.0, glue.SCAN_POINTS)
-    vals = np.asarray(g(xs), dtype=float)
-    i_min = int(np.argmin(vals))
-    dx = 1.0 / (glue.SCAN_POINTS - 1)
-    x_ref, depth = glue._golden_max(lambda x: -float(g(x)), max(0.0, xs[i_min] - dx),
-                                    min(1.0, xs[i_min] + dx))
-    if depth >= -vals[i_min]:
-        x_star, M = float(x_ref), float(depth)
+    """_prepare's (M, x*, H1, H), all in x, with the full modulus profile
+    built at every tried radius, and the number of radii tried."""
+    fa, fb = float(f(-1.0)), float(f(1.0))
+    slope = (fb - fa) / 2.0
+
+    def depth(x):
+        return fa + slope * (x + 1.0) - f(x)
+
+    xs = np.linspace(-1.0, 1.0, glue.SCAN_POINTS)
+    vals = np.asarray(depth(xs), dtype=float)
+    i_max = int(np.argmax(vals))
+    dx = 2.0 / (glue.SCAN_POINTS - 1)
+    x_ref, deepest = glue._golden_max(lambda x: float(depth(x)), max(-1.0, xs[i_max] - dx),
+                                      min(1.0, xs[i_max] + dx))
+    if deepest >= vals[i_max]:
+        x_star, M = float(x_ref), float(deepest)
     else:
-        x_star, M = float(xs[i_min]), -float(vals[i_min])
-    gr = g.deriv_fn(r)
-    H1 = 0.5 * min(x_star, 1.0 - x_star)
+        x_star, M = float(xs[i_max]), float(vals[i_max])
+    fr = f.deriv_fn(r)
+    H1 = 0.5 * min(x_star + 1.0, 1.0 - x_star)
     tried = 0
     while True:
         tried += 1
-        boundary_ok = max(-float(g(H1)), -float(g(1.0 - H1))) < 0.5 * M
+        boundary_ok = max(float(depth(-1.0 + H1)), float(depth(1.0 - H1))) < 0.5 * M
         if boundary_ok and 4.0 * glue.C0 * H1 ** r * modulus(
-                gr, 2, H1, (0.0, 1.0), glue.HYPOTHESIS_GRID, g.nonsmooth).value < M:
+                fr, 2, H1, (-1.0, 1.0), glue.HYPOTHESIS_GRID, f.nonsmooth).value < M:
             break
         H1 *= 0.5
-    return (M, x_star, H1, min(find_H(g, (0.0, 1.0), r, 0.25), H1)), tried
+    return (M, x_star, H1, min(find_H(f, (-1.0, 1.0), r, 0.5), H1)), tried
 
 
 _PREPARE_CASES = [
@@ -487,3 +479,61 @@ def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
     monkeypatch.setattr(smoothness, "_row_maxima", spy)
     glue._prepare(parse_function(spec), r)
     assert seen == rows
+
+
+# -- steep and wide inputs: every one builds certified -------------------------
+
+
+@pytest.mark.parametrize("spec, r, n", [
+    ("exp:alpha=20", 2, 28), ("exp:alpha=20", 2, 112), ("exp:alpha=25", 2, None),
+    ("exp:alpha=40", 2, None), ("cosh:beta=40", 2, 144), ("exp:alpha=5", 2, 4096),
+    ("exp:alpha=1", 5, 512), ("exp:alpha=690", 2, None),
+])
+def test_steep_and_fine_cases_build_certified(spec, r, n):
+    # n = None builds at the threshold N itself; exp:alpha=690 has N = 166
+    f = parse_function(spec)
+    N, _ = chebyshev_threshold(f, r)
+    S, trace, _ = construct_chebyshev(f, r, n or N)
+    assert S.convex_certified
+    assert trace.parabola_fallback_rows == 0
+    if spec == "exp:alpha=690":
+        assert N == 166
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_end_values_and_derivatives_within_a_few_ulps(n):
+    """S^(j)(+-1) = f^(j)(+-1) to a few ulps for j <= r: no secant is added
+    to the end blocks' rows."""
+    f, r = exp_oracle(8.0), 2
+    S, _, _ = construct_chebyshev(f, r, n)
+    for x, side in ((-1.0, "+"), (1.0, "-")):
+        for j in range(r + 1):
+            want = float(f.deriv(j, x))
+            assert abs(S.deriv_value(x, j, side) - want) <= 8 * np.spacing(want), (x, j)
+
+
+_FAMILIES = st.one_of(
+    st.floats(0.5, 40.0).map(lambda a: (f"exp:alpha={a!r}", 8)),
+    st.floats(0.5, 40.0).map(lambda b: (f"cosh:beta={b!r}", 8)),
+    st.integers(1, 4).map(lambda m: (f"xpow:m={m}", 8)),
+    st.tuples(st.integers(1, 2), st.floats(1e-3, 0.5)).map(
+        lambda t: (f"truncpow:r={t[0]},eps={t[1]!r}", t[0])),
+    st.integers(1, 3).map(lambda r: (f"f0:r={r}", r)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family=_FAMILIES, r=st.integers(1, 4), k=st.integers(1, 8))
+def test_every_family_builds_certified_or_is_below_threshold(family, r, k):
+    """Each drawn (f, r, n = k N capped at 1024) ends in a certified spline
+    or in NBelowThreshold, never in another refusal."""
+    spec, smoothness_order = family
+    f, r = parse_function(spec), min(r, smoothness_order)
+    N, _ = chebyshev_threshold(f, r)
+    n = min(k * N, 1024)
+    if n < N:
+        with pytest.raises(NBelowThreshold):
+            construct_chebyshev(f, r, n)
+    else:
+        S, _, _ = construct_chebyshev(f, r, n)
+        assert S.convex_certified

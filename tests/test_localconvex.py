@@ -1,11 +1,8 @@
-import dataclasses
 import math
 import os
-import signal
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,7 +18,6 @@ from convexlab.domain import (
     even_power_oracle,
     exp_oracle,
     f0_oracle,
-    normalize_to_unit,
     poly_oracle,
     truncpow_oracle,
     uniform_partition,
@@ -98,16 +94,17 @@ def test_parabola_rejects_concave_input():
 
 
 def test_piece_reproduces_polynomials():
-    # any convex polynomial of degree <= requested degree comes back exactly
+    # any convex polynomial of degree <= requested degree comes back exactly:
+    # degree 2 from the LP, higher degrees as Hermite rows
     cases = [
-        (poly_oracle([0.0, 0.0, 1.0]), 2),
-        (poly_oracle([0.1, -0.3, 1.0, 0.1]), 3),
-        (even_power_oracle(2), 4),
+        (poly_oracle([0.0, 0.0, 1.0]), 2, "lp"),
+        (poly_oracle([0.1, -0.3, 1.0, 0.1]), 3, "hermite"),
+        (even_power_oracle(2), 4, "hermite"),
     ]
-    for f, degree in cases:
+    for f, degree, source in cases:
         S, sources, _ = convex_piece(f, (0.0, 1.0), degree)
         assert sample_max_error(f, S) <= 1e-9
-        assert sources == ["lp"] and S.order == degree + 1
+        assert sources == [source] and S.order == degree + 1
 
 
 def test_piece_x4_reproduction():
@@ -120,7 +117,7 @@ def test_piece_x4_reproduction():
 def test_piece_beats_parabola():
     # the parabola is in the LP's feasible set, so the optimum cannot be worse
     # on the LP's own sample grid
-    cases = [(f, interval, 3) for f in (exp_oracle(1.0), cosh_oracle(1.3), f0_oracle(2))
+    cases = [(f, interval, 2) for f in (exp_oracle(1.0), cosh_oracle(1.3), f0_oracle(2))
              for interval in ((-0.8, -0.2), (0.1, 0.9))]
     cases.append((exp_oracle(1.0, domain=(0.0, 1.0)), (0.0, 1.0), 2))
     for f, interval, degree in cases:
@@ -167,6 +164,21 @@ def test_build_sigma_globally_convex():
     assert all(s2 >= s1 - tol for s1, s2 in zip(flat, flat[1:]))
 
 
+@pytest.mark.parametrize("f, r, n", [
+    (exp_oracle(1.0), 2, 4096), (exp_oracle(1.0), 3, 4096), (exp_oracle(1.0), 5, 4096),
+    (exp_oracle(1.0), 2, 8192), (cosh_oracle(1.0), 2, 4096),
+], ids=["exp-2-4096", "exp-3-4096", "exp-5-4096", "exp-2-8192", "cosh-2-4096"])
+def test_build_sigma_certified_on_fine_partitions(f, r, n):
+    # the Hermite rows' end slopes are f' up to rounding, so the knot chain
+    # holds on the shortest intervals too
+    X = chebyshev_partition(n)
+    sigma = build_sigma(f, X, r)
+    assert sigma.convex_certified
+    _, sources, slacks = convex_pieces(f, X, r)
+    assert sources == ["hermite"] * n
+    assert np.all(slacks >= -1e-14 * np.max(np.abs(f.deriv(1, X.knots))))
+
+
 def test_sigma_slopes_sandwich_derivative():
     f = cosh_oracle(1.0)
     X = uniform_partition(-1.0, 1.0, 10)
@@ -200,6 +212,90 @@ def test_sigma_error_contract_stable_in_n():
         assert ratios[256] <= 1.5 * ratios[32] + 1e-9
 
 
+# -- the Hermite rows of degree >= 3 and their blend with the parabola ---------
+
+
+@pytest.mark.parametrize("f", [exp_oracle(1.0), exp_oracle(8.0), cosh_oracle(1.3), f0_oracle(3),
+                               even_power_oracle(3)], ids=lambda f: f.label())
+@pytest.mark.parametrize("degree", [3, 4, 5, 7])
+def test_hermite_row_interpolates_f_and_f_prime(f, degree):
+    """A Hermite row matches f at both ends and at its degree - 3 interior
+    Chebyshev-Lobatto nodes, and f' at both ends: its slope slacks are 0 up
+    to rounding."""
+    X = chebyshev_partition(64)
+    a, b = X.knots[1:-2], X.knots[2:-1]  # f0's cusp at -1 is left out
+    S = localconvex._midpoint_spline(X.knots[1:-1], localconvex._hermite_rows(f, a, b, degree))
+    nodes = np.cos(np.pi * np.arange(1, degree - 2) / (degree - 2))
+    x = np.column_stack([a, b, S.centers[:, None] + S.halfwidths[:, None] * nodes])
+    j = np.repeat(np.arange(S.n)[:, None], x.shape[1], axis=1)
+    fx = f(x)
+    assert np.all(np.abs(S._eval(j, x) - fx) <= 1e-14 * np.max(np.abs(fx)))
+    slacks = localconvex._slacks(f, S)
+    assert np.all(np.abs(slacks) <= 1e-13 * np.max(np.abs(f.deriv(1, X.knots[1:-1]))))
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_hermite_row_reproduces_polynomials(degree):
+    """A convex polynomial of degree <= the rows' degree comes back as itself."""
+    polys = [(2, poly_oracle([0.3, -0.2, 1.0])), (3, poly_oracle([0.1, -0.3, 1.0, 0.1])),
+             (4, even_power_oracle(2)), (5, poly_oracle([0.0, 0.2, 1.0, 0.1, 0.2, 0.05])),
+             (6, even_power_oracle(3))]
+    xs = np.linspace(-1.0, 1.0, 301)
+    for f in (f for p, f in polys if p <= degree):
+        S, sources, _ = convex_pieces(f, chebyshev_partition(12), degree - 1)
+        assert sources == ["hermite"] * 12
+        assert np.max(np.abs(S(xs) - f(xs))) <= 1e-13 * (1.0 + np.max(np.abs(f(xs))))
+
+
+def test_rejected_hermite_row_is_blended_with_the_parabola():
+    """On the wide middle pieces of exp:alpha=20 at n = 28 some cubic
+    Hermite rows are not convex.  Each becomes R = (1 - t) H + t P with t in
+    (0, 1], certified convex, interpolating f at both ends, with slope
+    slacks >= 0; the other rows stay Hermite rows."""
+    f = exp_oracle(20.0)
+    knots = chebyshev_partition(28).knots[1:-1]
+    a, b = knots[:-1], knots[1:]
+    H = localconvex._hermite_rows(f, a, b, 3)
+    S, sources = localconvex._convex_pieces(f, knots, 3)
+    blended = np.flatnonzero(np.array(sources) == "blend")
+    assert blended.size == 6 and sources.count("hermite") == S.n - 6
+    assert not np.any(S.piece_certificates()[0] == False)  # noqa: E712
+    assert np.array_equal(np.delete(S.coeffs, blended, axis=0), np.delete(H, blended, axis=0))
+    P = localconvex._parabola(f, a[blended], b[blended])
+    t = (S.coeffs[blended, 2] - H[blended, 2]) / (P[:, 2] - H[blended, 2])
+    assert np.all((0.0 < t) & (t <= 1.0))
+    ends = np.r_[a[blended], b[blended]]
+    j = np.r_[blended, blended]
+    assert np.allclose(S._eval(j, ends), f(ends), rtol=1e-13, atol=0.0)
+    slacks = localconvex._slacks(f, S)[blended]
+    assert np.all(slacks >= -1e-12 * np.max(np.abs(f.deriv(1, knots))))
+
+
+def test_blend_that_fails_falls_back_to_parabola(monkeypatch):
+    """A Hermite row whose blend too is refused becomes the parabola."""
+    f = exp_oracle(1.0)
+    X = chebyshev_partition(CHUNK + 4)
+    interval = X.interval(5)
+    seen = _failing_certificate(monkeypatch, interval, times=2)
+    S, sources, _ = convex_pieces(f, X, 2)
+    assert len(seen) == 2
+    assert sources[4] == "parabola-fallback"
+    assert pieces_of(S)[4] == _padded(_parabola(f, interval), 4)
+    assert sources[:4] + sources[5:] == ["hermite"] * (X.n - 1)
+
+
+def test_one_rejected_hermite_row_is_blended(monkeypatch):
+    """A Hermite row whose certificate fails once is blended, and its blend
+    is certified convex."""
+    f = exp_oracle(1.0)
+    X = chebyshev_partition(CHUNK + 4)
+    interval = X.interval(5)
+    _failing_certificate(monkeypatch, interval, times=1)
+    S, sources, _ = convex_pieces(f, X, 2)
+    assert sources[4] == "blend"
+    assert convexity_certificate(pieces_of(S)[4], interval).convex
+
+
 # -- the batched LP: chunks, rescue paths, and the call count -----------------
 
 
@@ -207,9 +303,7 @@ def _linprog_spy(monkeypatch, f, X, fail=lambda pieces: False):
     """Record each of localconvex's linprog calls on the partition X as
     (pieces, b_ub, thread): pieces are the 0-based indices of its intervals,
     read off the end values f(a) in b_eq, so f must be one-to-one on them.
-    A call for which fail(pieces) holds raises SolverStall instead.  The LPs
-    run on worker threads, so records are in the order the calls began, not
-    in chunk order."""
+    A call for which fail(pieces) holds raises SolverStall instead."""
     real = localconvex.linprog
     left = f(X.knots[:-1])
     calls = []
@@ -314,21 +408,15 @@ def test_convex_pieces_name_first_nonconvex_interval():
 def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(CHUNK + 4)
-    want = _one_at_a_time(f, X, 2)
+    want = _one_at_a_time(f, X, 1)
     calls = _linprog_spy(monkeypatch, f, X, fail=lambda pieces: len(pieces) > 1)
-    S, sources, _ = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 1)
     order = [pieces for pieces, _, _ in calls]
     chunks = [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
-    # each chunk's LP once, then every piece of it alone, after that LP
-    assert sorted(order) == sorted(chunks + [(i,) for i in range(CHUNK + 4)])
-    for chunk in chunks:
-        assert all(order.index((i,)) > order.index(chunk) for i in chunk)
-    # the one-piece LPs too are solved on the pool, each on its chunk's thread
-    threads = {thread for _, _, thread in calls}
-    assert threading.current_thread() not in threads
-    assert all(thread.name.startswith("convexlab-highs") for thread in threads)
-    thread_of = {pieces: thread for pieces, _, thread in calls}
-    assert all(thread_of[(i,)] is thread_of[chunk] for chunk in chunks for i in chunk)
+    # each chunk's LP, then every piece of it alone, then the next chunk
+    assert order == [chunks[0], *[(i,) for i in chunks[0]], chunks[1], *[(i,) for i in chunks[1]]]
+    # every LP is solved on the calling thread
+    assert {thread for _, _, thread in calls} == {threading.current_thread()}
     assert sources == ["lp"] * X.n
     assert pieces_of(S) == [p for p, _ in want]
 
@@ -337,10 +425,10 @@ def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(6)
     _linprog_spy(monkeypatch, f, X, fail=lambda pieces: True)
-    S, sources, _ = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["parabola-fallback"] * X.n
     for j, p in enumerate(pieces_of(S), start=1):
-        assert p == _padded(_parabola(f, X.interval(j)), 4)
+        assert p == _padded(_parabola(f, X.interval(j)), 3)
 
 
 def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
@@ -349,14 +437,14 @@ def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
     interval = X.interval(5)
     calls = _linprog_spy(monkeypatch, f, X)
     seen = _failing_certificate(monkeypatch, interval, times=1)
-    S, sources, _ = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 1)
     assert len(seen) == 1
     # the first pass solves both chunks; the re-solve, which starts only once
     # the first pass is done, batches just the failed piece
     *first, (again, rhs, _) = calls
-    assert sorted(p for p, _, _ in first) == [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
+    assert [p for p, _, _ in first] == [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
     assert again == (4,)
-    curvature = slice(2, 2 + 4 * 3)  # rows p'' >= mu at 4*degree points
+    curvature = slice(2, 2 + 4 * 2)  # rows p'' >= mu at 4*degree points
     assert all(np.all(b_ub.reshape(len(p), -1)[:, curvature] == 0.0) for p, b_ub, _ in first)
     assert np.all(rhs[curvature] < 0.0)
     assert sources == ["lp"] * X.n
@@ -368,10 +456,10 @@ def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
     X = chebyshev_partition(CHUNK + 4)
     interval = X.interval(5)
     seen = _failing_certificate(monkeypatch, interval, times=2)
-    S, sources, _ = convex_pieces(f, X, 2)
+    S, sources, _ = convex_pieces(f, X, 1)
     assert len(seen) == 2
     assert sources[4] == "parabola-fallback"
-    assert pieces_of(S)[4] == _padded(_parabola(f, interval), 4)
+    assert pieces_of(S)[4] == _padded(_parabola(f, interval), 3)
     assert all(source == "lp" for j, source in enumerate(sources) if j != 4)
 
 
@@ -385,8 +473,8 @@ def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
     knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
     X = Partition(knots)
     _failing_certificate(monkeypatch, X.interval(5), times=4)  # twice per call
-    spline, sources = localconvex._convex_pieces(f, knots, 3)
-    S, got_sources, slacks = convex_pieces(f, X, 2)
+    spline, sources = localconvex._convex_pieces(f, knots, 2)
+    S, got_sources, slacks = convex_pieces(f, X, 1)
     assert sources[4] == "parabola-fallback" and sources[9] == "secant"
     assert sources.count("lp") == X.n - 2
     assert got_sources == sources
@@ -402,144 +490,9 @@ def test_lp_calls_are_batched(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(512)
     calls = _linprog_spy(monkeypatch, f, X)
-    _, sources, _ = convex_pieces(f, X, 2)
+    _, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["lp"] * X.n
     assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
-
-
-@pytest.mark.parametrize("f,r", [(exp_oracle(1.0), 2), (f0_oracle(2), 2),
-                                 (truncpow_oracle(1, 0.3), 1)])
-def test_concurrent_chunks_equal_sequential_linprog(monkeypatch, f, r):
-    """The pieces solved on the thread pool equal, bit for bit, one linprog
-    per chunk in a plain loop.  Repeated with the pool's own size and with
-    more threads than CPUs, under a short switch interval, to give a race
-    the chance to show."""
-    knots = chebyshev_partition(8 * CHUNK + 3).knots
-    want = []
-    for s in range(0, knots.size - 1, CHUNK):
-        a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
-        cost, blocks = localconvex._lp_blocks(f, a, b, r + 1, np.zeros(a.size))
-        want += localconvex.linprog(cost, **blocks).reshape(a.size, r + 3)[:, :r + 2].tolist()
-    many = ThreadPoolExecutor(8, initializer=localconvex._one_highs_thread)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for pool in (localconvex._pool, many):
-            monkeypatch.setattr(localconvex, "_pool", pool)
-            for _ in range(5):
-                spline, sources = localconvex._convex_pieces(f, knots, r + 1)
-                assert set(sources) == {"lp"}
-                assert np.array_equal(spline.coeffs, want)
-    finally:
-        sys.setswitchinterval(switch)
-        many.shutdown()
-
-
-def test_one_lp_per_pool_thread_is_alive(monkeypatch):
-    """A chunk's LP is built on the pool thread that solves it, so no more
-    LPs are built and not yet solved than the pool has threads.  Each solve
-    is slowed down, which gives a builder running ahead of the solvers the
-    time to show."""
-    real_blocks, real_linprog = localconvex._lp_blocks, localconvex.linprog
-    lock = threading.Lock()
-    alive, most = [0], [0]
-
-    def lp_blocks(*args):
-        lp = real_blocks(*args)
-        with lock:
-            alive[0] += 1
-            most[0] = max(most[0], alive[0])
-        return lp
-
-    def linprog(c, **kwargs):
-        time.sleep(0.02)
-        try:
-            return real_linprog(c, **kwargs)
-        finally:
-            with lock:
-                alive[0] -= 1
-
-    monkeypatch.setattr(localconvex, "_lp_blocks", lp_blocks)
-    monkeypatch.setattr(localconvex, "linprog", linprog)
-    convex_pieces(exp_oracle(1.0), chebyshev_partition(8 * CHUNK), 2)
-    assert alive[0] == 0
-    assert 1 <= most[0] <= min(localconvex._cpus(), localconvex._MAX_THREADS)
-
-
-def test_oracle_error_in_a_chunk_is_raised_and_the_pool_keeps_working():
-    """An oracle that fails on the points of the third chunk's LP fails on a
-    pool thread; convex_pieces raises its error, type and message, and the
-    next construction equals one made before, bit for bit."""
-    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)
-    lo, hi = X.knots[2 * CHUNK], X.knots[3 * CHUNK]
-    failed_on = []
-
-    def value(x):
-        if np.any((x > lo) & (x < hi)):
-            failed_on.append(threading.current_thread())
-            raise ValueError("no value inside the third chunk")
-        return f.deriv(0, x)
-
-    g = dataclasses.replace(f, derivs=(value,) + f.derivs[1:])
-    want = convex_pieces(f, X, 2)
-    with pytest.raises(ValueError) as ei:
-        convex_pieces(g, X, 2)
-    assert type(ei.value) is ValueError
-    assert str(ei.value) == "no value inside the third chunk"
-    assert [t.name.startswith("convexlab-highs") for t in failed_on] == [True]
-    got = convex_pieces(f, X, 2)
-    assert got[1] == want[1]
-    for name in ("knots", "coeffs", "centers", "halfwidths"):
-        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
-    assert np.array_equal(got[2], want[2])
-
-
-def test_pool_threads_are_kept_and_run_one_highs_thread_each(monkeypatch):
-    """HiGHS sizes one scheduler per thread by its first solve there, so the
-    pool's threads must outlive a construction and ask for one HiGHS thread,
-    while the calling thread keeps linprog's default of 0."""
-    real = localconvex.linprog
-    seen = []
-
-    def spy(c, **kwargs):
-        seen.append((threading.current_thread(), localconvex._per_thread.highs_options.threads))
-        return real(c, **kwargs)
-
-    monkeypatch.setattr(localconvex, "linprog", spy)
-    X = chebyshev_partition(8 * CHUNK)
-    for _ in range(2):
-        convex_pieces(exp_oracle(1.0), X, 2)
-    assert len(seen) == 16
-    threads = {thread for thread, _ in seen}
-    assert len(threads) <= min(localconvex._cpus(), localconvex._MAX_THREADS)
-    assert threading.current_thread() not in threads
-    assert {n for _, n in seen} == {1}
-    assert localconvex._per_thread.highs_options.threads == 0
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_a_pool_of_its_own():
-    """A forked child inherits the pool object but none of its threads, so
-    without a fresh pool its first chunk LP would wait forever."""
-    f, X = exp_oracle(1.0), chebyshev_partition(4 * CHUNK)
-    want = pieces_of(convex_pieces(f, X, 2)[0])  # the pool's threads are running
-    pid = os.fork()
-    if pid == 0:  # the child ends here, whatever happens
-        code = 1
-        try:
-            code = 0 if pieces_of(convex_pieces(f, X, 2)[0]) == want else 2
-        finally:
-            os._exit(code)
-    for _ in range(600):
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.05)
-    else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's construction did not finish in 30 s")
-    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # -- the direct HiGHS model against scipy.optimize.linprog ---------------------
@@ -570,14 +523,19 @@ def test_direct_solve_equals_scipy_linprog_bit_for_bit(f, r, n):
         assert np.array_equal(got, want.x)
 
 
+def _unit_knots(n):
+    """The Chebyshev knots of n pieces mapped onto [0, 1]."""
+    u = (chebyshev_partition(n).knots + 1.0) / 2.0
+    u[0], u[-1] = 0.0, 1.0
+    return u
+
+
 def test_model_error_is_a_failure_on_both_paths():
     # the end intervals of n = 4096 have width 1.5e-7 in [0, 1], so their
-    # curvature rows carry coefficients near 1e15, which HiGHS refuses
-    g, amap = normalize_to_unit(exp_oracle(1.0))
-    u = (chebyshev_partition(4096).knots - amap.shift) / amap.scale
-    u[0], u[-1] = 0.0, 1.0
+    # degree-3 curvature rows carry coefficients near 1e15, which HiGHS refuses
+    u = _unit_knots(4096)
     for a, b in [(u[:1], u[1:2]), (u[-2:-1], u[-1:])]:
-        cost, blocks = localconvex._lp_blocks(g, a, b, 3, np.zeros(1))
+        cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), a, b, 3, np.zeros(1))
         with pytest.raises(SolverStall, match="Model error"):
             localconvex.linprog(cost, **blocks)
         assert _scipy_solve(cost, blocks).status != 0
@@ -586,9 +544,8 @@ def test_model_error_is_a_failure_on_both_paths():
 def _model_error_blocks():
     """The LP of the first end interval of n = 4096 in [0, 1], which HiGHS
     refuses (see test_model_error_is_a_failure_on_both_paths)."""
-    g, amap = normalize_to_unit(exp_oracle(1.0))
-    u = (chebyshev_partition(4096).knots - amap.shift) / amap.scale
-    return localconvex._lp_blocks(g, np.array([0.0]), u[1:2], 3, np.zeros(1))
+    return localconvex._lp_blocks(exp_oracle(1.0), np.array([0.0]), _unit_knots(4096)[1:2], 3,
+                                  np.zeros(1))
 
 
 def test_kept_solver_solves_cold():
@@ -627,8 +584,8 @@ def test_kept_solver_solves_cold():
 
 
 def test_no_solver_or_layout_is_built_per_chunk(monkeypatch):
-    """A pool thread builds one HiGHS solver and one model layout per chunk
-    shape on its first solve, and a later construction builds none."""
+    """A thread builds one HiGHS solver and one model layout per chunk shape
+    on its first solve, and a later construction builds none."""
     built = {"_Highs": [], "HighsLp": []}
     for name, seen in built.items():
         real = getattr(localconvex._highs, name)
@@ -638,19 +595,18 @@ def test_no_solver_or_layout_is_built_per_chunk(monkeypatch):
             seen.append(threading.current_thread())
 
         monkeypatch.setattr(localconvex._highs, name, type(name, (real,), {"__init__": init}))
-    threads = min(localconvex._cpus(), localconvex._MAX_THREADS)
-    pool = ThreadPoolExecutor(threads, initializer=localconvex._one_highs_thread)
-    monkeypatch.setattr(localconvex, "_pool", pool)
     f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 chunks of one shape
-    try:
-        convex_pieces(f, X, 2)
+
+    def twice():
+        convex_pieces(f, X, 1)
         first = {name: list(seen) for name, seen in built.items()}
-        convex_pieces(f, X, 2)
-    finally:
-        pool.shutdown()
+        convex_pieces(f, X, 1)
+        return first
+
+    with ThreadPoolExecutor(1) as thread:  # a new thread: its first solve builds its solver
+        first = thread.submit(twice).result(timeout=60)
     for name, seen in first.items():
-        assert 1 <= len(seen) <= threads
-        assert len(set(seen)) == len(seen)
+        assert len(seen) == 1
         assert threading.current_thread() not in seen
         assert built[name] == seen  # none on the second call
 

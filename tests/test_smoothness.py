@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexlab.domain import normalize_to_unit, parse_function
+from convexlab.domain import parse_function
 from convexlab.smoothness import (
     BLOCK_POINTS,
     InvalidOrder,
@@ -514,14 +514,14 @@ def test_one_step_profile_is_last_row_of_modulus(spec, r):
     # glue._prepare refutes a smallness radius t with the one-step profile
     # over [t]: it must be the last row of the profile that modulus builds
     # (whose last step t*512/512 is t exactly) and so never exceed its value
-    g, _ = normalize_to_unit(parse_function(spec))
-    gr, focus = g.deriv_fn(r), g.nonsmooth
+    f = parse_function(spec)
+    fr, focus = f.deriv_fn(r), f.nonsmooth
     assert bool(focus) == spec.startswith("truncpow")
     for i in range(21):
-        t = 0.25 / 2 ** i
-        one = ModulusProfile(gr, 2, (0.0, 1.0), [t], 512, focus)
-        full = ModulusProfile(gr, 2, (0.0, 1.0), t * np.arange(1, 513) / 512, 512, focus)
+        t = 0.5 / 2 ** i
+        one = ModulusProfile(fr, 2, (-1.0, 1.0), [t], 512, focus)
+        full = ModulusProfile(fr, 2, (-1.0, 1.0), t * np.arange(1, 513) / 512, 512, focus)
         assert one.us.tolist() == [full.us[-1]] == [t]
         assert one.rows.tolist() == [full.rows[-1]]
         assert one.arg_x.tolist() == [full.arg_x[-1]]
-        assert one.value(t) <= modulus(gr, 2, t, (0.0, 1.0), 512, focus).value
+        assert one.value(t) <= modulus(fr, 2, t, (-1.0, 1.0), 512, focus).value
