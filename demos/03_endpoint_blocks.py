@@ -1,11 +1,11 @@
 """Endpoint Hermite blocks and the convexity threshold search.
 
-The left block integrates the Hermite match to f', so it reproduces all of
-f's derivatives at the endpoint and its slope meets f' again at the inner
-knot.  It does NOT interpolate f there; that value defect (delta) is the
-quantity the gluing later absorbs.  Convexity of the blocks only holds for
-widths below a function-dependent threshold, searched on a halving ladder.
-Each block is one coefficient row ascending in u = (x - center)/halfwidth.
+The left block is f's Taylor row of order r at the endpoint plus one more
+term that makes its slope meet f' again at the inner knot, so it reproduces
+all of f's derivatives at the endpoint.  It does NOT interpolate f at the
+inner knot; that value defect (delta) is the quantity the gluing later
+absorbs.  Convexity of the blocks only holds for widths below a
+function-dependent threshold, searched on a halving ladder.  Each block is one coefficient row ascending in u = (x - center)/halfwidth.
 """
 
 from convexlab import exp_oracle, find_H, integrated_L, mirrored_L, truncpow_oracle
@@ -26,7 +26,7 @@ for h in (0.4, 0.2, 0.1):
           f"block'(a+h) - f'(a+h) = "
           f"{derivative(blk, -1 + h) - float(f.deriv(1, -1 + h)):+.1e}")
 
-print("\nmirror block at +1 matches the reflected construction:")
+print("\nmirror block at +1, the same kernel at the right end:")
 right = mirrored_L(f, 1.0, 0.2, 2)
 print(f"  delta~ = {right.delta:+.3e}; "
       f"derivatives at 1 match f up to order 2: "

@@ -34,7 +34,6 @@ from convexlab.glue import (
     construct_spline,
 )
 from convexlab.piecewise import PiecewisePoly, record_json_dict
-from convexlab.polynomial import IllConditioned
 from convexlab.smoothness import modulus
 
 EXIT_OK = 0
@@ -322,7 +321,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_merge_dash_values(list(argv)))
         return args.fn(args)
     except (ValueError, OSError, NotConvexOutput, ConstructionError,
-            NoConvexityThreshold, IllConditioned) as exc:
+            NoConvexityThreshold) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,8 +4,7 @@ Oracles carry exact closed-form derivative evaluators up to their guaranteed
 smoothness order; numerical differentiation is only ever a cross-check.  The
 endpoint Hermite blocks consume derivative values at the interval ends, and
 noise there would destroy them.  The construction evaluates f itself, in
-x, with no secant subtracted; the one derived oracle is the mirror image of
-:func:`reflect`, which builds the right end block.
+x, with no secant subtracted and no derived oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "uniform_partition",
     "read_partition",
     "tangent_line",
-    "reflect",
     "exp_oracle",
     "cosh_oracle",
     "even_power_oracle",
@@ -187,27 +185,6 @@ def tangent_line(f: ConvexOracle, x0: float):
     slope = float(f.deriv(1, x0))
     intercept = float(f(x0)) - slope * x0
     return slope, intercept
-
-
-def reflect(f: ConvexOracle, interval=None) -> ConvexOracle:
-    """The reflection g(x) = f(a + b - x) on the same interval."""
-    a, b = (f.domain if interval is None else interval)
-    a, b = float(a), float(b)
-    s = a + b
-
-    def make(nu):
-        base = f.deriv_fn(nu)
-        sign = (-1.0) ** nu
-        return lambda x: sign * base(s - np.asarray(x, dtype=float))
-
-    return ConvexOracle(
-        name=f.name + "~",
-        params=dict(f.params),
-        r=f.r,
-        domain=(a, b),
-        derivs=tuple(make(nu) for nu in range(f.r + 1)),
-        nonsmooth=tuple(s - p for p in f.nonsmooth),
-    )
 
 
 # ---------------------------------------------------------------------------

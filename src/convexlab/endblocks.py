@@ -5,16 +5,22 @@ end and is built so its own derivative interpolates f' at the inner knot,
 which is exactly what lets the gluing stay convex across the seam.  The block
 does not interpolate f at the inner knot; that defect (delta) is what the
 tangent-line blend later absorbs.
+
+Both blocks come from f's own data in closed form: in t = |x - end|/h the
+block is f's Taylor row of order r at its outer end plus the one term in
+t^(r+1) that sets its slope to f' at the inner knot, moved into the block's
+midpoint frame by a binomial shift.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from convexlab.domain import ConvexOracle, reflect
-from convexlab.polynomial import convexity_certificate, hermite_interpolant, horner_rows
+from convexlab.domain import ConvexOracle
+from convexlab.polynomial import convexity_certificate, horner_rows
 
 __all__ = [
     "NoConvexityThreshold",
@@ -23,8 +29,6 @@ __all__ = [
     "mirrored_L",
     "find_H",
 ]
-
-LADDER_STEPS = 60
 
 
 class NoConvexityThreshold(RuntimeError):
@@ -54,45 +58,52 @@ def _value(center: float, halfwidth: float, coeffs: np.ndarray, x: float) -> flo
     return float(horner_rows(coeffs, (x - center) / halfwidth))
 
 
-def integrated_L(f, a: float, h: float, r: int) -> EndpointBlock:
-    """Left endpoint block: the antiderivative of the degree-r Hermite match
-    to f', anchored at (a, f(a)).
+def _block(f, end: float, h: float, r: int, side: str) -> EndpointBlock:
+    """The endpoint block of width h at the outer end, on the given side.
 
-    Its derivative interpolates f' at a+h, and it matches f^(nu)(a) for
-    nu = 0..r; the value defect at a+h is recorded as delta.
+    With s = +1 on the left and -1 on the right, inner = end + s h, width
+    the float distance |inner - end|, t = |x - end|/width and
+    g(t) = f(end + s width t), the block is g's Taylor row of order r at
+    t = 0 plus c t^(r+1), where c makes its slope g'(1) = s width f'(inner).
+    The row in t is moved into the midpoint frame (center, width/2) by the
+    binomial shift of t = alpha + s u/2, where alpha, the t of the float
+    center, is 1/2 up to that center's rounding, so the row's end and inner
+    knot fall at t = 0 and t = 1 in the frame the row is stored in.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if not h > 0:
         raise ValueError(f"need h > 0, got {h}")
-    a = float(a)
-    h = float(h)
-    data = [(a, [float(f.deriv(nu + 1, a)) for nu in range(r)]),
-            (a + h, [float(f.deriv(1, a + h))])]
-    center, w, slope = hermite_interpolant(data)
-    # the antiderivative row, its constant then set so that it is f(a) at a
-    coeffs = np.concatenate([[0.0], w * slope / np.arange(1.0, slope.size + 1)])
-    coeffs[0] += float(f(a)) - _value(center, w, coeffs, a)
-    delta = _value(center, w, coeffs, a + h) - float(f(a + h))
-    return EndpointBlock(center, w, coeffs, "left", h, delta, (a, a + h))
+    end = float(end)
+    s = 1.0 if side == "left" else -1.0
+    inner = end + s * float(h)
+    width = s * (inner - end)  # the float distance between the block's ends
+    taylor = [float(f.deriv(nu, end)) * (s * width) ** nu / math.factorial(nu)
+              for nu in range(r + 1)]
+    slope = s * width * float(f.deriv(1, inner))
+    taylor.append((slope - sum(nu * c for nu, c in enumerate(taylor))) / (r + 1))
+    center, w = 0.5 * (end + inner), 0.5 * width
+    alpha = s * (center - end) / width  # t at the center: 1/2 but for center's rounding
+    k = range(r + 2)
+    shift = [[math.comb(m, j) * alpha ** (m - j) * (0.5 * s) ** j if m >= j else 0.0
+              for m in k] for j in k]
+    coeffs = np.array(shift) @ np.array(taylor)
+    delta = _value(center, w, coeffs, inner) - float(f(inner))
+    return EndpointBlock(center, w, coeffs, side, float(h), delta, tuple(sorted((end, inner))))
+
+
+def integrated_L(f, a: float, h: float, r: int) -> EndpointBlock:
+    """Left endpoint block on [a, a+h]: it matches f^(nu)(a) for
+    nu = 0..r, and its derivative interpolates f' at a+h; the value defect
+    at a+h is recorded as delta."""
+    return _block(f, a, h, r, "left")
 
 
 def mirrored_L(f, b: float, h_tilde: float, r: int) -> EndpointBlock:
-    """Right endpoint block via the reflection identity: build the left block
-    of the reflected oracle on the block interval, then reflect it back."""
-    if not h_tilde > 0:
-        raise ValueError(f"need h > 0, got {h_tilde}")
-    b = float(b)
-    h_tilde = float(h_tilde)
-    lo = b - h_tilde
-    g = reflect(f, (lo, b))
-    left = integrated_L(g, lo, h_tilde, r)
-    # back to the original orientation: p(lo + b - x) is the row with its odd
-    # coefficients negated, centered at lo + b - center
-    center = (lo + b) - left.center
-    coeffs = left.coeffs * (-1.0) ** np.arange(left.coeffs.size)
-    delta = _value(center, left.halfwidth, coeffs, lo) - float(f(lo))
-    return EndpointBlock(center, left.halfwidth, coeffs, "right", h_tilde, delta, (lo, b))
+    """Right endpoint block on [b-h, b], the mirror image of
+    :func:`integrated_L`: it matches f^(nu)(b) for nu = 0..r, and its
+    derivative interpolates f' at b-h."""
+    return _block(f, b, h_tilde, r, "right")
 
 
 def _blocks_convex(f, a: float, b: float, r: int, h: float) -> bool:
@@ -109,8 +120,9 @@ def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:
 
     The ladder factor is a resolution choice, not part of the contract: any
     admissible width works downstream, since the partition condition it feeds
-    is an inequality.  Raises :class:`NoConvexityThreshold` after
-    ``LADDER_STEPS`` halvings.
+    is an inequality.  The ladder stops at its last width at or above
+    1e-12 (b - a), at most 38 halvings below h_max <= (b - a)/2, and then
+    raises :class:`NoConvexityThreshold`.
     """
     a, b = float(interval[0]), float(interval[1])
     if not 0 < h_max <= 0.5 * (b - a):
@@ -118,15 +130,13 @@ def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:
     h = float(h_max)
     h_floor = 1e-12 * (b - a)  # below this, slope data is cancellation noise
     ok_prev = None  # memo of the last h/2 check
-    for _ in range(LADDER_STEPS):
+    while h >= h_floor:
         ok_h = _blocks_convex(f, a, b, r, h) if ok_prev is None else ok_prev
         ok_half = _blocks_convex(f, a, b, r, 0.5 * h)
         if ok_h and ok_half:
             return h
         h *= 0.5
         ok_prev = ok_half
-        if h < h_floor:
-            break
     raise NoConvexityThreshold(
         f"no convex endpoint blocks found down to h = {h:g} for {f.label()}; "
         f"the derivative data is inconsistent with convexity")

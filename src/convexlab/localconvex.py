@@ -14,32 +14,35 @@ parabola P of :func:`convex_parabola`: R = (1-t)H + tP with the t that
 lifts the least p'' to 0, times 1 + 1e-6.  Only a blend that still fails
 becomes P.
 
-For d = 2 (r = 1) the one free coefficient comes from a minimax LP, CHUNK
-pieces per block-diagonal LP, solved chunk by chunk on the calling thread;
-the parabola is the always-feasible fallback.  Each chunk's LP goes to HiGHS
-directly, through scipy's bindings (scipy.optimize._highspy._core, loaded
-from its extension file alone, not through scipy.optimize), as one
-column-wise model of the dense per-piece blocks; scipy.optimize.linprog's
-input cleaning, sparse stacking and per-option checks cost about as much as
-the solve itself.  Each thread keeps one HiGHS solver, its options passed
-once, and one model layout per chunk shape, whose column starts, row
-indices, costs and bounds the shape fixes; a solve fills in only the blocks'
-values and the row bounds, and passModel makes it cold.  The model, its
-options and its failure checks are linprog's own, so the coefficients are
-linprog's bit for bit.  The module-level :func:`linprog` keeps linprog's
-name and keyword arguments, because it is the one seam between the pieces
-and the solver: profilers and tests wrap it by that name.  It returns x or
-raises SolverStall, the one failure signal between HiGHS and the parabola
-fallback.
+For d = 2 (r = 1) the rows are S + sigma (P - S) between f's secant S and
+the parabola P, sigma in [0, 1]: exactly the degree-2 rows that interpolate
+f at both ends, keep their end slopes between f'(a) and f'(b) and are
+convex, since their c2 is sigma times P's.  The one weight sigma of each
+piece is its minimax fit to f at 16 Chebyshev points, an LP of CHUNK pieces
+per block-diagonal model; the parabola is the fallback when HiGHS stalls.
+Each chunk's LP goes to HiGHS directly, through scipy's bindings
+(scipy.optimize._highspy._core, loaded from its extension file alone, not
+through scipy.optimize), as one column-wise model of the dense per-piece
+blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
+per-option checks cost about as much as the solve itself.  The module keeps
+one HiGHS solver, its options passed once, and one model layout per chunk
+shape, whose column starts, row indices, costs and bounds the shape fixes;
+a solve fills in only the blocks' values and the row bounds, and passModel
+makes it cold.  The model, its options and its failure checks are linprog's
+own, so the solution is linprog's bit for bit.  The module-level
+:func:`linprog` keeps linprog's name and keyword arguments, because it is
+the one seam between the pieces and the solver: profilers and tests wrap it
+by that name.  It returns x or raises SolverStall, the one failure signal
+between HiGHS and the parabola fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -119,18 +122,16 @@ def _highs_options():
     return options
 
 
-class _PerThread(threading.local):
-    """What linprog keeps on the current thread: the HiGHS options it passes,
-    its one solver, built on its first solve with those options, and one
-    model layout per chunk shape (see :func:`_layout`)."""
-
-    def __init__(self):
-        self.highs_options = _highs_options()
-        self.highs = None
-        self.layouts = {}
+@functools.cache
+def _solver():
+    """The module's one HiGHS solver, built on the first solve with the
+    options of :func:`_highs_options`."""
+    highs = _highs._Highs()
+    highs.passOptions(_highs_options())
+    return highs
 
 
-_per_thread = _PerThread()
+_layouts = {}  # chunk shape -> (HighsLp, costs, bounds), see _layout
 
 
 class NotConvexInput(ValueError):
@@ -230,32 +231,9 @@ def convex_parabola(f: ConvexOracle, interval) -> tuple:
     return S, ["parabola"], _slacks(f, S)
 
 
-def _chebyshev_points(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    # Chebyshev-Lobatto points including both ends, one row per interval
-    j = np.arange(m)
-    nodes = np.cos(np.pi * j / (m - 1))[::-1]
-    return (0.5 * (a + b))[:, None] - (0.5 * (b - a))[:, None] * nodes
-
-
-def _monomial_rows(x: np.ndarray, center: np.ndarray, w: np.ndarray, degree: int,
-                   nu: int) -> np.ndarray:
-    """d^nu/dx^nu of the local monomials u^0..u^degree, u = (x - center)/w, at
-    the points x of shape (pieces, m); returns shape (pieces, m, degree + 1)."""
-    pow_ = np.arange(degree + 1)
-    u = ((x - center[:, None]) / w[:, None])[..., None]
-    if nu == 0:
-        return u ** pow_
-    rows = np.zeros(x.shape + (degree + 1,))
-    if nu == 1:
-        rows[..., 1:] = pow_[1:] * u ** (pow_[1:] - 1)
-        return rows / w[:, None, None]
-    rows[..., 2:] = pow_[2:] * (pow_[2:] - 1) * u ** (pow_[2:] - 2)
-    return rows / (w * w)[:, None, None]
-
-
 def _layout(k: int, m_ub: int, m_eq: int, cols: int, c: np.ndarray, bounds: np.ndarray):
-    """The current thread's HighsLp for k dense blocks of m_ub ub rows, m_eq
-    eq rows and cols columns, with costs c and column bounds.
+    """The module's HighsLp for k dense blocks of m_ub ub rows, m_eq eq rows
+    and cols columns, with costs c and column bounds.
 
     Column j of block i holds all m_ub + m_eq rows of that block, zeros
     included: its ub rows i*m_ub.., then its eq rows k*m_ub + i*m_eq.., so
@@ -267,7 +245,7 @@ def _layout(k: int, m_ub: int, m_eq: int, cols: int, c: np.ndarray, bounds: np.n
     arrays, tolist included.
     """
     key = (k, m_ub, m_eq, cols)
-    kept = _per_thread.layouts.get(key)
+    kept = _layouts.get(key)
     if kept is not None and np.array_equal(kept[1], c) and np.array_equal(kept[2], bounds):
         return kept[0]
     block = np.arange(k)[:, None]
@@ -282,7 +260,7 @@ def _layout(k: int, m_ub: int, m_eq: int, cols: int, c: np.ndarray, bounds: np.n
     lp.col_cost_ = c.tolist()
     lp.col_lower_ = bounds[:, 0].tolist()
     lp.col_upper_ = bounds[:, 1].tolist()
-    _per_thread.layouts[key] = (lp, c.copy(), bounds.copy())
+    _layouts[key] = (lp, c.copy(), bounds.copy())
     return lp
 
 
@@ -300,7 +278,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
     linprog's feasibility check of bounds, ub slacks and eq residuals at
     10*sqrt(1e-9).
 
-    The thread's one solver takes the model of :func:`_layout` for the
+    The module's one solver takes the model of :func:`_layout` for the
     blocks' shape with their values and row bounds filled in; passModel
     clears its previous model, basis and solution, so every solve is cold.
     """
@@ -313,10 +291,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
     lp.row_upper_ = rhs.tolist()
     lower, upper = bounds.T
 
-    highs = _per_thread.highs
-    if highs is None:
-        highs = _per_thread.highs = _highs._Highs()
-        highs.passOptions(_per_thread.highs_options)
+    highs = _solver()
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise SolverStall(highs.modelStatusToString(_highs.HighsModelStatus.kModelError))
     if (highs.run() == _highs.HighsStatus.kError
@@ -336,105 +311,64 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
     return x
 
 
-def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-               mu: np.ndarray) -> tuple:
-    """The minimax LP of every piece [a[i], b[i]] as (cost, blocks): the
-    keyword arguments of :func:`linprog`.
+def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The minimax LP of the blend weight of every piece [a[i], b[i]] as
+    (cost, blocks): the keyword arguments of :func:`linprog`.
 
-    Each piece contributes an independent block: its local coefficients and an
-    epigraph variable t_i bounding |p_i - f| at 8*degree Chebyshev points,
-    equality rows pinning the end values, rows sandwiching the end slopes
-    against f', and curvature floors p_i'' >= mu[i] at 4*degree Chebyshev
-    points.  The blocks share no variable, so minimising sum(t_i) minimises
-    every t_i.
+    Each piece contributes an independent block of two columns, its weight
+    sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
+    +-(sigma (P - S) - (f - S)) <= t at 16 Chebyshev points, interleaved per
+    point, with S the secant row and P the parabola row of the piece.  Each
+    block is in units of its own largest |P - S| at those points, so that
+    the solver's absolute tolerances mean the same on every piece.  The
+    blocks share no variable, so minimising sum(t_i) minimises every t_i.
     """
-    k, d = a.size, degree
-    center = 0.5 * (a + b)
-    w = 0.5 * (b - a)
-    ends = np.stack([a, b], axis=1)
-    xi = _chebyshev_points(a, b, 4 * d)
-    zeta = _chebyshev_points(a, b, 8 * d)
-    fz = _values(f, 0, zeta)
-    df = _values(f, 1, ends)
+    k = a.size
+    S = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
+    D = _parabola(f, a, b) - S
+    u = np.cos(np.pi * np.arange(16) / 15)  # Chebyshev-Lobatto, both ends included
+    x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * u
+    d = horner_rows(D[:, None, :], u)
+    e = _values(f, 0, x) - horner_rows(S[:, None, :], u)
+    unit = np.max(np.abs(d), axis=1, keepdims=True)
+    unit[unit == 0.0] = 1.0  # P = S: every sigma fits alike
+    d, e = d / unit, e / unit
 
-    nvar = d + 2  # coefficients + epigraph variable
-    A_eq = np.zeros((k, 2, nvar))
-    A_eq[:, :, :d + 1] = _monomial_rows(ends, center, w, d, 0)
-    b_eq = _values(f, 0, ends)
-
-    # per piece: two slope rows, 4d curvature rows, then +/- value rows
-    # interleaved per sample point
-    val = _monomial_rows(zeta, center, w, d, 0)
-    slope = _monomial_rows(ends, center, w, d, 1)
-    A_ub = np.zeros((k, 2 + 4 * d + 16 * d, nvar))
-    A_ub[:, 0, :d + 1] = -slope[:, 0]
-    A_ub[:, 1, :d + 1] = slope[:, 1]
-    A_ub[:, 2:2 + 4 * d, :d + 1] = -_monomial_rows(xi, center, w, d, 2)
-    A_ub[:, 2 + 4 * d::2, :d + 1] = val
-    A_ub[:, 3 + 4 * d::2, :d + 1] = -val
-    A_ub[:, 2 + 4 * d:, -1] = -1.0
-    b_ub = np.zeros((k, 2 + 4 * d + 16 * d))
-    b_ub[:, 0] = -df[:, 0]
-    b_ub[:, 1] = df[:, 1]
-    b_ub[:, 2:2 + 4 * d] = -mu[:, None]
-    b_ub[:, 2 + 4 * d::2] = fz
-    b_ub[:, 3 + 4 * d::2] = -fz
-
-    cost = np.tile(np.r_[np.zeros(d + 1), 1.0], k)
-    bounds = np.tile([[-np.inf, np.inf]] * (d + 1) + [[0.0, np.inf]], (k, 1))
-    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), A_eq=A_eq, b_eq=b_eq.ravel(),
-                      bounds=bounds)
+    A_ub = np.empty((k, 32, 2))
+    A_ub[:, 0::2, 0] = d
+    A_ub[:, 1::2, 0] = -d
+    A_ub[:, :, 1] = -1.0
+    b_ub = np.empty((k, 32))
+    b_ub[:, 0::2] = e
+    b_ub[:, 1::2] = -e
+    cost = np.tile([0.0, 1.0], k)
+    bounds = np.tile([[0.0, 1.0], [0.0, np.inf]], (k, 1))
+    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), A_eq=np.empty((k, 0, 2)),
+                      b_eq=np.empty(0), bounds=bounds)
 
 
-def _chunk_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                mu: np.ndarray) -> np.ndarray:
-    """Minimax coefficients of the pieces [a[i], b[i]] of one chunk from its
-    LP (:func:`_lp_blocks`), one row each in its midpoint frame, NaN where
-    its LP failed (linprog refuses a NaN x).  A refused chunk is solved one
-    piece at a time, so it cannot change its neighbours."""
-    cost, blocks = _lp_blocks(f, a, b, degree, mu)
+def _chunk_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The blend weights of the pieces [a[i], b[i]] of one chunk from its
+    LP (:func:`_lp_blocks`), clipped into [0, 1], NaN where its LP failed
+    (linprog refuses a NaN x).  A refused chunk is solved one piece at a
+    time, so it cannot change its neighbours."""
+    cost, blocks = _lp_blocks(f, a, b)
     try:
-        return linprog(cost, **blocks).reshape(-1, degree + 2)[:, :degree + 1]
+        return np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0)
     except SolverStall:
         if a.size == 1:  # a one-piece LP has nothing left to split
-            return np.full((1, degree + 1), np.nan)
-    return np.concatenate([_chunk_rows(f, a[i:i + 1], b[i:i + 1], degree, mu[i:i + 1])
-                           for i in range(a.size)])
-
-
-def _solve_chunks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int,
-                  mu: np.ndarray) -> np.ndarray:
-    """The rows of :func:`_chunk_rows` for every piece in order, CHUNK
-    pieces per LP."""
-    return np.concatenate([np.empty((0, degree + 1))]
-                          + [_chunk_rows(f, a[s:s + CHUNK], b[s:s + CHUNK], degree,
-                                         mu[s:s + CHUNK]) for s in range(0, a.size, CHUNK)])
-
-
-def _certified(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Which LP coefficient rows (NaN where the LP failed) are certified
-    convex on their intervals [a[i], b[i]], from one array certificate."""
-    ok = ~np.isnan(rows[:, 0])
-    if ok.any():
-        lo, hi = a[ok], b[ok]
-        ok[ok] = convexity_certificates(rows[ok], 0.5 * (lo + hi), 0.5 * (hi - lo), lo, hi)[0]
-    return ok
+            return np.full(1, np.nan)
+    return np.concatenate([_chunk_rows(f, a[i:i + 1], b[i:i + 1]) for i in range(a.size)])
 
 
 def _lp_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(rows, ok): the degree-2 rows of the minimax LPs and which of them
-    are certified convex.  Rows whose certificate fails are re-solved
-    together once with a strictly positive curvature floor."""
-    rows = _solve_chunks(f, a, b, 2, np.zeros(a.size))
-    ok = _certified(rows, a, b)
-    retry = np.flatnonzero(~ok & ~np.isnan(rows[:, 0]))
-    if retry.size:
-        w = 0.5 * (b[retry] - a[retry])
-        fz = _values(f, 0, _chebyshev_points(a[retry], b[retry], 8 * 2))  # the LP's samples
-        mu = 1e-8 * (1.0 + np.max(np.abs(fz), axis=1)) / (w * w)
-        rows[retry] = _solve_chunks(f, a[retry], b[retry], 2, mu)
-        ok[retry] = _certified(rows[retry], a[retry], b[retry])
-    return rows, ok
+    """(rows, ok): the degree-2 rows S + sigma (P - S) with the weights of
+    :func:`_chunk_rows`, CHUNK pieces per LP, and which LPs were solved.
+    The row's c2 is sigma times P's c2, so a solved row is convex."""
+    sigma = np.concatenate([np.empty(0)] + [_chunk_rows(f, a[s:s + CHUNK], b[s:s + CHUNK])
+                                           for s in range(0, a.size, CHUNK)])
+    S = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
+    return S + sigma[:, None] * (_parabola(f, a, b) - S), ~np.isnan(sigma)
 
 
 def _hermite_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
@@ -483,12 +417,13 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     "parabola-fallback" or "secant".  Every interval must first pass the
     spot check.
 
-    Degree 2 takes the LP rows of :func:`_lp_rows`, every higher degree the
-    Hermite rows of :func:`_hermite_rows`, all certified in one array
-    certificate, and a rejected Hermite row is blended
-    (:func:`_blend_with_parabola`).  A row still not certified becomes the
-    parabola, which is always convex.  Intervals at rounding scale get the
-    secant.
+    Degree 2 takes the LP rows of :func:`_lp_rows`, convex by construction,
+    and a row whose LP failed becomes the parabola.  Every higher degree
+    takes the Hermite rows of :func:`_hermite_rows`, all certified in one
+    array certificate; a rejected Hermite row is blended
+    (:func:`_blend_with_parabola`), and a blend still not certified becomes
+    the parabola, which is always convex.  Intervals at rounding scale get
+    the secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")

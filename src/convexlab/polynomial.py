@@ -3,9 +3,11 @@
 A piece is a coefficient row with its center and halfwidth: the
 coefficients ascend in the variable u = (x - center) / halfwidth, so that u
 runs over [-1, 1] on the piece's own interval.  Keeping each piece in its
-own frame keeps divided differences and the minimax LP uniformly
-conditioned on the very short end intervals of Chebyshev partitions, where
-global monomials are hopeless for moderate n.
+own frame keeps every row uniformly conditioned on the very short end
+intervals of Chebyshev partitions, where global monomials are hopeless for
+moderate n.  The confluent divided differences of
+:func:`hermite_interpolant` have no caller in the construction; they stay
+for the tests and profilers that call the function by name.
 
 Many pieces at once are a zero-padded (k, order) matrix of such
 coefficients with their centers and halfwidths; the row functions and the

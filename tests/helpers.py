@@ -10,7 +10,8 @@ of convexlab must equal, some of them bit for bit.  ``spline_of`` builds a
 spline from one Poly per interval, ``pieces_of`` gives a spline's rows as
 Polys and ``poly_of`` any piece with ``center``, ``halfwidth`` and
 ``coeffs``, such as an end block.  ``lagrange_hermite_L`` is the direct
-Hermite block the integrated one is compared against, and
+Hermite block the integrated one is compared against, ``reflect`` the
+mirror image of an oracle, and
 ``reference_bound_report`` the bound report over full profiles that
 ``certify.pointwise_bound_report`` is compared against.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from convexlab.domain import reflect
+from convexlab.domain import ConvexOracle
 from convexlab.endblocks import integrated_L
 from convexlab.piecewise import PiecewisePoly
 from convexlab.polynomial import derivative_rows, hermite_interpolant, horner_rows
@@ -94,6 +95,27 @@ class Poly:
             "halfwidth": self.halfwidth,
             "coeffs": list(self.coeffs),
         }
+
+
+def reflect(f: ConvexOracle, interval=None) -> ConvexOracle:
+    """The reflection g(x) = f(a + b - x) on the same interval."""
+    a, b = (f.domain if interval is None else interval)
+    a, b = float(a), float(b)
+    s = a + b
+
+    def make(nu):
+        base = f.deriv_fn(nu)
+        sign = (-1.0) ** nu
+        return lambda x: sign * base(s - np.asarray(x, dtype=float))
+
+    return ConvexOracle(
+        name=f.name + "~",
+        params=dict(f.params),
+        r=f.r,
+        domain=(a, b),
+        derivs=tuple(make(nu) for nu in range(f.r + 1)),
+        nonsmooth=tuple(s - p for p in f.nonsmooth),
+    )
 
 
 def poly_of(piece) -> Poly:

@@ -426,6 +426,26 @@ def test_steep_finite_endpoint_data_builds_certified(tmp_path):
     assert json.loads(out.read_text())["convex_certified"] is True
 
 
+@pytest.mark.parametrize("alpha, n", [("700", "400"), ("690", "166")])
+def test_steep_exp_is_refused_at_its_endpoint_data_or_builds(alpha, n, tmp_path, capsys):
+    """exp:alpha=700 is refused for its overflowing endpoint data, with exit
+    1 and one error line, at any n; exp:alpha=690 builds certified at its
+    threshold N = 166."""
+    out = tmp_path / "s.json"
+    code = run(["approximate", "--function", f"exp:alpha={alpha}", "--r", "2", "--n", n,
+                "--out", str(out)])
+    captured = capsys.readouterr()
+    if alpha == "700":
+        assert code == 1
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: endpoint data is non-finite")
+        assert not out.exists()
+    else:
+        assert code == 0 and captured.err == ""
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["N_threshold"] == 166 and doc["convex_certified"] is True
+
+
 def test_modulus_nan_step_exits_1(capsys):
     code = run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "nan"])
     assert code == 1

@@ -16,12 +16,12 @@ from convexlab.domain import (
     phi,
     poly_oracle,
     read_partition,
-    reflect,
     rho,
     tangent_line,
     truncpow_oracle,
     uniform_partition,
 )
+from helpers import reflect
 
 ALL_ORACLES = [
     exp_oracle(1.0),

@@ -8,7 +8,6 @@ from convexlab.domain import (
     exp_oracle,
     f0_oracle,
     poly_oracle,
-    reflect,
     truncpow_oracle,
 )
 from convexlab.endblocks import (
@@ -17,7 +16,7 @@ from convexlab.endblocks import (
     integrated_L,
     mirrored_L,
 )
-from convexlab.polynomial import hermite_interpolant
+from convexlab.polynomial import derivative_rows, hermite_interpolant, horner_rows
 from helpers import (
     Poly,
     direct_block_ratio,
@@ -25,6 +24,7 @@ from helpers import (
     lagrange_hermite_L,
     mirrored_direct_block_ratio,
     poly_of,
+    reflect,
 )
 
 CUBIC = poly_oracle([0.0, 0.0, 0.0, 1.0], domain=(0.0, 1.0))  # x^3, convex there
@@ -122,27 +122,93 @@ def test_mirrored_block_end_conditions():
     assert poly_of(block).deriv_value(0.8) == pytest.approx(float(f.deriv(1, 0.8)), abs=1e-9)
 
 
-@pytest.mark.parametrize("f,r,h", [(exp_oracle(1.0), 2, 0.1), (cosh_oracle(1.3), 3, 0.37),
-                                   (f0_oracle(2), 2, 0.05), (truncpow_oracle(1, 0.05), 1, 0.2)])
-def test_blocks_are_the_poly_arithmetic_bit_for_bit(f, r, h):
-    """integrated_L takes the antiderivative on the row and mirrored_L
-    reflects the row with exactly the float operations of the reference
-    Poly.antiderivative and Poly.reflected, defects included."""
-    a, b = -1.0, 1.0
+_BLOCK_CASES = [(exp_oracle(1.0), 2, 0.1), (cosh_oracle(1.3), 3, 0.37), (f0_oracle(2), 2, 0.05),
+                (truncpow_oracle(1, 0.05), 1, 0.2), (exp_oracle(20.0), 2, 1e-3),
+                (cosh_oracle(40.0), 6, 1e-4), (f0_oracle(3), 3, 3e-7)]
+
+
+def _both_blocks(f, r, h):
+    """((block, outer end, inner knot), ...) of the left and the right block."""
+    return ((integrated_L(f, -1.0, h, r), -1.0, -1.0 + h),
+            (mirrored_L(f, 1.0, h, r), 1.0, 1.0 - h))
+
+
+def _deriv_at(block, x, nu):
+    row = derivative_rows(block.coeffs, block.halfwidth, nu)
+    return float(horner_rows(row, (x - block.center) / block.halfwidth))
+
+
+@pytest.mark.parametrize("f,r,h", _BLOCK_CASES)
+def test_blocks_match_f_at_the_end_and_f_prime_at_the_inner_knot(f, r, h):
+    """Each block's row matches f^(nu) at its outer end for nu <= r and f' at
+    its inner knot to a few ulps of the largest term of that condition, in
+    the frame the row is stored in; delta is the row at the inner knot minus
+    f there, bit for bit."""
+    for block, end, inner in _both_blocks(f, r, h):
+        assert (block.h, block.interval) == (h, tuple(sorted((end, inner))))
+        assert (block.center, block.halfwidth) == (0.5 * (end + inner), 0.5 * abs(inner - end))
+        width = abs(inner - end)
+        for nu in range(r + 1):
+            # the Taylor terms f^(m)(end) width^(m - nu) / (m - nu)! summed at the end
+            scale = max(abs(float(f.deriv(m, end))) * width ** (m - nu) / math.factorial(m - nu)
+                        for m in range(nu, r + 1))
+            scale = max(scale, abs(float(f.deriv(nu, inner))))
+            got = _deriv_at(block, end, nu)
+            assert abs(got - float(f.deriv(nu, end))) <= 4 * np.spacing(scale), (block.side, nu)
+        want = float(f.deriv(1, inner))
+        assert abs(_deriv_at(block, inner, 1) - want) <= 4 * np.spacing(abs(want)), block.side
+        assert block.delta == _deriv_at(block, inner, 0) - float(f(inner))
+
+
+@pytest.mark.parametrize("beta,r,h", [(1.0, 1, 0.1), (1.7, 3, 0.3), (40.0, 2, 1e-3),
+                                      (3.0, 6, 0.37)])
+def test_mirrored_block_of_cosh_negates_odd_coefficients(beta, r, h):
+    """cosh is even, so the right block is the left one reflected: its row is
+    the left row with its odd coefficients negated, centered at -center,
+    with the same defect, bit for bit."""
+    f = cosh_oracle(beta)
+    left, right = integrated_L(f, -1.0, h, r), mirrored_L(f, 1.0, h, r)
+    assert right.coeffs.tolist() == (left.coeffs * (-1.0) ** np.arange(r + 2)).tolist()
+    assert (right.center, right.halfwidth, right.delta) == (-left.center, left.halfwidth,
+                                                            left.delta)
+
+
+def _divided_difference_block(f, a, h, r):
+    """The antiderivative through (a, f(a)) of the confluent Hermite
+    interpolant of f' at a (orders 0..r-1) and at a+h."""
     slope = Poly(*hermite_interpolant([(a, [float(f.deriv(nu + 1, a)) for nu in range(r)]),
                                        (a + h, [float(f.deriv(1, a + h))])]))
-    want = slope.antiderivative(a, float(f(a)))
-    left = integrated_L(f, a, h, r)
-    assert poly_of(left) == want and left.coeffs.tolist() == list(want.coeffs)
-    assert left.delta == want(a + h) - float(f(a + h))
-    assert (left.side, left.h, left.interval) == ("left", h, (a, a + h))
+    return slope.antiderivative(a, float(f(a)))
 
-    lo = b - h
-    want = poly_of(integrated_L(reflect(f, (lo, b)), lo, h, r)).reflected(lo + b)
-    right = mirrored_L(f, b, h, r)
-    assert poly_of(right) == want and right.coeffs.tolist() == list(want.coeffs)
-    assert right.delta == want(lo) - float(f(lo))
-    assert (right.side, right.h, right.interval) == ("right", h, (lo, b))
+
+@pytest.mark.parametrize("f,r,h", _BLOCK_CASES[:4])
+def test_blocks_equal_the_divided_difference_reference(f, r, h):
+    """The closed-form rows are the polynomials of the confluent divided
+    differences, the right one through the reflected oracle, to 1e-13
+    relative in the same frame."""
+    lo = 1.0 - h
+    want = [_divided_difference_block(f, -1.0, h, r),
+            _divided_difference_block(reflect(f, (lo, 1.0)), lo, h, r).reflected(lo + 1.0)]
+    for (block, _, _), ref in zip(_both_blocks(f, r, h), want):
+        assert (block.center, block.halfwidth) == (ref.center, ref.halfwidth)
+        coeffs = np.pad(ref.coeffs, (0, r + 2 - len(ref.coeffs)))  # polymul trims zeros
+        scale = max(abs(c) for c in ref.coeffs)
+        assert np.allclose(block.coeffs, coeffs, rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_blocks_of_a_polynomial_of_degree_r_plus_one_are_the_polynomial(r):
+    """For f of degree r+1 both blocks are f itself, which is also the direct
+    Hermite block of lagrange_hermite_L: the rows agree to 1e-13 relative."""
+    f = poly_oracle([0.3, -0.2, 1.0, 0.1, 0.02][:r + 2])
+    h = 0.3
+    for block, end, inner in _both_blocks(f, r, h):
+        lo = min(end, inner)
+        ref = lagrange_hermite_L(f, lo, h, r)
+        assert (block.center, block.halfwidth) == (ref.center, ref.halfwidth)
+        scale = max(abs(c) for c in ref.coeffs)
+        assert np.allclose(block.coeffs, ref.coeffs, rtol=0.0, atol=1e-13 * scale)
+        assert abs(block.delta) <= 1e-13 * scale
 
 
 def test_find_H_polynomial_gives_h_max():

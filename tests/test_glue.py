@@ -29,7 +29,7 @@ from convexlab.glue import (
     construct_spline,
     polygonal_baseline,
 )
-from convexlab import endblocks, glue, localconvex, smoothness
+from convexlab import glue, localconvex, polynomial, smoothness
 from convexlab.localconvex import SolverStall, build_sigma
 from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from convexlab.smoothness import modulus
@@ -369,10 +369,11 @@ def test_blend_equals_poly_arithmetic():
 
 
 def test_construction_builds_no_poly_per_piece(monkeypatch):
-    """The pieces are born as coefficient rows: the Hermite interpolants and
-    ConvexityCertificate objects of one construction (end blocks and their
-    checks) do not grow with n, and the polygonal baseline and an affine
-    input, all secant rows, build none.  No construction computes slacks."""
+    """The pieces are born as coefficient rows: the ConvexityCertificate
+    objects of one construction (the end blocks' checks) do not grow with n,
+    and the polygonal baseline and an affine input, all secant rows, build
+    none.  No construction computes slacks or calls the divided-difference
+    interpolant."""
     built = {"hermite_interpolant": 0, "ConvexityCertificate": 0, "_slacks": 0}
     cert_init = ConvexityCertificate.__init__
 
@@ -387,23 +388,24 @@ def test_construction_builds_no_poly_per_piece(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ConvexityCertificate, "__init__", counting_cert)
-    for module, name in ((endblocks, "hermite_interpolant"), (localconvex, "_slacks")):
+    for module, name in ((polynomial, "hermite_interpolant"), (localconvex, "_slacks")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     f = exp_oracle(1.0)
     counts = {}
     for n in (64, 1024, 4096):
         built.update(dict.fromkeys(built, 0))
         construct_chebyshev(f, 2, n)
-        counts[n] = built["hermite_interpolant"], built["ConvexityCertificate"]
-        assert built["_slacks"] == 0
+        counts[n] = built["ConvexityCertificate"]
+        assert built["_slacks"] == built["hermite_interpolant"] == 0
     for n in (1024, 4096):
-        assert counts[n][0] <= counts[64][0] and counts[n][1] <= counts[64][1]
+        assert counts[n] <= counts[64]
     for build in (lambda: polygonal_baseline(exp_oracle(1.0), 4096),
                   lambda: construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 4096)):
         built.update(dict.fromkeys(built, 0))
         build()
         assert built == {"hermite_interpolant": 0, "ConvexityCertificate": 0, "_slacks": 0}
     localconvex._secant_piece(f, -1.0, 1.0)  # the counters do count
+    polynomial.hermite_interpolant([(-1.0, [1.0, 0.5]), (1.0, [2.0])])
     block = integrated_L(f, -1.0, 0.5, 2)
     convexity_certificate(block, block.interval)
     assert built == {"hermite_interpolant": 1, "ConvexityCertificate": 1, "_slacks": 1}

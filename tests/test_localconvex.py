@@ -2,8 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,11 +16,13 @@ from convexlab.domain import (
     even_power_oracle,
     exp_oracle,
     f0_oracle,
+    parse_function,
     poly_oracle,
     truncpow_oracle,
     uniform_partition,
 )
 from convexlab import localconvex
+from convexlab.glue import chebyshev_threshold
 from convexlab.localconvex import (
     CHUNK,
     NotConvexInput,
@@ -299,23 +299,27 @@ def test_one_rejected_hermite_row_is_blended(monkeypatch):
 # -- the batched LP: chunks, rescue paths, and the call count -----------------
 
 
-def _linprog_spy(monkeypatch, f, X, fail=lambda pieces: False):
+def _linprog_spy(monkeypatch, X, fail=lambda pieces: False):
     """Record each of localconvex's linprog calls on the partition X as
-    (pieces, b_ub, thread): pieces are the 0-based indices of its intervals,
-    read off the end values f(a) in b_eq, so f must be one-to-one on them.
-    A call for which fail(pieces) holds raises SolverStall instead."""
-    real = localconvex.linprog
-    left = f(X.knots[:-1])
+    (pieces, b_ub): pieces are the 0-based indices of its intervals, read off
+    the left ends of the _lp_blocks call that built its LP.  A call for which
+    fail(pieces) holds raises SolverStall instead."""
+    real_blocks, real = localconvex._lp_blocks, localconvex.linprog
+    built = []
     calls = []
 
+    def blocks(f, a, b):
+        built.append(tuple(np.searchsorted(X.knots, a).tolist()))
+        return real_blocks(f, a, b)
+
     def spy(c, **kwargs):
-        fa = kwargs["b_eq"][0::2]
-        pieces = tuple(np.abs(fa[:, None] - left).argmin(axis=1).tolist())
-        calls.append((pieces, kwargs["b_ub"], threading.current_thread()))
+        pieces = built[-1]
+        calls.append((pieces, kwargs["b_ub"]))
         if fail(pieces):
             raise SolverStall("injected failure")
         return real(c, **kwargs)
 
+    monkeypatch.setattr(localconvex, "_lp_blocks", blocks)
     monkeypatch.setattr(localconvex, "linprog", spy)
     return calls
 
@@ -409,14 +413,12 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(CHUNK + 4)
     want = _one_at_a_time(f, X, 1)
-    calls = _linprog_spy(monkeypatch, f, X, fail=lambda pieces: len(pieces) > 1)
+    calls = _linprog_spy(monkeypatch, X, fail=lambda pieces: len(pieces) > 1)
     S, sources, _ = convex_pieces(f, X, 1)
-    order = [pieces for pieces, _, _ in calls]
+    order = [pieces for pieces, _ in calls]
     chunks = [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
     # each chunk's LP, then every piece of it alone, then the next chunk
     assert order == [chunks[0], *[(i,) for i in chunks[0]], chunks[1], *[(i,) for i in chunks[1]]]
-    # every LP is solved on the calling thread
-    assert {thread for _, _, thread in calls} == {threading.current_thread()}
     assert sources == ["lp"] * X.n
     assert pieces_of(S) == [p for p, _ in want]
 
@@ -424,55 +426,23 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
 def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(6)
-    _linprog_spy(monkeypatch, f, X, fail=lambda pieces: True)
+    _linprog_spy(monkeypatch, X, fail=lambda pieces: True)
     S, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["parabola-fallback"] * X.n
     for j, p in enumerate(pieces_of(S), start=1):
         assert p == _padded(_parabola(f, X.interval(j)), 3)
 
 
-def test_one_failed_certificate_is_resolved_with_curvature_floor(monkeypatch):
-    f = exp_oracle(1.0)
-    X = chebyshev_partition(CHUNK + 4)
-    interval = X.interval(5)
-    calls = _linprog_spy(monkeypatch, f, X)
-    seen = _failing_certificate(monkeypatch, interval, times=1)
-    S, sources, _ = convex_pieces(f, X, 1)
-    assert len(seen) == 1
-    # the first pass solves both chunks; the re-solve, which starts only once
-    # the first pass is done, batches just the failed piece
-    *first, (again, rhs, _) = calls
-    assert [p for p, _, _ in first] == [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
-    assert again == (4,)
-    curvature = slice(2, 2 + 4 * 2)  # rows p'' >= mu at 4*degree points
-    assert all(np.all(b_ub.reshape(len(p), -1)[:, curvature] == 0.0) for p, b_ub, _ in first)
-    assert np.all(rhs[curvature] < 0.0)
-    assert sources == ["lp"] * X.n
-    assert convexity_certificate(pieces_of(S)[4], interval).convex
-
-
-def test_two_failed_certificates_fall_back_to_parabola(monkeypatch):
-    f = exp_oracle(1.0)
-    X = chebyshev_partition(CHUNK + 4)
-    interval = X.interval(5)
-    seen = _failing_certificate(monkeypatch, interval, times=2)
-    S, sources, _ = convex_pieces(f, X, 1)
-    assert len(seen) == 2
-    assert sources[4] == "parabola-fallback"
-    assert pieces_of(S)[4] == _padded(_parabola(f, interval), 3)
-    assert all(source == "lp" for j, source in enumerate(sources) if j != 4)
-
-
 def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
     """convex_pieces returns _convex_pieces' spline and sources, bit for bit,
-    with a parabola fallback (piece 4) and a secant (piece 9, at rounding
-    scale) among the LP rows, and each row's slope slacks as the reference
-    Poly arithmetic gives them."""
+    with a parabola fallback (piece 4, whose LP fails) and a secant (piece 9,
+    at rounding scale) among the LP rows, and each row's slope slacks as the
+    reference Poly arithmetic gives them."""
     f = exp_oracle(1.0)
     cheb = chebyshev_partition(CHUNK + 4).knots
     knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
     X = Partition(knots)
-    _failing_certificate(monkeypatch, X.interval(5), times=4)  # twice per call
+    _linprog_spy(monkeypatch, X, fail=lambda pieces: 4 in pieces)
     spline, sources = localconvex._convex_pieces(f, knots, 2)
     S, got_sources, slacks = convex_pieces(f, X, 1)
     assert sources[4] == "parabola-fallback" and sources[9] == "secant"
@@ -489,20 +459,79 @@ def test_lp_calls_are_batched(monkeypatch):
     # one LP per chunk of pieces, not one per piece
     f = exp_oracle(1.0)
     X = chebyshev_partition(512)
-    calls = _linprog_spy(monkeypatch, f, X)
+    calls = _linprog_spy(monkeypatch, X)
     _, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["lp"] * X.n
     assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
 
 
+# -- the blend-weight LP: its rows against an exact 1-D minimax ---------------
+
+
+def _exact_minimax(d, e):
+    """The sigma in [0, 1] minimising max_i |sigma d_i - e_i| and that
+    maximum, from the breakpoints: the convex piecewise-linear maximum has
+    its minimum at 0, at 1 or where two of its lines cross."""
+    cand = [0.0, 1.0]
+    lines = np.concatenate([np.stack([d, -e], 1), np.stack([-d, e], 1)])  # slope, intercept
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            if lines[i, 0] != lines[j, 0]:
+                x = (lines[j, 1] - lines[i, 1]) / (lines[i, 0] - lines[j, 0])
+                if 0.0 < x < 1.0:
+                    cand.append(x)
+    worst = [np.max(np.abs(x * d - e)) for x in cand]
+    k = int(np.argmin(worst))
+    return cand[k], worst[k]
+
+
+@pytest.mark.parametrize("spec", ["exp:alpha=1", "cosh:beta=40", "truncpow:r=2,eps=0.001"])
+def test_lp_rows_are_minimax_blends_of_secant_and_parabola(spec):
+    """Each r = 1 LP row is S + sigma (P - S) with sigma in [0, 1], its c2 is
+    sigma times P's and >= 0 exactly, and its largest |row - f| at the 16
+    Chebyshev points is the exact 1-D minimax over sigma to 1e-12 relative."""
+    f = parse_function(spec)
+    N, _ = chebyshev_threshold(f, 1)
+    knots = chebyshev_partition(N).knots[1:-1]
+    a, b = knots[:-1], knots[1:]
+    rows, ok = localconvex._lp_rows(f, a, b)
+    assert ok.all()
+    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
+    P = localconvex._parabola(f, a, b)
+    assert np.all(rows[:, 2] >= 0.0) and np.all(P[:, 2] >= 0.0)
+    sigma = rows[:, 2] / np.where(P[:, 2] > 0.0, P[:, 2], 1.0)
+    assert np.all((0.0 <= sigma) & (sigma <= 1.0))
+    assert np.array_equal(rows, S + sigma[:, None] * (P - S))
+    u = np.cos(np.pi * np.arange(16) / 15)
+    z = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * u
+    fz = f(z)
+    for i in range(a.size):
+        row, s_row, p_row = (np.polynomial.polynomial.polyval(u, c) for c in (rows[i], S[i], P[i]))
+        _, best = _exact_minimax(p_row - s_row, fz[i] - s_row)
+        got = np.max(np.abs(row - fz[i]))
+        assert got <= best + 1e-12 * max(best, np.max(np.abs(fz[i] - s_row))), (i, got, best)
+
+
 # -- the direct HiGHS model against scipy.optimize.linprog ---------------------
+
+
+@pytest.fixture
+def fresh_solver():
+    """A new module solver and no kept layouts, for the test and after it."""
+    localconvex._solver.cache_clear()
+    localconvex._layouts.clear()
+    yield
+    localconvex._solver.cache_clear()
+    localconvex._layouts.clear()
 
 
 def _scipy_solve(cost, blocks):
     """scipy.optimize.linprog on the same LP, its blocks made block-diagonal,
     with the presolve and tolerances the direct model uses."""
+    eq = blocks["b_eq"].size > 0
     return scipy_linprog(cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
-                         A_eq=block_diag(list(blocks["A_eq"])), b_eq=blocks["b_eq"],
+                         A_eq=block_diag(list(blocks["A_eq"])) if eq else None,
+                         b_eq=blocks["b_eq"] if eq else None,
                          bounds=blocks["bounds"], method="highs",
                          options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
                                   "dual_feasibility_tolerance": 1e-10})
@@ -512,70 +541,60 @@ def _scipy_solve(cost, blocks):
                                    (truncpow_oracle(1, 0.3), 1, 3 * CHUNK),
                                    (f0_oracle(2), 2, 3 * CHUNK),
                                    (exp_oracle(1.0), 2, CHUNK + 1)])  # then one piece
-def test_direct_solve_equals_scipy_linprog_bit_for_bit(f, r, n):
+def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
+    """Every chunk LP of the n pieces is scipy's solution bit for bit, and
+    the pieces of order r + 2 solve those LPs only for r = 1."""
     knots = chebyshev_partition(n).knots
     for s in range(0, n, CHUNK):
         a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
-        cost, blocks = localconvex._lp_blocks(f, a, b, r + 1, np.zeros(a.size))
+        cost, blocks = localconvex._lp_blocks(f, a, b)
         got = localconvex.linprog(cost, **blocks)
         want = _scipy_solve(cost, blocks)
         assert want.status == 0
         assert np.array_equal(got, want.x)
-
-
-def _unit_knots(n):
-    """The Chebyshev knots of n pieces mapped onto [0, 1]."""
-    u = (chebyshev_partition(n).knots + 1.0) / 2.0
-    u[0], u[-1] = 0.0, 1.0
-    return u
-
-
-def test_model_error_is_a_failure_on_both_paths():
-    # the end intervals of n = 4096 have width 1.5e-7 in [0, 1], so their
-    # degree-3 curvature rows carry coefficients near 1e15, which HiGHS refuses
-    u = _unit_knots(4096)
-    for a, b in [(u[:1], u[1:2]), (u[-2:-1], u[-1:])]:
-        cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), a, b, 3, np.zeros(1))
-        with pytest.raises(SolverStall, match="Model error"):
-            localconvex.linprog(cost, **blocks)
-        assert _scipy_solve(cost, blocks).status != 0
+    calls = _linprog_spy(monkeypatch, Partition(knots))
+    convex_pieces(f, Partition(knots), r)
+    assert len(calls) == (math.ceil(n / CHUNK) if r == 1 else 0)
 
 
 def _model_error_blocks():
-    """The LP of the first end interval of n = 4096 in [0, 1], which HiGHS
-    refuses (see test_model_error_is_a_failure_on_both_paths)."""
-    return localconvex._lp_blocks(exp_oracle(1.0), np.array([0.0]), _unit_knots(4096)[1:2], 3,
-                                  np.zeros(1))
+    """A chunk LP with one entry at 1e16, past the largest matrix value
+    HiGHS accepts (1e15), which HiGHS refuses."""
+    knots = chebyshev_partition(CHUNK).knots
+    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+    blocks["A_ub"][0, 2, 0] = 1e16
+    return cost, blocks
 
 
-def test_kept_solver_solves_cold():
+def test_model_error_is_a_failure_on_both_paths():
+    cost, blocks = _model_error_blocks()
+    with pytest.raises(SolverStall, match="Model error"):
+        localconvex.linprog(cost, **blocks)
+    assert _scipy_solve(cost, blocks).status != 0
+
+
+def test_kept_solver_solves_cold(fresh_solver):
     """passModel clears the kept solver's model, basis and solution, so a
     chunk gives the same x, bit for bit, and the same simplex iteration count
-    as on a fresh solver, whatever the thread solved before it: another
+    as on a fresh solver, whatever the solver solved before it: another
     chunk, an LP that HiGHS refuses, or a one-piece LP."""
     f = exp_oracle(1.0)
-    knots = chebyshev_partition(3 * CHUNK).knots
+    knots = chebyshev_partition(4096).knots  # its first chunk takes simplex iterations
     a, b = knots[:-1], knots[1:]
-    chunk = localconvex._lp_blocks(f, a[:CHUNK], b[:CHUNK], 3, np.zeros(CHUNK))
-    other = localconvex._lp_blocks(f, a[CHUNK:2 * CHUNK], b[CHUNK:2 * CHUNK], 3, np.zeros(CHUNK))
-    one = localconvex._lp_blocks(f, a[CHUNK:CHUNK + 1], b[CHUNK:CHUNK + 1], 3, np.zeros(1))
+    chunk = localconvex._lp_blocks(f, a[:CHUNK], b[:CHUNK])
+    other = localconvex._lp_blocks(f, a[CHUNK:2 * CHUNK], b[CHUNK:2 * CHUNK])
+    one = localconvex._lp_blocks(f, a[CHUNK:CHUNK + 1], b[CHUNK:CHUNK + 1])
 
     def solve(lp):
-        """(x, simplex iterations) of the thread's solver, or None on a stall."""
+        """(x, simplex iterations) of the module's solver, or None on a stall."""
         try:
             x = localconvex.linprog(lp[0], **lp[1])
         except SolverStall:
             return None
-        return x, localconvex._per_thread.highs.getInfo().simplex_iteration_count
+        return x, localconvex._solver().getInfo().simplex_iteration_count
 
-    def on_one_thread():
-        assert localconvex._per_thread.highs is None
-        fresh = solve(chunk)
-        return fresh, [(solve(before), solve(chunk))
-                       for before in (other, _model_error_blocks(), one)]
-
-    with ThreadPoolExecutor(1) as thread:  # a new thread: the first solve is on a new solver
-        fresh, runs = thread.submit(on_one_thread).result(timeout=60)
+    fresh = solve(chunk)  # the first solve is on a new solver
+    runs = [(solve(before), solve(chunk)) for before in (other, _model_error_blocks(), one)]
     assert fresh[1] > 0
     assert [before is None for before, _ in runs] == [False, True, False]
     for _, (x, iterations) in runs:
@@ -583,32 +602,23 @@ def test_kept_solver_solves_cold():
         assert iterations == fresh[1]
 
 
-def test_no_solver_or_layout_is_built_per_chunk(monkeypatch):
-    """A thread builds one HiGHS solver and one model layout per chunk shape
-    on its first solve, and a later construction builds none."""
-    built = {"_Highs": [], "HighsLp": []}
-    for name, seen in built.items():
+def test_no_solver_or_layout_is_built_per_chunk(monkeypatch, fresh_solver):
+    """The module builds one HiGHS solver and one model layout per chunk
+    shape on its first solve, and a later construction builds none."""
+    built = {"_Highs": 0, "HighsLp": 0}
+    for name in built:
         real = getattr(localconvex._highs, name)
 
-        def init(self, real=real, seen=seen):
+        def init(self, real=real, name=name):
             real.__init__(self)
-            seen.append(threading.current_thread())
+            built[name] += 1
 
         monkeypatch.setattr(localconvex._highs, name, type(name, (real,), {"__init__": init}))
     f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 chunks of one shape
-
-    def twice():
-        convex_pieces(f, X, 1)
-        first = {name: list(seen) for name, seen in built.items()}
-        convex_pieces(f, X, 1)
-        return first
-
-    with ThreadPoolExecutor(1) as thread:  # a new thread: its first solve builds its solver
-        first = thread.submit(twice).result(timeout=60)
-    for name, seen in first.items():
-        assert len(seen) == 1
-        assert threading.current_thread() not in seen
-        assert built[name] == seen  # none on the second call
+    convex_pieces(f, X, 1)
+    assert built == {"_Highs": 1, "HighsLp": 1}
+    convex_pieces(f, X, 1)
+    assert built == {"_Highs": 1, "HighsLp": 1}  # none on the second call
 
 
 def test_exact_zero_entry_solves_to_the_nonzero_model():
@@ -616,11 +626,10 @@ def test_exact_zero_entry_solves_to_the_nonzero_model():
     zeros, so a block entry that is exactly 0.0 gives the x of the model of
     the nonzeros alone, as scipy.optimize.linprog builds it."""
     knots = chebyshev_partition(CHUNK).knots
-    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:], 3,
-                                          np.zeros(CHUNK))
-    row = 2 + 4 * 3  # the first value row of a piece
-    assert blocks["A_ub"][3, row, 1] != 0.0
-    blocks["A_ub"][3, row, 1] = 0.0
+    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+    row = 2  # the + row of a piece's second point
+    assert blocks["A_ub"][3, row, 0] != 0.0
+    blocks["A_ub"][3, row, 0] = 0.0
     want = _scipy_solve(cost, blocks)
     assert want.status == 0
     assert np.array_equal(localconvex.linprog(cost, **blocks), want.x)
@@ -631,12 +640,11 @@ def test_kept_layout_takes_each_calls_costs_and_bounds():
     from the kept ones is solved with its own, as scipy.optimize.linprog
     solves it."""
     knots = chebyshev_partition(CHUNK).knots
-    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:], 3,
-                                          np.zeros(CHUNK))
+    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
     other_cost = cost.copy()
-    other_cost[4] = 0.0  # the first piece's epigraph variable is free of cost
+    other_cost[1] = 0.0  # the first piece's epigraph variable is free of cost
     other_bounds = blocks["bounds"].copy()
-    other_bounds[9, 0] = 1e-3  # the second piece's epigraph variable is at least 1e-3
+    other_bounds[3, 0] = 1e-3  # the second piece's epigraph variable is at least 1e-3
     for c, bounds in [(cost, blocks["bounds"]), (other_cost, blocks["bounds"]),
                       (cost, other_bounds), (cost, blocks["bounds"])]:
         lp = {**blocks, "bounds": bounds}
@@ -646,7 +654,7 @@ def test_kept_layout_takes_each_calls_costs_and_bounds():
 
 
 @pytest.mark.parametrize("corrupt", ["bound", "ub slack", "eq residual"])
-def test_infeasible_solution_is_a_stall(monkeypatch, corrupt):
+def test_infeasible_solution_is_a_stall(monkeypatch, fresh_solver, corrupt):
     """An 'optimal' solution off its bounds, ub rows or eq rows by more than
     the feasibility tolerance ends in SolverStall, as linprog's check does."""
     real = localconvex._highs._Highs
@@ -655,20 +663,24 @@ def test_infeasible_solution_is_a_stall(monkeypatch, corrupt):
         def getSolution(self):
             sol = super().getSolution()
             if corrupt == "bound":  # the first epigraph variable below 0
-                sol.col_value = [-1e-3 if i == 4 else v for i, v in enumerate(sol.col_value)]
-            else:  # rows: the ub rows, then the eq rows
-                i = 0 if corrupt == "ub slack" else len(sol.row_value) - 1
-                sol.row_value = [v + 1e-3 if j == i else v for j, v in enumerate(sol.row_value)]
+                sol.col_value = [-1e-3 if i == 1 else v for i, v in enumerate(sol.col_value)]
+            elif corrupt == "ub slack":  # every ub row, the tight ones included
+                sol.row_value = [v + 1e-3 for v in sol.row_value]
+            else:  # the eq row, the last one
+                sol.row_value = sol.row_value[:-1] + [sol.row_value[-1] + 1e-3]
             return sol
 
     monkeypatch.setattr(localconvex._highs, "_Highs", Corrupted)
-    knots = chebyshev_partition(CHUNK).knots
-    a, b = knots[:-1], knots[1:]
-    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), a, b, 3, np.zeros(a.size))
-    # a thread keeps its solver, so a new thread is needed to build a Corrupted one
-    with ThreadPoolExecutor(1) as thread:
-        with pytest.raises(SolverStall, match="violates the constraints"):
-            thread.submit(localconvex.linprog, cost, **blocks).result(timeout=60)
+    if corrupt == "eq residual":
+        # minimise x1 subject to x0 - x1 <= 0 and x0 + x1 == 1, x >= 0
+        cost, blocks = np.array([0.0, 1.0]), dict(
+            A_ub=np.array([[[1.0, -1.0]]]), b_ub=np.zeros(1), A_eq=np.array([[[1.0, 1.0]]]),
+            b_eq=np.ones(1), bounds=np.array([[0.0, np.inf], [0.0, np.inf]]))
+    else:
+        knots = chebyshev_partition(CHUNK).knots
+        cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+    with pytest.raises(SolverStall, match="violates the constraints"):
+        localconvex.linprog(cost, **blocks)
 
 
 def test_missing_highs_bindings_name_the_scipy_version():
@@ -717,17 +729,16 @@ if {scipy_first}:
     import scipy.optimize
 import numpy as np
 from convexlab import localconvex
+from convexlab.glue import chebyshev_threshold
 from convexlab.domain import chebyshev_partition, exp_oracle
 import scipy.optimize
 from scipy.sparse import block_diag
 assert localconvex._highs is sys.modules["scipy.optimize._highspy._core"]
 knots = chebyshev_partition({CHUNK}).knots
-cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:], 3,
-                                      np.zeros({CHUNK}))
+cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
 got = localconvex.linprog(cost, **blocks)
 want = scipy.optimize.linprog(
-    cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
-    A_eq=block_diag(list(blocks["A_eq"])), b_eq=blocks["b_eq"], bounds=blocks["bounds"],
+    cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"], bounds=blocks["bounds"],
     method="highs", options={{"presolve": True, "primal_feasibility_tolerance": 1e-10,
                              "dual_feasibility_tolerance": 1e-10}})
 assert want.status == 0, want.message
