@@ -324,6 +324,9 @@ def main(argv=None) -> int:
             NoConvexityThreshold) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

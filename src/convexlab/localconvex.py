@@ -6,34 +6,30 @@ slopes against f' there, and is certified convex.  The public per-piece
 functions return (spline, sources, slacks): the rows, each row's source and
 its slope slacks; the construction uses the rows alone.
 
-For degree d = r+1 >= 3 every row is closed form: the Hermite row matches f
-and f' at both ends and f at the d-3 interior Chebyshev-Lobatto nodes, all
-rows from one shared (d+1)x(d+1) solve, so its slope slacks are 0.  A
-Hermite row H that the certificate rejects is blended with the convex
-parabola P of :func:`convex_parabola`: R = (1-t)H + tP with the t that
-lifts the least p'' to 0, times 1 + 1e-6.  Only a blend that still fails
-becomes P.
+Every row follows one rule: a first-choice row Q moved by a weight w in
+[0, 1] toward the convex parabola P of :func:`convex_parabola`, Q + w (P - Q).
+For degree d = r+1 >= 3, Q is the Hermite row, which matches f and f' at
+both ends and f at the d-3 interior Chebyshev-Lobatto nodes, all rows from
+one shared (d+1)x(d+1) solve, so its slope slacks are 0; w is 0 where the
+certificate accepts Q, and otherwise the least weight, times 1 + 1e-6, that
+lifts the row's least p'' to 0.  For d = 2 (r = 1), Q is f's secant S and w
+the weight sigma whose row best fits f at 16 Chebyshev points: every such
+row interpolates f at both ends, keeps its end slopes between f'(a) and
+f'(b) and is convex, since its c2 is sigma times P's.  A row that stays
+uncertified, or whose LP stalls, becomes P.
 
-For d = 2 (r = 1) the rows are S + sigma (P - S) between f's secant S and
-the parabola P, sigma in [0, 1]: exactly the degree-2 rows that interpolate
-f at both ends, keep their end slopes between f'(a) and f'(b) and are
-convex, since their c2 is sigma times P's.  The one weight sigma of each
-piece is its minimax fit to f at 16 Chebyshev points, an LP of CHUNK pieces
-per block-diagonal model; the parabola is the fallback when HiGHS stalls.
-Each chunk's LP goes to HiGHS directly, through scipy's bindings
-(scipy.optimize._highspy._core, loaded from its extension file alone, not
-through scipy.optimize), as one column-wise model of the dense per-piece
-blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
-per-option checks cost about as much as the solve itself.  The module keeps
-one HiGHS solver, its options passed once, and one model layout per chunk
-shape, whose column starts, row indices, costs and bounds the shape fixes;
-a solve fills in only the blocks' values and the row bounds, and passModel
-makes it cold.  The model, its options and its failure checks are linprog's
-own, so the solution is linprog's bit for bit.  The module-level
-:func:`linprog` keeps linprog's name and keyword arguments, because it is
-the one seam between the pieces and the solver: profilers and tests wrap it
-by that name.  It returns x or raises SolverStall, the one failure signal
-between HiGHS and the parabola fallback.
+The sigmas come from LPs of CHUNK pieces per block-diagonal model, sent to
+HiGHS directly through scipy's bindings (scipy.optimize._highspy._core,
+loaded from its extension file alone, not through scipy.optimize) as one
+column-wise model of the dense per-piece blocks; scipy.optimize.linprog's
+input cleaning, sparse stacking and per-option checks cost about as much as
+the solve itself.  The module keeps one HiGHS solver, its options passed
+once; passModel makes each solve cold.  The model, its options and its
+failure checks are linprog's own, so the solution is linprog's bit for bit.
+The module-level :func:`linprog` keeps linprog's name and keyword arguments,
+because it is the one seam between the pieces and the solver: profilers and
+tests wrap it by that name.  It returns x or raises SolverStall, the one
+failure signal between HiGHS and the parabola fallback.
 """
 
 from __future__ import annotations
@@ -108,30 +104,22 @@ DEGENERATE_REL_LENGTH = 1e-13
 CHUNK = 16
 
 
-def _highs_options():
-    """What linprog(method="highs") sets for presolve=True and both
-    feasibility tolerances 1e-10; passOptions copies the values.  `threads`
-    keeps linprog's default: HiGHS sizes one task scheduler per thread on
-    its first solve there and fails a later solve that asks for another
-    size, so scipy's own linprog on the same thread must see the same value."""
+@functools.cache
+def _solver():
+    """The module's one HiGHS solver, built on the first solve with what
+    linprog(method="highs") sets for presolve=True and both feasibility
+    tolerances 1e-10.  `threads` keeps linprog's default: HiGHS sizes one
+    task scheduler per thread on its first solve there and fails a later
+    solve that asks for another size, so scipy's own linprog on the same
+    thread must see the same value."""
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
-    return options
-
-
-@functools.cache
-def _solver():
-    """The module's one HiGHS solver, built on the first solve with the
-    options of :func:`_highs_options`."""
     highs = _highs._Highs()
-    highs.passOptions(_highs_options())
+    highs.passOptions(options)
     return highs
-
-
-_layouts = {}  # chunk shape -> (HighsLp, costs, bounds), see _layout
 
 
 class NotConvexInput(ValueError):
@@ -231,65 +219,38 @@ def convex_parabola(f: ConvexOracle, interval) -> tuple:
     return S, ["parabola"], _slacks(f, S)
 
 
-def _layout(k: int, m_ub: int, m_eq: int, cols: int, c: np.ndarray, bounds: np.ndarray):
-    """The module's HighsLp for k dense blocks of m_ub ub rows, m_eq eq rows
-    and cols columns, with costs c and column bounds.
+def linprog(c, *, A_ub, b_ub, bounds) -> np.ndarray:
+    """The x minimising c @ x subject to A_ub @ x <= b_ub and
+    bounds[:, 0] <= x <= bounds[:, 1], solved as one HiGHS model.
 
-    Column j of block i holds all m_ub + m_eq rows of that block, zeros
-    included: its ub rows i*m_ub.., then its eq rows k*m_ub + i*m_eq.., so
-    the column starts and row indices depend on the shape alone, and a solve
-    sets only the values and row bounds.  passModel drops the zero entries,
-    so HiGHS solves the model of the nonzeros alone.  The layout is kept per
-    shape and built again when c or bounds differ from the kept ones.  The
+    A_ub holds the dense diagonal blocks, of shape (k, m, cols), of a
+    block-diagonal matrix; b_ub is flat.  The model is the one
+    scipy.optimize.linprog(method="highs") hands to HiGHS for the same blocks
+    with presolve on and both feasibility tolerances 1e-10, in column-wise
+    storage with the same options, so x is the same bit for bit.  Column j of
+    block i holds all m rows of that block, zeros included, and passModel
+    drops the zeros, so HiGHS solves the model of the nonzeros alone.  The
     bindings fill their vectors from lists about twice as fast as from
-    arrays, tolist included.
+    arrays, tolist included.  The failures are linprog's too: SolverStall
+    unless HiGHS reports an optimum that passes linprog's feasibility check
+    of bounds and slacks at 10*sqrt(1e-9).  passModel clears the module
+    solver's previous model, basis and solution, so every solve is cold.
     """
-    key = (k, m_ub, m_eq, cols)
-    kept = _layouts.get(key)
-    if kept is not None and np.array_equal(kept[1], c) and np.array_equal(kept[2], bounds):
-        return kept[0]
-    block = np.arange(k)[:, None]
-    rows = np.concatenate([block * m_ub + np.arange(m_ub),
-                           k * m_ub + block * m_eq + np.arange(m_eq)], axis=1)
+    k, m, cols = A_ub.shape
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = k * cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = rows.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = k * m
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = (np.arange(k * cols + 1) * (m_ub + m_eq)).tolist()
-    lp.a_matrix_.index_ = np.repeat(rows, cols, axis=0).ravel().tolist()
+    lp.a_matrix_.start_ = (np.arange(k * cols + 1) * m).tolist()
+    lp.a_matrix_.index_ = np.repeat(np.arange(k * m).reshape(k, m), cols, axis=0).ravel().tolist()
+    # (block, column, row) order is the column-wise order
+    lp.a_matrix_.value_ = A_ub.transpose(0, 2, 1).ravel().tolist()
     lp.col_cost_ = c.tolist()
-    lp.col_lower_ = bounds[:, 0].tolist()
-    lp.col_upper_ = bounds[:, 1].tolist()
-    _layouts[key] = (lp, c.copy(), bounds.copy())
-    return lp
-
-
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
-    """The x minimising c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq
-    and bounds[:, 0] <= x <= bounds[:, 1], solved as one HiGHS model.
-
-    A_ub and A_eq are the dense diagonal blocks, of shapes (k, m_ub, cols) and
-    (k, m_eq, cols), of block-diagonal matrices; the right-hand sides are
-    flat.  The model is the one scipy.optimize.linprog(method="highs") hands
-    to HiGHS for the same blocks with presolve on and both feasibility
-    tolerances 1e-10: the ub rows first, then the eq rows, in column-wise
-    storage with the same options, so x is the same bit for bit.  So are the
-    failures: SolverStall unless HiGHS reports an optimum that passes
-    linprog's feasibility check of bounds, ub slacks and eq residuals at
-    10*sqrt(1e-9).
-
-    The module's one solver takes the model of :func:`_layout` for the
-    blocks' shape with their values and row bounds filled in; passModel
-    clears its previous model, basis and solution, so every solve is cold.
-    """
-    k, m_ub, cols = A_ub.shape
-    lp = _layout(k, m_ub, A_eq.shape[1], cols, c, bounds)
-    # (block, column, row) order is the layout's column-wise order
-    lp.a_matrix_.value_ = np.concatenate([A_ub, A_eq], axis=1).transpose(0, 2, 1).ravel().tolist()
-    rhs = np.concatenate([b_ub, b_eq])
-    lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq]).tolist()
-    lp.row_upper_ = rhs.tolist()
     lower, upper = bounds.T
+    lp.col_lower_ = lower.tolist()
+    lp.col_upper_ = upper.tolist()
+    lp.row_lower_ = np.full(b_ub.size, -np.inf).tolist()
+    lp.row_upper_ = b_ub.tolist()
 
     highs = _solver()
     if highs.passModel(lp) == _highs.HighsStatus.kError:
@@ -299,33 +260,32 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> np.ndarray:
         raise SolverStall(highs.modelStatusToString(highs.getModelStatus()))
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    residual = rhs - solution.row_value  # b - A @ x, ub rows then eq rows
-    slack, con = residual[:b_ub.size], residual[b_ub.size:]
+    slack = b_ub - solution.row_value
     fun = highs.getInfo().objective_function_value
     tol = 10.0 * np.sqrt(1e-9)
-    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
+    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
                     or (x < lower - tol).any() or (x > upper + tol).any()
-                    or (slack < -tol).any() or (np.abs(con) > tol).any())
+                    or (slack < -tol).any())
     if not feasible:
         raise SolverStall(f"the solution violates the constraints by more than {tol:.2E}")
     return x
 
 
-def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> tuple:
+def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
+               D: np.ndarray) -> tuple:
     """The minimax LP of the blend weight of every piece [a[i], b[i]] as
-    (cost, blocks): the keyword arguments of :func:`linprog`.
+    (cost, blocks): the arguments of :func:`linprog`.  S holds the pieces'
+    secant rows and D their parabola rows minus S, both of degree 2.
 
     Each piece contributes an independent block of two columns, its weight
     sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
     +-(sigma (P - S) - (f - S)) <= t at 16 Chebyshev points, interleaved per
-    point, with S the secant row and P the parabola row of the piece.  Each
-    block is in units of its own largest |P - S| at those points, so that
-    the solver's absolute tolerances mean the same on every piece.  The
-    blocks share no variable, so minimising sum(t_i) minimises every t_i.
+    point.  Each block is in units of its own largest |P - S| at those
+    points, so that the solver's absolute tolerances mean the same on every
+    piece.  The blocks share no variable, so minimising sum(t_i) minimises
+    every t_i.
     """
     k = a.size
-    S = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
-    D = _parabola(f, a, b) - S
     u = np.cos(np.pi * np.arange(16) / 15)  # Chebyshev-Lobatto, both ends included
     x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * u
     d = horner_rows(D[:, None, :], u)
@@ -343,32 +303,26 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> tuple:
     b_ub[:, 1::2] = -e
     cost = np.tile([0.0, 1.0], k)
     bounds = np.tile([[0.0, 1.0], [0.0, np.inf]], (k, 1))
-    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), A_eq=np.empty((k, 0, 2)),
-                      b_eq=np.empty(0), bounds=bounds)
+    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), bounds=bounds)
 
 
-def _chunk_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The blend weights of the pieces [a[i], b[i]] of one chunk from its
-    LP (:func:`_lp_blocks`), clipped into [0, 1], NaN where its LP failed
-    (linprog refuses a NaN x).  A refused chunk is solved one piece at a
-    time, so it cannot change its neighbours."""
-    cost, blocks = _lp_blocks(f, a, b)
-    try:
-        return np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0)
-    except SolverStall:
-        if a.size == 1:  # a one-piece LP has nothing left to split
-            return np.full(1, np.nan)
-    return np.concatenate([_chunk_rows(f, a[i:i + 1], b[i:i + 1]) for i in range(a.size)])
-
-
-def _lp_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(rows, ok): the degree-2 rows S + sigma (P - S) with the weights of
-    :func:`_chunk_rows`, CHUNK pieces per LP, and which LPs were solved.
-    The row's c2 is sigma times P's c2, so a solved row is convex."""
-    sigma = np.concatenate([np.empty(0)] + [_chunk_rows(f, a[s:s + CHUNK], b[s:s + CHUNK])
-                                           for s in range(0, a.size, CHUNK)])
-    S = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
-    return S + sigma[:, None] * (_parabola(f, a, b) - S), ~np.isnan(sigma)
+def _lp_weights(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray, D: np.ndarray,
+                size: int = CHUNK) -> np.ndarray:
+    """The blend weight sigma of each piece from the LPs of
+    :func:`_lp_blocks`, size pieces per LP, clipped into [0, 1], and NaN
+    where a one-piece LP failed (linprog refuses a NaN x).  A refused chunk
+    is solved again one piece at a time, so it cannot change its
+    neighbours."""
+    sigma = [np.empty(0)]
+    for s in range(0, a.size, size):
+        i = slice(s, s + size)
+        cost, blocks = _lp_blocks(f, a[i], b[i], S[i], D[i])
+        try:
+            sigma.append(np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0))
+        except SolverStall:
+            one = a[i].size == 1  # a one-piece LP has nothing left to split
+            sigma.append(np.full(1, np.nan) if one else _lp_weights(f, a[i], b[i], S[i], D[i], 1))
+    return np.concatenate(sigma)
 
 
 def _hermite_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
@@ -395,21 +349,6 @@ def _hermite_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int) ->
     return rows
 
 
-def _blend_with_parabola(f: ConvexOracle, rows: np.ndarray, a: np.ndarray, b: np.ndarray,
-                         minimum: np.ndarray) -> tuple:
-    """(blended, ok): each rejected row H, whose certified least p'' is
-    minimum < 0, blended with the parabola P of :func:`_parabola` into
-    R = (1 - t) H + t P, where t = -min H'' / (P'' - min H'') times
-    1 + 1e-6 lifts R'' a little above 0, and t <= 1; and which blends are
-    certified convex.  R interpolates f at both ends, and its slope slacks
-    are t times P's, so >= 0."""
-    center, w = 0.5 * (a + b), 0.5 * (b - a)
-    P = np.pad(_parabola(f, a, b), ((0, 0), (0, rows.shape[1] - 3)))
-    t = np.minimum(1.0, -minimum / (2.0 * P[:, 2] / (w * w) - minimum) * (1.0 + 1e-6))
-    blended = (1.0 - t[:, None]) * rows + t[:, None] * P
-    return blended, convexity_certificates(blended, center, w, a, b)[0]
-
-
 def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     """(spline, sources): a convex piece of the given degree on each
     interval of the increasing knots, as the rows of one spline framed at the
@@ -417,13 +356,18 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     "parabola-fallback" or "secant".  Every interval must first pass the
     spot check.
 
-    Degree 2 takes the LP rows of :func:`_lp_rows`, convex by construction,
-    and a row whose LP failed becomes the parabola.  Every higher degree
-    takes the Hermite rows of :func:`_hermite_rows`, all certified in one
-    array certificate; a rejected Hermite row is blended
-    (:func:`_blend_with_parabola`), and a blend still not certified becomes
-    the parabola, which is always convex.  Intervals at rounding scale get
-    the secant.
+    Each interval gets a first-choice row Q and a weight w toward the
+    parabola P of :func:`_parabola`, and its row is Q + w (P - Q): it
+    interpolates f at both ends, and its slope slacks are (1 - w) times Q's
+    plus w times P's, so >= 0.  For degree 2, Q is f's secant and w the
+    sigma of :func:`_lp_weights`, so the row is convex by construction.  For
+    every higher degree, Q is the Hermite row of :func:`_hermite_rows`, all
+    certified in one array certificate; w is 0 on a certified row, and on a
+    rejected row with certified least Q'' = m < 0 it is t = -m / (P'' - m)
+    times 1 + 1e-6, at most 1, which lifts the least p'' a little above 0.
+    A row whose LP failed (sigma NaN), or a blend still not certified,
+    becomes P, which is always convex.  Intervals at rounding scale get the
+    secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -437,23 +381,30 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
         coeffs[degenerate, :2] = _secant(f, a_all[degenerate], b_all[degenerate])
     live = np.flatnonzero(~degenerate)
     a, b = a_all[live], b_all[live]
+    center, w = 0.5 * (a + b), 0.5 * (b - a)
 
     for s in range(0, a.size, CHUNK):
         _spot_check_convexity(f, a[s:s + CHUNK], b[s:s + CHUNK])
+    P = np.pad(_parabola(f, a, b), ((0, 0), (0, degree - 2)))
     if degree == 2:
-        rows, ok = _lp_rows(f, a, b)
+        Q = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
+        weight = _lp_weights(f, a, b, Q, P - Q)
+        ok = ~np.isnan(weight)
     else:
-        rows = _hermite_rows(f, a, b, degree)
-        ok, minimum, _ = convexity_certificates(rows, 0.5 * (a + b), 0.5 * (b - a), a, b)
+        Q = _hermite_rows(f, a, b, degree)
+        ok, minimum, _ = convexity_certificates(Q, center, w, a, b)
         bad = np.flatnonzero(~ok)
-        if bad.size:
-            blended, ok[bad] = _blend_with_parabola(f, rows[bad], a[bad], b[bad], minimum[bad])
-            rows[bad] = blended
-            sources[live[bad]] = "blend"
+        weight = np.zeros(a.size)
+        m = minimum[bad]
+        weight[bad] = np.minimum(1.0, -m / (2.0 * P[bad, 2] / (w[bad] * w[bad]) - m) * (1.0 + 1e-6))
+        sources[live[bad]] = "blend"
+    # a weight of 0 keeps Q as it is: Q + 0 (P - Q) would turn its -0.0 into 0.0
+    rows = np.where(weight[:, None] == 0.0, Q, Q + weight[:, None] * (P - Q))
+    if degree > 2 and bad.size:
+        ok[bad] = convexity_certificates(rows[bad], center[bad], w[bad], a[bad], b[bad])[0]
     fallback = np.flatnonzero(~ok)
-    if fallback.size:
-        rows[fallback] = np.pad(_parabola(f, a[fallback], b[fallback]), ((0, 0), (0, degree - 2)))
-        sources[live[fallback]] = "parabola-fallback"
+    rows[fallback] = P[fallback]
+    sources[live[fallback]] = "parabola-fallback"
     coeffs[live] = rows
     return _midpoint_spline(knots, coeffs), sources.tolist()
 

@@ -145,8 +145,15 @@ class PiecewisePoly:
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":
         """The spline of a JSON dict, each row zero-padded to ``order``
-        columns, as older files hold rows shorter than the order."""
-        pieces, order = d["pieces"], int(d["order"])
+        columns, as older files hold rows shorter than the order.  ``order``
+        must be a whole number and ``convex_certified`` true or false."""
+        pieces, order, certified = d["pieces"], d["order"], d.get("convex_certified", False)
+        if isinstance(order, bool) or not (isinstance(order, int)
+                                           or isinstance(order, float) and order.is_integer()):
+            raise ValueError(f"order must be a whole number, got {order!r}")
+        if not isinstance(certified, bool):
+            raise ValueError(f"convex_certified must be true or false, got {certified!r}")
+        order = int(order)
         lengths = np.array([len(q["coeffs"]) for q in pieces], dtype=int).reshape(-1, 1)
         if np.any(lengths == 0):
             raise ValueError("coeffs must be non-empty")
@@ -156,7 +163,7 @@ class PiecewisePoly:
         coeffs[np.arange(order) < lengths] = [c for q in pieces for c in q["coeffs"]]
         return PiecewisePoly(d["knots"], coeffs, [q["center"] for q in pieces],
                              [q["halfwidth"] for q in pieces],
-                             convex_certified=bool(d.get("convex_certified", False)))
+                             convex_certified=certified)
 
 
 @dataclass(frozen=True)

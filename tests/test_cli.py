@@ -187,7 +187,11 @@ def test_certify_row_longer_than_order_exits_1(tmp_path, capsys):
      "bad spline file: piece 3 has a non-finite value"),
     (lambda doc: doc["pieces"][3]["coeffs"].__setitem__(slice(2, 4), [1e308, 1e308]),
      "bad spline file: piece 3 has a non-finite value"),
-], ids=["meta list", "nan coefficient", "nan center", "huge coefficients"])
+    (lambda doc: doc.update(order=4.9), "bad spline file: order must be a whole number, got 4.9"),
+    (lambda doc: doc.update(convex_certified="no"),
+     "bad spline file: convex_certified must be true or false, got 'no'"),
+], ids=["meta list", "nan coefficient", "nan center", "huge coefficients", "fractional order",
+        "certified as a string"])
 def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, capsys):
     spline = tmp_path / "s.json"
     assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
@@ -203,6 +207,42 @@ def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, c
     assert captured.out.startswith(message) and captured.out.count("\n") == 1
     assert captured.err == ""
     assert not (tmp_path / "rep.json").exists()
+
+
+# 2**57 float64 or int64 entries are 2**60 bytes, more than any 64-bit address
+# space maps, so the allocation fails at once under every overcommit policy
+HUGE = 2 ** 57
+
+
+@pytest.mark.parametrize("argv", [
+    ["approximate", "--function", "exp:alpha=1", "--r", "2", "--n", str(HUGE)],
+    ["sweep", "--function", "exp:alpha=1", "--r", "2", "--n", str(HUGE)],
+    ["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16", "--grid-size", str(HUGE)],
+    ["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16", "--density", str(HUGE)],
+    ["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0.1", "--interval", "-1,1",
+     "--grid", str(HUGE)],
+    ["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16", "--order", str(2 ** 50)],
+], ids=["approximate n", "sweep n", "certify grid-size", "certify density", "modulus grid",
+        "spline order"])
+def test_size_too_large_to_allocate_exits_1_in_one_line(argv, tmp_path, capsys):
+    """A size whose arrays cannot be allocated ends in one error line, not
+    in numpy's MemoryError traceback.  The spline file's order is 2**50:
+    its 16 rows of that many float64 are 2**57 bytes."""
+    spline = tmp_path / "s.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
+                "--n", "16", "--out", str(spline)]) == 0
+    if "--order" in argv:
+        doc = json.loads(spline.read_text())
+        doc["order"] = int(argv.pop())
+        argv.pop()
+        spline.write_text(json.dumps(doc))
+    if argv[0] == "certify":
+        argv += ["--spline", str(spline)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_certify_builds_no_poly_or_certificate(tmp_path, monkeypatch):

@@ -32,7 +32,7 @@ from convexlab.localconvex import (
     convex_piece,
     convex_pieces,
 )
-from convexlab.polynomial import convexity_certificate
+from convexlab.polynomial import convexity_certificate, convexity_certificates
 from convexlab.smoothness import modulus
 from helpers import Poly, pieces_of
 
@@ -249,26 +249,48 @@ def test_hermite_row_reproduces_polynomials(degree):
 
 def test_rejected_hermite_row_is_blended_with_the_parabola():
     """On the wide middle pieces of exp:alpha=20 at n = 28 some cubic
-    Hermite rows are not convex.  Each becomes R = (1 - t) H + t P with t in
-    (0, 1], certified convex, interpolating f at both ends, with slope
-    slacks >= 0; the other rows stay Hermite rows."""
+    Hermite rows are not convex.  Each becomes H + t (P - H), bit for bit,
+    with t = -min H'' / (P'' - min H'') times 1 + 1e-6 in (0, 1], certified
+    convex, interpolating f at both ends, with slope slacks >= 0; the other
+    rows stay Hermite rows."""
     f = exp_oracle(20.0)
     knots = chebyshev_partition(28).knots[1:-1]
     a, b = knots[:-1], knots[1:]
+    center, w = 0.5 * (a + b), 0.5 * (b - a)
     H = localconvex._hermite_rows(f, a, b, 3)
     S, sources = localconvex._convex_pieces(f, knots, 3)
     blended = np.flatnonzero(np.array(sources) == "blend")
     assert blended.size == 6 and sources.count("hermite") == S.n - 6
     assert not np.any(S.piece_certificates()[0] == False)  # noqa: E712
     assert np.array_equal(np.delete(S.coeffs, blended, axis=0), np.delete(H, blended, axis=0))
-    P = localconvex._parabola(f, a[blended], b[blended])
-    t = (S.coeffs[blended, 2] - H[blended, 2]) / (P[:, 2] - H[blended, 2])
+    ok, minimum, _ = convexity_certificates(H, center, w, a, b)
+    assert np.array_equal(np.flatnonzero(~ok), blended)
+    P = np.pad(localconvex._parabola(f, a[blended], b[blended]), ((0, 0), (0, 1)))
+    m = minimum[blended]
+    t = -m / (2.0 * P[:, 2] / (w[blended] * w[blended]) - m) * (1.0 + 1e-6)
     assert np.all((0.0 < t) & (t <= 1.0))
+    assert np.array_equal(S.coeffs[blended], H[blended] + t[:, None] * (P - H[blended]))
     ends = np.r_[a[blended], b[blended]]
     j = np.r_[blended, blended]
     assert np.allclose(S._eval(j, ends), f(ends), rtol=1e-13, atol=0.0)
     slacks = localconvex._slacks(f, S)[blended]
     assert np.all(slacks >= -1e-12 * np.max(np.abs(f.deriv(1, knots))))
+
+
+@pytest.mark.parametrize("spec, r, n", [
+    ("exp:alpha=1", 2, 64), ("exp:alpha=20", 2, 28), ("cosh:beta=40", 2, 37), ("xpow:m=4", 3, 13),
+    ("xpow:m=6", 2, 18), ("truncpow:r=2,eps=0.01", 2, 87), ("f0:r=3", 3, 32), ("exp:alpha=1", 5, 48),
+])
+def test_every_hermite_row_is_the_hermite_solve_bit_for_bit(spec, r, n):
+    """A row whose source is "hermite" is _hermite_rows' row of its interval,
+    byte for byte: its weight toward the parabola is 0 and moves nothing."""
+    f = parse_function(spec)
+    knots = chebyshev_partition(n).knots
+    S, sources = localconvex._convex_pieces(f, knots, r + 1)
+    kept = np.array(sources) == "hermite"
+    assert kept.any()
+    H = localconvex._hermite_rows(f, knots[:-1], knots[1:], r + 1)
+    assert S.coeffs[kept].tobytes() == H[kept].tobytes()
 
 
 def test_blend_that_fails_falls_back_to_parabola(monkeypatch):
@@ -308,9 +330,9 @@ def _linprog_spy(monkeypatch, X, fail=lambda pieces: False):
     built = []
     calls = []
 
-    def blocks(f, a, b):
+    def blocks(f, a, b, *rows):
         built.append(tuple(np.searchsorted(X.knots, a).tolist()))
-        return real_blocks(f, a, b)
+        return real_blocks(f, a, b, *rows)
 
     def spy(c, **kwargs):
         pieces = built[-1]
@@ -494,8 +516,9 @@ def test_lp_rows_are_minimax_blends_of_secant_and_parabola(spec):
     N, _ = chebyshev_threshold(f, 1)
     knots = chebyshev_partition(N).knots[1:-1]
     a, b = knots[:-1], knots[1:]
-    rows, ok = localconvex._lp_rows(f, a, b)
-    assert ok.all()
+    spline, sources = localconvex._convex_pieces(f, knots, 2)
+    assert sources == ["lp"] * a.size
+    rows = spline.coeffs
     S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
     P = localconvex._parabola(f, a, b)
     assert np.all(rows[:, 2] >= 0.0) and np.all(P[:, 2] >= 0.0)
@@ -517,21 +540,22 @@ def test_lp_rows_are_minimax_blends_of_secant_and_parabola(spec):
 
 @pytest.fixture
 def fresh_solver():
-    """A new module solver and no kept layouts, for the test and after it."""
+    """A new module solver, for the test and after it."""
     localconvex._solver.cache_clear()
-    localconvex._layouts.clear()
     yield
     localconvex._solver.cache_clear()
-    localconvex._layouts.clear()
+
+
+def _blocks(f, a, b):
+    """_lp_blocks of the pieces [a[i], b[i]], from their secant and parabola rows."""
+    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
+    return localconvex._lp_blocks(f, a, b, S, localconvex._parabola(f, a, b) - S)
 
 
 def _scipy_solve(cost, blocks):
     """scipy.optimize.linprog on the same LP, its blocks made block-diagonal,
     with the presolve and tolerances the direct model uses."""
-    eq = blocks["b_eq"].size > 0
     return scipy_linprog(cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
-                         A_eq=block_diag(list(blocks["A_eq"])) if eq else None,
-                         b_eq=blocks["b_eq"] if eq else None,
                          bounds=blocks["bounds"], method="highs",
                          options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
                                   "dual_feasibility_tolerance": 1e-10})
@@ -547,7 +571,7 @@ def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
     knots = chebyshev_partition(n).knots
     for s in range(0, n, CHUNK):
         a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
-        cost, blocks = localconvex._lp_blocks(f, a, b)
+        cost, blocks = _blocks(f, a, b)
         got = localconvex.linprog(cost, **blocks)
         want = _scipy_solve(cost, blocks)
         assert want.status == 0
@@ -561,7 +585,7 @@ def _model_error_blocks():
     """A chunk LP with one entry at 1e16, past the largest matrix value
     HiGHS accepts (1e15), which HiGHS refuses."""
     knots = chebyshev_partition(CHUNK).knots
-    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+    cost, blocks = _blocks(exp_oracle(1.0), knots[:-1], knots[1:])
     blocks["A_ub"][0, 2, 0] = 1e16
     return cost, blocks
 
@@ -581,9 +605,9 @@ def test_kept_solver_solves_cold(fresh_solver):
     f = exp_oracle(1.0)
     knots = chebyshev_partition(4096).knots  # its first chunk takes simplex iterations
     a, b = knots[:-1], knots[1:]
-    chunk = localconvex._lp_blocks(f, a[:CHUNK], b[:CHUNK])
-    other = localconvex._lp_blocks(f, a[CHUNK:2 * CHUNK], b[CHUNK:2 * CHUNK])
-    one = localconvex._lp_blocks(f, a[CHUNK:CHUNK + 1], b[CHUNK:CHUNK + 1])
+    chunk = _blocks(f, a[:CHUNK], b[:CHUNK])
+    other = _blocks(f, a[CHUNK:2 * CHUNK], b[CHUNK:2 * CHUNK])
+    one = _blocks(f, a[CHUNK:CHUNK + 1], b[CHUNK:CHUNK + 1])
 
     def solve(lp):
         """(x, simplex iterations) of the module's solver, or None on a stall."""
@@ -602,31 +626,31 @@ def test_kept_solver_solves_cold(fresh_solver):
         assert iterations == fresh[1]
 
 
-def test_no_solver_or_layout_is_built_per_chunk(monkeypatch, fresh_solver):
-    """The module builds one HiGHS solver and one model layout per chunk
-    shape on its first solve, and a later construction builds none."""
-    built = {"_Highs": 0, "HighsLp": 0}
-    for name in built:
-        real = getattr(localconvex._highs, name)
+def test_no_solver_is_built_per_chunk(monkeypatch, fresh_solver):
+    """The module builds one HiGHS solver on its first solve, and a later
+    construction builds none."""
+    built = []
+    real = localconvex._highs._Highs
 
-        def init(self, real=real, name=name):
-            real.__init__(self)
-            built[name] += 1
+    class Counted(real):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
 
-        monkeypatch.setattr(localconvex._highs, name, type(name, (real,), {"__init__": init}))
-    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 chunks of one shape
+    monkeypatch.setattr(localconvex._highs, "_Highs", Counted)
+    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 chunks
     convex_pieces(f, X, 1)
-    assert built == {"_Highs": 1, "HighsLp": 1}
+    assert len(built) == 1
     convex_pieces(f, X, 1)
-    assert built == {"_Highs": 1, "HighsLp": 1}  # none on the second call
+    assert len(built) == 1  # none on the second call
 
 
 def test_exact_zero_entry_solves_to_the_nonzero_model():
-    """The layout passes every entry of the dense blocks and HiGHS drops the
+    """linprog passes every entry of the dense blocks and HiGHS drops the
     zeros, so a block entry that is exactly 0.0 gives the x of the model of
     the nonzeros alone, as scipy.optimize.linprog builds it."""
     knots = chebyshev_partition(CHUNK).knots
-    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+    cost, blocks = _blocks(exp_oracle(1.0), knots[:-1], knots[1:])
     row = 2  # the + row of a piece's second point
     assert blocks["A_ub"][3, row, 0] != 0.0
     blocks["A_ub"][3, row, 0] = 0.0
@@ -635,28 +659,10 @@ def test_exact_zero_entry_solves_to_the_nonzero_model():
     assert np.array_equal(localconvex.linprog(cost, **blocks), want.x)
 
 
-def test_kept_layout_takes_each_calls_costs_and_bounds():
-    """A layout is kept per shape, but a call whose costs or bounds differ
-    from the kept ones is solved with its own, as scipy.optimize.linprog
-    solves it."""
-    knots = chebyshev_partition(CHUNK).knots
-    cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
-    other_cost = cost.copy()
-    other_cost[1] = 0.0  # the first piece's epigraph variable is free of cost
-    other_bounds = blocks["bounds"].copy()
-    other_bounds[3, 0] = 1e-3  # the second piece's epigraph variable is at least 1e-3
-    for c, bounds in [(cost, blocks["bounds"]), (other_cost, blocks["bounds"]),
-                      (cost, other_bounds), (cost, blocks["bounds"])]:
-        lp = {**blocks, "bounds": bounds}
-        want = _scipy_solve(c, lp)
-        assert want.status == 0
-        assert np.array_equal(localconvex.linprog(c, **lp), want.x)
-
-
-@pytest.mark.parametrize("corrupt", ["bound", "ub slack", "eq residual"])
+@pytest.mark.parametrize("corrupt", ["bound", "ub slack"])
 def test_infeasible_solution_is_a_stall(monkeypatch, fresh_solver, corrupt):
-    """An 'optimal' solution off its bounds, ub rows or eq rows by more than
-    the feasibility tolerance ends in SolverStall, as linprog's check does."""
+    """An 'optimal' solution off its bounds or its rows by more than the
+    feasibility tolerance ends in SolverStall, as linprog's check does."""
     real = localconvex._highs._Highs
 
     class Corrupted(real):
@@ -664,21 +670,13 @@ def test_infeasible_solution_is_a_stall(monkeypatch, fresh_solver, corrupt):
             sol = super().getSolution()
             if corrupt == "bound":  # the first epigraph variable below 0
                 sol.col_value = [-1e-3 if i == 1 else v for i, v in enumerate(sol.col_value)]
-            elif corrupt == "ub slack":  # every ub row, the tight ones included
+            else:  # every row, the tight ones included
                 sol.row_value = [v + 1e-3 for v in sol.row_value]
-            else:  # the eq row, the last one
-                sol.row_value = sol.row_value[:-1] + [sol.row_value[-1] + 1e-3]
             return sol
 
     monkeypatch.setattr(localconvex._highs, "_Highs", Corrupted)
-    if corrupt == "eq residual":
-        # minimise x1 subject to x0 - x1 <= 0 and x0 + x1 == 1, x >= 0
-        cost, blocks = np.array([0.0, 1.0]), dict(
-            A_ub=np.array([[[1.0, -1.0]]]), b_ub=np.zeros(1), A_eq=np.array([[[1.0, 1.0]]]),
-            b_eq=np.ones(1), bounds=np.array([[0.0, np.inf], [0.0, np.inf]]))
-    else:
-        knots = chebyshev_partition(CHUNK).knots
-        cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+    knots = chebyshev_partition(CHUNK).knots
+    cost, blocks = _blocks(exp_oracle(1.0), knots[:-1], knots[1:])
     with pytest.raises(SolverStall, match="violates the constraints"):
         localconvex.linprog(cost, **blocks)
 
@@ -735,7 +733,10 @@ import scipy.optimize
 from scipy.sparse import block_diag
 assert localconvex._highs is sys.modules["scipy.optimize._highspy._core"]
 knots = chebyshev_partition({CHUNK}).knots
-cost, blocks = localconvex._lp_blocks(exp_oracle(1.0), knots[:-1], knots[1:])
+f = exp_oracle(1.0)
+a, b = knots[:-1], knots[1:]
+S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
+cost, blocks = localconvex._lp_blocks(f, a, b, S, localconvex._parabola(f, a, b) - S)
 got = localconvex.linprog(cost, **blocks)
 want = scipy.optimize.linprog(
     cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"], bounds=blocks["bounds"],

@@ -8,6 +8,7 @@ evaluate like its short pieces.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,29 @@ def test_older_json_with_short_rows_loads_bit_for_bit():
                                                     [0.1, 0.2, 0.45, 0.0],
                                                     [1.7, 0.9, 0.0, 0.0]]
     assert PiecewisePoly.from_json_dict(doc).to_json_dict() == doc
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("order", 4.9, "order must be a whole number, got 4.9"),
+    ("order", "4", "order must be a whole number, got '4'"),
+    ("order", True, "order must be a whole number, got True"),
+    ("order", math.inf, "order must be a whole number, got inf"),
+    ("convex_certified", "no", "convex_certified must be true or false, got 'no'"),
+    ("convex_certified", 1, "convex_certified must be true or false, got 1"),
+], ids=["fractional order", "string order", "boolean order", "infinite order", "string certified",
+        "integer certified"])
+def test_json_refuses_a_field_it_would_have_to_guess(field, value, message):
+    """A fractional order is not truncated, and a convex_certified that is
+    not a JSON boolean is not read by its truthiness."""
+    doc = {**OLDER_JSON, field: value}
+    with pytest.raises(ValueError) as exc:
+        PiecewisePoly.from_json_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_json_takes_a_whole_float_order():
+    S = PiecewisePoly.from_json_dict({**OLDER_JSON, "order": 4.0})
+    assert S.order == 4 and S.convex_certified
 
 
 def test_json_keeps_poly_checks():
