@@ -219,6 +219,8 @@ def cmd_modulus(args) -> int:
     if interval[0] < f.a or f.b < interval[1]:
         raise ValueError(f"interval {args.interval!r} is not inside the domain "
                          f"[{f.a:g}, {f.b:g}] of {f.label()}")
+    if not math.isfinite(args.t):  # the library takes t = inf, which JSON cannot hold
+        raise ValueError(f"--t must be finite, got {args.t!r}")
     res = modulus(f, args.k, args.t, interval, grid=args.grid, focus=f.nonsmooth)
     print(f"modulus = {res.value!r} at u = {res.arg_u!r}, x = {res.arg_x!r} "
           f"(grid {res.grid})")

@@ -18,12 +18,17 @@ row interpolates f at both ends, keeps its end slopes between f'(a) and
 f'(b) and is convex, since its c2 is sigma times P's.  A row that stays
 uncertified, or whose LP stalls, becomes P.
 
-The sigmas come from LPs of CHUNK pieces per block-diagonal model, sent to
-HiGHS directly through scipy's bindings (scipy.optimize._highspy._core,
-loaded from its extension file alone, not through scipy.optimize) as one
-column-wise model of the dense per-piece blocks; scipy.optimize.linprog's
-input cleaning, sparse stacking and per-option checks cost about as much as
-the solve itself.  The module keeps one HiGHS solver, its options passed
+Each piece's sigma minimises a convex max of 16 linear terms over [0, 1],
+and on almost every piece the answer is known without a solver: sigma = 1
+(the parabola) where the worst-fitting term at sigma = 1 only grows as sigma
+falls, and 0 where P = S.  The pieces go in chunks of CHUNK; a chunk whose
+every sigma is known solves nothing, and every other chunk is one
+block-diagonal LP of all its pieces, the model it would be with no sigma
+known.  The LPs are sent to HiGHS directly through scipy's bindings
+(scipy.optimize._highspy._core, loaded from its extension file alone, not
+through scipy.optimize) as one column-wise model of the dense per-piece
+blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
+per-option checks cost about as much as the solve itself.  The module keeps one HiGHS solver, its options passed
 once; passModel makes each solve cold.  The model, its options and its
 failure checks are linprog's own, so the solution is linprog's bit for bit.
 The module-level :func:`linprog` keeps linprog's name and keyword arguments,
@@ -137,16 +142,20 @@ def _values(f: ConvexOracle, nu: int, x: np.ndarray) -> np.ndarray:
 
 def _spot_check_convexity(f: ConvexOracle, a, b, npts: int = 65) -> None:
     """Check that f' does not decrease at npts points of each interval
-    [a[i], b[i]]; the error names the first interval that fails."""
+    [a[i], b[i]]; the error names the first interval that fails.  The
+    intervals go in order, in blocks of about 2**14 points: few oracle
+    calls, and arrays small enough to leave peak memory as it is."""
     a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    xs = np.linspace(a, b, npts, axis=-1)
-    d1 = _values(f, 1, xs)
-    tol = 1e-10 * (1.0 + np.max(np.abs(d1), axis=1))
-    bad = np.flatnonzero(np.any(np.diff(d1, axis=1) < -tol[:, None], axis=1))
-    if bad.size:
-        i = bad[0]
-        raise NotConvexInput(
-            f"{f.label()} has decreasing slope inside [{float(a[i])}, {float(b[i])}]")
+    size = max(1, 2 ** 14 // npts)
+    for s in range(0, a.size, size):
+        xs = np.linspace(a[s:s + size], b[s:s + size], npts, axis=-1)
+        d1 = _values(f, 1, xs)
+        tol = 1e-10 * (1.0 + np.max(np.abs(d1), axis=1))
+        bad = np.flatnonzero(np.any(np.diff(d1, axis=1) < -tol[:, None], axis=1))
+        if bad.size:
+            i = s + bad[0]
+            raise NotConvexInput(
+                f"{f.label()} has decreasing slope inside [{float(a[i])}, {float(b[i])}]")
 
 
 def _slacks(f: ConvexOracle, S: PiecewisePoly) -> np.ndarray:
@@ -271,29 +280,35 @@ def linprog(c, *, A_ub, b_ub, bounds) -> np.ndarray:
     return x
 
 
-def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
-               D: np.ndarray) -> tuple:
-    """The minimax LP of the blend weight of every piece [a[i], b[i]] as
-    (cost, blocks): the arguments of :func:`linprog`.  S holds the pieces'
-    secant rows and D their parabola rows minus S, both of degree 2.
-
-    Each piece contributes an independent block of two columns, its weight
-    sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
-    +-(sigma (P - S) - (f - S)) <= t at 16 Chebyshev points, interleaved per
-    point.  Each block is in units of its own largest |P - S| at those
-    points, so that the solver's absolute tolerances mean the same on every
-    piece.  The blocks share no variable, so minimising sum(t_i) minimises
-    every t_i.
-    """
-    k = a.size
+def _fit_points(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
+                D: np.ndarray) -> tuple:
+    """(d, e): P - S and f - S at 16 Chebyshev points of every piece [a[i],
+    b[i]], shape (k, 16), each row in units of its own largest |P - S| at
+    those points, so that the solver's absolute tolerances mean the same on
+    every piece.  S holds the pieces' secant rows and D their parabola rows
+    minus S, both of degree 2."""
     u = np.cos(np.pi * np.arange(16) / 15)  # Chebyshev-Lobatto, both ends included
     x = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * u
     d = horner_rows(D[:, None, :], u)
     e = _values(f, 0, x) - horner_rows(S[:, None, :], u)
     unit = np.max(np.abs(d), axis=1, keepdims=True)
     unit[unit == 0.0] = 1.0  # P = S: every sigma fits alike
-    d, e = d / unit, e / unit
+    return d / unit, e / unit
 
+
+def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
+               D: np.ndarray) -> tuple:
+    """The minimax LP of the blend weight of every piece [a[i], b[i]] as
+    (cost, blocks): the arguments of :func:`linprog`, on the points of
+    :func:`_fit_points`.
+
+    Each piece contributes an independent block of two columns, its weight
+    sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
+    +-(sigma d - e) <= t, interleaved per point.  The blocks share no
+    variable, so minimising sum(t_i) minimises every t_i.
+    """
+    d, e = _fit_points(f, a, b, S, D)
+    k = a.size
     A_ub = np.empty((k, 32, 2))
     A_ub[:, 0::2, 0] = d
     A_ub[:, 1::2, 0] = -d
@@ -306,23 +321,49 @@ def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
     return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), bounds=bounds)
 
 
+def _known_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The sigma that each piece's LP returns, where it is known without
+    solving, and NaN elsewhere: the LP minimises the convex
+    g(sigma) = max_j |sigma d_j - e_j| over [0, 1].
+
+    Where d = 0 at every point (P = S), every sigma gives the same row, and
+    the LP returns 0.  Otherwise let j be the first point of largest
+    |d_j - e_j|.  If d_j != 0 and (d_j - e_j) d_j <= 0, the j-th term is
+    |d_j - e_j| + (1 - sigma) |d_j| > g(1) for every sigma < 1, so sigma = 1
+    is the only minimiser.  A piece with a value that is not finite is left
+    to the LP."""
+    sigma = np.full(d.shape[0], np.nan)
+    finite = np.all(np.isfinite(d) & np.isfinite(e), axis=1)
+    d, e = d[finite], e[finite]
+    j = np.argmax(np.abs(d - e), axis=1)[:, None]
+    dj, ej = np.take_along_axis(d, j, 1)[:, 0], np.take_along_axis(e, j, 1)[:, 0]
+    known = np.where((dj != 0.0) & ((dj - ej) * dj <= 0.0), 1.0, np.nan)
+    known[np.all(d == 0.0, axis=1)] = 0.0
+    sigma[finite] = known
+    return sigma
+
+
 def _lp_weights(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray, D: np.ndarray,
                 size: int = CHUNK) -> np.ndarray:
-    """The blend weight sigma of each piece from the LPs of
-    :func:`_lp_blocks`, size pieces per LP, clipped into [0, 1], and NaN
-    where a one-piece LP failed (linprog refuses a NaN x).  A refused chunk
-    is solved again one piece at a time, so it cannot change its
-    neighbours."""
-    sigma = [np.empty(0)]
+    """The blend weight sigma of each piece: the LP's sigma, clipped into
+    [0, 1], and NaN where a one-piece LP failed (linprog refuses a NaN x).
+    The pieces go in chunks of size.  A chunk whose every sigma is known
+    from :func:`_known_weights` solves no LP; any other chunk is one LP of
+    :func:`_lp_blocks`, as if no sigma were known, since HiGHS's sigma at
+    tolerance level depends on the chunk.  A refused chunk is solved again
+    one piece at a time, so it cannot change its neighbours."""
+    sigma = _known_weights(*_fit_points(f, a, b, S, D))
     for s in range(0, a.size, size):
         i = slice(s, s + size)
+        if not np.isnan(sigma[i]).any():
+            continue
         cost, blocks = _lp_blocks(f, a[i], b[i], S[i], D[i])
         try:
-            sigma.append(np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0))
+            sigma[i] = np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0)
         except SolverStall:
             one = a[i].size == 1  # a one-piece LP has nothing left to split
-            sigma.append(np.full(1, np.nan) if one else _lp_weights(f, a[i], b[i], S[i], D[i], 1))
-    return np.concatenate(sigma)
+            sigma[i] = np.nan if one else _lp_weights(f, a[i], b[i], S[i], D[i], 1)
+    return sigma
 
 
 def _hermite_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
@@ -354,20 +395,20 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     interval of the increasing knots, as the rows of one spline framed at the
     interval midpoints, and each row's source: "hermite", "blend", "lp",
     "parabola-fallback" or "secant".  Every interval must first pass the
-    spot check.
+    spot check, one call over all of them.
 
     Each interval gets a first-choice row Q and a weight w toward the
     parabola P of :func:`_parabola`, and its row is Q + w (P - Q): it
     interpolates f at both ends, and its slope slacks are (1 - w) times Q's
     plus w times P's, so >= 0.  For degree 2, Q is f's secant and w the
-    sigma of :func:`_lp_weights`, so the row is convex by construction.  For
-    every higher degree, Q is the Hermite row of :func:`_hermite_rows`, all
-    certified in one array certificate; w is 0 on a certified row, and on a
-    rejected row with certified least Q'' = m < 0 it is t = -m / (P'' - m)
-    times 1 + 1e-6, at most 1, which lifts the least p'' a little above 0.
-    A row whose LP failed (sigma NaN), or a blend still not certified,
-    becomes P, which is always convex.  Intervals at rounding scale get the
-    secant.
+    sigma of :func:`_lp_weights`, known in closed form or solved as an LP,
+    so the row is convex by construction.  For every higher degree, Q is
+    the Hermite row of :func:`_hermite_rows`, all certified in one array
+    certificate; w is 0 on a certified row, and on a rejected row with
+    certified least Q'' = m < 0 it is t = -m / (P'' - m) times 1 + 1e-6, at
+    most 1, which lifts the least p'' a little above 0.  A row whose LP
+    failed (sigma NaN), or a blend still not certified, becomes P, which is
+    always convex.  Intervals at rounding scale get the secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -383,8 +424,7 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     a, b = a_all[live], b_all[live]
     center, w = 0.5 * (a + b), 0.5 * (b - a)
 
-    for s in range(0, a.size, CHUNK):
-        _spot_check_convexity(f, a[s:s + CHUNK], b[s:s + CHUNK])
+    _spot_check_convexity(f, a, b)
     P = np.pad(_parabola(f, a, b), ((0, 0), (0, degree - 2)))
     if degree == 2:
         Q = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))

@@ -22,6 +22,13 @@ def record_json_dict(record) -> dict:
             for fld in fields(record)}
 
 
+def _numbers(name: str, values) -> None:
+    """Refuse a JSON list that holds anything but numbers (a bool is not one)."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Knot vector plus one polynomial piece per interval: row i of ``coeffs``
@@ -146,8 +153,14 @@ class PiecewisePoly:
     def from_json_dict(d: dict) -> "PiecewisePoly":
         """The spline of a JSON dict, each row zero-padded to ``order``
         columns, as older files hold rows shorter than the order.  ``order``
-        must be a whole number and ``convex_certified`` true or false."""
+        must be a whole number, ``convex_certified`` true or false, and every
+        knot, coefficient, center and halfwidth a JSON number: a string such
+        as "-1.0", or a boolean, is refused, not parsed."""
         pieces, order, certified = d["pieces"], d["order"], d.get("convex_certified", False)
+        _numbers("knots", d["knots"])
+        for j, q in enumerate(pieces):
+            _numbers(f"piece {j} coeffs", q["coeffs"])
+            _numbers(f"piece {j} center and halfwidth", [q["center"], q["halfwidth"]])
         if isinstance(order, bool) or not (isinstance(order, int)
                                            or isinstance(order, float) and order.is_integer()):
             raise ValueError(f"order must be a whole number, got {order!r}")

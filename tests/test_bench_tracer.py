@@ -42,9 +42,11 @@ def test_tracer_installs_traces_and_restores(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        f = sys.modules["convexlab.domain"].parse_function("exp:alpha=1")
-        S, _, _ = glue.construct_chebyshev(f, 2, 16)
-        glue.construct_chebyshev(f, 1, 16)  # r = 2 runs no LP; r = 1 does
+        parse = sys.modules["convexlab.domain"].parse_function
+        S, _, _ = glue.construct_chebyshev(parse("exp:alpha=1"), 2, 16)
+        # r = 2 runs no LP; r = 1 does where a sigma is not known in closed
+        # form, as on the wide middle piece of xpow:m=2 at its N = 13
+        glue.construct_chebyshev(parse("xpow:m=2"), 1, 13)
         report = piecewise.verify_convexity(S)
     finally:
         tracer.uninstall()

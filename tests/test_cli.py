@@ -190,8 +190,15 @@ def test_certify_row_longer_than_order_exits_1(tmp_path, capsys):
     (lambda doc: doc.update(order=4.9), "bad spline file: order must be a whole number, got 4.9"),
     (lambda doc: doc.update(convex_certified="no"),
      "bad spline file: convex_certified must be true or false, got 'no'"),
+    (lambda doc: doc.update(knots=[str(x) for x in doc["knots"]]),
+     "bad spline file: knots must be numbers, got '-1.0'"),
+    (lambda doc: doc["pieces"][0]["coeffs"].__setitem__(0, str(doc["pieces"][0]["coeffs"][0])),
+     "bad spline file: piece 0 coeffs must be numbers, got '"),
+    (lambda doc: doc["pieces"][2].update(center=str(doc["pieces"][2]["center"])),
+     "bad spline file: piece 2 center and halfwidth must be numbers, got '"),
 ], ids=["meta list", "nan coefficient", "nan center", "huge coefficients", "fractional order",
-        "certified as a string"])
+        "certified as a string", "knots as strings", "coefficient as a string",
+        "center as a string"])
 def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, capsys):
     spline = tmp_path / "s.json"
     assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
@@ -504,6 +511,21 @@ def test_modulus_negative_step_exits_1(capsys):
     assert len(err) == 1 and err[0].startswith("error:") and ">= 0" in err[0]
     assert run(["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0"]) == 0
     assert capsys.readouterr().out.startswith("modulus = 0.0 ")
+
+
+@pytest.mark.parametrize("t", ["inf", "-inf"])
+def test_modulus_non_finite_step_exits_1(t, tmp_path, capsys):
+    """An infinite --t is refused before the library, which takes it, would
+    write "t": Infinity, which is not JSON, into the output file."""
+    out = tmp_path / "m.json"
+    code = run(["modulus", "--function", "exp:alpha=1", "--k", "2", f"--t={t}",
+                "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "modulus = " not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: --t must be finite, got {float(t)!r}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("interval", ["-inf,1", "-1,inf", "nan,1"])

@@ -268,6 +268,8 @@ def test_trace_counts_rows_by_source(monkeypatch):
         raise SolverStall("injected failure")
 
     monkeypatch.setattr(localconvex, "linprog", stall)
+    # no sigma known in closed form, so every row's LP is solved and stalls
+    monkeypatch.setattr(localconvex, "_known_weights", lambda d, e: np.full(d.shape[0], np.nan))
     _, trace, _ = construct_chebyshev(exp_oracle(1.0), 1, 32)
     assert (trace.lp_rows, trace.parabola_fallback_rows, trace.secant_rows) == (0, 30, 0)
 

@@ -22,7 +22,7 @@ from convexlab.domain import (
     uniform_partition,
 )
 from convexlab import localconvex
-from convexlab.glue import chebyshev_threshold
+from convexlab.glue import chebyshev_threshold, construct_chebyshev
 from convexlab.localconvex import (
     CHUNK,
     NotConvexInput,
@@ -346,6 +346,11 @@ def _linprog_spy(monkeypatch, X, fail=lambda pieces: False):
     return calls
 
 
+def _unknown_weights(monkeypatch):
+    """Leave every sigma to the LP, as if none were known in closed form."""
+    monkeypatch.setattr(localconvex, "_known_weights", lambda d, e: np.full(d.shape[0], np.nan))
+
+
 def _failing_certificate(monkeypatch, interval, times):
     """The first `times` certificates of a piece on `interval` fail; all
     others are real."""
@@ -435,6 +440,7 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(CHUNK + 4)
     want = _one_at_a_time(f, X, 1)
+    _unknown_weights(monkeypatch)
     calls = _linprog_spy(monkeypatch, X, fail=lambda pieces: len(pieces) > 1)
     S, sources, _ = convex_pieces(f, X, 1)
     order = [pieces for pieces, _ in calls]
@@ -448,6 +454,7 @@ def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
 def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
     f = exp_oracle(1.0)
     X = chebyshev_partition(6)
+    _unknown_weights(monkeypatch)
     _linprog_spy(monkeypatch, X, fail=lambda pieces: True)
     S, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["parabola-fallback"] * X.n
@@ -464,6 +471,7 @@ def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
     cheb = chebyshev_partition(CHUNK + 4).knots
     knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
     X = Partition(knots)
+    _unknown_weights(monkeypatch)
     _linprog_spy(monkeypatch, X, fail=lambda pieces: 4 in pieces)
     spline, sources = localconvex._convex_pieces(f, knots, 2)
     S, got_sources, slacks = convex_pieces(f, X, 1)
@@ -481,10 +489,78 @@ def test_lp_calls_are_batched(monkeypatch):
     # one LP per chunk of pieces, not one per piece
     f = exp_oracle(1.0)
     X = chebyshev_partition(512)
+    _unknown_weights(monkeypatch)  # every sigma of exp is known: leave them all to the LP
     calls = _linprog_spy(monkeypatch, X)
     _, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["lp"] * X.n
     assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
+
+
+# -- sigma in closed form: the LP's answer where it is known -----------------
+
+
+def _fit(f, a, b):
+    """(S, D, d, e): the secant rows S, the parabola rows minus S, and
+    _fit_points of the pieces [a[i], b[i]]."""
+    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
+    D = localconvex._parabola(f, a, b) - S
+    return (S, D, *localconvex._fit_points(f, a, b, S, D))
+
+
+@pytest.mark.parametrize("spec", ["exp:alpha=1", "cosh:beta=1", "xpow:m=2", "f0:r=1",
+                                  "truncpow:r=1,eps=0.1", "poly:coeffs=0.5,-0.25,1,0.125"])
+def test_known_sigma_is_the_lp_sigma_bit_for_bit(spec):
+    """On every chunk whose sigmas are all known in closed form, at N, 4N
+    and 1024 pieces, the chunk's LP gives the same sigmas, bit for bit."""
+    f = parse_function(spec)
+    N, _ = chebyshev_threshold(f, 1)
+    decided = 0
+    for n in (N, 4 * N, 1024):
+        knots = chebyshev_partition(n).knots
+        a, b = knots[:-1], knots[1:]
+        S, D, d, e = _fit(f, a, b)
+        known = localconvex._known_weights(d, e)
+        for s in range(0, n, CHUNK):
+            i = slice(s, s + CHUNK)
+            if np.isnan(known[i]).any():
+                continue
+            decided += 1
+            cost, blocks = localconvex._lp_blocks(f, a[i], b[i], S[i], D[i])
+            sigma = np.clip(localconvex.linprog(cost, **blocks)[0::2], 0.0, 1.0)
+            assert sigma.tobytes() == known[i].tobytes(), (n, s)
+    assert decided > 0
+
+
+def test_a_piece_with_a_value_not_finite_is_left_to_the_lp():
+    """A NaN or an infinity in a piece's points leaves its sigma unknown, and
+    so its chunk to the LP; the other pieces keep theirs."""
+    knots = chebyshev_partition(CHUNK).knots
+    _, _, d, e = _fit(exp_oracle(1.0), knots[:-1], knots[1:])
+    known = localconvex._known_weights(d, e)
+    assert not np.isnan(known).any()
+    for values, value in [(e, np.nan), (d, np.nan), (e, np.inf)]:
+        saved = values[3, 5]
+        values[3, 5] = value
+        got = localconvex._known_weights(d, e)
+        values[3, 5] = saved
+        assert np.isnan(got[3])
+        assert np.array_equal(np.delete(got, 3), np.delete(known, 3))
+    flat = np.zeros((2, 16))  # P = S: sigma 0, unless f - S is not finite
+    e = np.ones((2, 16))
+    e[1, 7] = np.nan
+    assert localconvex._known_weights(flat, e).tolist()[0] == 0.0
+    assert np.isnan(localconvex._known_weights(flat, e)[1])
+
+
+@pytest.mark.parametrize("spec, n, solved", [("exp:alpha=1", 1024, False),
+                                             ("xpow:m=2", 13, True)])
+def test_lp_runs_only_where_sigma_is_not_known(monkeypatch, spec, n, solved):
+    """exp:alpha=1 at n = 1024 knows every sigma and calls linprog 0 times;
+    xpow:m=2 at its N = 13 has a middle piece of sigma 0.589 and solves it."""
+    calls = _linprog_spy(monkeypatch, chebyshev_partition(n))
+    _, trace, _ = construct_chebyshev(parse_function(spec), 1, n)
+    assert trace.lp_rows > 0
+    assert bool(calls) == solved
 
 
 # -- the blend-weight LP: its rows against an exact 1-D minimax ---------------
@@ -576,6 +652,7 @@ def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
         want = _scipy_solve(cost, blocks)
         assert want.status == 0
         assert np.array_equal(got, want.x)
+    _unknown_weights(monkeypatch)
     calls = _linprog_spy(monkeypatch, Partition(knots))
     convex_pieces(f, Partition(knots), r)
     assert len(calls) == (math.ceil(n / CHUNK) if r == 1 else 0)
@@ -638,7 +715,8 @@ def test_no_solver_is_built_per_chunk(monkeypatch, fresh_solver):
             built.append(self)
 
     monkeypatch.setattr(localconvex._highs, "_Highs", Counted)
-    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 chunks
+    _unknown_weights(monkeypatch)
+    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 LP chunks
     convex_pieces(f, X, 1)
     assert len(built) == 1
     convex_pieces(f, X, 1)
@@ -727,7 +805,7 @@ if {scipy_first}:
     import scipy.optimize
 import numpy as np
 from convexlab import localconvex
-from convexlab.glue import chebyshev_threshold
+from convexlab.glue import chebyshev_threshold, construct_chebyshev
 from convexlab.domain import chebyshev_partition, exp_oracle
 import scipy.optimize
 from scipy.sparse import block_diag

@@ -202,12 +202,25 @@ def test_older_json_with_short_rows_loads_bit_for_bit():
     ("order", math.inf, "order must be a whole number, got inf"),
     ("convex_certified", "no", "convex_certified must be true or false, got 'no'"),
     ("convex_certified", 1, "convex_certified must be true or false, got 1"),
+    ("knots", [-1.0, "-0.25", 0.5, 1.0], "knots must be numbers, got '-0.25'"),
+    ("knots", [-1.0, -0.25, True, 1.0], "knots must be numbers, got True"),
+    ("coeffs", [0.1, "0.2", 0.45], "piece 1 coeffs must be numbers, got '0.2'"),
+    ("center", "0.125", "piece 1 center and halfwidth must be numbers, got '0.125'"),
+    ("halfwidth", "0.375", "piece 1 center and halfwidth must be numbers, got '0.375'"),
+    ("halfwidth", False, "piece 1 center and halfwidth must be numbers, got False"),
 ], ids=["fractional order", "string order", "boolean order", "infinite order", "string certified",
-        "integer certified"])
+        "integer certified", "string knot", "boolean knot", "string coefficient", "string center",
+        "string halfwidth", "boolean halfwidth"])
 def test_json_refuses_a_field_it_would_have_to_guess(field, value, message):
-    """A fractional order is not truncated, and a convex_certified that is
-    not a JSON boolean is not read by its truthiness."""
-    doc = {**OLDER_JSON, field: value}
+    """A fractional order is not truncated, a convex_certified that is not a
+    JSON boolean is not read by its truthiness, and a number held as a
+    string or a boolean is not parsed: fields of the spline go in as given,
+    the piece fields into piece 1."""
+    doc = copy.deepcopy(OLDER_JSON)
+    if field in ("coeffs", "center", "halfwidth"):
+        doc["pieces"][1][field] = value
+    else:
+        doc[field] = value
     with pytest.raises(ValueError) as exc:
         PiecewisePoly.from_json_dict(doc)
     assert str(exc.value) == message
