@@ -299,18 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_dash_values(argv):
-    """Fold ``--interval -1,1`` into ``--interval=-1,1`` so argparse does not
-    mistake the leading-dash value for an option."""
+def _options(parser: argparse.ArgumentParser) -> tuple:
+    """(every option string, the ones that take a value) of the parser and
+    of its subcommands."""
+    actions = list(parser._actions)
+    for action in parser._actions:
+        if action.nargs == argparse.PARSER:  # the subcommands
+            actions += [a for sub in action.choices.values() for a in sub._actions]
+    names = {name for a in actions for name in a.option_strings}
+    valued = {name for a in actions if a.nargs != 0 for name in a.option_strings}
+    return names, valued
+
+
+def _merge_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Fold ``--t -inf`` into ``--t=-inf`` for every option that takes a
+    value, so argparse does not mistake a value with a leading dash for an
+    option; a next token that is itself an option is left alone."""
+    names, valued = _options(parser)
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--interval" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in valued and tok.startswith("-") and tok not in names:
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -320,7 +329,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_merge_dash_values(list(argv)))
+        parser = build_parser()
+        args = parser.parse_args(_merge_dash_values(parser, list(argv)))
         return args.fn(args)
     except (ValueError, OSError, NotConvexOutput, ConstructionError,
             NoConvexityThreshold) as exc:

@@ -19,18 +19,18 @@ f'(b) and is convex, since its c2 is sigma times P's.  A row that stays
 uncertified, or whose LP stalls, becomes P.
 
 Each piece's sigma minimises a convex max of 16 linear terms over [0, 1],
-and on almost every piece the answer is known without a solver: sigma = 1
-(the parabola) where the worst-fitting term at sigma = 1 only grows as sigma
-falls, and 0 where P = S.  The pieces go in chunks of CHUNK; a chunk whose
-every sigma is known solves nothing, and every other chunk is one
-block-diagonal LP of all its pieces, the model it would be with no sigma
-known.  The LPs are sent to HiGHS directly through scipy's bindings
+the fit at 16 Chebyshev points that one pass computes for every piece, and
+on almost every piece the answer is known without a solver: sigma = 1 (the
+parabola) where the worst-fitting term at sigma = 1 only grows as sigma
+falls, and 0 where P = S.  Only the pieces left open go to the LP, CHUNK of
+them per block-diagonal LP, sent to HiGHS directly through scipy's bindings
 (scipy.optimize._highspy._core, loaded from its extension file alone, not
 through scipy.optimize) as one column-wise model of the dense per-piece
 blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
-per-option checks cost about as much as the solve itself.  The module keeps one HiGHS solver, its options passed
-once; passModel makes each solve cold.  The model, its options and its
-failure checks are linprog's own, so the solution is linprog's bit for bit.
+per-option checks cost about as much as the solve itself.  The module keeps
+one HiGHS solver, its options passed once; passModel makes each solve cold.
+The model, its options and its failure checks are linprog's own, so the
+solution is linprog's bit for bit.
 The module-level :func:`linprog` keeps linprog's name and keyword arguments,
 because it is the one seam between the pieces and the solver: profilers and
 tests wrap it by that name.  It returns x or raises SolverStall, the one
@@ -199,8 +199,9 @@ def _parabola(f: ConvexOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     halve exactly."""
     length = b - a
     fa, fb = _values(f, 0, a), _values(f, 0, b)
-    g0 = length * _values(f, 1, a) - (fb - fa)
-    g1 = length * _values(f, 1, b) - (fb - fa)
+    # a convex f has g0 <= 0 <= g1; rounding can flip them on short intervals
+    g0 = np.minimum(length * _values(f, 1, a) - (fb - fa), 0.0)
+    g1 = np.maximum(length * _values(f, 1, b) - (fb - fa), 0.0)
     first = g0 + g1 >= 0.0
     c1 = np.where(first, g0, -g1) + (fb - fa)
     c2 = np.where(first, -g0, g1)
@@ -217,7 +218,8 @@ def convex_parabola(f: ConvexOracle, interval) -> tuple:
 
     After mapping onto [0,1] and removing the secant (so g(0) = g(1) = 0),
     the piece is (v - v^2) g'(0) when g'(0) + g'(1) >= 0 and (v^2 - v) g'(1)
-    otherwise; ties take the first branch.
+    otherwise; ties take the first branch.  A convex f has g'(0) <= 0 <=
+    g'(1), and a rounded value of the other sign is taken as 0.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -296,19 +298,17 @@ def _fit_points(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
     return d / unit, e / unit
 
 
-def _lp_blocks(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
-               D: np.ndarray) -> tuple:
-    """The minimax LP of the blend weight of every piece [a[i], b[i]] as
-    (cost, blocks): the arguments of :func:`linprog`, on the points of
-    :func:`_fit_points`.
+def _lp_blocks(d: np.ndarray, e: np.ndarray) -> tuple:
+    """The minimax LP of the blend weight of every piece, from its fit data
+    (d, e) of :func:`_fit_points`, as (cost, blocks): the arguments of
+    :func:`linprog`.
 
     Each piece contributes an independent block of two columns, its weight
     sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
     +-(sigma d - e) <= t, interleaved per point.  The blocks share no
     variable, so minimising sum(t_i) minimises every t_i.
     """
-    d, e = _fit_points(f, a, b, S, D)
-    k = a.size
+    k = d.shape[0]
     A_ub = np.empty((k, 32, 2))
     A_ub[:, 0::2, 0] = d
     A_ub[:, 1::2, 0] = -d
@@ -343,26 +343,24 @@ def _known_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _lp_weights(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray, D: np.ndarray,
-                size: int = CHUNK) -> np.ndarray:
-    """The blend weight sigma of each piece: the LP's sigma, clipped into
-    [0, 1], and NaN where a one-piece LP failed (linprog refuses a NaN x).
-    The pieces go in chunks of size.  A chunk whose every sigma is known
-    from :func:`_known_weights` solves no LP; any other chunk is one LP of
-    :func:`_lp_blocks`, as if no sigma were known, since HiGHS's sigma at
-    tolerance level depends on the chunk.  A refused chunk is solved again
-    one piece at a time, so it cannot change its neighbours."""
-    sigma = _known_weights(*_fit_points(f, a, b, S, D))
-    for s in range(0, a.size, size):
-        i = slice(s, s + size)
-        if not np.isnan(sigma[i]).any():
-            continue
-        cost, blocks = _lp_blocks(f, a[i], b[i], S[i], D[i])
+def _lp_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The blend weight sigma of each piece from its fit data (d, e): the
+    closed form of :func:`_known_weights` where it decides, else the LP's
+    sigma clipped into [0, 1], or NaN where the piece's own LP failed.  Only
+    open pieces go to the LP, CHUNK per block-diagonal LP of
+    :func:`_lp_blocks`; a refused LP of several pieces is solved again one
+    piece at a time."""
+    sigma = _known_weights(d, e)
+    todo = np.flatnonzero(np.isnan(sigma))
+    lps = [todo[s:s + CHUNK] for s in range(0, todo.size, CHUNK)]
+    while lps:
+        i = lps.pop(0)
+        cost, blocks = _lp_blocks(d[i], e[i])
         try:
             sigma[i] = np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0)
         except SolverStall:
-            one = a[i].size == 1  # a one-piece LP has nothing left to split
-            sigma[i] = np.nan if one else _lp_weights(f, a[i], b[i], S[i], D[i], 1)
+            if i.size > 1:
+                lps[:0] = np.split(i, i.size)
     return sigma
 
 
@@ -401,9 +399,9 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     parabola P of :func:`_parabola`, and its row is Q + w (P - Q): it
     interpolates f at both ends, and its slope slacks are (1 - w) times Q's
     plus w times P's, so >= 0.  For degree 2, Q is f's secant and w the
-    sigma of :func:`_lp_weights`, known in closed form or solved as an LP,
-    so the row is convex by construction.  For every higher degree, Q is
-    the Hermite row of :func:`_hermite_rows`, all certified in one array
+    sigma of :func:`_lp_weights` on the fit of :func:`_fit_points`, so the
+    row is convex by construction.  For every higher degree, Q is the
+    Hermite row of :func:`_hermite_rows`, all certified in one array
     certificate; w is 0 on a certified row, and on a rejected row with
     certified least Q'' = m < 0 it is t = -m / (P'' - m) times 1 + 1e-6, at
     most 1, which lifts the least p'' a little above 0.  A row whose LP
@@ -428,7 +426,7 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     P = np.pad(_parabola(f, a, b), ((0, 0), (0, degree - 2)))
     if degree == 2:
         Q = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
-        weight = _lp_weights(f, a, b, Q, P - Q)
+        weight = _lp_weights(*_fit_points(f, a, b, Q, P - Q))
         ok = ~np.isnan(weight)
     else:
         Q = _hermite_rows(f, a, b, degree)

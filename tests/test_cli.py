@@ -586,6 +586,51 @@ def test_counterexample_outside_the_float_range_exits_1(flags, tmp_path, capsys)
     assert err[0].startswith("error: the Markov terms")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["approximate", "--function", "-exp:alpha=1", "--r", "2", "--n", "16"],
+     "error: unknown function family '-exp'; "
+     "choose from ['cosh', 'exp', 'f0', 'poly', 'truncpow', 'xpow']"),
+    (["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "16", "--grid-size", "-1e3"],
+     "error: argument --grid-size: invalid int value: '-1e3'"),
+    (["sweep", "--function", "exp:alpha=1", "--r", "2", "--n", "-1:4:x2"],
+     "error: range start must be >= 1, got -1"),
+    (["counterexample", "--r", "1", "--m", "3", "--x-last", "0.5", "--epsilon", "-1e-3"],
+     "error: epsilon must be finite and positive, got -0.001"),
+    (["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "-inf"],
+     "error: --t must be finite, got -inf"),
+    (["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "-1e-3"],
+     "error: modulus step t must be >= 0, got -0.001"),
+], ids=["approximate", "certify", "sweep", "counterexample", "modulus-inf", "modulus-1e-3"])
+def test_a_value_with_a_leading_dash_reaches_its_own_check(argv, message, capsys):
+    """argparse takes "-1" for a negative number but "-inf" or "-1e-3" for
+    an option; every option that takes a value takes either as its value."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_a_value_with_a_leading_dash_runs(tmp_path, monkeypatch, capsys):
+    """A leading-dash value is used as given: --x-last -5e-1 is -0.5, and a
+    spline file named -s.json is written and read back."""
+    run(["counterexample", "--r", "1", "--m", "3", "--x-last=-0.5"])
+    want = capsys.readouterr().out
+    assert run(["counterexample", "--r", "1", "--m", "3", "--x-last", "-5e-1"]) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.chdir(tmp_path)
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "1", "--n", "16",
+                "--out", "-s.json"]) == 0
+    assert run(["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "16",
+                "--spline", "-s.json"]) == 0
+    assert "convexity certified = True" in capsys.readouterr().out
+
+
+def test_a_flag_does_not_take_the_next_token_as_its_value(capsys):
+    # --timing takes no value, so a leading-dash token after it stays an argument
+    assert run(["sweep", "--function", "exp:alpha=1", "--r", "2", "--n", "32",
+                "--timing", "-5"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: -5\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_approximate_n_below_one_exits_1(n, capsys):
     code = run(["approximate", "--function", "exp:alpha=1", "--r", "2", "--n", n])

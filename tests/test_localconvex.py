@@ -32,7 +32,7 @@ from convexlab.localconvex import (
     convex_piece,
     convex_pieces,
 )
-from convexlab.polynomial import convexity_certificate, convexity_certificates
+from convexlab.polynomial import convexity_certificate, convexity_certificates, horner_rows
 from convexlab.smoothness import modulus
 from helpers import Poly, pieces_of
 
@@ -91,6 +91,29 @@ def test_parabola_rejects_concave_input():
     f = poly_oracle([0.0, 0.0, -1.0])
     with pytest.raises(NotConvexInput):
         convex_parabola(f, (-1.0, 1.0))
+
+
+def test_parabola_rows_stay_convex_on_intervals_where_rounding_flips_a_slope_sign():
+    """On the shortest intervals of a fine partition the rounded g'(0) or
+    g'(1) of exp can take the wrong sign; the parabola keeps c2 >= 0 anyway
+    and still interpolates f at both ends."""
+    f = exp_oracle(1.0)
+    knots = chebyshev_partition(65536).knots
+    a, b = knots[:-1], knots[1:]
+    P = localconvex._parabola(f, a, b)
+    assert np.all(P[:, 2] >= 0.0)
+    scale = 1.0 + np.maximum(np.abs(f(a)), np.abs(f(b)))
+    assert np.all(np.abs(horner_rows(P, -1.0) - f(a)) <= 1e-15 * scale)
+    assert np.all(np.abs(horner_rows(P, 1.0) - f(b)) <= 1e-15 * scale)
+
+
+def test_exp_builds_certified_where_a_parabola_row_would_be_concave():
+    """construct_chebyshev(exp:alpha=1, 2, 32768) blends a rejected Hermite
+    row with the parabola on the last interior interval, 1.4e-8 wide; with
+    the parabola's c2 rounded below 0 there, that row fell back to a
+    concave parabola and the spline was refused."""
+    S, _, _ = construct_chebyshev(exp_oracle(1.0), 2, 32768)
+    assert S.convex_certified
 
 
 def test_piece_reproduces_polynomials():
@@ -321,34 +344,36 @@ def test_one_rejected_hermite_row_is_blended(monkeypatch):
 # -- the batched LP: chunks, rescue paths, and the call count -----------------
 
 
-def _linprog_spy(monkeypatch, X, fail=lambda pieces: False):
-    """Record each of localconvex's linprog calls on the partition X as
-    (pieces, b_ub): pieces are the 0-based indices of its intervals, read off
-    the left ends of the _lp_blocks call that built its LP.  A call for which
-    fail(pieces) holds raises SolverStall instead."""
-    real_blocks, real = localconvex._lp_blocks, localconvex.linprog
-    built = []
+def _fit(f, a, b):
+    """(d, e): the r = 1 fit data of the pieces [a[i], b[i]], as
+    _convex_pieces computes it for its degree-2 rows."""
+    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
+    return localconvex._fit_points(f, a, b, S, localconvex._parabola(f, a, b) - S)
+
+
+def _linprog_spy(monkeypatch, fit=None, fail=lambda pieces: False):
+    """Record each of localconvex's linprog calls as the pieces its LP
+    holds: for each block, the index of the first row of the fit data
+    (d, e) with the block's d and e, read off A_ub and b_ub (none without
+    the fit data).  A call for which fail(pieces) holds raises SolverStall
+    instead."""
+    real = localconvex.linprog
     calls = []
 
-    def blocks(f, a, b, *rows):
-        built.append(tuple(np.searchsorted(X.knots, a).tolist()))
-        return real_blocks(f, a, b, *rows)
-
     def spy(c, **kwargs):
-        pieces = built[-1]
-        calls.append((pieces, kwargs["b_ub"]))
+        pieces = ()
+        if fit is not None:
+            d, e = fit
+            held_d, held_e = kwargs["A_ub"][:, 0::2, 0], kwargs["b_ub"].reshape(-1, 32)[:, 0::2]
+            pieces = tuple(int(np.flatnonzero((d == dk).all(1) & (e == ek).all(1))[0])
+                           for dk, ek in zip(held_d, held_e))
+        calls.append(pieces)
         if fail(pieces):
             raise SolverStall("injected failure")
         return real(c, **kwargs)
 
-    monkeypatch.setattr(localconvex, "_lp_blocks", blocks)
     monkeypatch.setattr(localconvex, "linprog", spy)
     return calls
-
-
-def _unknown_weights(monkeypatch):
-    """Leave every sigma to the LP, as if none were known in closed form."""
-    monkeypatch.setattr(localconvex, "_known_weights", lambda d, e: np.full(d.shape[0], np.nan))
 
 
 def _failing_certificate(monkeypatch, interval, times):
@@ -436,30 +461,46 @@ def test_convex_pieces_name_first_nonconvex_interval():
     assert str(ei.value) == message
 
 
+def _open(d, e):
+    """The indices of the pieces whose sigma the closed form leaves open."""
+    return np.flatnonzero(np.isnan(localconvex._known_weights(d, e)))
+
+
 def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
-    f = exp_oracle(1.0)
-    X = chebyshev_partition(CHUNK + 4)
-    want = _one_at_a_time(f, X, 1)
-    _unknown_weights(monkeypatch)
-    calls = _linprog_spy(monkeypatch, X, fail=lambda pieces: len(pieces) > 1)
-    S, sources, _ = convex_pieces(f, X, 1)
-    order = [pieces for pieces, _ in calls]
-    chunks = [tuple(range(CHUNK)), tuple(range(CHUNK, CHUNK + 4))]
-    # each chunk's LP, then every piece of it alone, then the next chunk
-    assert order == [chunks[0], *[(i,) for i in chunks[0]], chunks[1], *[(i,) for i in chunks[1]]]
-    assert sources == ["lp"] * X.n
-    assert pieces_of(S) == [p for p, _ in want]
+    """An LP of several open pieces that linprog refuses is solved again one
+    piece at a time, before the next LP, and each piece gets the sigma of
+    its own LP."""
+    knots = chebyshev_partition(64).knots
+    d, e = _fit(even_power_oracle(1), knots[:-1], knots[1:])  # x^2: half its sigmas are open
+    todo = _open(d, e)
+    assert CHUNK < todo.size
+    want = np.array([localconvex._lp_weights(d[i:i + 1], e[i:i + 1])[0] for i in todo])
+    calls = _linprog_spy(monkeypatch, (d, e), fail=lambda pieces: len(pieces) > 1)
+    sigma = localconvex._lp_weights(d, e)
+    lps = [tuple(todo[s:s + CHUNK].tolist()) for s in range(0, todo.size, CHUNK)]
+    # each LP, then every piece of it alone, then the next LP
+    assert calls == [step for lp in lps for step in [lp, *[(i,) for i in lp]]]
+    assert not np.isnan(want).any()
+    assert sigma[todo].tobytes() == want.tobytes()
 
 
 def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
-    f = exp_oracle(1.0)
+    """Every open piece whose own LP fails gets the parabola; the pieces
+    whose sigma is known solve no LP and keep their rows."""
+    f = even_power_oracle(1)
     X = chebyshev_partition(6)
-    _unknown_weights(monkeypatch)
-    _linprog_spy(monkeypatch, X, fail=lambda pieces: True)
+    todo = _open(*_fit(f, X.knots[:-1], X.knots[1:]))
+    assert 1 < todo.size < X.n
+    want, _ = localconvex._convex_pieces(f, X.knots, 2)
+    calls = _linprog_spy(monkeypatch, fail=lambda pieces: True)
     S, sources, _ = convex_pieces(f, X, 1)
-    assert sources == ["parabola-fallback"] * X.n
+    assert len(calls) == 1 + todo.size  # the LP of the open pieces, then each alone
+    assert sources == ["parabola-fallback" if i in todo else "lp" for i in range(X.n)]
     for j, p in enumerate(pieces_of(S), start=1):
-        assert p == _padded(_parabola(f, X.interval(j)), 3)
+        if j - 1 in todo:
+            assert p == _padded(_parabola(f, X.interval(j)), 3)
+        else:
+            assert S.coeffs[j - 1].tobytes() == want.coeffs[j - 1].tobytes()
 
 
 def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
@@ -467,12 +508,13 @@ def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
     with a parabola fallback (piece 4, whose LP fails) and a secant (piece 9,
     at rounding scale) among the LP rows, and each row's slope slacks as the
     reference Poly arithmetic gives them."""
-    f = exp_oracle(1.0)
+    f = even_power_oracle(1)
     cheb = chebyshev_partition(CHUNK + 4).knots
     knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
     X = Partition(knots)
-    _unknown_weights(monkeypatch)
-    _linprog_spy(monkeypatch, X, fail=lambda pieces: 4 in pieces)
+    fit = _fit(f, knots[:-1], knots[1:])
+    assert 4 in _open(*fit)
+    _linprog_spy(monkeypatch, fit, fail=lambda pieces: 4 in pieces)
     spline, sources = localconvex._convex_pieces(f, knots, 2)
     S, got_sources, slacks = convex_pieces(f, X, 1)
     assert sources[4] == "parabola-fallback" and sources[9] == "secant"
@@ -486,25 +528,47 @@ def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
 
 
 def test_lp_calls_are_batched(monkeypatch):
-    # one LP per chunk of pieces, not one per piece
-    f = exp_oracle(1.0)
+    # one LP per CHUNK open pieces, not one per piece
+    f = even_power_oracle(1)
     X = chebyshev_partition(512)
-    _unknown_weights(monkeypatch)  # every sigma of exp is known: leave them all to the LP
-    calls = _linprog_spy(monkeypatch, X)
+    todo = _open(*_fit(f, X.knots[:-1], X.knots[1:]))
+    assert todo.size > 8 * CHUNK
+    calls = _linprog_spy(monkeypatch)
     _, sources, _ = convex_pieces(f, X, 1)
     assert sources == ["lp"] * X.n
-    assert len(calls) <= math.ceil(X.n / CHUNK) <= X.n // 8
+    assert len(calls) == math.ceil(todo.size / CHUNK) <= X.n // 8
+
+
+@pytest.mark.parametrize("spec, n", [("xpow:m=1", 128), ("truncpow:r=1,eps=0.01", 1024)])
+def test_an_lp_holds_only_open_pieces(monkeypatch, spec, n):
+    """No LP holds a piece whose sigma the closed form decides, nor more
+    than CHUNK pieces; every open piece ends with the sigma of one LP that
+    solved, or with P where its own LP failed; and every other piece keeps
+    its closed-form sigma."""
+    f = parse_function(spec)
+    knots = chebyshev_partition(n).knots
+    a, b = knots[:-1], knots[1:]
+    d, e = _fit(f, a, b)
+    known = localconvex._known_weights(d, e)
+    todo = _open(d, e)
+    stalled = int(todo[2])
+    calls = _linprog_spy(monkeypatch, (d, e), fail=lambda pieces: stalled in pieces)
+    spline, sources = localconvex._convex_pieces(f, knots, 2)
+    assert all(0 < len(pieces) <= CHUNK for pieces in calls)
+    assert all(np.isnan(known[list(pieces)]).all() for pieces in calls)
+    solved = sorted(i for pieces in calls if stalled not in pieces for i in pieces)
+    assert solved == sorted(set(todo.tolist()) - {stalled})
+    assert sources == ["parabola-fallback" if i == stalled else "lp" for i in range(n)]
+    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
+    P = localconvex._parabola(f, a, b)
+    assert spline.coeffs[stalled].tobytes() == P[stalled].tobytes()
+    decided = np.flatnonzero(~np.isnan(known))
+    sigma = known[decided, None]
+    want = np.where(sigma == 0.0, S[decided], S[decided] + sigma * (P[decided] - S[decided]))
+    assert spline.coeffs[decided].tobytes() == want.tobytes()
 
 
 # -- sigma in closed form: the LP's answer where it is known -----------------
-
-
-def _fit(f, a, b):
-    """(S, D, d, e): the secant rows S, the parabola rows minus S, and
-    _fit_points of the pieces [a[i], b[i]]."""
-    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
-    D = localconvex._parabola(f, a, b) - S
-    return (S, D, *localconvex._fit_points(f, a, b, S, D))
 
 
 @pytest.mark.parametrize("spec", ["exp:alpha=1", "cosh:beta=1", "xpow:m=2", "f0:r=1",
@@ -518,14 +582,14 @@ def test_known_sigma_is_the_lp_sigma_bit_for_bit(spec):
     for n in (N, 4 * N, 1024):
         knots = chebyshev_partition(n).knots
         a, b = knots[:-1], knots[1:]
-        S, D, d, e = _fit(f, a, b)
+        d, e = _fit(f, a, b)
         known = localconvex._known_weights(d, e)
         for s in range(0, n, CHUNK):
             i = slice(s, s + CHUNK)
             if np.isnan(known[i]).any():
                 continue
             decided += 1
-            cost, blocks = localconvex._lp_blocks(f, a[i], b[i], S[i], D[i])
+            cost, blocks = localconvex._lp_blocks(d[i], e[i])
             sigma = np.clip(localconvex.linprog(cost, **blocks)[0::2], 0.0, 1.0)
             assert sigma.tobytes() == known[i].tobytes(), (n, s)
     assert decided > 0
@@ -535,7 +599,7 @@ def test_a_piece_with_a_value_not_finite_is_left_to_the_lp():
     """A NaN or an infinity in a piece's points leaves its sigma unknown, and
     so its chunk to the LP; the other pieces keep theirs."""
     knots = chebyshev_partition(CHUNK).knots
-    _, _, d, e = _fit(exp_oracle(1.0), knots[:-1], knots[1:])
+    d, e = _fit(exp_oracle(1.0), knots[:-1], knots[1:])
     known = localconvex._known_weights(d, e)
     assert not np.isnan(known).any()
     for values, value in [(e, np.nan), (d, np.nan), (e, np.inf)]:
@@ -557,7 +621,7 @@ def test_a_piece_with_a_value_not_finite_is_left_to_the_lp():
 def test_lp_runs_only_where_sigma_is_not_known(monkeypatch, spec, n, solved):
     """exp:alpha=1 at n = 1024 knows every sigma and calls linprog 0 times;
     xpow:m=2 at its N = 13 has a middle piece of sigma 0.589 and solves it."""
-    calls = _linprog_spy(monkeypatch, chebyshev_partition(n))
+    calls = _linprog_spy(monkeypatch)
     _, trace, _ = construct_chebyshev(parse_function(spec), 1, n)
     assert trace.lp_rows > 0
     assert bool(calls) == solved
@@ -623,9 +687,8 @@ def fresh_solver():
 
 
 def _blocks(f, a, b):
-    """_lp_blocks of the pieces [a[i], b[i]], from their secant and parabola rows."""
-    S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
-    return localconvex._lp_blocks(f, a, b, S, localconvex._parabola(f, a, b) - S)
+    """_lp_blocks of the pieces [a[i], b[i]], from their fit data."""
+    return localconvex._lp_blocks(*_fit(f, a, b))
 
 
 def _scipy_solve(cost, blocks):
@@ -643,7 +706,8 @@ def _scipy_solve(cost, blocks):
                                    (exp_oracle(1.0), 2, CHUNK + 1)])  # then one piece
 def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
     """Every chunk LP of the n pieces is scipy's solution bit for bit, and
-    the pieces of order r + 2 solve those LPs only for r = 1."""
+    the pieces of order r + 2 solve LPs only for r = 1, one per CHUNK open
+    pieces."""
     knots = chebyshev_partition(n).knots
     for s in range(0, n, CHUNK):
         a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
@@ -652,10 +716,10 @@ def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
         want = _scipy_solve(cost, blocks)
         assert want.status == 0
         assert np.array_equal(got, want.x)
-    _unknown_weights(monkeypatch)
-    calls = _linprog_spy(monkeypatch, Partition(knots))
+    todo = _open(*_fit(f, knots[:-1], knots[1:]))
+    calls = _linprog_spy(monkeypatch)
     convex_pieces(f, Partition(knots), r)
-    assert len(calls) == (math.ceil(n / CHUNK) if r == 1 else 0)
+    assert len(calls) == (math.ceil(todo.size / CHUNK) if r == 1 else 0)
 
 
 def _model_error_blocks():
@@ -715,10 +779,10 @@ def test_no_solver_is_built_per_chunk(monkeypatch, fresh_solver):
             built.append(self)
 
     monkeypatch.setattr(localconvex._highs, "_Highs", Counted)
-    _unknown_weights(monkeypatch)
-    f, X = exp_oracle(1.0), chebyshev_partition(8 * CHUNK)  # 8 LP chunks
+    calls = _linprog_spy(monkeypatch)
+    f, X = even_power_oracle(1), chebyshev_partition(8 * CHUNK)
     convex_pieces(f, X, 1)
-    assert len(built) == 1
+    assert len(calls) > 1 and len(built) == 1
     convex_pieces(f, X, 1)
     assert len(built) == 1  # none on the second call
 
@@ -814,7 +878,8 @@ knots = chebyshev_partition({CHUNK}).knots
 f = exp_oracle(1.0)
 a, b = knots[:-1], knots[1:]
 S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
-cost, blocks = localconvex._lp_blocks(f, a, b, S, localconvex._parabola(f, a, b) - S)
+cost, blocks = localconvex._lp_blocks(*localconvex._fit_points(
+    f, a, b, S, localconvex._parabola(f, a, b) - S))
 got = localconvex.linprog(cost, **blocks)
 want = scipy.optimize.linprog(
     cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"], bounds=blocks["bounds"],
