@@ -3,8 +3,9 @@ pieces of higher degree.
 
 All of them interpolate f at the interval ends and sandwich the end slopes
 against f', so gluing them preserves convexity across knots.  The degree-2
-piece (r = 1) comes from an LP that minimizes the sampled maximal error over
-all such convex parabolas, so it can only improve on the explicit one.  A
+piece (r = 1) minimizes the sampled maximal error over all such convex
+parabolas, with its weight found in closed form, so it can only improve on
+the explicit one.  A
 piece of degree d >= 3 is the Hermite row: it matches f and f' at both ends
 and f at d - 3 interior Chebyshev-Lobatto nodes, so its slope slacks are 0.
 Each comes back as (spline, sources, slacks): a one-row spline, where the

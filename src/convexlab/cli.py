@@ -45,8 +45,7 @@ DENSITY_HELP = ("modulus lattice density for denominators (>= 64); for bound "
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _parse_n_range(text: str):

@@ -86,8 +86,8 @@ class ConstructionError(RuntimeError):
 class GlueTrace:
     """Diagnostics of one gluing run, x*, H1 and H in x, and how many rows
     between the end blocks came from each source: the Hermite row, its
-    blend with the parabola, the LP (r = 1), the parabola fallback or the
-    secant (every row of an affine input)."""
+    blend with the parabola, the σ blend (r = 1), the parabola fallback or
+    the secant (every row of an affine input)."""
 
     M: float
     x_star: float

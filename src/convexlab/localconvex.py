@@ -16,25 +16,14 @@ lifts the row's least p'' to 0.  For d = 2 (r = 1), Q is f's secant S and w
 the weight sigma whose row best fits f at 16 Chebyshev points: every such
 row interpolates f at both ends, keeps its end slopes between f'(a) and
 f'(b) and is convex, since its c2 is sigma times P's.  A row that stays
-uncertified, or whose LP stalls, becomes P.
+uncertified, or whose fit data is not finite, becomes P.
 
 Each piece's sigma minimises a convex max of 16 linear terms over [0, 1],
 the fit at 16 Chebyshev points that one pass computes for every piece, and
-on almost every piece the answer is known without a solver: sigma = 1 (the
-parabola) where the worst-fitting term at sigma = 1 only grows as sigma
-falls, and 0 where P = S.  Only the pieces left open go to the LP, CHUNK of
-them per block-diagonal LP, sent to HiGHS directly through scipy's bindings
-(scipy.optimize._highspy._core, loaded from its extension file alone, not
-through scipy.optimize) as one column-wise model of the dense per-piece
-blocks; scipy.optimize.linprog's input cleaning, sparse stacking and
-per-option checks cost about as much as the solve itself.  The module keeps
-one HiGHS solver, its options passed once; passModel makes each solve cold.
-The model, its options and its failure checks are linprog's own, so the
-solution is linprog's bit for bit.
-The module-level :func:`linprog` keeps linprog's name and keyword arguments,
-because it is the one seam between the pieces and the solver: profilers and
-tests wrap it by that name.  It returns x or raises SolverStall, the one
-failure signal between HiGHS and the parabola fallback.
+it is found in closed form, without a solver (:func:`_blend_weights`).
+:func:`linprog` solves the same minimax as an LP through scipy's HiGHS
+bindings, loaded on its first call; no construction calls it.  It is kept
+as the tests' reference and because bench/tracing.py wraps it by name.
 """
 
 from __future__ import annotations
@@ -68,45 +57,40 @@ def _load_highs():
     """scipy's HiGHS extension module, loaded from its own file.
 
     `import scipy.optimize._highspy._core` would first run scipy.optimize's
-    __init__, which imports scipy.linalg, sparse, special and fft: most of
-    convexlab's start-up time and memory, for modules it never calls.  As
-    the import system does, an entry already in sys.modules is used as it is
-    (None refuses), and a new module goes into sys.modules before it runs,
-    so a later `import scipy.optimize` gets this same module.
+    __init__, which imports scipy.linalg, sparse, special and fft, modules
+    convexlab never calls.  As the import system does, an entry already in
+    sys.modules is used as it is (None refuses), and a new module goes into
+    sys.modules before it runs, so a later `import scipy.optimize` gets this
+    same module.  Every failure is an ImportError that names the scipy floor.
     """
-    if _HIGHS in sys.modules:
-        module = sys.modules[_HIGHS]
-        if module is None:
-            raise ImportError(f"import of {_HIGHS} halted; None in sys.modules")
-        return module
-    scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
-    if scipy is None or not scipy.submodule_search_locations:
-        raise ImportError("scipy is not installed as a package")
-    folders = [os.path.join(path, "optimize", "_highspy")
-               for path in scipy.submodule_search_locations]
-    found = importlib.machinery.PathFinder.find_spec("_core", folders)
-    if found is None or found.origin is None:
-        raise ImportError(f"no {_HIGHS} extension in {folders}")
-    spec = importlib.util.spec_from_file_location(_HIGHS, found.origin)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_HIGHS] = module
     try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_HIGHS]
-        raise
-    return module
+        if _HIGHS in sys.modules:
+            module = sys.modules[_HIGHS]
+            if module is None:
+                raise ImportError(f"import of {_HIGHS} halted; None in sys.modules")
+            return module
+        scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("scipy is not installed as a package")
+        folders = [os.path.join(path, "optimize", "_highspy")
+                   for path in scipy.submodule_search_locations]
+        found = importlib.machinery.PathFinder.find_spec("_core", folders)
+        if found is None or found.origin is None:
+            raise ImportError(f"no {_HIGHS} extension in {folders}")
+        spec = importlib.util.spec_from_file_location(_HIGHS, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS]
+            raise
+        return module
+    except (ImportError, ValueError) as exc:  # ValueError: a scipy module without __spec__
+        raise ImportError(f"convexlab needs scipy>=1.17 for {_HIGHS}") from exc
 
-
-try:
-    _highs = _load_highs()
-except (ImportError, ValueError) as exc:  # ValueError: a scipy module without __spec__
-    raise ImportError("convexlab needs scipy>=1.17 for scipy.optimize._highspy._core") from exc
 
 DEGENERATE_REL_LENGTH = 1e-13
-# pieces per block-diagonal LP: 16 gets most of the gain over one LP per
-# piece, while peak memory grows with the chunk
-CHUNK = 16
 
 
 @functools.cache
@@ -117,12 +101,13 @@ def _solver():
     task scheduler per thread on its first solve there and fails a later
     solve that asks for another size, so scipy's own linprog on the same
     thread must see the same value."""
-    options = _highs.HighsOptions()
+    core = _load_highs()
+    options = core.HighsOptions()
     options.presolve = "on"
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
-    highs = _highs._Highs()
+    highs = core._Highs()
     highs.passOptions(options)
     return highs
 
@@ -132,7 +117,7 @@ class NotConvexInput(ValueError):
 
 
 class SolverStall(RuntimeError):
-    """The LP solver gave up; the caller substitutes the parabola."""
+    """The LP solver of :func:`linprog` gave up."""
 
 
 def _values(f: ConvexOracle, nu: int, x: np.ndarray) -> np.ndarray:
@@ -247,11 +232,12 @@ def linprog(c, *, A_ub, b_ub, bounds) -> np.ndarray:
     of bounds and slacks at 10*sqrt(1e-9).  passModel clears the module
     solver's previous model, basis and solution, so every solve is cold.
     """
+    core = _load_highs()
     k, m, cols = A_ub.shape
-    lp = _highs.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = k * cols
     lp.num_row_ = lp.a_matrix_.num_row_ = k * m
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = (np.arange(k * cols + 1) * m).tolist()
     lp.a_matrix_.index_ = np.repeat(np.arange(k * m).reshape(k, m), cols, axis=0).ravel().tolist()
     # (block, column, row) order is the column-wise order
@@ -264,10 +250,10 @@ def linprog(c, *, A_ub, b_ub, bounds) -> np.ndarray:
     lp.row_upper_ = b_ub.tolist()
 
     highs = _solver()
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        raise SolverStall(highs.modelStatusToString(_highs.HighsModelStatus.kModelError))
-    if (highs.run() == _highs.HighsStatus.kError
-            or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise SolverStall(highs.modelStatusToString(core.HighsModelStatus.kModelError))
+    if (highs.run() == core.HighsStatus.kError
+            or highs.getModelStatus() != core.HighsModelStatus.kOptimal):
         raise SolverStall(highs.modelStatusToString(highs.getModelStatus()))
     solution = highs.getSolution()
     x = np.array(solution.col_value)
@@ -286,7 +272,7 @@ def _fit_points(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
                 D: np.ndarray) -> tuple:
     """(d, e): P - S and f - S at 16 Chebyshev points of every piece [a[i],
     b[i]], shape (k, 16), each row in units of its own largest |P - S| at
-    those points, so that the solver's absolute tolerances mean the same on
+    those points, so that an absolute tolerance on g means the same on
     every piece.  S holds the pieces' secant rows and D their parabola rows
     minus S, both of degree 2."""
     u = np.cos(np.pi * np.arange(16) / 15)  # Chebyshev-Lobatto, both ends included
@@ -298,40 +284,17 @@ def _fit_points(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,
     return d / unit, e / unit
 
 
-def _lp_blocks(d: np.ndarray, e: np.ndarray) -> tuple:
-    """The minimax LP of the blend weight of every piece, from its fit data
-    (d, e) of :func:`_fit_points`, as (cost, blocks): the arguments of
-    :func:`linprog`.
-
-    Each piece contributes an independent block of two columns, its weight
-    sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
-    +-(sigma d - e) <= t, interleaved per point.  The blocks share no
-    variable, so minimising sum(t_i) minimises every t_i.
-    """
-    k = d.shape[0]
-    A_ub = np.empty((k, 32, 2))
-    A_ub[:, 0::2, 0] = d
-    A_ub[:, 1::2, 0] = -d
-    A_ub[:, :, 1] = -1.0
-    b_ub = np.empty((k, 32))
-    b_ub[:, 0::2] = e
-    b_ub[:, 1::2] = -e
-    cost = np.tile([0.0, 1.0], k)
-    bounds = np.tile([[0.0, 1.0], [0.0, np.inf]], (k, 1))
-    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), bounds=bounds)
-
-
 def _known_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The sigma that each piece's LP returns, where it is known without
-    solving, and NaN elsewhere: the LP minimises the convex
-    g(sigma) = max_j |sigma d_j - e_j| over [0, 1].
+    """The minimiser sigma over [0, 1] of each piece's convex
+    g(sigma) = max_j |sigma d_j - e_j|, where a shortcut decides it, and NaN
+    elsewhere.
 
     Where d = 0 at every point (P = S), every sigma gives the same row, and
-    the LP returns 0.  Otherwise let j be the first point of largest
-    |d_j - e_j|.  If d_j != 0 and (d_j - e_j) d_j <= 0, the j-th term is
+    sigma is 0.  Otherwise let j be the first point of largest |d_j - e_j|.
+    If d_j != 0 and (d_j - e_j) d_j <= 0, the j-th term is
     |d_j - e_j| + (1 - sigma) |d_j| > g(1) for every sigma < 1, so sigma = 1
     is the only minimiser.  A piece with a value that is not finite is left
-    to the LP."""
+    NaN."""
     sigma = np.full(d.shape[0], np.nan)
     finite = np.all(np.isfinite(d) & np.isfinite(e), axis=1)
     d, e = d[finite], e[finite]
@@ -343,24 +306,33 @@ def _known_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _lp_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _blend_weights(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The blend weight sigma of each piece from its fit data (d, e): the
-    closed form of :func:`_known_weights` where it decides, else the LP's
-    sigma clipped into [0, 1], or NaN where the piece's own LP failed.  Only
-    open pieces go to the LP, CHUNK per block-diagonal LP of
-    :func:`_lp_blocks`; a refused LP of several pieces is solved again one
-    piece at a time."""
+    minimiser over [0, 1] of g(sigma) = max_j |sigma d_j - e_j|, as
+    :func:`_known_weights` decides it, else in closed form; NaN where a value
+    is not finite.
+
+    With a = |d| and y = sign(d) e, g(sigma) <= t exactly where sigma lies
+    in [0, 1] and in every [(y_j - t)/a_j, (y_j + t)/a_j] with a_j > 0, and
+    |e_j| <= t wherever d_j = 0.  These meet from the least t on, the
+    largest of: (y_i a_j - y_j a_i)/(a_i + a_j) over point pairs (the bottom
+    of i's interval below the top of j's), y_j - a_j (a bottom below 1), -y_j
+    (a top above 0) and |e_j| where d_j = 0.  sigma is the top of the common
+    part at that t, min(1, min_j (y_j + t)/a_j), clipped at 0.  The only
+    divisors are a_i + a_j > 0 and a_j > 0."""
     sigma = _known_weights(d, e)
-    todo = np.flatnonzero(np.isnan(sigma))
-    lps = [todo[s:s + CHUNK] for s in range(0, todo.size, CHUNK)]
-    while lps:
-        i = lps.pop(0)
-        cost, blocks = _lp_blocks(d[i], e[i])
-        try:
-            sigma[i] = np.clip(linprog(cost, **blocks)[0::2], 0.0, 1.0)
-        except SolverStall:
-            if i.size > 1:
-                lps[:0] = np.split(i, i.size)
+    todo = np.flatnonzero(np.isnan(sigma) & np.all(np.isfinite(d) & np.isfinite(e), axis=1))
+    d, e = d[todo], e[todo]
+    a, y = np.abs(d), np.sign(d) * e
+    t = np.maximum(np.maximum(y - a, -y), np.where(d == 0.0, np.abs(e), 0.0)).max(axis=1)
+    for j in range(d.shape[1]):  # one j at a time keeps the arrays (k, 16), not (k, 16, 16)
+        sums = a + a[:, j, None]
+        # where a_i = a_j = 0, y_i = y_j = 0 too, and the pair's term is 0
+        pairs = np.divide(y * a[:, j, None] - y[:, j, None] * a, sums,
+                          out=np.zeros_like(sums), where=sums > 0.0)
+        t = np.maximum(t, pairs.max(axis=1))
+    top = np.divide(y + t[:, None], a, out=np.full_like(a, np.inf), where=a > 0.0)
+    sigma[todo] = np.clip(top.min(axis=1), 0.0, 1.0)
     return sigma
 
 
@@ -399,14 +371,14 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     parabola P of :func:`_parabola`, and its row is Q + w (P - Q): it
     interpolates f at both ends, and its slope slacks are (1 - w) times Q's
     plus w times P's, so >= 0.  For degree 2, Q is f's secant and w the
-    sigma of :func:`_lp_weights` on the fit of :func:`_fit_points`, so the
+    sigma of :func:`_blend_weights` on the fit of :func:`_fit_points`, so the
     row is convex by construction.  For every higher degree, Q is the
     Hermite row of :func:`_hermite_rows`, all certified in one array
     certificate; w is 0 on a certified row, and on a rejected row with
     certified least Q'' = m < 0 it is t = -m / (P'' - m) times 1 + 1e-6, at
-    most 1, which lifts the least p'' a little above 0.  A row whose LP
-    failed (sigma NaN), or a blend still not certified, becomes P, which is
-    always convex.  Intervals at rounding scale get the secant.
+    most 1, which lifts the least p'' a little above 0.  A row whose fit
+    data is not finite (sigma NaN), or a blend still not certified, becomes
+    P, which is always convex.  Intervals at rounding scale get the secant.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -426,7 +398,7 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     P = np.pad(_parabola(f, a, b), ((0, 0), (0, degree - 2)))
     if degree == 2:
         Q = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
-        weight = _lp_weights(*_fit_points(f, a, b, Q, P - Q))
+        weight = _blend_weights(*_fit_points(f, a, b, Q, P - Q))
         ok = ~np.isnan(weight)
     else:
         Q = _hermite_rows(f, a, b, degree)

@@ -13,7 +13,9 @@ Polys and ``poly_of`` any piece with ``center``, ``halfwidth`` and
 Hermite block the integrated one is compared against, ``reflect`` the
 mirror image of an oracle, and
 ``reference_bound_report`` the bound report over full profiles that
-``certify.pointwise_bound_report`` is compared against.
+``certify.pointwise_bound_report`` is compared against, and ``lp_blocks``
+the minimax LP of the r = 1 blend weights, which ``localconvex.linprog``
+solves as the reference for their closed form.
 """
 
 import math
@@ -250,3 +252,26 @@ def reference_bound_report(f, S, r, n, bound_id, grid_size, density):
     return certify.BoundReport(
         bound_id, np.column_stack([xs[kept], errs[kept], bounds[kept], ratios]),
         float(np.max(ratios, initial=0.0)), np.column_stack([xs[excluded], errs[excluded]]))
+
+
+def lp_blocks(d: np.ndarray, e: np.ndarray) -> tuple:
+    """The minimax LP of the blend weight of every piece, from its fit data
+    (d, e) of ``localconvex._fit_points``, as (cost, blocks): the arguments
+    of ``localconvex.linprog``.
+
+    Each piece contributes an independent block of two columns, its weight
+    sigma in [0, 1] and an epigraph variable t >= 0, and 32 rows
+    +-(sigma d - e) <= t, interleaved per point.  The blocks share no
+    variable, so minimising sum(t_i) minimises every t_i.
+    """
+    k = d.shape[0]
+    A_ub = np.empty((k, 32, 2))
+    A_ub[:, 0::2, 0] = d
+    A_ub[:, 1::2, 0] = -d
+    A_ub[:, :, 1] = -1.0
+    b_ub = np.empty((k, 32))
+    b_ub[:, 0::2] = e
+    b_ub[:, 1::2] = -e
+    cost = np.tile([0.0, 1.0], k)
+    bounds = np.tile([[0.0, 1.0], [0.0, np.inf]], (k, 1))
+    return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), bounds=bounds)

@@ -44,8 +44,8 @@ def test_tracer_installs_traces_and_restores(tracing):
     try:
         parse = sys.modules["convexlab.domain"].parse_function
         S, _, _ = glue.construct_chebyshev(parse("exp:alpha=1"), 2, 16)
-        # r = 2 runs no LP; r = 1 does where a sigma is not known in closed
-        # form, as on the wide middle piece of xpow:m=2 at its N = 13
+        # no construction runs an LP, not even r = 1 with a sigma left open
+        # by the shortcut, as on the wide middle piece of xpow:m=2 at N = 13
         glue.construct_chebyshev(parse("xpow:m=2"), 1, 13)
         report = piecewise.verify_convexity(S)
     finally:
@@ -55,8 +55,9 @@ def test_tracer_installs_traces_and_restores(tracing):
     table = tracer.table()
     for span in ("glue.construct_chebyshev", "certify.verify_convexity",
                  "piecewise.piece_certificates", "piecewise.knot_slopes",
-                 "polynomial.convexity_certificate", "scipy.linprog", "domain.oracle"):
+                 "polynomial.convexity_certificate", "domain.oracle"):
         assert table[span][0] >= 1, span
+    assert table["scipy.linprog"][0] == 0
     metrics = tracing.layer_metrics(tracer, 0, 0.0)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= set(metrics)

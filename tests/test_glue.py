@@ -30,7 +30,7 @@ from convexlab.glue import (
     polygonal_baseline,
 )
 from convexlab import glue, localconvex, polynomial, smoothness
-from convexlab.localconvex import SolverStall, build_sigma
+from convexlab.localconvex import build_sigma
 from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from convexlab.smoothness import modulus
 from convexlab.piecewise import PiecewisePoly
@@ -264,12 +264,14 @@ def test_trace_counts_rows_by_source(monkeypatch):
     assert (trace.hermite_rows, trace.blend_rows, trace.lp_rows,
             trace.parabola_fallback_rows, trace.secant_rows) == (20, 6, 0, 0, 0)
 
-    def stall(c, **kwargs):
-        raise SolverStall("injected failure")
+    real = localconvex._fit_points
 
-    monkeypatch.setattr(localconvex, "linprog", stall)
-    # no sigma known in closed form, so every row's LP is solved and stalls
-    monkeypatch.setattr(localconvex, "_known_weights", lambda d, e: np.full(d.shape[0], np.nan))
+    def not_finite(*args):
+        d, e = real(*args)
+        return d, np.full_like(e, np.nan)
+
+    # fit data that is not finite gives no blend weight, so every row is P
+    monkeypatch.setattr(localconvex, "_fit_points", not_finite)
     _, trace, _ = construct_chebyshev(exp_oracle(1.0), 1, 32)
     assert (trace.lp_rows, trace.parabola_fallback_rows, trace.secant_rows) == (0, 30, 0)
 

@@ -24,7 +24,6 @@ from convexlab.domain import (
 from convexlab import localconvex
 from convexlab.glue import chebyshev_threshold, construct_chebyshev
 from convexlab.localconvex import (
-    CHUNK,
     NotConvexInput,
     SolverStall,
     build_sigma,
@@ -34,7 +33,10 @@ from convexlab.localconvex import (
 )
 from convexlab.polynomial import convexity_certificate, convexity_certificates, horner_rows
 from convexlab.smoothness import modulus
-from helpers import Poly, pieces_of
+from helpers import Poly, lp_blocks, pieces_of
+
+# pieces per LP of the reference solves below, and a unit of partition sizes
+CHUNK = 16
 
 
 def sample_max_error(f, S, npts=200):
@@ -341,7 +343,7 @@ def test_one_rejected_hermite_row_is_blended(monkeypatch):
     assert convexity_certificate(pieces_of(S)[4], interval).convex
 
 
-# -- the batched LP: chunks, rescue paths, and the call count -----------------
+# -- r = 1: the fit data, and the rows of one spline ---------------------------
 
 
 def _fit(f, a, b):
@@ -351,25 +353,13 @@ def _fit(f, a, b):
     return localconvex._fit_points(f, a, b, S, localconvex._parabola(f, a, b) - S)
 
 
-def _linprog_spy(monkeypatch, fit=None, fail=lambda pieces: False):
-    """Record each of localconvex's linprog calls as the pieces its LP
-    holds: for each block, the index of the first row of the fit data
-    (d, e) with the block's d and e, read off A_ub and b_ub (none without
-    the fit data).  A call for which fail(pieces) holds raises SolverStall
-    instead."""
+def _linprog_spy(monkeypatch):
+    """Record the number of pieces of each of localconvex's linprog calls."""
     real = localconvex.linprog
     calls = []
 
     def spy(c, **kwargs):
-        pieces = ()
-        if fit is not None:
-            d, e = fit
-            held_d, held_e = kwargs["A_ub"][:, 0::2, 0], kwargs["b_ub"].reshape(-1, 32)[:, 0::2]
-            pieces = tuple(int(np.flatnonzero((d == dk).all(1) & (e == ek).all(1))[0])
-                           for dk, ek in zip(held_d, held_e))
-        calls.append(pieces)
-        if fail(pieces):
-            raise SolverStall("injected failure")
+        calls.append(c.size // 2)
         return real(c, **kwargs)
 
     monkeypatch.setattr(localconvex, "linprog", spy)
@@ -462,59 +452,27 @@ def test_convex_pieces_name_first_nonconvex_interval():
 
 
 def _open(d, e):
-    """The indices of the pieces whose sigma the closed form leaves open."""
+    """The indices of the pieces whose sigma _known_weights leaves open."""
     return np.flatnonzero(np.isnan(localconvex._known_weights(d, e)))
-
-
-def test_failed_chunk_is_solved_one_piece_at_a_time(monkeypatch):
-    """An LP of several open pieces that linprog refuses is solved again one
-    piece at a time, before the next LP, and each piece gets the sigma of
-    its own LP."""
-    knots = chebyshev_partition(64).knots
-    d, e = _fit(even_power_oracle(1), knots[:-1], knots[1:])  # x^2: half its sigmas are open
-    todo = _open(d, e)
-    assert CHUNK < todo.size
-    want = np.array([localconvex._lp_weights(d[i:i + 1], e[i:i + 1])[0] for i in todo])
-    calls = _linprog_spy(monkeypatch, (d, e), fail=lambda pieces: len(pieces) > 1)
-    sigma = localconvex._lp_weights(d, e)
-    lps = [tuple(todo[s:s + CHUNK].tolist()) for s in range(0, todo.size, CHUNK)]
-    # each LP, then every piece of it alone, then the next LP
-    assert calls == [step for lp in lps for step in [lp, *[(i,) for i in lp]]]
-    assert not np.isnan(want).any()
-    assert sigma[todo].tobytes() == want.tobytes()
-
-
-def test_failed_single_piece_lp_falls_back_to_parabola(monkeypatch):
-    """Every open piece whose own LP fails gets the parabola; the pieces
-    whose sigma is known solve no LP and keep their rows."""
-    f = even_power_oracle(1)
-    X = chebyshev_partition(6)
-    todo = _open(*_fit(f, X.knots[:-1], X.knots[1:]))
-    assert 1 < todo.size < X.n
-    want, _ = localconvex._convex_pieces(f, X.knots, 2)
-    calls = _linprog_spy(monkeypatch, fail=lambda pieces: True)
-    S, sources, _ = convex_pieces(f, X, 1)
-    assert len(calls) == 1 + todo.size  # the LP of the open pieces, then each alone
-    assert sources == ["parabola-fallback" if i in todo else "lp" for i in range(X.n)]
-    for j, p in enumerate(pieces_of(S), start=1):
-        if j - 1 in todo:
-            assert p == _padded(_parabola(f, X.interval(j)), 3)
-        else:
-            assert S.coeffs[j - 1].tobytes() == want.coeffs[j - 1].tobytes()
 
 
 def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
     """convex_pieces returns _convex_pieces' spline and sources, bit for bit,
-    with a parabola fallback (piece 4, whose LP fails) and a secant (piece 9,
-    at rounding scale) among the LP rows, and each row's slope slacks as the
-    reference Poly arithmetic gives them."""
+    with a parabola fallback (piece 4, whose fit data holds a NaN) and a
+    secant (piece 9, at rounding scale) among the LP rows, and each row's
+    slope slacks as the reference Poly arithmetic gives them."""
     f = even_power_oracle(1)
     cheb = chebyshev_partition(CHUNK + 4).knots
     knots = np.insert(cheb, 9, np.nextafter(cheb[9], -np.inf))
     X = Partition(knots)
-    fit = _fit(f, knots[:-1], knots[1:])
-    assert 4 in _open(*fit)
-    _linprog_spy(monkeypatch, fit, fail=lambda pieces: 4 in pieces)
+    real = localconvex._fit_points
+
+    def fit_points(f, a, b, S, D):
+        d, e = real(f, a, b, S, D)
+        e[a == knots[4], 5] = np.nan
+        return d, e
+
+    monkeypatch.setattr(localconvex, "_fit_points", fit_points)
     spline, sources = localconvex._convex_pieces(f, knots, 2)
     S, got_sources, slacks = convex_pieces(f, X, 1)
     assert sources[4] == "parabola-fallback" and sources[9] == "secant"
@@ -527,48 +485,64 @@ def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
     assert slacks.tolist() == want
 
 
-def test_lp_calls_are_batched(monkeypatch):
-    # one LP per CHUNK open pieces, not one per piece
-    f = even_power_oracle(1)
-    X = chebyshev_partition(512)
-    todo = _open(*_fit(f, X.knots[:-1], X.knots[1:]))
-    assert todo.size > 8 * CHUNK
-    calls = _linprog_spy(monkeypatch)
-    _, sources, _ = convex_pieces(f, X, 1)
-    assert sources == ["lp"] * X.n
-    assert len(calls) == math.ceil(todo.size / CHUNK) <= X.n // 8
-
-
 @pytest.mark.parametrize("spec, n", [("xpow:m=1", 128), ("truncpow:r=1,eps=0.01", 1024)])
-def test_an_lp_holds_only_open_pieces(monkeypatch, spec, n):
-    """No LP holds a piece whose sigma the closed form decides, nor more
-    than CHUNK pieces; every open piece ends with the sigma of one LP that
-    solved, or with P where its own LP failed; and every other piece keeps
-    its closed-form sigma."""
+def test_open_pieces_get_the_closed_form_sigma(spec, n):
+    """Every piece's row is S + sigma (P - S), byte for byte, with the sigma
+    of _blend_weights, which is _known_weights' sigma bit for bit wherever
+    that decides it."""
     f = parse_function(spec)
     knots = chebyshev_partition(n).knots
     a, b = knots[:-1], knots[1:]
     d, e = _fit(f, a, b)
     known = localconvex._known_weights(d, e)
-    todo = _open(d, e)
-    stalled = int(todo[2])
-    calls = _linprog_spy(monkeypatch, (d, e), fail=lambda pieces: stalled in pieces)
+    sigma = localconvex._blend_weights(d, e)
+    decided = ~np.isnan(known)
+    assert decided.any() and not decided.all()
+    assert sigma[decided].tobytes() == known[decided].tobytes()
+    assert np.all((0.0 <= sigma) & (sigma <= 1.0))
     spline, sources = localconvex._convex_pieces(f, knots, 2)
-    assert all(0 < len(pieces) <= CHUNK for pieces in calls)
-    assert all(np.isnan(known[list(pieces)]).all() for pieces in calls)
-    solved = sorted(i for pieces in calls if stalled not in pieces for i in pieces)
-    assert solved == sorted(set(todo.tolist()) - {stalled})
-    assert sources == ["parabola-fallback" if i == stalled else "lp" for i in range(n)]
+    assert sources == ["lp"] * n
     S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
     P = localconvex._parabola(f, a, b)
-    assert spline.coeffs[stalled].tobytes() == P[stalled].tobytes()
-    decided = np.flatnonzero(~np.isnan(known))
-    sigma = known[decided, None]
-    want = np.where(sigma == 0.0, S[decided], S[decided] + sigma * (P[decided] - S[decided]))
-    assert spline.coeffs[decided].tobytes() == want.tobytes()
+    want = np.where(sigma[:, None] == 0.0, S, S + sigma[:, None] * (P - S))
+    assert spline.coeffs.tobytes() == want.tobytes()
 
 
-# -- sigma in closed form: the LP's answer where it is known -----------------
+def _g(sigma, d, e):
+    """g(sigma) = max_j |sigma d_j - e_j| of one piece, at every sigma given."""
+    return np.max(np.abs(np.asarray(sigma)[..., None] * d - e), axis=-1)
+
+
+@pytest.mark.parametrize("spec, n", [("xpow:m=1", 256), ("cosh:beta=0.5", 4096),
+                                     ("f0:r=1", 4096), ("truncpow:r=1,eps=0.001", 1024)])
+def test_closed_form_sigma_minimises_g(spec, n):
+    """On every piece that _known_weights leaves open, g at the closed-form
+    sigma, in units of the piece's largest |P - S|, is within 1e-12 of g's
+    least value on a 20,001-point sigma grid, and of g at the sigma of the
+    reference LP that linprog solves.  Where P = S (d = 0), sigma is 0.0,
+    bit for bit."""
+    f = parse_function(spec)
+    knots = chebyshev_partition(n).knots
+    d, e = _fit(f, knots[:-1], knots[1:])
+    sigma = localconvex._blend_weights(d, e)
+    todo = _open(d, e)
+    assert todo.size > 0
+    lp = np.empty(todo.size)
+    for s in range(0, todo.size, CHUNK):
+        i = todo[s:s + CHUNK]
+        cost, blocks = lp_blocks(d[i], e[i])
+        lp[s:s + CHUNK] = np.clip(localconvex.linprog(cost, **blocks)[0::2], 0.0, 1.0)
+    grid = np.linspace(0.0, 1.0, 20001)
+    for k, lp_sigma in zip(todo, lp):
+        got = _g(sigma[k], d[k], e[k])
+        assert got <= np.min(_g(grid, d[k], e[k])) + 1e-12, k
+        assert got <= _g(lp_sigma, d[k], e[k]) + 1e-12, k
+    flat = np.all(d == 0.0, axis=1)
+    assert flat.any() == spec.startswith("truncpow")
+    assert sigma[flat].tobytes() == np.zeros(np.count_nonzero(flat)).tobytes()
+
+
+# -- the shortcut sigma: the LP's answer where it decides -------------------
 
 
 @pytest.mark.parametrize("spec", ["exp:alpha=1", "cosh:beta=1", "xpow:m=2", "f0:r=1",
@@ -589,42 +563,50 @@ def test_known_sigma_is_the_lp_sigma_bit_for_bit(spec):
             if np.isnan(known[i]).any():
                 continue
             decided += 1
-            cost, blocks = localconvex._lp_blocks(d[i], e[i])
+            cost, blocks = lp_blocks(d[i], e[i])
             sigma = np.clip(localconvex.linprog(cost, **blocks)[0::2], 0.0, 1.0)
             assert sigma.tobytes() == known[i].tobytes(), (n, s)
     assert decided > 0
 
 
-def test_a_piece_with_a_value_not_finite_is_left_to_the_lp():
-    """A NaN or an infinity in a piece's points leaves its sigma unknown, and
-    so its chunk to the LP; the other pieces keep theirs."""
+def test_a_piece_with_a_value_not_finite_gets_no_weight():
+    """A NaN or an infinity in a piece's fit data leaves its sigma NaN, in
+    the shortcut and in the closed form alike, so its row becomes P; the
+    other pieces keep theirs."""
     knots = chebyshev_partition(CHUNK).knots
-    d, e = _fit(exp_oracle(1.0), knots[:-1], knots[1:])
-    known = localconvex._known_weights(d, e)
-    assert not np.isnan(known).any()
-    for values, value in [(e, np.nan), (d, np.nan), (e, np.inf)]:
-        saved = values[3, 5]
-        values[3, 5] = value
-        got = localconvex._known_weights(d, e)
-        values[3, 5] = saved
-        assert np.isnan(got[3])
-        assert np.array_equal(np.delete(got, 3), np.delete(known, 3))
+    d, e = _fit(even_power_oracle(1), knots[:-1], knots[1:])
+    todo = _open(d, e)
+    decided = np.setdiff1d(np.arange(CHUNK), todo)
+    assert todo.size and decided.size
+    known, sigma = localconvex._known_weights(d, e), localconvex._blend_weights(d, e)
+    assert not np.isnan(sigma).any()
+    for k in (todo[0], decided[0]):
+        for values, value in [(e, np.nan), (d, np.nan), (e, np.inf), (d, -np.inf)]:
+            saved = values[k, 5]
+            values[k, 5] = value
+            got_known, got = localconvex._known_weights(d, e), localconvex._blend_weights(d, e)
+            values[k, 5] = saved
+            assert np.isnan(got_known[k]) and np.isnan(got[k])
+            assert np.array_equal(np.delete(got_known, k), np.delete(known, k), equal_nan=True)
+            assert np.array_equal(np.delete(got, k), np.delete(sigma, k))
     flat = np.zeros((2, 16))  # P = S: sigma 0, unless f - S is not finite
     e = np.ones((2, 16))
     e[1, 7] = np.nan
-    assert localconvex._known_weights(flat, e).tolist()[0] == 0.0
-    assert np.isnan(localconvex._known_weights(flat, e)[1])
+    assert localconvex._blend_weights(flat, e).tolist()[0] == 0.0
+    assert np.isnan(localconvex._blend_weights(flat, e)[1])
 
 
-@pytest.mark.parametrize("spec, n, solved", [("exp:alpha=1", 1024, False),
-                                             ("xpow:m=2", 13, True)])
-def test_lp_runs_only_where_sigma_is_not_known(monkeypatch, spec, n, solved):
-    """exp:alpha=1 at n = 1024 knows every sigma and calls linprog 0 times;
-    xpow:m=2 at its N = 13 has a middle piece of sigma 0.589 and solves it."""
+@pytest.mark.parametrize("spec, n", [("exp:alpha=1", 1024), ("xpow:m=2", 13),
+                                     ("truncpow:r=1,eps=0.01", 1024)])
+def test_no_construction_calls_linprog(monkeypatch, spec, n):
+    """No r = 1 construction solves an LP: exp:alpha=1 at n = 1024 knows
+    every sigma from the shortcut; xpow:m=2 at its N = 13 has a middle piece
+    of sigma 0.589 and truncpow has hundreds of open pieces, all filled by
+    the closed form."""
     calls = _linprog_spy(monkeypatch)
     _, trace, _ = construct_chebyshev(parse_function(spec), 1, n)
     assert trace.lp_rows > 0
-    assert bool(calls) == solved
+    assert calls == []
 
 
 # -- the blend-weight LP: its rows against an exact 1-D minimax ---------------
@@ -687,8 +669,8 @@ def fresh_solver():
 
 
 def _blocks(f, a, b):
-    """_lp_blocks of the pieces [a[i], b[i]], from their fit data."""
-    return localconvex._lp_blocks(*_fit(f, a, b))
+    """lp_blocks of the pieces [a[i], b[i]], from their fit data."""
+    return lp_blocks(*_fit(f, a, b))
 
 
 def _scipy_solve(cost, blocks):
@@ -706,8 +688,7 @@ def _scipy_solve(cost, blocks):
                                    (exp_oracle(1.0), 2, CHUNK + 1)])  # then one piece
 def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
     """Every chunk LP of the n pieces is scipy's solution bit for bit, and
-    the pieces of order r + 2 solve LPs only for r = 1, one per CHUNK open
-    pieces."""
+    building the pieces of order r + 2 solves no LP."""
     knots = chebyshev_partition(n).knots
     for s in range(0, n, CHUNK):
         a, b = knots[:-1][s:s + CHUNK], knots[1:][s:s + CHUNK]
@@ -716,10 +697,9 @@ def test_direct_solve_equals_scipy_linprog_bit_for_bit(monkeypatch, f, r, n):
         want = _scipy_solve(cost, blocks)
         assert want.status == 0
         assert np.array_equal(got, want.x)
-    todo = _open(*_fit(f, knots[:-1], knots[1:]))
     calls = _linprog_spy(monkeypatch)
     convex_pieces(f, Partition(knots), r)
-    assert len(calls) == (math.ceil(todo.size / CHUNK) if r == 1 else 0)
+    assert calls == []
 
 
 def _model_error_blocks():
@@ -768,23 +748,23 @@ def test_kept_solver_solves_cold(fresh_solver):
 
 
 def test_no_solver_is_built_per_chunk(monkeypatch, fresh_solver):
-    """The module builds one HiGHS solver on its first solve, and a later
-    construction builds none."""
+    """The module builds one HiGHS solver on its first solve, and later
+    solves build none."""
     built = []
-    real = localconvex._highs._Highs
+    core = localconvex._load_highs()
+    real = core._Highs
 
     class Counted(real):
         def __init__(self):
             super().__init__()
             built.append(self)
 
-    monkeypatch.setattr(localconvex._highs, "_Highs", Counted)
-    calls = _linprog_spy(monkeypatch)
-    f, X = even_power_oracle(1), chebyshev_partition(8 * CHUNK)
-    convex_pieces(f, X, 1)
-    assert len(calls) > 1 and len(built) == 1
-    convex_pieces(f, X, 1)
-    assert len(built) == 1  # none on the second call
+    monkeypatch.setattr(core, "_Highs", Counted)
+    knots = chebyshev_partition(8 * CHUNK).knots
+    for s in range(0, 8 * CHUNK, CHUNK):
+        cost, blocks = _blocks(even_power_oracle(1), knots[s:s + CHUNK], knots[s + 1:s + CHUNK + 1])
+        localconvex.linprog(cost, **blocks)
+        assert len(built) == 1
 
 
 def test_exact_zero_entry_solves_to_the_nonzero_model():
@@ -805,7 +785,8 @@ def test_exact_zero_entry_solves_to_the_nonzero_model():
 def test_infeasible_solution_is_a_stall(monkeypatch, fresh_solver, corrupt):
     """An 'optimal' solution off its bounds or its rows by more than the
     feasibility tolerance ends in SolverStall, as linprog's check does."""
-    real = localconvex._highs._Highs
+    core = localconvex._load_highs()
+    real = core._Highs
 
     class Corrupted(real):
         def getSolution(self):
@@ -816,28 +797,21 @@ def test_infeasible_solution_is_a_stall(monkeypatch, fresh_solver, corrupt):
                 sol.row_value = [v + 1e-3 for v in sol.row_value]
             return sol
 
-    monkeypatch.setattr(localconvex._highs, "_Highs", Corrupted)
+    monkeypatch.setattr(core, "_Highs", Corrupted)
     knots = chebyshev_partition(CHUNK).knots
     cost, blocks = _blocks(exp_oracle(1.0), knots[:-1], knots[1:])
     with pytest.raises(SolverStall, match="violates the constraints"):
         localconvex.linprog(cost, **blocks)
 
 
-def test_missing_highs_bindings_name_the_scipy_version():
-    code = ("import sys, scipy.optimize._highspy as h; del h._core; "
-            "sys.modules['scipy.optimize._highspy._core'] = None; "
-            "import convexlab.localconvex")
-    src = os.path.dirname(os.path.dirname(localconvex.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode != 0
-    assert out.stderr.strip().splitlines()[-1] == (
-        "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
-
-
-# -- loading HiGHS without scipy.optimize --------------------------------------
+# -- loading HiGHS without scipy.optimize, on the first linprog call ------------
 
 _SRC = os.path.dirname(os.path.dirname(localconvex.__file__))
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+_ONE_LP = ("import numpy as np\n"
+           "from convexlab.localconvex import linprog\n"
+           "linprog(np.zeros(2), A_ub=np.zeros((1, 1, 2)), b_ub=np.zeros(1), "
+           "bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))\n")
 
 
 def _python(code, path=_SRC):
@@ -845,42 +819,48 @@ def _python(code, path=_SRC):
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
+def test_missing_highs_bindings_name_the_scipy_version():
+    code = ("import sys, scipy.optimize._highspy as h; del h._core; "
+            "sys.modules['scipy.optimize._highspy._core'] = None; "
+            "import convexlab.localconvex\n" + _ONE_LP)
+    out = _python(code)
+    assert out.returncode != 0
+    assert out.stderr.strip().splitlines()[-1] == (
+        "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
+
+
 def test_import_loads_no_scipy_module_but_highs():
-    """convexlab loads scipy's HiGHS extension alone: a dotted import would run
-    scipy.optimize's __init__ and with it scipy.linalg, sparse, special and
-    fft, most of the CLI's start-up.  Names only, no timing."""
+    """Importing the CLI loads no scipy module at all, not even HiGHS's
+    extension, which waits for the first linprog call.  Names only, no
+    timing."""
     out = _python("import sys, convexlab.cli; "
                   "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert out.returncode == 0, out.stderr
-    loaded = set(out.stdout.split())
-    assert localconvex._HIGHS in loaded
-    assert all(m == localconvex._HIGHS or m.startswith(localconvex._HIGHS + ".") for m in loaded)
-    assert not loaded & {"scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
+    assert out.stdout.split() == []
 
 
 @pytest.mark.parametrize("scipy_first", [True, False])
 def test_highs_module_is_shared_in_either_import_order(scipy_first):
-    """Imported before or after scipy.optimize, convexlab and scipy.optimize
-    use one HiGHS module, and a chunk LP gets the same x, bit for bit, from
-    both linprogs."""
+    """Whether scipy.optimize is imported before or after convexlab's first
+    linprog call, which loads HiGHS, both use one HiGHS module, and a chunk
+    LP gets the same x, bit for bit, from both linprogs."""
     code = f"""
 import sys
 if {scipy_first}:
     import scipy.optimize
 import numpy as np
 from convexlab import localconvex
-from convexlab.glue import chebyshev_threshold, construct_chebyshev
 from convexlab.domain import chebyshev_partition, exp_oracle
-import scipy.optimize
-from scipy.sparse import block_diag
-assert localconvex._highs is sys.modules["scipy.optimize._highspy._core"]
+from helpers import lp_blocks
 knots = chebyshev_partition({CHUNK}).knots
 f = exp_oracle(1.0)
 a, b = knots[:-1], knots[1:]
 S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
-cost, blocks = localconvex._lp_blocks(*localconvex._fit_points(
-    f, a, b, S, localconvex._parabola(f, a, b) - S))
+cost, blocks = lp_blocks(*localconvex._fit_points(f, a, b, S, localconvex._parabola(f, a, b) - S))
 got = localconvex.linprog(cost, **blocks)
+import scipy.optimize
+from scipy.sparse import block_diag
+assert localconvex._load_highs() is sys.modules["scipy.optimize._highspy._core"]
 want = scipy.optimize.linprog(
     cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"], bounds=blocks["bounds"],
     method="highs", options={{"presolve": True, "primal_feasibility_tolerance": 1e-10,
@@ -888,16 +868,22 @@ want = scipy.optimize.linprog(
 assert want.status == 0, want.message
 assert np.array_equal(got, want.x)
 """
-    out = _python(code)
+    out = _python(code, path=os.pathsep.join([_SRC, _TESTS]))
     assert out.returncode == 0, out.stderr
 
 
 def test_scipy_without_the_highs_extension_is_refused(tmp_path):
-    """A scipy package with no optimize/_highspy/_core extension first on the
-    path ends the import of convexlab with the scipy floor."""
+    """With a scipy package that has no optimize/_highspy/_core extension
+    first on the path, convexlab imports and builds an r = 1 spline, and its
+    first linprog call ends with the scipy floor."""
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text("")
-    out = _python("import convexlab", path=os.pathsep.join([str(tmp_path), _SRC]))
+    code = ("from convexlab.domain import parse_function\n"
+            "from convexlab.glue import construct_chebyshev\n"
+            "print(construct_chebyshev(parse_function('xpow:m=2'), 1, 13)[0].convex_certified)\n"
+            + _ONE_LP)
+    out = _python(code, path=os.pathsep.join([str(tmp_path), _SRC]))
+    assert out.stdout.split() == ["True"]
     assert out.returncode != 0
     assert out.stderr.strip().splitlines()[-1] == (
         "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
