@@ -2,7 +2,12 @@
 
 All file outputs are UTF-8 with '.' decimals and fixed key order, so a
 repeated run with the same flags produces byte-identical artifacts (timing
-collection is opt-in for exactly that reason).
+collection is opt-in for exactly that reason).  Every JSON file is laid out as
+``json.dumps(obj, indent=2)`` plus a newline; the spline file of
+``approximate`` is written in that layout straight from the spline's arrays
+(:meth:`PiecewisePoly.to_json_text`).  An ``--out`` path whose parent is not
+an existing directory, or which is itself a directory, is refused before any
+work is done.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,9 +49,25 @@ DENSITY_HELP = ("modulus lattice density for denominators (>= 64); for bound "
                 "2.13 also the lattice steps per knot interval")
 
 
-def _write_json(path: str, obj) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(text + "\n")
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2))
+
+
+def _check_out(path) -> None:
+    """Refuse an --out path that cannot be a file in an existing directory,
+    before any work is done or printed."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: {parent} is not an existing directory")
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
 
 
 def _parse_n_range(text: str):
@@ -91,13 +113,6 @@ def _parse_interval(text: str):
     return a, b
 
 
-def _spline_json(S, trace, meta) -> dict:
-    doc = S.to_json_dict()
-    doc["trace"] = trace.to_json_dict()
-    doc["meta"] = meta
-    return doc
-
-
 def cmd_approximate(args) -> int:
     if args.n is not None and args.partition:
         raise ValueError("give --n or --partition, not both")
@@ -133,7 +148,7 @@ def cmd_approximate(args) -> int:
     print(f"convex_certified = {S.convex_certified}; "
           f"pieces = {S.n}; order = {S.order}; reproduction = {meta['reproduction']}")
     if args.out:
-        _write_json(args.out, _spline_json(S, trace, meta))
+        _write_text(args.out, S.to_json_text({"trace": trace.to_json_dict(), "meta": meta}))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -330,6 +345,7 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_merge_dash_values(parser, list(argv)))
+        _check_out(args.out)
         return args.fn(args)
     except (ValueError, OSError, NotConvexOutput, ConstructionError,
             NoConvexityThreshold) as exc:

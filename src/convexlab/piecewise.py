@@ -6,6 +6,7 @@ from the arrays.  A report or trace record is written by
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -148,6 +149,21 @@ class PiecewisePoly:
                        zip(self.centers.tolist(), self.halfwidths.tolist(), self.coeffs.tolist())],
             "convex_certified": bool(self.convex_certified),
         }
+
+    def to_json_text(self, extra: dict) -> str:
+        """``json.dumps({**self.to_json_dict(), **extra}, indent=2)``, byte
+        for byte, for an ``extra`` whose keys are not ``knots``, ``order`` or
+        ``pieces``.  The arrays are written through one fixed template, as
+        json's indented encoder is pure Python; every value in them is a
+        finite float (``__post_init__``), whose JSON text is its repr."""
+        knots = ",\n    ".join(map(float.__repr__, self.knots.tolist()))
+        piece = ('    {\n      "center": %r,\n      "halfwidth": %r,\n      "coeffs": [\n        '
+                 + ",\n        ".join(["%r"] * self.order) + "\n      ]\n    }")
+        rows = np.column_stack((self.centers, self.halfwidths, self.coeffs)).tolist()
+        pieces = ",\n".join([piece % tuple(row) for row in rows])
+        tail = json.dumps({"convex_certified": bool(self.convex_certified), **extra}, indent=2)
+        return (f'{{\n  "knots": [\n    {knots}\n  ],\n  "order": {self.order},\n'
+                f'  "pieces": [\n{pieces}\n  ],{tail[1:]}')
 
     @staticmethod
     def from_json_dict(d: dict) -> "PiecewisePoly":

@@ -711,3 +711,75 @@ def test_cli_outputs_byte_identical(tmp_path):
                     "--x-last", "0.5", "--out", str(wit)]) == 0
         paths.append((spline.read_bytes(), csvp.read_bytes(), wit.read_bytes()))
     assert paths[0] == paths[1]
+
+
+def _partition_file(tmp_path):
+    knots = tmp_path / "knots.txt"
+    knots.write_text("\n".join(str(v) for v in [-1.0, -0.99, -0.5, 0.0, 0.5, 0.99, 1.0]) + "\n")
+    return str(knots)
+
+
+LAYOUT_ARTIFACTS = {
+    "approximate r=1": ["approximate", "--function", "exp:alpha=1", "--r", "1", "--n", "32"],
+    "approximate r=2 n=4096": ["approximate", "--function", "exp:alpha=1", "--r", "2",
+                               "--n", "4096"],
+    "approximate affine": ["approximate", "--function", "poly:coeffs=2,-3", "--r", "2",
+                           "--n", "16"],
+    "approximate partition": ["approximate", "--function", "exp:alpha=1", "--r", "1",
+                              "--partition", _partition_file],
+    "certify": ["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "32",
+                "--grid-size", "65", "--density", "256", "--spline", "spline"],
+    "counterexample": ["counterexample", "--r", "2", "--m", "4", "--x-last", "0.5"],
+    "modulus": ["modulus", "--function", "truncpow:r=1,eps=0.3", "--k", "3", "--t", "0.01"],
+}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_ARTIFACTS))
+def test_json_artifacts_are_json_dumps_indent_2(name, tmp_path):
+    """Every JSON file the CLI writes is json.dumps(obj, indent=2) plus a
+    newline, byte for byte: floats round-trip through their repr, so
+    re-encoding the loaded object pins the layout with no golden file."""
+    spline = tmp_path / "spline.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "1", "--n", "32",
+                "--out", str(spline)]) == 0
+    argv = [arg(tmp_path) if callable(arg) else str(spline) if arg == "spline" else arg
+            for arg in LAYOUT_ARTIFACTS[name]]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+BAD_OUT_ARGV = {
+    "approximate": ["approximate", "--function", "exp:alpha=1", "--r", "2", "--n", "64"],
+    "certify": ["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "32",
+                "--grid-size", "65", "--density", "256"],
+    "sweep": ["sweep", "--function", "exp:alpha=1", "--r", "2", "--n", "32"],
+    "counterexample": ["counterexample", "--r", "1", "--m", "3", "--x-last", "0.9"],
+    "modulus": ["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0.5"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing parent", "parent is a file", "a directory"])
+@pytest.mark.parametrize("command", list(BAD_OUT_ARGV))
+def test_bad_out_is_refused_before_any_work(command, bad, tmp_path, capsys, monkeypatch):
+    """An --out that cannot be written ends in one error line, exit 1,
+    before the subcommand runs: nothing is printed or written."""
+    spline = tmp_path / "s.json"
+    assert run(["approximate", "--function", "exp:alpha=1", "--r", "1", "--n", "32",
+                "--out", str(spline)]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    out = {"missing parent": work / "missing" / "x.json",
+           "parent is a file": spline / "x.json",
+           "a directory": work}[bad]
+    extra = ["--spline", str(spline)] if command == "certify" else []
+    capsys.readouterr()
+    for name in BAD_OUT_ARGV:  # a subcommand that ran would raise out of main
+        monkeypatch.setattr(f"convexlab.cli.cmd_{name}", None)
+    assert run(BAD_OUT_ARGV[command] + extra + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: --out {out}")
+    assert list(work.iterdir()) == []

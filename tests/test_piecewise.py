@@ -8,10 +8,12 @@ evaluate like its short pieces.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from convexlab.domain import chebyshev_partition, exp_oracle, f0_oracle, poly_oracle
 from convexlab.glue import construct_chebyshev, polygonal_baseline
@@ -165,6 +167,53 @@ def test_to_json_dict_builds_no_poly(spline):
     want = [p.to_json_dict() for p in pieces_of(spline)]
     doc = spline.to_json_dict()
     assert doc["pieces"] == want and doc["knots"] == spline.knots.tolist()
+
+
+# values whose JSON text a hand-rolled writer could get wrong: a signed zero,
+# the least subnormal, integral floats, and magnitudes where repr switches to
+# exponent form, up to sizes that still pass __post_init__
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 1e-5, 2.0, -3.0, 1e300,
+                  -1e300, 1.2345678901234567e-300, 0.1, 123456789.0]
+
+
+def _floats(lo, hi):
+    return st.sampled_from(SPECIAL_FLOATS) | st.floats(lo, hi)
+
+
+@st.composite
+def _spline_and_extra(draw):
+    order, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    knots = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=n + 1, max_size=n + 1,
+                                 unique=True)))
+    coeffs = draw(st.lists(_floats(-1e300, 1e300), min_size=n * order, max_size=n * order))
+    centers = draw(st.lists(_floats(-1e300, 1e300), min_size=n, max_size=n))
+    halfwidths = draw(st.lists(st.sampled_from([5e-3, 0.5, 2.0, 1e-3 / 3]) | st.floats(1e-3, 1e3),
+                               min_size=n, max_size=n))
+    try:
+        S = PiecewisePoly(knots, np.reshape(coeffs, (n, order)), centers, halfwidths,
+                          convex_certified=draw(st.booleans()))
+    except ValueError:  # a row whose p, p' or p'' sums overflow
+        assume(False)
+    label = 'say "hi" \\ to ü, π and \U0001d4b3 ' + draw(st.text(max_size=8))
+    extra = {"trace": {"case": label, "lambda": draw(_floats(-1e300, 1e300)),
+                       "rows": draw(st.lists(st.integers(-5, 5), max_size=3)), "none": None},
+             "meta": {"function": label, "r": order, "n": n, "reproduction": False}}
+    return S, extra
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_spline_and_extra())
+def test_json_text_is_json_dumps_indent_2_byte_for_byte(drawn):
+    """The spline file's writer gives exactly json's indented text, on
+    values chosen to trip a hand-rolled float or string encoder, and the
+    text loads back to the same arrays bit for bit."""
+    S, extra = drawn
+    text = S.to_json_text(extra)
+    assert text == json.dumps({**S.to_json_dict(), **extra}, indent=2)
+    T = PiecewisePoly.from_json_dict(json.loads(text))
+    for name in ("knots", "coeffs", "centers", "halfwidths"):
+        assert getattr(T, name).tobytes() == getattr(S, name).tobytes()
+    assert T.convex_certified == S.convex_certified
 
 
 OLDER_JSON = {
