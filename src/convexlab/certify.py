@@ -13,11 +13,23 @@ weight).  Bound 2.13 reads the term of every knot interval that holds a kept
 point, and the two end terms, from ``modulus_lower_bounds``: one lattice of
 ``density`` steps per interval, evaluated in blocks of intervals, so each
 grid point's bound is a gather.
+
+A report and a sweep share one setup per bound: the grid, the errors, the
+noise-floor mask, the weights and the steps each point reads.  A sweep writes
+only the sup ratios, and computes only what can move them, giving the same
+float as the report's ``sup_ratio``.  Each profile row and each 2.13 term
+starts as a lower bound from a few of its own lattice's values
+(``profile_probe``, ``lattice_probe``); exact rows are built in ascending
+step order and exact terms for the intervals whose points have the largest
+ratio bounds, until no point that still lacks one can beat the best exact
+ratio.  Float *, +, min, max and / are monotone, so a bound built from lower
+bounds caps the ratio it stands in for.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import time
@@ -35,7 +47,8 @@ from convexlab.glue import (
 )
 from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
                                  verify_convexity)
-from convexlab.smoothness import ModulusProfile, _check_grid, modulus_lower_bounds
+from convexlab.smoothness import (ModulusProfile, _check_grid, block_rows, lattice_probe,
+                                  modulus_lower_bounds, profile_probe)
 
 __all__ = [
     "BOUND_IDS",
@@ -59,6 +72,9 @@ DEFAULT_GRID_SIZE = 257
 DENOM_FLOOR = 1e-300
 ATOL_REL = 1e-10      # bound-zero exclusion threshold, relative to the value scale
 NOISE_REL = 1e-13     # below this the error is float noise and cannot be ratioed
+# knot intervals whose exact 2.13 terms a sweep builds per round, once the
+# lattice probes leave them able to move the sup
+TERM_BATCH = 8
 
 
 class MismatchedInputs(ValueError):
@@ -106,47 +122,45 @@ def _steps_read(steps: np.ndarray, read: np.ndarray) -> np.ndarray:
     return steps[steps <= np.max(steps[read], initial=-np.inf)]
 
 
-def _assemble_report(bound_id, xs, errs, scale, bounds_at) -> BoundReport:
-    """Exclude the points whose error is float noise, ask ``bounds_at(read)``
-    for the bounds at the others, ``read`` being their mask, and exclude
-    those whose bound is below DENOM_FLOOR and error below ATOL_REL; ratio
-    the rest.  A NaN error or bound is kept, and its NaN ratio is the sup."""
-    excluded = errs <= NOISE_REL * scale
-    read = ~excluded
-    bounds = np.zeros(xs.size)
-    bounds[read] = bounds_at(read)
-    excluded[read] = (bounds[read] <= DENOM_FLOOR) & (errs[read] <= ATOL_REL * scale)
-    kept = ~excluded
-    with np.errstate(all="ignore"):  # inf / inf is nan and overflow inf, as in floats
-        ratios = errs[kept] / np.maximum(bounds[kept], DENOM_FLOOR)
-    return BoundReport(bound_id, np.column_stack([xs[kept], errs[kept], bounds[kept], ratios]),
-                       float(np.max(ratios, initial=0.0)),
-                       np.column_stack([xs[excluded], errs[excluded]]))
+@dataclass(frozen=True)
+class _Setup:
+    """One bound's grid and the parts of its bound, shared by the full report
+    and the sweep's sup ratio.  At read point i the bound is weight[i] times
+    the min over ``moduli`` (k, interval, step of every grid point) of the
+    running max of the profile rows at steps <= the point's step; for 2.13
+    (no moduli) it is term[idx[i]] + term[0] + term[-1], the knot-interval
+    terms of ``_interval_terms``."""
+    xs: np.ndarray
+    errs: np.ndarray
+    scale: float
+    read: np.ndarray          # the points whose error is above the noise floor
+    fr: object
+    r: int
+    kinks: tuple
+    density: int
+    knots: np.ndarray
+    weight: np.ndarray | None = None  # at the read points
+    moduli: tuple = ()
+    idx: np.ndarray | None = None     # 2.13: the knot interval of each read point
+
+    def profile(self, k, interval, steps) -> ModulusProfile:
+        return ModulusProfile(self.fr, k, interval, steps, grid=self.density, focus=self.kinks)
 
 
-def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
-                           bound_id: str, grid_size: int = DEFAULT_GRID_SIZE,
-                           density: int = CERTIFICATION_DENSITY) -> BoundReport:
-    """Evaluate one pointwise estimate as |f-S| / bound over its own region.
-
-    Interior bounds use the full interval, the endpoint variants are
-    restricted to the strips of width n^-2, and the per-interval forms to the
-    first/last/interior intervals respectively.  Exact endpoints, where both
-    sides vanish by interpolation, are excluded up front.  The error is
-    evaluated first; the modulus layer is asked only for what the points
-    above the noise floor read, so a noise point's bound is never computed.
-    """
+def _setup(f, S, r, n, bound_id, grid_size, density) -> _Setup:
+    """Validate the inputs, lay out the bound's grid, evaluate |f - S| there
+    and mark the points above the noise floor, whose bounds are read."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    density = _check_grid(density)
     _check_chebyshev_domain(f)
     expected = chebyshev_partition(n)
     if S.knots.size != expected.knots.size or \
             not np.allclose(S.knots, expected.knots, atol=1e-12, rtol=0):
         raise MismatchedInputs(f"spline knots are not the n={n} Chebyshev partition")
 
-    fr = f.deriv_fn(r)
     kinks = tuple(f.nonsmooth)
     knots = S.knots
     x1 = float(knots[1])
@@ -165,8 +179,6 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
             return xs
         return np.sort(np.concatenate([xs] + extra))
 
-    # each branch fixes the grid xs and bounds_at(read), the bound at the
-    # points xs[read] from profiles over the steps those points read
     if bound_id in _PROFILE_BOUNDS:
         k, step, weight = _PROFILE_BOUNDS[bound_id]
         if bound_id == "2.3":
@@ -174,43 +186,183 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
         else:
             xs = _strip_grid(n, grid_size)
         ts = step(xs, n)
-
-        def bounds_at(read):
-            prof = ModulusProfile(fr, k, (-1.0, 1.0), _steps_read(ts, read),
-                                  grid=density, focus=kinks)
-            return weight(xs[read], ts[read], r) * prof.value(ts[read])
+        moduli = ((k, (-1.0, 1.0), ts),)
+        weights = weight(xs, ts, r)
     elif bound_id in ("2.11", "2.12"):
         lo, hi = (-1.0, x1) if bound_id == "2.11" else (xn1, 1.0)
-        h = hi - lo
         xs = densify(_open_chebyshev(lo, hi, grid_size), lo, hi)
         d = xs - lo if bound_id == "2.11" else hi - xs
-        t2 = np.sqrt(d * h)
-
-        def bounds_at(read):
-            om1 = ModulusProfile(fr, 1, (lo, hi), _steps_read(d, read),
-                                 grid=density, focus=kinks)
-            om2 = ModulusProfile(fr, 2, (lo, hi), _steps_read(t2, read),
-                                 grid=density, focus=kinks)
-            return d[read] ** r * np.minimum(om1.value(d[read]), om2.value(t2[read]))
+        moduli = ((1, (lo, hi), d), (2, (lo, hi), np.sqrt(d * (hi - lo))))
+        weights = d ** r
     else:  # 2.13: interior intervals with the three-term right side
         xs = densify(_open_chebyshev(x1, xn1, grid_size), x1, xn1)
-
-        def bounds_at(read):
-            # h_j^r omega_2(f^(r), h_j; I_j) for the knot intervals holding a
-            # read point and the two end intervals, whose terms every bound
-            # adds, from one lattice per interval
-            idx = np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2)
-            need = np.unique(np.append(idx, (0, n - 1))) if idx.size else idx
-            h = np.diff(knots)[need]
-            term = np.zeros(n)
-            term[need] = np.array([w ** r for w in h.tolist()]) * modulus_lower_bounds(
-                fr, 2, h, np.column_stack([knots[:-1], knots[1:]])[need], grid=density)
-            return term[idx] + term[0] + term[-1]
+        moduli = ()
 
     fx = np.asarray(f(xs), dtype=float)
     errs = np.abs(fx - S(xs))
     scale = 1.0 + float(np.max(np.abs(fx)))
-    return _assemble_report(bound_id, xs, errs, scale, bounds_at)
+    read = ~(errs <= NOISE_REL * scale)
+    common = dict(xs=xs, errs=errs, scale=scale, read=read, fr=f.deriv_fn(r), r=r,
+                  kinks=kinks, density=density, knots=knots)
+    if moduli:
+        return _Setup(**common, weight=weights[read], moduli=moduli)
+    idx = np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2)
+    return _Setup(**common, idx=idx)
+
+
+def _interval_terms(s: _Setup, j: np.ndarray, bounds) -> np.ndarray:
+    """h_j^r omega_2(f^(r), h_j; I_j) of the knot intervals j, omega_2 from
+    one lattice of ``density`` steps per interval when ``bounds`` is
+    ``modulus_lower_bounds``, and a lower bound of that term from three
+    lattice points when it is ``lattice_probe``."""
+    h = np.diff(s.knots)[j]
+    return np.array([w ** s.r for w in h.tolist()]) * bounds(
+        s.fr, 2, h, np.column_stack([s.knots[:-1], s.knots[1:]])[j], grid=s.density)
+
+
+def _bounds(s: _Setup) -> np.ndarray:
+    """The bound at every read point: full profiles over the steps up to the
+    largest read one, or the term of every knot interval holding a read point
+    and of the two end intervals, which every 2.13 bound adds."""
+    if s.moduli:
+        return s.weight * functools.reduce(np.minimum, [
+            s.profile(k, interval, _steps_read(steps, s.read)).value(steps[s.read])
+            for k, interval, steps in s.moduli])
+    n = s.knots.size - 1
+    need = np.unique(np.append(s.idx, (0, n - 1))) if s.idx.size else s.idx
+    term = np.zeros(n)
+    term[need] = _interval_terms(s, need, modulus_lower_bounds)
+    return term[s.idx] + term[0] + term[-1]
+
+
+def _ratios(e, bounds, atol):
+    """e / max(bounds, DENOM_FLOOR) at read points, and which of them are
+    excluded as satisfied-degenerate: bound below DENOM_FLOOR and error below
+    atol."""
+    with np.errstate(all="ignore"):  # inf / inf is nan and overflow inf, as in floats
+        return e / np.maximum(bounds, DENOM_FLOOR), (bounds <= DENOM_FLOOR) & (e <= atol)
+
+
+def _assemble_report(bound_id: str, s: _Setup) -> BoundReport:
+    """Exclude the points whose error is float noise, and those whose bound
+    is below DENOM_FLOOR and error below ATOL_REL; ratio the rest.  A NaN
+    error or bound is kept, and its NaN ratio is the sup."""
+    bounds = np.zeros(s.xs.size)
+    bounds[s.read] = _bounds(s)
+    ratios, degenerate = _ratios(s.errs[s.read], bounds[s.read], ATOL_REL * s.scale)
+    excluded = ~s.read
+    excluded[s.read] = degenerate
+    kept = ~excluded
+    ratios = ratios[~degenerate]
+    return BoundReport(bound_id,
+                       np.column_stack([s.xs[kept], s.errs[kept], bounds[kept], ratios]),
+                       float(np.max(ratios, initial=0.0)),
+                       np.column_stack([s.xs[excluded], s.errs[excluded]]))
+
+
+def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
+                           bound_id: str, grid_size: int = DEFAULT_GRID_SIZE,
+                           density: int = CERTIFICATION_DENSITY) -> BoundReport:
+    """Evaluate one pointwise estimate as |f-S| / bound over its own region.
+
+    Interior bounds use the full interval, the endpoint variants are
+    restricted to the strips of width n^-2, and the per-interval forms to the
+    first/last/interior intervals respectively.  Exact endpoints, where both
+    sides vanish by interpolation, are excluded up front.  The error is
+    evaluated first; the modulus layer is asked only for what the points
+    above the noise floor read, so a noise point's bound is never computed.
+    """
+    return _assemble_report(bound_id, _setup(f, S, r, n, bound_id, grid_size, density))
+
+
+def _settle(e, bounds, exact, atol):
+    """The sup of the exact points' ratios, the ratios, and the points not
+    yet exact whose ratio could exceed that sup.  ``bounds`` is exact where
+    ``exact`` holds and a lower bound elsewhere, so the ratio there bounds the
+    point's own from above: float *, +, min, max and / are monotone.  A point
+    excluded under a zero bound never raises the sup."""
+    ratios, degenerate = _ratios(e, bounds, atol)
+    best = float(np.max(ratios[exact & ~degenerate], initial=0.0))
+    return best, ratios, ~exact & ~(ratios <= best)  # a nan sup leaves every point open
+
+
+@dataclass
+class _Plan:
+    """One profile of a sweep's bound: its steps, the index past the last step
+    <= each read point's step, and its rows, exact below ``built``."""
+    k: int
+    interval: tuple
+    us: np.ndarray
+    at: np.ndarray
+    rows: np.ndarray
+    built: int = 0
+
+
+def _profile_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
+    """Bounds 2.3 to 2.12: every profile row starts as its ``profile_probe``
+    lower bound, and exact rows replace them in ascending step order.  Each
+    round builds, per profile, at least one block and up to the smallest step
+    that a point which can still beat the best exact ratio waits on.  A point
+    is exact once every row at a step <= its own is built; before that the
+    running max over exact and probed rows bounds its value from below."""
+    per_block = block_rows(s.density, len(s.kinks))
+    plans = []
+    for k, interval, steps in s.moduli:
+        us = np.unique(np.minimum(_steps_read(steps, s.read), (interval[1] - interval[0]) / k))
+        us = us[us > 0]
+        t = steps[s.read]
+        at = np.where(np.isnan(t), 0, np.searchsorted(us, t, side="right"))  # as value(t)
+        plans.append(_Plan(k, interval, us, at, profile_probe(s.fr, k, interval, us, s.density)))
+    while True:
+        lows = [np.maximum.accumulate(np.append(0.0, p.rows))[p.at] for p in plans]
+        bounds = s.weight * functools.reduce(np.minimum, lows)
+        exact = np.all([p.at <= p.built for p in plans], axis=0)
+        best, _, pending = _settle(e, bounds, exact, atol)
+        if not pending.any():
+            return best
+        for p in plans:
+            waits = pending & (p.at > p.built)
+            if waits.any():
+                stop = min(max(int(p.at[waits].min()), p.built + per_block), p.us.size)
+                p.rows[p.built:stop] = s.profile(p.k, p.interval, p.us[p.built:stop]).rows
+                p.built = stop
+
+
+def _terms_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
+    """Bound 2.13: the end terms exactly, every other held interval's term
+    from below by ``lattice_probe``, then exact terms, TERM_BATCH intervals
+    at a time in decreasing order of their points' ratio bounds, until none
+    can beat the best exact ratio."""
+    n = s.knots.size - 1
+    term = np.zeros(n)
+    known = np.zeros(n, bool)
+    ends = np.unique([0, n - 1])
+    term[ends] = _interval_terms(s, ends, modulus_lower_bounds)
+    known[ends] = True
+    held = np.unique(s.idx[~known[s.idx]])
+    term[held] = _interval_terms(s, held, lattice_probe)
+    while True:
+        best, ratios, pending = _settle(e, term[s.idx] + term[0] + term[-1], known[s.idx], atol)
+        if not pending.any():
+            return best
+        order = s.idx[pending][np.argsort(-ratios[pending], kind="stable")]
+        _, first = np.unique(order, return_index=True)
+        batch = order[np.sort(first)][:TERM_BATCH]
+        term[batch] = _interval_terms(s, batch, modulus_lower_bounds)
+        known[batch] = True
+
+
+def _sup_ratio(f, S, r, n, bound_id, grid_size, density) -> float:
+    """``pointwise_bound_report(...).sup_ratio`` bit for bit, from only the
+    modulus rows and interval terms that can move it.  A non-finite error
+    takes the full report."""
+    s = _setup(f, S, r, n, bound_id, grid_size, density)
+    e = s.errs[s.read]
+    if not np.all(np.isfinite(e)):
+        return _assemble_report(bound_id, s).sup_ratio
+    if e.size == 0:
+        return 0.0
+    return (_profile_sup if s.moduli else _terms_sup)(s, e, ATOL_REL * s.scale)
 
 
 @dataclass(frozen=True)
@@ -240,7 +392,9 @@ class SweepTable:
 
 def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
           density: int = CERTIFICATION_DENSITY, timing: bool = False) -> SweepTable:
-    """One row per n: construction plus all six sup-ratios.
+    """One row per n: construction plus all six sup-ratios, each the float
+    ``pointwise_bound_report(...).sup_ratio`` gives, from only the modulus
+    rows and interval terms that can move it.
 
     Rows with n below the threshold are flagged, not computed.  Timing is off
     by default so repeated runs emit byte-identical CSV.  The threshold and
@@ -260,8 +414,7 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
             continue
         t0 = time.perf_counter()
         S, trace, _ = _construct_chebyshev(prep, f, r, n)
-        ratios = {b: pointwise_bound_report(f, S, r, n, b, grid_size, density).sup_ratio
-                  for b in BOUND_IDS}
+        ratios = {b: _sup_ratio(f, S, r, n, b, grid_size, density) for b in BOUND_IDS}
         wall = int(round(1e3 * (time.perf_counter() - t0))) if timing else 0
         rows.append({"n": n, "computed": True, "sup_ratio": ratios, "wall_ms": wall})
     return SweepTable(f.label(), r, n_threshold, rows)

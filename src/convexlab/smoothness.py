@@ -17,6 +17,10 @@ the lattice spacing) are index shifts of those values;
 ``modulus_lower_bound`` is its one-interval call.  Every reported
 value is therefore a certified lower bound on the true supremum, and ratios
 that divide by one of these values over-estimate conservatively.
+``profile_probe`` and ``lattice_probe`` bound a profile row and a
+``modulus_lower_bounds`` value from below by a few of the values they
+maximize over, computed in the same arithmetic, so a caller can tell which
+rows and lattices are worth building.
 """
 
 from __future__ import annotations
@@ -29,11 +33,14 @@ import numpy as np
 __all__ = [
     "InvalidOrder",
     "ModulusResult",
+    "block_rows",
     "ModulusProfile",
     "finite_difference",
     "modulus",
     "modulus_lower_bound",
     "modulus_lower_bounds",
+    "lattice_probe",
+    "profile_probe",
     "one_sided_modulus",
 ]
 
@@ -45,6 +52,10 @@ FOCUS_POINTS = 65
 # 2**17 against 1.1 s with one block per step; larger blocks leave the cache
 # and raise peak memory (+9% at 2**17)
 BLOCK_POINTS = 2 ** 14
+# centers per row of profile_probe: with 4, 8, 16, 32 or 64 the sweeps of
+# eight families (exp, cosh, xpow, f0, truncpow; n = 64 and 256) built the
+# same 4,036 rows, as the rows peak at or next to an end of their centers
+PROBE_CENTERS = 16
 # steps per interval of modulus_lower_bounds: column j = 1..LATTICE_COLUMNS
 # asks for (j/LATTICE_COLUMNS) of the admissible step
 LATTICE_COLUMNS = 16
@@ -108,6 +119,12 @@ def _centers(lo, hi, num):
     return xs
 
 
+def block_rows(grid: int, windows: int = 0) -> int:
+    """Rows of ``grid`` centers and ``windows`` focus windows that one block
+    of ``_row_maxima`` (at most BLOCK_POINTS centers) evaluates."""
+    return max(1, BLOCK_POINTS // (grid + FOCUS_POINTS * windows))
+
+
 def _row_maxima(f, k, us, a, b, grid, focus):
     """max over centers x of |delta^k_u f| for every admissible step u in us.
 
@@ -127,8 +144,7 @@ def _row_maxima(f, k, us, a, b, grid, focus):
     hi = b - 0.5 * k * us
     live = np.flatnonzero(hi >= lo)
     weights = _weights(k)
-    width = grid + FOCUS_POINTS * len(focus)
-    per_block = max(1, BLOCK_POINTS // width)
+    per_block = block_rows(grid, len(focus))
     for start in range(0, live.size, per_block):
         sel = live[start:start + per_block]
         u, lo_b, hi_b = us[sel, None], lo[sel, None], hi[sel, None]
@@ -186,6 +202,22 @@ def modulus(f, k: int, t: float, interval, grid: int = 512, focus=()) -> Modulus
     return ModulusResult(grid, 0.0, t_eff, 0.5 * (a + b))
 
 
+def _lattice_steps(k, ts, intervals, grid):
+    """The interval ends, as columns, and the lattice steps m_j of each
+    interval's LATTICE_COLUMNS columns, as ``modulus_lower_bounds`` takes them."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    ends = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    lo, hi = ends[:, :1], ends[:, 1:]
+    width = (hi - lo)[:, 0]
+    ratio = np.zeros_like(width)
+    pos = (ts > 0) & (width > 0)  # a nan step or an empty interval reads 0
+    ratio[pos] = ts[pos] / width[pos]
+    j = np.arange(1, LATTICE_COLUMNS + 1)
+    steps = np.fmin((j * grid) // (k * LATTICE_COLUMNS),
+                    np.floor(j * grid * ratio[:, None] / LATTICE_COLUMNS)).astype(int)
+    return lo, hi, steps
+
+
 def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:
     """Lower bounds of omega_k(f, t_i) on each interval [lo_i, hi_i] from one
     uniform lattice per interval.
@@ -203,19 +235,10 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarr
     """
     k = _check_order(k)
     grid = _check_grid(grid)
-    ts = np.asarray(ts, dtype=float).ravel()
-    ends = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    lo, hi = ends[:, :1], ends[:, 1:]
-    width = (hi - lo)[:, 0]
-    ratio = np.zeros_like(width)
-    pos = (ts > 0) & (width > 0)  # a nan step or an empty interval reads 0
-    ratio[pos] = ts[pos] / width[pos]
-    j = np.arange(1, LATTICE_COLUMNS + 1)
-    steps = np.fmin((j * grid) // (k * LATTICE_COLUMNS),
-                    np.floor(j * grid * ratio[:, None] / LATTICE_COLUMNS)).astype(int)
+    lo, hi, steps = _lattice_steps(k, ts, intervals, grid)
     weights = _weights(k)
     per_block = max(1, BLOCK_POINTS // (grid + 1))
-    out = np.zeros(width.size)
+    out = np.zeros(steps.shape[0])
     groups, which = np.unique(steps, axis=0, return_inverse=True)
     for g, ms in enumerate(groups):
         ms = np.unique(ms[ms > 0])
@@ -235,6 +258,58 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarr
                 np.maximum(best, np.abs(acc).max(axis=1), out=best)
             out[sel] = best
     return out
+
+
+def profile_probe(f, k: int, interval, us, grid: int = 2048) -> np.ndarray:
+    """A lower bound of each ``ModulusProfile`` row at the steps ``us`` (already
+    clamped to the admissible (b-a)/k) from PROBE_CENTERS of its ``grid``
+    centers, spread evenly with both ends: each |delta^k_u f| is computed in
+    the row's own arithmetic, so it is one of the values the row maximizes
+    over, bit for bit.  A step with no admissible center reads 0.  Raises
+    ValueError when a difference is not finite, as the row would."""
+    k = _check_order(k)
+    grid = _check_grid(grid)
+    a, b = float(interval[0]), float(interval[1])
+    us = np.asarray(us, dtype=float)
+    lo = a + 0.5 * k * us
+    hi = b - 0.5 * k * us
+    live = hi >= lo
+    u, lo, hi = us[live, None], lo[live, None], hi[live, None]
+    c = np.arange(PROBE_CENTERS) * (grid - 1) // (PROBE_CENTERS - 1)
+    xs = np.where(c == grid - 1, hi, c * ((hi - lo) / (grid - 1)) + lo)
+    acc = np.zeros_like(xs)
+    with np.errstate(all="ignore"):
+        for i, w in enumerate(_weights(k)):
+            pts = xs + (0.5 * k - i) * u
+            np.clip(pts, a, b, out=pts)
+            acc += w * np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    out = np.zeros(us.size)
+    out[live] = np.abs(acc).max(axis=1, initial=0.0)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"order-{k} differences of the oracle on [{a!r}, {b!r}] "
+                         "are non-finite")
+    return out
+
+
+def lattice_probe(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:
+    """A lower bound of each ``modulus_lower_bounds`` value from k + 1 oracle
+    points per interval: |delta^k| at the interval's largest lattice step m
+    and first center, over the lattice points 0, m, ..., km in the lattice's
+    own arithmetic (index times spacing plus lo, the point ``grid`` pinned to
+    hi, all clamped), so it is one of the values that bound maximizes over,
+    bit for bit; 0 where no step is left."""
+    k = _check_order(k)
+    grid = _check_grid(grid)
+    lo, hi, steps = _lattice_steps(k, ts, intervals, grid)
+    m = steps.max(axis=1, initial=0)
+    idx = np.arange(k + 1) * m[:, None]
+    xs = np.where(idx == grid, hi, idx * ((hi - lo) / grid) + lo)
+    v = np.asarray(f(np.clip(xs, lo, hi).ravel()), dtype=float).reshape(xs.shape)
+    weights = _weights(k)
+    acc = weights[0] * v[:, k]
+    for i in range(1, k + 1):
+        acc += weights[i] * v[:, k - i]
+    return np.where(m > 0, np.abs(acc), 0.0)
 
 
 def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048) -> float:

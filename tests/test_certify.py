@@ -169,9 +169,13 @@ def test_bound_report_refuses_degenerate_lattices_when_no_point_is_kept(flags, m
     # and still refuse a lattice the modulus layer or the grid cannot take
     f = exp_oracle(1.0)
     S, _, _ = construct_chebyshev(f, 2, 128)
+    lattice = {"grid_size": certify.DEFAULT_GRID_SIZE,
+               "density": certify.CERTIFICATION_DENSITY, **flags}
     for b in BOUND_IDS:
         with pytest.raises(ValueError, match=message):
             pointwise_bound_report(f, S, 2, 128, b, **flags)
+        with pytest.raises(ValueError, match=message):
+            certify._sup_ratio(f, S, 2, 128, b, **lattice)
 
 
 def test_bound_report_finite_ratios_exp():
@@ -263,6 +267,119 @@ def test_sweep_deterministic_bytes():
     a = sweep(f, 1, [16, 32], grid_size=65, density=256).to_csv()
     b = sweep(f, 1, [16, 32], grid_size=65, density=256).to_csv()
     assert a == b
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# f0:r=2 is a cusp whose 2.3 sup sits at the smallest steps, truncpow a kink
+# with focus windows and a densified grid, exp:alpha=1 at n=256 leaves 2.4 to
+# 2.12 all noise (0.0); 65/256 and 129/512 are the lattices of the tests and
+# of demos/05_certified_bounds.py
+SWEEP_EQUALITY_CASES = [
+    ("f0:r=2", 2, [32, 64, 128, 256], 257, 2048),
+    ("truncpow:r=1,eps=0.2", 1, [32, 64, 256], 257, 2048),
+    ("exp:alpha=1", 2, [32, 256], 257, 2048),
+    ("exp:alpha=1", 1, [16, 32], 65, 256),
+    ("f0:r=2", 2, [16, 32, 64], 129, 512),
+    ("truncpow:r=1,eps=0.2", 1, [32, 64], 65, 256),
+]
+
+
+@pytest.mark.parametrize("term_batch", [certify.TERM_BATCH, 1])
+@pytest.mark.parametrize("spec,r,ns,grid_size,density", SWEEP_EQUALITY_CASES,
+                         ids=[f"{c[0]}-r{c[1]}-{c[3]}-{c[4]}" for c in SWEEP_EQUALITY_CASES])
+def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density,
+                                                        term_batch, monkeypatch):
+    """A sweep computes only the modulus rows and interval terms that can move
+    a sup ratio, and each ratio is the report's float; with one 2.13 interval
+    per round, the rounds after the first are exercised too."""
+    monkeypatch.setattr(certify, "TERM_BATCH", term_batch)
+    f = parse_function(spec)
+    tab = sweep(f, r, ns, grid_size=grid_size, density=density)
+    assert all(row["computed"] for row in tab.rows)
+    for row in tab.rows:
+        n = row["n"]
+        S, _, _ = construct_chebyshev(f, r, n)
+        for b in BOUND_IDS:
+            want = pointwise_bound_report(f, S, r, n, b, grid_size, density).sup_ratio
+            assert _same_float(row["sup_ratio"][b], want), (n, b, row["sup_ratio"][b], want)
+        if spec == "exp:alpha=1" and n == 256:
+            assert row["sup_ratio"]["2.4"] == 0.0
+
+
+def _swept_and_reported(monkeypatch, f, r, n, change, bound_id):
+    """A one-row sweep whose spline is change(S), and the report of bound_id
+    on that spline."""
+    construct = certify._construct_chebyshev
+
+    def changed(*args):
+        S, trace, extra = construct(*args)
+        return change(S), trace, extra
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_construct_chebyshev", changed)
+        got = sweep(f, r, [n], grid_size=65, density=256).rows[0]["sup_ratio"][bound_id]
+    S, _, _ = construct_chebyshev(f, r, n)
+    return got, pointwise_bound_report(f, change(S), r, n, bound_id, 65, 256).sup_ratio
+
+
+@pytest.mark.parametrize("bound_id", BOUND_IDS)
+def test_sweep_equals_the_report_on_a_broken_spline(bound_id, monkeypatch):
+    """A NaN error at one kept point makes both ratios NaN.  Under x^2 at
+    r = 2, f'' is constant, every bound is 0 and a spline off by 1e-6 keeps
+    every point, each ratio dividing by DENOM_FLOOR."""
+    f = exp_oracle(1.0)
+    S, _, _ = construct_chebyshev(f, 2, 32)
+    kept = pointwise_bound_report(f, S, 2, 32, bound_id, 65, 256).grid
+    nan_x = kept[len(kept) // 2, 0]
+
+    class NaNAt(PiecewisePoly):
+        def __call__(self, x):
+            return np.where(x == nan_x, np.nan, super().__call__(x))
+
+    class Off(PiecewisePoly):
+        def __call__(self, x):
+            return super().__call__(x) + 1e-6
+
+    got, want = _swept_and_reported(monkeypatch, f, 2, 32, lambda S: NaNAt(
+        S.knots, S.coeffs, S.centers, S.halfwidths), bound_id)
+    assert math.isnan(got) and math.isnan(want)
+    got, want = _swept_and_reported(monkeypatch, even_power_oracle(1), 2, 16, lambda S: Off(
+        S.knots, S.coeffs, S.centers, S.halfwidths), bound_id)
+    assert got == want and want > 1e200
+
+
+def test_sweep_builds_fewer_rows_and_lattices_than_the_report(monkeypatch):
+    """exp:alpha=1, r=2 at n=256: the report's 2.13 builds one lattice per
+    knot interval holding a kept point and the two end ones, 196, and its 2.3
+    profile 189 rows; the sweep builds at most 10 lattices and 112 rows."""
+    f = parse_function("exp:alpha=1")
+    n = 256
+    S, _, _ = construct_chebyshev(f, 2, n)
+    rows, lattices = [], []
+    row_maxima, lower_bounds = smoothness._row_maxima, certify.modulus_lower_bounds
+
+    def spy_rows(fn, k, us, *args):
+        rows.append(us.size)
+        return row_maxima(fn, k, us, *args)
+
+    def spy_bounds(fn, k, ts, *args, **kwargs):
+        lattices.append(len(ts))
+        return lower_bounds(fn, k, ts, *args, **kwargs)
+
+    monkeypatch.setattr(smoothness, "_row_maxima", spy_rows)
+    monkeypatch.setattr(certify, "modulus_lower_bounds", spy_bounds)
+    counts = {}
+    for b in ("2.3", "2.13"):
+        for label, call in (("report", pointwise_bound_report), ("sweep", certify._sup_ratio)):
+            rows.clear()
+            lattices.clear()
+            call(f, S, 2, n, b, certify.DEFAULT_GRID_SIZE, certify.CERTIFICATION_DENSITY)
+            counts[label, b] = sum(rows) + sum(lattices)
+    assert counts["report", "2.3"] == 189 and counts["sweep", "2.3"] <= 112
+    assert counts["report", "2.13"] == 196 and counts["sweep", "2.13"] <= 10
 
 
 def test_sweep_refuses_domain_before_preparing(monkeypatch):

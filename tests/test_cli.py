@@ -348,6 +348,15 @@ def test_sweep_degenerate_input_exits_1(flags, message, capsys):
     assert err[0].startswith("error:") and message in err[0]
 
 
+def test_sweep_refuses_non_finite_differences_in_one_line(capsys):
+    # exp:alpha=703 at r = 1: f'(1) = 1.3e308 is finite, its order-2
+    # differences overflow, and the preparation refuses before any bound
+    code = run(["sweep", "--function", "exp:alpha=703", "--r", "1", "--n", "32:64:x2"])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: order-2 differences of the oracle on [-1.0, 1.0] are non-finite"]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--density", "10"], "grid must be >= 64"),
     (["--grid-size", "0"], "grid_size must be >= 1"),
