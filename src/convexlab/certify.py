@@ -354,12 +354,10 @@ def _terms_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
 
 def _sup_ratio(f, S, r, n, bound_id, grid_size, density) -> float:
     """``pointwise_bound_report(...).sup_ratio`` bit for bit, from only the
-    modulus rows and interval terms that can move it.  A non-finite error
-    takes the full report."""
+    modulus rows and interval terms that can move it, a NaN or inf error
+    included."""
     s = _setup(f, S, r, n, bound_id, grid_size, density)
     e = s.errs[s.read]
-    if not np.all(np.isfinite(e)):
-        return _assemble_report(bound_id, s).sup_ratio
     if e.size == 0:
         return 0.0
     return (_profile_sup if s.moduli else _terms_sup)(s, e, ATOL_REL * s.scale)

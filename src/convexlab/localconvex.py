@@ -21,18 +21,12 @@ uncertified, or whose fit data is not finite, becomes P.
 Each piece's sigma minimises a convex max of 16 linear terms over [0, 1],
 the fit at 16 Chebyshev points that one pass computes for every piece, and
 it is found in closed form, without a solver (:func:`_blend_weights`).
-:func:`linprog` solves the same minimax as an LP through scipy's HiGHS
-bindings, loaded on its first call; no construction calls it.  It is kept
-as the tests' reference and because bench/tracing.py wraps it by name.
+:func:`linprog` calls scipy's on the same minimax as an LP; no construction
+calls it, and it is kept as the tests' reference and for bench/tracing.py.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -50,66 +44,8 @@ __all__ = [
     "build_sigma",
 ]
 
-_HIGHS = "scipy.optimize._highspy._core"
-
-
-def _load_highs():
-    """scipy's HiGHS extension module, loaded from its own file.
-
-    `import scipy.optimize._highspy._core` would first run scipy.optimize's
-    __init__, which imports scipy.linalg, sparse, special and fft, modules
-    convexlab never calls.  As the import system does, an entry already in
-    sys.modules is used as it is (None refuses), and a new module goes into
-    sys.modules before it runs, so a later `import scipy.optimize` gets this
-    same module.  Every failure is an ImportError that names the scipy floor.
-    """
-    try:
-        if _HIGHS in sys.modules:
-            module = sys.modules[_HIGHS]
-            if module is None:
-                raise ImportError(f"import of {_HIGHS} halted; None in sys.modules")
-            return module
-        scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
-        if scipy is None or not scipy.submodule_search_locations:
-            raise ImportError("scipy is not installed as a package")
-        folders = [os.path.join(path, "optimize", "_highspy")
-                   for path in scipy.submodule_search_locations]
-        found = importlib.machinery.PathFinder.find_spec("_core", folders)
-        if found is None or found.origin is None:
-            raise ImportError(f"no {_HIGHS} extension in {folders}")
-        spec = importlib.util.spec_from_file_location(_HIGHS, found.origin)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_HIGHS] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[_HIGHS]
-            raise
-        return module
-    except (ImportError, ValueError) as exc:  # ValueError: a scipy module without __spec__
-        raise ImportError(f"convexlab needs scipy>=1.17 for {_HIGHS}") from exc
-
-
 DEGENERATE_REL_LENGTH = 1e-13
-
-
-@functools.cache
-def _solver():
-    """The module's one HiGHS solver, built on the first solve with what
-    linprog(method="highs") sets for presolve=True and both feasibility
-    tolerances 1e-10.  `threads` keeps linprog's default: HiGHS sizes one
-    task scheduler per thread on its first solve there and fails a later
-    solve that asks for another size, so scipy's own linprog on the same
-    thread must see the same value."""
-    core = _load_highs()
-    options = core.HighsOptions()
-    options.presolve = "on"
-    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
-    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.output_flag = options.log_to_console = False
-    highs = core._Highs()
-    highs.passOptions(options)
-    return highs
+_SPOT_CHECK_POINTS = 65
 
 
 class NotConvexInput(ValueError):
@@ -125,15 +61,15 @@ def _values(f: ConvexOracle, nu: int, x: np.ndarray) -> np.ndarray:
     return np.asarray(f.deriv(nu, x.ravel()), dtype=float).reshape(x.shape)
 
 
-def _spot_check_convexity(f: ConvexOracle, a, b, npts: int = 65) -> None:
-    """Check that f' does not decrease at npts points of each interval
-    [a[i], b[i]]; the error names the first interval that fails.  The
+def _spot_check_convexity(f: ConvexOracle, a, b) -> None:
+    """Check that f' does not decrease at _SPOT_CHECK_POINTS points of each
+    interval [a[i], b[i]]; the error names the first interval that fails.  The
     intervals go in order, in blocks of about 2**14 points: few oracle
     calls, and arrays small enough to leave peak memory as it is."""
     a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    size = max(1, 2 ** 14 // npts)
+    size = max(1, 2 ** 14 // _SPOT_CHECK_POINTS)
     for s in range(0, a.size, size):
-        xs = np.linspace(a[s:s + size], b[s:s + size], npts, axis=-1)
+        xs = np.linspace(a[s:s + size], b[s:s + size], _SPOT_CHECK_POINTS, axis=-1)
         d1 = _values(f, 1, xs)
         tol = 1e-10 * (1.0 + np.max(np.abs(d1), axis=1))
         bad = np.flatnonzero(np.any(np.diff(d1, axis=1) < -tol[:, None], axis=1))
@@ -217,55 +153,24 @@ def convex_parabola(f: ConvexOracle, interval) -> tuple:
 
 def linprog(c, *, A_ub, b_ub, bounds) -> np.ndarray:
     """The x minimising c @ x subject to A_ub @ x <= b_ub and
-    bounds[:, 0] <= x <= bounds[:, 1], solved as one HiGHS model.
+    bounds[:, 0] <= x <= bounds[:, 1], from scipy.optimize.linprog(method=
+    "highs") with presolve on and both feasibility tolerances 1e-10.
 
     A_ub holds the dense diagonal blocks, of shape (k, m, cols), of a
-    block-diagonal matrix; b_ub is flat.  The model is the one
-    scipy.optimize.linprog(method="highs") hands to HiGHS for the same blocks
-    with presolve on and both feasibility tolerances 1e-10, in column-wise
-    storage with the same options, so x is the same bit for bit.  Column j of
-    block i holds all m rows of that block, zeros included, and passModel
-    drops the zeros, so HiGHS solves the model of the nonzeros alone.  The
-    bindings fill their vectors from lists about twice as fast as from
-    arrays, tolist included.  The failures are linprog's too: SolverStall
-    unless HiGHS reports an optimum that passes linprog's feasibility check
-    of bounds and slacks at 10*sqrt(1e-9).  passModel clears the module
-    solver's previous model, basis and solution, so every solve is cold.
+    block-diagonal matrix; b_ub is flat.  Any status but optimal is a
+    SolverStall with scipy's message.  scipy is imported on the first call.
     """
-    core = _load_highs()
-    k, m, cols = A_ub.shape
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = k * cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = k * m
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = (np.arange(k * cols + 1) * m).tolist()
-    lp.a_matrix_.index_ = np.repeat(np.arange(k * m).reshape(k, m), cols, axis=0).ravel().tolist()
-    # (block, column, row) order is the column-wise order
-    lp.a_matrix_.value_ = A_ub.transpose(0, 2, 1).ravel().tolist()
-    lp.col_cost_ = c.tolist()
-    lower, upper = bounds.T
-    lp.col_lower_ = lower.tolist()
-    lp.col_upper_ = upper.tolist()
-    lp.row_lower_ = np.full(b_ub.size, -np.inf).tolist()
-    lp.row_upper_ = b_ub.tolist()
-
-    highs = _solver()
-    if highs.passModel(lp) == core.HighsStatus.kError:
-        raise SolverStall(highs.modelStatusToString(core.HighsModelStatus.kModelError))
-    if (highs.run() == core.HighsStatus.kError
-            or highs.getModelStatus() != core.HighsModelStatus.kOptimal):
-        raise SolverStall(highs.modelStatusToString(highs.getModelStatus()))
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    slack = b_ub - solution.row_value
-    fun = highs.getInfo().objective_function_value
-    tol = 10.0 * np.sqrt(1e-9)
-    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-                    or (x < lower - tol).any() or (x > upper + tol).any()
-                    or (slack < -tol).any())
-    if not feasible:
-        raise SolverStall(f"the solution violates the constraints by more than {tol:.2E}")
-    return x
+    try:
+        from scipy.optimize import linprog as highs_linprog
+        from scipy.sparse import block_diag
+    except ImportError as exc:
+        raise ImportError("convexlab needs scipy>=1.17 for scipy.optimize._highspy._core") from exc
+    res = highs_linprog(c, A_ub=block_diag(list(A_ub)), b_ub=b_ub, bounds=bounds, method="highs",
+                        options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise SolverStall(res.message)
+    return res.x
 
 
 def _fit_points(f: ConvexOracle, a: np.ndarray, b: np.ndarray, S: np.ndarray,

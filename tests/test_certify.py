@@ -327,25 +327,31 @@ def _swept_and_reported(monkeypatch, f, r, n, change, bound_id):
 
 @pytest.mark.parametrize("bound_id", BOUND_IDS)
 def test_sweep_equals_the_report_on_a_broken_spline(bound_id, monkeypatch):
-    """A NaN error at one kept point makes both ratios NaN.  Under x^2 at
-    r = 2, f'' is constant, every bound is 0 and a spline off by 1e-6 keeps
-    every point, each ratio dividing by DENOM_FLOOR."""
+    """A NaN, +inf, -inf or 1e308 value at one kept point gives both sides
+    the same ratio (NaN, inf, inf, and 1e308 over the bound, which may
+    overflow).  Under x^2 at r = 2, f'' is constant, every bound is 0 and a
+    spline off by 1e-6 keeps every point, each ratio dividing by
+    DENOM_FLOOR."""
     f = exp_oracle(1.0)
     S, _, _ = construct_chebyshev(f, 2, 32)
     kept = pointwise_bound_report(f, S, 2, 32, bound_id, 65, 256).grid
-    nan_x = kept[len(kept) // 2, 0]
+    broken_x = kept[len(kept) // 2, 0]
 
-    class NaNAt(PiecewisePoly):
-        def __call__(self, x):
-            return np.where(x == nan_x, np.nan, super().__call__(x))
+    def broken_at(value):
+        class BrokenAt(PiecewisePoly):
+            def __call__(self, x):
+                return np.where(x == broken_x, value, super().__call__(x))
+
+        return lambda S: BrokenAt(S.knots, S.coeffs, S.centers, S.halfwidths)
 
     class Off(PiecewisePoly):
         def __call__(self, x):
             return super().__call__(x) + 1e-6
 
-    got, want = _swept_and_reported(monkeypatch, f, 2, 32, lambda S: NaNAt(
-        S.knots, S.coeffs, S.centers, S.halfwidths), bound_id)
-    assert math.isnan(got) and math.isnan(want)
+    for value in (np.nan, np.inf, -np.inf, 1e308):
+        got, want = _swept_and_reported(monkeypatch, f, 2, 32, broken_at(value), bound_id)
+        assert _same_float(got, want), (value, got, want)
+        assert math.isnan(got) if math.isnan(value) else got > 1e200
     got, want = _swept_and_reported(monkeypatch, even_power_oracle(1), 2, 16, lambda S: Off(
         S.knots, S.coeffs, S.centers, S.halfwidths), bound_id)
     assert got == want and want > 1e200

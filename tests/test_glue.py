@@ -23,6 +23,7 @@ from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.glue import (
     GlueTrace,
     NBelowThreshold,
+    NotConvexOutput,
     PartitionTooCoarse,
     chebyshev_threshold,
     construct_chebyshev,
@@ -504,6 +505,26 @@ def test_steep_and_fine_cases_build_certified(spec, r, n):
     assert trace.parabola_fallback_rows == 0
     if spec == "exp:alpha=690":
         assert N == 166
+
+
+# The standing failure: at these n the one-sided knot slopes of the rows next
+# to the ends drop by about ulp(f)/h, past verify_convexity's tolerance, and
+# construct_chebyshev raises NotConvexOutput.  A fix must remove the marker.
+_KNOT_SLOPE_DROP = pytest.mark.xfail(strict=True, raises=NotConvexOutput,
+                                     reason="one-sided knot slopes are not nondecreasing")
+
+
+@pytest.mark.parametrize("spec, r, n", [
+    pytest.param("f0:r=1", 1, 32768, marks=_KNOT_SLOPE_DROP),
+    pytest.param("exp:alpha=1", 1, 65536, marks=_KNOT_SLOPE_DROP),
+    pytest.param("exp:alpha=1", 2, 65536, marks=_KNOT_SLOPE_DROP),
+    pytest.param("cosh:beta=1", 1, 65536, marks=_KNOT_SLOPE_DROP),
+    pytest.param("f0:r=2", 2, 65536, marks=_KNOT_SLOPE_DROP),
+    ("xpow:m=2", 1, 65536), ("exp:alpha=1", 2, 32768),
+])
+def test_very_large_n_builds_certified(spec, r, n):
+    S, _, _ = construct_chebyshev(parse_function(spec), r, n)
+    assert S.convex_certified
 
 
 @pytest.mark.parametrize("n", [256, 1024])

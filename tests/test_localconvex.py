@@ -657,15 +657,7 @@ def test_lp_rows_are_minimax_blends_of_secant_and_parabola(spec):
         assert got <= best + 1e-12 * max(best, np.max(np.abs(fz[i] - s_row))), (i, got, best)
 
 
-# -- the direct HiGHS model against scipy.optimize.linprog ---------------------
-
-
-@pytest.fixture
-def fresh_solver():
-    """A new module solver, for the test and after it."""
-    localconvex._solver.cache_clear()
-    yield
-    localconvex._solver.cache_clear()
+# -- localconvex.linprog against scipy.optimize.linprog -----------------------
 
 
 def _blocks(f, a, b):
@@ -675,7 +667,7 @@ def _blocks(f, a, b):
 
 def _scipy_solve(cost, blocks):
     """scipy.optimize.linprog on the same LP, its blocks made block-diagonal,
-    with the presolve and tolerances the direct model uses."""
+    with the presolve and tolerances that localconvex.linprog sets."""
     return scipy_linprog(cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"],
                          bounds=blocks["bounds"], method="highs",
                          options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
@@ -718,55 +710,6 @@ def test_model_error_is_a_failure_on_both_paths():
     assert _scipy_solve(cost, blocks).status != 0
 
 
-def test_kept_solver_solves_cold(fresh_solver):
-    """passModel clears the kept solver's model, basis and solution, so a
-    chunk gives the same x, bit for bit, and the same simplex iteration count
-    as on a fresh solver, whatever the solver solved before it: another
-    chunk, an LP that HiGHS refuses, or a one-piece LP."""
-    f = exp_oracle(1.0)
-    knots = chebyshev_partition(4096).knots  # its first chunk takes simplex iterations
-    a, b = knots[:-1], knots[1:]
-    chunk = _blocks(f, a[:CHUNK], b[:CHUNK])
-    other = _blocks(f, a[CHUNK:2 * CHUNK], b[CHUNK:2 * CHUNK])
-    one = _blocks(f, a[CHUNK:CHUNK + 1], b[CHUNK:CHUNK + 1])
-
-    def solve(lp):
-        """(x, simplex iterations) of the module's solver, or None on a stall."""
-        try:
-            x = localconvex.linprog(lp[0], **lp[1])
-        except SolverStall:
-            return None
-        return x, localconvex._solver().getInfo().simplex_iteration_count
-
-    fresh = solve(chunk)  # the first solve is on a new solver
-    runs = [(solve(before), solve(chunk)) for before in (other, _model_error_blocks(), one)]
-    assert fresh[1] > 0
-    assert [before is None for before, _ in runs] == [False, True, False]
-    for _, (x, iterations) in runs:
-        assert np.array_equal(x, fresh[0])
-        assert iterations == fresh[1]
-
-
-def test_no_solver_is_built_per_chunk(monkeypatch, fresh_solver):
-    """The module builds one HiGHS solver on its first solve, and later
-    solves build none."""
-    built = []
-    core = localconvex._load_highs()
-    real = core._Highs
-
-    class Counted(real):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
-    monkeypatch.setattr(core, "_Highs", Counted)
-    knots = chebyshev_partition(8 * CHUNK).knots
-    for s in range(0, 8 * CHUNK, CHUNK):
-        cost, blocks = _blocks(even_power_oracle(1), knots[s:s + CHUNK], knots[s + 1:s + CHUNK + 1])
-        localconvex.linprog(cost, **blocks)
-        assert len(built) == 1
-
-
 def test_exact_zero_entry_solves_to_the_nonzero_model():
     """linprog passes every entry of the dense blocks and HiGHS drops the
     zeros, so a block entry that is exactly 0.0 gives the x of the model of
@@ -781,33 +724,9 @@ def test_exact_zero_entry_solves_to_the_nonzero_model():
     assert np.array_equal(localconvex.linprog(cost, **blocks), want.x)
 
 
-@pytest.mark.parametrize("corrupt", ["bound", "ub slack"])
-def test_infeasible_solution_is_a_stall(monkeypatch, fresh_solver, corrupt):
-    """An 'optimal' solution off its bounds or its rows by more than the
-    feasibility tolerance ends in SolverStall, as linprog's check does."""
-    core = localconvex._load_highs()
-    real = core._Highs
-
-    class Corrupted(real):
-        def getSolution(self):
-            sol = super().getSolution()
-            if corrupt == "bound":  # the first epigraph variable below 0
-                sol.col_value = [-1e-3 if i == 1 else v for i, v in enumerate(sol.col_value)]
-            else:  # every row, the tight ones included
-                sol.row_value = [v + 1e-3 for v in sol.row_value]
-            return sol
-
-    monkeypatch.setattr(core, "_Highs", Corrupted)
-    knots = chebyshev_partition(CHUNK).knots
-    cost, blocks = _blocks(exp_oracle(1.0), knots[:-1], knots[1:])
-    with pytest.raises(SolverStall, match="violates the constraints"):
-        localconvex.linprog(cost, **blocks)
-
-
-# -- loading HiGHS without scipy.optimize, on the first linprog call ------------
+# -- scipy loads on the first linprog call, and only there -------------------
 
 _SRC = os.path.dirname(os.path.dirname(localconvex.__file__))
-_TESTS = os.path.dirname(os.path.abspath(__file__))
 _ONE_LP = ("import numpy as np\n"
            "from convexlab.localconvex import linprog\n"
            "linprog(np.zeros(2), A_ub=np.zeros((1, 1, 2)), b_ub=np.zeros(1), "
@@ -819,16 +738,6 @@ def _python(code, path=_SRC):
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
-def test_missing_highs_bindings_name_the_scipy_version():
-    code = ("import sys, scipy.optimize._highspy as h; del h._core; "
-            "sys.modules['scipy.optimize._highspy._core'] = None; "
-            "import convexlab.localconvex\n" + _ONE_LP)
-    out = _python(code)
-    assert out.returncode != 0
-    assert out.stderr.strip().splitlines()[-1] == (
-        "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
-
-
 def test_import_loads_no_scipy_module_but_highs():
     """Importing the CLI loads no scipy module at all, not even HiGHS's
     extension, which waits for the first linprog call.  Names only, no
@@ -837,39 +746,6 @@ def test_import_loads_no_scipy_module_but_highs():
                   "print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
-
-
-@pytest.mark.parametrize("scipy_first", [True, False])
-def test_highs_module_is_shared_in_either_import_order(scipy_first):
-    """Whether scipy.optimize is imported before or after convexlab's first
-    linprog call, which loads HiGHS, both use one HiGHS module, and a chunk
-    LP gets the same x, bit for bit, from both linprogs."""
-    code = f"""
-import sys
-if {scipy_first}:
-    import scipy.optimize
-import numpy as np
-from convexlab import localconvex
-from convexlab.domain import chebyshev_partition, exp_oracle
-from helpers import lp_blocks
-knots = chebyshev_partition({CHUNK}).knots
-f = exp_oracle(1.0)
-a, b = knots[:-1], knots[1:]
-S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
-cost, blocks = lp_blocks(*localconvex._fit_points(f, a, b, S, localconvex._parabola(f, a, b) - S))
-got = localconvex.linprog(cost, **blocks)
-import scipy.optimize
-from scipy.sparse import block_diag
-assert localconvex._load_highs() is sys.modules["scipy.optimize._highspy._core"]
-want = scipy.optimize.linprog(
-    cost, A_ub=block_diag(list(blocks["A_ub"])), b_ub=blocks["b_ub"], bounds=blocks["bounds"],
-    method="highs", options={{"presolve": True, "primal_feasibility_tolerance": 1e-10,
-                             "dual_feasibility_tolerance": 1e-10}})
-assert want.status == 0, want.message
-assert np.array_equal(got, want.x)
-"""
-    out = _python(code, path=os.pathsep.join([_SRC, _TESTS]))
-    assert out.returncode == 0, out.stderr
 
 
 def test_scipy_without_the_highs_extension_is_refused(tmp_path):
