@@ -10,6 +10,11 @@ Both blocks come from f's own data in closed form: in t = |x - end|/h the
 block is f's Taylor row of order r at its outer end plus the one term in
 t^(r+1) that sets its slope to f' at the inner knot, moved into the block's
 midpoint frame by a binomial shift.
+
+``find_H`` reads f's derivatives at each end once, builds the blocks of a
+few ladder widths on both sides as rows of one matrix, and certifies them
+in one ``convexity_certificates`` call, whose rows are certified each on
+its own.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from convexlab.domain import ConvexOracle
-from convexlab.polynomial import convexity_certificate, horner_rows
+from convexlab.polynomial import convexity_certificates, horner_rows
 
 __all__ = [
     "NoConvexityThreshold",
@@ -29,6 +34,11 @@ __all__ = [
     "mirrored_L",
     "find_H",
 ]
+
+
+# ladder widths per convexity_certificates call in find_H: most thresholds
+# take one or two widths, and a longer ladder stays at a few calls
+_LADDER_CHUNK = 4
 
 
 class NoConvexityThreshold(RuntimeError):
@@ -58,6 +68,24 @@ def _value(center: float, halfwidth: float, coeffs: np.ndarray, x: float) -> flo
     return float(horner_rows(coeffs, (x - center) / halfwidth))
 
 
+def _row(f, end: float, s: float, end_derivs, h: float) -> tuple:
+    """(center, halfwidth, coeffs, inner) of the block of width h at the
+    outer end, from end_derivs = f^(nu)(end), nu = 0..r, and f' at the inner
+    knot."""
+    r = len(end_derivs) - 1
+    inner = end + s * float(h)
+    width = s * (inner - end)  # the float distance between the block's ends
+    taylor = [d * (s * width) ** nu / math.factorial(nu) for nu, d in enumerate(end_derivs)]
+    slope = s * width * float(f.deriv(1, inner))
+    taylor.append((slope - sum(nu * c for nu, c in enumerate(taylor))) / (r + 1))
+    center, w = 0.5 * (end + inner), 0.5 * width
+    alpha = s * (center - end) / width  # t at the center: 1/2 but for center's rounding
+    k = range(r + 2)
+    shift = [[math.comb(m, j) * alpha ** (m - j) * (0.5 * s) ** j if m >= j else 0.0
+              for m in k] for j in k]
+    return center, w, np.array(shift) @ np.array(taylor), inner
+
+
 def _block(f, end: float, h: float, r: int, side: str) -> EndpointBlock:
     """The endpoint block of width h at the outer end, on the given side.
 
@@ -76,18 +104,8 @@ def _block(f, end: float, h: float, r: int, side: str) -> EndpointBlock:
         raise ValueError(f"need h > 0, got {h}")
     end = float(end)
     s = 1.0 if side == "left" else -1.0
-    inner = end + s * float(h)
-    width = s * (inner - end)  # the float distance between the block's ends
-    taylor = [float(f.deriv(nu, end)) * (s * width) ** nu / math.factorial(nu)
-              for nu in range(r + 1)]
-    slope = s * width * float(f.deriv(1, inner))
-    taylor.append((slope - sum(nu * c for nu, c in enumerate(taylor))) / (r + 1))
-    center, w = 0.5 * (end + inner), 0.5 * width
-    alpha = s * (center - end) / width  # t at the center: 1/2 but for center's rounding
-    k = range(r + 2)
-    shift = [[math.comb(m, j) * alpha ** (m - j) * (0.5 * s) ** j if m >= j else 0.0
-              for m in k] for j in k]
-    coeffs = np.array(shift) @ np.array(taylor)
+    end_derivs = [float(f.deriv(nu, end)) for nu in range(r + 1)]
+    center, w, coeffs, inner = _row(f, end, s, end_derivs, h)
     delta = _value(center, w, coeffs, inner) - float(f(inner))
     return EndpointBlock(center, w, coeffs, side, float(h), delta, tuple(sorted((end, inner))))
 
@@ -106,14 +124,6 @@ def mirrored_L(f, b: float, h_tilde: float, r: int) -> EndpointBlock:
     return _block(f, b, h_tilde, r, "right")
 
 
-def _blocks_convex(f, a: float, b: float, r: int, h: float) -> bool:
-    left = integrated_L(f, a, h, r)
-    if not convexity_certificate(left, left.interval).convex:
-        return False
-    right = mirrored_L(f, b, h, r)
-    return convexity_certificate(right, right.interval).convex
-
-
 def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:
     """Largest ladder width h_max / 2^i whose endpoint blocks are certified
     convex on both sides, stable under one extra halving.
@@ -123,20 +133,34 @@ def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:
     is an inequality.  The ladder stops at its last width at or above
     1e-12 (b - a), at most 38 halvings below h_max <= (b - a)/2, and then
     raises :class:`NoConvexityThreshold`.
+
+    The blocks of a few widths at a time, both sides, are certified in one
+    ``convexity_certificates`` call; its rows are certified each on its own
+    and all have order r + 2, so every verdict is the one-block
+    certificate's, bit for bit.
     """
     a, b = float(interval[0]), float(interval[1])
     if not 0 < h_max <= 0.5 * (b - a):
         raise ValueError(f"need 0 < h_max <= (b-a)/2, got {h_max}")
-    h = float(h_max)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
     h_floor = 1e-12 * (b - a)  # below this, slope data is cancellation noise
-    ok_prev = None  # memo of the last h/2 check
-    while h >= h_floor:
-        ok_h = _blocks_convex(f, a, b, r, h) if ok_prev is None else ok_prev
-        ok_half = _blocks_convex(f, a, b, r, 0.5 * h)
-        if ok_h and ok_half:
-            return h
-        h *= 0.5
-        ok_prev = ok_half
+    hs = [float(h_max)]  # the ladder, down to the first width below h_floor
+    while hs[-1] >= h_floor:
+        hs.append(0.5 * hs[-1])
+    ends = [(end, s, [float(f.deriv(nu, end)) for nu in range(r + 1)])
+            for end, s in ((a, 1.0), (b, -1.0))]
+    ok = []  # ok[i]: both blocks of width hs[i] certified convex
+    for i in range(len(hs) - 1):
+        while len(ok) < i + 2:
+            chunk = hs[len(ok):len(ok) + _LADDER_CHUNK]
+            blocks = [(end, *_row(f, end, s, d, h)) for end, s, d in ends for h in chunk]
+            outer, center, w, coeffs, inner = (np.array(v) for v in zip(*blocks))
+            convex = convexity_certificates(coeffs, center, w, np.minimum(outer, inner),
+                                            np.maximum(outer, inner))[0]
+            ok += list(convex[:len(chunk)] & convex[len(chunk):])
+        if ok[i] and ok[i + 1]:
+            return hs[i]
     raise NoConvexityThreshold(
-        f"no convex endpoint blocks found down to h = {h:g} for {f.label()}; "
+        f"no convex endpoint blocks found down to h = {hs[-1]:g} for {f.label()}; "
         f"the derivative data is inconsistent with convexity")

@@ -170,13 +170,14 @@ def convexity_certificates(coeffs, centers, halfwidths, a, b) -> tuple:
     if bad.size:
         raise ValueError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
     d2 = derivative_rows(C, w, 2)
-    try:
-        with np.errstate(over="raise"):
-            d3 = derivative_rows(d2, w)
-    except FloatingPointError:
-        # p''' overflows though p'' does not: d/du p'' has the same roots and
-        # does not divide by w
-        d3 = derivative_rows(d2, np.ones_like(w))
+    with np.errstate(over="ignore"):
+        d3 = derivative_rows(d2, w)
+    # where p''' overflows though p'' does not (a finite entry of d2 gives an
+    # infinite one of d3), d/du p'' has the same roots and does not divide by
+    # w; decided row by row, so no row's certificate depends on the others
+    over = np.any(np.isfinite(d2[:, 1:]) & np.isinf(d3), axis=1)
+    if np.any(over):
+        d3[over] = derivative_rows(d2[over], np.ones(int(np.sum(over))))
     candidates = np.concatenate([a[:, None], b[:, None], _roots_in(d3, center, w, a, b)],
                                 axis=1)
     valid = np.isfinite(candidates)

@@ -7,7 +7,10 @@ All of a profile's row maxima come from one blocked pass: the steps' center
 lattices are stacked into 2-D blocks of at most BLOCK_POINTS centers, each
 block costs k+1 oracle calls, and every row's value and center are
 bit-identical to maximizing that step on its own; differences that are not
-finite (an oracle that overflows) are refused with a ValueError.
+finite (an oracle that overflows) are refused with a ValueError.  A block
+clips its points onto the interval only when one of them may fall outside
+it, and its sum of k+1 weighted terms starts from the first term and is
+built in place.
 ``modulus`` is the first maximum row of one profile over a uniform step
 lattice, with optional kink windows.  ``modulus_lower_bounds`` bounds
 omega_k(f, t) on many intervals at once from one uniform lattice per
@@ -46,11 +49,13 @@ __all__ = [
 
 MAX_ORDER = 8  # binomial coefficients exact in float up to here
 FOCUS_POINTS = 65
-# centers per oracle call when building a profile, chosen by measurement:
-# twelve chebyshev_threshold calls (truncpow, exp, cosh, f0; 2-core x86-64)
-# took 0.55, 0.36, 0.34, 0.56 and 0.64 s at 2**12, 2**13, 2**14, 2**15 and
-# 2**17 against 1.1 s with one block per step; larger blocks leave the cache
-# and raise peak memory (+9% at 2**17)
+# centers per oracle call when building a profile, chosen by measurement
+# (2-vCPU x86-64 VM, medians of 12 interleaved in-process rounds): the 29
+# chebyshev_threshold calls of a bench threshold round took 0.252, 0.196 and
+# 0.198 s at 2**13, 2**14 and 2**15, and the bench's three sweeps (n = 32..256)
+# 0.234, 0.192 and 0.208 s; an earlier kernel took 0.55, 0.36, 0.34, 0.56 and
+# 0.64 s on twelve threshold calls at 2**12, 2**13, 2**14, 2**15 and 2**17,
+# against 1.1 s with one block per step, and +9% peak memory at 2**17
 BLOCK_POINTS = 2 ** 14
 # centers per row of profile_probe: with 4, 8, 16, 32 or 64 the sweeps of
 # eight families (exp, cosh, xpow, f0, truncpow; n = 64 and 256) built the
@@ -111,10 +116,12 @@ def finite_difference(f, k: int, u: float, x: float, interval) -> float:
     return float(_weights(k) @ np.asarray(f(pts), dtype=float))
 
 
-def _centers(lo, hi, num):
+def _centers(lo, hi, num, out=None):
     """np.linspace(lo[i], hi[i], num) for every row i, bit for bit: numpy's
-    own step-times-index arithmetic, with the last column pinned to hi."""
-    xs = np.arange(num) * ((hi - lo) / (num - 1)) + lo
+    own step-times-index arithmetic, with the last column pinned to hi; built
+    in ``out`` when given."""
+    xs = np.multiply(np.arange(num), (hi - lo) / (num - 1), out=out)
+    xs += lo
     xs[:, -1] = hi[:, 0]
     return xs
 
@@ -137,6 +144,14 @@ def _row_maxima(f, k, us, a, b, grid, focus):
     first maximum of each row wins, as over a single concatenated row.  A
     step with no admissible center reads 0 at the midpoint.  Raises
     ValueError when a difference is not finite.
+
+    A block's points x + (k/2 - i)u are clipped onto [a, b] only when some
+    row of the block may reach past an end; on the other blocks the clip
+    would be the identity.  For even k the middle term gets the centers
+    themselves, read-only.  The sum starts from the first term's values
+    (|0 + d| = |d| for every float d), and each term is scaled and added in
+    place, on a copy where the oracle's output is read-only or may share
+    memory with the points it was given.
     """
     rows = np.zeros(us.size)
     arg_x = np.full(us.size, 0.5 * (a + b))
@@ -145,24 +160,61 @@ def _row_maxima(f, k, us, a, b, grid, focus):
     live = np.flatnonzero(hi >= lo)
     weights = _weights(k)
     per_block = block_rows(grid, len(focus))
+    # each part of a row (the grid, then each window) is fl(j step) + lo for
+    # j = 0..num-2, monotone in j whatever the sign of step, then its pinned
+    # last column: a row's extremes lie among these three columns of a part
+    starts = [0] + [grid + j * FOCUS_POINTS for j in range(len(focus))]
+    ends = [c for c0, num in zip(starts, [grid] + [FOCUS_POINTS] * len(focus))
+            for c in (c0, c0 + num - 2, c0 + num - 1)]
+    width = grid + FOCUS_POINTS * len(focus)
+    space = np.empty((2, min(live.size, per_block) * width))  # centers, shifted points
     for start in range(0, live.size, per_block):
         sel = live[start:start + per_block]
         u, lo_b, hi_b = us[sel, None], lo[sel, None], hi[sel, None]
-        xs = np.concatenate(
-            [_centers(lo_b, hi_b, grid)]
-            + [_centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u),
-                        FOCUS_POINTS) for p in focus], axis=1)
-        acc = np.zeros_like(xs)
+        xs, buf = space[:, :sel.size * width].reshape(2, sel.size, width)
+        _centers(lo_b, hi_b, grid, xs[:, :grid])
+        for j, p in enumerate(focus):
+            _centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u), FOCUS_POINTS,
+                     xs[:, starts[j + 1]:starts[j + 1] + FOCUS_POINTS])
+        centers = xs.view()
+        centers.flags.writeable = False
+        # x -> x + d and c -> c u both round monotonically, so every point of
+        # a row lies in [min x + (-k/2)u, max x + (k/2)u] as computed; when
+        # that holds within [a, b] on every row, no term needs the clip (a nan
+        # end fails the test and clips)
+        shifts = [(0.5 * k - i) * u for i in range(k + 1)]
+        inside = bool(np.all(xs[:, ends].min(axis=1, keepdims=True) + shifts[-1] >= a)
+                      and np.all(xs[:, ends].max(axis=1, keepdims=True) + shifts[0] <= b))
         with np.errstate(all="ignore"):
-            for i in range(k + 1):
-                pts = xs + (0.5 * k - i) * u
-                np.clip(pts, a, b, out=pts)
-                acc += weights[i] * np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        mag = np.abs(acc)
+            for i, (w, shift) in enumerate(zip(weights, shifts)):
+                if 2 * i == k and inside:
+                    # ku/2 >= u > 0 for even k, so no part's lo or hi (nor
+                    # p -+ ku) is -0.0, and a sum is -0.0 only when both terms
+                    # are: no center is -0.0, and xs + 0u is xs bit for bit
+                    pts = centers
+                else:
+                    # the column spread first, then a contiguous add: the same
+                    # sums, faster than numpy's broadcast add
+                    np.copyto(buf, shift)
+                    pts = np.add(xs, buf, out=buf)
+                    if not inside:
+                        np.clip(pts, a, b, out=pts)
+                v = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+                if not v.flags.writeable or np.may_share_memory(v, space):
+                    v = v.copy()
+                if i == 0:  # weights[0] is 1
+                    acc = v
+                elif w == -1.0:  # acc - v is acc + (-1)v exactly
+                    acc -= v
+                else:
+                    if w != 1.0:
+                        v *= w
+                    acc += v
+        mag = np.abs(acc, out=acc)
         for j, p in enumerate(focus):
             # a kink out of reach of a step contributes no window to its row
             off = ~((lo_b - k * u <= p) & (p <= hi_b + k * u))[:, 0]
-            mag[off, grid + j * FOCUS_POINTS:grid + (j + 1) * FOCUS_POINTS] = -np.inf
+            mag[off, starts[j + 1]:starts[j + 1] + FOCUS_POINTS] = -np.inf
         best = np.argmax(mag, axis=1)
         picked = np.arange(sel.size)
         rows[sel] = mag[picked, best]

@@ -15,7 +15,9 @@ mirror image of an oracle, and
 ``reference_bound_report`` the bound report over full profiles that
 ``certify.pointwise_bound_report`` is compared against, and ``lp_blocks``
 the minimax LP of the r = 1 blend weights, which ``localconvex.linprog``
-solves as the reference for their closed form.
+solves as the reference for their closed form.  ``reference_row_maxima``
+and ``reference_find_H`` are the plain forms of the profile row kernel and
+of the threshold ladder, which the library's must equal bit for bit.
 """
 
 import math
@@ -24,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from convexlab.domain import ConvexOracle
-from convexlab.endblocks import integrated_L
+from convexlab.endblocks import NoConvexityThreshold, integrated_L, mirrored_L
 from convexlab.piecewise import PiecewisePoly
-from convexlab.polynomial import derivative_rows, hermite_interpolant, horner_rows
-from convexlab.smoothness import ModulusProfile
+from convexlab.polynomial import (convexity_certificate, derivative_rows, hermite_interpolant,
+                                  horner_rows)
+from convexlab.smoothness import FOCUS_POINTS, ModulusProfile, block_rows
 
 ROUNDING_REL = 1e-13
 
@@ -275,3 +278,76 @@ def lp_blocks(d: np.ndarray, e: np.ndarray) -> tuple:
     cost = np.tile([0.0, 1.0], k)
     bounds = np.tile([[0.0, 1.0], [0.0, np.inf]], (k, 1))
     return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), bounds=bounds)
+
+
+def _reference_centers(lo, hi, num):
+    xs = np.arange(num) * ((hi - lo) / (num - 1)) + lo
+    xs[:, -1] = hi[:, 0]
+    return xs
+
+
+def reference_row_maxima(f, k, us, a, b, grid, focus):
+    """``smoothness._row_maxima`` as one plain pass per term: the centers
+    concatenated, every term's points clipped onto [a, b], the weighted
+    values added to a zero accumulator."""
+    rows = np.zeros(us.size)
+    arg_x = np.full(us.size, 0.5 * (a + b))
+    lo = a + 0.5 * k * us
+    hi = b - 0.5 * k * us
+    live = np.flatnonzero(hi >= lo)
+    weights = np.array([(-1.0) ** i * math.comb(k, i) for i in range(k + 1)])
+    per_block = block_rows(grid, len(focus))
+    for start in range(0, live.size, per_block):
+        sel = live[start:start + per_block]
+        u, lo_b, hi_b = us[sel, None], lo[sel, None], hi[sel, None]
+        xs = np.concatenate(
+            [_reference_centers(lo_b, hi_b, grid)]
+            + [_reference_centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u),
+                                  FOCUS_POINTS) for p in focus], axis=1)
+        acc = np.zeros_like(xs)
+        with np.errstate(all="ignore"):
+            for i in range(k + 1):
+                pts = xs + (0.5 * k - i) * u
+                np.clip(pts, a, b, out=pts)
+                acc += weights[i] * np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        mag = np.abs(acc)
+        for j, p in enumerate(focus):
+            off = ~((lo_b - k * u <= p) & (p <= hi_b + k * u))[:, 0]
+            mag[off, grid + j * FOCUS_POINTS:grid + (j + 1) * FOCUS_POINTS] = -np.inf
+        best = np.argmax(mag, axis=1)
+        picked = np.arange(sel.size)
+        rows[sel] = mag[picked, best]
+        arg_x[sel] = xs[picked, best]
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"order-{k} differences of the oracle on [{a!r}, {b!r}] "
+                         "are non-finite")
+    return rows, arg_x
+
+
+def reference_find_H(f, interval, r, h_max):
+    """``endblocks.find_H`` as a scalar ladder: the blocks of each width are
+    built by ``integrated_L`` and ``mirrored_L`` and certified one at a time
+    by ``convexity_certificate``, the left one first."""
+    def blocks_convex(h):
+        left = integrated_L(f, a, h, r)
+        if not convexity_certificate(left, left.interval).convex:
+            return False
+        right = mirrored_L(f, b, h, r)
+        return convexity_certificate(right, right.interval).convex
+
+    a, b = float(interval[0]), float(interval[1])
+    if not 0 < h_max <= 0.5 * (b - a):
+        raise ValueError(f"need 0 < h_max <= (b-a)/2, got {h_max}")
+    h = float(h_max)
+    h_floor = 1e-12 * (b - a)
+    ok_prev = None
+    while h >= h_floor:
+        ok_h = blocks_convex(h) if ok_prev is None else ok_prev
+        ok_half = blocks_convex(0.5 * h)
+        if ok_h and ok_half:
+            return h
+        h *= 0.5
+        ok_prev = ok_half
+    raise NoConvexityThreshold(
+        f"no convex endpoint blocks found down to h = {h:g} for {f.label()}; "
+        f"the derivative data is inconsistent with convexity")

@@ -55,7 +55,7 @@ def test_tracer_installs_traces_and_restores(tracing):
     table = tracer.table()
     for span in ("glue.construct_chebyshev", "certify.verify_convexity",
                  "piecewise.piece_certificates", "piecewise.knot_slopes",
-                 "polynomial.convexity_certificate", "domain.oracle"):
+                 "endblocks.find_H", "domain.oracle"):
         assert table[span][0] >= 1, span
     assert table["scipy.linprog"][0] == 0
     metrics = tracing.layer_metrics(tracer, 0, 0.0)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from convexlab import endblocks, polynomial
 from convexlab.domain import (
+    ConvexOracle,
     cosh_oracle,
     exp_oracle,
     f0_oracle,
+    parse_function,
     poly_oracle,
     truncpow_oracle,
 )
@@ -24,6 +27,7 @@ from helpers import (
     lagrange_hermite_L,
     mirrored_direct_block_ratio,
     poly_of,
+    reference_find_H,
     reflect,
 )
 
@@ -276,3 +280,89 @@ def test_find_H_inconsistent_derivatives_raises():
          lambda x: -2.0 * np.asarray(x, float) - 10.0))
     with pytest.raises(NoConvexityThreshold):
         find_H(bogus, (-1.0, 1.0), 1, 0.5)
+
+
+def _ladder_cells():
+    smooth = [f"exp:alpha={a}" for a in (0.3, 1, 4.8, 20)] + [f"cosh:beta={b}" for b in (1, 3.7)]
+    smooth += ["xpow:m=2", "poly:coeffs=0.5,-0.25,1,0.125"]
+    cells = [(spec, r) for spec in smooth for r in range(1, 6)]
+    cells += [(f"f0:r={m}", r) for m in range(1, 6) for r in range(1, m + 1)]
+    cells += [(f"truncpow:r={m},eps={e}", r) for m in (1, 2, 3) for r in range(1, m + 1)
+              for e in (0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-5)]
+    return cells
+
+
+def _ladder_outcome(search, f, interval, r, h_max):
+    try:
+        return search(f, interval, r, h_max).hex()
+    except NoConvexityThreshold as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec, r", _ladder_cells())
+def test_find_H_equals_the_scalar_ladder(spec, r):
+    # both blocks of a chunk of widths in one array certificate: the same
+    # width as certifying each block on its own, bit for bit
+    f = parse_function(spec)
+    assert (_ladder_outcome(find_H, f, (-1.0, 1.0), r, 0.5)
+            == _ladder_outcome(reference_find_H, f, (-1.0, 1.0), r, 0.5))
+
+
+@pytest.mark.parametrize("f, interval, r, h_max", [
+    (CUBIC, (0.0, 1.0), 1, 0.5), (CUBIC, (0.0, 1.0), 2, 0.3),
+    (exp_oracle(3.0), (-0.3, 0.9), 2, 0.6), (truncpow_oracle(2, 0.05), (-1.0, 1.0), 2, 1e-11),
+])
+def test_find_H_equals_the_scalar_ladder_on_other_ladders(f, interval, r, h_max):
+    assert (_ladder_outcome(find_H, f, interval, r, h_max)
+            == _ladder_outcome(reference_find_H, f, interval, r, h_max))
+
+
+def test_find_H_inconsistent_derivatives_raise_as_the_scalar_ladder():
+    bogus = ConvexOracle(
+        "bogus", {}, 1, (-1.0, 1.0),
+        (lambda x: np.asarray(x, float) ** 2,
+         lambda x: -2.0 * np.asarray(x, float) - 10.0))
+    with pytest.raises(NoConvexityThreshold) as got:
+        find_H(bogus, (-1.0, 1.0), 1, 0.5)
+    with pytest.raises(NoConvexityThreshold) as want:
+        reference_find_H(bogus, (-1.0, 1.0), 1, 0.5)
+    assert str(got.value) == str(want.value)
+
+
+def test_find_H_certifies_a_chunk_of_widths_per_call(monkeypatch):
+    calls = []
+    certificates = endblocks.convexity_certificates
+
+    def spy(coeffs, *args):
+        calls.append(len(coeffs))
+        return certificates(coeffs, *args)
+
+    def scalar(*args):
+        raise AssertionError("find_H called the one-piece certificate")
+
+    monkeypatch.setattr(endblocks, "convexity_certificates", spy)
+    monkeypatch.setattr(endblocks, "convexity_certificate", scalar, raising=False)
+    monkeypatch.setattr(polynomial, "convexity_certificate", scalar)
+    assert find_H(exp_oracle(1.0), (-1.0, 1.0), 2, 0.5) == 0.5
+    assert 1 <= len(calls) <= 2
+
+
+def _scripted(bad):
+    """x^2 on [-1, 1] whose slope at a left inner knot x breaks convexity
+    where bad(x + 1) holds, so the ladder's verdicts can be chosen."""
+    def slope(x):
+        x = np.asarray(x, float)
+        return np.where((x < 0) & bad(x + 1.0), 2.0 * x - 10.0, 2.0 * x)
+
+    return ConvexOracle("scripted", {}, 1, (-1.0, 1.0), (lambda x: np.asarray(x, float) ** 2, slope))
+
+
+@pytest.mark.parametrize("bad, want", [
+    # 0.5 is certified but its half is not: the search goes on to 0.125
+    (lambda d: d == 0.25, 0.125),
+    # only the last width at or above the floor 2e-12, and its half, certify
+    (lambda d: d > 4e-12, 0.5 * 2.0 ** -37),
+])
+def test_find_H_equals_the_scalar_ladder_on_scripted_slopes(bad, want):
+    f = _scripted(bad)
+    assert find_H(f, (-1.0, 1.0), 1, 0.5) == reference_find_H(f, (-1.0, 1.0), 1, 0.5) == want

@@ -35,7 +35,7 @@ from convexlab.localconvex import build_sigma
 from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from convexlab.smoothness import modulus
 from convexlab.piecewise import PiecewisePoly
-from helpers import Poly, poly_of, spline_of
+from helpers import Poly, poly_of, reference_find_H, reference_row_maxima, spline_of
 
 
 def max_err(f, S, lo=-1.0, hi=1.0, npts=2001):
@@ -467,6 +467,16 @@ def test_prepare_equals_full_profile_at_every_radius():
     # several radii rejected before the accepted one
     for case in [("truncpow:r=1,eps=0.01", 1), ("f0:r=1", 1), ("cosh:beta=3.1", 2)]:
         assert tried[case] >= 3, (case, tried[case])
+
+
+@pytest.mark.parametrize("spec, r", _PREPARE_CASES)
+def test_prepare_equals_the_reference_kernels_bit_for_bit(monkeypatch, spec, r):
+    # the row kernel and the threshold ladder against their plain forms
+    got = dataclasses.astuple(glue._prepare(parse_function(spec), r))
+    monkeypatch.setattr(smoothness, "_row_maxima", reference_row_maxima)
+    monkeypatch.setattr(glue, "find_H", reference_find_H)
+    want = dataclasses.astuple(glue._prepare(parse_function(spec), r))
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 @pytest.mark.parametrize("spec, r, rows", [

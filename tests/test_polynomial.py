@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from convexlab.polynomial import (
     DegenerateNodes,
     convexity_certificate,
+    convexity_certificates,
     hermite_interpolant,
 )
 from helpers import Poly
@@ -190,6 +191,24 @@ def test_certificate_finds_minimum_when_third_derivative_overflows():
     assert got.witness_x == pytest.approx(want.witness_x, rel=1e-12)
     assert got.min_second_derivative == pytest.approx(
         math.ldexp(want.min_second_derivative, 1000), rel=1e-12)
+
+
+def test_overflow_of_one_row_leaves_the_other_rows_alone():
+    # d/du p'' stands in for p''' only on the row whose p''' overflows; the
+    # other rows of the batch keep their own certificates, bit for bit
+    w = 2.0 ** -8
+    big = Poly(0.5, w, tuple(1e300 * c for c in (0.0, 0.0, 0.1, -1.0, 1.0)))
+    # the last row's witness moves by an ulp when its p''' is taken in u
+    rows = [big, Poly(0.5, w, (0.0, 0.0, 0.1, -1.0, 1.0)),
+            Poly(-0.23, 0.84, (2.34, 1.93, -0.12, -1.61, 1.81))]
+    intervals = [(0.5 - w, 0.5 + w), (0.5 - w, 0.5 + w), (-0.23 - 0.84, -0.23 + 0.84)]
+    convex, minimum, witness = convexity_certificates(
+        [p.coeffs for p in rows], [p.center for p in rows], [p.halfwidth for p in rows],
+        [lo for lo, _ in intervals], [hi for _, hi in intervals])
+    for i, (p, interval) in enumerate(zip(rows, intervals)):
+        one = convexity_certificate(p, interval)
+        assert (bool(convex[i]), minimum[i].hex(), witness[i].hex()) == (
+            one.convex, one.min_second_derivative.hex(), one.witness_x.hex())
 
 
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=9),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convexlab import smoothness
 from convexlab.domain import parse_function
 from convexlab.smoothness import (
     BLOCK_POINTS,
@@ -14,6 +15,7 @@ from convexlab.smoothness import (
     modulus_lower_bounds,
     one_sided_modulus,
 )
+from helpers import reference_row_maxima
 
 
 def brute_force_modulus(f, k, t, interval, nu=400, nx=400):
@@ -339,6 +341,74 @@ def test_blocked_profile_equals_per_step_loop(k, case):
     want = [_row_max_reference(f, k, float(u), a, b, grid, focus) for u in prof.us]
     assert prof.rows.tolist() == [v for v, _ in want]
     assert prof.arg_x.tolist() == [x for _, x in want]
+
+
+def _identity(x):
+    return x  # hands the kernel back the very points it passed
+
+
+def _read_only_cosh(x):
+    y = np.cosh(np.asarray(x))
+    y.flags.writeable = False
+    return y
+
+
+_KERNEL_ORACLES = {
+    # oracle, focus
+    "exp": (parse_function("exp:alpha=2.5").deriv_fn(2), ()),
+    "f0": (parse_function("f0:r=2").deriv_fn(2), ()),
+    "truncpow": (parse_function("truncpow:r=2,eps=0.3").deriv_fn(2), (0.7,)),
+    "two kinks": (_two_kinks, (-0.99, 0.985)),
+    "identity": (_identity, ()),
+    "read-only output": (_read_only_cosh, ()),
+}
+
+
+def _kernel_steps(k, a, b):
+    """Steps up to the admissible limit (b - a)/k, two past it (no center),
+    and the steps of a fine ladder whose points x -+ ku/2 at the first or
+    last center round past a or b; returns the steps and how many spill."""
+    limit = (b - a) / k
+    fine = limit * np.arange(1, 4001) / 4000
+    d = 0.5 * k * fine
+    spill = fine[((a + d) - d < a) | ((b - d) + d > b)]
+    steps = [limit * np.arange(1, 97) / 96, [1.5 * limit, 3.0 * limit],
+             spill[::max(1, spill.size // 8)]]
+    return np.concatenate(steps), spill.size
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (-0.3, 0.9)])
+@pytest.mark.parametrize("grid", [64, 512, 2048])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("oracle", list(_KERNEL_ORACLES))
+def test_row_maxima_equal_the_reference_kernel(oracle, k, grid, interval):
+    # the clip skipped where no point can leave [a, b], the middle term on
+    # the centers themselves, the sum started from its first term and scaled
+    # in place: the same rows and centers, bit for bit
+    f, focus = _KERNEL_ORACLES[oracle]
+    a, b = interval
+    us, spilled = _kernel_steps(k, a, b)
+    # on [-0.3, 0.9] some rows reach past an end by an ulp, so their blocks clip
+    assert spilled > 0 or interval == (-1.0, 1.0)
+    rows, arg_x = smoothness._row_maxima(f, k, us, a, b, grid, focus)
+    want_rows, want_x = reference_row_maxima(f, k, us, a, b, grid, focus)
+    assert _bits(rows) == _bits(want_rows)
+    assert _bits(arg_x) == _bits(want_x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_row_maxima_refuse_an_overflowing_oracle_as_the_reference(k):
+    f = lambda x: np.exp(800.0 * np.asarray(x))
+    us = np.linspace(0.01, 1.0 / k, 40)
+    with pytest.raises(ValueError, match="non-finite") as got:
+        smoothness._row_maxima(f, k, us, 0.0, 1.0, 64, ())
+    with pytest.raises(ValueError) as want:
+        reference_row_maxima(f, k, us, 0.0, 1.0, 64, ())
+    assert str(got.value) == str(want.value)
 
 
 def test_modulus_is_first_maximum_row_of_focused_profile():
