@@ -4,7 +4,11 @@ Oracles carry exact closed-form derivative evaluators up to their guaranteed
 smoothness order; numerical differentiation is only ever a cross-check.  The
 endpoint Hermite blocks consume derivative values at the interval ends, and
 noise there would destroy them.  The construction evaluates f itself, in
-x, with no secant subtracted and no derived oracle.
+x, with no secant subtracted and no derived oracle.  A builtin evaluator
+allocates one array, its first temporary, and computes every later step in
+it, the same floats as the plain expression.  Every builtin family also
+carries ``omega2_bound``, a proved upper bound of the second-order modulus
+of f^(r) that covers the rounding of a sampled one.
 """
 
 from __future__ import annotations
@@ -129,7 +133,17 @@ def rho(n: int, x):
 
 @dataclass(frozen=True)
 class ConvexOracle:
-    """A convex function with exact derivative evaluators up to order r."""
+    """A convex function with exact derivative evaluators up to order r.
+
+    ``omega2_bound(nu, t, lo, hi)``, when given, returns a float upper bound
+    of every |f^(nu)(fl(x + u)) - 2 f^(nu)(x) + f^(nu)(fl(x - u))| that
+    ``smoothness`` can compute for steps 0 < u <= t and points in [lo, hi]:
+    the exact omega_2(f^(nu), t) plus the rounding of the sample (the
+    evaluators' own error, fl(x + u) - x != x - fl(x - u), the clip onto
+    [lo, hi] and the sum of the three terms).  It returns inf where it has
+    no bound or the bound overflows, and never raises.  None (a user oracle)
+    leaves only the sampled modulus.
+    """
 
     name: str
     params: dict
@@ -137,6 +151,7 @@ class ConvexOracle:
     domain: tuple
     derivs: tuple = field(repr=False)  # derivs[nu](x), nu = 0..r
     nonsmooth: tuple = ()
+    omega2_bound: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.derivs) < self.r + 1:
@@ -191,22 +206,98 @@ def tangent_line(f: ConvexOracle, x0: float):
 # builtin oracle families
 
 
-def _ipow(y: np.ndarray, e: int) -> np.ndarray:
-    """y**e for small integer e by squaring; numpy's pow is ~50x slower.
+def _ipow(y: np.ndarray, e: int, overwrite: bool = False) -> np.ndarray:
+    """y**e for small whole e by squaring; numpy's pow is ~50x slower.
 
-    The product starts from its first factor, not from ones (1.0 * y is y
-    bit for bit), and is always a new array."""
+    The products are those of the ladder acc <- acc * base, base <- base *
+    base, acc starting from its first factor (1.0 * y is y bit for bit).
+    The result is a new array and y is left alone, unless ``overwrite``:
+    then the ladder runs in y's own memory, y may be returned, and at most
+    one more array is made."""
     if e == 0:
         return np.ones_like(y)
-    out = None
-    base = y
-    while e:
+    if not overwrite:
+        y = y.copy()
+    acc = None
+    while e > 1:
         if e & 1:
-            out = base if out is None else out * base
+            if acc is None:
+                acc = y.copy()
+            else:
+                acc *= y
+        y *= y
         e >>= 1
-        if e:
-            base = base * base
-    return out.copy() if out is y else out
+    if acc is None:
+        return y
+    acc *= y
+    return acc
+
+
+def _arg(x):
+    """An evaluator's argument as a float array, or as a numpy scalar for a
+    0-d x: scalar arithmetic is several times faster than 0-d arrays'."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else x[()]
+
+
+def _apply(fn, y, *args):
+    """fn(y, *args) in y's own memory, or a new scalar for a scalar y."""
+    return fn(y, *args, out=y) if isinstance(y, np.ndarray) else fn(y, *args)
+
+
+# omega2_bound's slack over the exact modulus.  A sampled second difference
+# differs from the exact one by its rounding: each computed point and each
+# evaluator's argument strays by at most 2^-50 (1 + |x|) (fl(x +- u),
+# fl(alpha x), fl(1 + x), fl(x - 1 + eps); the clip onto [lo, hi] only moves
+# a point closer), and the values and the three-term sum carry some 32 ulps
+# of max |f^(nu)|.  delta = _SLACK (1 + max |x|) and _SLACK max |f^(nu)|
+# cover both several times over, and the factor 1 + _SLACK the rounding of
+# the bound's own few operations.
+_SLACK = 2.0 ** -44
+
+
+def _omega2_hook(bound, kappa: int = 1):
+    """omega2_bound(nu, t, lo, hi) from bound(nu, t, lo, hi, delta), an upper
+    bound of |f^(nu)(z0) - 2 f^(nu)(z1) + f^(nu)(z2)| over points z of the
+    widened [lo, hi] with z0 - z1 and z1 - z2 within delta of a step <= t,
+    and of the values' rounding; kappa scales the slack for an evaluator of
+    kappa operations.  Overflow and nan read inf."""
+    def omega2_bound(nu, t, lo, hi):
+        delta = _SLACK * (1.0 + max(abs(lo), abs(hi)))
+        try:
+            with np.errstate(all="ignore"):
+                v = bound(nu, float(t), lo - delta, hi + delta, delta) * (1.0 + kappa * _SLACK)
+        except OverflowError:
+            return math.inf
+        return v if v >= 0.0 else math.inf
+    return omega2_bound
+
+
+def _smooth_omega2(deriv_max, kappa: int = 1):
+    """omega2_bound of a family with closed-form maxima deriv_max(j, lo, hi)
+    of |f^(j)| on [lo, hi].  Centered at the middle point, a computed
+    difference is a second difference of step w <= t + delta, at most
+    w^2 max |f^(nu+2)|, plus a first difference over the steps' mismatch,
+    at most delta max |f^(nu+1)|."""
+    def bound(nu, t, lo, hi, delta):
+        return ((t + delta) ** 2 * deriv_max(nu + 2, lo, hi)
+                + delta * deriv_max(nu + 1, lo, hi)
+                + kappa * _SLACK * deriv_max(nu, lo, hi))
+    return _omega2_hook(bound, kappa)
+
+
+def _monotone_omega2(r: int, modulus1, value_max):
+    """omega2_bound at nu = r of a family whose f^(r) is nondecreasing with
+    omega_1(f^(r), s) <= modulus1(s): a computed difference is the
+    difference of two rises f^(r)(z0) - f^(r)(z1) and f^(r)(z1) - f^(r)(z2),
+    each in [0, modulus1(t + delta)], so it is at most that; a step below
+    delta may misorder the points, which max(t, delta) covers.  value_max(hi)
+    bounds |f^(r)| on [lo, hi].  Other orders read inf."""
+    def bound(nu, t, lo, hi, delta):
+        if nu != r:
+            return math.inf
+        return modulus1(max(t, delta) + delta) + _SLACK * value_max(hi)
+    return _omega2_hook(bound)
 
 
 def exp_oracle(alpha: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -214,10 +305,20 @@ def exp_oracle(alpha: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
 
     def make(nu):
         fac = alpha ** nu
-        return lambda x: fac * np.exp(alpha * np.asarray(x, dtype=float))
+
+        def ev(x):
+            y = _apply(np.exp, alpha * _arg(x))
+            if fac != 1.0:
+                y *= fac
+            return y
+        return ev
+
+    def deriv_max(j, lo, hi):
+        return abs(alpha) ** j * math.exp(max(alpha * lo, alpha * hi))
 
     return ConvexOracle("exp", {"alpha": alpha}, SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)))
+                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        omega2_bound=_smooth_omega2(deriv_max))
 
 
 def cosh_oracle(beta: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -226,10 +327,22 @@ def cosh_oracle(beta: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
     def make(nu):
         fac = beta ** nu
         fn = np.cosh if nu % 2 == 0 else np.sinh
-        return lambda x: fac * fn(beta * np.asarray(x, dtype=float))
+
+        def ev(x):
+            y = _apply(fn, beta * _arg(x))
+            if fac != 1.0:
+                y *= fac
+            return y
+        return ev
+
+    def deriv_max(j, lo, hi):
+        # |cosh| and |sinh| grow with |x|, so both peak at the end farthest from 0
+        fn = math.cosh if j % 2 == 0 else math.sinh
+        return abs(beta) ** j * fn(abs(beta) * max(abs(lo), abs(hi)))
 
     return ConvexOracle("cosh", {"beta": beta}, SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)))
+                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        omega2_bound=_smooth_omega2(deriv_max))
 
 
 def even_power_oracle(m: int, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -243,10 +356,21 @@ def even_power_oracle(m: int, domain=(-1.0, 1.0)) -> ConvexOracle:
         if nu > p:
             return lambda x: np.zeros_like(np.asarray(x, dtype=float))
         fac = math.perm(p, nu)
-        return lambda x: fac * _ipow(np.asarray(x, dtype=float), p - nu)
+        if nu == p:
+            return lambda x: fac * np.ones_like(np.asarray(x, dtype=float))
+
+        def ev(x):
+            y = _ipow(_arg(x), p - nu)
+            y *= fac
+            return y
+        return ev
+
+    def deriv_max(j, lo, hi):
+        return math.perm(p, j) * max(abs(lo), abs(hi)) ** (p - j) if j <= p else 0.0
 
     return ConvexOracle("xpow", {"m": m}, SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)))
+                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        omega2_bound=_smooth_omega2(deriv_max))
 
 
 def poly_oracle(coeffs, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -255,15 +379,32 @@ def poly_oracle(coeffs, domain=(-1.0, 1.0)) -> ConvexOracle:
     if cs.size == 0:
         raise ValueError("need at least one coefficient")
 
+    def der(j):
+        d = np.polynomial.polynomial.polyder(cs, j) if j > 0 else cs
+        return d if d.size else np.zeros(1)
+
     def make(nu):
-        d = np.polynomial.polynomial.polyder(cs, nu) if nu > 0 else cs
-        if d.size == 0:
-            d = np.zeros(1)
-        return lambda x, d=d: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
+        d = der(nu)
+
+        def ev(x):
+            # numpy's polyval, c[-1] + x*0 then c[-i] + c0*x, in one array
+            x = _arg(x)
+            y = x * 0.0
+            y += d[-1]
+            for c in d[-2::-1]:
+                y *= x
+                y += c
+            return y
+        return ev
+
+    def deriv_max(j, lo, hi):
+        # sum |d_k| s^k with s = max |x|, by Horner over nonnegative terms
+        return float(np.polynomial.polynomial.polyval(max(abs(lo), abs(hi)), np.abs(der(j))))
 
     return ConvexOracle("poly", {"coeffs": tuple(float(c) for c in cs)},
                         SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)))
+                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        omega2_bound=_smooth_omega2(deriv_max, kappa=cs.size))
 
 
 def f0_oracle(r: int, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -273,18 +414,33 @@ def f0_oracle(r: int, domain=(-1.0, 1.0)) -> ConvexOracle:
         raise ValueError("the square-root family is convex only for r >= 1")
     p = r + 0.5
 
+    def coeff(nu):
+        return float(math.prod(p - i for i in range(nu)))
+
     def make(nu):
-        fac = 1.0
-        for i in range(nu):
-            fac *= p - i
+        fac = coeff(nu)
         whole = r - nu  # exponent is whole + 1/2
-        def ev(x, fac=fac, whole=whole):
-            y = np.clip(1.0 + np.asarray(x, dtype=float), 0.0, None)
-            return fac * _ipow(y, whole) * np.sqrt(y)
+
+        def ev(x):
+            y = _apply(np.maximum, 1.0 + _arg(x), 0.0)
+            if whole:
+                # (fac y^whole) sqrt(y), in that order
+                acc = _ipow(y, whole)
+                acc *= fac
+                acc *= _apply(np.sqrt, y)
+                return acc
+            # fac * 1 is fac: fac sqrt(y)
+            y = _apply(np.sqrt, y)
+            y *= fac
+            return y
         return ev
 
+    # f^(r) = c sqrt(1 + x) rises, and sqrt(y) - sqrt(y - s) <= sqrt(s)
+    c = coeff(r)
+    omega2 = _monotone_omega2(r, lambda s: c * math.sqrt(s),
+                              lambda hi: c * math.sqrt(max(1.0 + hi, 0.0)))
     return ConvexOracle("f0", {"r": r}, r, tuple(domain),
-                        tuple(make(nu) for nu in range(r + 1)))
+                        tuple(make(nu) for nu in range(r + 1)), omega2_bound=omega2)
 
 
 def truncpow_oracle(r: int, eps: float, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -298,12 +454,23 @@ def truncpow_oracle(r: int, eps: float, domain=(-1.0, 1.0)) -> ConvexOracle:
     def make(nu):
         fac = math.perm(p, nu)
         e = p - nu
-        return lambda x: fac * _ipow(
-            np.clip(np.asarray(x, dtype=float) - 1.0 + eps, 0.0, None), e)
 
+        def ev(x):
+            y = _arg(x) - 1.0
+            y += eps
+            y = _apply(np.maximum, y, 0.0)
+            y = _ipow(y, e, overwrite=True)
+            y *= fac
+            return y
+        return ev
+
+    # f^(r) = (r+1)! max(0, x - 1 + eps) rises with slope at most (r+1)!
+    slope = math.perm(p, r)
+    omega2 = _monotone_omega2(r, lambda s: slope * s,
+                              lambda hi: slope * max(hi - 1.0 + eps, 0.0))
     return ConvexOracle("truncpow", {"r": r, "eps": eps}, r, tuple(domain),
                         tuple(make(nu) for nu in range(r + 1)),
-                        nonsmooth=(1.0 - eps,))
+                        nonsmooth=(1.0 - eps,), omega2_bound=omega2)
 
 
 _FAMILIES = {

@@ -3,9 +3,10 @@
 Everything is built on f itself, in x, with no change of frame.  Pipeline:
 locate the depth M of f below its own secant and the point x* where it is
 reached, shrink a smallness radius H1 until the depth at the boundary and
-the weighted second-order modulus are dominated by M (one row of the
-modulus profile, its last step, refutes a radius; the full profile is built
-only for a radius that row does not refute, normally the accepted one),
+the weighted second-order modulus are dominated by M (the oracle's proved
+upper bound of that modulus accepts a radius where it suffices; otherwise
+one row of the sampled modulus profile, its last step, refutes a radius,
+and the full profile is built only for a radius that row does not refute),
 intersect with the endpoint-block convexity threshold, build the two Hermite
 endpoint blocks and the interior pieces of the convex interpolant sigma, then
 blend them with a tangent line so the block defects are absorbed without
@@ -16,7 +17,7 @@ The Chebyshev specialization derives the minimal admissible n from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,15 +85,18 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GlueTrace:
-    """Diagnostics of one gluing run, x*, H1 and H in x, and how many rows
-    between the end blocks came from each source: the Hermite row, its
-    blend with the parabola, the σ blend (r = 1), the parabola fallback or
-    the secant (every row of an affine input)."""
+    """Diagnostics of one gluing run, x*, H1 and H in x, whether the oracle's
+    proved bound of omega_2 accepted H1 (false where the sampled modulus
+    did, and for an affine input), and how many rows between the end blocks
+    came from each source: the Hermite row, its blend with the parabola, the
+    σ blend (r = 1), the parabola fallback or the secant (every row of an
+    affine input)."""
 
     M: float
     x_star: float
     H1: float
     H: float
+    H1_certified: bool
     delta: float
     delta_tilde: float
     delta_hat: float
@@ -114,6 +118,8 @@ class _Prepared:
     x_star: float
     H1: float
     H: float
+    # how H1 was accepted, not what it is: equal preparations compare equal
+    H1_certified: bool = field(default=False, compare=False)
 
 
 def _golden_max(fun, lo, hi):
@@ -175,16 +181,21 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
 
     fr = f.deriv_fn(r)
     kinks = tuple(p for p in f.nonsmooth if a <= p <= b)
+    bound = f.omega2_bound
     H1 = 0.5 * min(x_star - a, b - x_star)
     for _ in range(MAX_HALVINGS):
         boundary_ok = max(float(depth(a + H1)), float(depth(b - H1))) < 0.5 * M
         weight = 4.0 * C0 * H1 ** r
+        # the bound is at least every value the sampled modulus can compute,
+        # so a radius it accepts the sample accepts too: H1 is the same
+        certified = boundary_ok and bound is not None and weight * bound(r, H1, a, b) < M
         # the full profile's last step is H1*512/512, which is H1 exactly only
         # because HYPOTHESIS_GRID is a power of two, so the one-step profile
         # over [H1] is that row bit for bit: a lower bound of modulus(...).value
         # that refutes most radii before the full profile is built.  The kink
         # windows keep the global lattice from stepping over a corner.
-        if (boundary_ok
+        if certified or (
+                boundary_ok
                 and weight * ModulusProfile(fr, 2, (a, b), [H1], HYPOTHESIS_GRID,
                                             kinks).value(H1) < M
                 and weight * modulus(fr, 2, H1, (a, b), HYPOTHESIS_GRID, kinks).value < M):
@@ -195,7 +206,7 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
                                 "numerically degenerate")
 
     H = min(find_H(f, (a, b), r, 0.25 * (b - a)), H1)
-    return _Prepared(False, M, x_star, H1, H)
+    return _Prepared(False, M, x_star, H1, H, certified)
 
 
 def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple:
@@ -236,7 +247,7 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
         blend, sources = (0.0, 0.0, 0.0, 1, 1.0), ["secant"] * X.n
     else:
         S, blend, sources = _glue(prep, f, X, r)
-    trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, *blend,
+    trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, prep.H1_certified, *blend,
                       hermite_rows=sources.count("hermite"),
                       blend_rows=sources.count("blend"),
                       lp_rows=sources.count("lp"),

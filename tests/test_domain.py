@@ -238,3 +238,97 @@ def test_ipow_equals_product_from_ones_bit_for_bit():
         assert not np.shares_memory(got, y), e
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), e
     assert before.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+
+
+def test_ipow_overwrite_reuses_its_input():
+    y = np.array([0.5, -0.75, 3.0, -0.0, 1e100])
+    for e in range(1, 9):
+        with np.errstate(all="ignore"):
+            want = _ipow_reference(y, e)
+            mine = y.copy()
+            got = _ipow(mine, e, overwrite=True)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), e
+        # the ladder's base is squared in place; e = 1 is y itself
+        assert (got is mine) == (e & (e - 1) == 0), e
+
+
+def _plain_deriv(f, nu):
+    """f^(nu) of a builtin oracle as the plain numpy expression, one new
+    array per step: what its evaluator computes in place."""
+    def arr(x):
+        return np.asarray(x, dtype=float)
+
+    if f.name == "exp":
+        a = f.params["alpha"]
+        return lambda x: a ** nu * np.exp(a * arr(x))
+    if f.name == "cosh":
+        b = f.params["beta"]
+        fn = np.cosh if nu % 2 == 0 else np.sinh
+        return lambda x: b ** nu * fn(b * arr(x))
+    if f.name == "xpow":
+        p = 2 * f.params["m"]
+        if nu > p:
+            return lambda x: np.zeros_like(arr(x))
+        return lambda x: math.perm(p, nu) * _ipow_reference(arr(x), p - nu)
+    if f.name == "poly":
+        d = np.polynomial.polynomial.polyder(np.array(f.params["coeffs"]), nu)
+        d = d if d.size else np.zeros(1)
+        return lambda x: np.polynomial.polynomial.polyval(arr(x), d)
+    if f.name == "f0":
+        fac = 1.0
+        for i in range(nu):
+            fac *= f.r + 0.5 - i
+
+        def ev(x):
+            y = np.clip(1.0 + arr(x), 0.0, None)
+            return fac * _ipow_reference(y, f.r - nu) * np.sqrt(y)
+        return ev
+    assert f.name == "truncpow"
+    p, eps = f.r + 1, f.params["eps"]
+    return lambda x: math.perm(p, nu) * _ipow_reference(
+        np.clip(arr(x) - 1.0 + eps, 0.0, None), p - nu)
+
+
+@pytest.mark.parametrize("spec", [
+    "exp:alpha=1", "exp:alpha=-2.5", "cosh:beta=1.5", "cosh:beta=-3", "xpow:m=1", "xpow:m=3",
+    "poly:coeffs=0.5,-0.25,1,0.125", "poly:coeffs=2", "f0:r=1", "f0:r=3",
+    "truncpow:r=1,eps=0.01", "truncpow:r=3,eps=1.5"])
+def test_evaluators_in_place_equal_the_plain_expressions_bit_for_bit(spec):
+    f = parse_function(spec)
+    block = np.random.default_rng(7).uniform(-1.3, 1.3, 4096)
+    block[:10] = [-1.0, 1.0, 0.0, -0.0, 1e-300, np.nan, np.inf, -np.inf, 1e300, 0.99]
+    view = block.view()
+    view.flags.writeable = False
+    before = block.copy()
+    inputs = [block, view, block[::3], block.reshape(64, 64), 0.3, -1.0, np.float64(0.7),
+              np.array(-0.25), np.array([0.5])]
+    for nu in range(f.r + 1):
+        for x in inputs:
+            with np.errstate(all="ignore"):
+                got, want = f.deriv(nu, x), _plain_deriv(f, nu)(x)
+            assert type(got) is type(want), (nu, x)
+            assert np.shape(got) == np.shape(want), (nu, x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (nu, x)
+            if isinstance(x, np.ndarray) and x.ndim:
+                # a new writable array, so smoothness._row_maxima scales it in place
+                assert got.flags.writeable and not np.shares_memory(got, x), (nu, x)
+    assert before.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("spec, r", [("f0:r=2", 2), ("truncpow:r=1,eps=0.1", 1)])
+def test_omega2_bound_of_a_corner_family_holds_only_at_r(spec, r):
+    bound = parse_function(spec).omega2_bound
+    assert 0.0 < bound(r, 0.1, -1.0, 1.0) < math.inf
+    assert [bound(nu, 0.1, -1.0, 1.0) for nu in range(r)] == [math.inf] * r
+
+
+def test_omega2_bound_never_raises():
+    # overflow in math.exp, math.cosh, float ** int and a sum of finite terms
+    for spec, r, end in [("exp:alpha=700", 1, 1.0), ("exp:alpha=-1000", 0, 1.0),
+                         ("cosh:beta=800", 1, 1.0), ("xpow:m=200", 2, 10.0),
+                         ("poly:coeffs=0,0,1e300,1e300", 0, 1e3)]:
+        assert parse_function(spec).omega2_bound(r, 0.5, -end, end) == math.inf, spec
+    f = parse_function("exp:alpha=2")
+    assert f.omega2_bound(1, math.nan, -1.0, 1.0) == math.inf
+    assert f.omega2_bound(1, 0.0, -1.0, 1.0) > 0.0  # the rounding of a zero step
+    assert f.omega2_bound(1, 0.5, -1e308, 1e308) == math.inf

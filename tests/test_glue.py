@@ -214,7 +214,7 @@ def test_trace_json_fields():
     f = exp_oracle(1.0)
     _, trace, _ = construct_chebyshev(f, 1, 32)
     d = trace.to_json_dict()
-    assert set(d) == {"M", "x_star", "H1", "H", "delta", "delta_tilde",
+    assert set(d) == {"M", "x_star", "H1", "H", "H1_certified", "delta", "delta_tilde",
                       "delta_hat", "case", "lambda", "hermite_rows", "blend_rows",
                       "lp_rows", "parabola_fallback_rows", "secant_rows"}
     assert [d[k] for k in d if k.endswith("_rows")] == [0, 0, 30, 0, 0]
@@ -484,8 +484,9 @@ def test_prepare_equals_the_reference_kernels_bit_for_bit(monkeypatch, spec, r):
     ("exp:alpha=2.3", 2, [1, 512]),
 ])
 def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
-    # rejected radii cost one row each; only the accepted one gets the
-    # HYPOTHESIS_GRID rows of the full profile
+    # rejected radii cost one row each; without omega2_bound only the
+    # accepted one gets the HYPOTHESIS_GRID rows of the full profile, and
+    # with it the bound accepts that radius before its row or profile
     seen = []
     row_maxima = smoothness._row_maxima
 
@@ -494,8 +495,12 @@ def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
         return row_maxima(f, k, us, *args)
 
     monkeypatch.setattr(smoothness, "_row_maxima", spy)
-    glue._prepare(parse_function(spec), r)
+    f = parse_function(spec)
+    assert not glue._prepare(dataclasses.replace(f, omega2_bound=None), r).H1_certified
     assert seen == rows
+    seen.clear()
+    assert glue._prepare(f, r).H1_certified
+    assert seen == rows[:-2]
 
 
 # -- steep and wide inputs: every one builds certified -------------------------
@@ -574,3 +579,71 @@ def test_every_family_builds_certified_or_is_below_threshold(family, r, k):
     else:
         S, _, _ = construct_chebyshev(f, r, n)
         assert S.convex_certified
+
+
+# every builtin family at several r: the bench's threshold families and
+# parameters past them, convex polynomials whose f^(r) is linear or
+# constant, and corners from gentle to sharp
+_BOUND_CENSUS = (
+    [(f"exp:alpha={a}", r) for a in (0.5, 2.3, 7.43, 8, 20, -3) for r in (1, 2, 3)]
+    + [(f"cosh:beta={b}", r) for b in (0.7, 1.84, 4, 6, -2) for r in (1, 2, 3)]
+    + [(f"xpow:m={m}", r) for m in (1, 2, 3) for r in (1, 2)]
+    + [(f"poly:coeffs={c}", r) for c in ("0.5,-0.25,1,0.125", "0,0,1", "0,0,1,0,1")
+       for r in (1, 2, 3)]
+    + [(f"f0:r={r}", r) for r in (1, 2, 3, 4, 5)]
+    + [(f"truncpow:r=1,eps={e}", 1) for e in (1.5, 0.3, 0.01, 1e-3, 1e-4)]
+    + [("truncpow:r=2,eps=0.1", 2), ("truncpow:r=2,eps=1e-3", 2), ("truncpow:r=3,eps=0.01", 3)]
+)
+
+
+@pytest.mark.parametrize("spec, r", _BOUND_CENSUS)
+def test_omega2_bound_is_above_the_sampled_modulus(spec, r):
+    # the sample _prepare would compute, at radii around the one it accepts
+    f = parse_function(spec)
+    H1 = glue._prepare(f, r).H1
+    fr = f.deriv_fn(r)
+    for t in (4.0 * H1, 2.0 * H1, H1, 0.5 * H1, 0.125 * H1):
+        sample = modulus(fr, 2, t, (-1.0, 1.0), glue.HYPOTHESIS_GRID, f.nonsmooth).value
+        assert f.omega2_bound(r, t, -1.0, 1.0) >= sample, (t, sample)
+
+
+@pytest.mark.parametrize("spec, r", _BOUND_CENSUS)
+def test_prepare_is_the_same_with_and_without_omega2_bound(spec, r):
+    # without the hook (a user oracle) every radius is sampled
+    f = parse_function(spec)
+    prep, sampled = glue._prepare(f, r), glue._prepare(dataclasses.replace(f, omega2_bound=None), r)
+    assert prep == sampled
+    assert [float(v).hex() for v in dataclasses.astuple(prep)[:-1]] == \
+        [float(v).hex() for v in dataclasses.astuple(sampled)[:-1]]
+    assert not sampled.H1_certified
+
+
+def test_bound_accepts_most_bench_cells():
+    # the 29 cells of a bench threshold round at seed 1; on the three where
+    # weight * bound / M is 1.06 to 1.10, the sample accepts the radius
+    cells = [(f"truncpow:r={r},eps={e}", r) for r in (1, 2)
+             for e in (0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4)]
+    cells += [(f"exp:alpha={a}", r) for a in (1.00387, 7.42788) for r in (1, 2, 3)]
+    cells += [(f"cosh:beta={b}", r) for b in (1.83661, 2.69637) for r in (1, 2, 3)]
+    cells += [(f"f0:r={r}", r) for r in (1, 2, 3)]
+    sampled = [(spec, r) for spec, r in cells
+               if not glue._prepare(parse_function(spec), r).H1_certified]
+    assert sampled == [("exp:alpha=7.42788", 2), ("cosh:beta=1.83661", 1), ("f0:r=1", 1)]
+
+
+def test_overflowing_bound_takes_the_sampled_path():
+    f = parse_function("exp:alpha=700")
+    assert f.omega2_bound(1, 0.5, -1.0, 1.0) == math.inf
+    prep = glue._prepare(f, 1)
+    assert not prep.H1_certified
+    assert dataclasses.astuple(prep) == \
+        dataclasses.astuple(glue._prepare(dataclasses.replace(f, omega2_bound=None), 1))
+
+
+def test_trace_records_how_H1_was_accepted():
+    _, trace, _ = construct_chebyshev(exp_oracle(1.0), 1, 32)
+    assert trace.H1_certified is True and trace.to_json_dict()["H1_certified"] is True
+    _, trace, _ = construct_chebyshev(dataclasses.replace(exp_oracle(1.0), omega2_bound=None), 1, 32)
+    assert trace.H1_certified is False
+    _, trace, _ = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 16)
+    assert trace.H1_certified is False
