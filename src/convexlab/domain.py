@@ -4,7 +4,9 @@ Oracles carry exact closed-form derivative evaluators up to their guaranteed
 smoothness order; numerical differentiation is only ever a cross-check.  The
 endpoint Hermite blocks consume derivative values at the interval ends, and
 noise there would destroy them.  The construction evaluates f itself, in
-x, with no secant subtracted and no derived oracle.  A builtin evaluator
+x, with no secant subtracted and no derived oracle.  The builtin evaluators
+come from two shapes, c^nu g_nu(c x) for ``exp`` and ``cosh`` and
+fac_nu base(x)^(p - nu) for ``xpow``, ``f0`` and ``truncpow``; each
 allocates one array, its first temporary, and computes every later step in
 it, the same floats as the plain expression.  Every builtin family also
 carries ``omega2_bound``, a proved upper bound of the second-order modulus
@@ -25,7 +27,6 @@ __all__ = [
     "phi",
     "rho",
     "chebyshev_partition",
-    "uniform_partition",
     "read_partition",
     "tangent_line",
     "exp_oracle",
@@ -71,14 +72,6 @@ class Partition:
     def b(self) -> float:
         return float(self.knots[-1])
 
-    def knot(self, j: int) -> float:
-        """Knot accessor with the clamping convention: j > n maps to b, j < 0 to a."""
-        if j < 0:
-            return self.a
-        if j > self.n:
-            return self.b
-        return float(self.knots[j])
-
     def interval(self, j: int):
         """The j-th interval [x_{j-1}, x_j], 1 <= j <= n."""
         if not 1 <= j <= self.n:
@@ -102,12 +95,6 @@ def chebyshev_partition(n: int) -> Partition:
     if n % 2 == 0:
         ks[n // 2] = 0.0
     return Partition(ks)
-
-
-def uniform_partition(a: float, b: float, n: int) -> Partition:
-    if n < 2:
-        raise InvalidN(f"need n >= 2, got {n}")
-    return Partition(np.linspace(a, b, n + 1))
 
 
 def read_partition(path) -> Partition:
@@ -206,18 +193,16 @@ def tangent_line(f: ConvexOracle, x0: float):
 # builtin oracle families
 
 
-def _ipow(y: np.ndarray, e: int, overwrite: bool = False) -> np.ndarray:
+def _ipow(y, e: int):
     """y**e for small whole e by squaring; numpy's pow is ~50x slower.
 
     The products are those of the ladder acc <- acc * base, base <- base *
     base, acc starting from its first factor (1.0 * y is y bit for bit).
-    The result is a new array and y is left alone, unless ``overwrite``:
-    then the ladder runs in y's own memory, y may be returned, and at most
-    one more array is made."""
+    The base is squared in y's own memory, so the caller passes an array it
+    owns: y itself is returned when e is a power of two, and at most one
+    more array is made.  e = 0 gives new ones (a float64 for a scalar y)."""
     if e == 0:
-        return np.ones_like(y)
-    if not overwrite:
-        y = y.copy()
+        return np.ones_like(y) if isinstance(y, np.ndarray) else np.float64(1.0)
     acc = None
     while e > 1:
         if e & 1:
@@ -243,6 +228,48 @@ def _arg(x):
 def _apply(fn, y, *args):
     """fn(y, *args) in y's own memory, or a new scalar for a scalar y."""
     return fn(y, *args, out=y) if isinstance(y, np.ndarray) else fn(y, *args)
+
+
+def _scaled_derivs(c: float, fns) -> tuple:
+    """Evaluators of f^(nu)(x) = c^nu g_nu(c x), nu = 0..SMOOTH_ORDER_CAP,
+    with g_nu = fns[nu % len(fns)]: (exp,), or (cosh, sinh) by parity."""
+    def make(nu):
+        fac, fn = c ** nu, fns[nu % len(fns)]
+
+        def ev(x):
+            y = _apply(fn, c * _arg(x))
+            if fac != 1.0:
+                y *= fac
+            return y
+        return ev
+    return tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1))
+
+
+def _power_derivs(p, base, r: int) -> tuple:
+    """Evaluators of f^(nu)(x) = fac_nu base(x)^(p - nu), nu = 0..r, with
+    fac_nu = p (p - 1) ... (p - nu + 1) for a whole or half-integer p, and
+    base(x) a new array that the evaluator computes in.  A whole p takes
+    the power by _ipow, 1 from nu = p on (fac_nu is 0 past p); a
+    half-integer p multiplies (fac_nu base^e) sqrt(base), e = p - nu - 1/2,
+    in that order."""
+    half = p != int(p)
+
+    def make(nu):
+        fac, e = math.prod(p - i for i in range(nu)), max(int(p - nu), 0)
+
+        def ev(x):
+            x = _arg(x)
+            y = base(x) if e or half else x  # e = 0: no base, _ipow makes new ones
+            if half and e:
+                acc = _ipow(y.copy(), e)
+                acc *= fac
+                acc *= _apply(np.sqrt, y)
+                return acc
+            y = _apply(np.sqrt, y) if half else _ipow(y, e)
+            y *= fac
+            return y
+        return ev
+    return tuple(make(nu) for nu in range(r + 1))
 
 
 # omega2_bound's slack over the exact modulus.  A sampled second difference
@@ -303,37 +330,16 @@ def _monotone_omega2(r: int, modulus1, value_max):
 def exp_oracle(alpha: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
     alpha = float(alpha)
 
-    def make(nu):
-        fac = alpha ** nu
-
-        def ev(x):
-            y = _apply(np.exp, alpha * _arg(x))
-            if fac != 1.0:
-                y *= fac
-            return y
-        return ev
-
     def deriv_max(j, lo, hi):
         return abs(alpha) ** j * math.exp(max(alpha * lo, alpha * hi))
 
     return ConvexOracle("exp", {"alpha": alpha}, SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        _scaled_derivs(alpha, (np.exp,)),
                         omega2_bound=_smooth_omega2(deriv_max))
 
 
 def cosh_oracle(beta: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
     beta = float(beta)
-
-    def make(nu):
-        fac = beta ** nu
-        fn = np.cosh if nu % 2 == 0 else np.sinh
-
-        def ev(x):
-            y = _apply(fn, beta * _arg(x))
-            if fac != 1.0:
-                y *= fac
-            return y
-        return ev
 
     def deriv_max(j, lo, hi):
         # |cosh| and |sinh| grow with |x|, so both peak at the end farthest from 0
@@ -341,7 +347,7 @@ def cosh_oracle(beta: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
         return abs(beta) ** j * fn(abs(beta) * max(abs(lo), abs(hi)))
 
     return ConvexOracle("cosh", {"beta": beta}, SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        _scaled_derivs(beta, (np.cosh, np.sinh)),
                         omega2_bound=_smooth_omega2(deriv_max))
 
 
@@ -352,24 +358,11 @@ def even_power_oracle(m: int, domain=(-1.0, 1.0)) -> ConvexOracle:
         raise ValueError("need m >= 1")
     p = 2 * m
 
-    def make(nu):
-        if nu > p:
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        fac = math.perm(p, nu)
-        if nu == p:
-            return lambda x: fac * np.ones_like(np.asarray(x, dtype=float))
-
-        def ev(x):
-            y = _ipow(_arg(x), p - nu)
-            y *= fac
-            return y
-        return ev
-
     def deriv_max(j, lo, hi):
         return math.perm(p, j) * max(abs(lo), abs(hi)) ** (p - j) if j <= p else 0.0
 
     return ConvexOracle("xpow", {"m": m}, SMOOTH_ORDER_CAP, tuple(domain),
-                        tuple(make(nu) for nu in range(SMOOTH_ORDER_CAP + 1)),
+                        _power_derivs(p, lambda x: x.copy(), SMOOTH_ORDER_CAP),
                         omega2_bound=_smooth_omega2(deriv_max))
 
 
@@ -413,34 +406,13 @@ def f0_oracle(r: int, domain=(-1.0, 1.0)) -> ConvexOracle:
     if r < 1:
         raise ValueError("the square-root family is convex only for r >= 1")
     p = r + 0.5
-
-    def coeff(nu):
-        return float(math.prod(p - i for i in range(nu)))
-
-    def make(nu):
-        fac = coeff(nu)
-        whole = r - nu  # exponent is whole + 1/2
-
-        def ev(x):
-            y = _apply(np.maximum, 1.0 + _arg(x), 0.0)
-            if whole:
-                # (fac y^whole) sqrt(y), in that order
-                acc = _ipow(y, whole)
-                acc *= fac
-                acc *= _apply(np.sqrt, y)
-                return acc
-            # fac * 1 is fac: fac sqrt(y)
-            y = _apply(np.sqrt, y)
-            y *= fac
-            return y
-        return ev
+    derivs = _power_derivs(p, lambda x: _apply(np.maximum, 1.0 + x, 0.0), r)
 
     # f^(r) = c sqrt(1 + x) rises, and sqrt(y) - sqrt(y - s) <= sqrt(s)
-    c = coeff(r)
+    c = math.prod(p - i for i in range(r))
     omega2 = _monotone_omega2(r, lambda s: c * math.sqrt(s),
                               lambda hi: c * math.sqrt(max(1.0 + hi, 0.0)))
-    return ConvexOracle("f0", {"r": r}, r, tuple(domain),
-                        tuple(make(nu) for nu in range(r + 1)), omega2_bound=omega2)
+    return ConvexOracle("f0", {"r": r}, r, tuple(domain), derivs, omega2_bound=omega2)
 
 
 def truncpow_oracle(r: int, eps: float, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -451,26 +423,17 @@ def truncpow_oracle(r: int, eps: float, domain=(-1.0, 1.0)) -> ConvexOracle:
         raise ValueError("need r >= 1 and eps in (0, 2)")
     p = r + 1
 
-    def make(nu):
-        fac = math.perm(p, nu)
-        e = p - nu
-
-        def ev(x):
-            y = _arg(x) - 1.0
-            y += eps
-            y = _apply(np.maximum, y, 0.0)
-            y = _ipow(y, e, overwrite=True)
-            y *= fac
-            return y
-        return ev
+    def base(x):
+        y = x - 1.0
+        y += eps
+        return _apply(np.maximum, y, 0.0)
 
     # f^(r) = (r+1)! max(0, x - 1 + eps) rises with slope at most (r+1)!
     slope = math.perm(p, r)
     omega2 = _monotone_omega2(r, lambda s: slope * s,
                               lambda hi: slope * max(hi - 1.0 + eps, 0.0))
     return ConvexOracle("truncpow", {"r": r, "eps": eps}, r, tuple(domain),
-                        tuple(make(nu) for nu in range(r + 1)),
-                        nonsmooth=(1.0 - eps,), omega2_bound=omega2)
+                        _power_derivs(p, base, r), nonsmooth=(1.0 - eps,), omega2_bound=omega2)
 
 
 _FAMILIES = {

@@ -104,6 +104,8 @@ def _block(f, end: float, h: float, r: int, side: str) -> EndpointBlock:
         raise ValueError(f"need h > 0, got {h}")
     end = float(end)
     s = 1.0 if side == "left" else -1.0
+    if end + s * float(h) == end:
+        raise ValueError(f"h = {h:g} rounds onto the end {end!r}: the block has no width")
     end_derivs = [float(f.deriv(nu, end)) for nu in range(r + 1)]
     center, w, coeffs, inner = _row(f, end, s, end_derivs, h)
     delta = _value(center, w, coeffs, inner) - float(f(inner))
@@ -131,8 +133,9 @@ def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:
     The ladder factor is a resolution choice, not part of the contract: any
     admissible width works downstream, since the partition condition it feeds
     is an inequality.  The ladder stops at its last width at or above
-    1e-12 (b - a), at most 38 halvings below h_max <= (b - a)/2, and then
-    raises :class:`NoConvexityThreshold`.
+    1e-12 (b - a), at most 38 halvings below h_max <= (b - a)/2, or earlier
+    at its last width whose inner knots a + h and b - h differ from the
+    ends in floats, and then raises :class:`NoConvexityThreshold`.
 
     The blocks of a few widths at a time, both sides, are certified in one
     ``convexity_certificates`` call; its rows are certified each on its own
@@ -145,8 +148,10 @@ def find_H(f: ConvexOracle, interval, r: int, h_max: float) -> float:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     h_floor = 1e-12 * (b - a)  # below this, slope data is cancellation noise
-    hs = [float(h_max)]  # the ladder, down to the first width below h_floor
-    while hs[-1] >= h_floor:
+    # the ladder, down to the first width below h_floor or to the last one
+    # whose inner knots differ from the ends, since a block needs a width
+    hs = [float(h_max)]
+    while hs[-1] >= h_floor and a + 0.5 * hs[-1] != a and b - 0.5 * hs[-1] != b:
         hs.append(0.5 * hs[-1])
     ends = [(end, s, [float(f.deriv(nu, end)) for nu in range(r + 1)])
             for end, s in ((a, 1.0), (b, -1.0))]

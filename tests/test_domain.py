@@ -19,7 +19,6 @@ from convexlab.domain import (
     rho,
     tangent_line,
     truncpow_oracle,
-    uniform_partition,
 )
 from helpers import reflect
 
@@ -42,13 +41,6 @@ def test_chebyshev_small_cases():
     t4 = chebyshev_partition(4)
     assert t4.knots[1] == pytest.approx(-math.sqrt(2) / 2, abs=1e-15)
     assert t4.knots[0] == -1.0 and t4.knots[-1] == 1.0
-
-
-def test_chebyshev_clamped_accessor():
-    t = chebyshev_partition(6)
-    assert t.knot(9) == 1.0
-    assert t.knot(-3) == -1.0
-    assert t.knot(0) == -1.0
 
 
 def test_chebyshev_antisymmetric():
@@ -208,11 +200,6 @@ def test_parse_function_rejects_unknown():
         parse_function("exp:gamma=2")
 
 
-def test_uniform_partition():
-    p = uniform_partition(0.0, 1.0, 4)
-    assert np.allclose(p.knots, [0, 0.25, 0.5, 0.75, 1.0])
-
-
 def _ipow_reference(y, e):
     """domain._ipow as it was, the product started from ones."""
     out = np.ones_like(y)
@@ -230,26 +217,22 @@ def test_ipow_equals_product_from_ones_bit_for_bit():
     tiny = np.nextafter(0.0, 1.0)
     y = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -2.2e-308,
                   0.5, -0.75, 1.0, -1.0, 3.0, 1e100, -1e200, 7.5e-40])
-    before = y.copy()
     for e in range(9):
         with np.errstate(all="ignore"):
-            got, want = _ipow(y, e), _ipow_reference(y, e)
-        # a new array, never the input itself, even for e = 1
-        assert not np.shares_memory(got, y), e
+            got, want = _ipow(y.copy(), e), _ipow_reference(y, e)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), e
-    assert before.view(np.uint64).tolist() == y.view(np.uint64).tolist()
 
 
-def test_ipow_overwrite_reuses_its_input():
+def test_ipow_squares_in_its_argument():
     y = np.array([0.5, -0.75, 3.0, -0.0, 1e100])
-    for e in range(1, 9):
+    for e in range(9):
+        mine = y.copy()
         with np.errstate(all="ignore"):
-            want = _ipow_reference(y, e)
-            mine = y.copy()
-            got = _ipow(mine, e, overwrite=True)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), e
+            got = _ipow(mine, e)
         # the ladder's base is squared in place; e = 1 is y itself
-        assert (got is mine) == (e & (e - 1) == 0), e
+        assert (got is mine) == (e > 0 and e & (e - 1) == 0), e
+        assert type(_ipow(np.float64(-0.75), e)) is np.float64, e
+    assert _ipow(np.float64(np.nan), 0) == 1.0
 
 
 def _plain_deriv(f, nu):
@@ -267,9 +250,7 @@ def _plain_deriv(f, nu):
         return lambda x: b ** nu * fn(b * arr(x))
     if f.name == "xpow":
         p = 2 * f.params["m"]
-        if nu > p:
-            return lambda x: np.zeros_like(arr(x))
-        return lambda x: math.perm(p, nu) * _ipow_reference(arr(x), p - nu)
+        return lambda x: math.perm(p, nu) * _ipow_reference(arr(x), max(p - nu, 0))
     if f.name == "poly":
         d = np.polynomial.polynomial.polyder(np.array(f.params["coeffs"]), nu)
         d = d if d.size else np.zeros(1)

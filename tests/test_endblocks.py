@@ -7,6 +7,7 @@ from convexlab import endblocks, polynomial
 from convexlab.domain import (
     ConvexOracle,
     cosh_oracle,
+    even_power_oracle,
     exp_oracle,
     f0_oracle,
     parse_function,
@@ -280,6 +281,24 @@ def test_find_H_inconsistent_derivatives_raises():
          lambda x: -2.0 * np.asarray(x, float) - 10.0))
     with pytest.raises(NoConvexityThreshold):
         find_H(bogus, (-1.0, 1.0), 1, 0.5)
+
+
+def test_find_H_ladder_ends_before_a_width_that_rounds_onto_the_ends():
+    # on [1e6, 1e6 + 1] a width of ulp(1e6)/2 = 2^-34 leaves a + h == a, so
+    # the ladder ends at 2^-33, above the 1e-12 floor, and refuses
+    bogus = ConvexOracle(
+        "bogus", {}, 1, (-1.0, 1.0),
+        (lambda x: np.asarray(x, float) ** 2,
+         lambda x: -2.0 * np.asarray(x, float) - 10.0))
+    with pytest.raises(NoConvexityThreshold, match=f"down to h = {2.0 ** -33:g} for bogus;"):
+        find_H(bogus, (1e6, 1e6 + 1.0), 1, 0.25)
+
+
+@pytest.mark.parametrize("build, end", [(integrated_L, 1e6), (mirrored_L, 1e6 + 1.0)])
+def test_block_refuses_a_width_that_rounds_onto_its_end(build, end):
+    f = even_power_oracle(1, domain=(1e6, 1e6 + 1.0))
+    with pytest.raises(ValueError, match="rounds onto the end"):
+        build(f, end, 1e-12, 1)
 
 
 def _ladder_cells():

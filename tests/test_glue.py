@@ -17,7 +17,6 @@ from convexlab.domain import (
     poly_oracle,
     tangent_line,
     truncpow_oracle,
-    uniform_partition,
 )
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.glue import (
@@ -137,7 +136,7 @@ def test_seam_defect_bound():
 
 def test_partition_too_coarse():
     f = exp_oracle(1.0)
-    X = uniform_partition(-1.0, 1.0, 4)  # end gaps of 0.5 exceed any H <= 0.5/2
+    X = Partition(np.linspace(-1.0, 1.0, 5))  # end gaps of 0.5 exceed any H <= 0.5/2
     with pytest.raises(PartitionTooCoarse) as ei:
         construct_spline(f, X, 1)
     assert ei.value.h_required > 0

@@ -19,7 +19,6 @@ from convexlab.domain import (
     parse_function,
     poly_oracle,
     truncpow_oracle,
-    uniform_partition,
 )
 from convexlab import localconvex
 from convexlab.glue import chebyshev_threshold, construct_chebyshev
@@ -206,7 +205,7 @@ def test_build_sigma_certified_on_fine_partitions(f, r, n):
 
 def test_sigma_slopes_sandwich_derivative():
     f = cosh_oracle(1.0)
-    X = uniform_partition(-1.0, 1.0, 10)
+    X = Partition(np.linspace(-1.0, 1.0, 11))
     _, _, slacks = convex_pieces(f, X, 2)
     scale = 1.0 + float(np.max(np.abs(f.deriv(1, X.knots))))
     assert slacks.shape == (X.n, 2)
