@@ -17,13 +17,14 @@ grid point's bound is a gather.
 A report and a sweep share one setup per bound: the grid, the errors, the
 noise-floor mask, the weights and the steps each point reads.  A sweep writes
 only the sup ratios, and computes only what can move them, giving the same
-float as the report's ``sup_ratio``.  Each profile row and each 2.13 term
-starts as a lower bound from a few of its own lattice's values
-(``profile_probe``, ``lattice_probe``); exact rows are built in ascending
-step order and exact terms for the intervals whose points have the largest
-ratio bounds, until no point that still lacks one can beat the best exact
-ratio.  Float *, +, min, max and / are monotone, so a bound built from lower
-bounds caps the ratio it stands in for.
+float as the report's ``sup_ratio``.  Its profiles take their steps and
+each point's rows by ``ModulusProfile``'s own rules.  Each profile row and
+each 2.13 term starts as a lower bound, its own kernel on a few of its
+points (``profile_probe``, ``lattice_probe``); exact rows are built in
+ascending step order and exact terms for the intervals whose points have the
+largest ratio bounds, until no point that still lacks one can beat the best
+exact ratio.  Float *, +, min, max and / are monotone, so a bound built from
+lower bounds caps the ratio it stands in for.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from convexlab.glue import (
 )
 from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
                                  verify_convexity)
-from convexlab.smoothness import (ModulusProfile, _check_grid, block_rows, lattice_probe,
-                                  modulus_lower_bounds, profile_probe)
+from convexlab.smoothness import (ModulusProfile, _check_grid, _profile_steps, _step_count,
+                                  block_rows, lattice_probe, modulus_lower_bounds, profile_probe)
 
 __all__ = [
     "BOUND_IDS",
@@ -308,10 +309,8 @@ def _profile_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
     per_block = block_rows(s.density, len(s.kinks))
     plans = []
     for k, interval, steps in s.moduli:
-        us = np.unique(np.minimum(_steps_read(steps, s.read), (interval[1] - interval[0]) / k))
-        us = us[us > 0]
-        t = steps[s.read]
-        at = np.where(np.isnan(t), 0, np.searchsorted(us, t, side="right"))  # as value(t)
+        us = _profile_steps(k, *interval, _steps_read(steps, s.read))
+        at = _step_count(us, steps[s.read])
         plans.append(_Plan(k, interval, us, at, profile_probe(s.fr, k, interval, us, s.density)))
     while True:
         lows = [np.maximum.accumulate(np.append(0.0, p.rows))[p.at] for p in plans]

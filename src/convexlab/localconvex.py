@@ -164,7 +164,8 @@ def linprog(c, *, A_ub, b_ub, bounds) -> np.ndarray:
         from scipy.optimize import linprog as highs_linprog
         from scipy.sparse import block_diag
     except ImportError as exc:
-        raise ImportError("convexlab needs scipy>=1.17 for scipy.optimize._highspy._core") from exc
+        raise ImportError("convexlab.localconvex.linprog needs scipy.optimize.linprog and "
+                          "scipy.sparse, from the test extra") from exc
     res = highs_linprog(c, A_ub=block_diag(list(A_ub)), b_ub=b_ub, bounds=bounds, method="highs",
                         options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
                                  "dual_feasibility_tolerance": 1e-10})

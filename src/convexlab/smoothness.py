@@ -20,10 +20,10 @@ the lattice spacing) are index shifts of those values;
 ``modulus_lower_bound`` is its one-interval call.  Every reported
 value is therefore a certified lower bound on the true supremum, and ratios
 that divide by one of these values over-estimate conservatively.
-``profile_probe`` and ``lattice_probe`` bound a profile row and a
-``modulus_lower_bounds`` value from below by a few of the values they
-maximize over, computed in the same arithmetic, so a caller can tell which
-rows and lattices are worth building.
+``profile_probe`` and ``lattice_probe`` are the row and lattice kernels on
+a few of a row's or an interval's points, so each bounds the value it
+stands in for from below by construction, and a caller can tell which rows
+and lattices are worth building.
 """
 
 from __future__ import annotations
@@ -116,11 +116,11 @@ def finite_difference(f, k: int, u: float, x: float, interval) -> float:
     return float(_weights(k) @ np.asarray(f(pts), dtype=float))
 
 
-def _centers(lo, hi, num, out=None):
-    """np.linspace(lo[i], hi[i], num) for every row i, bit for bit: numpy's
-    own step-times-index arithmetic, with the last column pinned to hi; built
-    in ``out`` when given."""
-    xs = np.multiply(np.arange(num), (hi - lo) / (num - 1), out=out)
+def _centers(lo, hi, cols, out=None):
+    """Columns ``cols`` (ascending) of np.linspace(lo[i], hi[i], cols[-1] + 1)
+    for every row i, bit for bit: numpy's own step-times-index arithmetic,
+    the last column pinned to hi; built in ``out`` when given."""
+    xs = np.multiply(cols, (hi - lo) / int(cols[-1]), out=out)
     xs += lo
     xs[:, -1] = hi[:, 0]
     return xs
@@ -132,14 +132,14 @@ def block_rows(grid: int, windows: int = 0) -> int:
     return max(1, BLOCK_POINTS // (grid + FOCUS_POINTS * windows))
 
 
-def _row_maxima(f, k, us, a, b, grid, focus):
+def _row_maxima(f, k, us, a, b, cols, focus):
     """max over centers x of |delta^k_u f| for every admissible step u in us.
 
-    The centers of one step are ``grid`` equispaced points of
-    [a + ku/2, b - ku/2], followed by a 65-point window of half-width ku
-    around each ``focus`` point (a known kink of f) within reach: the
-    difference of a corner term is supported within ku of it, which a coarse
-    global lattice can step right over.  Steps are stacked into blocks of at
+    The centers of one step are the columns ``cols`` of cols[-1] + 1
+    equispaced points of [a + ku/2, b - ku/2], followed by a 65-point window
+    of half-width ku around each ``focus`` point (a known kink of f) within
+    reach: the difference of a corner term is supported within ku of it,
+    which a coarse global lattice can step right over.  Steps are stacked into blocks of at
     most BLOCK_POINTS centers, so each block costs k+1 oracle calls, and the
     first maximum of each row wins, as over a single concatenated row.  A
     step with no admissible center reads 0 at the midpoint.  Raises
@@ -159,22 +159,24 @@ def _row_maxima(f, k, us, a, b, grid, focus):
     hi = b - 0.5 * k * us
     live = np.flatnonzero(hi >= lo)
     weights = _weights(k)
-    per_block = block_rows(grid, len(focus))
-    # each part of a row (the grid, then each window) is fl(j step) + lo for
-    # j = 0..num-2, monotone in j whatever the sign of step, then its pinned
+    ncols = cols.size
+    per_block = block_rows(ncols, len(focus))
+    # each part of a row (the columns, then each window) is fl(j step) + lo
+    # for ascending j, monotone whatever the sign of step, then its pinned
     # last column: a row's extremes lie among these three columns of a part
-    starts = [0] + [grid + j * FOCUS_POINTS for j in range(len(focus))]
-    ends = [c for c0, num in zip(starts, [grid] + [FOCUS_POINTS] * len(focus))
+    starts = [0] + [ncols + j * FOCUS_POINTS for j in range(len(focus))]
+    ends = [c for c0, num in zip(starts, [ncols] + [FOCUS_POINTS] * len(focus))
             for c in (c0, c0 + num - 2, c0 + num - 1)]
-    width = grid + FOCUS_POINTS * len(focus)
+    width = ncols + FOCUS_POINTS * len(focus)
+    window = np.arange(FOCUS_POINTS)
     space = np.empty((2, min(live.size, per_block) * width))  # centers, shifted points
     for start in range(0, live.size, per_block):
         sel = live[start:start + per_block]
         u, lo_b, hi_b = us[sel, None], lo[sel, None], hi[sel, None]
         xs, buf = space[:, :sel.size * width].reshape(2, sel.size, width)
-        _centers(lo_b, hi_b, grid, xs[:, :grid])
+        _centers(lo_b, hi_b, cols, xs[:, :ncols])
         for j, p in enumerate(focus):
-            _centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u), FOCUS_POINTS,
+            _centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u), window,
                      xs[:, starts[j + 1]:starts[j + 1] + FOCUS_POINTS])
         centers = xs.view()
         centers.flags.writeable = False
@@ -270,6 +272,27 @@ def _lattice_steps(k, ts, intervals, grid):
     return lo, hi, steps
 
 
+def _lattice_maxima(f, k, lo, hi, grid, idx, ms):
+    """max over index steps ms and left ends of |delta^k| at the lattice points
+    idx (one row, or a row per interval) of each [lo, hi], from one oracle
+    call: idx (hi - lo)/grid + lo, the index ``grid`` (only ever last) pinned
+    to hi, all clamped onto [lo, hi]; a step's differences are index shifts."""
+    xs = np.multiply(idx, (hi - lo) / grid)
+    xs += lo
+    np.copyto(xs[:, -1:], hi, where=idx[..., -1:] == grid)
+    np.clip(xs, lo, hi, out=xs)
+    v = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    weights = _weights(k)
+    best = np.zeros(xs.shape[0])
+    for m in ms:
+        span = xs.shape[1] - k * m
+        acc = weights[0] * v[:, k * m:]
+        for i in range(1, k + 1):
+            acc += weights[i] * v[:, (k - i) * m:(k - i) * m + span]
+        np.maximum(best, np.abs(acc).max(axis=1), out=best)
+    return best
+
+
 def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:
     """Lower bounds of omega_k(f, t_i) on each interval [lo_i, hi_i] from one
     uniform lattice per interval.
@@ -288,7 +311,6 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarr
     k = _check_order(k)
     grid = _check_grid(grid)
     lo, hi, steps = _lattice_steps(k, ts, intervals, grid)
-    weights = _weights(k)
     per_block = max(1, BLOCK_POINTS // (grid + 1))
     out = np.zeros(steps.shape[0])
     groups, which = np.unique(steps, axis=0, return_inverse=True)
@@ -299,69 +321,35 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarr
         rows = np.flatnonzero(which.ravel() == g)
         for start in range(0, rows.size, per_block):
             sel = rows[start:start + per_block]
-            xs = np.clip(_centers(lo[sel], hi[sel], grid + 1), lo[sel], hi[sel])
-            v = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-            best = np.zeros(sel.size)
-            for m in ms:
-                span = grid + 1 - k * m
-                acc = weights[0] * v[:, k * m:]
-                for i in range(1, k + 1):
-                    acc += weights[i] * v[:, (k - i) * m:(k - i) * m + span]
-                np.maximum(best, np.abs(acc).max(axis=1), out=best)
-            out[sel] = best
+            out[sel] = _lattice_maxima(f, k, lo[sel], hi[sel], grid, np.arange(grid + 1), ms)
     return out
 
 
 def profile_probe(f, k: int, interval, us, grid: int = 2048) -> np.ndarray:
     """A lower bound of each ``ModulusProfile`` row at the steps ``us`` (already
-    clamped to the admissible (b-a)/k) from PROBE_CENTERS of its ``grid``
-    centers, spread evenly with both ends: each |delta^k_u f| is computed in
-    the row's own arithmetic, so it is one of the values the row maximizes
-    over, bit for bit.  A step with no admissible center reads 0.  Raises
-    ValueError when a difference is not finite, as the row would."""
+    clamped to the admissible (b-a)/k): the row kernel on PROBE_CENTERS of the
+    row's ``grid`` columns, spread evenly with both ends, without focus
+    windows, so a max over some of the values the row maximizes over; 0 where
+    no center is admissible, and a ValueError where a difference is not finite."""
     k = _check_order(k)
     grid = _check_grid(grid)
-    a, b = float(interval[0]), float(interval[1])
-    us = np.asarray(us, dtype=float)
-    lo = a + 0.5 * k * us
-    hi = b - 0.5 * k * us
-    live = hi >= lo
-    u, lo, hi = us[live, None], lo[live, None], hi[live, None]
-    c = np.arange(PROBE_CENTERS) * (grid - 1) // (PROBE_CENTERS - 1)
-    xs = np.where(c == grid - 1, hi, c * ((hi - lo) / (grid - 1)) + lo)
-    acc = np.zeros_like(xs)
-    with np.errstate(all="ignore"):
-        for i, w in enumerate(_weights(k)):
-            pts = xs + (0.5 * k - i) * u
-            np.clip(pts, a, b, out=pts)
-            acc += w * np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    out = np.zeros(us.size)
-    out[live] = np.abs(acc).max(axis=1, initial=0.0)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"order-{k} differences of the oracle on [{a!r}, {b!r}] "
-                         "are non-finite")
-    return out
+    cols = np.arange(PROBE_CENTERS) * (grid - 1) // (PROBE_CENTERS - 1)
+    return _row_maxima(f, k, np.asarray(us, dtype=float), float(interval[0]),
+                       float(interval[1]), cols, ())[0]
 
 
 def lattice_probe(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:
     """A lower bound of each ``modulus_lower_bounds`` value from k + 1 oracle
-    points per interval: |delta^k| at the interval's largest lattice step m
-    and first center, over the lattice points 0, m, ..., km in the lattice's
-    own arithmetic (index times spacing plus lo, the point ``grid`` pinned to
-    hi, all clamped), so it is one of the values that bound maximizes over,
-    bit for bit; 0 where no step is left."""
+    points per interval: the lattice kernel on the points 0, m, ..., km of
+    the interval's lattice, m its largest step, so |delta^k| at step m and
+    the first center, one of the values that bound maximizes over; 0 where
+    no step is left."""
     k = _check_order(k)
     grid = _check_grid(grid)
     lo, hi, steps = _lattice_steps(k, ts, intervals, grid)
     m = steps.max(axis=1, initial=0)
-    idx = np.arange(k + 1) * m[:, None]
-    xs = np.where(idx == grid, hi, idx * ((hi - lo) / grid) + lo)
-    v = np.asarray(f(np.clip(xs, lo, hi).ravel()), dtype=float).reshape(xs.shape)
-    weights = _weights(k)
-    acc = weights[0] * v[:, k]
-    for i in range(1, k + 1):
-        acc += weights[i] * v[:, k - i]
-    return np.where(m > 0, np.abs(acc), 0.0)
+    best = _lattice_maxima(f, k, lo, hi, grid, np.arange(k + 1) * m[:, None], [1])
+    return np.where(m > 0, best, 0.0)
 
 
 def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048) -> float:
@@ -390,6 +378,20 @@ def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512)
     return best
 
 
+def _profile_steps(k, a, b, steps):
+    """A profile's steps: ``steps`` clamped to the admissible (b-a)/k,
+    sorted, de-duplicated and > 0."""
+    us = np.unique(np.minimum(np.asarray(steps, dtype=float).ravel(), (b - a) / k))
+    return us[us > 0]
+
+
+def _step_count(us, t):
+    """How many of the ascending steps us are <= t, 0 at a NaN t: the rows
+    that a profile's value(t) reads."""
+    # searchsorted places NaN after every step
+    return np.where(np.isnan(t), 0, np.searchsorted(us, t, side="right"))
+
+
 class ModulusProfile:
     """Certified lower bounds of omega_k(f, t) at the steps a caller will query.
 
@@ -403,16 +405,13 @@ class ModulusProfile:
         k = _check_order(k)
         grid = _check_grid(grid)
         a, b = float(interval[0]), float(interval[1])
-        us = np.unique(np.minimum(np.asarray(steps, dtype=float).ravel(), (b - a) / k))
-        self.us = us[us > 0]
+        self.us = _profile_steps(k, a, b, steps)
         focus = tuple(float(p) for p in focus)
-        self.rows, self.arg_x = _row_maxima(f, k, self.us, a, b, grid, focus)
+        self.rows, self.arg_x = _row_maxima(f, k, self.us, a, b, np.arange(grid), focus)
         self.cummax = np.maximum.accumulate(np.append(0.0, self.rows))
 
     def value(self, t):
         """Running max at the largest step <= t, 0 at a NaN t; t may be a
         scalar or an array."""
-        # searchsorted places NaN after every step
-        i = np.searchsorted(self.us, t, side="right")
-        v = self.cummax[np.where(np.isnan(t), 0, i)]
+        v = self.cummax[_step_count(self.us, t)]
         return float(v) if np.ndim(v) == 0 else v

@@ -280,30 +280,32 @@ def lp_blocks(d: np.ndarray, e: np.ndarray) -> tuple:
     return cost, dict(A_ub=A_ub, b_ub=b_ub.ravel(), bounds=bounds)
 
 
-def _reference_centers(lo, hi, num):
-    xs = np.arange(num) * ((hi - lo) / (num - 1)) + lo
+def _reference_centers(lo, hi, cols):
+    xs = cols * ((hi - lo) / cols[-1]) + lo
     xs[:, -1] = hi[:, 0]
     return xs
 
 
-def reference_row_maxima(f, k, us, a, b, grid, focus):
+def reference_row_maxima(f, k, us, a, b, cols, focus):
     """``smoothness._row_maxima`` as one plain pass per term: the centers
-    concatenated, every term's points clipped onto [a, b], the weighted
-    values added to a zero accumulator."""
+    (the columns ``cols`` of the grid, then the windows) concatenated, every
+    term's points clipped onto [a, b], the weighted values added to a zero
+    accumulator."""
     rows = np.zeros(us.size)
     arg_x = np.full(us.size, 0.5 * (a + b))
     lo = a + 0.5 * k * us
     hi = b - 0.5 * k * us
     live = np.flatnonzero(hi >= lo)
     weights = np.array([(-1.0) ** i * math.comb(k, i) for i in range(k + 1)])
+    grid = cols.size
     per_block = block_rows(grid, len(focus))
     for start in range(0, live.size, per_block):
         sel = live[start:start + per_block]
         u, lo_b, hi_b = us[sel, None], lo[sel, None], hi[sel, None]
         xs = np.concatenate(
-            [_reference_centers(lo_b, hi_b, grid)]
+            [_reference_centers(lo_b, hi_b, cols)]
             + [_reference_centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u),
-                                  FOCUS_POINTS) for p in focus], axis=1)
+                                  np.arange(FOCUS_POINTS)) for p in focus], axis=1)
         acc = np.zeros_like(xs)
         with np.errstate(all="ignore"):
             for i in range(k + 1):

@@ -748,9 +748,9 @@ def test_import_loads_no_scipy_module_but_highs():
 
 
 def test_scipy_without_the_highs_extension_is_refused(tmp_path):
-    """With a scipy package that has no optimize/_highspy/_core extension
-    first on the path, convexlab imports and builds an r = 1 spline, and its
-    first linprog call ends with the scipy floor."""
+    """With an empty scipy package first on the path, convexlab imports and
+    builds an r = 1 spline, and its first linprog call ends with an
+    ImportError that names what linprog imports."""
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text("")
     code = ("from convexlab.domain import parse_function\n"
@@ -761,4 +761,5 @@ def test_scipy_without_the_highs_extension_is_refused(tmp_path):
     assert out.stdout.split() == ["True"]
     assert out.returncode != 0
     assert out.stderr.strip().splitlines()[-1] == (
-        "ImportError: convexlab needs scipy>=1.17 for scipy.optimize._highspy._core")
+        "ImportError: convexlab.localconvex.linprog needs scipy.optimize.linprog and "
+        "scipy.sparse, from the test extra")

@@ -7,13 +7,16 @@ from convexlab import smoothness
 from convexlab.domain import parse_function
 from convexlab.smoothness import (
     BLOCK_POINTS,
+    PROBE_CENTERS,
     InvalidOrder,
     ModulusProfile,
     finite_difference,
+    lattice_probe,
     modulus,
     modulus_lower_bound,
     modulus_lower_bounds,
     one_sided_modulus,
+    profile_probe,
 )
 from helpers import reference_row_maxima
 
@@ -388,16 +391,24 @@ def _bits(v):
 def test_row_maxima_equal_the_reference_kernel(oracle, k, grid, interval):
     # the clip skipped where no point can leave [a, b], the middle term on
     # the centers themselves, the sum started from its first term and scaled
-    # in place: the same rows and centers, bit for bit
+    # in place: the same rows and centers, bit for bit, over all the grid's
+    # columns and over the probe's
     f, focus = _KERNEL_ORACLES[oracle]
     a, b = interval
     us, spilled = _kernel_steps(k, a, b)
     # on [-0.3, 0.9] some rows reach past an end by an ulp, so their blocks clip
     assert spilled > 0 or interval == (-1.0, 1.0)
-    rows, arg_x = smoothness._row_maxima(f, k, us, a, b, grid, focus)
-    want_rows, want_x = reference_row_maxima(f, k, us, a, b, grid, focus)
-    assert _bits(rows) == _bits(want_rows)
-    assert _bits(arg_x) == _bits(want_x)
+    probe_cols = np.arange(PROBE_CENTERS) * (grid - 1) // (PROBE_CENTERS - 1)
+    for cols in (probe_cols, np.arange(grid)):
+        rows, arg_x = smoothness._row_maxima(f, k, us, a, b, cols, focus)
+        want_rows, want_x = reference_row_maxima(f, k, us, a, b, cols, focus)
+        assert _bits(rows) == _bits(want_rows)
+        assert _bits(arg_x) == _bits(want_x)
+    # the probe is the plain kernel on its columns without windows, and a
+    # lower bound of every full row
+    probe = profile_probe(f, k, interval, us, grid)
+    assert _bits(probe) == _bits(reference_row_maxima(f, k, us, a, b, probe_cols, ())[0])
+    assert np.all(probe <= rows)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -405,9 +416,9 @@ def test_row_maxima_refuse_an_overflowing_oracle_as_the_reference(k):
     f = lambda x: np.exp(800.0 * np.asarray(x))
     us = np.linspace(0.01, 1.0 / k, 40)
     with pytest.raises(ValueError, match="non-finite") as got:
-        smoothness._row_maxima(f, k, us, 0.0, 1.0, 64, ())
+        smoothness._row_maxima(f, k, us, 0.0, 1.0, np.arange(64), ())
     with pytest.raises(ValueError) as want:
-        reference_row_maxima(f, k, us, 0.0, 1.0, 64, ())
+        reference_row_maxima(f, k, us, 0.0, 1.0, np.arange(64), ())
     assert str(got.value) == str(want.value)
 
 
@@ -469,11 +480,12 @@ def test_profile_oracle_calls_are_blocked():
 def _lattice_reference(f, k, t, lo, hi, grid, columns=16):
     """One interval's lattice bound by plain loops: grid + 1 linspace points,
     the steps m_j = (j grid)//(k columns) cut to t, explicit k-th differences
-    at every admissible left end."""
+    at every admissible left end.  Also returns the one at the largest step
+    and the first center, 0 when no step is left."""
     v = np.asarray(f(np.linspace(lo, hi, grid + 1)), dtype=float)
     h = (hi - lo) / grid
     weights = [(-1.0) ** i * math.comb(k, i) for i in range(k + 1)]
-    best = 0.0
+    best = first = 0.0
     for j in range(1, columns + 1):
         m = min((j * grid) // (k * columns), math.floor(j * grid * (t / (hi - lo)) / columns))
         if m == 0:
@@ -484,7 +496,9 @@ def _lattice_reference(f, k, t, lo, hi, grid, columns=16):
             for i in range(k + 1):
                 acc += weights[i] * v[s + (k - i) * m]
             best = max(best, abs(acc))
-    return best
+            if s == 0:
+                first = abs(acc)  # the steps rise with j
+    return best, first
 
 
 def _lattice_oracles():
@@ -503,8 +517,12 @@ def test_lattice_bound_equals_loop_reference(k, grid):
             hi = lo + rng.uniform(0.05, 1.0 - lo)
             for t in (hi - lo, 0.3 * (hi - lo) / k):
                 got = modulus_lower_bound(f, k, t, (lo, hi), grid)
-                assert got == pytest.approx(_lattice_reference(f, k, t, lo, hi, grid),
-                                            rel=1e-13, abs=1e-15), (name, lo, hi, t)
+                want, first = _lattice_reference(f, k, t, lo, hi, grid)
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-15), (name, lo, hi, t)
+                # the probe is the kernel's |delta^k| at the largest step and
+                # the first center
+                probe = lattice_probe(f, k, [t], [(lo, hi)], grid)[0]
+                assert probe <= got and probe == first, (name, lo, hi, t)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
