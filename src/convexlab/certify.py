@@ -17,13 +17,13 @@ grid point's bound is a gather.
 A report and a sweep share one setup per bound: the grid, the errors, the
 noise-floor mask, the weights and the steps each point reads.  A sweep writes
 only the sup ratios, and computes only what can move them, giving the same
-float as the report's ``sup_ratio``.  Its profiles take their steps and
-each point's rows by ``ModulusProfile``'s own rules.  Each profile row and
-each 2.13 term starts as a lower bound, its own kernel on a few of its
-points (``profile_probe``, ``lattice_probe``); exact rows are built in
-ascending step order and exact terms for the intervals whose points have the
-largest ratio bounds, until no point that still lacks one can beat the best
-exact ratio.  Float *, +, min, max and / are monotone, so a bound built from
+float as the report's ``sup_ratio``.  Its profiles take their steps, each
+point's rows and the running max over them by ``ModulusProfile``'s own
+rules.  Each profile row and each 2.13 term starts as a lower bound, its own
+kernel on a few of its points (``profile_probe``, ``lattice_probe``); exact
+rows are built in ascending step order and exact terms for the intervals
+whose points have the largest ratio bounds, until no point that still lacks
+one can beat the best exact ratio.  Float *, +, min, max and / are monotone, so a bound built from
 lower bounds caps the ratio it stands in for.
 """
 
@@ -48,8 +48,9 @@ from convexlab.glue import (
 )
 from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
                                  verify_convexity)
-from convexlab.smoothness import (ModulusProfile, _check_grid, _profile_steps, _step_count,
-                                  block_rows, lattice_probe, modulus_lower_bounds, profile_probe)
+from convexlab.smoothness import (ModulusProfile, _check_grid, _profile_steps, _running_max,
+                                  _step_count, block_rows, lattice_probe, modulus_lower_bounds,
+                                  profile_probe)
 
 __all__ = [
     "BOUND_IDS",
@@ -313,7 +314,7 @@ def _profile_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
         at = _step_count(us, steps[s.read])
         plans.append(_Plan(k, interval, us, at, profile_probe(s.fr, k, interval, us, s.density)))
     while True:
-        lows = [np.maximum.accumulate(np.append(0.0, p.rows))[p.at] for p in plans]
+        lows = [_running_max(p.rows)[p.at] for p in plans]
         bounds = s.weight * functools.reduce(np.minimum, lows)
         exact = np.all([p.at <= p.built for p in plans], axis=0)
         best, _, pending = _settle(e, bounds, exact, atol)

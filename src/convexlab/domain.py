@@ -285,10 +285,12 @@ _SLACK = 2.0 ** -44
 
 def _omega2_hook(bound, kappa: int = 1):
     """omega2_bound(nu, t, lo, hi) from bound(nu, t, lo, hi, delta), an upper
-    bound of |f^(nu)(z0) - 2 f^(nu)(z1) + f^(nu)(z2)| over points z of the
-    widened [lo, hi] with z0 - z1 and z1 - z2 within delta of a step <= t,
-    and of the values' rounding; kappa scales the slack for an evaluator of
-    kappa operations.  Overflow and nan read inf."""
+    bound of |f^(nu)(z0) - 2 f^(nu)(z1) + f^(nu)(z2)| over the points of a
+    step 0 < u <= t, z1 in [lo + u + delta/2, hi - u - delta/2] and z0 - z1
+    and z1 - z2 within delta/2 of u, on [lo, hi] widened by delta (so every
+    computed point of a step u <= t on [lo, hi]), and of the values'
+    rounding; kappa scales the slack for an evaluator of kappa operations.
+    Overflow and nan read inf."""
     def omega2_bound(nu, t, lo, hi):
         delta = _SLACK * (1.0 + max(abs(lo), abs(hi)))
         try:
@@ -300,30 +302,65 @@ def _omega2_hook(bound, kappa: int = 1):
     return omega2_bound
 
 
-def _smooth_omega2(deriv_max, kappa: int = 1):
+def _smooth_omega2(deriv_max, kappa: int = 1, second=None):
     """omega2_bound of a family with closed-form maxima deriv_max(j, lo, hi)
     of |f^(j)| on [lo, hi].  Centered at the middle point, a computed
-    difference is a second difference of step w <= t + delta, at most
-    w^2 max |f^(nu+2)|, plus a first difference over the steps' mismatch,
-    at most delta max |f^(nu+1)|."""
+    difference is a second difference of step v <= t + delta/2, at most
+    w^2 max |f^(nu+2)| with w = t + delta, plus a first difference over the
+    steps' mismatch, at most delta max |f^(nu+1)|.  second(nu, t, w, lo, hi),
+    where given and not None, is a sharper bound of that second difference
+    and replaces Taylor's."""
     def bound(nu, t, lo, hi, delta):
-        return ((t + delta) ** 2 * deriv_max(nu + 2, lo, hi)
-                + delta * deriv_max(nu + 1, lo, hi)
+        w = t + delta
+        main = None if second is None else second(nu, t, w, lo, hi)
+        if main is None:
+            main = w ** 2 * deriv_max(nu + 2, lo, hi)
+        return (main + delta * deriv_max(nu + 1, lo, hi)
                 + kappa * _SLACK * deriv_max(nu, lo, hi))
     return _omega2_hook(bound, kappa)
 
 
-def _monotone_omega2(r: int, modulus1, value_max):
+def _scaled_omega2(c: float, deriv_max, odd_sinh: bool = False):
+    """omega2_bound of f^(nu)(x) = c^nu g(c x) with g in {exp, cosh, sinh}
+    (sinh at odd nu where ``odd_sinh``), from the exact second difference
+    Delta^2_v f^(nu)(z) = f^(nu)(z) 4 sinh^2(|c| v / 2); written so, and not
+    as 2 (cosh(c v) - 1), which cancels for small c v.  A middle point z of
+    step v lies in [lo + v, hi - v], so the second difference is at most
+    g(v) = 4 sinh^2(|c| v / 2) max |f^(nu)| on [lo + v, hi - v].  With
+    m = max(|lo|, |hi|), that max is at hi - v or lo + v for exp, where
+    g(v) = max |f^(nu)| on [lo, hi] (1 - e^(-|c| v))^2, and at distance
+    m - v from 0 for cosh and sinh, where g'(v) is 2|c|^(nu+1) times
+    sinh(|c|(m - v)) - sinh(|c|(m - 2v)) >= 0 for cosh, and times
+    cosh(|c|(m - v)) - cosh(|c|(2v - m)) for sinh, >= 0 while 3v <= 2m.  So
+    while 2w < hi - lo (and 3w <= 2m for sinh), g(v) <= g(t + delta/2) <=
+    4 sinh^2(|c| w / 2) max |f^(nu)| on [lo + t, hi - t]; otherwise the
+    Taylor form stands."""
+    def second(nu, t, w, lo, hi):
+        if not 2.0 * w < hi - lo or (odd_sinh and nu % 2 and 3.0 * w > 2.0 * max(abs(lo), abs(hi))):
+            return None
+        return 4.0 * math.sinh(0.5 * abs(c) * w) ** 2 * deriv_max(nu, lo + t, hi - t)
+    return _smooth_omega2(deriv_max, second=second)
+
+
+def _monotone_omega2(r: int, modulus1, value_max, second=None):
     """omega2_bound at nu = r of a family whose f^(r) is nondecreasing with
-    omega_1(f^(r), s) <= modulus1(s): a computed difference is the
-    difference of two rises f^(r)(z0) - f^(r)(z1) and f^(r)(z1) - f^(r)(z2),
-    each in [0, modulus1(t + delta)], so it is at most that; a step below
-    delta may misorder the points, which max(t, delta) covers.  value_max(hi)
-    bounds |f^(r)| on [lo, hi].  Other orders read inf."""
+    omega_1(f^(r), s) <= modulus1(s), a multiple of s or of sqrt(s): a
+    computed difference is the difference of two rises f^(r)(z0) - f^(r)(z1)
+    and f^(r)(z1) - f^(r)(z2), over lengths within delta/2 of a step u <= t.
+    For u >= delta/2 each is in [0, modulus1(t + delta/2)], so their
+    difference is at most that; a smaller step may misorder the points, and
+    two rises over signed lengths up to delta/2 -+ u differ by at most
+    2 modulus1(delta/2).  modulus1(max(t, delta) + delta) covers both.
+    second(t, lo, delta), where given and not None, is a sharper bound that
+    replaces it.  value_max(hi) bounds |f^(r)| on [lo, hi].  Other orders
+    read inf."""
     def bound(nu, t, lo, hi, delta):
         if nu != r:
             return math.inf
-        return modulus1(max(t, delta) + delta) + _SLACK * value_max(hi)
+        main = None if second is None else second(t, lo, delta)
+        if main is None:
+            main = modulus1(max(t, delta) + delta)
+        return main + _SLACK * value_max(hi)
     return _omega2_hook(bound)
 
 
@@ -335,7 +372,7 @@ def exp_oracle(alpha: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
 
     return ConvexOracle("exp", {"alpha": alpha}, SMOOTH_ORDER_CAP, tuple(domain),
                         _scaled_derivs(alpha, (np.exp,)),
-                        omega2_bound=_smooth_omega2(deriv_max))
+                        omega2_bound=_scaled_omega2(alpha, deriv_max))
 
 
 def cosh_oracle(beta: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -348,7 +385,7 @@ def cosh_oracle(beta: float = 1.0, domain=(-1.0, 1.0)) -> ConvexOracle:
 
     return ConvexOracle("cosh", {"beta": beta}, SMOOTH_ORDER_CAP, tuple(domain),
                         _scaled_derivs(beta, (np.cosh, np.sinh)),
-                        omega2_bound=_smooth_omega2(deriv_max))
+                        omega2_bound=_scaled_omega2(beta, deriv_max, odd_sinh=True))
 
 
 def even_power_oracle(m: int, domain=(-1.0, 1.0)) -> ConvexOracle:
@@ -408,10 +445,33 @@ def f0_oracle(r: int, domain=(-1.0, 1.0)) -> ConvexOracle:
     p = r + 0.5
     derivs = _power_derivs(p, lambda x: _apply(np.maximum, 1.0 + x, 0.0), r)
 
-    # f^(r) = c sqrt(1 + x) rises, and sqrt(y) - sqrt(y - s) <= sqrt(s)
+    # f^(r) = G = c sqrt(max(1 + x, 0)) rises, sqrt(y) - sqrt(y - s) <= sqrt(s),
+    # and on [-1, inf) G is concave with a convex G'.  Let E >= e be the
+    # computed steps z0 - z1 and z1 - z2, within delta/2 of a step u.  For
+    # u >= delta/2 both are >= 0, and -Delta <= 2G(z1) - G(z1 - E) - G(z1 + e),
+    # which rises in z1 up to -1 + E and falls after (G' is convex), so
+    # -Delta <= c (2 sqrt(E) - sqrt(E + e)) <= c h(u), with h(u) = 2 sqrt(u +
+    # delta/2) - sqrt(2u) = (2 - sqrt(2)) sqrt(u) + delta / (sqrt(u + delta/2)
+    # + sqrt(u)): the exact omega_2 = c (2 - sqrt(2)) sqrt(t), at z1 = -1 + t,
+    # and the mismatch.  Where lo >= -1 - delta, z1 >= -1 + u - delta/2 and
+    # Delta <= G(z1 + E) - 2G(z1) + G(z1 - e) is at most c (sqrt(E + e) -
+    # sqrt(2e)) if z1 - e >= -1 and c (sqrt(2u) - 2 sqrt(u - delta/2)) if not,
+    # both <= c h(u).  h rises with u, so |Delta| <= c ((2 - sqrt(2)) sqrt(t) +
+    # delta / (2 sqrt(t))).  A step u < delta/2 may misorder the points: the
+    # two rises, over lengths within delta/2 of u, are then at most
+    # c sqrt(delta/2 -+ u) in size, so |Delta| <= c sqrt(2 delta).  An
+    # interval reaching past the cusp keeps the rises' bound.
     c = math.prod(p - i for i in range(r))
+
+    def second(t, lo, delta):
+        if lo + delta < -1.0:
+            return None
+        v = max(t, 0.5 * delta)
+        return c * max((2.0 - math.sqrt(2.0)) * math.sqrt(v) + delta / (2.0 * math.sqrt(v)),
+                       math.sqrt(2.0 * delta))
+
     omega2 = _monotone_omega2(r, lambda s: c * math.sqrt(s),
-                              lambda hi: c * math.sqrt(max(1.0 + hi, 0.0)))
+                              lambda hi: c * math.sqrt(max(1.0 + hi, 0.0)), second)
     return ConvexOracle("f0", {"r": r}, r, tuple(domain), derivs, omega2_bound=omega2)
 
 

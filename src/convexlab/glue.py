@@ -87,16 +87,18 @@ class ConstructionError(RuntimeError):
 class GlueTrace:
     """Diagnostics of one gluing run, x*, H1 and H in x, whether the oracle's
     proved bound of omega_2 accepted H1 (false where the sampled modulus
-    did, and for an affine input), and how many rows between the end blocks
-    came from each source: the Hermite row, its blend with the parabola, the
-    σ blend (r = 1), the parabola fallback or the secant (every row of an
-    affine input)."""
+    did, and for an affine input), how many radii the smallness test
+    refused before H1 (0 for an affine input), and how many rows between
+    the end blocks came from each source: the Hermite row, its blend with
+    the parabola, the σ blend (r = 1), the parabola fallback or the secant
+    (every row of an affine input)."""
 
     M: float
     x_star: float
     H1: float
     H: float
     H1_certified: bool
+    H1_halvings: int
     delta: float
     delta_tilde: float
     delta_hat: float
@@ -118,6 +120,7 @@ class _Prepared:
     x_star: float
     H1: float
     H: float
+    H1_halvings: int = 0
     # how H1 was accepted, not what it is: equal preparations compare equal
     H1_certified: bool = field(default=False, compare=False)
 
@@ -183,7 +186,7 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
     kinks = tuple(p for p in f.nonsmooth if a <= p <= b)
     bound = f.omega2_bound
     H1 = 0.5 * min(x_star - a, b - x_star)
-    for _ in range(MAX_HALVINGS):
+    for halvings in range(MAX_HALVINGS):
         boundary_ok = max(float(depth(a + H1)), float(depth(b - H1))) < 0.5 * M
         weight = 4.0 * C0 * H1 ** r
         # the bound is at least every value the sampled modulus can compute,
@@ -206,7 +209,7 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
                                 "numerically degenerate")
 
     H = min(find_H(f, (a, b), r, 0.25 * (b - a)), H1)
-    return _Prepared(False, M, x_star, H1, H, certified)
+    return _Prepared(False, M, x_star, H1, H, halvings, certified)
 
 
 def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple:
@@ -247,7 +250,8 @@ def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
         blend, sources = (0.0, 0.0, 0.0, 1, 1.0), ["secant"] * X.n
     else:
         S, blend, sources = _glue(prep, f, X, r)
-    trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, prep.H1_certified, *blend,
+    trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, prep.H1_certified,
+                      prep.H1_halvings, *blend,
                       hermite_rows=sources.count("hermite"),
                       blend_rows=sources.count("blend"),
                       lp_rows=sources.count("lp"),

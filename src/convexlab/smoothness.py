@@ -378,6 +378,12 @@ def one_sided_modulus(f, k: int, x: float, interval, side: str, grid: int = 512)
     return best
 
 
+def _running_max(rows):
+    """The running max of a profile's rows from 0 below its first step:
+    entry i is what value(t) reads when i of its steps are <= t."""
+    return np.maximum.accumulate(np.append(0.0, rows))
+
+
 def _profile_steps(k, a, b, steps):
     """A profile's steps: ``steps`` clamped to the admissible (b-a)/k,
     sorted, de-duplicated and > 0."""
@@ -408,7 +414,7 @@ class ModulusProfile:
         self.us = _profile_steps(k, a, b, steps)
         focus = tuple(float(p) for p in focus)
         self.rows, self.arg_x = _row_maxima(f, k, self.us, a, b, np.arange(grid), focus)
-        self.cummax = np.maximum.accumulate(np.append(0.0, self.rows))
+        self.cummax = _running_max(self.rows)
 
     def value(self, t):
         """Running max at the largest step <= t, 0 at a NaN t; t may be a

@@ -303,6 +303,33 @@ def test_omega2_bound_of_a_corner_family_holds_only_at_r(spec, r):
     assert [bound(nu, 0.1, -1.0, 1.0) for nu in range(r)] == [math.inf] * r
 
 
+@pytest.mark.parametrize("spec, nu", [(f"exp:alpha={a}", nu) for a in (0.5, 7.42788, 20, -3)
+                                      for nu in (1, 2, 3)]
+                         + [(f"cosh:beta={b}", nu) for b in (0.7, 1.84, 6, -2) for nu in (1, 2, 3)]
+                         + [(f"f0:r={r}", r) for r in (1, 2, 3)])
+def test_omega2_closed_forms_cover_the_exact_modulus_in_mpmath(spec, nu):
+    # |f^(nu)(x + t) - 2 f^(nu)(x) + f^(nu)(x - t)| at 50 digits at the
+    # analytic argmax: the step t at the center nearest the end where
+    # |f^(nu)| peaks (1 - t for exp with alpha > 0 and for cosh, -1 + t for
+    # alpha < 0), and at -1 + t, next to the cusp, for f0
+    mpmath = pytest.importorskip("mpmath")
+    name, _, param = spec.partition(":")
+    with mpmath.workdps(50):
+        c = mpmath.mpf(float(param.partition("=")[2]))
+        if name == "exp":
+            g, end = (lambda x: c ** nu * mpmath.exp(c * x)), (1 if c > 0 else -1)
+        elif name == "cosh":
+            g, end = (lambda x: c ** nu * (mpmath.sinh if nu % 2 else mpmath.cosh)(c * x)), 1
+        else:
+            k = mpmath.fprod(nu + mpmath.mpf(0.5) - i for i in range(nu))
+            g, end = (lambda x: k * mpmath.sqrt(1 + x)), -1
+        for t in (1e-8, 1e-3, 0.1):
+            u = mpmath.mpf(t)
+            x = end - end * u
+            exact = abs(g(x + u) - 2 * g(x) + g(x - u))
+            assert parse_function(spec).omega2_bound(nu, t, -1.0, 1.0) >= exact, (t, exact)
+
+
 def test_omega2_bound_never_raises():
     # overflow in math.exp, math.cosh, float ** int and a sum of finite terms
     for spec, r, end in [("exp:alpha=700", 1, 1.0), ("exp:alpha=-1000", 0, 1.0),

@@ -213,9 +213,9 @@ def test_trace_json_fields():
     f = exp_oracle(1.0)
     _, trace, _ = construct_chebyshev(f, 1, 32)
     d = trace.to_json_dict()
-    assert set(d) == {"M", "x_star", "H1", "H", "H1_certified", "delta", "delta_tilde",
-                      "delta_hat", "case", "lambda", "hermite_rows", "blend_rows",
-                      "lp_rows", "parabola_fallback_rows", "secant_rows"}
+    assert set(d) == {"M", "x_star", "H1", "H", "H1_certified", "H1_halvings", "delta",
+                      "delta_tilde", "delta_hat", "case", "lambda", "hermite_rows",
+                      "blend_rows", "lp_rows", "parabola_fallback_rows", "secant_rows"}
     assert [d[k] for k in d if k.endswith("_rows")] == [0, 0, 30, 0, 0]
     # x*, H1 and H are x values: H <= H1 <= half the distance from x* to the nearer end
     assert -1.0 < d["x_star"] < 1.0
@@ -582,10 +582,13 @@ def test_every_family_builds_certified_or_is_below_threshold(family, r, k):
 
 # every builtin family at several r: the bench's threshold families and
 # parameters past them, convex polynomials whose f^(r) is linear or
-# constant, and corners from gentle to sharp
+# constant, and corners from gentle to sharp; then bench cells that a looser
+# sinh form left to the sample, and one that the Taylor form of exp left to it
 _BOUND_CENSUS = (
     [(f"exp:alpha={a}", r) for a in (0.5, 2.3, 7.43, 8, 20, -3) for r in (1, 2, 3)]
     + [(f"cosh:beta={b}", r) for b in (0.7, 1.84, 4, 6, -2) for r in (1, 2, 3)]
+    + [("cosh:beta=0.505689", 1), ("cosh:beta=0.524556", 1), ("cosh:beta=1.76752", 3),
+       ("exp:alpha=7.42788", 2)]
     + [(f"xpow:m={m}", r) for m in (1, 2, 3) for r in (1, 2)]
     + [(f"poly:coeffs={c}", r) for c in ("0.5,-0.25,1,0.125", "0,0,1", "0,0,1,0,1")
        for r in (1, 2, 3)]
@@ -597,13 +600,31 @@ _BOUND_CENSUS = (
 
 @pytest.mark.parametrize("spec, r", _BOUND_CENSUS)
 def test_omega2_bound_is_above_the_sampled_modulus(spec, r):
-    # the sample _prepare would compute, at radii around the one it accepts
+    # the sample _prepare would compute, at radii around the one it accepts,
+    # at a step a millionth of it, and at 0.8, where on [-1, 1] the sinh
+    # form's monotone range 3(t + delta) <= 2 ends; also on an interval
+    # off-center and inside [-1, 1]
     f = parse_function(spec)
     H1 = glue._prepare(f, r).H1
     fr = f.deriv_fn(r)
-    for t in (4.0 * H1, 2.0 * H1, H1, 0.5 * H1, 0.125 * H1):
-        sample = modulus(fr, 2, t, (-1.0, 1.0), glue.HYPOTHESIS_GRID, f.nonsmooth).value
-        assert f.omega2_bound(r, t, -1.0, 1.0) >= sample, (t, sample)
+    for lo, hi in ((-1.0, 1.0), (-0.3, 0.9)):
+        kinks = [p for p in f.nonsmooth if lo <= p <= hi]
+        for t in (0.8, 4.0 * H1, 2.0 * H1, H1, 0.5 * H1, 0.125 * H1, 1e-6 * H1):
+            sample = modulus(fr, 2, t, (lo, hi), glue.HYPOTHESIS_GRID, kinks).value
+            assert f.omega2_bound(r, t, lo, hi) >= sample, (lo, hi, t, sample)
+
+
+@pytest.mark.parametrize("spec, r", [(spec, r) for spec, r in _BOUND_CENSUS
+                                     if spec.startswith(("exp:", "cosh:", "f0:"))])
+def test_omega2_bound_is_tight_at_H1(spec, r):
+    # the closed forms are the exact omega_2 plus the rounding slack, and at
+    # H1 the sample reaches their argmax: the step H1 at the end column of
+    # its centers (the right end for exp with alpha > 0 and for cosh, the
+    # left for alpha < 0 and for f0's cusp)
+    f = parse_function(spec)
+    H1 = glue._prepare(f, r).H1
+    sample = modulus(f.deriv_fn(r), 2, H1, (-1.0, 1.0), glue.HYPOTHESIS_GRID).value
+    assert f.omega2_bound(r, H1, -1.0, 1.0) / sample - 1.0 <= 1e-4, (H1, sample)
 
 
 @pytest.mark.parametrize("spec, r", _BOUND_CENSUS)
@@ -617,9 +638,10 @@ def test_prepare_is_the_same_with_and_without_omega2_bound(spec, r):
     assert not sampled.H1_certified
 
 
-def test_bound_accepts_most_bench_cells():
-    # the 29 cells of a bench threshold round at seed 1; on the three where
-    # weight * bound / M is 1.06 to 1.10, the sample accepts the radius
+def test_bound_accepts_every_bench_cell():
+    # the 29 cells of a bench threshold round at seed 1, three of which
+    # (exp:alpha=7.42788 r=2, cosh:beta=1.83661 r=1, f0:r=1) the Taylor and
+    # omega_1 forms missed at 1.06 to 1.10 times M
     cells = [(f"truncpow:r={r},eps={e}", r) for r in (1, 2)
              for e in (0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4)]
     cells += [(f"exp:alpha={a}", r) for a in (1.00387, 7.42788) for r in (1, 2, 3)]
@@ -627,7 +649,21 @@ def test_bound_accepts_most_bench_cells():
     cells += [(f"f0:r={r}", r) for r in (1, 2, 3)]
     sampled = [(spec, r) for spec, r in cells
                if not glue._prepare(parse_function(spec), r).H1_certified]
-    assert sampled == [("exp:alpha=7.42788", 2), ("cosh:beta=1.83661", 1), ("f0:r=1", 1)]
+    assert sampled == []
+
+
+def test_trace_counts_the_radii_refused_before_H1():
+    # the first radius is half the distance from x* to the nearer end, and
+    # each refused one is halved, exactly in floats
+    for spec, r, halvings in (("exp:alpha=1", 1, 2), ("truncpow:r=1,eps=0.01", 1, 3),
+                              ("f0:r=2", 2, 2)):
+        f = parse_function(spec)
+        _, trace, _ = construct_chebyshev(f, r, chebyshev_threshold(f, r)[0])
+        assert trace.H1_halvings == halvings, spec
+        first = 0.5 * min(trace.x_star + 1.0, 1.0 - trace.x_star)
+        assert trace.H1 == first * 0.5 ** halvings, spec
+    _, trace, _ = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 16)
+    assert trace.H1_halvings == 0
 
 
 def test_overflowing_bound_takes_the_sampled_path():
