@@ -128,8 +128,9 @@ class ConvexOracle:
     the exact omega_2(f^(nu), t) plus the rounding of the sample (the
     evaluators' own error, fl(x + u) - x != x - fl(x - u), the clip onto
     [lo, hi] and the sum of the three terms).  It returns inf where it has
-    no bound or the bound overflows, and never raises.  None (a user oracle)
-    leaves only the sampled modulus.
+    no bound or the bound overflows, and never raises.  Where it is finite
+    it alone decides glue's smallness radius; where it is inf, or is None
+    (a user oracle), the sampled modulus decides instead.
     """
 
     name: str

@@ -3,15 +3,15 @@
 Everything is built on f itself, in x, with no change of frame.  Pipeline:
 locate the depth M of f below its own secant and the point x* where it is
 reached, shrink a smallness radius H1 until the depth at the boundary and
-the weighted second-order modulus are dominated by M (the oracle's proved
-upper bound of that modulus accepts a radius where it suffices; otherwise
-one row of the sampled modulus profile, its last step, refutes a radius,
-and the full profile is built only for a radius that row does not refute),
-intersect with the endpoint-block convexity threshold, build the two Hermite
-endpoint blocks and the interior pieces of the convex interpolant sigma, then
-blend them with a tangent line so the block defects are absorbed without
-losing convexity.  The spline's rows are the blend's rows as they are.
-The Chebyshev specialization derives the minimal admissible n from H.
+the weighted second-order modulus are dominated by M (one value of that
+modulus decides each radius: the oracle's proved upper bound where it is
+finite, else the sampled modulus profile, built only for a radius whose
+boundary depth passes), intersect with the endpoint-block convexity
+threshold, build the two Hermite endpoint blocks and the interior pieces of
+the convex interpolant sigma, then blend them with a tangent line so the
+block defects are absorbed without losing convexity.  The spline's rows are
+the blend's rows as they are.  The Chebyshev specialization derives the
+minimal admissible n from H.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import (_convex_pieces, _midpoint_spline, _secant,
                                    _spot_check_convexity)
 from convexlab.piecewise import PiecewisePoly, record_json_dict, verify_convexity
-from convexlab.smoothness import ModulusProfile, modulus
+from convexlab.smoothness import modulus
 
 __all__ = [
     "PartitionTooCoarse",
@@ -85,13 +85,14 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GlueTrace:
-    """Diagnostics of one gluing run, x*, H1 and H in x, whether the oracle's
-    proved bound of omega_2 accepted H1 (false where the sampled modulus
-    did, and for an affine input), how many radii the smallness test
-    refused before H1 (0 for an affine input), and how many rows between
-    the end blocks came from each source: the Hermite row, its blend with
-    the parabola, the σ blend (r = 1), the parabola fallback or the secant
-    (every row of an affine input)."""
+    """Diagnostics of one gluing run, x*, H1 and H in x, whether the
+    oracle's proved bound of omega_2 decided H1 (false where the oracle has
+    no bound or it is not finite there, so the sampled modulus decided, and
+    for an affine input), how many radii the smallness test refused before
+    H1 (0 for an affine input), and how many rows between the end blocks
+    came from each source: the Hermite row, its blend with the parabola,
+    the σ blend (r = 1), the parabola fallback or the secant (every row of
+    an affine input)."""
 
     M: float
     x_star: float
@@ -184,25 +185,18 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
 
     fr = f.deriv_fn(r)
     kinks = tuple(p for p in f.nonsmooth if a <= p <= b)
-    bound = f.omega2_bound
     H1 = 0.5 * min(x_star - a, b - x_star)
     for halvings in range(MAX_HALVINGS):
-        boundary_ok = max(float(depth(a + H1)), float(depth(b - H1))) < 0.5 * M
-        weight = 4.0 * C0 * H1 ** r
-        # the bound is at least every value the sampled modulus can compute,
-        # so a radius it accepts the sample accepts too: H1 is the same
-        certified = boundary_ok and bound is not None and weight * bound(r, H1, a, b) < M
-        # the full profile's last step is H1*512/512, which is H1 exactly only
-        # because HYPOTHESIS_GRID is a power of two, so the one-step profile
-        # over [H1] is that row bit for bit: a lower bound of modulus(...).value
-        # that refutes most radii before the full profile is built.  The kink
-        # windows keep the global lattice from stepping over a corner.
-        if certified or (
-                boundary_ok
-                and weight * ModulusProfile(fr, 2, (a, b), [H1], HYPOTHESIS_GRID,
-                                            kinks).value(H1) < M
-                and weight * modulus(fr, 2, H1, (a, b), HYPOTHESIS_GRID, kinks).value < M):
-            break
+        if max(float(depth(a + H1)), float(depth(b - H1))) < 0.5 * M:
+            # one omega_2 value decides the radius: the oracle's proved bound
+            # where it is finite, else the sampled modulus, whose kink windows
+            # keep the global lattice from stepping over a corner
+            omega = math.inf if f.omega2_bound is None else f.omega2_bound(r, H1, a, b)
+            certified = math.isfinite(omega)
+            if not certified:
+                omega = modulus(fr, 2, H1, (a, b), HYPOTHESIS_GRID, kinks).value
+            if 4.0 * C0 * H1 ** r * omega < M:
+                break
         H1 *= 0.5
     else:
         raise ConstructionError("smallness radius H1 collapsed; function is "

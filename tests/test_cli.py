@@ -482,6 +482,28 @@ def test_steep_finite_endpoint_data_builds_certified(tmp_path):
     assert json.loads(out.read_text())["convex_certified"] is True
 
 
+def test_exp_700_at_r_1_is_decided_by_the_sampled_modulus(tmp_path):
+    # the one builtin cell whose omega_2 bound overflows, so the sampled
+    # modulus decides H1: below N = 167 exit 2; at and above it p'' of the
+    # rows next to the right end overflows, exit 1 in one error line, in a
+    # fresh interpreter with numpy's default warning filters
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = tmp_path / "s.json"
+    for n, code in (("64", 2), ("167", 1), ("400", 1)):
+        proc = subprocess.run([sys.executable, "-m", "convexlab.cli", "approximate", "--function",
+                               "exp:alpha=700", "--r", "1", "--n", n, "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == code, (n, proc.stderr)
+        if code == 2:
+            assert (proc.stdout, proc.stderr) == ("n below threshold: N_threshold = 167\n", "")
+        else:
+            assert proc.stdout == ""
+            err = proc.stderr.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha, n", [("700", "400"), ("690", "166")])
 def test_steep_exp_is_refused_at_its_endpoint_data_or_builds(alpha, n, tmp_path, capsys):
     """exp:alpha=700 is refused for its overflowing endpoint data, with exit

@@ -306,28 +306,47 @@ def test_omega2_bound_of_a_corner_family_holds_only_at_r(spec, r):
 @pytest.mark.parametrize("spec, nu", [(f"exp:alpha={a}", nu) for a in (0.5, 7.42788, 20, -3)
                                       for nu in (1, 2, 3)]
                          + [(f"cosh:beta={b}", nu) for b in (0.7, 1.84, 6, -2) for nu in (1, 2, 3)]
-                         + [(f"f0:r={r}", r) for r in (1, 2, 3)])
+                         + [(f"f0:r={r}", r) for r in (1, 2, 3)]
+                         + [(f"truncpow:r={r},eps={e}", r) for r, e in ((1, 0.3), (2, 0.1), (3, 1.5))]
+                         + [(f"xpow:m={m}", nu) for m in (2, 3, 6) for nu in (1, 2, 3)]
+                         + [(f"poly:coeffs={cs}", nu) for cs, nus in (
+                             ("0.5,-0.25,1,0.125", (1,)), ("2,-1,0.5,0.1,0.05", (1, 2)),
+                             ("0,0,1,-0.5,0.2,0.1", (2, 3))) for nu in nus])
 def test_omega2_closed_forms_cover_the_exact_modulus_in_mpmath(spec, nu):
     # |f^(nu)(x + t) - 2 f^(nu)(x) + f^(nu)(x - t)| at 50 digits at the
     # analytic argmax: the step t at the center nearest the end where
-    # |f^(nu)| peaks (1 - t for exp with alpha > 0 and for cosh, -1 + t for
-    # alpha < 0), and at -1 + t, next to the cusp, for f0
+    # |f^(nu)| peaks (1 - t for exp with alpha > 0, for cosh and for xpow,
+    # -1 + t for alpha < 0), at -1 + t, next to the cusp, for f0, and on the
+    # kink 1 - eps for truncpow; for poly the max over 257 centers in
+    # [-1 + t, 1 - t].  Each bound alone decides glue's smallness radius.
     mpmath = pytest.importorskip("mpmath")
-    name, _, param = spec.partition(":")
+    f = parse_function(spec)
     with mpmath.workdps(50):
-        c = mpmath.mpf(float(param.partition("=")[2]))
-        if name == "exp":
-            g, end = (lambda x: c ** nu * mpmath.exp(c * x)), (1 if c > 0 else -1)
-        elif name == "cosh":
-            g, end = (lambda x: c ** nu * (mpmath.sinh if nu % 2 else mpmath.cosh)(c * x)), 1
-        else:
+        if f.name in ("exp", "cosh"):
+            c = mpmath.mpf(f.params["alpha" if f.name == "exp" else "beta"])
+        if f.name == "exp":
+            g, centers = (lambda x: c ** nu * mpmath.exp(c * x)), (lambda u: [(1 - u) * mpmath.sign(c)])
+        elif f.name == "cosh":
+            g, centers = (lambda x: c ** nu * (mpmath.sinh if nu % 2 else mpmath.cosh)(c * x)), \
+                (lambda u: [1 - u])
+        elif f.name == "f0":
             k = mpmath.fprod(nu + mpmath.mpf(0.5) - i for i in range(nu))
-            g, end = (lambda x: k * mpmath.sqrt(1 + x)), -1
+            g, centers = (lambda x: k * mpmath.sqrt(1 + x)), (lambda u: [u - 1])
+        elif f.name == "truncpow":
+            eps = mpmath.mpf(f.params["eps"])
+            g, centers = (lambda x: mpmath.factorial(nu + 1) * max(0, x - 1 + eps)), \
+                (lambda u: [1 - eps])
+        elif f.name == "xpow":
+            p = 2 * f.params["m"]
+            g, centers = (lambda x: mpmath.ff(p, nu) * x ** (p - nu)), (lambda u: [1 - u])
+        else:
+            d = [mpmath.mpf(ck) * mpmath.ff(k, nu) for k, ck in enumerate(f.params["coeffs"])][nu:]
+            g, centers = (lambda x: mpmath.polyval(d[::-1], x)), \
+                (lambda u: mpmath.linspace(u - 1, 1 - u, 257))
         for t in (1e-8, 1e-3, 0.1):
             u = mpmath.mpf(t)
-            x = end - end * u
-            exact = abs(g(x + u) - 2 * g(x) + g(x - u))
-            assert parse_function(spec).omega2_bound(nu, t, -1.0, 1.0) >= exact, (t, exact)
+            exact = max(abs(g(x + u) - 2 * g(x) + g(x - u)) for x in centers(u))
+            assert f.omega2_bound(nu, t, -1.0, 1.0) >= exact, (t, exact)
 
 
 def test_omega2_bound_never_raises():

@@ -456,7 +456,7 @@ _PREPARE_CASES = [
 
 
 def test_prepare_equals_full_profile_at_every_radius():
-    # one omega_2 row refutes a radius before the full profile is built;
+    # the oracle's bound decides each radius without the sampled profile;
     # the accepted radius and everything derived from it stay bit-identical
     tried = {}
     for spec, r in _PREPARE_CASES:
@@ -479,13 +479,13 @@ def test_prepare_equals_the_reference_kernels_bit_for_bit(monkeypatch, spec, r):
 
 
 @pytest.mark.parametrize("spec, r, rows", [
-    ("truncpow:r=1,eps=0.01", 1, [1, 1, 1, 512]),
-    ("exp:alpha=2.3", 2, [1, 512]),
+    ("truncpow:r=1,eps=0.01", 1, [512, 512, 512]),
+    ("exp:alpha=2.3", 2, [512]),
 ])
 def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
-    # rejected radii cost one row each; without omega2_bound only the
-    # accepted one gets the HYPOTHESIS_GRID rows of the full profile, and
-    # with it the bound accepts that radius before its row or profile
+    # a finite bound decides every radius without a modulus row; without
+    # omega2_bound each radius that passes the boundary test gets the
+    # HYPOTHESIS_GRID rows of one full profile, and the others none
     seen = []
     row_maxima = smoothness._row_maxima
 
@@ -499,7 +499,21 @@ def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
     assert seen == rows
     seen.clear()
     assert glue._prepare(f, r).H1_certified
-    assert seen == rows[:-2]
+    assert seen == []
+
+
+def test_a_finite_bound_refusal_is_final():
+    # the exp:alpha=1 bound, scaled to twice M at the radius the sample
+    # accepts, refuses it, and the sample is not asked instead
+    f = parse_function("exp:alpha=1")
+    sampled = glue._prepare(dataclasses.replace(f, omega2_bound=None), 1)
+    k = 2.0 * sampled.M / (4.0 * glue.C0 * sampled.H1 * f.omega2_bound(1, sampled.H1, -1.0, 1.0))
+    assert k > 1.0
+    prep = glue._prepare(dataclasses.replace(
+        f, omega2_bound=lambda *args: k * f.omega2_bound(*args)), 1)
+    assert prep.H1_certified
+    assert prep.H1_halvings > sampled.H1_halvings
+    assert prep.H1 < sampled.H1
 
 
 # -- steep and wide inputs: every one builds certified -------------------------
