@@ -1,29 +1,35 @@
 """Numerical certification: pointwise bound reports, convexity verification,
 n-sweeps, and the arithmetic witnesses behind the impossibility results.
 
-Every estimate is checked as a ratio |f - S| / bound on a fixed grid.  The
-moduli in denominators are certified lower bounds, read from a
-``ModulusProfile`` built over the steps up to the largest one a kept point
-queries, so ratios over-estimate conservatively; points where either side
-sits below the float noise floor are excluded and reported as
-satisfied-degenerate.  The noise floor is applied before any bound is
-computed, so a report whose every error is noise builds no profile row.  Bounds
-2.3, 2.4 and 2.5 share one code path driven by a table of (order, step,
-weight).  Bound 2.13 reads the term of every knot interval that holds a kept
-point, and the two end terms, from ``modulus_lower_bounds``: one lattice of
-``density`` steps per interval, evaluated in blocks of intervals, so each
-grid point's bound is a gather.
+Every estimate is checked as a ratio |f - S| / bound on a fixed grid, and
+each modulus in a denominator is a lower bound of the exact one, so ratios
+over-estimate.  Where the oracle's ``omega_enclosure`` has a lower end
+(every builtin family but ``poly``), each modulus is that end: the exact
+omega_k at one admissible step and center in closed form, less its proved
+rounding slack, read at every point in one call.  Otherwise it is sampled:
+a ``ModulusProfile`` built over the steps up to the largest one a kept
+point queries for 2.3 to 2.12, and for 2.13 the term of every knot interval
+that holds a kept point, and the two end terms, from
+``modulus_lower_bounds``: one lattice of ``density`` steps per interval,
+evaluated in blocks of intervals, so each grid point's bound is a gather.
+Points where either side sits below the float noise floor are excluded and
+reported as satisfied-degenerate.  The noise floor is applied before any
+bound is computed, so a report whose every error is noise samples no
+profile row.  Bounds 2.3, 2.4 and 2.5 share one code path driven by a table
+of (order, step, weight).
 
 A report and a sweep share one setup per bound: the grid, the errors, the
 noise-floor mask, the weights and the steps each point reads.  A sweep writes
-only the sup ratios, and computes only what can move them, giving the same
-float as the report's ``sup_ratio``.  Its profiles take their steps, each
-point's rows and the running max over them by ``ModulusProfile``'s own
-rules.  Each profile row and each 2.13 term starts as a lower bound, its own
-kernel on a few of its points (``profile_probe``, ``lattice_probe``); exact
-rows are built in ascending step order and exact terms for the intervals
-whose points have the largest ratio bounds, until no point that still lacks
-one can beat the best exact ratio.  Float *, +, min, max and / are monotone, so a bound built from
+only the sup ratios, giving the same float as the report's ``sup_ratio``.
+With the enclosure's lower ends it takes the report's own ratio rule over
+every read point.  With sampled moduli it computes only what can move the
+sup: its profiles take their steps, each point's rows and the running max
+over them by ``ModulusProfile``'s own rules.  Each profile row and each
+2.13 term starts as a lower bound, its own kernel on a few of its points
+(``profile_probe``, ``lattice_probe``); exact rows are built in ascending
+step order and exact terms for the intervals whose points have the largest
+ratio bounds, until no point that still lacks one can beat the best exact
+ratio.  Float *, +, min, max and / are monotone, so a bound built from
 lower bounds caps the ratio it stands in for.
 """
 
@@ -144,6 +150,7 @@ class _Setup:
     weight: np.ndarray | None = None  # at the read points
     moduli: tuple = ()
     idx: np.ndarray | None = None     # 2.13: the knot interval of each read point
+    enclosure: object = None          # the oracle's omega_enclosure, or None
 
     def profile(self, k, interval, steps) -> ModulusProfile:
         return ModulusProfile(self.fr, k, interval, steps, grid=self.density, focus=self.kinks)
@@ -205,7 +212,7 @@ def _setup(f, S, r, n, bound_id, grid_size, density) -> _Setup:
     scale = 1.0 + float(np.max(np.abs(fx)))
     read = ~(errs <= NOISE_REL * scale)
     common = dict(xs=xs, errs=errs, scale=scale, read=read, fr=f.deriv_fn(r), r=r,
-                  kinks=kinks, density=density, knots=knots)
+                  kinks=kinks, density=density, knots=knots, enclosure=f.omega_enclosure)
     if moduli:
         return _Setup(**common, weight=weights[read], moduli=moduli)
     idx = np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2)
@@ -222,10 +229,49 @@ def _interval_terms(s: _Setup, j: np.ndarray, bounds) -> np.ndarray:
         s.fr, 2, h, np.column_stack([s.knots[:-1], s.knots[1:]])[j], grid=s.density)
 
 
+def _lower_ends(s: _Setup, k, ts, lo, hi):
+    """The enclosure's lower ends of omega_k(f^(r), ts) on [lo, hi], None
+    where the oracle has none; a ValueError where one overflows, as a sampled
+    profile refuses non-finite differences."""
+    low = None if s.enclosure is None else s.enclosure(k, s.r, ts, lo, hi)[0]
+    if low is not None and np.isnan(low).any():
+        raise ValueError(f"the order-{k} modulus of the oracle on "
+                         f"[{float(np.min(lo))!r}, {float(np.max(hi))!r}] overflows")
+    return low
+
+
+def _closed_bounds(s: _Setup):
+    """The bound at every read point from the enclosure's lower ends, or
+    None where the oracle has none: the min over ``moduli`` of one call
+    each, or the 2.13 terms of the knot intervals that hold a read point
+    and of the two end intervals."""
+    if s.moduli:
+        lows = []
+        for k, (lo, hi), steps in s.moduli:
+            low = _lower_ends(s, k, steps[s.read], lo, hi)
+            if low is None:
+                return None
+            lows.append(low)
+        return s.weight * functools.reduce(np.minimum, lows)
+    n = s.knots.size - 1
+    need = np.unique(np.append(s.idx, (0, n - 1))) if s.idx.size else s.idx
+    h = np.diff(s.knots)[need]
+    low = _lower_ends(s, 2, h, s.knots[need], s.knots[need + 1])
+    if low is None:
+        return None
+    term = np.zeros(n)
+    term[need] = np.array([w ** s.r for w in h.tolist()]) * low
+    return term[s.idx] + term[0] + term[-1]
+
+
 def _bounds(s: _Setup) -> np.ndarray:
-    """The bound at every read point: full profiles over the steps up to the
-    largest read one, or the term of every knot interval holding a read point
-    and of the two end intervals, which every 2.13 bound adds."""
+    """The bound at every read point: from the enclosure's lower ends where
+    the oracle has them; else full profiles over the steps up to the largest
+    read one, or the sampled term of every knot interval holding a read
+    point and of the two end intervals, which every 2.13 bound adds."""
+    closed = _closed_bounds(s)
+    if closed is not None:
+        return closed
     if s.moduli:
         return s.weight * functools.reduce(np.minimum, [
             s.profile(k, interval, _steps_read(steps, s.read)).value(steps[s.read])
@@ -353,14 +399,20 @@ def _terms_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
 
 
 def _sup_ratio(f, S, r, n, bound_id, grid_size, density) -> float:
-    """``pointwise_bound_report(...).sup_ratio`` bit for bit, from only the
-    modulus rows and interval terms that can move it, a NaN or inf error
-    included."""
+    """``pointwise_bound_report(...).sup_ratio`` bit for bit, a NaN or inf
+    error included: the report's ratio rule over the enclosure's lower ends
+    where the oracle has them, else from only the sampled modulus rows and
+    interval terms that can move it."""
     s = _setup(f, S, r, n, bound_id, grid_size, density)
     e = s.errs[s.read]
     if e.size == 0:
         return 0.0
-    return (_profile_sup if s.moduli else _terms_sup)(s, e, ATOL_REL * s.scale)
+    atol = ATOL_REL * s.scale
+    closed = _closed_bounds(s)
+    if closed is not None:
+        ratios, degenerate = _ratios(e, closed, atol)
+        return float(np.max(ratios[~degenerate], initial=0.0))
+    return (_profile_sup if s.moduli else _terms_sup)(s, e, atol)
 
 
 @dataclass(frozen=True)

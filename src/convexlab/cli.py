@@ -45,8 +45,9 @@ from convexlab.smoothness import modulus
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_THRESHOLD = 2
-DENSITY_HELP = ("modulus lattice density for denominators (>= 64); for bound "
-                "2.13 also the lattice steps per knot interval")
+DENSITY_HELP = ("modulus lattice density for sampled denominators (>= 64), those of an "
+                "oracle without a lower end of omega (poly); for bound 2.13 also the "
+                "lattice steps per knot interval")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -191,7 +191,7 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
             # one omega_2 value decides the radius: the oracle's proved bound
             # where it is finite, else the sampled modulus, whose kink windows
             # keep the global lattice from stepping over a corner
-            omega = math.inf if f.omega2_bound is None else f.omega2_bound(r, H1, a, b)
+            omega = math.inf if f.omega_enclosure is None else f.omega_enclosure(2, r, H1, a, b)[1]
             certified = math.isfinite(omega)
             if not certified:
                 omega = modulus(fr, 2, H1, (a, b), HYPOTHESIS_GRID, kinks).value

@@ -196,11 +196,12 @@ def mirrored_direct_block_ratio(f, r, b, h, **kw):
 
 
 def reference_bound_report(f, S, r, n, bound_id, grid_size, density):
-    """The bound report as one pass over every grid point: each profile over
-    all of its grid's steps and every knot interval's 2.13 term, the bound
-    computed at each point, noise points included, then one exclusion mask.
-    ``pointwise_bound_report`` must equal it bit for bit while asking the
-    modulus layer only for what its kept points read."""
+    """The bound report as one pass over every grid point: each modulus from
+    the oracle's lower end of omega_k where it has one, else each profile over
+    all of its grid's steps and every knot interval's sampled 2.13 term, the
+    bound computed at each point, noise points included, then one exclusion
+    mask.  ``pointwise_bound_report`` must equal it bit for bit while asking
+    for the moduli of its kept points only."""
     from convexlab import certify
     from convexlab.domain import phi
     from convexlab.smoothness import modulus_lower_bounds
@@ -209,6 +210,15 @@ def reference_bound_report(f, S, r, n, bound_id, grid_size, density):
     kinks = tuple(f.nonsmooth)
     knots = S.knots
     x1, xn1 = float(knots[1]), float(knots[-2])
+
+    def lower(k, ts, lo, hi):
+        return None if f.omega_enclosure is None else f.omega_enclosure(k, r, ts, lo, hi)[0]
+
+    def omega(k, interval, ts):
+        low = lower(k, ts, *interval)
+        if low is not None:
+            return low
+        return ModulusProfile(fr, k, interval, ts, grid=density, focus=kinks).value(ts)
 
     def densify(xs, lo, hi):
         extra = []
@@ -226,20 +236,20 @@ def reference_bound_report(f, S, r, n, bound_id, grid_size, density):
         else:
             xs = certify._strip_grid(n, grid_size)
         ts = step(xs, n)
-        prof = ModulusProfile(fr, k, (-1.0, 1.0), ts, grid=density, focus=kinks)
-        bounds = weight(xs, ts, r) * prof.value(ts)
+        bounds = weight(xs, ts, r) * omega(k, (-1.0, 1.0), ts)
     elif bound_id in ("2.11", "2.12"):
         lo, hi = (-1.0, x1) if bound_id == "2.11" else (xn1, 1.0)
         xs = densify(certify._open_chebyshev(lo, hi, grid_size), lo, hi)
         d = xs - lo if bound_id == "2.11" else hi - xs
         t2 = np.sqrt(d * (hi - lo))
-        om1 = ModulusProfile(fr, 1, (lo, hi), d, grid=density, focus=kinks)
-        om2 = ModulusProfile(fr, 2, (lo, hi), t2, grid=density, focus=kinks)
-        bounds = d ** r * np.minimum(om1.value(d), om2.value(t2))
+        bounds = d ** r * np.minimum(omega(1, (lo, hi), d), omega(2, (lo, hi), t2))
     else:
         h = np.diff(knots)
-        term = np.array([w ** r for w in h.tolist()]) * modulus_lower_bounds(
-            fr, 2, h, np.column_stack([knots[:-1], knots[1:]]), grid=density)
+        low = lower(2, h, knots[:-1], knots[1:])
+        if low is None:
+            low = modulus_lower_bounds(fr, 2, h, np.column_stack([knots[:-1], knots[1:]]),
+                                       grid=density)
+        term = np.array([w ** r for w in h.tolist()]) * low
         xs = densify(certify._open_chebyshev(x1, xn1, grid_size), x1, xn1)
         idx = np.clip(np.searchsorted(knots, xs, side="right") - 1, 1, n - 2)
         bounds = term[idx] + term[0] + term[-1]

@@ -72,11 +72,12 @@ def test_bound_report_reproduction_all_zero():
 @pytest.mark.parametrize("where", [0, 17, -1])
 def test_bound_report_nan_error_makes_sup_ratio_nan(where):
     """A NaN error at one grid point of any bound is kept, also where every
-    other point is noise: its bound is read as over the full profile, and
-    its NaN ratio is the sup."""
+    other point is noise: its bound is read as over the full profile (or from
+    the oracle's lower ends of omega), and its NaN ratio is the sup."""
     f = exp_oracle(1.0)
     S, _, _ = construct_chebyshev(f, 2, 16)
-    for b in BOUND_IDS:
+    for f, b in [(oracle, b) for oracle in (f, dataclasses.replace(f, omega_enclosure=None))
+                 for b in BOUND_IDS]:
         rep = pointwise_bound_report(f, S, 2, 16, b, grid_size=65)
         assert math.isfinite(rep.sup_ratio), b
         nan_x = np.sort(np.concatenate([rep.grid[:, 0], rep.excluded_points[:, 0]]))[where]
@@ -94,8 +95,9 @@ def test_bound_report_nan_error_makes_sup_ratio_nan(where):
         assert np.array_equal(rep.grid, want.grid, equal_nan=True), b
 
 
-# (oracle, r, n) whose reports must equal the full-profile reference: exp at
-# n=32 keeps points in every bound, at n=128 bounds 2.4 to 2.12 keep none;
+# (oracle, r, n) whose reports must equal the full-profile reference, each
+# with its omega enclosure and without it (sampled moduli): exp at n=32
+# keeps points in every bound, at n=128 bounds 2.4 to 2.12 keep none;
 # truncpow adds kink windows and a densified grid; xpow:m=2 at r=3 is the
 # all-zero reproduction
 REFERENCE_CASES = [
@@ -114,7 +116,8 @@ REFERENCE_CASES = [
 def test_bound_report_equals_full_profile_reference(spec, r, n, grid_size, density):
     f = parse_function(spec)
     S, _, _ = construct_chebyshev(f, r, n)
-    for b in BOUND_IDS:
+    for f, b in [(oracle, b) for oracle in (f, dataclasses.replace(f, omega_enclosure=None))
+                 for b in BOUND_IDS]:
         got = pointwise_bound_report(f, S, r, n, b, grid_size, density)
         want = reference_bound_report(f, S, r, n, b, grid_size, density)
         assert np.array_equal(got.grid, want.grid), b
@@ -123,11 +126,11 @@ def test_bound_report_equals_full_profile_reference(spec, r, n, grid_size, densi
 
 
 def test_bound_report_builds_only_the_rows_its_kept_points_read(monkeypatch):
-    """exp:alpha=1, r=2 at n=128: bounds 2.4, 2.5, 2.11 and 2.12 keep no
-    point and compute no modulus row, 2.3 computes no step above its largest
-    kept one, and 2.13 evaluates only the knot intervals that hold a kept
-    point and the two end intervals."""
-    f = parse_function("exp:alpha=1")
+    """exp:alpha=1, r=2 at n=128 with sampled moduli: bounds 2.4, 2.5, 2.11
+    and 2.12 keep no point and compute no modulus row, 2.3 computes no step
+    above its largest kept one, and 2.13 evaluates only the knot intervals
+    that hold a kept point and the two end intervals."""
+    f = dataclasses.replace(parse_function("exp:alpha=1"), omega_enclosure=None)
     n = 128
     S, _, _ = construct_chebyshev(f, 2, n)
     steps, intervals = [], []
@@ -309,6 +312,48 @@ def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, 
             assert row["sup_ratio"]["2.4"] == 0.0
 
 
+@pytest.mark.parametrize("term_batch", [certify.TERM_BATCH, 1])
+@pytest.mark.parametrize("spec,r,ns,grid_size,density", SWEEP_EQUALITY_CASES,
+                         ids=[f"{c[0]}-r{c[1]}-{c[3]}-{c[4]}" for c in SWEEP_EQUALITY_CASES])
+def test_sampled_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density,
+                                                                term_batch, monkeypatch):
+    """Without the oracle's omega enclosure (as for poly and a user oracle)
+    the sweep samples only the modulus rows and interval terms that can move
+    a sup ratio, and each ratio is the report's float; with one 2.13 interval
+    per round, the rounds after the first are exercised too."""
+    monkeypatch.setattr(certify, "TERM_BATCH", term_batch)
+    f = dataclasses.replace(parse_function(spec), omega_enclosure=None)
+    tab = sweep(f, r, ns, grid_size=grid_size, density=density)
+    assert all(row["computed"] for row in tab.rows)
+    for row in tab.rows:
+        n = row["n"]
+        S, _, _ = construct_chebyshev(f, r, n)
+        for b in BOUND_IDS:
+            want = pointwise_bound_report(f, S, r, n, b, grid_size, density).sup_ratio
+            assert _same_float(row["sup_ratio"][b], want), (n, b, row["sup_ratio"][b], want)
+
+
+@pytest.mark.parametrize("spec, r", [("exp:alpha=1", 2), ("cosh:beta=1.3", 1), ("xpow:m=2", 1),
+                                     ("f0:r=2", 2), ("truncpow:r=1,eps=0.2", 1)])
+def test_enclosed_oracles_sample_no_modulus(spec, r, monkeypatch):
+    """Every family with a lower end of omega divides by it alone: a sweep
+    and the six reports call none of the sampling engines."""
+    f = parse_function(spec)
+    S, _, _ = construct_chebyshev(f, r, 32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a modulus")
+
+    for name in ("ModulusProfile", "modulus_lower_bounds", "profile_probe", "lattice_probe"):
+        monkeypatch.setattr(certify, name, refuse)
+        monkeypatch.setattr(smoothness, name, refuse)
+    monkeypatch.setattr(smoothness, "_row_maxima", refuse)
+    tab = sweep(f, r, [32, 64])
+    assert all(row["computed"] for row in tab.rows)
+    for b in BOUND_IDS:
+        assert pointwise_bound_report(f, S, r, 32, b).sup_ratio == tab.rows[0]["sup_ratio"][b]
+
+
 def _swept_and_reported(monkeypatch, f, r, n, change, bound_id):
     """A one-row sweep whose spline is change(S), and the report of bound_id
     on that spline."""
@@ -358,10 +403,11 @@ def test_sweep_equals_the_report_on_a_broken_spline(bound_id, monkeypatch):
 
 
 def test_sweep_builds_fewer_rows_and_lattices_than_the_report(monkeypatch):
-    """exp:alpha=1, r=2 at n=256: the report's 2.13 builds one lattice per
-    knot interval holding a kept point and the two end ones, 196, and its 2.3
-    profile 189 rows; the sweep builds at most 10 lattices and 112 rows."""
-    f = parse_function("exp:alpha=1")
+    """exp:alpha=1, r=2 at n=256 with sampled moduli: the report's 2.13
+    builds one lattice per knot interval holding a kept point and the two end
+    ones, 196, and its 2.3 profile 189 rows; the sweep builds at most 10
+    lattices and 112 rows."""
+    f = dataclasses.replace(parse_function("exp:alpha=1"), omega_enclosure=None)
     n = 256
     S, _, _ = construct_chebyshev(f, 2, n)
     rows, lattices = [], []
@@ -502,10 +548,11 @@ def test_threshold_growth_validates_order():
         threshold_growth(1, [0.01, 0.1])
 
 
-# sup ratios in BOUND_IDS order, pinned so that a change to the modulus
-# engine or to the bound table cannot move a certified ratio unnoticed;
-# f0:r=2 adds nonzero 2.4, 2.5 and 2.11 ratios, which the other two cases
-# leave below the noise floor
+# sup ratios in BOUND_IDS order with sampled moduli (the oracles' omega
+# enclosures removed), pinned so that a change to the modulus engine or to
+# the bound table cannot move a certified ratio unnoticed; f0:r=2 adds
+# nonzero 2.4, 2.5 and 2.11 ratios, which the other two cases leave below
+# the noise floor
 PINNED_SUP_RATIOS = [
     ("exp:alpha=1", 2, 64, (0.2497459137115802, 0.0, 0.0, 0.0, 0.0,
                             0.010415394625393311)),
@@ -519,6 +566,27 @@ PINNED_SUP_RATIOS = [
 @pytest.mark.parametrize("spec,r,n,want", PINNED_SUP_RATIOS,
                          ids=[case[0] for case in PINNED_SUP_RATIOS])
 def test_bound_report_sup_ratios_pinned(spec, r, n, want):
+    f = dataclasses.replace(parse_function(spec), omega_enclosure=None)
+    S, _, _ = construct_chebyshev(f, r, n)
+    got = [pointwise_bound_report(f, S, r, n, b).sup_ratio for b in BOUND_IDS]
+    assert got == pytest.approx(list(want), rel=1e-12, abs=0.0)
+
+
+# the same cases with the oracles' lower ends of omega in the denominators;
+# each moves from the sampled pin by under 7e-12 relative
+PINNED_ENCLOSED_SUP_RATIOS = [
+    ("exp:alpha=1", 2, 64, (0.24974591371175553, 0.0, 0.0, 0.0, 0.0,
+                            0.010415394625404062)),
+    ("truncpow:r=1,eps=0.2", 1, 64, (0.0467552776682216, 0.0, 0.0, 0.0, 0.0,
+                                     0.042426513432431014)),
+    ("f0:r=2", 2, 64, (0.2555219839730075, 0.06015067423541376, 0.04287659679508709,
+                       0.2490964355344452, 0.0, 0.02369000443766485)),
+]
+
+
+@pytest.mark.parametrize("spec,r,n,want", PINNED_ENCLOSED_SUP_RATIOS,
+                         ids=[case[0] for case in PINNED_ENCLOSED_SUP_RATIOS])
+def test_bound_report_enclosed_sup_ratios_pinned(spec, r, n, want):
     f = parse_function(spec)
     S, _, _ = construct_chebyshev(f, r, n)
     got = [pointwise_bound_report(f, S, r, n, b).sup_ratio for b in BOUND_IDS]
@@ -543,3 +611,15 @@ def test_bench_exp_ratio_gate(n):
     S, _, _ = construct_chebyshev(f, 2, n)
     mine = checks.exp_ratio_2_3(checks.Spline(S.to_json_dict()), 1.0, 2, n)
     checks.check_exp_ratio(pointwise_bound_report(f, S, 2, n, "2.3").sup_ratio, mine, n)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+def test_exp_ratio_is_at_least_the_exact_one(n):
+    # ratio 2.3 divides by a proved lower bound of the modulus, so it is at
+    # least the benchmark's recomputation with the exact modulus, with no
+    # margin: a sampled modulus read above the exact one at n = 256 and 512
+    checks = _bench_checks()
+    f = parse_function("exp:alpha=1")
+    S, _, _ = construct_chebyshev(f, 2, n)
+    exact = checks.exp_ratio_2_3(checks.Spline(S.to_json_dict()), 1.0, 2, n)
+    assert pointwise_bound_report(f, S, 2, n, "2.3").sup_ratio >= exact

@@ -219,13 +219,17 @@ def test_certify_malformed_spline_exits_1_in_one_line(edit, message, tmp_path, c
 # 2**57 float64 or int64 entries are 2**60 bytes, more than any 64-bit address
 # space maps, so the allocation fails at once under every overcommit policy
 HUGE = 2 ** 57
+# the benchmark's convex cubic: poly has no lower end of omega, so its
+# denominators are sampled on the --density lattice
+CONVEX_CUBIC = "poly:coeffs=0.5,-0.25,1,0.125"
 
 
 @pytest.mark.parametrize("argv", [
     ["approximate", "--function", "exp:alpha=1", "--r", "2", "--n", str(HUGE)],
     ["sweep", "--function", "exp:alpha=1", "--r", "2", "--n", str(HUGE)],
     ["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16", "--grid-size", str(HUGE)],
-    ["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16", "--density", str(HUGE)],
+    # exp divides by its closed-form lower ends of omega, which no density reaches
+    ["certify", "--function", CONVEX_CUBIC, "--r", "2", "--n", "16", "--density", str(HUGE)],
     ["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "0.1", "--interval", "-1,1",
      "--grid", str(HUGE)],
     ["certify", "--function", "exp:alpha=1", "--r", "2", "--n", "16", "--order", str(2 ** 50)],
@@ -236,7 +240,7 @@ def test_size_too_large_to_allocate_exits_1_in_one_line(argv, tmp_path, capsys):
     in numpy's MemoryError traceback.  The spline file's order is 2**50:
     its 16 rows of that many float64 are 2**57 bytes."""
     spline = tmp_path / "s.json"
-    assert run(["approximate", "--function", "exp:alpha=1", "--r", "2",
+    assert run(["approximate", "--function", argv[2], "--r", "2",
                 "--n", "16", "--out", str(spline)]) == 0
     if "--order" in argv:
         doc = json.loads(spline.read_text())
@@ -313,20 +317,39 @@ def test_sweep_arithmetic_range(tmp_path):
 @pytest.mark.parametrize("density", ["64", "100"])
 def test_sweep_low_density_is_finite_and_deterministic(density, tmp_path):
     # --density is also the lattice steps per knot interval of bound 2.13;
-    # 100 is not a multiple of 2 * 16 step columns, so its steps are uneven
+    # 100 is not a multiple of 2 * 16 step columns, so its steps are uneven.
+    # The lattice is sampled for the cubic, which has no lower end of omega
+    for spec in ("truncpow:r=1,eps=0.2", CONVEX_CUBIC):
+        texts = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"sweep_{tag}.csv"
+            assert run(["sweep", "--function", spec, "--r", "1",
+                        "--n", "32:64:x2", "--grid-size", "65", "--density", density,
+                        "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        rows = texts[0].decode().strip().split("\n")[1:]
+        assert len(rows) == 2
+        for row in rows:
+            cell = float(row.split(",")[7])  # sup_ratio_2_13
+            assert math.isfinite(cell) and cell > 0.0
+
+
+@pytest.mark.parametrize("spec, r", [("exp:alpha=1", 2), ("truncpow:r=1,eps=0.2", 1),
+                                     (CONVEX_CUBIC, 1)])
+def test_density_reaches_only_sampled_denominators(spec, r, tmp_path):
+    # an oracle with lower ends of omega divides by them, whatever the
+    # lattice; the cubic's sampled denominators move with it
     texts = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"sweep_{tag}.csv"
-        assert run(["sweep", "--function", "truncpow:r=1,eps=0.2", "--r", "1",
-                    "--n", "32:64:x2", "--grid-size", "65", "--density", density,
-                    "--out", str(out)]) == 0
+    for density in ("64", "100", "2048"):
+        out = tmp_path / f"sweep_{density}.csv"
+        assert run(["sweep", "--function", spec, "--r", str(r), "--n", "32:64:x2",
+                    "--grid-size", "65", "--density", density, "--out", str(out)]) == 0
         texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
-    rows = texts[0].decode().strip().split("\n")[1:]
-    assert len(rows) == 2
-    for row in rows:
-        cell = float(row.split(",")[7])  # sup_ratio_2_13
-        assert math.isfinite(cell) and cell > 0.0
+    if spec == CONVEX_CUBIC:
+        assert len(set(texts)) == 3
+    else:
+        assert texts[0] == texts[1] == texts[2]
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -349,9 +372,12 @@ def test_sweep_degenerate_input_exits_1(flags, message, capsys):
 
 
 def test_sweep_refuses_non_finite_differences_in_one_line(capsys):
-    # exp:alpha=703 at r = 1: f'(1) = 1.3e308 is finite, its order-2
-    # differences overflow, and the preparation refuses before any bound
-    code = run(["sweep", "--function", "exp:alpha=703", "--r", "1", "--n", "32:64:x2"])
+    # p'' = 2e307 + 7.2e307 x^2 + 2.8e307 x^3 is finite, max |p^(4)| is past
+    # the float range, so the upper end of omega_2 reads inf and the sampled
+    # modulus decides; its order-2 differences overflow, and the preparation
+    # refuses before any bound
+    code = run(["sweep", "--function", "poly:coeffs=0,0,1e307,0,6e306,1.4e306", "--r", "2",
+                "--n", "32:64:x2"])
     assert code == 1
     assert capsys.readouterr().err.strip().splitlines() == [
         "error: order-2 differences of the oracle on [-1.0, 1.0] are non-finite"]
@@ -482,11 +508,12 @@ def test_steep_finite_endpoint_data_builds_certified(tmp_path):
     assert json.loads(out.read_text())["convex_certified"] is True
 
 
-def test_exp_700_at_r_1_is_decided_by_the_sampled_modulus(tmp_path):
-    # the one builtin cell whose omega_2 bound overflows, so the sampled
-    # modulus decides H1: below N = 167 exit 2; at and above it p'' of the
-    # rows next to the right end overflows, exit 1 in one error line, in a
-    # fresh interpreter with numpy's default warning filters
+def test_exp_700_at_r_1_keeps_its_threshold_and_refusals(tmp_path):
+    # max |f''| overflows, delta max |f''| does not, so the upper end of
+    # omega_2 decides H1, as the sampled modulus did before it (the same N):
+    # below N = 167 exit 2; at and above it p'' of the rows next to the right
+    # end overflows, exit 1 in one error line, in a fresh interpreter with
+    # numpy's default warning filters
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = tmp_path / "s.json"
     for n, code in (("64", 2), ("167", 1), ("400", 1)):

@@ -298,9 +298,32 @@ def test_evaluators_in_place_equal_the_plain_expressions_bit_for_bit(spec):
 
 @pytest.mark.parametrize("spec, r", [("f0:r=2", 2), ("truncpow:r=1,eps=0.1", 1)])
 def test_omega2_bound_of_a_corner_family_holds_only_at_r(spec, r):
-    bound = parse_function(spec).omega2_bound
-    assert 0.0 < bound(r, 0.1, -1.0, 1.0) < math.inf
-    assert [bound(nu, 0.1, -1.0, 1.0) for nu in range(r)] == [math.inf] * r
+    enclosure = parse_function(spec).omega_enclosure
+    for k in (1, 2):
+        low, up = enclosure(k, r, 0.1, -1.0, 1.0)
+        assert 0.0 < low < up < math.inf
+        assert [tuple(enclosure(k, nu, 0.1, -1.0, 1.0)) for nu in range(r)] == [(0.0, math.inf)] * r
+
+
+def _mp_sup(mpmath, g, k, t, lo, hi, marks):
+    """The largest |Delta^k_u g(z)| over a few admissible (u, z) at the working
+    precision: at most the exact modulus.  The steps are min(t, (hi - lo)/k),
+    its half, and its cut at 2m/3 and m (m = max(|lo|, |hi|)), where the
+    moduli of the odd and even families turn; the centers are both ends of
+    each step's admissible range, its middle, and every mark inside it."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    v = min(mpmath.mpf(t), (hi - lo) / k)
+    m = max(abs(lo), abs(hi))
+    best = mpmath.mpf(0)
+    for u in {v, v / 2, min(v, 2 * m / 3), min(v, m)}:
+        zlo, zhi = lo + k * u / 2, hi - k * u / 2
+        for z in [zlo, zhi, (zlo + zhi) / 2] + [p for p in marks if zlo <= p <= zhi]:
+            if k == 1:
+                d = g(z + u / 2) - g(z - u / 2)
+            else:
+                d = g(z + u) - 2 * g(z) + g(z - u)
+            best = max(best, abs(d))
+    return best
 
 
 @pytest.mark.parametrize("spec, nu", [(f"exp:alpha={a}", nu) for a in (0.5, 7.42788, 20, -3)
@@ -313,49 +336,101 @@ def test_omega2_bound_of_a_corner_family_holds_only_at_r(spec, r):
                              ("0.5,-0.25,1,0.125", (1,)), ("2,-1,0.5,0.1,0.05", (1, 2)),
                              ("0,0,1,-0.5,0.2,0.1", (2, 3))) for nu in nus])
 def test_omega2_closed_forms_cover_the_exact_modulus_in_mpmath(spec, nu):
-    # |f^(nu)(x + t) - 2 f^(nu)(x) + f^(nu)(x - t)| at 50 digits at the
-    # analytic argmax: the step t at the center nearest the end where
-    # |f^(nu)| peaks (1 - t for exp with alpha > 0, for cosh and for xpow,
-    # -1 + t for alpha < 0), at -1 + t, next to the cusp, for f0, and on the
-    # kink 1 - eps for truncpow; for poly the max over 257 centers in
-    # [-1 + t, 1 - t].  Each bound alone decides glue's smallness radius.
+    # lower <= |Delta^k_u f^(nu)(z)| <= upper for k = 1 and 2 at 50 digits,
+    # at the points of _mp_sup, which hold each family's argmax: the end
+    # where |f^(nu)| peaks, -1 and the cusp of f0, the kink 1 - eps of
+    # truncpow; and the lower end within 1e-9 relative of the largest of
+    # them, so it is the exact modulus (within 1e-12 absolute, which covers
+    # truncpow's distance slack where its kink is a few ulps from an end).  On [-1, 1], off-center, across 0 (where odd
+    # orders turn), on the first knot interval at n = 256 (which reaches
+    # f0's cusp) and the interior one next to 1 (which holds no kink of
+    # truncpow), with t = 0.1 past both small intervals' admissible steps and
+    # t = 0.5 past the turns 2m/3 and m across 0.
+    # poly has no lower end.  Each upper end at k = 2 alone decides glue's
+    # smallness radius.
     mpmath = pytest.importorskip("mpmath")
     f = parse_function(spec)
+    knots = chebyshev_partition(256).knots
+    intervals = [(-1.0, 1.0), (-0.3, 0.9), (-0.4, 0.4), (-1.0, float(knots[1])),
+                 (float(knots[-3]), float(knots[-2]))]
     with mpmath.workdps(50):
+        marks = [mpmath.mpf(0)]
         if f.name in ("exp", "cosh"):
             c = mpmath.mpf(f.params["alpha" if f.name == "exp" else "beta"])
         if f.name == "exp":
-            g, centers = (lambda x: c ** nu * mpmath.exp(c * x)), (lambda u: [(1 - u) * mpmath.sign(c)])
+            g = lambda x: c ** nu * mpmath.exp(c * x)  # noqa: E731
         elif f.name == "cosh":
-            g, centers = (lambda x: c ** nu * (mpmath.sinh if nu % 2 else mpmath.cosh)(c * x)), \
-                (lambda u: [1 - u])
+            g = lambda x: c ** nu * (mpmath.sinh if nu % 2 else mpmath.cosh)(c * x)  # noqa: E731
         elif f.name == "f0":
             k = mpmath.fprod(nu + mpmath.mpf(0.5) - i for i in range(nu))
-            g, centers = (lambda x: k * mpmath.sqrt(1 + x)), (lambda u: [u - 1])
+            g = lambda x: k * mpmath.sqrt(max(0, 1 + x))  # noqa: E731
         elif f.name == "truncpow":
             eps = mpmath.mpf(f.params["eps"])
-            g, centers = (lambda x: mpmath.factorial(nu + 1) * max(0, x - 1 + eps)), \
-                (lambda u: [1 - eps])
+            g = lambda x: mpmath.factorial(nu + 1) * max(0, x - 1 + eps)  # noqa: E731
+            marks.append(1 - eps)
         elif f.name == "xpow":
             p = 2 * f.params["m"]
-            g, centers = (lambda x: mpmath.ff(p, nu) * x ** (p - nu)), (lambda u: [1 - u])
+            g = lambda x: mpmath.ff(p, nu) * x ** (p - nu)  # noqa: E731
         else:
             d = [mpmath.mpf(ck) * mpmath.ff(k, nu) for k, ck in enumerate(f.params["coeffs"])][nu:]
-            g, centers = (lambda x: mpmath.polyval(d[::-1], x)), \
-                (lambda u: mpmath.linspace(u - 1, 1 - u, 257))
-        for t in (1e-8, 1e-3, 0.1):
-            u = mpmath.mpf(t)
-            exact = max(abs(g(x + u) - 2 * g(x) + g(x - u)) for x in centers(u))
-            assert f.omega2_bound(nu, t, -1.0, 1.0) >= exact, (t, exact)
+            g = lambda x: mpmath.polyval(d[::-1], x)  # noqa: E731
+            marks += list(mpmath.linspace(-1, 1, 33))
+        for lo, hi in intervals:
+            for order in (1, 2):
+                for t in (1e-8, 1e-3, 0.1, 0.5):
+                    exact = _mp_sup(mpmath, g, order, t, lo, hi, marks)
+                    low, up = f.omega_enclosure(order, nu, t, lo, hi)
+                    where = (lo, hi, order, t, exact)
+                    assert up >= exact, where
+                    if f.name != "poly":
+                        assert exact * (1 - mpmath.mpf(1e-9)) - 1e-12 <= low <= exact, (low,) + where
 
 
 def test_omega2_bound_never_raises():
     # overflow in math.exp, math.cosh, float ** int and a sum of finite terms
-    for spec, r, end in [("exp:alpha=700", 1, 1.0), ("exp:alpha=-1000", 0, 1.0),
+    for spec, r, end in [("exp:alpha=800", 1, 1.0), ("exp:alpha=-1000", 0, 1.0),
                          ("cosh:beta=800", 1, 1.0), ("xpow:m=200", 2, 10.0),
                          ("poly:coeffs=0,0,1e300,1e300", 0, 1e3)]:
-        assert parse_function(spec).omega2_bound(r, 0.5, -end, end) == math.inf, spec
+        assert parse_function(spec).omega_enclosure(2, r, 0.5, -end, end)[1] == math.inf, spec
     f = parse_function("exp:alpha=2")
-    assert f.omega2_bound(1, math.nan, -1.0, 1.0) == math.inf
-    assert f.omega2_bound(1, 0.0, -1.0, 1.0) > 0.0  # the rounding of a zero step
-    assert f.omega2_bound(1, 0.5, -1e308, 1e308) == math.inf
+    assert f.omega_enclosure(2, 1, math.nan, -1.0, 1.0)[1] == math.inf
+    assert f.omega_enclosure(2, 1, 0.0, -1.0, 1.0)[1] > 0.0  # the rounding of a zero step
+    assert f.omega_enclosure(2, 1, 0.5, -1e308, 1e308)[1] == math.inf
+
+
+@pytest.mark.parametrize("spec, nu", [("exp:alpha=1", 2), ("exp:alpha=-3", 1), ("cosh:beta=1.3", 1),
+                                      ("cosh:beta=-2", 2), ("xpow:m=2", 1), ("xpow:m=3", 2),
+                                      ("f0:r=2", 2), ("truncpow:r=1,eps=0.2", 1),
+                                      ("poly:coeffs=0.5,-0.25,1,0.125", 1)])
+def test_omega_enclosure_takes_arrays_entry_by_entry(spec, nu):
+    # as certify reads the lower ends of a grid's steps and of many knot
+    # intervals in one call; each end equals the scalar call bit for bit
+    f = parse_function(spec)
+    rng = np.random.default_rng(7)
+    knots = chebyshev_partition(64).knots
+    ts = np.concatenate([10.0 ** rng.uniform(-9, 0, 40), [0.0, 0.7, 3.0]])
+    los, his = np.resize(knots[:-1], ts.size), np.resize(knots[1:], ts.size)
+    for k in (1, 2):
+        for args in ((ts, -1.0, 1.0), (ts, los, his), (0.01, los, his)):
+            low, up = f.omega_enclosure(k, nu, *args)
+            each = np.broadcast(*args)
+            assert np.shape(up) == each.shape
+            pairs = [f.omega_enclosure(k, nu, *map(float, entry)) for entry in each]
+            assert [float(u).hex() for u in up] == [float(p[1]).hex() for p in pairs]
+            if f.name == "poly":
+                assert low is None and all(p[0] is None for p in pairs)
+                continue
+            assert np.shape(low) == each.shape and np.all(low <= up)
+            assert [float(v).hex() for v in low] == [float(p[0]).hex() for p in pairs]
+
+
+def test_omega_enclosure_lower_end_reads_zero_or_nan_and_k_is_checked():
+    f = parse_function("exp:alpha=2")
+    assert f.omega_enclosure(2, 1, math.nan, -1.0, 1.0)[0] == 0.0
+    assert f.omega_enclosure(1, 1, 0.0, -1.0, 1.0)[0] == 0.0
+    assert f.omega_enclosure(2, 1, 0.1, 0.5, 0.5)[0] == 0.0  # no admissible step
+    # the closed form of e^(800 x) overflows at x = 1: no lower end, not inf
+    assert math.isnan(parse_function("exp:alpha=800").omega_enclosure(2, 1, 0.1, -1.0, 1.0)[0])
+    with pytest.raises(ValueError, match="k = 1 or 2"):
+        f.omega_enclosure(3, 1, 0.1, -1.0, 1.0)
+

@@ -484,7 +484,7 @@ def test_prepare_equals_the_reference_kernels_bit_for_bit(monkeypatch, spec, r):
 ])
 def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
     # a finite bound decides every radius without a modulus row; without
-    # omega2_bound each radius that passes the boundary test gets the
+    # omega_enclosure each radius that passes the boundary test gets the
     # HYPOTHESIS_GRID rows of one full profile, and the others none
     seen = []
     row_maxima = smoothness._row_maxima
@@ -495,7 +495,7 @@ def test_prepare_builds_one_full_profile(monkeypatch, spec, r, rows):
 
     monkeypatch.setattr(smoothness, "_row_maxima", spy)
     f = parse_function(spec)
-    assert not glue._prepare(dataclasses.replace(f, omega2_bound=None), r).H1_certified
+    assert not glue._prepare(dataclasses.replace(f, omega_enclosure=None), r).H1_certified
     assert seen == rows
     seen.clear()
     assert glue._prepare(f, r).H1_certified
@@ -506,11 +506,12 @@ def test_a_finite_bound_refusal_is_final():
     # the exp:alpha=1 bound, scaled to twice M at the radius the sample
     # accepts, refuses it, and the sample is not asked instead
     f = parse_function("exp:alpha=1")
-    sampled = glue._prepare(dataclasses.replace(f, omega2_bound=None), 1)
-    k = 2.0 * sampled.M / (4.0 * glue.C0 * sampled.H1 * f.omega2_bound(1, sampled.H1, -1.0, 1.0))
+    sampled = glue._prepare(dataclasses.replace(f, omega_enclosure=None), 1)
+    upper = f.omega_enclosure(2, 1, sampled.H1, -1.0, 1.0)[1]
+    k = 2.0 * sampled.M / (4.0 * glue.C0 * sampled.H1 * upper)
     assert k > 1.0
     prep = glue._prepare(dataclasses.replace(
-        f, omega2_bound=lambda *args: k * f.omega2_bound(*args)), 1)
+        f, omega_enclosure=lambda *args: (None, k * f.omega_enclosure(*args)[1])), 1)
     assert prep.H1_certified
     assert prep.H1_halvings > sampled.H1_halvings
     assert prep.H1 < sampled.H1
@@ -625,7 +626,7 @@ def test_omega2_bound_is_above_the_sampled_modulus(spec, r):
         kinks = [p for p in f.nonsmooth if lo <= p <= hi]
         for t in (0.8, 4.0 * H1, 2.0 * H1, H1, 0.5 * H1, 0.125 * H1, 1e-6 * H1):
             sample = modulus(fr, 2, t, (lo, hi), glue.HYPOTHESIS_GRID, kinks).value
-            assert f.omega2_bound(r, t, lo, hi) >= sample, (lo, hi, t, sample)
+            assert f.omega_enclosure(2, r, t, lo, hi)[1] >= sample, (lo, hi, t, sample)
 
 
 @pytest.mark.parametrize("spec, r", [(spec, r) for spec, r in _BOUND_CENSUS
@@ -638,14 +639,15 @@ def test_omega2_bound_is_tight_at_H1(spec, r):
     f = parse_function(spec)
     H1 = glue._prepare(f, r).H1
     sample = modulus(f.deriv_fn(r), 2, H1, (-1.0, 1.0), glue.HYPOTHESIS_GRID).value
-    assert f.omega2_bound(r, H1, -1.0, 1.0) / sample - 1.0 <= 1e-4, (H1, sample)
+    assert f.omega_enclosure(2, r, H1, -1.0, 1.0)[1] / sample - 1.0 <= 1e-4, (H1, sample)
 
 
 @pytest.mark.parametrize("spec, r", _BOUND_CENSUS)
 def test_prepare_is_the_same_with_and_without_omega2_bound(spec, r):
     # without the hook (a user oracle) every radius is sampled
     f = parse_function(spec)
-    prep, sampled = glue._prepare(f, r), glue._prepare(dataclasses.replace(f, omega2_bound=None), r)
+    prep = glue._prepare(f, r)
+    sampled = glue._prepare(dataclasses.replace(f, omega_enclosure=None), r)
     assert prep == sampled
     assert [float(v).hex() for v in dataclasses.astuple(prep)[:-1]] == \
         [float(v).hex() for v in dataclasses.astuple(sampled)[:-1]]
@@ -681,18 +683,36 @@ def test_trace_counts_the_radii_refused_before_H1():
 
 
 def test_overflowing_bound_takes_the_sampled_path():
-    f = parse_function("exp:alpha=700")
-    assert f.omega2_bound(1, 0.5, -1.0, 1.0) == math.inf
+    # max |p^(3)| = 24 * 6e306 + 60 * 1.4e306 is past the float range, so the
+    # Taylor form of the upper end reads inf at every radius, while p' and
+    # its sampled differences stay finite
+    f = parse_function("poly:coeffs=0,0,1e307,0,6e306,1.4e306")
     prep = glue._prepare(f, 1)
+    assert f.omega_enclosure(2, 1, prep.H1, -1.0, 1.0)[1] == math.inf
     assert not prep.H1_certified
     assert dataclasses.astuple(prep) == \
-        dataclasses.astuple(glue._prepare(dataclasses.replace(f, omega2_bound=None), 1))
+        dataclasses.astuple(glue._prepare(dataclasses.replace(f, omega_enclosure=None), 1))
+
+
+@pytest.mark.parametrize("spec, r", [("exp:alpha=700", 1), ("exp:alpha=-700", 1),
+                                     ("cosh:beta=700", 1), ("cosh:beta=-700", 1),
+                                     ("cosh:beta=690", 3)])
+def test_bound_terms_do_not_overflow_needlessly(spec, r):
+    # max |f^(r+1)| overflows on its own, but delta times it does not: the
+    # upper end is finite and decides the same M, x*, H1 and H as the sample
+    f = parse_function(spec)
+    prep = glue._prepare(f, r)
+    assert prep.H1_certified
+    sampled = glue._prepare(dataclasses.replace(f, omega_enclosure=None), r)
+    assert [float(v).hex() for v in dataclasses.astuple(prep)[:-1]] == \
+        [float(v).hex() for v in dataclasses.astuple(sampled)[:-1]]
 
 
 def test_trace_records_how_H1_was_accepted():
     _, trace, _ = construct_chebyshev(exp_oracle(1.0), 1, 32)
     assert trace.H1_certified is True and trace.to_json_dict()["H1_certified"] is True
-    _, trace, _ = construct_chebyshev(dataclasses.replace(exp_oracle(1.0), omega2_bound=None), 1, 32)
+    _, trace, _ = construct_chebyshev(dataclasses.replace(exp_oracle(1.0), omega_enclosure=None),
+                                      1, 32)
     assert trace.H1_certified is False
     _, trace, _ = construct_chebyshev(poly_oracle([1.0, 2.0]), 1, 16)
     assert trace.H1_certified is False
