@@ -429,10 +429,10 @@ def _scaled_enclosure(c: float, deriv_max, odd_sinh: bool = False):
     """omega_enclosure of f^(nu)(x) = c^nu g(c x) with g in {exp, cosh, sinh}
     (sinh at odd nu where ``odd_sinh``).
 
-    The exact differences are Delta^1_v f^(nu)(m - v/2) = |c|^nu |g'(c m)|
-    2 sinh(|c| v / 2) at the midpoint m of the step and Delta^2_v f^(nu)(z)
-    = f^(nu)(z) 4 sinh^2(|c| v / 2); written so, and not as 2 (cosh(c v) -
-    1), which cancels for small c v.  |g| and |g'| grow with c x for exp and
+    The exact differences are |Delta^1_v f^(nu)| = |c|^nu |g'(c y)|
+    2 sinh(|c| v / 2) for the step centered at y, and Delta^2_v f^(nu)(z) =
+    f^(nu)(z) 4 sinh^2(|c| v / 2); written so, and not as 2 (cosh(c v) - 1),
+    which cancels for small c v.  |g| and |g'| grow with c x for exp and
     with |x| for cosh and sinh, so both moduli are reached at the farthest
     admissible point, in the direction of c for exp and at distance
     m = max(|lo|, |hi|) from 0 for cosh and sinh.  Along the steps, with
@@ -644,9 +644,10 @@ def f0_oracle(r: int, domain=(-1.0, 1.0)) -> ConvexOracle:
         return c * max((2.0 - math.sqrt(2.0)) * math.sqrt(v) + delta / (2.0 * math.sqrt(v)),
                        math.sqrt(2.0 * delta))
 
-    # The lower end sits at the left of [lo', hi], lo' = max(lo, -1), y =
-    # 1 + lo', where G is steepest: 2G(y + v) - G(y) - G(y + 2v) rises with v
-    # (its derivative is G'(y + v) - G'(y + 2v) >= 0), and so does the rise
+    # The lower end sits at the left end lo' = max(lo, -1) of [lo', hi],
+    # where G is steepest and |G''| largest.  In y = 1 + x, G = c sqrt(y);
+    # from y = 1 + lo', 2G(y + v) - G(y) - G(y + 2v) rises with v (its
+    # derivative is 2 (G'(y + v) - G'(y + 2v)) >= 0), and so does the rise
     # G(y + v) - G(y).  Both are written without cancellation: c v /
     # (sqrt(y + v) + sqrt(y)) and 2c v^2 / ((sqrt(y + 2v) + sqrt(y))
     # (sqrt(y + v) + sqrt(y)) (sqrt(y + 2v) + sqrt(y + v))), c (2 - sqrt(2))
