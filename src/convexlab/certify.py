@@ -18,9 +18,10 @@ bound is computed, so a report whose every error is noise samples no
 profile row.  Bounds 2.3, 2.4 and 2.5 share one code path driven by a table
 of (order, step, weight).
 
-A report and a sweep share one setup per bound: the grid, the errors, the
-noise-floor mask, the weights and the steps each point reads.  A sweep writes
-only the sup ratios, giving the same float as the report's ``sup_ratio``.
+A report and a sweep share one setup per row, shared by the six bounds: one
+knot check and one evaluation of f and S over all their grids, then per bound
+the grid, the errors, the noise-floor mask, the weights and the steps each
+point reads.  A sweep writes only the sup ratios, the report's ``sup_ratio``.
 With the enclosure's lower ends it takes the report's own ratio rule over
 every read point.  With sampled moduli it computes only what can move the
 sup: its profiles take their steps, each point's rows and the running max
@@ -67,6 +68,7 @@ __all__ = [
     "SweepTable",
     "verify_convexity",
     "pointwise_bound_report",
+    "pointwise_bound_reports",
     "sweep",
     "counterexample_witness",
     "polynomial_counterexample",
@@ -156,11 +158,14 @@ class _Setup:
         return ModulusProfile(self.fr, k, interval, steps, grid=self.density, focus=self.kinks)
 
 
-def _setup(f, S, r, n, bound_id, grid_size, density) -> _Setup:
-    """Validate the inputs, lay out the bound's grid, evaluate |f - S| there
-    and mark the points above the noise floor, whose bounds are read."""
-    if bound_id not in BOUND_IDS:
-        raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
+def _setups(f, S, r, n, bound_ids, grid_size, density) -> list:
+    """One ``_Setup`` per bound id, sharing one check of the inputs and the
+    knots, one f^(r) and one evaluation of f and S over the distinct grids
+    (2.4 and 2.5 read the same strips): each lays out its bound's grid,
+    |f - S| there and the points above the noise floor, whose bounds are read."""
+    for bound_id in bound_ids:
+        if bound_id not in BOUND_IDS:
+            raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     density = _check_grid(density)
@@ -188,35 +193,38 @@ def _setup(f, S, r, n, bound_id, grid_size, density) -> _Setup:
             return xs
         return np.sort(np.concatenate([xs] + extra))
 
-    if bound_id in _PROFILE_BOUNDS:
-        k, step, weight = _PROFILE_BOUNDS[bound_id]
-        if bound_id == "2.3":
-            xs = densify(_open_chebyshev(-1.0, 1.0, grid_size), -1.0, 1.0)
-        else:
-            xs = _strip_grid(n, grid_size)
-        ts = step(xs, n)
-        moduli = ((k, (-1.0, 1.0), ts),)
-        weights = weight(xs, ts, r)
-    elif bound_id in ("2.11", "2.12"):
-        lo, hi = (-1.0, x1) if bound_id == "2.11" else (xn1, 1.0)
-        xs = densify(_open_chebyshev(lo, hi, grid_size), lo, hi)
-        d = xs - lo if bound_id == "2.11" else hi - xs
-        moduli = ((1, (lo, hi), d), (2, (lo, hi), np.sqrt(d * (hi - lo))))
-        weights = d ** r
-    else:  # 2.13: interior intervals with the three-term right side
-        xs = densify(_open_chebyshev(x1, xn1, grid_size), x1, xn1)
-        moduli = ()
-
-    fx = np.asarray(f(xs), dtype=float)
-    errs = np.abs(fx - S(xs))
-    scale = 1.0 + float(np.max(np.abs(fx)))
-    read = ~(errs <= NOISE_REL * scale)
-    common = dict(xs=xs, errs=errs, scale=scale, read=read, fr=f.deriv_fn(r), r=r,
-                  kinks=kinks, density=density, knots=knots, enclosure=f.omega_enclosure)
-    if moduli:
-        return _Setup(**common, weight=weights[read], moduli=moduli)
-    idx = np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2)
-    return _Setup(**common, idx=idx)
+    # one grid per distinct region; 2.4 and 2.5 (no region) share the strips
+    regions = {"2.3": (-1.0, 1.0), "2.11": (-1.0, x1), "2.12": (xn1, 1.0), "2.13": (x1, xn1)}
+    grids = {key: _strip_grid(n, grid_size) if key is None else
+             densify(_open_chebyshev(*key, grid_size), *key)
+             for key in dict.fromkeys(regions.get(b) for b in bound_ids)}
+    xs_all = np.concatenate(list(grids.values()))
+    fx_all = np.asarray(f(xs_all), dtype=float)
+    cuts = np.cumsum([xs.size for xs in grids.values()])[:-1]
+    parts = zip(np.split(fx_all, cuts), np.split(np.abs(fx_all - S(xs_all)), cuts))
+    values = dict(zip(grids, parts))
+    shared = dict(fr=f.deriv_fn(r), r=r, kinks=kinks, density=density, knots=knots,
+                  enclosure=f.omega_enclosure)
+    setups = []
+    for bound_id in bound_ids:
+        key = regions.get(bound_id)
+        xs, (fx, errs) = grids[key], values[key]
+        scale = 1.0 + float(np.max(np.abs(fx)))
+        read = ~(errs <= NOISE_REL * scale)
+        setup = dict(xs=xs, errs=errs, scale=scale, read=read, **shared)
+        if bound_id in _PROFILE_BOUNDS:
+            k, step, weight = _PROFILE_BOUNDS[bound_id]
+            ts = step(xs, n)
+            setup.update(weight=weight(xs, ts, r)[read], moduli=((k, (-1.0, 1.0), ts),))
+        elif bound_id in ("2.11", "2.12"):
+            lo, hi = key
+            d = xs - lo if bound_id == "2.11" else hi - xs
+            setup.update(weight=(d ** r)[read],
+                         moduli=((1, key, d), (2, key, np.sqrt(d * (hi - lo)))))
+        else:  # 2.13: interior intervals with the three-term right side
+            setup.update(idx=np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2))
+        setups.append(_Setup(**setup))
+    return setups
 
 
 def _interval_terms(s: _Setup, j: np.ndarray, bounds) -> np.ndarray:
@@ -308,10 +316,11 @@ def _assemble_report(bound_id: str, s: _Setup) -> BoundReport:
                        np.column_stack([s.xs[excluded], s.errs[excluded]]))
 
 
-def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
-                           bound_id: str, grid_size: int = DEFAULT_GRID_SIZE,
-                           density: int = CERTIFICATION_DENSITY) -> BoundReport:
-    """Evaluate one pointwise estimate as |f-S| / bound over its own region.
+def pointwise_bound_reports(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
+                            bound_ids=BOUND_IDS, grid_size: int = DEFAULT_GRID_SIZE,
+                            density: int = CERTIFICATION_DENSITY) -> list:
+    """Evaluate pointwise estimates as |f-S| / bound, each over its own region,
+    one report per bound id in order, from one shared setup.
 
     Interior bounds use the full interval, the endpoint variants are
     restricted to the strips of width n^-2, and the per-interval forms to the
@@ -320,7 +329,15 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
     evaluated first; the modulus layer is asked only for what the points
     above the noise floor read, so a noise point's bound is never computed.
     """
-    return _assemble_report(bound_id, _setup(f, S, r, n, bound_id, grid_size, density))
+    return [_assemble_report(b, s)
+            for b, s in zip(bound_ids, _setups(f, S, r, n, bound_ids, grid_size, density))]
+
+
+def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
+                           bound_id: str, grid_size: int = DEFAULT_GRID_SIZE,
+                           density: int = CERTIFICATION_DENSITY) -> BoundReport:
+    """The one-bound case of :func:`pointwise_bound_reports`."""
+    return pointwise_bound_reports(f, S, r, n, (bound_id,), grid_size, density)[0]
 
 
 def _settle(e, bounds, exact, atol):
@@ -398,12 +415,11 @@ def _terms_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
         known[batch] = True
 
 
-def _sup_ratio(f, S, r, n, bound_id, grid_size, density) -> float:
-    """``pointwise_bound_report(...).sup_ratio`` bit for bit, a NaN or inf
-    error included: the report's ratio rule over the enclosure's lower ends
-    where the oracle has them, else from only the sampled modulus rows and
-    interval terms that can move it."""
-    s = _setup(f, S, r, n, bound_id, grid_size, density)
+def _sup_ratio(s: _Setup) -> float:
+    """The sup ratio of the report of ``s`` bit for bit, a NaN or inf error
+    included: the report's ratio rule over the enclosure's lower ends where
+    the oracle has them, else from only the sampled modulus rows and interval
+    terms that can move it."""
     e = s.errs[s.read]
     if e.size == 0:
         return 0.0
@@ -464,7 +480,8 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
             continue
         t0 = time.perf_counter()
         S, trace, _ = _construct_chebyshev(prep, f, r, n)
-        ratios = {b: _sup_ratio(f, S, r, n, b, grid_size, density) for b in BOUND_IDS}
+        setups = _setups(f, S, r, n, BOUND_IDS, grid_size, density)
+        ratios = dict(zip(BOUND_IDS, map(_sup_ratio, setups)))
         wall = int(round(1e3 * (time.perf_counter() - t0))) if timing else 0
         rows.append({"n": n, "computed": True, "sup_ratio": ratios, "wall_ms": wall})
     return SweepTable(f.label(), r, n_threshold, rows)

@@ -13,6 +13,7 @@ work is done.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,11 +22,10 @@ import sys
 import numpy as np
 
 from convexlab.certify import (
-    BOUND_IDS,
     CERTIFICATION_DENSITY,
     DEFAULT_GRID_SIZE,
     counterexample_witness,
-    pointwise_bound_report,
+    pointwise_bound_reports,
     sweep,
     verify_convexity,
 )
@@ -177,15 +177,12 @@ def cmd_certify(args) -> int:
             return EXIT_ERROR
 
     conv = verify_convexity(S)
-    reports = []
+    reports = pointwise_bound_reports(f, S, args.r, args.n, grid_size=args.grid_size,
+                                      density=args.density)
     ok = conv.convex
-    for b in BOUND_IDS:
-        rep = pointwise_bound_report(f, S, args.r, args.n, b,
-                                     grid_size=args.grid_size, density=args.density)
-        reports.append(rep)
-        finite = math.isfinite(rep.sup_ratio)
-        ok = ok and finite
-        print(f"bound {b}: sup_ratio = {rep.sup_ratio!r} "
+    for rep in reports:
+        ok = ok and math.isfinite(rep.sup_ratio)
+        print(f"bound {rep.bound_id}: sup_ratio = {rep.sup_ratio!r} "
               f"({len(rep.grid)} points, {len(rep.excluded_points)} degenerate)")
     print(f"convexity certified = {conv.convex}")
     if args.out:
@@ -260,6 +257,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.lru_cache(maxsize=None)  # once per process: main looks up each cmd_ by name
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="convexlab",
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="Chebyshev partition size")
     p.add_argument("--partition", help="knot file (one knot per line) instead of --n")
     p.add_argument("--out", help="spline JSON output path")
-    p.set_defaults(fn=cmd_approximate)
 
     p = sub.add_parser("certify", help="verify bounds for a stored spline")
     _add_common(p)
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--density", type=int, default=CERTIFICATION_DENSITY, help=DENSITY_HELP)
     p.add_argument("--out", help="report JSON output path")
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("sweep", help="sup-ratio table over an n range")
     _add_common(p)
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="record wall_ms (breaks byte determinism)")
     p.add_argument("--out", help="CSV output path (stdout otherwise)")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("counterexample", help="Markov-chain impossibility witness")
     p.add_argument("--r", type=int, required=True)
@@ -300,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None,
                    help="corner sharpness; default threshold/2")
     p.add_argument("--out", help="witness JSON output path")
-    p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("modulus", help="modulus of smoothness by grid search")
     p.add_argument("--function", required=True)
@@ -309,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--out", help="JSON output path")
-    p.set_defaults(fn=cmd_modulus)
 
     return ap
 
@@ -347,7 +340,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(_merge_dash_values(parser, list(argv)))
         _check_out(args.out)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, NotConvexOutput, ConstructionError,
             NoConvexityThreshold) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ minimal admissible n from H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
         raise NotConvexOutput(f"pieces {rep.offending_pieces} failed the convexity certificate")
     if not rep.slopes_ok:
         raise NotConvexOutput("one-sided knot slopes are not nondecreasing")
-    return replace(S, convex_certified=True)
+    return S.certified()
 
 
 def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:

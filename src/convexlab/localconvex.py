@@ -27,8 +27,6 @@ calls it, and it is kept as the tests' reference and for bench/tracing.py.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from convexlab.domain import ConvexOracle, Partition
@@ -354,5 +352,5 @@ def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
     """
     sigma, _ = _convex_pieces(f, X.knots, r + 1)
     if verify_convexity(sigma).convex:
-        sigma = replace(sigma, convex_certified=True)
+        sigma = sigma.certified()
     return sigma

@@ -70,6 +70,13 @@ class PiecewisePoly:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    def certified(self) -> "PiecewisePoly":
+        """A copy with ``convex_certified`` set, sharing the validated
+        read-only arrays instead of checking them again."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), convex_certified=True)  # no __init__, no checks
+        return out
+
     @property
     def order(self) -> int:
         return self.coeffs.shape[1]

@@ -169,8 +169,8 @@ def convexity_certificates(coeffs, centers, halfwidths, a, b) -> tuple:
     bad = np.flatnonzero(~(a < b))
     if bad.size:
         raise ValueError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
-    d2 = derivative_rows(C, w, 2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a steep row's p'' and p''' may read inf
+        d2 = derivative_rows(C, w, 2)
         d3 = derivative_rows(d2, w)
     # where p''' overflows though p'' does not (a finite entry of d2 gives an
     # infinite one of d3), d/du p'' has the same roots and does not divide by

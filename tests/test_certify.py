@@ -13,6 +13,7 @@ from convexlab.certify import (
     SweepTable,
     counterexample_witness,
     pointwise_bound_report,
+    pointwise_bound_reports,
     polynomial_counterexample,
     sweep,
     threshold_growth,
@@ -178,7 +179,7 @@ def test_bound_report_refuses_degenerate_lattices_when_no_point_is_kept(flags, m
         with pytest.raises(ValueError, match=message):
             pointwise_bound_report(f, S, 2, 128, b, **flags)
         with pytest.raises(ValueError, match=message):
-            certify._sup_ratio(f, S, 2, 128, b, **lattice)
+            certify._setups(f, S, 2, 128, (b,), **lattice)
 
 
 def test_bound_report_finite_ratios_exp():
@@ -241,6 +242,60 @@ def test_bound_report_mismatched_inputs():
     S, _, _ = construct_chebyshev(f, 1, 32)
     with pytest.raises(MismatchedInputs):
         pointwise_bound_report(f, S, 1, 64, "2.3")
+    with pytest.raises(MismatchedInputs):
+        pointwise_bound_reports(f, S, 1, 64)
+    with pytest.raises(MismatchedInputs):
+        certify._setups(f, S, 1, 64, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
+                        certify.CERTIFICATION_DENSITY)
+
+
+@pytest.mark.parametrize("spec, r", [("exp:alpha=1", 2), ("truncpow:r=1,eps=0.2", 1)])
+def test_sweep_sets_up_each_row_in_one_pass(spec, r, monkeypatch):
+    """A computed row checks the knots once, for all six bounds, and
+    evaluates f on their grids in one call; 2.4 and 2.5 read one strip grid."""
+    f = parse_function(spec)
+    events = []
+    partition, construct, value = (certify.chebyshev_partition, certify._construct_chebyshev,
+                                   f.derivs[0])
+
+    def spy_partition(n):
+        events.append(("knots", n))
+        return partition(n)
+
+    def spy_value(x):
+        events.append(("f", np.size(x)))
+        return value(x)
+
+    def quiet_construct(prep, g, *args):  # the spline is built from the unspied oracle
+        events.append(("row", args[-1]))
+        return construct(prep, f, *args)
+
+    spied = dataclasses.replace(f, derivs=(spy_value, *f.derivs[1:]))
+    monkeypatch.setattr(certify, "chebyshev_partition", spy_partition)
+    monkeypatch.setattr(certify, "_construct_chebyshev", quiet_construct)
+    tab = sweep(spied, r, [32, 64, 128])
+    assert [row["computed"] for row in tab.rows] == [True] * 3
+    rows = [i for i, event in enumerate(events) if event[0] == "row"]
+    assert len(rows) == 3
+    for n, start, stop in zip((32, 64, 128), rows, rows[1:] + [len(events)]):
+        S, _, _ = construct_chebyshev(f, r, n)
+        setups = certify._setups(f, S, r, n, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
+                                 certify.CERTIFICATION_DENSITY)
+        assert setups[1].xs is setups[2].xs
+        points = sum({id(s.xs): s.xs.size for s in setups}.values())
+        assert events[start:stop] == [("row", n), ("knots", n), ("f", points)]
+
+
+def test_bound_reports_equal_the_one_bound_reports():
+    f = parse_function("truncpow:r=1,eps=0.2")
+    S, _, _ = construct_chebyshev(f, 1, 64)
+    reports = pointwise_bound_reports(f, S, 1, 64, grid_size=129, density=512)
+    assert [rep.bound_id for rep in reports] == list(BOUND_IDS)
+    for rep in reports:
+        one = pointwise_bound_report(f, S, 1, 64, rep.bound_id, 129, 512)
+        assert rep.to_json_dict() == one.to_json_dict()
+    with pytest.raises(ValueError, match="unknown bound id"):
+        pointwise_bound_reports(f, S, 1, 64, ("2.3", "2.6"))
 
 
 def test_bound_report_strips_exclude_endpoints():
@@ -426,10 +481,13 @@ def test_sweep_builds_fewer_rows_and_lattices_than_the_report(monkeypatch):
     monkeypatch.setattr(certify, "modulus_lower_bounds", spy_bounds)
     counts = {}
     for b in ("2.3", "2.13"):
-        for label, call in (("report", pointwise_bound_report), ("sweep", certify._sup_ratio)):
+        setup = certify._setups(f, S, 2, n, (b,), certify.DEFAULT_GRID_SIZE,
+                                certify.CERTIFICATION_DENSITY)[0]
+        for label, call in (("report", lambda: pointwise_bound_report(f, S, 2, n, b)),
+                            ("sweep", lambda: certify._sup_ratio(setup))):
             rows.clear()
             lattices.clear()
-            call(f, S, 2, n, b, certify.DEFAULT_GRID_SIZE, certify.CERTIFICATION_DENSITY)
+            call()
             counts[label, b] = sum(rows) + sum(lattices)
     assert counts["report", "2.3"] == 189 and counts["sweep", "2.3"] <= 112
     assert counts["report", "2.13"] == 196 and counts["sweep", "2.13"] <= 10

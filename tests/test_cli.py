@@ -841,3 +841,50 @@ def test_bad_out_is_refused_before_any_work(command, bad, tmp_path, capsys, monk
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: --out {out}")
     assert list(work.iterdir()) == []
+
+
+def test_main_builds_its_parser_once_and_runs_each_subcommand(tmp_path, capsys):
+    """main calls in a row share one parser and still run the subcommand
+    each call names: the same exit codes, output and files as calls that
+    each build a fresh parser."""
+    from convexlab import cli
+
+    spline = tmp_path / "s.json"
+    calls = [["approximate", "--function", "exp:alpha=1", "--r", "1", "--n", "32",
+              "--out", str(spline)],
+             ["certify", "--function", "exp:alpha=1", "--r", "1", "--n", "32", "--spline",
+              str(spline), "--grid-size", "65", "--density", "256", "--out", "{out}"],
+             ["sweep", "--function", "exp:alpha=1", "--r", "1", "--n", "32:64:x2",
+              "--out", "{out}"],
+             ["counterexample", "--r", "1", "--m", "3", "--x-last", "0.9", "--out", "{out}"],
+             ["modulus", "--function", "exp:alpha=1", "--k", "2", "--t", "-inf"]]
+
+    def outcomes(fresh):
+        seen = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{'fresh' if fresh else 'shared'}{i}.out"
+            code = run([str(out) if a == "{out}" else a for a in argv])
+            text = out.read_text() if out.exists() else None
+            seen.append((code, capsys.readouterr().out.replace(str(out), "OUT"), text))
+        return seen
+
+    want = outcomes(fresh=True)
+    cli.build_parser.cache_clear()
+    assert outcomes(fresh=False) == want
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in want] == [0, 0, 0, 0, 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_steep_sweep_below_its_threshold_prints_no_warning():
+    """cosh:beta=703 at r = 1 has N = 210: find_H's certificates of steep
+    trial blocks overflow to inf without a numpy warning, in a fresh
+    interpreter with numpy's default filters."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "convexlab.cli", "sweep", "--function",
+                           "cosh:beta=703", "--r", "1", "--n", "32:64:x2"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("rows below N_threshold = 210: [32, 64]\n")

@@ -183,6 +183,14 @@ def test_threshold_pinned(f, r, want):
     assert chebyshev_threshold(f, r) == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, want", [("cosh:beta=703", 210), ("exp:alpha=703", 168)])
+def test_steep_threshold_raises_no_runtime_warning(spec, want):
+    # find_H's trial blocks here have p'' past the float range: the
+    # certificate reads it as inf, and numpy's overflow is not a warning
+    assert chebyshev_threshold(parse_function(spec), 1)[0] == want
+
+
 def test_threshold_endpoint_gap_admissible():
     # for every n >= N the Chebyshev end gap fits under H
     f = exp_oracle(1.0)

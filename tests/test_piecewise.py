@@ -8,6 +8,7 @@ evaluate like its short pieces.
 """
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -159,6 +160,21 @@ def test_row_whose_coefficient_sums_overflow_raises_naming_it(row, halfwidth):
         PiecewisePoly(**arrays)
     coeffs[1] = np.array(row) * 1e-30  # the same rows, scaled down, are accepted
     PiecewisePoly(**arrays)
+
+
+def test_certified_copy_sets_only_the_flag(spline, monkeypatch):
+    """The certified copy shares the validated arrays and class, and writes
+    the JSON that dataclasses.replace does, without checking them again."""
+    from convexlab import piecewise
+
+    S = dataclasses.replace(spline, convex_certified=False)
+    want = dataclasses.replace(S, convex_certified=True)
+    monkeypatch.setattr(piecewise, "derivative_rows", None)  # __post_init__ would call it
+    got = S.certified()
+    assert type(got) is type(S) and got.convex_certified and not S.convex_certified
+    assert all(getattr(got, name) is getattr(S, name)
+               for name in ("knots", "coeffs", "centers", "halfwidths"))
+    assert got.to_json_text({}) == want.to_json_text({})
 
 
 def test_to_json_dict_builds_no_poly(spline):
