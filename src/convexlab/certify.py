@@ -21,17 +21,8 @@ of (order, step, weight).
 A report and a sweep share one setup per row, shared by the six bounds: one
 knot check and one evaluation of f and S over all their grids, then per bound
 the grid, the errors, the noise-floor mask, the weights and the steps each
-point reads.  A sweep writes only the sup ratios, the report's ``sup_ratio``.
-With the enclosure's lower ends it takes the report's own ratio rule over
-every read point.  With sampled moduli it computes only what can move the
-sup: its profiles take their steps, each point's rows and the running max
-over them by ``ModulusProfile``'s own rules.  Each profile row and each
-2.13 term starts as a lower bound, its own kernel on a few of its points
-(``profile_probe``, ``lattice_probe``); exact rows are built in ascending
-step order and exact terms for the intervals whose points have the largest
-ratio bounds, until no point that still lacks one can beat the best exact
-ratio.  Float *, +, min, max and / are monotone, so a bound built from
-lower bounds caps the ratio it stands in for.
+point reads.  A sweep writes only the sup ratios, the report's ``sup_ratio``:
+the sweep applies the report's ratio rule to the report's bounds.
 """
 
 from __future__ import annotations
@@ -55,9 +46,7 @@ from convexlab.glue import (
 )
 from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
                                  verify_convexity)
-from convexlab.smoothness import (ModulusProfile, _check_grid, _profile_steps, _running_max,
-                                  _step_count, block_rows, lattice_probe, modulus_lower_bounds,
-                                  profile_probe)
+from convexlab.smoothness import ModulusProfile, _check_grid, modulus_lower_bounds
 
 __all__ = [
     "BOUND_IDS",
@@ -82,9 +71,6 @@ DEFAULT_GRID_SIZE = 257
 DENOM_FLOOR = 1e-300
 ATOL_REL = 1e-10      # bound-zero exclusion threshold, relative to the value scale
 NOISE_REL = 1e-13     # below this the error is float noise and cannot be ratioed
-# knot intervals whose exact 2.13 terms a sweep builds per round, once the
-# lattice probes leave them able to move the sup
-TERM_BATCH = 8
 
 
 class MismatchedInputs(ValueError):
@@ -139,7 +125,7 @@ class _Setup:
     the min over ``moduli`` (k, interval, step of every grid point) of the
     running max of the profile rows at steps <= the point's step; for 2.13
     (no moduli) it is term[idx[i]] + term[0] + term[-1], the knot-interval
-    terms of ``_interval_terms``."""
+    terms of ``_bounds``."""
     xs: np.ndarray
     errs: np.ndarray
     scale: float
@@ -227,16 +213,6 @@ def _setups(f, S, r, n, bound_ids, grid_size, density) -> list:
     return setups
 
 
-def _interval_terms(s: _Setup, j: np.ndarray, bounds) -> np.ndarray:
-    """h_j^r omega_2(f^(r), h_j; I_j) of the knot intervals j, omega_2 from
-    one lattice of ``density`` steps per interval when ``bounds`` is
-    ``modulus_lower_bounds``, and a lower bound of that term from three
-    lattice points when it is ``lattice_probe``."""
-    h = np.diff(s.knots)[j]
-    return np.array([w ** s.r for w in h.tolist()]) * bounds(
-        s.fr, 2, h, np.column_stack([s.knots[:-1], s.knots[1:]])[j], grid=s.density)
-
-
 def _lower_ends(s: _Setup, k, ts, lo, hi):
     """The enclosure's lower ends of omega_k(f^(r), ts) on [lo, hi], None
     where the oracle has none; a ValueError where one overflows, as a sampled
@@ -248,46 +224,32 @@ def _lower_ends(s: _Setup, k, ts, lo, hi):
     return low
 
 
-def _closed_bounds(s: _Setup):
-    """The bound at every read point from the enclosure's lower ends, or
-    None where the oracle has none: the min over ``moduli`` of one call
-    each, or the 2.13 terms of the knot intervals that hold a read point
-    and of the two end intervals."""
+def _bounds(s: _Setup) -> np.ndarray:
+    """The bound at every read point, the one that the report and the sweep
+    both divide by.  Each modulus is the enclosure's lower end where the
+    oracle has one for every modulus of the bound; else the moduli are
+    sampled: full profiles over the steps up to the largest read one, and
+    h_j^r omega_2(f^(r), h_j; I_j) from one lattice of ``density`` steps per
+    knot interval.  2.13 takes the term of every knot interval holding a
+    read point and of the two end intervals, which every 2.13 bound adds."""
     if s.moduli:
         lows = []
         for k, (lo, hi), steps in s.moduli:
             low = _lower_ends(s, k, steps[s.read], lo, hi)
             if low is None:
-                return None
+                lows = [s.profile(k, interval, _steps_read(steps, s.read)).value(steps[s.read])
+                        for k, interval, steps in s.moduli]
+                break
             lows.append(low)
         return s.weight * functools.reduce(np.minimum, lows)
     n = s.knots.size - 1
     need = np.unique(np.append(s.idx, (0, n - 1))) if s.idx.size else s.idx
-    h = np.diff(s.knots)[need]
-    low = _lower_ends(s, 2, h, s.knots[need], s.knots[need + 1])
+    h, lo, hi = np.diff(s.knots)[need], s.knots[need], s.knots[need + 1]
+    low = _lower_ends(s, 2, h, lo, hi)
     if low is None:
-        return None
+        low = modulus_lower_bounds(s.fr, 2, h, np.column_stack([lo, hi]), grid=s.density)
     term = np.zeros(n)
     term[need] = np.array([w ** s.r for w in h.tolist()]) * low
-    return term[s.idx] + term[0] + term[-1]
-
-
-def _bounds(s: _Setup) -> np.ndarray:
-    """The bound at every read point: from the enclosure's lower ends where
-    the oracle has them; else full profiles over the steps up to the largest
-    read one, or the sampled term of every knot interval holding a read
-    point and of the two end intervals, which every 2.13 bound adds."""
-    closed = _closed_bounds(s)
-    if closed is not None:
-        return closed
-    if s.moduli:
-        return s.weight * functools.reduce(np.minimum, [
-            s.profile(k, interval, _steps_read(steps, s.read)).value(steps[s.read])
-            for k, interval, steps in s.moduli])
-    n = s.knots.size - 1
-    need = np.unique(np.append(s.idx, (0, n - 1))) if s.idx.size else s.idx
-    term = np.zeros(n)
-    term[need] = _interval_terms(s, need, modulus_lower_bounds)
     return term[s.idx] + term[0] + term[-1]
 
 
@@ -340,95 +302,16 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
     return pointwise_bound_reports(f, S, r, n, (bound_id,), grid_size, density)[0]
 
 
-def _settle(e, bounds, exact, atol):
-    """The sup of the exact points' ratios, the ratios, and the points not
-    yet exact whose ratio could exceed that sup.  ``bounds`` is exact where
-    ``exact`` holds and a lower bound elsewhere, so the ratio there bounds the
-    point's own from above: float *, +, min, max and / are monotone.  A point
-    excluded under a zero bound never raises the sup."""
-    ratios, degenerate = _ratios(e, bounds, atol)
-    best = float(np.max(ratios[exact & ~degenerate], initial=0.0))
-    return best, ratios, ~exact & ~(ratios <= best)  # a nan sup leaves every point open
-
-
-@dataclass
-class _Plan:
-    """One profile of a sweep's bound: its steps, the index past the last step
-    <= each read point's step, and its rows, exact below ``built``."""
-    k: int
-    interval: tuple
-    us: np.ndarray
-    at: np.ndarray
-    rows: np.ndarray
-    built: int = 0
-
-
-def _profile_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
-    """Bounds 2.3 to 2.12: every profile row starts as its ``profile_probe``
-    lower bound, and exact rows replace them in ascending step order.  Each
-    round builds, per profile, at least one block and up to the smallest step
-    that a point which can still beat the best exact ratio waits on.  A point
-    is exact once every row at a step <= its own is built; before that the
-    running max over exact and probed rows bounds its value from below."""
-    per_block = block_rows(s.density, len(s.kinks))
-    plans = []
-    for k, interval, steps in s.moduli:
-        us = _profile_steps(k, *interval, _steps_read(steps, s.read))
-        at = _step_count(us, steps[s.read])
-        plans.append(_Plan(k, interval, us, at, profile_probe(s.fr, k, interval, us, s.density)))
-    while True:
-        lows = [_running_max(p.rows)[p.at] for p in plans]
-        bounds = s.weight * functools.reduce(np.minimum, lows)
-        exact = np.all([p.at <= p.built for p in plans], axis=0)
-        best, _, pending = _settle(e, bounds, exact, atol)
-        if not pending.any():
-            return best
-        for p in plans:
-            waits = pending & (p.at > p.built)
-            if waits.any():
-                stop = min(max(int(p.at[waits].min()), p.built + per_block), p.us.size)
-                p.rows[p.built:stop] = s.profile(p.k, p.interval, p.us[p.built:stop]).rows
-                p.built = stop
-
-
-def _terms_sup(s: _Setup, e: np.ndarray, atol: float) -> float:
-    """Bound 2.13: the end terms exactly, every other held interval's term
-    from below by ``lattice_probe``, then exact terms, TERM_BATCH intervals
-    at a time in decreasing order of their points' ratio bounds, until none
-    can beat the best exact ratio."""
-    n = s.knots.size - 1
-    term = np.zeros(n)
-    known = np.zeros(n, bool)
-    ends = np.unique([0, n - 1])
-    term[ends] = _interval_terms(s, ends, modulus_lower_bounds)
-    known[ends] = True
-    held = np.unique(s.idx[~known[s.idx]])
-    term[held] = _interval_terms(s, held, lattice_probe)
-    while True:
-        best, ratios, pending = _settle(e, term[s.idx] + term[0] + term[-1], known[s.idx], atol)
-        if not pending.any():
-            return best
-        order = s.idx[pending][np.argsort(-ratios[pending], kind="stable")]
-        _, first = np.unique(order, return_index=True)
-        batch = order[np.sort(first)][:TERM_BATCH]
-        term[batch] = _interval_terms(s, batch, modulus_lower_bounds)
-        known[batch] = True
-
-
 def _sup_ratio(s: _Setup) -> float:
     """The sup ratio of the report of ``s`` bit for bit, a NaN or inf error
-    included: the report's ratio rule over the enclosure's lower ends where
-    the oracle has them, else from only the sampled modulus rows and interval
-    terms that can move it."""
+    included: the report's ratio rule over the report's ``_bounds``, without
+    building the report's arrays, and 0 with no call at all when every error
+    is noise."""
     e = s.errs[s.read]
     if e.size == 0:
         return 0.0
-    atol = ATOL_REL * s.scale
-    closed = _closed_bounds(s)
-    if closed is not None:
-        ratios, degenerate = _ratios(e, closed, atol)
-        return float(np.max(ratios[~degenerate], initial=0.0))
-    return (_profile_sup if s.moduli else _terms_sup)(s, e, atol)
+    ratios, degenerate = _ratios(e, _bounds(s), ATOL_REL * s.scale)
+    return float(np.max(ratios[~degenerate], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -459,8 +342,8 @@ class SweepTable:
 def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
           density: int = CERTIFICATION_DENSITY, timing: bool = False) -> SweepTable:
     """One row per n: construction plus all six sup-ratios, each the float
-    ``pointwise_bound_report(...).sup_ratio`` gives, from only the modulus
-    rows and interval terms that can move it.
+    ``pointwise_bound_report(...).sup_ratio`` gives, by the report's ratio
+    rule over the report's bounds.
 
     Rows with n below the threshold are flagged, not computed.  Timing is off
     by default so repeated runs emit byte-identical CSV.  The threshold and

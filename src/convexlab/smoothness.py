@@ -26,10 +26,6 @@ a 2048-center order-2 profile read 1 + 1.7e-5 times the exact value at the
 step 3.0e-6, and 1 - 1.7e-4 times it at 1.0e-6).  ``certify`` divides by an oracle's proved lower ends of omega
 (``ConvexOracle.omega_enclosure``) wherever it has them, and by these
 values only where it has none.
-``profile_probe`` and ``lattice_probe`` are the row and lattice kernels on
-a few of a row's or an interval's points, so each bounds the value it
-stands in for from below by construction, and a caller can tell which rows
-and lattices are worth building.
 """
 
 from __future__ import annotations
@@ -48,8 +44,6 @@ __all__ = [
     "modulus",
     "modulus_lower_bound",
     "modulus_lower_bounds",
-    "lattice_probe",
-    "profile_probe",
     "one_sided_modulus",
 ]
 
@@ -63,10 +57,6 @@ FOCUS_POINTS = 65
 # 0.64 s on twelve threshold calls at 2**12, 2**13, 2**14, 2**15 and 2**17,
 # against 1.1 s with one block per step, and +9% peak memory at 2**17
 BLOCK_POINTS = 2 ** 14
-# centers per row of profile_probe: with 4, 8, 16, 32 or 64 the sweeps of
-# eight families (exp, cosh, xpow, f0, truncpow; n = 64 and 256) built the
-# same 4,036 rows, as the rows peak at or next to an end of their centers
-PROBE_CENTERS = 16
 # steps per interval of modulus_lower_bounds: column j = 1..LATTICE_COLUMNS
 # asks for (j/LATTICE_COLUMNS) of the admissible step
 LATTICE_COLUMNS = 16
@@ -279,14 +269,14 @@ def _lattice_steps(k, ts, intervals, grid):
     return lo, hi, steps
 
 
-def _lattice_maxima(f, k, lo, hi, grid, idx, ms):
-    """max over index steps ms and left ends of |delta^k| at the lattice points
-    idx (one row, or a row per interval) of each [lo, hi], from one oracle
-    call: idx (hi - lo)/grid + lo, the index ``grid`` (only ever last) pinned
-    to hi, all clamped onto [lo, hi]; a step's differences are index shifts."""
-    xs = np.multiply(idx, (hi - lo) / grid)
+def _lattice_maxima(f, k, lo, hi, grid, ms):
+    """max over index steps ms and left ends of |delta^k| at the grid + 1
+    lattice points of each [lo, hi], from one oracle call: i (hi - lo)/grid +
+    lo, the last one pinned to hi, all clamped onto [lo, hi]; a step's
+    differences are index shifts."""
+    xs = np.multiply(np.arange(grid + 1), (hi - lo) / grid)
     xs += lo
-    np.copyto(xs[:, -1:], hi, where=idx[..., -1:] == grid)
+    xs[:, -1:] = hi
     np.clip(xs, lo, hi, out=xs)
     v = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     weights = _weights(k)
@@ -328,35 +318,8 @@ def modulus_lower_bounds(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarr
         rows = np.flatnonzero(which.ravel() == g)
         for start in range(0, rows.size, per_block):
             sel = rows[start:start + per_block]
-            out[sel] = _lattice_maxima(f, k, lo[sel], hi[sel], grid, np.arange(grid + 1), ms)
+            out[sel] = _lattice_maxima(f, k, lo[sel], hi[sel], grid, ms)
     return out
-
-
-def profile_probe(f, k: int, interval, us, grid: int = 2048) -> np.ndarray:
-    """A lower bound of each ``ModulusProfile`` row at the steps ``us`` (already
-    clamped to the admissible (b-a)/k): the row kernel on PROBE_CENTERS of the
-    row's ``grid`` columns, spread evenly with both ends, without focus
-    windows, so a max over some of the values the row maximizes over; 0 where
-    no center is admissible, and a ValueError where a difference is not finite."""
-    k = _check_order(k)
-    grid = _check_grid(grid)
-    cols = np.arange(PROBE_CENTERS) * (grid - 1) // (PROBE_CENTERS - 1)
-    return _row_maxima(f, k, np.asarray(us, dtype=float), float(interval[0]),
-                       float(interval[1]), cols, ())[0]
-
-
-def lattice_probe(f, k: int, ts, intervals, grid: int = 2048) -> np.ndarray:
-    """A lower bound of each ``modulus_lower_bounds`` value from k + 1 oracle
-    points per interval: the lattice kernel on the points 0, m, ..., km of
-    the interval's lattice, m its largest step, so |delta^k| at step m and
-    the first center, one of the values that bound maximizes over; 0 where
-    no step is left."""
-    k = _check_order(k)
-    grid = _check_grid(grid)
-    lo, hi, steps = _lattice_steps(k, ts, intervals, grid)
-    m = steps.max(axis=1, initial=0)
-    best = _lattice_maxima(f, k, lo, hi, grid, np.arange(k + 1) * m[:, None], [1])
-    return np.where(m > 0, best, 0.0)
 
 
 def modulus_lower_bound(f, k: int, t: float, interval, grid: int = 2048) -> float:

@@ -342,18 +342,14 @@ SWEEP_EQUALITY_CASES = [
     ("exp:alpha=1", 1, [16, 32], 65, 256),
     ("f0:r=2", 2, [16, 32, 64], 129, 512),
     ("truncpow:r=1,eps=0.2", 1, [32, 64], 65, 256),
+    ("poly:coeffs=0.5,-0.25,1,0.125", 1, [32, 64, 128, 256], 257, 2048),
 ]
 
 
-@pytest.mark.parametrize("term_batch", [certify.TERM_BATCH, 1])
 @pytest.mark.parametrize("spec,r,ns,grid_size,density", SWEEP_EQUALITY_CASES,
                          ids=[f"{c[0]}-r{c[1]}-{c[3]}-{c[4]}" for c in SWEEP_EQUALITY_CASES])
-def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density,
-                                                        term_batch, monkeypatch):
-    """A sweep computes only the modulus rows and interval terms that can move
-    a sup ratio, and each ratio is the report's float; with one 2.13 interval
-    per round, the rounds after the first are exercised too."""
-    monkeypatch.setattr(certify, "TERM_BATCH", term_batch)
+def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density):
+    """Each sup ratio of a sweep is the report's float."""
     f = parse_function(spec)
     tab = sweep(f, r, ns, grid_size=grid_size, density=density)
     assert all(row["computed"] for row in tab.rows)
@@ -367,16 +363,11 @@ def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, 
             assert row["sup_ratio"]["2.4"] == 0.0
 
 
-@pytest.mark.parametrize("term_batch", [certify.TERM_BATCH, 1])
 @pytest.mark.parametrize("spec,r,ns,grid_size,density", SWEEP_EQUALITY_CASES,
                          ids=[f"{c[0]}-r{c[1]}-{c[3]}-{c[4]}" for c in SWEEP_EQUALITY_CASES])
-def test_sampled_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density,
-                                                                term_batch, monkeypatch):
+def test_sampled_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density):
     """Without the oracle's omega enclosure (as for poly and a user oracle)
-    the sweep samples only the modulus rows and interval terms that can move
-    a sup ratio, and each ratio is the report's float; with one 2.13 interval
-    per round, the rounds after the first are exercised too."""
-    monkeypatch.setattr(certify, "TERM_BATCH", term_batch)
+    each sup ratio of a sweep, from sampled moduli, is the report's float."""
     f = dataclasses.replace(parse_function(spec), omega_enclosure=None)
     tab = sweep(f, r, ns, grid_size=grid_size, density=density)
     assert all(row["computed"] for row in tab.rows)
@@ -399,7 +390,7 @@ def test_enclosed_oracles_sample_no_modulus(spec, r, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled a modulus")
 
-    for name in ("ModulusProfile", "modulus_lower_bounds", "profile_probe", "lattice_probe"):
+    for name in ("ModulusProfile", "modulus_lower_bounds"):
         monkeypatch.setattr(certify, name, refuse)
         monkeypatch.setattr(smoothness, name, refuse)
     monkeypatch.setattr(smoothness, "_row_maxima", refuse)
@@ -455,42 +446,6 @@ def test_sweep_equals_the_report_on_a_broken_spline(bound_id, monkeypatch):
     got, want = _swept_and_reported(monkeypatch, even_power_oracle(1), 2, 16, lambda S: Off(
         S.knots, S.coeffs, S.centers, S.halfwidths), bound_id)
     assert got == want and want > 1e200
-
-
-def test_sweep_builds_fewer_rows_and_lattices_than_the_report(monkeypatch):
-    """exp:alpha=1, r=2 at n=256 with sampled moduli: the report's 2.13
-    builds one lattice per knot interval holding a kept point and the two end
-    ones, 196, and its 2.3 profile 189 rows; the sweep builds at most 10
-    lattices and 112 rows."""
-    f = dataclasses.replace(parse_function("exp:alpha=1"), omega_enclosure=None)
-    n = 256
-    S, _, _ = construct_chebyshev(f, 2, n)
-    rows, lattices = [], []
-    row_maxima, lower_bounds = smoothness._row_maxima, certify.modulus_lower_bounds
-
-    def spy_rows(fn, k, us, a, b, cols, focus):
-        if cols.size == certify.CERTIFICATION_DENSITY:  # a built row, not a probe
-            rows.append(us.size)
-        return row_maxima(fn, k, us, a, b, cols, focus)
-
-    def spy_bounds(fn, k, ts, *args, **kwargs):
-        lattices.append(len(ts))
-        return lower_bounds(fn, k, ts, *args, **kwargs)
-
-    monkeypatch.setattr(smoothness, "_row_maxima", spy_rows)
-    monkeypatch.setattr(certify, "modulus_lower_bounds", spy_bounds)
-    counts = {}
-    for b in ("2.3", "2.13"):
-        setup = certify._setups(f, S, 2, n, (b,), certify.DEFAULT_GRID_SIZE,
-                                certify.CERTIFICATION_DENSITY)[0]
-        for label, call in (("report", lambda: pointwise_bound_report(f, S, 2, n, b)),
-                            ("sweep", lambda: certify._sup_ratio(setup))):
-            rows.clear()
-            lattices.clear()
-            call()
-            counts[label, b] = sum(rows) + sum(lattices)
-    assert counts["report", "2.3"] == 189 and counts["sweep", "2.3"] <= 112
-    assert counts["report", "2.13"] == 196 and counts["sweep", "2.13"] <= 10
 
 
 def test_sweep_refuses_domain_before_preparing(monkeypatch):
