@@ -344,16 +344,30 @@ SWEEP_EQUALITY_CASES = [
     ("truncpow:r=1,eps=0.2", 1, [32, 64], 65, 256),
     ("poly:coeffs=0.5,-0.25,1,0.125", 1, [32, 64, 128, 256], 257, 2048),
 ]
+# 8 sweeps each list of ns in one call, whose rows share one preparation of
+# (f, r); 1 sweeps each n alone, so a row's ratios cannot lean on the rows
+# swept before it
+ROWS_PER_CALL = [8, 1]
 
 
+def _swept_rows(f, r, ns, grid_size, density, rows_per_call):
+    rows = []
+    for i in range(0, len(ns), rows_per_call):
+        rows += sweep(f, r, ns[i:i + rows_per_call], grid_size=grid_size, density=density).rows
+    return rows
+
+
+@pytest.mark.parametrize("rows_per_call", ROWS_PER_CALL)
 @pytest.mark.parametrize("spec,r,ns,grid_size,density", SWEEP_EQUALITY_CASES,
                          ids=[f"{c[0]}-r{c[1]}-{c[3]}-{c[4]}" for c in SWEEP_EQUALITY_CASES])
-def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density):
-    """Each sup ratio of a sweep is the report's float."""
+def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density,
+                                                        rows_per_call):
+    """Each sup ratio of a sweep is the report's float, whether the row is
+    swept with the others or alone."""
     f = parse_function(spec)
-    tab = sweep(f, r, ns, grid_size=grid_size, density=density)
-    assert all(row["computed"] for row in tab.rows)
-    for row in tab.rows:
+    rows = _swept_rows(f, r, ns, grid_size, density, rows_per_call)
+    assert [row["n"] for row in rows] == ns and all(row["computed"] for row in rows)
+    for row in rows:
         n = row["n"]
         S, _, _ = construct_chebyshev(f, r, n)
         for b in BOUND_IDS:
@@ -363,15 +377,18 @@ def test_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, 
             assert row["sup_ratio"]["2.4"] == 0.0
 
 
+@pytest.mark.parametrize("rows_per_call", ROWS_PER_CALL)
 @pytest.mark.parametrize("spec,r,ns,grid_size,density", SWEEP_EQUALITY_CASES,
                          ids=[f"{c[0]}-r{c[1]}-{c[3]}-{c[4]}" for c in SWEEP_EQUALITY_CASES])
-def test_sampled_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density):
+def test_sampled_sweep_sup_ratios_equal_the_reports_bit_for_bit(spec, r, ns, grid_size, density,
+                                                                rows_per_call):
     """Without the oracle's omega enclosure (as for poly and a user oracle)
-    each sup ratio of a sweep, from sampled moduli, is the report's float."""
+    each sup ratio of a sweep, from sampled moduli, is the report's float,
+    whether the row is swept with the others or alone."""
     f = dataclasses.replace(parse_function(spec), omega_enclosure=None)
-    tab = sweep(f, r, ns, grid_size=grid_size, density=density)
-    assert all(row["computed"] for row in tab.rows)
-    for row in tab.rows:
+    rows = _swept_rows(f, r, ns, grid_size, density, rows_per_call)
+    assert [row["n"] for row in rows] == ns and all(row["computed"] for row in rows)
+    for row in rows:
         n = row["n"]
         S, _, _ = construct_chebyshev(f, r, n)
         for b in BOUND_IDS:
