@@ -22,7 +22,8 @@ A report and a sweep share one setup per row, shared by the six bounds: one
 knot check and one evaluation of f and S over all their grids, then per bound
 the grid, the errors, the noise-floor mask, the weights and the steps each
 point reads.  A sweep writes only the sup ratios, the report's ``sup_ratio``:
-the sweep applies the report's ratio rule to the report's bounds.
+the sweep applies the report's ratio rule to the report's bounds.  It builds
+the splines of consecutive rows in one call, then certifies each alone.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from convexlab.glue import (
     _threshold,
     chebyshev_threshold,
 )
+from convexlab.localconvex import _BLOCK_SIZE
 from convexlab.piecewise import (ConvexityReport, PiecewisePoly, record_json_dict,
                                  verify_convexity)
 from convexlab.smoothness import ModulusProfile, _check_grid, modulus_lower_bounds
@@ -348,6 +350,8 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
     Rows with n below the threshold are flagged, not computed.  Timing is off
     by default so repeated runs emit byte-identical CSV.  The threshold and
     every row share one preparation of (f, r), made after the lattice checks.
+    Runs of consecutive computed rows, of at most max(_BLOCK_SIZE / 16,
+    largest n) intervals in all, are built in one call (one interior pass).
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
@@ -355,18 +359,25 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
     _check_chebyshev_domain(f)
     prep = _prepare(f, r)
     n_threshold, _ = _threshold(prep)
-    rows = []
-    for n in n_list:
-        n = int(n)
-        if n < n_threshold:
-            rows.append({"n": n, "computed": False, "sup_ratio": {}, "wall_ms": 0})
-            continue
+    rows = [{"n": int(n), "computed": int(n) >= n_threshold, "sup_ratio": {}, "wall_ms": 0}
+            for n in n_list]
+    computed = [row for row in rows if row["computed"]]
+    # with timing a row is a run of its own, so its wall_ms times it alone
+    cap = 0 if timing else max([_BLOCK_SIZE // 16] + [row["n"] for row in computed])
+    runs = []
+    for row in computed:
+        if runs and sum(done["n"] for done in runs[-1]) + row["n"] <= cap:
+            runs[-1].append(row)
+        else:
+            runs.append([row])
+    for run in runs:
         t0 = time.perf_counter()
-        S, trace, _ = _construct_chebyshev(prep, f, r, n)
-        setups = _setups(f, S, r, n, BOUND_IDS, grid_size, density)
-        ratios = dict(zip(BOUND_IDS, map(_sup_ratio, setups)))
-        wall = int(round(1e3 * (time.perf_counter() - t0))) if timing else 0
-        rows.append({"n": n, "computed": True, "sup_ratio": ratios, "wall_ms": wall})
+        built = _construct_chebyshev(prep, f, r, [row["n"] for row in run])
+        for row, (S, _, _) in zip(run, built):
+            ratios = map(_sup_ratio, _setups(f, S, r, row["n"], BOUND_IDS, grid_size, density))
+            row["sup_ratio"] = dict(zip(BOUND_IDS, ratios))
+        if timing:
+            run[0]["wall_ms"] = int(round(1e3 * (time.perf_counter() - t0)))
     return SweepTable(f.label(), r, n_threshold, rows)
 
 

@@ -10,8 +10,9 @@ boundary depth passes), intersect with the endpoint-block convexity
 threshold, build the two Hermite endpoint blocks and the interior pieces of
 the convex interpolant sigma, then blend them with a tangent line so the
 block defects are absorbed without losing convexity.  The spline's rows are
-the blend's rows as they are.  The Chebyshev specialization derives the
-minimal admissible n from H.
+the blend's rows as they are, checked only as the spline's.  One call glues
+the partitions of many rows, their interior pieces from one pass.  The
+Chebyshev specialization derives the minimal admissible n from H.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from convexlab.domain import (
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import (_convex_pieces, _midpoint_spline, _secant,
                                    _spot_check_convexity)
-from convexlab.piecewise import PiecewisePoly, record_json_dict, verify_convexity
+from convexlab.piecewise import PiecewisePoly, _finite_rows, record_json_dict, verify_convexity
 from convexlab.smoothness import modulus
 
 __all__ = [
@@ -206,18 +207,20 @@ def _prepare(f: ConvexOracle, r: int, interval=None) -> _Prepared:
     return _Prepared(False, M, x_star, H1, H, halvings, certified)
 
 
-def _blend(left, interior: PiecewisePoly, right, lam, slope, intercept) -> tuple:
+def _blend(left, rows, a, b, right, lam, slope, intercept) -> tuple:
     """(coeffs, centers, halfwidths): the end blocks left and right around
-    every interior piece p as lam * p + slope * x + intercept, the line
-    added exactly in coefficients, all rows at the interior's order."""
-    coeffs = np.zeros((interior.n + 2, interior.order))
-    coeffs[1:-1] = lam * interior.coeffs
-    coeffs[1:-1, 0] += intercept + slope * interior.centers
-    coeffs[1:-1, 1] += slope * interior.halfwidths
+    every interior row p, on [a[i], b[i]] in its midpoint frame, as
+    lam * p + slope * x + intercept, the line added exactly in coefficients,
+    all rows at the interior's order."""
+    centers, halfwidths = 0.5 * (a + b), 0.5 * (b - a)
+    coeffs = np.zeros((rows.shape[0] + 2, rows.shape[1]))
+    coeffs[1:-1] = lam * rows
+    coeffs[1:-1, 0] += intercept + slope * centers
+    coeffs[1:-1, 1] += slope * halfwidths
     coeffs[0, :len(left.coeffs)] = left.coeffs
     coeffs[-1, :len(right.coeffs)] = right.coeffs
-    return (coeffs, np.r_[left.center, interior.centers, right.center],
-            np.r_[left.halfwidth, interior.halfwidths, right.halfwidth])
+    return (coeffs, np.r_[left.center, centers, right.center],
+            np.r_[left.halfwidth, halfwidths, right.halfwidth])
 
 
 def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
@@ -236,69 +239,84 @@ def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
     return _certify_or_raise(_midpoint_spline(X.knots, np.pad(rows, ((0, 0), (0, order - 2)))))
 
 
-def _assemble(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
-    """(spline, trace): the secant spline of an affine input, every row a
-    secant and no blend (defects 0, lambda = 1), or the glued spline."""
+def _assemble(prep: _Prepared, f: ConvexOracle, partitions, r: int) -> list:
+    """(spline, trace) of each partition: the secant spline of an affine
+    input, every row a secant and no blend (defects 0, lambda = 1), or the
+    glued spline."""
     if prep.affine:
-        S = _secant_spline(f, X, r + 2)
-        blend, sources = (0.0, 0.0, 0.0, 1, 1.0), ["secant"] * X.n
+        glued = [(_secant_spline(f, X, r + 2), (0.0, 0.0, 0.0, 1, 1.0), ["secant"] * X.n)
+                 for X in partitions]
     else:
-        S, blend, sources = _glue(prep, f, X, r)
-    trace = GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, prep.H1_certified,
-                      prep.H1_halvings, *blend,
-                      hermite_rows=sources.count("hermite"),
-                      blend_rows=sources.count("blend"),
-                      lp_rows=sources.count("lp"),
-                      parabola_fallback_rows=sources.count("parabola-fallback"),
-                      secant_rows=sources.count("secant"))
-    return S, trace
+        glued = _glue(prep, f, partitions, r)
+    return [(S, GlueTrace(prep.M, prep.x_star, prep.H1, prep.H, prep.H1_certified,
+                          prep.H1_halvings, *blend,
+                          hermite_rows=sources.count("hermite"),
+                          blend_rows=sources.count("blend"),
+                          lp_rows=sources.count("lp"),
+                          parabola_fallback_rows=sources.count("parabola-fallback"),
+                          secant_rows=sources.count("secant")))
+            for S, blend, sources in glued]
 
 
-def _glue(prep: _Prepared, f: ConvexOracle, X: Partition, r: int) -> tuple:
-    """(spline, (delta, delta_tilde, delta_hat, case, lambda), row sources):
-    the end blocks and the interior pieces of sigma blended with a tangent
-    line, certified convex."""
+def _glue(prep: _Prepared, f: ConvexOracle, partitions, r: int) -> list:
+    """(spline, (delta, delta_tilde, delta_hat, case, lambda), row sources)
+    of each partition: the end blocks, checked first for every partition,
+    and the interior pieces of sigma, which they bound, from one pass over
+    all partitions, blended with a tangent line and certified convex."""
     M, H = prep.M, prep.H
-    a, x1, xn1, b = (float(X.knots[i]) for i in (0, 1, -2, -1))
+    blocks = []
+    for X in partitions:
+        a, x1, xn1, b = (float(X.knots[i]) for i in (0, 1, -2, -1))
+        tol = 1.0 + 1e-12
+        if x1 - a > H * tol or b - xn1 > H * tol:
+            raise PartitionTooCoarse(H)
+        left, right = integrated_L(f, a, x1 - a, r), mirrored_L(f, b, b - xn1, r)
+        if not (abs(left.delta) < 0.25 * M and abs(right.delta) < 0.25 * M):
+            raise ConstructionError(f"block defects |{left.delta:.3g}|, |{right.delta:.3g}| "
+                                    f"exceed M/4 = {0.25*M:.3g}")
+        blocks.append((left, right))
+    lo = np.concatenate([X.knots[1:-2] for X in partitions])
+    hi = np.concatenate([X.knots[2:-1] for X in partitions])
+    interior, sources = _convex_pieces(f, lo, hi, r + 1)
+    glued, stop = [], 0
+    for X, (left, right) in zip(partitions, blocks):
+        part = slice(stop, stop + X.n - 2)
+        stop = part.stop
+        x1, xn1 = float(X.knots[1]), float(X.knots[-2])
+        delta, delta_tilde = left.delta, right.delta
+        delta_hat = delta - delta_tilde
 
-    tol = 1.0 + 1e-12
-    if x1 - a > H * tol or b - xn1 > H * tol:
-        raise PartitionTooCoarse(H)
+        sl, il = tangent_line(f, x1)
+        sl_t, il_t = tangent_line(f, xn1)
+        gap_right = float(f(xn1)) - (sl * xn1 + il)       # f - tangent-at-x1, far end
+        gap_left = float(f(x1)) - (sl_t * x1 + il_t)      # f - tangent-at-xn1, near end
+        if not (gap_right > 0.5 * M * (1 - 1e-9) and gap_left > 0.5 * M * (1 - 1e-9)):
+            raise ConstructionError("tangent gaps fell below M/2; hypotheses violated")
 
-    left = integrated_L(f, a, x1 - a, r)
-    right = mirrored_L(f, b, b - xn1, r)
-    delta, delta_tilde = left.delta, right.delta
-    if not (abs(delta) < 0.25 * M and abs(delta_tilde) < 0.25 * M):
-        raise ConstructionError(
-            f"block defects |{delta:.3g}|, |{delta_tilde:.3g}| exceed M/4 = {0.25*M:.3g}")
-    delta_hat = delta - delta_tilde
+        if delta_hat >= 0.0:
+            case = 1
+            lam = 1.0 - delta_hat / gap_right
+            line_slope, line_icept, shift = sl, il, delta
+        else:
+            case = 2
+            lam = 1.0 + delta_hat / gap_left
+            line_slope, line_icept, shift = sl_t, il_t, delta_tilde
+        if not 0.0 < lam <= 1.0:
+            raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
-    # the end blocks replace sigma's first and last pieces, so only its
-    # interior pieces are built; _certify_or_raise certifies them in S
-    interior, sources = _convex_pieces(f, X.knots[1:-1], r + 1)
-
-    sl, il = tangent_line(f, x1)
-    sl_t, il_t = tangent_line(f, xn1)
-    gap_right = float(f(xn1)) - (sl * xn1 + il)       # f - tangent-at-x1, far end
-    gap_left = float(f(x1)) - (sl_t * x1 + il_t)      # f - tangent-at-xn1, near end
-    if not (gap_right > 0.5 * M * (1 - 1e-9) and gap_left > 0.5 * M * (1 - 1e-9)):
-        raise ConstructionError("tangent gaps fell below M/2; hypotheses violated")
-
-    if delta_hat >= 0.0:
-        case = 1
-        lam = 1.0 - delta_hat / gap_right
-        line_slope, line_icept, shift = sl, il, delta
-    else:
-        case = 2
-        lam = 1.0 + delta_hat / gap_left
-        line_slope, line_icept, shift = sl_t, il_t, delta_tilde
-    if not 0.0 < lam <= 1.0:
-        raise ConstructionError(f"blending factor {lam} outside (0, 1]")
-
-    rows = _blend(left, interior, right, lam, (1.0 - lam) * line_slope,
-                  (1.0 - lam) * line_icept + shift)
-    S = _certify_or_raise(PiecewisePoly(X.knots, *rows))
-    return S, (delta, delta_tilde, delta_hat, case, lam), sources
+        rows = _blend(left, interior[part], lo[part], hi[part], right, lam,
+                      (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
+        try:  # a Partition's knots and these shapes pass, so only a row can fail
+            S = PiecewisePoly(X.knots, *rows)
+        except ValueError:
+            i = int(np.argmin(_finite_rows(*rows)))
+            raise ConstructionError(
+                f"the glued spline of {f.label()} at n={X.n} overflows on "
+                f"[{float(X.knots[i])!r}, {float(X.knots[i + 1])!r}]: the sums of "
+                "|coefficients| of p, p' and p'' there are not all finite") from None
+        glued.append((_certify_or_raise(S), (delta, delta_tilde, delta_hat, case, lam),
+                      sources[part]))
+    return glued
 
 
 def construct_spline(f: ConvexOracle, X: Partition, r: int) -> tuple:
@@ -310,8 +328,7 @@ def construct_spline(f: ConvexOracle, X: Partition, r: int) -> tuple:
     """
     if not (math.isclose(X.a, f.a) and math.isclose(X.b, f.b)):
         raise ValueError("partition span must match the oracle domain")
-    prep = _prepare(f, r, (X.a, X.b))
-    return _assemble(prep, f, X, r)
+    return _assemble(_prepare(f, r, (X.a, X.b)), f, [X], r)[0]
 
 
 def chebyshev_threshold(f: ConvexOracle, r: int) -> tuple:
@@ -341,7 +358,7 @@ def construct_chebyshev(f: ConvexOracle, r: int, n: int) -> tuple:
     _check_chebyshev_domain(f)
     if n < 1:
         raise InvalidN(f"need n >= 1, got {n}")
-    return _construct_chebyshev(_prepare(f, r), f, r, n)
+    return _construct_chebyshev(_prepare(f, r), f, r, [n])[0]
 
 
 def _check_chebyshev_domain(f: ConvexOracle) -> None:
@@ -349,14 +366,15 @@ def _check_chebyshev_domain(f: ConvexOracle) -> None:
         raise ValueError("Chebyshev construction expects the oracle on [-1, 1]")
 
 
-def _construct_chebyshev(prep: _Prepared, f: ConvexOracle, r: int, n: int) -> tuple:
-    """construct_chebyshev from the preparation of (f, r), which a sweep
-    shares between its threshold and all of its rows."""
+def _construct_chebyshev(prep: _Prepared, f: ConvexOracle, r: int, ns) -> list:
+    """construct_chebyshev at each n of ns from the preparation of (f, r),
+    which a sweep shares between its threshold and all of its rows; the
+    interior pieces of all of them come from one pass."""
     n_threshold, _ = _threshold(prep)
-    if n < n_threshold:
+    if min(ns) < n_threshold:
         raise NBelowThreshold(n_threshold)
-    S, trace = _assemble(prep, f, chebyshev_partition(n), r)
-    return S, trace, n_threshold
+    built = _assemble(prep, f, [chebyshev_partition(n) for n in ns], r)
+    return [(S, trace, n_threshold) for S, trace in built]
 
 
 def polygonal_baseline(f: ConvexOracle, n: int) -> PiecewisePoly:

@@ -1,10 +1,11 @@
 """Per-interval convex interpolants and the global piecewise interpolant sigma.
 
-Each interval gets one coefficient row of one spline, in its midpoint frame:
-a piece that interpolates f at both interval ends, sandwiches the one-sided
-slopes against f' there, and is certified convex.  The public per-piece
-functions return (spline, sources, slacks): the rows, each row's source and
-its slope slacks; the construction uses the rows alone.
+Each interval gets one coefficient row, in its midpoint frame: a piece that
+interpolates f at both interval ends, sandwiches the one-sided slopes
+against f' there, and is certified convex.  A row depends on its interval
+alone, so one pass builds the rows of any intervals, those of many
+partitions at once in a sweep.  The public per-piece functions return
+(spline, sources, slacks); the construction uses the rows alone.
 
 Every row follows one rule: a first-choice row Q moved by a weight w in
 [0, 1] toward the convex parabola P of :func:`convex_parabola`, Q + w (P - Q).
@@ -44,6 +45,9 @@ __all__ = [
 
 DEGENERATE_REL_LENGTH = 1e-13
 _SPOT_CHECK_POINTS = 65
+# points per array pass: of the spot check (65 per interval), and of a sweep's
+# interior pass (16 fit points per interval) beyond its largest row
+_BLOCK_SIZE = 2 ** 14
 
 
 class NotConvexInput(ValueError):
@@ -62,10 +66,10 @@ def _values(f: ConvexOracle, nu: int, x: np.ndarray) -> np.ndarray:
 def _spot_check_convexity(f: ConvexOracle, a, b) -> None:
     """Check that f' does not decrease at _SPOT_CHECK_POINTS points of each
     interval [a[i], b[i]]; the error names the first interval that fails.  The
-    intervals go in order, in blocks of about 2**14 points: few oracle
+    intervals go in order, in blocks of about _BLOCK_SIZE points: few oracle
     calls, and arrays small enough to leave peak memory as it is."""
     a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    size = max(1, 2 ** 14 // _SPOT_CHECK_POINTS)
+    size = max(1, _BLOCK_SIZE // _SPOT_CHECK_POINTS)
     for s in range(0, a.size, size):
         xs = np.linspace(a[s:s + size], b[s:s + size], _SPOT_CHECK_POINTS, axis=-1)
         d1 = _values(f, 1, xs)
@@ -264,12 +268,14 @@ def _hermite_rows(f: ConvexOracle, a: np.ndarray, b: np.ndarray, degree: int) ->
     return rows
 
 
-def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
-    """(spline, sources): a convex piece of the given degree on each
-    interval of the increasing knots, as the rows of one spline framed at the
-    interval midpoints, and each row's source: "hermite", "blend", "lp",
-    "parabola-fallback" or "secant".  Every interval must first pass the
-    spot check, one call over all of them.
+def _convex_pieces(f: ConvexOracle, a_all, b_all, degree: int) -> tuple:
+    """(rows, sources): a convex piece of the given degree on each interval
+    [a_all[i], b_all[i]], as one coefficient row in its midpoint frame, and
+    each row's source: "hermite", "blend", "lp", "parabola-fallback" or
+    "secant".  The intervals need not form one partition: a row depends on
+    its own interval alone, so the intervals of many partitions are built in
+    one pass.  Every interval must first pass the spot check, one call over
+    all of them.
 
     Each interval gets a first-choice row Q and a weight w toward the
     parabola P of :func:`_parabola`, and its row is Q + w (P - Q): it
@@ -286,8 +292,7 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
-    knots = np.asarray(knots, dtype=float)
-    a_all, b_all = knots[:-1], knots[1:]
+    a_all, b_all = np.asarray(a_all, dtype=float), np.asarray(b_all, dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(a_all), np.abs(b_all)))
     degenerate = b_all - a_all <= DEGENERATE_REL_LENGTH * scale
     coeffs = np.zeros((a_all.size, degree + 1))
@@ -320,7 +325,7 @@ def _convex_pieces(f: ConvexOracle, knots, degree: int) -> tuple:
     rows[fallback] = P[fallback]
     sources[live[fallback]] = "parabola-fallback"
     coeffs[live] = rows
-    return _midpoint_spline(knots, coeffs), sources.tolist()
+    return coeffs, sources.tolist()
 
 
 def convex_piece(f: ConvexOracle, interval, degree: int) -> tuple:
@@ -329,7 +334,8 @@ def convex_piece(f: ConvexOracle, interval, degree: int) -> tuple:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    S, sources = _convex_pieces(f, [a, b], degree)
+    rows, sources = _convex_pieces(f, [a], [b], degree)
+    S = _midpoint_spline([a, b], rows)
     return S, sources, _slacks(f, S)
 
 
@@ -338,7 +344,8 @@ def convex_pieces(f: ConvexOracle, X: Partition, r: int) -> tuple:
     interval of the partition as the rows of one spline (secant and
     parabola-fallback rows zero-padded to that order), each row's source
     and the (n, 2) array of its slope slacks (see :func:`_slacks`)."""
-    S, sources = _convex_pieces(f, X.knots, r + 1)
+    rows, sources = _convex_pieces(f, X.knots[:-1], X.knots[1:], r + 1)
+    S = _midpoint_spline(X.knots, rows)
     return S, sources, _slacks(f, S)
 
 
@@ -350,7 +357,7 @@ def build_sigma(f: ConvexOracle, X: Partition, r: int) -> PiecewisePoly:
     at every interior knot, which makes the whole thing convex.  The flag is
     set when sigma passes :func:`verify_convexity`.
     """
-    sigma, _ = _convex_pieces(f, X.knots, r + 1)
+    sigma = _midpoint_spline(X.knots, _convex_pieces(f, X.knots[:-1], X.knots[1:], r + 1)[0])
     if verify_convexity(sigma).convex:
         sigma = sigma.certified()
     return sigma

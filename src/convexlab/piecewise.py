@@ -30,6 +30,16 @@ def _numbers(name: str, values) -> None:
             raise ValueError(f"{name} must be numbers, got {value!r}")
 
 
+def _finite_rows(coeffs, centers, halfwidths) -> np.ndarray:
+    """Whether each row's center is finite, its halfwidth in (0, inf) and its sums
+    of |coefficients| of p, p' and p'' finite (finite coefficients can overflow)."""
+    ok = np.isfinite(centers) & (0 < halfwidths) & (halfwidths < np.inf)
+    with np.errstate(all="ignore"):
+        for nu in range(3):
+            ok &= np.isfinite(np.abs(derivative_rows(coeffs, halfwidths, nu)).sum(axis=1))
+    return ok
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Knot vector plus one polynomial piece per interval: row i of ``coeffs``
@@ -56,13 +66,7 @@ class PiecewisePoly:
         n = ks.size - 1
         if C.ndim != 2 or C.shape[1] == 0 or (C.shape[0], c.shape, w.shape) != (n, (n,), (n,)):
             raise ValueError("need exactly one piece per interval")
-        # a row is refused when the sum of |coefficients| of p, p' or p'', the
-        # bound on each on its interval, is not finite: finite coefficients can
-        # still overflow every evaluation and check
-        ok = np.isfinite(c) & (0 < w) & (w < np.inf)
-        with np.errstate(all="ignore"):
-            for nu in range(3):
-                ok &= np.isfinite(np.abs(derivative_rows(C, w, nu)).sum(axis=1))
+        ok = _finite_rows(C, c, w)
         if not ok.all():
             raise ValueError(f"piece {np.argmin(ok)} has a non-finite value or a halfwidth <= 0 "
                              "(the sums of |coefficients| of p, p' and p'' must be finite)")

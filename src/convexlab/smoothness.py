@@ -38,7 +38,6 @@ import numpy as np
 __all__ = [
     "InvalidOrder",
     "ModulusResult",
-    "block_rows",
     "ModulusProfile",
     "finite_difference",
     "modulus",
@@ -128,11 +127,11 @@ def block_rows(grid: int, windows: int = 0) -> int:
     return max(1, BLOCK_POINTS // (grid + FOCUS_POINTS * windows))
 
 
-def _row_maxima(f, k, us, a, b, cols, focus):
+def _row_maxima(f, k, us, a, b, grid, focus):
     """max over centers x of |delta^k_u f| for every admissible step u in us.
 
-    The centers of one step are the columns ``cols`` of cols[-1] + 1
-    equispaced points of [a + ku/2, b - ku/2], followed by a 65-point window
+    The centers of one step are ``grid`` equispaced points of
+    [a + ku/2, b - ku/2], followed by a 65-point window
     of half-width ku around each ``focus`` point (a known kink of f) within
     reach: the difference of a corner term is supported within ku of it,
     which a coarse global lattice can step right over.  Steps are stacked into blocks of at
@@ -155,22 +154,22 @@ def _row_maxima(f, k, us, a, b, cols, focus):
     hi = b - 0.5 * k * us
     live = np.flatnonzero(hi >= lo)
     weights = _weights(k)
-    ncols = cols.size
-    per_block = block_rows(ncols, len(focus))
+    cols = np.arange(grid)
+    per_block = block_rows(grid, len(focus))
     # each part of a row (the columns, then each window) is fl(j step) + lo
     # for ascending j, monotone whatever the sign of step, then its pinned
     # last column: a row's extremes lie among these three columns of a part
-    starts = [0] + [ncols + j * FOCUS_POINTS for j in range(len(focus))]
-    ends = [c for c0, num in zip(starts, [ncols] + [FOCUS_POINTS] * len(focus))
+    starts = [0] + [grid + j * FOCUS_POINTS for j in range(len(focus))]
+    ends = [c for c0, num in zip(starts, [grid] + [FOCUS_POINTS] * len(focus))
             for c in (c0, c0 + num - 2, c0 + num - 1)]
-    width = ncols + FOCUS_POINTS * len(focus)
+    width = grid + FOCUS_POINTS * len(focus)
     window = np.arange(FOCUS_POINTS)
     space = np.empty((2, min(live.size, per_block) * width))  # centers, shifted points
     for start in range(0, live.size, per_block):
         sel = live[start:start + per_block]
         u, lo_b, hi_b = us[sel, None], lo[sel, None], hi[sel, None]
         xs, buf = space[:, :sel.size * width].reshape(2, sel.size, width)
-        _centers(lo_b, hi_b, cols, xs[:, :ncols])
+        _centers(lo_b, hi_b, cols, xs[:, :grid])
         for j, p in enumerate(focus):
             _centers(np.maximum(lo_b, p - k * u), np.minimum(hi_b, p + k * u), window,
                      xs[:, starts[j + 1]:starts[j + 1] + FOCUS_POINTS])
@@ -383,7 +382,7 @@ class ModulusProfile:
         a, b = float(interval[0]), float(interval[1])
         self.us = _profile_steps(k, a, b, steps)
         focus = tuple(float(p) for p in focus)
-        self.rows, self.arg_x = _row_maxima(f, k, self.us, a, b, np.arange(grid), focus)
+        self.rows, self.arg_x = _row_maxima(f, k, self.us, a, b, grid, focus)
         self.cummax = _running_max(self.rows)
 
     def value(self, t):

@@ -11,7 +11,8 @@ spline from one Poly per interval, ``pieces_of`` gives a spline's rows as
 Polys and ``poly_of`` any piece with ``center``, ``halfwidth`` and
 ``coeffs``, such as an end block.  ``lagrange_hermite_L`` is the direct
 Hermite block the integrated one is compared against, ``reflect`` the
-mirror image of an oracle, and
+mirror image of an oracle, ``dip_oracle`` a non-convex oracle that only
+the per-interval spot check sees, and
 ``reference_bound_report`` the bound report over full profiles that
 ``certify.pointwise_bound_report`` is compared against, and ``lp_blocks``
 the minimax LP of the r = 1 blend weights, which ``localconvex.linprog``
@@ -100,6 +101,22 @@ class Poly:
             "halfwidth": self.halfwidth,
             "coeffs": list(self.coeffs),
         }
+
+
+def dip_oracle(centers=(0.45, 0.75), depth=0.005, width=0.002):
+    """x^2/2 - sum of depth*width*log cosh((x - c)/width) over the centers c:
+    f'' = 1 - sum of (depth/width) sech^2 dips below 0 near each c, over a
+    span much shorter than a Chebyshev interval there, so only the spot check
+    sees it; the LP stays feasible."""
+    zs = [lambda x, c=c: (np.asarray(x, dtype=float) - c) / width for c in centers]
+    derivs = (
+        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 - depth * width * sum(
+            np.logaddexp(z(x), -z(x)) - math.log(2.0) for z in zs),
+        lambda x: np.asarray(x, dtype=float) - depth * sum(np.tanh(z(x)) for z in zs),
+        lambda x: 1.0 - depth / width * sum(
+            1.0 / np.cosh(np.clip(z(x), -300, 300)) ** 2 for z in zs),
+    )
+    return ConvexOracle("dip", {}, 2, (-1.0, 1.0), derivs)
 
 
 def reflect(f: ConvexOracle, interval=None) -> ConvexOracle:
@@ -296,9 +313,9 @@ def _reference_centers(lo, hi, cols):
     return xs
 
 
-def reference_row_maxima(f, k, us, a, b, cols, focus):
+def reference_row_maxima(f, k, us, a, b, grid, focus):
     """``smoothness._row_maxima`` as one plain pass per term: the centers
-    (the columns ``cols`` of the grid, then the windows) concatenated, every
+    (the ``grid`` points, then the windows) concatenated, every
     term's points clipped onto [a, b], the weighted values added to a zero
     accumulator."""
     rows = np.zeros(us.size)
@@ -307,7 +324,7 @@ def reference_row_maxima(f, k, us, a, b, cols, focus):
     hi = b - 0.5 * k * us
     live = np.flatnonzero(hi >= lo)
     weights = np.array([(-1.0) ** i * math.comb(k, i) for i in range(k + 1)])
-    grid = cols.size
+    cols = np.arange(grid)
     per_block = block_rows(grid, len(focus))
     for start in range(0, live.size, per_block):
         sel = live[start:start + per_block]

@@ -1,12 +1,14 @@
 import dataclasses
 import importlib.util
+import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexlab import certify, smoothness
+from convexlab import certify, glue, smoothness
 from convexlab.certify import (
     BOUND_IDS,
     MismatchedInputs,
@@ -21,8 +23,9 @@ from convexlab.certify import (
 )
 from convexlab.domain import even_power_oracle, exp_oracle, f0_oracle, parse_function
 from convexlab.glue import construct_chebyshev, polygonal_baseline
+from convexlab.localconvex import NotConvexInput
 from convexlab.piecewise import PiecewisePoly
-from helpers import Poly, pieces_of, reference_bound_report, spline_of
+from helpers import Poly, dip_oracle, pieces_of, reference_bound_report, spline_of
 
 
 def test_verify_convexity_accepts_baseline():
@@ -251,8 +254,9 @@ def test_bound_report_mismatched_inputs():
 
 @pytest.mark.parametrize("spec, r", [("exp:alpha=1", 2), ("truncpow:r=1,eps=0.2", 1)])
 def test_sweep_sets_up_each_row_in_one_pass(spec, r, monkeypatch):
-    """A computed row checks the knots once, for all six bounds, and
-    evaluates f on their grids in one call; 2.4 and 2.5 read one strip grid."""
+    """The rows are built in one call, then each computed row checks the
+    knots once, for all six bounds, and evaluates f on their grids in one
+    call; 2.4 and 2.5 read one strip grid."""
     f = parse_function(spec)
     events = []
     partition, construct, value = (certify.chebyshev_partition, certify._construct_chebyshev,
@@ -266,24 +270,152 @@ def test_sweep_sets_up_each_row_in_one_pass(spec, r, monkeypatch):
         events.append(("f", np.size(x)))
         return value(x)
 
-    def quiet_construct(prep, g, *args):  # the spline is built from the unspied oracle
-        events.append(("row", args[-1]))
-        return construct(prep, f, *args)
+    def quiet_construct(prep, g, r, ns):  # the splines are built from the unspied oracle
+        events.append(("rows", list(ns)))
+        return construct(prep, f, r, ns)
 
     spied = dataclasses.replace(f, derivs=(spy_value, *f.derivs[1:]))
     monkeypatch.setattr(certify, "chebyshev_partition", spy_partition)
     monkeypatch.setattr(certify, "_construct_chebyshev", quiet_construct)
     tab = sweep(spied, r, [32, 64, 128])
     assert [row["computed"] for row in tab.rows] == [True] * 3
-    rows = [i for i, event in enumerate(events) if event[0] == "row"]
-    assert len(rows) == 3
-    for n, start, stop in zip((32, 64, 128), rows, rows[1:] + [len(events)]):
+    built = [i for i, event in enumerate(events) if event[0] == "rows"]
+    assert [events[i] for i in built] == [("rows", [32, 64, 128])]
+    got, want = events[built[0] + 1:], []
+    for n in (32, 64, 128):
         S, _, _ = construct_chebyshev(f, r, n)
         setups = certify._setups(f, S, r, n, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
                                  certify.CERTIFICATION_DENSITY)
         assert setups[1].xs is setups[2].xs
         points = sum({id(s.xs): s.xs.size for s in setups}.values())
-        assert events[start:stop] == [("row", n), ("knots", n), ("f", points)]
+        want += [("knots", n), ("f", points)]
+    assert got == want
+
+
+def _spy_groups(monkeypatch):
+    """The ns of every call through which a sweep builds its rows, and the
+    (spline, trace, N) and (spline, blend, sources) of each row built."""
+    groups, built, glued = [], [], []
+    construct, glue_rows = certify._construct_chebyshev, glue._glue
+
+    def spy_construct(prep, f, r, ns):
+        groups.append(list(ns))
+        out = construct(prep, f, r, ns)
+        built.extend(out)
+        return out
+
+    def spy_glue(*args):
+        out = glue_rows(*args)
+        glued.extend(out)
+        return out
+
+    monkeypatch.setattr(certify, "_construct_chebyshev", spy_construct)
+    monkeypatch.setattr(glue, "_glue", spy_glue)
+    return groups, built, glued
+
+
+def _spline_bytes(S):
+    return [getattr(S, name).tobytes() for name in ("knots", "coeffs", "centers", "halfwidths")]
+
+
+# r = 1 to 3 and 5, Hermite, blend, fallback and secant rows, a cusp, a kink,
+# an affine input; 16 lies below the threshold of truncpow and cosh:beta=40
+@pytest.mark.parametrize("spec, r", [
+    ("exp:alpha=1", 1), ("exp:alpha=1", 2), ("exp:alpha=1", 3), ("exp:alpha=1", 5),
+    ("f0:r=2", 2), ("truncpow:r=1,eps=0.2", 1), ("cosh:beta=40", 2), ("exp:alpha=20", 2),
+    ("xpow:m=4", 3), ("poly:coeffs=1,2", 1),
+])
+def test_sweeping_ns_in_one_call_equals_sweeping_each_alone(spec, r, monkeypatch):
+    """A sweep builds the rows of all its ns in one call; each row's
+    coefficients, frames, sources, blend and trace and the CSV are those of
+    the n swept alone, bit for bit."""
+    f = parse_function(spec)
+    ns = [16, 40, 32, 33, 100, 64, 256]
+    groups, built, glued = _spy_groups(monkeypatch)
+    tab = sweep(f, r, ns)
+    computed = [row["n"] for row in tab.rows if row["computed"]]
+    assert groups == [computed] and len(computed) >= 4
+    rows = [(_spline_bytes(S), json.dumps(trace.to_json_dict()), N) for S, trace, N in built]
+    blends = glued[:]
+    groups.clear(), built.clear(), glued.clear()
+    alone = [sweep(f, r, [n]).to_csv().splitlines() for n in ns]
+    assert tab.to_csv().splitlines() == alone[0][:1] + [lines[1] for lines in alone]
+    assert groups == [[n] for n in computed]
+    assert rows == [(_spline_bytes(S), json.dumps(trace.to_json_dict()), N)
+                    for S, trace, N in built]
+    assert len(blends) == len(glued) == (0 if spec.startswith("poly") else len(computed))
+    for (S, blend, sources), (S1, blend1, sources1) in zip(blends, glued):
+        assert (_spline_bytes(S), blend, sources) == (_spline_bytes(S1), blend1, sources1)
+
+
+@pytest.mark.parametrize("block, ns, want", [
+    (2 ** 14, [32, 40, 8, 64, 96, 33, 16], [[32, 40, 64, 96, 33, 16]]),
+    # a run may fill the cap, 100 here, exactly
+    (1600, [32, 40, 8, 28, 64, 96, 33, 16, 16, 16],
+     [[32, 40, 28], [64], [96], [33, 16, 16, 16]]),
+    # the largest row is above _BLOCK_SIZE / 16, so it sets the cap
+    (800, [32, 64, 8, 40, 16], [[32], [64], [40, 16]]),
+])
+def test_sweep_groups_consecutive_rows_under_the_cap(block, ns, want, monkeypatch):
+    """Consecutive computed rows are built together while their n add up to
+    at most max(_BLOCK_SIZE / 16, largest n); the table is the same at any
+    cap."""
+    f = exp_oracle(1.0)
+    plain = sweep(f, 1, ns).to_csv()
+    monkeypatch.setattr(certify, "_BLOCK_SIZE", block)
+    groups, _, _ = _spy_groups(monkeypatch)
+    tab = sweep(f, 1, ns)
+    assert groups == want
+    assert [row["n"] for row in tab.rows] == ns and not tab.rows[2]["computed"]
+    assert tab.to_csv() == plain
+
+
+def test_multi_row_sweep_of_a_non_convex_input_raises_the_first_rows_refusal():
+    """The spot check of rows built together names the first failing
+    interval of the first row, as the first row built alone does; the later
+    rows would name other intervals."""
+    f = dip_oracle()
+    ns = [64, 128, 256]
+    refusals = []
+    for n in ns:
+        with pytest.raises(NotConvexInput) as alone:
+            construct_chebyshev(f, 2, n)
+        refusals.append(str(alone.value))
+    assert len(set(refusals)) == len(ns)
+    with pytest.raises(NotConvexInput) as swept:
+        sweep(f, 2, ns)
+    assert str(swept.value) == refusals[0]
+
+
+def test_timed_sweep_times_each_row_alone_with_the_same_ratios(monkeypatch):
+    """With timing each row is built alone, and its wall_ms covers only its
+    own construction and certification: on a clock that the construction of
+    row n moves by n ms and its certification by 2n ms, it reads 3n.  Every
+    other column is the untimed sweep's, bit for bit."""
+    f, ns = parse_function("exp:alpha=1"), [4, 32, 64, 128]
+    plain = sweep(f, 2, ns)
+    clock = [0.0]
+    monkeypatch.setattr(certify, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    construct, setups = certify._construct_chebyshev, certify._setups
+    groups = []
+
+    def timed_construct(prep, g, r, group):
+        groups.append(list(group))
+        clock[0] += 1e-3 * sum(group)
+        return construct(prep, g, r, group)
+
+    def timed_setups(g, S, r, n, *args):
+        clock[0] += 2e-3 * n
+        return setups(g, S, r, n, *args)
+
+    monkeypatch.setattr(certify, "_construct_chebyshev", timed_construct)
+    monkeypatch.setattr(certify, "_setups", timed_setups)
+    timed = sweep(f, 2, ns, timing=True)
+    assert groups == [[32], [64], [128]]
+    assert [row["wall_ms"] for row in timed.rows] == [0, 96, 192, 384]
+    assert [row["wall_ms"] for row in plain.rows] == [0, 0, 0, 0]
+    strip = lambda tab: [line.rpartition(",")[0] for line in tab.to_csv().splitlines()]
+    assert strip(timed) == strip(plain)
 
 
 def test_bound_reports_equal_the_one_bound_reports():
@@ -423,8 +555,7 @@ def _swept_and_reported(monkeypatch, f, r, n, change, bound_id):
     construct = certify._construct_chebyshev
 
     def changed(*args):
-        S, trace, extra = construct(*args)
-        return change(S), trace, extra
+        return [(change(S), trace, extra) for S, trace, extra in construct(*args)]
 
     with monkeypatch.context() as m:
         m.setattr(certify, "_construct_chebyshev", changed)

@@ -531,6 +531,20 @@ def test_exp_700_at_r_1_keeps_its_threshold_and_refusals(tmp_path):
     assert not out.exists()
 
 
+def test_steep_sweep_refusal_names_the_input_and_the_row(tmp_path, capsys):
+    """cosh:beta=703 at r = 1 has N = 210; at n = 256 the left end block of
+    the glued spline overflows, so the sweep exits 1 with one error line
+    that names the input, the row and the interval, and writes no CSV."""
+    out = tmp_path / "s.csv"
+    code = run(["sweep", "--function", "cosh:beta=703", "--r", "1", "--n", "32:512:x2",
+                "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: the glued spline of cosh:beta=703 at n=256 overflows on "
+                             "[-1.0, "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha, n", [("700", "400"), ("690", "166")])
 def test_steep_exp_is_refused_at_its_endpoint_data_or_builds(alpha, n, tmp_path, capsys):
     """exp:alpha=700 is refused for its overflowing endpoint data, with exit

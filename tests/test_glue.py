@@ -359,18 +359,50 @@ def test_random_admissible_partitions_fuzz():
             assert np.max(np.abs(np.asarray(f(xs)) - S(xs))) < 1.0
 
 
+@pytest.mark.parametrize("spec, n", [("exp:alpha=700", 167), ("exp:alpha=700", 400),
+                                     ("exp:alpha=703", 256), ("cosh:beta=703", 256)])
+def test_an_overflowing_glued_row_is_refused_naming_the_input(spec, n, monkeypatch):
+    """A glued row whose sum of |coefficients| of p, p' or p'' overflows is
+    refused by a ConstructionError that names the input, n and the first
+    such interval in x, the sums recomputed here from the blended rows."""
+    blended = []
+    blend = glue._blend
+
+    def spy(*args):
+        blended.append(blend(*args))
+        return blended[-1]
+
+    monkeypatch.setattr(glue, "_blend", spy)
+    with pytest.raises(glue.ConstructionError) as refused:
+        construct_chebyshev(parse_function(spec), 1, n)
+    (coeffs, _, halfwidths), = blended
+    with np.errstate(all="ignore"):
+        sums = [np.abs(polynomial.derivative_rows(coeffs, halfwidths, nu)).sum(axis=1)
+                for nu in range(3)]
+    i = np.flatnonzero(~np.all(np.isfinite(sums), axis=0))[0]
+    lo, hi = chebyshev_partition(n).knots[i:i + 2].tolist()
+    assert str(refused.value) == (
+        f"the glued spline of {spec} at n={n} overflows on [{lo!r}, {hi!r}]: the sums of "
+        "|coefficients| of p, p' and p'' there are not all finite")
+
+
 def test_blend_equals_poly_arithmetic():
     """_glue blends all pieces as one coefficient matrix; each row must equal
     Poly's own arithmetic in Python floats bit for bit, zero-padded to the
-    order: lam * p plus a line for the interior pieces, the end blocks as
-    they are, with pieces of one to four coefficients."""
-    pieces = [Poly(-0.9, 0.1, (0.3,)), Poly(-0.6, 0.2, (0.2, -0.7, 1.1)),
-              Poly(-0.1, 0.3, (-0.4, 0.3, 0.9, 0.05)), Poly(0.4, 0.2, (0.6,)),
-              Poly(0.8, 0.2, (0.1, 1.3))]
-    lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
+    order: lam * p plus a line for the interior pieces, each framed at its
+    interval's midpoint as computed, the end blocks as they are, with pieces
+    of one to four coefficients."""
     knots = np.array([-1.0, -0.8, -0.4, 0.2, 0.6, 1.0])
+    a, b = knots[1:-2], knots[2:-1]
+    frames = zip((0.5 * (a + b)).tolist(), (0.5 * (b - a)).tolist())
+    pieces = [Poly(-0.9, 0.1, (0.3,))] + [
+        Poly(c, w, cs) for (c, w), cs in zip(frames, [(0.2, -0.7, 1.1),
+                                                     (-0.4, 0.3, 0.9, 0.05), (0.6,)])
+    ] + [Poly(0.8, 0.2, (0.1, 1.3))]
+    lam, slope, icept = 0.7, 0.37, -0.21 + 0.013
     interior = spline_of(knots[1:-1], pieces[1:-1], 4)
-    S = PiecewisePoly(knots, *glue._blend(pieces[0], interior, pieces[-1], lam, slope, icept))
+    S = PiecewisePoly(knots, *glue._blend(pieces[0], interior.coeffs, a, b, pieces[-1], lam,
+                                          slope, icept))
 
     want = [pieces[0]] + [Poly(p.center, p.halfwidth, [lam * c for c in p.coeffs])
                           .plus_line(slope, icept) for p in pieces[1:-1]] + [pieces[-1]]

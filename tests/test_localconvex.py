@@ -9,7 +9,6 @@ from scipy.optimize import linprog as scipy_linprog
 from scipy.sparse import block_diag
 
 from convexlab.domain import (
-    ConvexOracle,
     Partition,
     chebyshev_partition,
     cosh_oracle,
@@ -32,7 +31,7 @@ from convexlab.localconvex import (
 )
 from convexlab.polynomial import convexity_certificate, convexity_certificates, horner_rows
 from convexlab.smoothness import modulus
-from helpers import Poly, lp_blocks, pieces_of
+from helpers import Poly, dip_oracle, lp_blocks, pieces_of
 
 # pieces per LP of the reference solves below, and a unit of partition sizes
 CHUNK = 16
@@ -271,6 +270,13 @@ def test_hermite_row_reproduces_polynomials(degree):
         assert np.max(np.abs(S(xs) - f(xs))) <= 1e-13 * (1.0 + np.max(np.abs(f(xs))))
 
 
+def _pieces(f, knots, degree):
+    """(spline, sources) of _convex_pieces on the intervals of the knots, the
+    rows framed at their midpoints."""
+    rows, sources = localconvex._convex_pieces(f, knots[:-1], knots[1:], degree)
+    return localconvex._midpoint_spline(knots, rows), sources
+
+
 def test_rejected_hermite_row_is_blended_with_the_parabola():
     """On the wide middle pieces of exp:alpha=20 at n = 28 some cubic
     Hermite rows are not convex.  Each becomes H + t (P - H), bit for bit,
@@ -282,7 +288,7 @@ def test_rejected_hermite_row_is_blended_with_the_parabola():
     a, b = knots[:-1], knots[1:]
     center, w = 0.5 * (a + b), 0.5 * (b - a)
     H = localconvex._hermite_rows(f, a, b, 3)
-    S, sources = localconvex._convex_pieces(f, knots, 3)
+    S, sources = _pieces(f, knots, 3)
     blended = np.flatnonzero(np.array(sources) == "blend")
     assert blended.size == 6 and sources.count("hermite") == S.n - 6
     assert not np.any(S.piece_certificates()[0] == False)  # noqa: E712
@@ -310,7 +316,7 @@ def test_every_hermite_row_is_the_hermite_solve_bit_for_bit(spec, r, n):
     byte for byte: its weight toward the parabola is 0 and moves nothing."""
     f = parse_function(spec)
     knots = chebyshev_partition(n).knots
-    S, sources = localconvex._convex_pieces(f, knots, r + 1)
+    S, sources = _pieces(f, knots, r + 1)
     kept = np.array(sources) == "hermite"
     assert kept.any()
     H = localconvex._hermite_rows(f, knots[:-1], knots[1:], r + 1)
@@ -414,24 +420,8 @@ def test_convex_pieces_match_pieces_solved_one_at_a_time(f, r):
         assert np.allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12 * scale)
 
 
-def _dip_oracle(centers=(0.45, 0.75), depth=0.005, width=0.002):
-    """x^2/2 - sum of depth*width*log cosh((x - c)/width) over the centers c:
-    f'' = 1 - sum of (depth/width) sech^2 dips below 0 near each c, over a
-    span much shorter than a Chebyshev interval there, so only the spot check
-    sees it; the LP stays feasible."""
-    zs = [lambda x, c=c: (np.asarray(x, dtype=float) - c) / width for c in centers]
-    derivs = (
-        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2 - depth * width * sum(
-            np.logaddexp(z(x), -z(x)) - math.log(2.0) for z in zs),
-        lambda x: np.asarray(x, dtype=float) - depth * sum(np.tanh(z(x)) for z in zs),
-        lambda x: 1.0 - depth / width * sum(
-            1.0 / np.cosh(np.clip(z(x), -300, 300)) ** 2 for z in zs),
-    )
-    return ConvexOracle("dip", {}, 2, (-1.0, 1.0), derivs)
-
-
 def test_convex_pieces_name_first_nonconvex_interval():
-    f = _dip_oracle()
+    f = dip_oracle()
     X = chebyshev_partition(3 * CHUNK + 5)
     first_bad = None
     for j in range(1, X.n + 1):
@@ -456,7 +446,7 @@ def _open(d, e):
 
 
 def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
-    """convex_pieces returns _convex_pieces' spline and sources, bit for bit,
+    """convex_pieces returns _convex_pieces' rows and sources, bit for bit,
     with a parabola fallback (piece 4, whose fit data holds a NaN) and a
     secant (piece 9, at rounding scale) among the LP rows, and each row's
     slope slacks as the reference Poly arithmetic gives them."""
@@ -472,7 +462,7 @@ def test_convex_pieces_are_the_rows_of_one_spline(monkeypatch):
         return d, e
 
     monkeypatch.setattr(localconvex, "_fit_points", fit_points)
-    spline, sources = localconvex._convex_pieces(f, knots, 2)
+    spline, sources = _pieces(f, knots, 2)
     S, got_sources, slacks = convex_pieces(f, X, 1)
     assert sources[4] == "parabola-fallback" and sources[9] == "secant"
     assert sources.count("lp") == X.n - 2
@@ -499,7 +489,7 @@ def test_open_pieces_get_the_closed_form_sigma(spec, n):
     assert decided.any() and not decided.all()
     assert sigma[decided].tobytes() == known[decided].tobytes()
     assert np.all((0.0 <= sigma) & (sigma <= 1.0))
-    spline, sources = localconvex._convex_pieces(f, knots, 2)
+    spline, sources = _pieces(f, knots, 2)
     assert sources == ["lp"] * n
     S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
     P = localconvex._parabola(f, a, b)
@@ -637,7 +627,7 @@ def test_lp_rows_are_minimax_blends_of_secant_and_parabola(spec):
     N, _ = chebyshev_threshold(f, 1)
     knots = chebyshev_partition(N).knots[1:-1]
     a, b = knots[:-1], knots[1:]
-    spline, sources = localconvex._convex_pieces(f, knots, 2)
+    spline, sources = _pieces(f, knots, 2)
     assert sources == ["lp"] * a.size
     rows = spline.coeffs
     S = np.pad(localconvex._secant(f, a, b), ((0, 0), (0, 1)))
