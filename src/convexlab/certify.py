@@ -18,12 +18,13 @@ bound is computed, so a report whose every error is noise samples no
 profile row.  Bounds 2.3, 2.4 and 2.5 share one code path driven by a table
 of (order, step, weight).
 
-A report and a sweep share one setup per row, shared by the six bounds: one
-knot check and one evaluation of f and S over all their grids, then per bound
-the grid, the errors, the noise-floor mask, the weights and the steps each
-point reads.  A sweep writes only the sup ratios, the report's ``sup_ratio``:
-the sweep applies the report's ratio rule to the report's bounds.  It builds
-the splines of consecutive rows in one call, then certifies each alone.
+A report is the one-row case of a sweep's set-up pass: over consecutive
+rows holding at most _BLOCK_SIZE grid points, one knot check per row, one
+evaluation of f over all their grids and of each S over its own, then per
+bound the grids, errors, noise-floor masks, weights and steps of all the
+rows, and one lower-end call per modulus.  A sweep writes only the sup
+ratios, the report's ratio rule over the report's bounds.  It builds the
+splines of consecutive rows in one call and certifies them in one check.
 """
 
 from __future__ import annotations
@@ -112,45 +113,34 @@ _PROFILE_BOUNDS = {
 }
 
 
-def _steps_read(steps: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """The steps a profile needs so that its value at every step of a read
-    point is the full profile's: all steps up to the largest read one, and
-    none when no point is read.  Each row is its own maximum and value(t) a
-    running max over the rows at steps <= t, so the reads stay bit for bit."""
-    return steps[steps <= np.max(steps[read], initial=-np.inf)]
-
-
 @dataclass(frozen=True)
 class _Setup:
-    """One bound's grid and the parts of its bound, shared by the full report
-    and the sweep's sup ratio.  At read point i the bound is weight[i] times
-    the min over ``moduli`` (k, interval, step of every grid point) of the
-    running max of the profile rows at steps <= the point's step; for 2.13
-    (no moduli) it is term[idx[i]] + term[0] + term[-1], the knot-interval
-    terms of ``_bounds``."""
+    """One bound's grids over the rows of a pass, one after another.  Row i
+    holds the points off[i]:off[i + 1] and the entries seg[i]:seg[i + 1] of
+    each request (k, t, lo, hi), omega_k(f^(r), t) on [lo, hi].  A read
+    point's bound is weight times the min of its moduli (k, each row's lo
+    and hi, every point's step); for 2.13 the sum of the terms
+    h^r omega_2(f^(r), h; I) of its knot interval and its row's two ends."""
     xs: np.ndarray
     errs: np.ndarray
-    scale: float
+    atol: np.ndarray          # ATOL_REL times the row's value scale, at every point
     read: np.ndarray          # the points whose error is above the noise floor
-    fr: object
+    off: np.ndarray
+    seg: np.ndarray
+    f: ConvexOracle
     r: int
-    kinks: tuple
     density: int
-    knots: np.ndarray
+    requests: list = ()
     weight: np.ndarray | None = None  # at the read points
     moduli: tuple = ()
-    idx: np.ndarray | None = None     # 2.13: the knot interval of each read point
-    enclosure: object = None          # the oracle's omega_enclosure, or None
-
-    def profile(self, k, interval, steps) -> ModulusProfile:
-        return ModulusProfile(self.fr, k, interval, steps, grid=self.density, focus=self.kinks)
+    idx: np.ndarray | None = None
 
 
-def _setups(f, S, r, n, bound_ids, grid_size, density) -> list:
-    """One ``_Setup`` per bound id, sharing one check of the inputs and the
-    knots, one f^(r) and one evaluation of f and S over the distinct grids
-    (2.4 and 2.5 read the same strips): each lays out its bound's grid,
-    |f - S| there and the points above the noise floor, whose bounds are read."""
+def _setups(f, rows, r, bound_ids, grid_size, density):
+    """Yield, pass by pass, one ``_Setup`` per bound id over the rows (S, n)
+    of the pass: rows while their grids, one per region (2.4 and 2.5 share
+    the strips), hold at most _BLOCK_SIZE points, or one larger row.  The
+    inputs are checked once, and each row's knots."""
     for bound_id in bound_ids:
         if bound_id not in BOUND_IDS:
             raise ValueError(f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
@@ -158,17 +148,9 @@ def _setups(f, S, r, n, bound_ids, grid_size, density) -> list:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     density = _check_grid(density)
     _check_chebyshev_domain(f)
-    expected = chebyshev_partition(n)
-    if S.knots.size != expected.knots.size or \
-            not np.allclose(S.knots, expected.knots, atol=1e-12, rtol=0):
-        raise MismatchedInputs(f"spline knots are not the n={n} Chebyshev partition")
+    kinks, shared = tuple(f.nonsmooth), dict(f=f, r=r, density=density)
 
-    kinks = tuple(f.nonsmooth)
-    knots = S.knots
-    x1 = float(knots[1])
-    xn1 = float(knots[-2])
-
-    def densify(xs, lo, hi):
+    def densify(xs, lo, hi, n):
         # a kink interval's worst error can peak between coarse grid points;
         # add a dense window spanning a few mesh lengths around each kink
         extra = []
@@ -181,78 +163,135 @@ def _setups(f, S, r, n, bound_ids, grid_size, density) -> list:
             return xs
         return np.sort(np.concatenate([xs] + extra))
 
-    # one grid per distinct region; 2.4 and 2.5 (no region) share the strips
-    regions = {"2.3": (-1.0, 1.0), "2.11": (-1.0, x1), "2.12": (xn1, 1.0), "2.13": (x1, xn1)}
-    grids = {key: _strip_grid(n, grid_size) if key is None else
-             densify(_open_chebyshev(*key, grid_size), *key)
-             for key in dict.fromkeys(regions.get(b) for b in bound_ids)}
-    xs_all = np.concatenate(list(grids.values()))
+    batch, points = [], 0
+    for S, n in rows:
+        expected = chebyshev_partition(n)
+        if S.knots.size != expected.knots.size or \
+                not np.all(np.abs(S.knots - expected.knots) <= 1e-12):
+            raise MismatchedInputs(f"spline knots are not the n={n} Chebyshev partition")
+        x1, xn1 = float(S.knots[1]), float(S.knots[-2])
+        regions = {"2.3": (-1.0, 1.0), "2.11": (-1.0, x1), "2.12": (xn1, 1.0), "2.13": (x1, xn1)}
+        grids = {b: _strip_grid(n, grid_size) if b is None else
+                 densify(_open_chebyshev(*regions[b], grid_size), *regions[b], n)
+                 for b in dict.fromkeys(b if b in regions else None for b in bound_ids)}
+        size = sum(xs.size for xs in grids.values())
+        if batch and points + size > _BLOCK_SIZE:
+            yield _pass(f, batch, bound_ids, shared)
+            batch, points = [], 0
+        batch.append((S, n, regions, grids))
+        points += size
+    if batch:
+        yield _pass(f, batch, bound_ids, shared)
+
+
+def _pass(f, batch, bound_ids, shared) -> list:
+    """The setups of the rows (S, n, regions, grids) of a pass, from one
+    evaluation of f over all their grids and one of each S over its own."""
+    xs_all = np.concatenate([xs for *_, grids in batch for xs in grids.values()])
     fx_all = np.asarray(f(xs_all), dtype=float)
-    cuts = np.cumsum([xs.size for xs in grids.values()])[:-1]
-    parts = zip(np.split(fx_all, cuts), np.split(np.abs(fx_all - S(xs_all)), cuts))
-    values = dict(zip(grids, parts))
-    shared = dict(fr=f.deriv_fn(r), r=r, kinks=kinks, density=density, knots=knots,
-                  enclosure=f.omega_enclosure)
-    setups = []
-    for bound_id in bound_ids:
-        key = regions.get(bound_id)
-        xs, (fx, errs) = grids[key], values[key]
-        scale = 1.0 + float(np.max(np.abs(fx)))
+    by_grid, start = {}, 0  # per grid, each row's (xs, f, |f - S|)
+    for S, _, _, grids in batch:
+        stop = start + sum(xs.size for xs in grids.values())
+        errs = np.abs(fx_all[start:stop] - S(xs_all[start:stop]))
+        for key, xs in grids.items():
+            by_grid.setdefault(key, []).append((xs, fx_all[start:start + xs.size], errs[:xs.size]))
+            errs, start = errs[xs.size:], start + xs.size
+    for key, parts in by_grid.items():
+        xs, fx, errs = (np.concatenate(v) for v in zip(*parts))
+        sizes = [part[0].size for part in parts]
+        off = np.concatenate([[0], np.cumsum(sizes)])
+        scale = np.repeat(1.0 + np.maximum.reduceat(np.abs(fx), off[:-1]), sizes)
         read = ~(errs <= NOISE_REL * scale)
-        setup = dict(xs=xs, errs=errs, scale=scale, read=read, **shared)
-        if bound_id in _PROFILE_BOUNDS:
-            k, step, weight = _PROFILE_BOUNDS[bound_id]
-            ts = step(xs, n)
-            setup.update(weight=weight(xs, ts, r)[read], moduli=((k, (-1.0, 1.0), ts),))
-        elif bound_id in ("2.11", "2.12"):
-            lo, hi = key
-            d = xs - lo if bound_id == "2.11" else hi - xs
-            setup.update(weight=(d ** r)[read],
-                         moduli=((1, key, d), (2, key, np.sqrt(d * (hi - lo)))))
-        else:  # 2.13: interior intervals with the three-term right side
-            setup.update(idx=np.clip(np.searchsorted(knots, xs[read], side="right") - 1, 1, n - 2))
+        by_grid[key] = dict(xs=xs, errs=errs, atol=ATOL_REL * scale, read=read, off=off,
+                            seg=np.concatenate([[0], np.cumsum(read)])[off], **shared)
+    r, ns, setups = shared["r"], np.array([n for _, n, _, _ in batch]), []
+    for bound_id in bound_ids:
+        setup = dict(by_grid[bound_id if bound_id in batch[0][2] else None])
+        xs, read, off = setup["xs"], setup["read"], setup["off"]
+        sizes, reads, first = np.diff(off), np.diff(setup["seg"]), np.cumsum(ns) - ns
+        if bound_id == "2.13":  # interior intervals with the three-term right side
+            idx = np.concatenate([
+                base + np.clip(np.searchsorted(S.knots, xs[a:b][read[a:b]], side="right") - 1,
+                               1, n - 2)
+                for (S, n, _, _), base, a, b in zip(batch, first, off[:-1], off[1:])])
+            idx = np.stack([idx, np.repeat(first, reads), np.repeat(first + ns - 1, reads)])
+            need, at = np.unique(idx.ravel(), return_inverse=True)
+            h, lo, hi = (np.concatenate(v)[need] for v in zip(
+                *[(np.diff(S.knots), S.knots[:-1], S.knots[1:]) for S, *_ in batch]))
+            setup.update(seg=np.searchsorted(need, np.append(first, ns.sum())),
+                         requests=[(2, h, lo, hi)], idx=at.reshape(idx.shape))
+        else:
+            if bound_id in _PROFILE_BOUNDS:
+                k, step, weight = _PROFILE_BOUNDS[bound_id]
+                ts = step(xs, np.repeat(ns, sizes))
+                weight, moduli = weight(xs, ts, r), ((k, -np.ones(ns.size), np.ones(ns.size), ts),)
+            else:  # 2.11 and 2.12, over the first and the last interval
+                lo, hi = np.array([regions[bound_id] for _, _, regions, _ in batch]).T
+                lo_x, hi_x = np.repeat(lo, sizes), np.repeat(hi, sizes)
+                d = xs - lo_x if bound_id == "2.11" else hi_x - xs
+                weight, moduli = d ** r, ((1, lo, hi, d), (2, lo, hi, np.sqrt(d * (hi_x - lo_x))))
+            setup.update(weight=weight[read], moduli=moduli, requests=[
+                (k, t[read], np.repeat(lo, reads), np.repeat(hi, reads)) for k, lo, hi, t in moduli])
         setups.append(_Setup(**setup))
     return setups
 
 
-def _lower_ends(s: _Setup, k, ts, lo, hi):
-    """The enclosure's lower ends of omega_k(f^(r), ts) on [lo, hi], None
-    where the oracle has none; a ValueError where one overflows, as a sampled
-    profile refuses non-finite differences."""
-    low = None if s.enclosure is None else s.enclosure(k, s.r, ts, lo, hi)[0]
-    if low is not None and np.isnan(low).any():
-        raise ValueError(f"the order-{k} modulus of the oracle on "
-                         f"[{float(np.min(lo))!r}, {float(np.max(hi))!r}] overflows")
-    return low
-
-
-def _bounds(s: _Setup) -> np.ndarray:
-    """The bound at every read point, the one that the report and the sweep
-    both divide by.  Each modulus is the enclosure's lower end where the
-    oracle has one for every modulus of the bound; else the moduli are
-    sampled: full profiles over the steps up to the largest read one, and
-    h_j^r omega_2(f^(r), h_j; I_j) from one lattice of ``density`` steps per
-    knot interval.  2.13 takes the term of every knot interval holding a
-    read point and of the two end intervals, which every 2.13 bound adds."""
+def _combine(s: _Setup, lows) -> np.ndarray:
+    """The bound at the read points of s from its requests' moduli ``lows``."""
     if s.moduli:
-        lows = []
-        for k, (lo, hi), steps in s.moduli:
-            low = _lower_ends(s, k, steps[s.read], lo, hi)
-            if low is None:
-                lows = [s.profile(k, interval, _steps_read(steps, s.read)).value(steps[s.read])
-                        for k, interval, steps in s.moduli]
-                break
-            lows.append(low)
         return s.weight * functools.reduce(np.minimum, lows)
-    n = s.knots.size - 1
-    need = np.unique(np.append(s.idx, (0, n - 1))) if s.idx.size else s.idx
-    h, lo, hi = np.diff(s.knots)[need], s.knots[need], s.knots[need + 1]
-    low = _lower_ends(s, 2, h, lo, hi)
-    if low is None:
-        low = modulus_lower_bounds(s.fr, 2, h, np.column_stack([lo, hi]), grid=s.density)
-    term = np.zeros(n)
-    term[need] = np.array([w ** s.r for w in h.tolist()]) * low
-    return term[s.idx] + term[0] + term[-1]
+    term = np.array([w ** s.r for w in s.requests[0][1].tolist()]) * lows[0]
+    return term[s.idx[0]] + term[s.idx[1]] + term[s.idx[2]]
+
+
+def _sampled(s: _Setup, i: int) -> list:
+    """Row i's moduli, sampled: profiles over the steps up to the largest one
+    read (a value is a running max of rows, each its own maximum, so no read
+    changes), and for 2.13 one lattice of ``density`` steps per interval."""
+    if s.moduli:
+        pts = slice(s.off[i], s.off[i + 1])
+        read = s.read[pts]
+        return [ModulusProfile(s.f.deriv_fn(s.r), k, (float(lo[i]), float(hi[i])),
+                               t[pts][t[pts] <= np.max(t[pts][read], initial=-np.inf)],
+                               grid=s.density, focus=tuple(s.f.nonsmooth)).value(t[pts][read])
+                for k, lo, hi, t in s.moduli]
+    (k, h, lo, hi), = s.requests
+    part = slice(s.seg[i], s.seg[i + 1])
+    return [modulus_lower_bounds(s.f.deriv_fn(s.r), k, h[part],
+                                 np.column_stack([lo[part], hi[part]]), grid=s.density)]
+
+
+def _bounds(setups, every_row: bool = False) -> list:
+    """The bound at each read point of each setup, which report and sweep
+    divide by: the enclosure's lower ends, one call per request over all the
+    rows (none where no row reads a point, unless ``every_row``), else moduli
+    sampled row by row.  Rows go in order, each raising, as if alone, the
+    ValueError of an overflowing lower end, as a profile refuses one."""
+    lows, refusals, sampled = [], [], []
+    for s in setups:
+        low, refused = [], {}
+        for k, t, lo, hi in s.requests:
+            m = None if s.f.omega_enclosure is None else t if t.size == 0 and not every_row \
+                else s.f.omega_enclosure(k, s.r, t, lo, hi)[0]
+            if m is None:
+                break
+            for i in np.searchsorted(s.seg, np.flatnonzero(np.isnan(m)), side="right") - 1:
+                part = slice(s.seg[i], s.seg[i + 1])
+                refused.setdefault(int(i), ValueError(
+                    f"the order-{k} modulus of the oracle on [{float(np.min(lo[part]))!r}, "
+                    f"{float(np.max(hi[part]))!r}] overflows"))
+            low.append(m)
+        sampled.append(len(low) < len(s.requests))
+        lows.append([np.empty(req[1].size) for req in s.requests] if sampled[-1] else low)
+        refusals.append(refused)
+    for i in range(setups[0].off.size - 1 if setups else 0):
+        for s, low, refused, samples in zip(setups, lows, refusals, sampled):
+            if i in refused:
+                raise refused[i]
+            if samples and (every_row or s.seg[i] < s.seg[i + 1]):
+                for out, m in zip(low, _sampled(s, i)):
+                    out[s.seg[i]:s.seg[i + 1]] = m
+    return [_combine(s, low) for s, low in zip(setups, lows)]
 
 
 def _ratios(e, bounds, atol):
@@ -268,8 +307,8 @@ def _assemble_report(bound_id: str, s: _Setup) -> BoundReport:
     is below DENOM_FLOOR and error below ATOL_REL; ratio the rest.  A NaN
     error or bound is kept, and its NaN ratio is the sup."""
     bounds = np.zeros(s.xs.size)
-    bounds[s.read] = _bounds(s)
-    ratios, degenerate = _ratios(s.errs[s.read], bounds[s.read], ATOL_REL * s.scale)
+    bounds[s.read] = _bounds([s], every_row=True)[0]
+    ratios, degenerate = _ratios(s.errs[s.read], bounds[s.read], s.atol[s.read])
     excluded = ~s.read
     excluded[s.read] = degenerate
     kept = ~excluded
@@ -284,7 +323,8 @@ def pointwise_bound_reports(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
                             bound_ids=BOUND_IDS, grid_size: int = DEFAULT_GRID_SIZE,
                             density: int = CERTIFICATION_DENSITY) -> list:
     """Evaluate pointwise estimates as |f-S| / bound, each over its own region,
-    one report per bound id in order, from one shared setup.
+    one report per bound id in order, from one shared setup: the one-row
+    case of a sweep's.
 
     Interior bounds use the full interval, the endpoint variants are
     restricted to the strips of width n^-2, and the per-interval forms to the
@@ -293,8 +333,8 @@ def pointwise_bound_reports(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
     evaluated first; the modulus layer is asked only for what the points
     above the noise floor read, so a noise point's bound is never computed.
     """
-    return [_assemble_report(b, s)
-            for b, s in zip(bound_ids, _setups(f, S, r, n, bound_ids, grid_size, density))]
+    setups = next(_setups(f, [(S, n)], r, bound_ids, grid_size, density))
+    return [_assemble_report(b, s) for b, s in zip(bound_ids, setups)]
 
 
 def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
@@ -304,16 +344,19 @@ def pointwise_bound_report(f: ConvexOracle, S: PiecewisePoly, r: int, n: int,
     return pointwise_bound_reports(f, S, r, n, (bound_id,), grid_size, density)[0]
 
 
-def _sup_ratio(s: _Setup) -> float:
-    """The sup ratio of the report of ``s`` bit for bit, a NaN or inf error
-    included: the report's ratio rule over the report's ``_bounds``, without
-    building the report's arrays, and 0 with no call at all when every error
-    is noise."""
-    e = s.errs[s.read]
-    if e.size == 0:
-        return 0.0
-    ratios, degenerate = _ratios(e, _bounds(s), ATOL_REL * s.scale)
-    return float(np.max(ratios[~degenerate], initial=0.0))
+def _sup_ratios(setups) -> list:
+    """Each row's sup ratios, its reports' bit for bit, NaN and inf
+    included: the report's ratio rule over its ``_bounds``, without the
+    report's arrays, and 0 with no bound where every error is noise."""
+    sups = []
+    for s, bounds in zip(setups, _bounds(setups)):
+        ratios, degenerate = _ratios(s.errs[s.read], bounds, s.atol[s.read])
+        rows = np.repeat(np.arange(s.off.size - 1), np.diff(s.off))[s.read]
+        sup = np.zeros(s.off.size - 1)
+        with np.errstate(invalid="ignore"):  # a NaN ratio is the sup, as np.max gives it
+            np.maximum.at(sup, rows[~degenerate], ratios[~degenerate])
+        sups.append(sup.tolist())
+    return [list(row) for row in zip(*sups)]
 
 
 @dataclass(frozen=True)
@@ -373,9 +416,11 @@ def sweep(f: ConvexOracle, r: int, n_list, grid_size: int = DEFAULT_GRID_SIZE,
     for run in runs:
         t0 = time.perf_counter()
         built = _construct_chebyshev(prep, f, r, [row["n"] for row in run])
-        for row, (S, _, _) in zip(run, built):
-            ratios = map(_sup_ratio, _setups(f, S, r, row["n"], BOUND_IDS, grid_size, density))
-            row["sup_ratio"] = dict(zip(BOUND_IDS, ratios))
+        todo = iter(run)
+        for setups in _setups(f, [(S, row["n"]) for row, (S, _, _) in zip(run, built)], r,
+                              BOUND_IDS, grid_size, density):
+            for ratios, row in zip(_sup_ratios(setups), todo):
+                row["sup_ratio"] = dict(zip(BOUND_IDS, ratios))
         if timing:
             run[0]["wall_ms"] = int(round(1e3 * (time.perf_counter() - t0)))
     return SweepTable(f.label(), r, n_threshold, rows)

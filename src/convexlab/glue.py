@@ -10,9 +10,9 @@ boundary depth passes), intersect with the endpoint-block convexity
 threshold, build the two Hermite endpoint blocks and the interior pieces of
 the convex interpolant sigma, then blend them with a tangent line so the
 block defects are absorbed without losing convexity.  The spline's rows are
-the blend's rows as they are, checked only as the spline's.  One call glues
-the partitions of many rows, their interior pieces from one pass.  The
-Chebyshev specialization derives the minimal admissible n from H.
+the blend's rows, checked only as the spline's.  One call glues the
+partitions of many rows: their interior pieces from one pass, one check.
+The Chebyshev specialization derives the minimal admissible n from H.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from convexlab.domain import (
 from convexlab.endblocks import find_H, integrated_L, mirrored_L
 from convexlab.localconvex import (_convex_pieces, _midpoint_spline, _secant,
                                    _spot_check_convexity)
-from convexlab.piecewise import PiecewisePoly, _finite_rows, record_json_dict, verify_convexity
+from convexlab.piecewise import (PiecewisePoly, _convexity_reports, _finite_rows,
+                                 record_json_dict)
 from convexlab.smoothness import modulus
 
 __all__ = [
@@ -223,20 +224,21 @@ def _blend(left, rows, a, b, right, lam, slope, intercept) -> tuple:
             np.r_[left.halfwidth, halfwidths, right.halfwidth])
 
 
-def _certify_or_raise(S: PiecewisePoly) -> PiecewisePoly:
-    rep = verify_convexity(S)
-    if not rep.continuous:
-        raise NotConvexOutput("assembled spline is discontinuous at a knot")
-    if rep.offending_pieces:
-        raise NotConvexOutput(f"pieces {rep.offending_pieces} failed the convexity certificate")
-    if not rep.slopes_ok:
-        raise NotConvexOutput("one-sided knot slopes are not nondecreasing")
-    return S.certified()
+def _certify_or_raise(*splines) -> list:
+    """Each spline certified by one check of all; else the first one's refusal."""
+    for rep in _convexity_reports(splines):
+        if not rep.continuous:
+            raise NotConvexOutput("assembled spline is discontinuous at a knot")
+        if rep.offending_pieces:
+            raise NotConvexOutput(f"pieces {rep.offending_pieces} failed the convexity certificate")
+        if not rep.slopes_ok:
+            raise NotConvexOutput("one-sided knot slopes are not nondecreasing")
+    return [S.certified() for S in splines]
 
 
 def _secant_spline(f: ConvexOracle, X: Partition, order: int) -> PiecewisePoly:
     rows = _secant(f, X.knots[:-1], X.knots[1:])
-    return _certify_or_raise(_midpoint_spline(X.knots, np.pad(rows, ((0, 0), (0, order - 2)))))
+    return _certify_or_raise(_midpoint_spline(X.knots, np.pad(rows, ((0, 0), (0, order - 2)))))[0]
 
 
 def _assemble(prep: _Prepared, f: ConvexOracle, partitions, r: int) -> list:
@@ -262,7 +264,8 @@ def _glue(prep: _Prepared, f: ConvexOracle, partitions, r: int) -> list:
     """(spline, (delta, delta_tilde, delta_hat, case, lambda), row sources)
     of each partition: the end blocks, checked first for every partition,
     and the interior pieces of sigma, which they bound, from one pass over
-    all partitions, blended with a tangent line and certified convex."""
+    all partitions, blended with a tangent line and certified in one check,
+    refusing as if each row were glued and certified before the next."""
     M, H = prep.M, prep.H
     blocks = []
     for X in partitions:
@@ -279,44 +282,46 @@ def _glue(prep: _Prepared, f: ConvexOracle, partitions, r: int) -> list:
     hi = np.concatenate([X.knots[2:-1] for X in partitions])
     interior, sources = _convex_pieces(f, lo, hi, r + 1)
     glued, stop = [], 0
-    for X, (left, right) in zip(partitions, blocks):
-        part = slice(stop, stop + X.n - 2)
-        stop = part.stop
-        x1, xn1 = float(X.knots[1]), float(X.knots[-2])
-        delta, delta_tilde = left.delta, right.delta
-        delta_hat = delta - delta_tilde
+    try:
+        for X, (left, right) in zip(partitions, blocks):
+            part = slice(stop, stop + X.n - 2)
+            stop = part.stop
+            x1, xn1 = float(X.knots[1]), float(X.knots[-2])
+            delta, delta_tilde = left.delta, right.delta
+            delta_hat = delta - delta_tilde
 
-        sl, il = tangent_line(f, x1)
-        sl_t, il_t = tangent_line(f, xn1)
-        gap_right = float(f(xn1)) - (sl * xn1 + il)       # f - tangent-at-x1, far end
-        gap_left = float(f(x1)) - (sl_t * x1 + il_t)      # f - tangent-at-xn1, near end
-        if not (gap_right > 0.5 * M * (1 - 1e-9) and gap_left > 0.5 * M * (1 - 1e-9)):
-            raise ConstructionError("tangent gaps fell below M/2; hypotheses violated")
+            sl, il = tangent_line(f, x1)
+            sl_t, il_t = tangent_line(f, xn1)
+            gap_right = float(f(xn1)) - (sl * xn1 + il)       # f - tangent-at-x1, far end
+            gap_left = float(f(x1)) - (sl_t * x1 + il_t)      # f - tangent-at-xn1, near end
+            if not (gap_right > 0.5 * M * (1 - 1e-9) and gap_left > 0.5 * M * (1 - 1e-9)):
+                raise ConstructionError("tangent gaps fell below M/2; hypotheses violated")
 
-        if delta_hat >= 0.0:
-            case = 1
-            lam = 1.0 - delta_hat / gap_right
-            line_slope, line_icept, shift = sl, il, delta
-        else:
-            case = 2
-            lam = 1.0 + delta_hat / gap_left
-            line_slope, line_icept, shift = sl_t, il_t, delta_tilde
-        if not 0.0 < lam <= 1.0:
-            raise ConstructionError(f"blending factor {lam} outside (0, 1]")
+            if delta_hat >= 0.0:
+                case = 1
+                lam = 1.0 - delta_hat / gap_right
+                line_slope, line_icept, shift = sl, il, delta
+            else:
+                case = 2
+                lam = 1.0 + delta_hat / gap_left
+                line_slope, line_icept, shift = sl_t, il_t, delta_tilde
+            if not 0.0 < lam <= 1.0:
+                raise ConstructionError(f"blending factor {lam} outside (0, 1]")
 
-        rows = _blend(left, interior[part], lo[part], hi[part], right, lam,
-                      (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
-        try:  # a Partition's knots and these shapes pass, so only a row can fail
-            S = PiecewisePoly(X.knots, *rows)
-        except ValueError:
-            i = int(np.argmin(_finite_rows(*rows)))
-            raise ConstructionError(
-                f"the glued spline of {f.label()} at n={X.n} overflows on "
-                f"[{float(X.knots[i])!r}, {float(X.knots[i + 1])!r}]: the sums of "
-                "|coefficients| of p, p' and p'' there are not all finite") from None
-        glued.append((_certify_or_raise(S), (delta, delta_tilde, delta_hat, case, lam),
-                      sources[part]))
-    return glued
+            rows = _blend(left, interior[part], lo[part], hi[part], right, lam,
+                          (1.0 - lam) * line_slope, (1.0 - lam) * line_icept + shift)
+            try:  # a Partition's knots and these shapes pass, so only a row can fail
+                S = PiecewisePoly(X.knots, *rows)
+            except ValueError:
+                i = int(np.argmin(_finite_rows(*rows)))
+                raise ConstructionError(
+                    f"the glued spline of {f.label()} at n={X.n} overflows on "
+                    f"[{float(X.knots[i])!r}, {float(X.knots[i + 1])!r}]: the sums of "
+                    "|coefficients| of p, p' and p'' there are not all finite") from None
+            glued.append((S, (delta, delta_tilde, delta_hat, case, lam), sources[part]))
+    finally:  # a later row's refusal waits for the check of the rows glued before it
+        certified = _certify_or_raise(*[S for S, _, _ in glued]) if glued else []
+    return [(S, blend, rows) for S, (_, blend, rows) in zip(certified, glued)]
 
 
 def construct_spline(f: ConvexOracle, X: Partition, r: int) -> tuple:

@@ -45,8 +45,8 @@ __all__ = [
 
 DEGENERATE_REL_LENGTH = 1e-13
 _SPOT_CHECK_POINTS = 65
-# points per array pass: of the spot check (65 per interval), and of a sweep's
-# interior pass (16 fit points per interval) beyond its largest row
+# points per array pass: of the spot check (65 per interval), the r = 1 fit
+# (16), and beyond their largest row, a sweep's interior pass and set-up
 _BLOCK_SIZE = 2 ** 14
 
 
@@ -307,7 +307,10 @@ def _convex_pieces(f: ConvexOracle, a_all, b_all, degree: int) -> tuple:
     P = np.pad(_parabola(f, a, b), ((0, 0), (0, degree - 2)))
     if degree == 2:
         Q = np.pad(_secant(f, a, b), ((0, 0), (0, 1)))
-        weight = _blend_weights(*_fit_points(f, a, b, Q, P - Q))
+        D, weight, size = P - Q, np.empty(a.size), _BLOCK_SIZE // 16
+        for s in range(0, a.size, size):  # eight (k, 16) arrays per block of k pieces
+            block = (v[s:s + size] for v in (a, b, Q, D))
+            weight[s:s + size] = _blend_weights(*_fit_points(f, *block))
         ok = ~np.isnan(weight)
     else:
         Q = _hermite_rows(f, a, b, degree)

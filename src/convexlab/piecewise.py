@@ -1,8 +1,8 @@
 """Continuous piecewise polynomials over a knot vector, held as one zero-padded
-coefficient matrix with the frames of its rows, so evaluation and checks are
-array passes over all pieces at once, and JSON is read and written straight
-from the arrays.  A report or trace record is written by
-:func:`record_json_dict`: its JSON keys are its fields in order."""
+coefficient matrix with the frames of its rows, so evaluation is an array
+pass over all pieces at once, the convexity check one over all the pieces of
+many splines, and JSON is read and written straight from the arrays.  A
+record's JSON keys are its fields in order (:func:`record_json_dict`)."""
 
 from __future__ import annotations
 
@@ -218,19 +218,36 @@ class ConvexityReport:
 
 
 def verify_convexity(S: PiecewisePoly) -> ConvexityReport:
-    """The whole-spline convexity check: continuity at relative tolerance
-    1e-9, exact per-piece certificates, and one-sided slopes nondecreasing
-    along the knots up to 1e-9 * (1 + max |slope|)."""
-    flat = S.knot_slopes().ravel()
-    slope_tol = 1e-9 * (1.0 + float(np.max(np.abs(flat), initial=0.0)))
-    slopes_ok = bool(np.all(flat[1:] >= flat[:-1] - slope_tol))
-    continuous = S.is_continuous(rel_tol=1e-9)
-    convex, minimum, _ = S.piece_certificates()
-    offending = np.flatnonzero(~convex).tolist()
-    return ConvexityReport(
-        convex=continuous and not offending and slopes_ok,
-        continuous=continuous,
-        slopes_ok=slopes_ok,
-        offending_pieces=offending,
-        piece_min_second_derivative=minimum,
-    )
+    """The whole-spline convexity check: :func:`_convexity_reports` of one."""
+    return _convexity_reports([S])[0]
+
+
+def _convexity_reports(splines) -> list:
+    """The report of each spline, all of one order: continuity at relative
+    tolerance 1e-9, exact per-piece certificates, and one-sided slopes
+    nondecreasing along the knots up to 1e-9 * (1 + max |slope|), each from
+    the spline's own maxima; all rows in one certificate call, one
+    evaluation of p at both ends and middles and one of p' at both ends."""
+    ns = np.array([S.n for S in splines])
+    ends = np.cumsum(ns)
+    rows = [(S.coeffs, S.centers, S.halfwidths, S.knots[:-1], S.knots[1:]) for S in splines]
+    C, centers, w, a, b = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
+    convex, minimum, _ = convexity_certificates(C, centers, w, a, b)
+    u = (np.stack([a, 0.5 * (a + b), b], axis=1) - centers[:, None]) / w[:, None]
+    values = horner_rows(C[:, None, :], u)
+    slopes = horner_rows(derivative_rows(C, w)[:, None, :], u[:, ::2])
+    left = np.delete(np.arange(ends[-1]), ends - 1)  # the piece left of each interior knot
+    owner = np.repeat(np.arange(ns.size), ns - 1)  # the spline of each interior knot
+    scale = 1.0 + np.maximum.reduceat(np.abs(values[:, 1]), ends - ns)
+    jumps = owner[~(np.abs(values[left, 2] - values[left + 1, 0]) <= 1e-9 * scale[owner])]
+    flat = np.stack([slopes[left, 1], slopes[left + 1, 0]], axis=1).ravel()
+    pairs = np.repeat(owner, 2)
+    peak = np.zeros(ns.size)
+    np.maximum.at(peak, pairs, np.abs(flat))
+    drops = pairs[1:][(pairs[1:] == pairs[:-1])
+                      & ~(flat[1:] >= flat[:-1] - 1e-9 * (1.0 + peak[pairs[1:]]))]
+    continuous, slopes_ok = (np.bincount(bad, minlength=ns.size) == 0 for bad in (jumps, drops))
+    offending = [np.flatnonzero(~ok).tolist() for ok in np.split(convex, ends[:-1])]
+    return [ConvexityReport(joined and not bad and rising, joined, rising, bad, low) for
+            joined, rising, bad, low in zip(continuous.tolist(), slopes_ok.tolist(), offending,
+                                             np.split(minimum, ends[:-1]))]

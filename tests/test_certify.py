@@ -21,7 +21,8 @@ from convexlab.certify import (
     threshold_growth,
     verify_convexity,
 )
-from convexlab.domain import even_power_oracle, exp_oracle, f0_oracle, parse_function
+from convexlab.domain import (chebyshev_partition, even_power_oracle, exp_oracle, f0_oracle,
+                              parse_function)
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.localconvex import NotConvexInput
 from convexlab.piecewise import PiecewisePoly
@@ -182,7 +183,7 @@ def test_bound_report_refuses_degenerate_lattices_when_no_point_is_kept(flags, m
         with pytest.raises(ValueError, match=message):
             pointwise_bound_report(f, S, 2, 128, b, **flags)
         with pytest.raises(ValueError, match=message):
-            certify._setups(f, S, 2, 128, (b,), **lattice)
+            next(certify._setups(f, [(S, 128)], 2, (b,), **lattice))
 
 
 def test_bound_report_finite_ratios_exp():
@@ -248,15 +249,15 @@ def test_bound_report_mismatched_inputs():
     with pytest.raises(MismatchedInputs):
         pointwise_bound_reports(f, S, 1, 64)
     with pytest.raises(MismatchedInputs):
-        certify._setups(f, S, 1, 64, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
-                        certify.CERTIFICATION_DENSITY)
+        next(certify._setups(f, [(S, 64)], 1, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
+                             certify.CERTIFICATION_DENSITY))
 
 
 @pytest.mark.parametrize("spec, r", [("exp:alpha=1", 2), ("truncpow:r=1,eps=0.2", 1)])
 def test_sweep_sets_up_each_row_in_one_pass(spec, r, monkeypatch):
     """The rows are built in one call, then each computed row checks the
-    knots once, for all six bounds, and evaluates f on their grids in one
-    call; 2.4 and 2.5 read one strip grid."""
+    knots once, for all six bounds, and one call of f evaluates every row's
+    grids; 2.4 and 2.5 read one strip grid."""
     f = parse_function(spec)
     events = []
     partition, construct, value = (certify.chebyshev_partition, certify._construct_chebyshev,
@@ -281,15 +282,128 @@ def test_sweep_sets_up_each_row_in_one_pass(spec, r, monkeypatch):
     assert [row["computed"] for row in tab.rows] == [True] * 3
     built = [i for i, event in enumerate(events) if event[0] == "rows"]
     assert [events[i] for i in built] == [("rows", [32, 64, 128])]
-    got, want = events[built[0] + 1:], []
+    got, want, points = events[built[0] + 1:], [], 0
     for n in (32, 64, 128):
         S, _, _ = construct_chebyshev(f, r, n)
-        setups = certify._setups(f, S, r, n, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
-                                 certify.CERTIFICATION_DENSITY)
+        setups = next(certify._setups(f, [(S, n)], r, BOUND_IDS, certify.DEFAULT_GRID_SIZE,
+                                      certify.CERTIFICATION_DENSITY))
         assert setups[1].xs is setups[2].xs
-        points = sum({id(s.xs): s.xs.size for s in setups}.values())
-        want += [("knots", n), ("f", points)]
-    assert got == want
+        points += sum({id(s.xs): s.xs.size for s in setups}.values())
+        want.append(("knots", n))
+    assert got == want + [("f", points)]
+
+
+def _row_fields(s, i):
+    """The fields of row i of a pass setup s, its indices counted from the
+    row's own first request."""
+    pts = slice(s.off[i], s.off[i + 1])
+    reads = slice(*np.concatenate([[0], np.cumsum(s.read)])[s.off[i:i + 2]])
+    entries = slice(s.seg[i], s.seg[i + 1])
+    fields = [s.xs[pts], s.errs[pts], s.atol[pts], s.read[pts]]
+    for k, *request in s.requests:
+        fields += [np.array([k])] + [v[entries] for v in request]
+    if s.moduli:
+        fields.append(s.weight[reads])
+        for k, lo, hi, steps in s.moduli:
+            fields += [np.array([k, lo[i], hi[i]]), steps[pts]]
+    else:
+        fields.append(s.idx[:, reads] - s.seg[i])
+    return [np.asarray(v).tobytes() for v in fields]
+
+
+# the cubic has no lower end of omega: its moduli are sampled row by row
+@pytest.mark.parametrize("spec, r", [
+    ("exp:alpha=1", 1), ("truncpow:r=1,eps=0.2", 1), ("f0:r=2", 2),
+    ("poly:coeffs=0.5,-0.25,1,0.125", 2)])
+def test_run_setups_equal_each_rows_setups(spec, r):
+    """One set-up pass over a run's rows lays out, for every row, the fields
+    that the row's own pass lays out, bit for bit, NaN errors included (row
+    n = 40 reads NaN at every tenth grid point); its sup ratios are those
+    of each row's pass and of its reports."""
+    f = parse_function(spec)
+    ns = [32, 40, 64, 128]
+    splines = [construct_chebyshev(f, r, n)[0] for n in ns]
+
+    class Broken(PiecewisePoly):
+        def __call__(self, x):
+            out = super().__call__(x)
+            out[::10] = np.nan
+            return out
+
+    S = splines[1]
+    splines[1] = Broken(S.knots, S.coeffs, S.centers, S.halfwidths)
+    lattice = (BOUND_IDS, certify.DEFAULT_GRID_SIZE, certify.CERTIFICATION_DENSITY)
+    [run] = list(certify._setups(f, list(zip(splines, ns)), r, *lattice))
+    alone = [next(certify._setups(f, [(S, n)], r, *lattice)) for S, n in zip(splines, ns)]
+    assert np.isnan(run[0].errs).any()
+    for i in range(len(ns)):
+        for s, one in zip(run, alone[i]):
+            assert _row_fields(s, i) == _row_fields(one, 0)
+    sups = certify._sup_ratios(run)
+    for i, (S, n) in enumerate(zip(splines, ns)):
+        [want] = certify._sup_ratios(alone[i])
+        reports = [rep.sup_ratio for rep in pointwise_bound_reports(f, S, r, n)]
+        assert [repr(v) for v in sups[i]] == [repr(v) for v in want] == [repr(v) for v in reports]
+    assert any(math.isnan(v) for v in sups[1])
+
+
+def test_an_overflowing_lower_end_refuses_with_its_rows_message():
+    """Where a lower end overflows, the run raises what its rows raise one at
+    a time.  Row 64's order-2 lower end on its knot interval 5, which only
+    2.13 reads, and row 128's on [-1, x1], which 2.11 reads first, read
+    NaN: [32, 64, 128] raises row 64's 2.13 refusal, whose interval spans
+    the row's whole 2.13 lattice, though 2.11 comes first in the bound order,
+    and [32, 128, 64] row 128's 2.11 refusal."""
+    f = exp_oracle(1.0)
+    knots = {n: chebyshev_partition(n).knots for n in (64, 128)}
+
+    def enclosure(k, nu, t, lo, hi):
+        ends = f.omega_enclosure(k, nu, t, lo, hi)
+        bad = ((np.equal(lo, knots[64][5]) & np.equal(hi, knots[64][6]))
+               | np.equal(hi, knots[128][1]))
+        low = ends[0]
+        return np.where(bad, np.nan, low) if np.ndim(low) else low, ends[1]
+
+    g = dataclasses.replace(f, omega_enclosure=enclosure)
+    refusals = {}
+    for n in (32, 64, 128):
+        try:
+            sweep(g, 1, [n])
+        except ValueError as exc:
+            refusals[n] = str(exc)
+    assert refusals == {
+        64: "the order-2 modulus of the oracle on [-1.0, 1.0] overflows",
+        128: f"the order-1 modulus of the oracle on [-1.0, {float(knots[128][1])!r}] overflows"}
+    for ns, n in (([32, 64, 128], 64), ([32, 128, 64], 128), ([128, 64], 128)):
+        with pytest.raises(ValueError) as exc:
+            sweep(g, 1, ns)
+        assert str(exc.value) == refusals[n]
+    S, _, _ = construct_chebyshev(f, 1, 64)
+    with pytest.raises(ValueError) as exc:
+        pointwise_bound_reports(g, S, 1, 64)
+    assert str(exc.value) == refusals[64]
+
+
+@pytest.mark.parametrize("spec, r", [("exp:alpha=1", 2), ("truncpow:r=1,eps=0.2", 1)])
+def test_a_run_split_into_several_setup_passes_gives_the_same_table(spec, r, monkeypatch):
+    """A set-up pass takes rows while their grids hold at most _BLOCK_SIZE
+    points (about 1,280 a row here); with 3,000 the run [32, 64, 128] sets
+    up in two passes, and the table is the one of a single pass."""
+    f = parse_function(spec)
+    ns = [32, 64, 128, 256]
+    plain = sweep(f, r, ns).to_csv()
+    passes, setup_pass = [], certify._pass
+
+    def spy(g, batch, *args):
+        passes.append([n for _, n, _, _ in batch])
+        return setup_pass(g, batch, *args)
+
+    monkeypatch.setattr(certify, "_BLOCK_SIZE", 3000)
+    monkeypatch.setattr(certify, "_pass", spy)
+    groups, _, _ = _spy_groups(monkeypatch)
+    assert sweep(f, r, ns).to_csv() == plain
+    assert groups == [[32, 64, 128], [256]]
+    assert passes == [[32, 64], [128], [256]]
 
 
 def _spy_groups(monkeypatch):
@@ -404,9 +518,9 @@ def test_timed_sweep_times_each_row_alone_with_the_same_ratios(monkeypatch):
         clock[0] += 1e-3 * sum(group)
         return construct(prep, g, r, group)
 
-    def timed_setups(g, S, r, n, *args):
-        clock[0] += 2e-3 * n
-        return setups(g, S, r, n, *args)
+    def timed_setups(g, rows, r, *args):
+        clock[0] += 2e-3 * sum(n for _, n in rows)
+        return setups(g, rows, r, *args)
 
     monkeypatch.setattr(certify, "_construct_chebyshev", timed_construct)
     monkeypatch.setattr(certify, "_setups", timed_setups)

@@ -326,6 +326,44 @@ def test_certify_or_raise_rejects_nonconvex_assembly():
         _certify_or_raise(bad)
 
 
+def test_a_run_raises_the_refusal_of_its_first_failing_row(monkeypatch):
+    """Rows glued in one run are certified in one check, and the run raises
+    what the rows raise one at a time: the first row that fails any step.
+    Row n = 64 fails only its certificate (w^2 (u^2 - 1)^2 added to piece 7
+    of its blend) and row n = 128 its tangent gaps (its tangent at x1 moved
+    up by 10), which come before any certificate: [32, 64, 128] raises row
+    64's NotConvexOutput, as 64 alone does, and [32, 128, 64] row 128's
+    ConstructionError."""
+    f, r = exp_oracle(1.0), 3
+    blend, tangent = glue._blend, glue.tangent_line
+    x1 = float(chebyshev_partition(128).knots[1])
+
+    def concave_at_64(*args):
+        coeffs, centers, halfwidths = blend(*args)
+        if coeffs.shape[0] == 64:
+            w = halfwidths[7]
+            coeffs[7] += [w * w, 0.0, -2.0 * w * w, 0.0, w * w]
+        return coeffs, centers, halfwidths
+
+    def lifted_at_128(g, x):
+        slope, icept = tangent(g, x)
+        return slope, icept + (10.0 if x == x1 else 0.0)
+
+    monkeypatch.setattr(glue, "_blend", concave_at_64)
+    monkeypatch.setattr(glue, "tangent_line", lifted_at_128)
+    prep = glue._prepare(f, r)
+    with pytest.raises(NotConvexOutput) as alone:
+        glue._construct_chebyshev(prep, f, r, [64])
+    assert str(alone.value) == "pieces [7] failed the convexity certificate"
+    with pytest.raises(NotConvexOutput) as run:
+        glue._construct_chebyshev(prep, f, r, [32, 64, 128])
+    assert str(run.value) == str(alone.value)
+    for ns in ([128], [32, 128, 64]):
+        with pytest.raises(glue.ConstructionError, match="tangent gaps"):
+            glue._construct_chebyshev(prep, f, r, ns)
+    assert len(glue._construct_chebyshev(prep, f, r, [32, 40, 256])) == 3
+
+
 def test_construction_against_brute_force_checks():
     # independent verification path: dense second differences for convexity,
     # dense evaluation for continuity, no certificates involved

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from convexlab.domain import chebyshev_partition, exp_oracle, f0_oracle, poly_oracle
 from convexlab.glue import construct_chebyshev, polygonal_baseline
 from convexlab.localconvex import convex_parabola, convex_pieces
-from convexlab.piecewise import PiecewisePoly
+from convexlab.piecewise import PiecewisePoly, _convexity_reports, verify_convexity
 from convexlab.polynomial import ConvexityCertificate, convexity_certificate
 from helpers import Poly, pieces_of, spline_of
 
@@ -305,3 +305,48 @@ def test_json_keeps_poly_checks():
     doc["pieces"][0]["coeffs"] += [0.0, 0.0, 1.0]
     with pytest.raises(ValueError, match="exceeds declared order"):
         PiecewisePoly.from_json_dict(doc)
+
+
+def _moved(S, j, change):
+    """S with change, ascending coefficients in u, added to the row of piece j."""
+    coeffs = S.coeffs.copy()
+    coeffs[j, :len(change)] += change
+    return PiecewisePoly(S.knots, coeffs, S.centers, S.halfwidths)
+
+
+def _report_fields(rep):
+    return (rep.convex, rep.continuous, rep.slopes_ok, rep.offending_pieces,
+            rep.piece_min_second_derivative.tobytes())
+
+
+def test_run_check_equals_the_check_of_each_spline():
+    """One check of a run of splines gives each spline the report that
+    verify_convexity gives it alone, field for field.  The run mixes passing
+    splines with splines that fail one check each: a jump (c0 moved by
+    1e-8), an offending piece (w^2 (u^2 - 1)^2 added: the same values and
+    slopes at its ends, p'' about e^x - 4 inside) and a slope drop
+    (1e-8 w/2 (u^2 - 1) added: the same values, the left slope 1e-8 lower).
+    A jump or a drop of 1e-8 fails the tolerance of its own exp:alpha=1
+    spline, about 3.7e-9, and passes that of the steep exp:alpha=8 spline
+    in the same run (3e-6 and 2.4e-5), so tolerances taken across the run
+    would pass it.  A one-piece spline shares the run."""
+    ok = [construct_chebyshev(exp_oracle(1.0), 3, n)[0] for n in (16, 24, 40, 56)]
+    steep = construct_chebyshev(exp_oracle(8.0), 3, 64)[0]
+    one = PiecewisePoly([-1.0, 1.0], [[1.0, 0.5, 2.0, 0.0, 0.0]], [0.0], [1.0])
+    j = 7
+    jump = _moved(ok[0], j, [1e-8])
+    w = ok[1].halfwidths[j]
+    offending = _moved(ok[1], j, [w * w, 0.0, -2.0 * w * w, 0.0, w * w])
+    w = ok[2].halfwidths[j]
+    drop = _moved(ok[2], j, [-0.5e-8 * w, 0.0, 0.5e-8 * w])
+    alone = {id(S): verify_convexity(S) for S in (*ok, steep, one, jump, offending, drop)}
+    assert [_report_fields(alone[id(S)])[:3] for S in (jump, offending, drop)] == [
+        (False, False, True), (False, True, True), (False, True, False)]
+    assert alone[id(offending)].offending_pieces == [j]
+    assert all(alone[id(S)].convex for S in (*ok, steep, one))
+    runs = [[ok[0], jump, steep, offending, ok[1], drop, one, ok[3]],
+            [steep, drop], [jump, steep], [one], [offending, one]]
+    for run in runs:
+        got = _convexity_reports(run)
+        assert [_report_fields(rep) for rep in got] == [
+            _report_fields(verify_convexity(S)) for S in run]
